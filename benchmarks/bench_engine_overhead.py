@@ -1,16 +1,16 @@
 """Dispatch-overhead benchmarks for the parallel experiment engine.
 
-The engine fans the paper's 13-cell grid out over a process pool; before
-the workload store, every cell's submission re-pickled the full job tuple.
-These benchmarks measure what the zero-copy path saves:
+The engine fans the paper's 13-cell grid out over a process pool; cells
+travel as the workload's digest and the packed stream ships once per pool
+through the worker initializer.  These benchmarks price that path:
 
-* **payload bytes per cell** — pickled job tuple (legacy) vs the 64-char
-  digest (store), with the packed buffer shipped once per pool via the
-  worker initializer;
+* **payload bytes per cell** — the 64-char digest each cell carries, plus
+  the packed buffer shipped once per pool (``store_bytes_per_cell`` is
+  gated "must not grow" by ``check_regression.py``);
 * **pack / unpack / fingerprint throughput** — the fixed costs the store
   adds on the way in;
-* **cold pool vs warm store dispatch** (script mode) — wall clock of a
-  real pool round-trip with and without the store;
+* **store dispatch** (script mode) — wall clock of a real pool
+  round-trip through the seeded store;
 * **journal append** — the fsynced per-cell cost of the run journal, the
   price every journaled cell pays for crash tolerance;
 * **remote dispatch latency** — one length-prefixed, checksummed frame
@@ -39,7 +39,7 @@ from repro.core.job import Job
 from repro.core.packing import fingerprint_packed, pack_jobs, unpack_jobs
 from repro.experiments.engine import fingerprint_jobs
 
-#: Cells in the paper's grid — how many times the legacy path re-pickles.
+#: Cells in the paper's grid.
 N_CELLS = 13
 N_JOBS = 5_000
 
@@ -66,21 +66,15 @@ def synthetic_workload(n: int = N_JOBS, seed: int = 0) -> list[Job]:
 
 
 def payload_bytes(jobs: list[Job]) -> dict[str, float]:
-    """Dispatch bytes over a full grid: legacy tuple vs digest + one pack."""
+    """Dispatch bytes over a full grid: one digest per cell + one pack."""
     packed = pack_jobs(jobs)
     digest = fingerprint_packed(packed)
-    legacy_per_cell = len(pickle.dumps(tuple(jobs), protocol=pickle.HIGHEST_PROTOCOL))
     store_per_cell = len(pickle.dumps(digest, protocol=pickle.HIGHEST_PROTOCOL))
     store_one_time = len(pickle.dumps(packed, protocol=pickle.HIGHEST_PROTOCOL))
     return {
-        "legacy_bytes_per_cell": legacy_per_cell,
         "store_bytes_per_cell": store_per_cell,
         "store_one_time_bytes": store_one_time,
-        "legacy_grid_bytes": legacy_per_cell * N_CELLS,
         "store_grid_bytes": store_per_cell * N_CELLS + store_one_time,
-        "per_cell_reduction_x": legacy_per_cell / store_per_cell,
-        "grid_reduction_x": (legacy_per_cell * N_CELLS)
-        / (store_per_cell * N_CELLS + store_one_time),
     }
 
 
@@ -116,17 +110,16 @@ def test_pickle_roundtrip_packed_5k(benchmark):
     assert len(out) == len(packed)
 
 
-def test_dispatch_payload_reduced_10x():
-    """The acceptance bar: per-cell dispatch bytes shrink >= 10x on 5k jobs."""
-    stats = payload_bytes(synthetic_workload())
+def test_dispatch_payload_is_digest_sized():
+    """A cell task carries the digest, never the stream: the per-cell
+    payload is independent of the workload size."""
+    small = payload_bytes(synthetic_workload(50))
+    large = payload_bytes(synthetic_workload())
     print(
-        f"\nlegacy={stats['legacy_bytes_per_cell']:.0f} B/cell  "
-        f"store={stats['store_bytes_per_cell']:.0f} B/cell  "
-        f"reduction={stats['per_cell_reduction_x']:.0f}x "
-        f"(grid incl. one-time pack: {stats['grid_reduction_x']:.1f}x)"
+        f"\nstore={large['store_bytes_per_cell']:.0f} B/cell  "
+        f"one-time pack={large['store_one_time_bytes']:.0f} B"
     )
-    assert stats["per_cell_reduction_x"] >= 10.0
-    assert stats["grid_reduction_x"] >= 10.0
+    assert large["store_bytes_per_cell"] == small["store_bytes_per_cell"] < 128
 
 
 # -- run-journal append cost ------------------------------------------------------
@@ -194,44 +187,35 @@ def test_journal_append_fsynced(benchmark):
 # -- real pool round-trips (script mode) -----------------------------------------
 
 
-def _legacy_cell(payload):
-    jobs = payload
-    return len(jobs)
-
-
 def _store_cell(digest):
     from repro.experiments.workload_store import resolve_worker_workload
 
     return len(resolve_worker_workload(digest))
 
 
-def measure_pool_dispatch(jobs: list[Job], use_store: bool, workers: int = 2) -> float:
+def measure_pool_dispatch(jobs: list[Job], workers: int = 2) -> float:
     """Wall clock of one grid's worth of no-op cells through a fresh pool.
 
-    Isolates dispatch overhead: each task only deserializes its payload
-    (and, store path, resolves the digest from the worker cache) — the
-    difference between the two modes is pure serialization cost.
+    Isolates dispatch overhead: each task only resolves its digest from
+    the worker cache the initializer seeded.
     """
     from concurrent.futures import ProcessPoolExecutor
 
     from repro.experiments.backends.pool import pool_context
     from repro.experiments.workload_store import WorkloadStore, seed_worker_cache
 
-    kwargs = {}
-    if use_store:
-        store = WorkloadStore()
-        packed = store.register(fingerprint_jobs(jobs), jobs)
-        digest = fingerprint_packed(packed)
-        kwargs = {"initializer": seed_worker_cache, "initargs": (store.entries(digest),)}
-        task, payload = _store_cell, digest
-    else:
-        task, payload = _legacy_cell, tuple(jobs)
+    store = WorkloadStore()
+    packed = store.register(fingerprint_jobs(jobs), jobs)
+    digest = fingerprint_packed(packed)
 
     t0 = time.perf_counter()
     with ProcessPoolExecutor(
-        max_workers=workers, mp_context=pool_context(), **kwargs
+        max_workers=workers,
+        mp_context=pool_context(),
+        initializer=seed_worker_cache,
+        initargs=(store.entries(digest),),
     ) as pool:
-        counts = list(pool.map(task, [payload] * N_CELLS))
+        counts = list(pool.map(_store_cell, [digest] * N_CELLS))
     elapsed = time.perf_counter() - t0
     assert counts == [len(jobs)] * N_CELLS
     return elapsed
@@ -347,8 +331,7 @@ def collect_measurements(rounds: int = 3) -> dict[str, float]:
         "unpack_jobs_5k": best_of(lambda: unpack_jobs(packed)),
         "fingerprint_packed_5k": best_of(lambda: fingerprint_packed(packed)),
         "fingerprint_jobs_5k": best_of(lambda: fingerprint_jobs(jobs)),
-        "pool_dispatch_legacy": measure_pool_dispatch(jobs, use_store=False),
-        "pool_dispatch_store": measure_pool_dispatch(jobs, use_store=True),
+        "pool_dispatch_store": measure_pool_dispatch(jobs),
         "journal_append_per_record": measure_journal_append(),
         "remote_dispatch_per_frame": measure_remote_dispatch(),
         "objectstore_put_get_per_entry": measure_objectstore_roundtrip(),

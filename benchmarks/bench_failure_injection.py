@@ -9,7 +9,7 @@ valid.
 """
 
 from repro.core.machine import Machine
-from repro.core.simulator import Simulator
+from repro.core.simulator import ScenarioInputs, Simulator
 from repro.experiments.paper import ctc_workload
 from repro.failures import audit_run, mtbf_trace
 from repro.schedulers import FCFSScheduler
@@ -33,7 +33,9 @@ def test_failure_injection_rates(benchmark):
         for rate in RATES:
             cancellations = random_cancellations(jobs, rate, seed=132)
             sim = Simulator(Machine(NODES), FCFSScheduler.with_easy())
-            result = sim.run(jobs, cancellations=cancellations)
+            result = sim.run(
+                jobs, scenario=ScenarioInputs(cancellations=cancellations)
+            )
             result.schedule.validate(NODES)
             survivors = [i for i in result.schedule if not i.cancelled]
             art = (
@@ -99,7 +101,9 @@ def test_node_failure_rate_sweep(benchmark):
             )
             for spec in RECOVERIES:
                 sim = Simulator(Machine(NODES), FCFSScheduler.with_easy())
-                result = sim.run(jobs, failures=trace, recovery=spec)
+                result = sim.run(
+                    jobs, scenario=ScenarioInputs(failures=trace, recovery=spec)
+                )
                 audit_run(result, jobs, trace, NODES, recovery=spec)
                 result.schedule.validate(
                     NODES, capacity=trace.capacity_steps(NODES)

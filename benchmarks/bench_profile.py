@@ -64,21 +64,6 @@ def test_earliest_start_queries(benchmark):
     assert total > 0
 
 
-def test_earliest_start_batch(benchmark):
-    """The batch kernel: same queries as above, one call, shared locals."""
-    profile = build_profile(300)
-    rng = random.Random(1)
-    requests = [
-        (rng.randint(1, 256), rng.uniform(10.0, 5000.0)) for _ in range(500)
-    ]
-
-    starts = benchmark(profile.earliest_start_batch, requests)
-    assert len(starts) == len(requests)
-    assert starts == [
-        profile.earliest_start(nodes, duration) for nodes, duration in requests
-    ]
-
-
 def test_allocate_fused(benchmark):
     """allocate() = earliest_start + reserve without the re-validation scan."""
 
@@ -357,17 +342,6 @@ def test_scenario_compile_overhead_under_5pct():
     )
 
 
-def test_vector_first_fit_batch(benchmark):
-    """The 2-D numpy first-fit kernel: timed, and pinned to the oracle."""
-    profile = build_profile(300)
-    rng = random.Random(1)
-    requests = [
-        (rng.randint(1, 256), rng.uniform(10.0, 5000.0)) for _ in range(500)
-    ]
-    starts = benchmark(vector.earliest_start_batch, profile, requests)
-    assert starts == profile.earliest_start_batch(requests)
-
-
 def test_backend_end_to_end(benchmark):
     """Whole-simulation wall clock on the numpy backend, pinned bit-identical
     to the python oracle."""
@@ -415,7 +389,6 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
         (rng.randint(1, 256), rng.uniform(10.0, 5000.0), rng.uniform(0.0, 1e5))
         for _ in range(500)
     ]
-    requests = [(nodes, duration) for nodes, duration, _after in queries]
     trace = _event_trace()
 
     def scalar_queries():
@@ -461,9 +434,6 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
     simulate_numpy = _best_of(end_to_end("numpy"), rounds)
     return {
         "earliest_start_500_queries": _best_of(scalar_queries, rounds),
-        "earliest_start_batch_500": _best_of(
-            lambda: profile.earliest_start_batch(requests), rounds
-        ),
         "allocate_churn_250": _best_of(allocate_churn, rounds),
         "incremental_state_replay": _best_of(
             lambda: _replay_incremental(trace), rounds
@@ -475,9 +445,6 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
         "metric_scalar_awrt_100k": scalar_awrt,
         "metric_vector_awrt_100k": vector_awrt,
         "metric_kernel_reduction_x": scalar_awrt / vector_awrt,
-        "vector_first_fit_batch_500": _best_of(
-            lambda: vector.earliest_start_batch(profile, requests), rounds
-        ),
         # PR 7: the scenario algebra.  Compiling a full multi-phase spec
         # (surge + variability + cancellations + MTBF failures) against a
         # 1000-event stream; bounded < 5% of a cell's simulation time by

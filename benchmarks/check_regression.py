@@ -7,8 +7,8 @@ Usage::
 Timing entries may regress up to ``--max-ratio`` (default 3x — CI runners
 are noisy; the gate catches melts, not jitter).  Byte counts and ratio
 factors are structural, so they get hard bounds: dispatch payload byte
-counts must not grow at all beyond rounding, ``per_cell_reduction_x`` must
-stay >= 10 (the workload-store acceptance bar), and ``*_speedup_x`` whole-
+counts must not grow at all beyond rounding, ``*_reduction_x`` kernel ratios
+must stay >= 10 (the vectorised-metric acceptance bar), and ``*_speedup_x`` whole-
 simulation ratios must stay >= 1.2 (the event-coalescing acceptance bar).
 """
 

@@ -14,7 +14,7 @@ capacity reclaimed from killed jobs.
 """
 
 from repro.core.machine import Machine
-from repro.core.simulator import Simulator
+from repro.core.simulator import ScenarioInputs, Simulator
 from repro.metrics import average_response_time
 from repro.schedulers import FCFSScheduler, GareyGrahamScheduler
 from repro.workloads import ctc_like_workload
@@ -38,7 +38,9 @@ def main() -> None:
         for rate in RATES:
             cancellations = random_cancellations(jobs, rate, seed=54)
             sim = Simulator(Machine(TOTAL_NODES), factory())
-            result = sim.run(jobs, cancellations=cancellations)
+            result = sim.run(
+                jobs, scenario=ScenarioInputs(cancellations=cancellations)
+            )
             result.schedule.validate(TOTAL_NODES)
             survivors = [
                 item for item in result.schedule if not item.cancelled

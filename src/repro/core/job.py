@@ -20,6 +20,7 @@ be overridden for custom objectives.
 from __future__ import annotations
 
 import enum
+from math import inf
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -79,18 +80,26 @@ class Job:
             raise ValueError(f"job_id must be non-negative, got {self.job_id}")
         if self.nodes <= 0:
             raise ValueError(f"job {self.job_id}: nodes must be positive, got {self.nodes}")
-        if self.runtime < 0:
-            raise ValueError(f"job {self.job_id}: runtime must be non-negative, got {self.runtime}")
-        if self.submit_time < 0:
+        # ``0 <= x < inf`` is false for NaN and both infinities as well as
+        # for negatives: a NaN submit time would otherwise pass a sign
+        # check and stall the event loop forever.
+        if not 0 <= self.runtime < inf:
             raise ValueError(
-                f"job {self.job_id}: submit_time must be non-negative, got {self.submit_time}"
+                f"job {self.job_id}: runtime must be finite and non-negative, got {self.runtime}"
             )
-        if self.estimate is not None and self.estimate < 0:
+        if not 0 <= self.submit_time < inf:
             raise ValueError(
-                f"job {self.job_id}: estimate must be non-negative, got {self.estimate}"
+                f"job {self.job_id}: submit_time must be finite and non-negative, "
+                f"got {self.submit_time}"
             )
-        if self.weight is not None and self.weight < 0:
-            raise ValueError(f"job {self.job_id}: weight must be non-negative, got {self.weight}")
+        if self.estimate is not None and not 0 <= self.estimate < inf:
+            raise ValueError(
+                f"job {self.job_id}: estimate must be finite and non-negative, got {self.estimate}"
+            )
+        if self.weight is not None and not 0 <= self.weight < inf:
+            raise ValueError(
+                f"job {self.job_id}: weight must be finite and non-negative, got {self.weight}"
+            )
 
     # -- derived quantities -------------------------------------------------
 

@@ -23,7 +23,7 @@ fields, byte masks for the two optional fields — so that
 every job — including ``meta`` mappings, which ride along sparsely because
 the class-priority admission wrapper reads ``job.meta['class']`` — compares
 equal after a round trip, which ``tests/test_packing.py`` asserts over
-randomized streams (inf estimates, zero weights, zero runtimes, ``None``
+randomized streams (extreme estimates, zero weights, zero runtimes, ``None``
 optionals).
 
 NumPy interop: :meth:`PackedJobs.numpy_views` exposes the numeric columns

@@ -46,17 +46,15 @@ Three query kernels keep the first-fit scan cheap as profiles grow:
   suffix-max is vacuous here: the final segment is always fully free, so
   every suffix max equals ``total_nodes`` — the blocked form is the useful
   prefix structure.  See the decision record in ``docs/architecture.md``.)
-* :meth:`earliest_start_batch` answers many queries against a fixed
-  profile in one pass, and :meth:`allocate` fuses the query with its
-  reservation, skipping the redundant feasibility re-validation —
-  conservative and slack backfilling issue exactly that pair per queued
-  job.
+* :meth:`allocate` fuses the query with its reservation, skipping the
+  redundant feasibility re-validation — conservative and slack
+  backfilling issue exactly that pair per queued job.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Sequence
+from typing import Iterable
 
 #: Segments per block of the lazily-built block-max feasibility index.
 _INDEX_BLOCK = 32
@@ -84,9 +82,8 @@ def _first_fit(
 ) -> float:
     """First ``t >= start_at`` with ``free >= nodes`` over ``[t, t+duration)``.
 
-    The single query kernel behind :meth:`AvailabilityProfile.earliest_start`,
-    :meth:`~AvailabilityProfile.earliest_start_batch` and
-    :meth:`~AvailabilityProfile.allocate`.  ``block_max`` (when not ``None``)
+    The single query kernel behind :meth:`AvailabilityProfile.earliest_start`
+    and :meth:`~AvailabilityProfile.allocate`.  ``block_max`` (when not ``None``)
     holds ``max(free[k*B:(k+1)*B])`` per block and must describe exactly
     ``free``; the caller guarantees ``nodes <= total_nodes`` so the scan
     always terminates on the final, fully-free segment.
@@ -302,46 +299,6 @@ class AvailabilityProfile:
         return _first_fit(
             times, self._free, len(times), self._query_index(), nodes, duration, after
         )
-
-    def earliest_start_batch(
-        self,
-        requests: Sequence[tuple[int, float]],
-        after: float | None = None,
-        *,
-        backend: str | None = None,
-    ) -> list[float]:
-        """First-fit starts for many ``(nodes, duration)`` requests at once.
-
-        All requests are answered against this *fixed* profile (no
-        reservations between them — use :meth:`allocate` per job when each
-        answer must constrain the next).  One pass hoists the segment
-        lists and the feasibility index out of the per-request path, so a
-        batch of k queries costs far less than k :meth:`earliest_start`
-        calls.  Results are exactly ``[self.earliest_start(n, d, after)
-        for n, d in requests]``.
-
-        ``backend="numpy"`` routes the batch through the vectorised 2-D
-        kernel (:func:`repro.core.vector.earliest_start_batch`), which is
-        bit-identical by construction; any other value keeps the scalar
-        loop below.
-        """
-        if backend == "numpy":
-            from repro.core import vector
-
-            return vector.earliest_start_batch(self, requests, after)
-        times = self._times
-        free = self._free
-        n = len(times)
-        origin = times[0]
-        start_at = origin if after is None or after < origin else after
-        total = self.total_nodes
-        block_max = self._query_index()
-        out: list[float] = []
-        for nodes, duration in requests:
-            if nodes > total:
-                raise ValueError(f"{nodes} nodes never fit a {total}-node machine")
-            out.append(_first_fit(times, free, n, block_max, nodes, duration, start_at))
-        return out
 
     def allocate(self, nodes: int, duration: float, after: float | None = None) -> float:
         """Fused :meth:`earliest_start` + :meth:`reserve`; returns the start.

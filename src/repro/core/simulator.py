@@ -38,10 +38,9 @@ so backfilling disciplines plan around it like any other commitment.
 from __future__ import annotations
 
 import time
-import warnings
 from heapq import heappop
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core import vector
 from repro.core.events import EventKind, EventQueue
@@ -71,27 +70,21 @@ class Cancellation:
     job_id: int
 
 
-#: Sentinel distinguishing "keyword not passed" from every real value in the
-#: deprecated keyword shims below.
-_UNSET: Any = object()
-
-
 @dataclass(frozen=True, slots=True)
 class SimulationConfig:
     """How a :class:`Simulator` runs — everything that is not an input.
 
-    Collapses the former keyword tail of ``Simulator(...)`` into one
-    picklable bundle (the old keywords survive as deprecated shims).  The
-    fields change *how* a result is computed, never *what* it is: every
-    backend/state combination is bit-identical (the equivalence suites'
-    contract), which is why none of them enters a cache fingerprint.
+    One picklable bundle.  The fields change *how* a result is computed,
+    never *what* it is: every backend/state combination is bit-identical
+    (the equivalence suites' contract), which is why none of them enters a
+    cache fingerprint.
 
     ``backend`` selects the simulation kernels: ``"python"`` (the oracle),
     ``"numpy"`` (the vectorised fast path of :mod:`repro.core.vector`),
     ``"auto"`` (numpy when importable, else python) or ``None`` (the
     default — consult the ``REPRO_BACKEND`` environment variable, then
-    auto).  The remaining fields keep their historical meanings (see the
-    :class:`Simulator` docstring).
+    auto).  The remaining fields are described in the :class:`Simulator`
+    docstring.
     """
 
     backend: str | None = None
@@ -110,11 +103,10 @@ class SimulationConfig:
 class ScenarioInputs:
     """Fault-injection inputs of one run, bundled.
 
-    Collapses the former keyword tail of :meth:`Simulator.run` —
     ``cancellations`` (user withdrawals), ``failures`` (a
     :class:`~repro.failures.trace.FailureTrace`) and ``recovery`` (policy
-    object or spec string) — into one object that can be built once and
-    reused across runs, regimes and backends.
+    object or spec string) in one object that can be built once and reused
+    across runs, regimes and backends.
     """
 
     cancellations: Sequence[Cancellation] = ()
@@ -223,8 +215,7 @@ class Simulator:
     scheduler:
         Any :class:`~repro.core.scheduler.Scheduler`.
     config:
-        A :class:`SimulationConfig`; ``None`` means all defaults.  Its
-        fields keep their historical meanings:
+        A :class:`SimulationConfig`; ``None`` means all defaults:
 
         * ``backend`` — simulation kernels (``"python"`` oracle /
           ``"numpy"`` fast path / ``"auto"``; ``None`` consults
@@ -244,10 +235,7 @@ class Simulator:
           ``REPRO_VERIFY_STATE``).
     backend:
         Convenience override for ``config.backend`` (the one config field
-        callers flip routinely); not deprecated.
-    cancel_over_limit, collect_trace, incremental_state, verify_state:
-        Deprecated keyword shims folding into ``config``; passing any of
-        them emits a :class:`DeprecationWarning`.
+        callers flip routinely).
     """
 
     def __init__(
@@ -257,32 +245,9 @@ class Simulator:
         config: SimulationConfig | None = None,
         *,
         backend: str | None = None,
-        cancel_over_limit: bool = _UNSET,
-        collect_trace: bool = _UNSET,
-        incremental_state: bool = _UNSET,
-        verify_state: int | None = _UNSET,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("cancel_over_limit", cancel_over_limit),
-                ("collect_trace", collect_trace),
-                ("incremental_state", incremental_state),
-                ("verify_state", verify_state),
-            )
-            if value is not _UNSET
-        }
         if config is None:
             config = SimulationConfig()
-        if legacy:
-            warnings.warn(
-                f"Simulator keyword(s) {', '.join(sorted(legacy))} are "
-                "deprecated; pass SimulationConfig(...) as the config "
-                "argument instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = replace(config, **legacy)
         if backend is not None:
             config = replace(config, backend=backend)
         self.machine = machine
@@ -293,31 +258,10 @@ class Simulator:
         self.backend = resolve_backend(config.backend)
         self.trace = _Trace() if config.collect_trace else None
 
-    # Read-only views of the config fields, for callers that inspected the
-    # former instance attributes.
-    @property
-    def cancel_over_limit(self) -> bool:
-        return self.config.cancel_over_limit
-
-    @property
-    def collect_trace(self) -> bool:
-        return self.config.collect_trace
-
-    @property
-    def incremental_state(self) -> bool:
-        return self.config.incremental_state
-
-    @property
-    def verify_state(self) -> int | None:
-        return self.config.verify_state
-
     def run(
         self,
         jobs: Iterable[Job],
-        cancellations: Sequence[Cancellation] = _UNSET,
         *,
-        failures: "FailureTrace | None" = _UNSET,
-        recovery: "RecoveryPolicy | str | None" = _UNSET,
         scenario: ScenarioInputs | None = None,
     ) -> SimulationResult:
         """Simulate the whole stream and return the final schedule.
@@ -338,34 +282,8 @@ class Simulator:
           such as ``"abandon"`` or
           ``"checkpoint:interval=3600,overhead=60"``, or ``None`` for the
           default full resubmission.
-
-        The loose ``cancellations``/``failures``/``recovery`` keywords are
-        deprecated shims for the same inputs.
         """
-        legacy = {
-            name: value
-            for name, value in (
-                ("cancellations", cancellations),
-                ("failures", failures),
-                ("recovery", recovery),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            warnings.warn(
-                f"Simulator.run keyword(s) {', '.join(sorted(legacy))} are "
-                "deprecated; pass ScenarioInputs(...) as scenario= instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if scenario is not None:
-                raise TypeError(
-                    "pass either scenario=ScenarioInputs(...) or the "
-                    f"deprecated keyword(s) {', '.join(sorted(legacy))}, "
-                    "not both"
-                )
-            scenario = ScenarioInputs(**legacy)
-        cancel_over_limit = self.cancel_over_limit
+        cancel_over_limit = self.config.cancel_over_limit
         if scenario is None:
             scenario = ScenarioInputs()
         elif not isinstance(scenario, ScenarioInputs):
@@ -462,7 +380,6 @@ class Simulator:
             state = SchedulingState(
                 self.machine.total_nodes,
                 verify_every=verify_every,
-                backend=backend,
             )
         active_outages: list[tuple[float, int]] = []
         ctx = SchedulerContext(
@@ -1099,30 +1016,7 @@ def simulate(
     config: SimulationConfig | None = None,
     scenario: ScenarioInputs | None = None,
     backend: str | None = None,
-    cancellations: Sequence[Cancellation] = _UNSET,
-    failures: "FailureTrace | None" = _UNSET,
-    recovery: "RecoveryPolicy | str | None" = _UNSET,
-    **kwargs: object,
 ) -> SimulationResult:
-    """One-call convenience wrapper: build a machine, run, return the result.
-
-    ``config``/``scenario``/``backend`` are the current surface; the loose
-    ``cancellations``/``failures``/``recovery`` keywords (and any legacy
-    ``Simulator`` keyword in ``**kwargs``) pass through to the deprecated
-    shims, which emit the ``DeprecationWarning``.
-    """
-    simulator = Simulator(
-        Machine(total_nodes), scheduler, config, backend=backend, **kwargs  # type: ignore[arg-type]
-    )
-    legacy = {
-        name: value
-        for name, value in (
-            ("cancellations", cancellations),
-            ("failures", failures),
-            ("recovery", recovery),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        return simulator.run(jobs, scenario=scenario, **legacy)  # type: ignore[arg-type]
+    """One-call convenience wrapper: build a machine, run, return the result."""
+    simulator = Simulator(Machine(total_nodes), scheduler, config, backend=backend)
     return simulator.run(jobs, scenario=scenario)

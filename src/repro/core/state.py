@@ -33,11 +33,11 @@ guarantee is mechanical equivalence: schedules under the incremental state
 are bit-identical to the rebuild implementation, which
 ``tests/test_state_equivalence.py`` asserts over the whole registry.
 
-Verification mode (``REPRO_VERIFY_STATE=K`` or ``Simulator(...,
-verify_state=K)``) cross-checks every K-th snapshot against a fresh
-``from_running`` rebuild and raises :class:`StateDivergenceError` on any
-mismatch — the cheap insurance that keeps "incremental" and "correct" the
-same thing as the code evolves.
+Verification mode (``REPRO_VERIFY_STATE=K`` or
+``SimulationConfig(verify_state=K)``) cross-checks every K-th snapshot
+against a fresh ``from_running`` rebuild and raises
+:class:`StateDivergenceError` on any mismatch — the cheap insurance that
+keeps "incremental" and "correct" the same thing as the code evolves.
 """
 
 from __future__ import annotations
@@ -87,10 +87,6 @@ class SchedulingState:
     verify_every:
         Cross-check every N-th snapshot against a ``from_running`` rebuild
         (0 disables).
-    backend:
-        Resolved kernel backend (``"python"``/``"numpy"``) for batch
-        queries; threaded into
-        :meth:`~repro.core.profile.AvailabilityProfile.earliest_start_batch`.
 
     ``deltas``, ``snapshots`` and ``verifications`` count the respective
     operations for the cost benches (Tables 7–8 instrumentation).
@@ -98,7 +94,6 @@ class SchedulingState:
 
     __slots__ = (
         "total_nodes",
-        "backend",
         "now",
         "profile",
         "_ends",
@@ -120,10 +115,8 @@ class SchedulingState:
         *,
         origin: float = 0.0,
         verify_every: int = 0,
-        backend: str = "python",
     ) -> None:
         self.total_nodes = total_nodes
-        self.backend = backend
         self.now = origin
         #: The persistent profile; schedulers must never mutate it directly —
         #: they receive copy-on-write clones from :meth:`snapshot`.
@@ -335,24 +328,6 @@ class SchedulingState:
         """``(projected_end, nodes)`` of every running job, end-sorted."""
         jobs = self._jobs
         return [(end, jobs[job_id][1]) for end, job_id in self._ends]
-
-    def earliest_start_batch(
-        self, requests: "list[tuple[int, float]]"
-    ) -> list[float]:
-        """First-fit starts for many ``(nodes, duration)`` requests at *now*.
-
-        A read-only batch query against the current availability: one
-        snapshot, one pass (see
-        :meth:`~repro.core.profile.AvailabilityProfile.earliest_start_batch`).
-        Disciplines planning with interleaved reservations keep using
-        their own snapshot's :meth:`~repro.core.profile.AvailabilityProfile.
-        allocate` kernel instead — that pair shares the same pruned
-        first-fit scan, so every profile consumer benefits from the
-        block-max index without further wiring.  Under the numpy backend
-        the whole batch runs through the vectorised 2-D kernel
-        (:func:`repro.core.vector.earliest_start_batch`).
-        """
-        return self.snapshot().earliest_start_batch(requests, backend=self.backend)
 
     # -- verification -------------------------------------------------------------
 

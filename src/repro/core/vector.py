@@ -5,7 +5,7 @@ required to reproduce its results *bit for bit*, so that switching backends
 can never change a schedule, an objective, or a cache fingerprint (the
 backend is deliberately absent from
 :func:`repro.experiments.engine.cell_fingerprint`).  The fast path earns its
-keep on three hot loops:
+keep on two hot loops:
 
 * **event-queue advance** — instead of heap-pushing one
   :class:`~repro.core.events.Event` per submission (N dataclass
@@ -16,10 +16,6 @@ keep on three hot loops:
   (``EventQueue(start_sequence=N)``), so the merged order equals the heap
   order of the oracle exactly — including rerun submissions and
   cancellations racing original arrivals at the same instant;
-* **batched first-fit scans** — :func:`earliest_start_batch` answers many
-  ``(nodes, duration)`` queries against one availability profile as 2-D
-  array ops (the ``next-false`` suffix structure below extends the scalar
-  block-max index idea to whole batches);
 * **metric accumulation** — :class:`ResultColumns` collects the schedule's
   numeric columns during the run, and the ``*_columns`` kernels reduce them
   with ``np.add.accumulate``.
@@ -48,7 +44,6 @@ from __future__ import annotations
 
 import os
 from array import array
-from bisect import bisect_right
 from heapq import heappop
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -56,7 +51,6 @@ from repro.core.events import EventKind, EventQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.job import Job
-    from repro.core.profile import AvailabilityProfile
     from repro.core.schedule import Schedule, ScheduledJob
 
 __all__ = [
@@ -67,7 +61,6 @@ __all__ = [
     "available_backends",
     "average_response_time_columns",
     "average_weighted_response_time_columns",
-    "earliest_start_batch",
     "exact_sum",
     "numpy_or_none",
     "resolve_backend",
@@ -334,66 +327,6 @@ class MergedEventFeed:
                 break
         self._idx = i
         return jobs[start:i], times[start:i], instants
-
-
-# -- batched first-fit over canonical profile steps ----------------------------
-
-
-def earliest_start_batch(
-    profile: "AvailabilityProfile",
-    requests: Sequence[tuple[int, float]],
-    after: float | None = None,
-) -> list[float]:
-    """Vectorised first-fit starts for many ``(nodes, duration)`` requests.
-
-    Bit-identical to the scalar
-    :meth:`~repro.core.profile.AvailabilityProfile.earliest_start_batch`
-    oracle.  The construction mirrors the scalar kernel's invariants:
-
-    * ``next_false[i]`` — the first segment at or after ``i`` that cannot
-      host the request — is a reversed ``np.minimum.accumulate`` over the
-      infeasible indices (the batched generalisation of the block-max
-      skip index);
-    * a feasible segment ``i`` answers the query iff ``next_false[i] == n``
-      (the window runs into the eternally-free tail) or
-      ``times[next_false[i]] >= candidate_i + duration`` — the exact test
-      the scalar scan performs, in the same float arithmetic;
-    * within one feasible run the candidate start is non-decreasing while
-      ``next_false`` is constant, so if the run's first segment fails the
-      whole run fails — the first valid index overall is therefore the
-      same segment the scalar jump-scan lands on.
-    """
-    np = _numpy()
-    k = len(requests)
-    if k == 0:
-        return []
-    times_list = profile._times
-    total = profile.total_nodes
-    nodes = np.fromiter((r[0] for r in requests), dtype=np.int64, count=k)
-    if nodes.max() > total:
-        bad = int(nodes[int(np.argmax(nodes > total))])
-        raise ValueError(f"{bad} nodes never fit a {total}-node machine")
-    durations = np.fromiter((r[1] for r in requests), dtype=np.float64, count=k)
-    times = np.asarray(times_list, dtype=np.float64)
-    free = np.asarray(profile._free, dtype=np.int64)
-    n = times.size
-    origin = times_list[0]
-    start_at = origin if after is None or after < origin else after
-    first_idx = bisect_right(times_list, start_at) - 1
-
-    feasible = free[None, :] >= nodes[:, None]
-    indices = np.arange(n)
-    next_false = np.minimum.accumulate(
-        np.where(feasible, n, indices[None, :])[:, ::-1], axis=1
-    )[:, ::-1]
-    candidate = np.maximum(times, start_at)
-    times_ext = np.append(times, np.inf)
-    fits = times_ext[next_false] >= candidate[None, :] + durations[:, None]
-    valid = feasible & fits
-    if first_idx > 0:
-        valid[:, :first_idx] = False
-    first = np.argmax(valid, axis=1)
-    return np.maximum(times[first], start_at).tolist()
 
 
 # -- columnar result buffers and exact metric kernels --------------------------

@@ -40,7 +40,7 @@ class CellTask(NamedTuple):
     """One grid cell, ready to dispatch.
 
     ``args`` is the full :func:`repro.experiments.engine._run_cell_task`
-    argument tuple (row, column, jobs-or-digest, machine, regime,
+    argument tuple (row, column, workload digest, machine, regime,
     compiled scenario inputs, kernel backend) — a backend never needs to
     understand it, only move it.
     """

@@ -71,7 +71,7 @@ class PoolBackend(ExecutionBackend):
         workers: int,
         n_cells: int,
         groups: int = 1,
-        store_entries: "tuple[tuple[str, PackedJobs], ...] | None" = None,
+        store_entries: "tuple[tuple[str, PackedJobs], ...]",
         heartbeat_interval: float | None = None,
     ) -> None:
         total = max(1, min(workers, n_cells))
@@ -99,19 +99,16 @@ class PoolBackend(ExecutionBackend):
         # A (re)built group re-seeds its workers from the store and
         # re-arms their heartbeats: the initializer runs again in every
         # fresh worker process.
-        kwargs: dict = {}
-        if self._store_entries is not None or self._hb_dir is not None:
-            kwargs["initializer"] = init_worker
-            kwargs["initargs"] = (
-                self._store_entries,
-                self._hb_dir,
-                self._heartbeat_interval,
-            )
         self._epoch = time.time()
         self._execs[index] = ProcessPoolExecutor(
             max_workers=self._group_workers[index],
             mp_context=pool_context(),
-            **kwargs,
+            initializer=init_worker,
+            initargs=(
+                self._store_entries,
+                self._hb_dir,
+                self._heartbeat_interval,
+            ),
         )
 
     def start(self) -> None:

@@ -82,7 +82,7 @@ class RemoteWorkerBackend(ExecutionBackend):
         self,
         addresses: Sequence[str | tuple[str, int]],
         *,
-        store_entries: "tuple[tuple[str, PackedJobs], ...] | None" = None,
+        store_entries: "tuple[tuple[str, PackedJobs], ...]" = (),
         heartbeat_interval: float | None = None,
         connect_timeout: float = 5.0,
         io_timeout: float = 600.0,
@@ -126,7 +126,7 @@ class RemoteWorkerBackend(ExecutionBackend):
                 raise proto.ProtocolError(
                     f"expected WELCOME, got {frame.kind.name}"
                 )
-            for digest, packed in self._store_entries or ():
+            for digest, packed in self._store_entries:
                 proto.send_frame(sock, proto.Kind.SEED, (digest, packed))
                 frame = self._recv_meaningful(sock, worker)
                 if frame.kind is not proto.Kind.SEEDED:

@@ -211,7 +211,7 @@ def _cmd_profile_cell(args: argparse.Namespace) -> int:
     """
     from repro.core.machine import Machine
     from repro.core.simulator import ScenarioInputs, SimulationConfig, Simulator
-    from repro.experiments.engine import cell_fingerprint, fingerprint_jobs
+    from repro.experiments.engine import ExperimentEngine
     from repro.experiments.journal import (
         JournalError,
         journal_path,
@@ -268,44 +268,29 @@ def _cmd_profile_cell(args: argparse.Namespace) -> int:
         )
         return 1
     scale = args.scale if args.scale is not None else int(manifest.get("n_jobs", 0))
-    jobs = spec.workload(scale, args.seed)
 
-    # Recompile the scenario (if any) exactly as the engine did, then prove
-    # the whole reconstruction by recomputing the cell fingerprint.
-    scenario_spec = scenario_from_args(args)
-    cancellations: tuple = ()
-    failures = None
-    recovery = None
-    cancel_over_limit = False
-    scenario_digest = ""
-    if scenario_spec is not None:
-        compiled = scenario_spec.compile(jobs)
-        jobs = list(compiled.jobs)
-        cancellations = compiled.inputs.cancellations
-        failures = compiled.inputs.failures
-        recovery = compiled.inputs.recovery
-        cancel_over_limit = compiled.cancel_over_limit
-        scenario_digest = compiled.digest
-    failures_digest = failures.fingerprint() if failures else ""
-    recovery_spec = ""
-    if recovery is not None:
-        from repro.failures.recovery import recovery_from_spec
-
-        recovery_spec = recovery = recovery_from_spec(recovery).spec
+    # Recompile the scenario (if any) through the engine's own
+    # normalisation, then prove the whole reconstruction by recomputing
+    # the cell fingerprint.
     total_nodes = int(manifest["total_nodes"])
     weighted = bool(manifest["weighted"])
     recompute_threshold = float(manifest["recompute_threshold"])
     row, _, column = key.partition("/")
     config = SchedulerConfig(row=row, column=column)
-    expected = cell_fingerprint(
-        fingerprint_jobs(jobs),
+    prep = ExperimentEngine()._prepare(
+        spec.workload(scale, args.seed),
+        total_nodes=total_nodes,
+        weighted=weighted,
+        configs=[config],
+        recompute_threshold=recompute_threshold,
+        scenario=scenario_from_args(args),
+    )
+    jobs = prep.jobs
+    expected = prep.fingerprint(
         config,
         total_nodes=total_nodes,
         weighted=weighted,
         recompute_threshold=recompute_threshold,
-        failures_digest=failures_digest,
-        recovery=recovery_spec,
-        scenario=scenario_digest,
     )
     if expected != fingerprint:
         print(
@@ -326,16 +311,16 @@ def _cmd_profile_cell(args: argparse.Namespace) -> int:
         ),
         SimulationConfig(
             backend=args.backend,
-            cancel_over_limit=cancel_over_limit,
+            cancel_over_limit=prep.cancel_over_limit,
             profile_phases=True,
         ),
     )
     result = simulator.run(
         jobs,
         scenario=ScenarioInputs(
-            cancellations=tuple(cancellations),
-            failures=failures,
-            recovery=recovery,
+            cancellations=prep.cancellations,
+            failures=prep.failures,
+            recovery=prep.recovery,
         ),
     )
     print(f"cell {key} of run {run_id}")
@@ -462,12 +447,6 @@ def main(argv: list[str] | None = None) -> int:
         type=Path,
         default=None,
         help="append engine progress events to this file as JSON lines",
-    )
-    parser.add_argument(
-        "--no-workload-store",
-        action="store_true",
-        help="ship the full job tuple to every parallel cell instead of the "
-        "zero-copy digest dispatch (debugging/measurement aid)",
     )
     parser.add_argument(
         "--journal-dir",
@@ -658,7 +637,6 @@ def main(argv: list[str] | None = None) -> int:
                 workers=args.workers,
                 cache=cache,
                 on_event=on_event,
-                use_workload_store=not args.no_workload_store,
                 journal_dir=args.journal_dir,
                 resume_run_id=args.resume,
                 backend=args.backend,

@@ -9,11 +9,12 @@ compare the tables".  :class:`ExperimentEngine` executes that grid:
   crosses the process boundary and user-registered rows work unchanged;
 * **zero-copy workload distribution** — the job stream is packed once
   into columnar arrays (:mod:`repro.core.packing`) and seeded into each
-  worker by the pool initializer; cell tasks then carry only the stream's
-  64-character digest, so dispatch payloads shrink >100x and each worker
-  deserializes the workload once per pool lifetime instead of once per
-  cell (see :class:`repro.experiments.workload_store.WorkloadStore`; the
-  serial path and the degradation fallback bypass the store);
+  worker by the pool initializer; cell tasks carry only the stream's
+  64-character digest and each worker deserializes the workload once per
+  pool lifetime instead of once per cell (see
+  :class:`repro.experiments.workload_store.WorkloadStore`; the in-process
+  serial path and the degradation fallback hold the live job list and
+  never touch the store);
 * **content-addressed caching** — every cell result is stored on disk
   under a deterministic fingerprint of the job stream, machine size,
   configuration, regime and cache format version.  A cache hit skips the
@@ -52,9 +53,7 @@ compare the tables".  :class:`ExperimentEngine` executes that grid:
   registered component): the spec compiles once per run, its canonical
   digest joins every cell fingerprint and the run manifest, and
   :meth:`ExperimentEngine.run_scenarios` sweeps named specs over one
-  workload (:meth:`ExperimentEngine.run_failure_scenarios` is a
-  compatibility veneer translating the old
-  :class:`~repro.failures.trace.FailureTrace` + recovery pairs);
+  workload;
 * **run lifecycle** — every cached run keeps an append-only
   :class:`~repro.experiments.journal.RunJournal` under the cache
   directory, keyed by a deterministic run id: the manifest plus one
@@ -110,11 +109,7 @@ from repro.experiments.backends.cache import (
     RemoteCacheStore,
     store_from_spec,
 )
-from repro.experiments.backends.pool import (
-    PoolBackend,
-    pool_context,
-    terminate_pool,
-)
+from repro.experiments.backends.pool import PoolBackend
 from repro.experiments.backends.remote import RemoteWorkerBackend
 from repro.experiments.journal import (
     ManifestMismatchError,
@@ -136,7 +131,7 @@ from repro.experiments.workload_store import (
     resolve_worker_workload,
 )
 from repro.resilience import BreakerTransition, RetryPolicy
-from repro.scenarios import ScenarioSpec, spec_from_legacy
+from repro.scenarios import ScenarioSpec
 from repro.schedulers.registry import SchedulerConfig, paper_configurations
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -513,7 +508,7 @@ class RunStats:
 
 def _run_cell_task(
     args: tuple[
-        str, str, "tuple[Job, ...] | str", int, bool, float, object, str | None,
+        str, str, str, int, bool, float, object, str | None,
         tuple, bool, str | None,
     ],
 ) -> tuple[str, CellResult, float]:
@@ -522,10 +517,9 @@ def _run_cell_task(
     Takes primitive row/column keys and rebuilds the scheduler from the
     registry inside the worker — with the fork start method the child
     inherits user registrations made before the run.  The jobs slot is
-    either the job tuple itself (legacy per-cell-pickle path) or the
-    workload digest, resolved against the process-global cache the pool
-    initializer seeded — the zero-copy path.  Scenario inputs travel
-    *compiled* (the driver compiles the spec exactly once per run):
+    the workload digest, resolved against the process-global cache the
+    pool initializer (or a remote SEED frame) hydrated.  Scenario inputs
+    travel *compiled* (the driver compiles the spec exactly once per run):
     ``failures`` as a pickled :class:`FailureTrace`, ``recovery`` as a
     spec string, ``cancellations`` as a tuple of plain
     :class:`~repro.core.simulator.Cancellation` events and the
@@ -537,7 +531,7 @@ def _run_cell_task(
     (
         row,
         column,
-        jobs,
+        digest,
         total_nodes,
         weighted,
         recompute_threshold,
@@ -547,8 +541,7 @@ def _run_cell_task(
         cancel_over_limit,
         backend,
     ) = args
-    if isinstance(jobs, str):
-        jobs = resolve_worker_workload(jobs)
+    jobs = resolve_worker_workload(digest)
     config = SchedulerConfig(row=row, column=column)
     t0 = time.perf_counter()
     cell = simulate_cell(
@@ -564,13 +557,6 @@ def _run_cell_task(
         backend=backend,
     )
     return config.key, cell, time.perf_counter() - t0
-
-
-# The pool primitives moved to repro.experiments.backends.pool with the
-# ExecutionBackend split; the private names stay importable for callers
-# that reached into them (benchmarks, notebooks).
-_pool_context = pool_context
-_terminate_pool = terminate_pool
 
 
 def _watchdog_defaults() -> "tuple[float | None, float | None]":
@@ -613,24 +599,6 @@ def _watchdog_defaults() -> "tuple[float | None, float | None]":
 _WATCHDOG_UNSET: object = object()
 
 
-@dataclass(frozen=True, slots=True)
-class FailureScenario:
-    """One named failure-injection scenario for a grid sweep.
-
-    ``failures=None`` (with any ``recovery``) is the healthy baseline;
-    ``recovery`` is a canonical spec string (see
-    :func:`repro.failures.recovery.recovery_from_spec`).  Kept as the
-    stable surface of :meth:`ExperimentEngine.run_failure_scenarios`;
-    internally each one is translated into a
-    :class:`~repro.scenarios.spec.ScenarioSpec` and swept through
-    :meth:`ExperimentEngine.run_scenarios`.
-    """
-
-    name: str
-    failures: "FailureTrace | None" = None
-    recovery: str | None = None
-
-
 class _PreparedRun(NamedTuple):
     """One grid request, normalized: the inputs of run id and dispatch.
 
@@ -652,6 +620,26 @@ class _PreparedRun(NamedTuple):
     cancel_over_limit: bool
     scenario_digest: str
     manifest: dict
+
+    def fingerprint(
+        self,
+        config: SchedulerConfig,
+        *,
+        total_nodes: int,
+        weighted: bool,
+        recompute_threshold: float,
+    ) -> str:
+        """Content address of ``config``'s cell in this prepared run."""
+        return cell_fingerprint(
+            self.digest,
+            config,
+            total_nodes=total_nodes,
+            weighted=weighted,
+            recompute_threshold=recompute_threshold,
+            failures_digest=self.failures_digest,
+            recovery=self.recovery_spec,
+            scenario=self.scenario_digest,
+        )
 
 
 class ExperimentEngine:
@@ -685,13 +673,6 @@ class ExperimentEngine:
     max_pool_rebuilds:
         Broken/hung pools rebuilt before giving up on parallelism and
         running every remaining cell serially in-process.
-    use_workload_store:
-        When true (the default), parallel runs pack the job stream once,
-        seed it into workers via the pool initializer, and dispatch cells
-        by digest only — the zero-copy path.  When false, every cell task
-        pickles the full job tuple (the legacy behaviour, kept for the
-        store-on/store-off equivalence test and as an escape hatch).
-        Results are bit-identical either way.
     journal_dir:
         Directory for run journals.  ``None`` (the default) journals
         under ``<cache root>/runs`` when a cache is configured, and not
@@ -756,7 +737,6 @@ class ExperimentEngine:
         max_retries: int = 2,
         retry_backoff: float = 0.5,
         max_pool_rebuilds: int = 2,
-        use_workload_store: bool = True,
         journal_dir: str | Path | None = None,
         heartbeat_interval: float | None = _WATCHDOG_UNSET,  # type: ignore[assignment]
         heartbeat_timeout: float | None = None,
@@ -800,7 +780,6 @@ class ExperimentEngine:
         self.execution_backend = mode
         self.shards = shards
         self.on_event = on_event
-        self.use_workload_store = use_workload_store
         self.workload_store = WorkloadStore()
         if cell_timeout is not None and cell_timeout <= 0:
             raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
@@ -945,8 +924,6 @@ class ExperimentEngine:
         configs: Sequence[SchedulerConfig] | None = None,
         recompute_threshold: float = 2.0 / 3.0,
         reference_key: str | None = None,
-        failures: "FailureTrace | None" = None,
-        recovery: str | None = None,
         scenario: "ScenarioSpec | None" = None,
     ) -> "_PreparedRun":
         """Normalize one grid request into its manifest-defining form.
@@ -954,22 +931,11 @@ class ExperimentEngine:
         Shared by :meth:`run`, :meth:`resume` and :meth:`run_id_for`, so
         the deterministic run id is computed from exactly the inputs the
         dispatch path will use.
-
-        The legacy ``failures``/``recovery`` keywords are translated into
-        an equivalent single-``FailureModel`` spec, so both call styles
-        compile through one path and share one cache identity (the
-        translated trace is byte-identical, see
-        :func:`repro.scenarios.spec.spec_from_legacy`).
         """
-        if scenario is not None and (failures is not None or recovery is not None):
-            raise TypeError(
-                "pass either scenario=ScenarioSpec(...) or the legacy "
-                "failures=/recovery= keywords, not both"
-            )
-        if scenario is None:
-            scenario = spec_from_legacy(failures=failures, recovery=recovery)
         if scenario is not None and not scenario.components:
             scenario = None  # the empty spec is the healthy baseline
+        failures: "FailureTrace | None" = None
+        recovery: str | None = None
         cancellations: "tuple[Cancellation, ...]" = ()
         cancel_over_limit = False
         scenario_digest = ""
@@ -1032,9 +998,9 @@ class ExperimentEngine:
 
         Accepts the grid-shaping keyword arguments of :meth:`run`
         (``workload_name``, ``total_nodes``, ``weighted``, ``configs``,
-        ``recompute_threshold``, ``reference_key``, ``failures``,
-        ``recovery``, ``scenario``); drivers use it to print or predict
-        the ``--resume`` handle without running anything.
+        ``recompute_threshold``, ``reference_key``, ``scenario``); drivers
+        use it to print or predict the ``--resume`` handle without running
+        anything.
         """
         return str(self._prepare(jobs, **kwargs).manifest["run"])  # type: ignore[arg-type]
 
@@ -1087,8 +1053,6 @@ class ExperimentEngine:
         recompute_threshold: float = 2.0 / 3.0,
         progress: ProgressFn | None = None,
         reference_key: str | None = None,
-        failures: "FailureTrace | None" = None,
-        recovery: str | None = None,
         scenario: "ScenarioSpec | None" = None,
         resume_run_id: str | None = None,
     ) -> GridResult:
@@ -1106,11 +1070,7 @@ class ExperimentEngine:
         once against ``jobs`` (arrival components may rewrite the
         stream), its canonical digest joins every cell fingerprint and
         the run manifest, and the compiled disturbance inputs ship to the
-        workers — no per-component wiring anywhere in the engine.  The
-        legacy ``failures``/``recovery`` keywords still work (mutually
-        exclusive with ``scenario``) and are translated into an
-        equivalent spec, sharing one cache identity.  ``recovery`` must
-        be a spec string (workers rebuild the policy from it).
+        workers — no per-component wiring anywhere in the engine.
 
         When a journal root is available (a cache or ``journal_dir``),
         the run is journaled under its deterministic id: a fresh run
@@ -1128,13 +1088,9 @@ class ExperimentEngine:
             configs=configs,
             recompute_threshold=recompute_threshold,
             reference_key=reference_key,
-            failures=failures,
-            recovery=recovery,
             scenario=scenario,
         )
         jobs = prep.jobs
-        failures = prep.failures
-        recovery = prep.recovery
         chosen = prep.chosen
         run_id = str(prep.manifest["run"])
         journal_root = self._journal_root()
@@ -1190,15 +1146,11 @@ class ExperimentEngine:
             results: dict[str, CellResult] = {}
             pending: list[tuple[SchedulerConfig, str]] = []
             for config in chosen:
-                fp = cell_fingerprint(
-                    prep.digest,
+                fp = prep.fingerprint(
                     config,
                     total_nodes=total_nodes,
                     weighted=weighted,
                     recompute_threshold=recompute_threshold,
-                    failures_digest=prep.failures_digest,
-                    recovery=prep.recovery_spec,
-                    scenario=prep.scenario_digest,
                 )
                 grid.fingerprints[config.key] = fp
                 cell = self.cache.get(fp) if self.cache is not None else None
@@ -1234,13 +1186,13 @@ class ExperimentEngine:
                 ) and len(pending) > 1:
                     self._run_distributed(
                         pending, jobs, grid, stats, recompute_threshold, results,
-                        failures, recovery, prep.cancellations,
+                        prep.failures, prep.recovery, prep.cancellations,
                         prep.cancel_over_limit, prep.digest,
                     )
                 else:
                     self._run_serial(
                         pending, jobs, grid, stats, recompute_threshold, results,
-                        failures, recovery, prep.cancellations,
+                        prep.failures, prep.recovery, prep.cancellations,
                         prep.cancel_over_limit,
                     )
             finally:
@@ -1315,34 +1267,6 @@ class ExperimentEngine:
             )
         return out
 
-    def run_failure_scenarios(
-        self,
-        jobs: Sequence[Job],
-        scenarios: Sequence[FailureScenario],
-        *,
-        workload_name: str = "workload",
-        **kwargs: object,
-    ) -> Mapping[str, GridResult]:
-        """Sweep named failure scenarios over one workload.
-
-        A compatibility veneer over :meth:`run_scenarios`: each
-        :class:`FailureScenario` is translated into an equivalent
-        single-``FailureModel`` spec (byte-identical trace, same cache
-        identity), so failure sweeps and spec sweeps share one path.
-        """
-        names = [s.name for s in scenarios]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate scenario names: {names}")
-        return self.run_scenarios(
-            jobs,
-            {
-                s.name: spec_from_legacy(failures=s.failures, recovery=s.recovery)
-                for s in scenarios
-            },
-            workload_name=workload_name,
-            **kwargs,  # type: ignore[arg-type]
-        )
-
     def _run_serial(
         self,
         pending: list[tuple[SchedulerConfig, str]],
@@ -1395,7 +1319,7 @@ class ExperimentEngine:
 
     def _backend_ladder(
         self,
-        store_entries: "tuple | None",
+        store_entries: tuple,
         n_cells: int,
     ) -> "list[Callable[[], ExecutionBackend]]":
         """Backend factories, best first: remote -> sharded -> local pool.
@@ -1464,15 +1388,9 @@ class ExperimentEngine:
 
         # Zero-copy dispatch: register the packed stream once, ship only
         # the digest per cell; pool workers hydrate via the initializer,
-        # remote workers via a one-time SEED frame per connection.  The
-        # legacy path (store off) pickles the job tuple per cell.
-        if self.use_workload_store:
-            self.workload_store.register(digest, jobs)
-            store_entries = self.workload_store.entries(digest)
-            payload: "str | tuple[Job, ...]" = digest
-        else:
-            store_entries = None
-            payload = tuple(jobs)
+        # remote workers via a one-time SEED frame per connection.
+        self.workload_store.register(digest, jobs)
+        store_entries = self.workload_store.entries(digest)
 
         def make_task(fp: str) -> CellTask:
             config = config_by_fp[fp]
@@ -1482,7 +1400,7 @@ class ExperimentEngine:
                 args=(
                     config.row,
                     config.column,
-                    payload,
+                    digest,
                     grid.total_nodes,
                     grid.weighted,
                     recompute_threshold,

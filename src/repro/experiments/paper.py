@@ -297,7 +297,6 @@ def run_experiment(
     workers: int | None = None,
     cache: ResultCache | str | Path | None = None,
     on_event: EventFn | None = None,
-    use_workload_store: bool = True,
     journal_dir: str | Path | None = None,
     resume_run_id: str | None = None,
     backend: str | None = None,
@@ -324,11 +323,9 @@ def run_experiment(
     :class:`~repro.experiments.engine.ExperimentEngine`: worker processes
     for parallel cell fan-out, a content-addressed result cache (a
     directory path suffices), and a structured progress-event callback.
-    ``use_workload_store=False`` reverts parallel runs to pickling the job
-    tuple per cell instead of the zero-copy digest dispatch.  ``backend``
-    selects the simulation kernels per cell (``"python"``/``"numpy"``/
-    ``"auto"``; ``None`` consults ``REPRO_BACKEND``) — results, caches and
-    run ids are bit-identical across backends.
+    ``backend`` selects the simulation kernels per cell (``"python"``/
+    ``"numpy"``/``"auto"``; ``None`` consults ``REPRO_BACKEND``) — results,
+    caches and run ids are bit-identical across backends.
 
     ``journal_dir`` overrides where run journals land (default: under the
     cache).  ``resume_run_id`` resumes the regime whose deterministic run
@@ -361,7 +358,6 @@ def run_experiment(
         workers=workers,
         cache=cache,
         on_event=on_event,
-        use_workload_store=use_workload_store,
         journal_dir=journal_dir,
         backend=backend,
         execution_backend=execution_backend,

@@ -1,10 +1,9 @@
 """Zero-copy workload distribution for the experiment engine.
 
-The engine's grid cells all simulate the same job stream, yet the original
-dispatch path pickled the full job tuple into every
-``ProcessPoolExecutor`` task: a 21-cell grid over a 10⁴-job trace
-serialized the identical workload 21 times and deserialized it 21 times in
-the workers.  The :class:`WorkloadStore` replaces that with
+The engine's grid cells all simulate the same job stream, so pickling the
+job tuple into every ``ProcessPoolExecutor`` task would serialize the
+identical workload once per cell and deserialize it once per cell in the
+workers.  The :class:`WorkloadStore` is the engine's only dispatch path —
 register-once/reference-many:
 
 * the parent packs the stream once (:func:`repro.core.packing.pack_jobs`)
@@ -14,10 +13,11 @@ register-once/reference-many:
   to each worker exactly once per pool lifetime and hydrates it into a
   process-global cache (a rebuilt pool re-runs the initializer, so crash
   recovery re-seeds automatically);
-* each cell task then carries only the 64-character digest — dispatch
-  payloads shrink by >100x on real workloads (measured in
-  ``benchmarks/bench_engine_overhead.py``) and workers deserialize the
-  workload once per pool lifetime instead of once per cell.
+* each cell task then carries only the 64-character digest — 79 bytes
+  per cell against 234,825 for the pickled tuple of a 5,000-job stream
+  (``benchmarks/bench_engine_overhead.py``; decision record in
+  ``docs/architecture.md``) — and workers deserialize the workload once
+  per pool lifetime instead of once per cell.
 
 The in-process serial path (and the engine's serial-degradation fallback)
 bypasses the store entirely — it already holds the live job list.
@@ -113,21 +113,19 @@ def start_worker_heartbeat(heartbeat_dir: str, interval: float) -> None:
 
 
 def init_worker(
-    entries: tuple[tuple[str, PackedJobs], ...] | None,
+    entries: tuple[tuple[str, PackedJobs], ...],
     heartbeat_dir: str | None,
     heartbeat_interval: float | None,
 ) -> None:
     """Combined pool initializer: seed the workload cache, start heartbeats.
 
-    Either half is optional: legacy per-cell-pickle dispatch passes
-    ``entries=None`` (nothing to seed) and a watchdog-less engine passes
-    ``heartbeat_dir=None``.  Runs once per worker process per pool; a
-    rebuilt pool re-runs it in every fresh worker, which is what re-seeds
-    the store and re-arms the heartbeat after a crash — including on
-    resume, where the journal replay changes nothing about worker setup.
+    A watchdog-less engine passes ``heartbeat_dir=None``.  Runs once per
+    worker process per pool; a rebuilt pool re-runs it in every fresh
+    worker, which is what re-seeds the store and re-arms the heartbeat
+    after a crash — including on resume, where the journal replay changes
+    nothing about worker setup.
     """
-    if entries is not None:
-        seed_worker_cache(entries)
+    seed_worker_cache(entries)
     if heartbeat_dir is not None and heartbeat_interval is not None:
         start_worker_heartbeat(heartbeat_dir, heartbeat_interval)
 

@@ -42,7 +42,7 @@ from repro.scenarios.components import (
     LoadSurge,
     RuntimeVariability,
 )
-from repro.scenarios.spec import CompiledScenario, ScenarioSpec, spec_from_legacy
+from repro.scenarios.spec import CompiledScenario, ScenarioSpec
 
 __all__ = [
     "ArrivalModel",
@@ -59,5 +59,4 @@ __all__ = [
     "ScenarioSpec",
     "component_seed",
     "register_component",
-    "spec_from_legacy",
 ]

@@ -172,25 +172,3 @@ class ScenarioSpec:
     def from_json(cls, text: str) -> "ScenarioSpec":
         return cls.from_dict(json.loads(text))
 
-
-def spec_from_legacy(
-    *,
-    failures: "FailureTrace | None" = None,
-    recovery: str | None = None,
-) -> ScenarioSpec | None:
-    """Translate the engine's legacy ``failures=``/``recovery=`` keywords.
-
-    Returns ``None`` when both are absent (no scenario), otherwise a spec
-    whose single :class:`~repro.scenarios.components.FailureModel` carries
-    the trace verbatim — compiling it rebuilds a byte-identical
-    :class:`~repro.failures.trace.FailureTrace` (equal fingerprint), so
-    legacy callers and spec callers share one cache identity.
-    """
-    from repro.scenarios.components import FailureModel
-
-    if failures is None and recovery is None:
-        return None
-    triples: tuple[tuple[float, float, int], ...] = ()
-    if failures is not None:
-        triples = tuple((f.down_time, f.up_time, f.nodes) for f in failures)
-    return ScenarioSpec((FailureModel(trace=triples, recovery=recovery),))

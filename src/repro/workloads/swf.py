@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
 
@@ -111,7 +112,8 @@ class ParseReport:
     total_lines: int = 0
     #: Jobs successfully parsed (out-of-order rows included).
     parsed: int = 0
-    #: Torn/non-numeric rows, or negative submit times.
+    #: Torn/non-numeric rows, negative submit times, or non-finite
+    #: (``nan``/``inf``) submit, run or requested times.
     malformed: int = 0
     #: Rows with ``runtime < 0`` (cancelled before start).
     negative_runtime: int = 0
@@ -142,7 +144,7 @@ class ParseReport:
             + ("" if self.dropped else ", nothing dropped")
         ]
         for category, label in (
-            ("malformed", "malformed (torn/non-numeric/negative submit)"),
+            ("malformed", "malformed (torn/non-numeric/non-finite/negative submit)"),
             ("negative_runtime", "negative runtime (cancelled before start)"),
             ("zero_width", "zero width (no positive processor count)"),
             ("out_of_order_submit", "out-of-order submit (kept, re-sorted)"),
@@ -274,7 +276,7 @@ def parse_swf(
             if report is not None:
                 report.note(exc.category, lineno)
             continue
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, OverflowError) as exc:
             if strict:
                 raise SWFParseError(f"line {lineno}: {exc}") from exc
             if report is not None:
@@ -293,6 +295,13 @@ def _job_from_fields(fields: list[str]) -> Job | None:
     job_id = int(fields[SWFField.JOB_NUMBER])
     submit = float(fields[SWFField.SUBMIT_TIME])
     runtime = float(fields[SWFField.RUN_TIME])
+    requested_time = float(fields[SWFField.REQUESTED_TIME])
+    if not (isfinite(submit) and isfinite(runtime) and isfinite(requested_time)):
+        raise _RowProblem(
+            "malformed",
+            f"job {job_id}: non-finite submit/run/requested time "
+            f"({submit}, {runtime}, {requested_time})",
+        )
     requested = int(float(fields[SWFField.REQUESTED_PROCESSORS]))
     allocated = int(float(fields[SWFField.ALLOCATED_PROCESSORS]))
     nodes = requested if requested > 0 else allocated
@@ -307,7 +316,6 @@ def _job_from_fields(fields: list[str]) -> Job | None:
         )
     if submit < 0:
         raise _RowProblem("malformed", f"job {job_id}: negative submit time {submit}")
-    requested_time = float(fields[SWFField.REQUESTED_TIME])
     estimate = requested_time if requested_time >= 0 else None
     user = int(fields[SWFField.USER_ID])
     meta = {key: fields[idx] for key, idx in _META_FIELDS.items()}

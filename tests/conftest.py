@@ -39,6 +39,14 @@ def make_jobs(
     return jobs
 
 
+def failure_spec(trace, recovery: str | None = None):
+    """A one-component ScenarioSpec replaying ``trace`` verbatim."""
+    from repro.scenarios import FailureModel, ScenarioSpec
+
+    triples = tuple((f.down_time, f.up_time, f.nodes) for f in trace)
+    return ScenarioSpec((FailureModel(trace=triples, recovery=recovery),))
+
+
 @pytest.fixture
 def small_stream() -> list[Job]:
     return make_jobs(60, seed=7)

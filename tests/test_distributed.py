@@ -37,6 +37,7 @@ from repro.experiments.engine import (
     fingerprint_jobs,
 )
 from repro.experiments.paper import probabilistic_workload
+from repro.experiments.workload_store import WorkloadStore
 from repro.schedulers.registry import (
     SchedulerConfig,
     paper_configurations,
@@ -387,12 +388,17 @@ class _DuplicatingBackend(ExecutionBackend):
 
     name = "stub-dup"
 
-    def __init__(self) -> None:
+    def __init__(self, store_entries) -> None:
+        self._store_entries = store_entries
         self._pending: list[CellTask] = []
         self._duplicated = False
 
-    def start(self) -> None:  # pragma: no cover - trivial
-        pass
+    def start(self) -> None:
+        # Like the real backends: hydrate the process that will run the
+        # cells (here, this one) from the packed store entries.
+        from repro.experiments.workload_store import seed_worker_cache
+
+        seed_worker_cache(self._store_entries)
 
     def can_accept(self) -> bool:
         return True
@@ -434,15 +440,20 @@ class TestLeasesAndDuplicates:
         """Lease revocation must not close the connection: the late
         RESULT of a too-slow worker still arrives afterwards."""
         with in_thread_server(chaos_stall_first=1.0) as server:
-            backend = RemoteWorkerBackend([_address(server)])
+            jobs = workload[:30]
+            digest = fingerprint_jobs(jobs)
+            store = WorkloadStore()
+            store.register(digest, jobs)
+            backend = RemoteWorkerBackend(
+                [_address(server)], store_entries=store.entries(digest)
+            )
             backend.start()
             try:
-                jobs = tuple(workload[:30])
                 task = CellTask(
                     fingerprint="ab" * 32,
                     key="fcfs/easy",
                     args=(
-                        "fcfs", "easy", jobs, 256, False, 2.0 / 3.0,
+                        "fcfs", "easy", digest, 256, False, 2.0 / 3.0,
                         None, None, (), False, None,
                     ),
                 )
@@ -469,13 +480,9 @@ class TestLeasesAndDuplicates:
         self, workload, oracle
     ):
         events = []
-        # store off: the stub computes in-process, where no pool
-        # initializer ever seeds the digest.
-        engine = ExperimentEngine(
-            workers=2, on_event=events.append, use_workload_store=False
-        )
+        engine = ExperimentEngine(workers=2, on_event=events.append)
         engine._backend_ladder = lambda store_entries, n_cells: [
-            _DuplicatingBackend
+            lambda: _DuplicatingBackend(store_entries)
         ]
         configs = [
             SchedulerConfig("fcfs", "easy"),

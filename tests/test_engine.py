@@ -11,7 +11,6 @@ from repro.core.scheduler import Scheduler
 from repro.experiments.engine import (
     CACHE_VERSION,
     ExperimentEngine,
-    FailureScenario,
     ResultCache,
     cell_fingerprint,
     fingerprint_jobs,
@@ -31,7 +30,7 @@ from repro.schedulers.registry import (
     registered_rows,
     unregister_row,
 )
-from tests.conftest import make_jobs
+from tests.conftest import failure_spec, make_jobs
 
 
 @pytest.fixture(scope="module")
@@ -281,16 +280,18 @@ class TestWorkloadStore:
     def test_store_on_matches_store_off_over_full_registry(self, workload):
         """Zero-copy dispatch changes bytes on the wire, never objectives.
 
-        The full registry grid (not just the paper's 13 cells) under the
-        warm store must equal the per-cell-pickle legacy path cell for
-        cell, bit for bit.
+        The full registry grid (not just the paper's 13 cells) dispatched
+        by digest through the store (``workers=2``) must equal the serial
+        in-process path (``workers=1``, which bypasses the store and holds
+        the live job list) cell for cell, bit for bit.
         """
         configs = list(registered_configurations())
         jobs = workload[:40]
-        with_store = ExperimentEngine(workers=2, use_workload_store=True).run(
-            jobs, total_nodes=256, configs=configs
-        )
-        without_store = ExperimentEngine(workers=2, use_workload_store=False).run(
+        store_engine = ExperimentEngine(workers=2)
+        with_store = store_engine.run(jobs, total_nodes=256, configs=configs)
+        assert store_engine.stats.backend == "local-pool"
+        assert store_engine.stats.degraded_cells == 0
+        without_store = ExperimentEngine(workers=1).run(
             jobs, total_nodes=256, configs=configs
         )
         assert list(with_store.cells) == list(without_store.cells)
@@ -553,12 +554,13 @@ class TestFailureScenarios:
     def test_scenario_sweep_baseline_matches_plain_run(self, tmp_path, workload):
         configs = [SchedulerConfig("fcfs", "easy"), SchedulerConfig("fcfs", "list")]
         engine = ExperimentEngine(workers=2, cache=tmp_path)
-        grids = engine.run_failure_scenarios(
+        scenarios = {
+            "healthy": None,
+            "outage": failure_spec(self._trace(), "resubmit"),
+        }
+        grids = engine.run_scenarios(
             workload[:60],
-            [
-                FailureScenario("healthy"),
-                FailureScenario("outage", failures=self._trace(), recovery="resubmit"),
-            ],
+            scenarios,
             total_nodes=256,
             configs=configs,
         )
@@ -575,12 +577,9 @@ class TestFailureScenarios:
 
         # Scenario cells cache independently: a re-sweep is all hits.
         warm = ExperimentEngine(workers=1, cache=tmp_path)
-        warm.run_failure_scenarios(
+        warm.run_scenarios(
             workload[:60],
-            [
-                FailureScenario("healthy"),
-                FailureScenario("outage", failures=self._trace(), recovery="resubmit"),
-            ],
+            scenarios,
             total_nodes=256,
             configs=configs,
         )
@@ -596,8 +595,8 @@ class TestFailureScenarios:
         )
         configs = [SchedulerConfig("fcfs", "easy"), SchedulerConfig("psrs", "easy")]
         kwargs = dict(
-            total_nodes=256, configs=configs, failures=trace,
-            recovery="checkpoint:interval=600,overhead=30",
+            total_nodes=256, configs=configs,
+            scenario=failure_spec(trace, "checkpoint:interval=600,overhead=30"),
         )
         parallel = ExperimentEngine(workers=2).run(workload[:60], **kwargs)
         serial = ExperimentEngine(workers=1).run(workload[:60], **kwargs)
@@ -608,23 +607,13 @@ class TestFailureScenarios:
                 == serial.cells[key].wasted_node_seconds
             )
 
-    def test_duplicate_scenario_names_rejected(self, workload):
-        with pytest.raises(ValueError, match="duplicate scenario names"):
-            ExperimentEngine().run_failure_scenarios(
-                workload[:10],
-                [FailureScenario("x"), FailureScenario("x")],
-                total_nodes=256,
-                configs=[SchedulerConfig("fcfs", "easy")],
-            )
-
     def test_malformed_recovery_spec_fails_fast(self, workload):
         with pytest.raises(ValueError, match="unknown recovery policy"):
             ExperimentEngine().run(
                 workload[:10],
                 total_nodes=256,
                 configs=[SchedulerConfig("fcfs", "easy")],
-                failures=self._trace(),
-                recovery="pray",
+                scenario=failure_spec(self._trace(), "pray"),
             )
 
 

@@ -77,15 +77,17 @@ class TestRunner:
         assert timed.name == inner.name
 
     def test_timing_scheduler_delegates_cancel_and_wakeup(self):
-        from repro.core.simulator import Cancellation
+        from repro.core.simulator import Cancellation, ScenarioInputs
 
         timed = TimingScheduler(FCFSScheduler.plain())
         jobs = make_jobs(10, seed=3, max_nodes=64, mean_gap=500.0)
         victim = jobs[-1]
         res = simulate(
             jobs, timed, 64,
-            cancellations=[Cancellation(time=victim.submit_time + 1e-3,
-                                        job_id=victim.job_id)],
+            scenario=ScenarioInputs(
+                cancellations=[Cancellation(time=victim.submit_time + 1e-3,
+                                            job_id=victim.job_id)]
+            ),
         )
         # If the victim was still queued, the cancel path was exercised.
         assert victim.job_id in res.cancelled_queued or victim.job_id in res.schedule
@@ -187,37 +189,50 @@ class TestCLI:
     def test_cli_profile_cell(self, tmp_path, capsys):
         """--profile-cell finds a journaled cell by fingerprint prefix,
         reproduces the fingerprint from the manifest recipe, and prints
-        the per-phase breakdown with the coalescing counters."""
+        the per-phase breakdown with the coalescing counters — for a
+        healthy cell and for one that ran under a scenario (whose digest,
+        failure trace and recovery spec all enter the fingerprint)."""
         import json
 
         from repro.experiments.cli import main
 
-        cache_dir = tmp_path / "cache"
-        assert main(["table3", "--scale", "150", "--cache-dir", str(cache_dir)]) == 0
-        capsys.readouterr()
-        fingerprint = None
-        for journal in sorted((cache_dir / "runs").glob("*.jsonl")):
-            for line in journal.read_text().splitlines():
-                record = json.loads(line)
-                if record.get("fp"):
-                    fingerprint = record["fp"]
+        scenario_flags = [
+            "--failure-mtbf", "40000", "--recovery", "resubmit",
+            "--scenario-seed", "7",
+        ]
+        for name, flags in (("healthy", []), ("scenario", scenario_flags)):
+            cache_dir = tmp_path / name
+            common = ["--scale", "150", "--cache-dir", str(cache_dir), *flags]
+            assert main(["table3", *common]) == 0
+            capsys.readouterr()
+            fingerprint = None
+            for journal in sorted((cache_dir / "runs").glob("*.jsonl")):
+                for line in journal.read_text().splitlines():
+                    record = json.loads(line)
+                    if record.get("fp"):
+                        fingerprint = record["fp"]
+                        break
+                if fingerprint:
                     break
-            if fingerprint:
-                break
-        assert fingerprint is not None
-        code = main(
-            [
-                "--profile-cell", fingerprint[:12],
-                "--scale", "150",
-                "--cache-dir", str(cache_dir),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert fingerprint in out
-        assert "phase_seconds:" in out
-        for phase in ("total", "decide", "events", "commit", "coalesce"):
-            assert phase in out
+            assert fingerprint is not None
+            code = main(["--profile-cell", fingerprint[:12], *common])
+            out = capsys.readouterr().out
+            assert code == 0, name
+            assert fingerprint in out
+            assert "phase_seconds:" in out
+            for phase in ("total", "decide", "events", "commit", "coalesce"):
+                assert phase in out
+            if flags:
+                # Without the scenario flags the reconstruction must fail
+                # loudly rather than profile a different cell.
+                code = main(
+                    [
+                        "--profile-cell", fingerprint[:12],
+                        "--scale", "150", "--cache-dir", str(cache_dir),
+                    ]
+                )
+                assert code == 1
+                assert "do not reproduce" in capsys.readouterr().err
 
     def test_cli_profile_cell_unknown_fingerprint(self, tmp_path, capsys):
         from repro.experiments.cli import main

@@ -46,6 +46,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="weight"):
             job(weight=-2.0)
 
+    @pytest.mark.parametrize("field", ["submit_time", "runtime", "estimate", "weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_field_rejected(self, field, value):
+        # ``nan < 0`` is false, so a plain sign check lets NaN through —
+        # and a NaN submit time stalls the simulator's event loop.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            job(**{field: value})
+
     def test_immutable(self):
         j = job()
         with pytest.raises(AttributeError):

@@ -1,7 +1,7 @@
 """Packed columnar job arrays: round-trip bit-identity and digest parity."""
 
-import math
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +26,7 @@ finite_time = st.floats(
 
 estimates = st.one_of(
     st.none(),
-    st.just(math.inf),
+    st.just(sys.float_info.max),
     st.just(0.0),
     finite_time,
 )
@@ -114,9 +114,13 @@ def test_empty_stream():
 
 
 def test_special_values_exact():
-    """The values that break naive encodings: inf, None-vs-0.0, meta."""
+    """The values that break naive encodings: the largest finite float
+    (``Job`` rejects ``inf``), None-vs-0.0, meta."""
     jobs = [
-        Job(job_id=0, submit_time=0.0, nodes=1, runtime=0.0, estimate=math.inf),
+        Job(
+            job_id=0, submit_time=0.0, nodes=1, runtime=0.0,
+            estimate=sys.float_info.max,
+        ),
         Job(job_id=1, submit_time=0.5, nodes=2, runtime=1.0, estimate=None),
         Job(job_id=2, submit_time=1.0, nodes=3, runtime=2.0, estimate=0.0, weight=0.0),
         Job(job_id=3, submit_time=1.5, nodes=4, runtime=3.0, weight=None),

@@ -335,7 +335,7 @@ def test_from_running_tail_is_fully_free(nodes, duration, running):
     assert steps[-1][1] == total
 
 
-# -- batch queries, fused allocate, and the block-max index ---------------------
+# -- fused allocate and the block-max index ---------------------
 
 
 from repro.core.profile import _INDEX_BLOCK, _INDEX_MIN_SEGMENTS, _first_fit
@@ -353,42 +353,6 @@ def _busy_profile(n_reservations=120, total=256, seed=11):
         start = profile.earliest_start(nodes, duration, after=rng.uniform(0.0, 1e5))
         profile.reserve(start, duration, nodes)
     return profile
-
-
-class TestEarliestStartBatch:
-    def test_matches_scalar_queries(self):
-        import random
-
-        profile = _busy_profile()
-        rng = random.Random(3)
-        requests = [
-            (rng.randint(1, 256), rng.uniform(0.1, 5000.0)) for _ in range(200)
-        ]
-        assert profile.earliest_start_batch(requests) == [
-            profile.earliest_start(n, d) for n, d in requests
-        ]
-
-    def test_matches_scalar_queries_with_after(self):
-        profile = _busy_profile(seed=5)
-        requests = [(16, 100.0), (256, 1.0), (1, 9000.0)]
-        after = 5e4
-        assert profile.earliest_start_batch(requests, after=after) == [
-            profile.earliest_start(n, d, after=after) for n, d in requests
-        ]
-
-    def test_empty_batch(self):
-        assert AvailabilityProfile(8).earliest_start_batch([]) == []
-
-    def test_oversized_request_raises(self):
-        profile = AvailabilityProfile(8)
-        with pytest.raises(ValueError, match="never fit"):
-            profile.earliest_start_batch([(9, 1.0)])
-
-    def test_batch_is_read_only(self):
-        profile = _busy_profile(seed=7)
-        before = profile.steps()
-        profile.earliest_start_batch([(32, 500.0)] * 10)
-        assert profile.steps() == before
 
 
 class TestAllocate:

@@ -165,37 +165,3 @@ def test_feedback_users_matches_closed_loop_trace():
                 assert full_signature(via_spec) == full_signature(direct), (
                     config.key, backend,
                 )
-
-
-def test_engine_failure_scenarios_delegate_to_spec_sweeps(tmp_path):
-    """``run_failure_scenarios`` is now a veneer over ``run_scenarios``:
-    both produce identical grids, fingerprints and cache entries."""
-    from repro.experiments.engine import ExperimentEngine, FailureScenario
-    from repro.experiments.runner import SchedulerConfig
-    from repro.scenarios import spec_from_legacy
-
-    jobs = make_jobs(50, seed=61, max_nodes=NODES, mean_gap=40.0)
-    trace = mtbf_trace(
-        total_nodes=NODES, horizon=20_000.0, mtbf=6_000.0, mttr=500.0, seed=67
-    )
-    configs = [SchedulerConfig("fcfs", "easy"), SchedulerConfig("fcfs", "list")]
-    engine = ExperimentEngine(
-        workers=1, cache=tmp_path / "cache", handle_signals=False
-    )
-    legacy = engine.run_failure_scenarios(
-        jobs,
-        [FailureScenario("outage", trace, "resubmit")],
-        total_nodes=NODES,
-        configs=configs,
-    )
-    via_spec = engine.run_scenarios(
-        jobs,
-        {"outage": spec_from_legacy(failures=trace, recovery="resubmit")},
-        total_nodes=NODES,
-        configs=configs,
-    )
-    assert legacy["outage"].fingerprints == via_spec["outage"].fingerprints
-    assert engine.stats.cache_hits == len(configs)  # one shared identity
-    assert {k: c.objective for k, c in legacy["outage"].cells.items()} == {
-        k: c.objective for k, c in via_spec["outage"].cells.items()
-    }

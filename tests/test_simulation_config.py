@@ -1,11 +1,12 @@
-"""The ``SimulationConfig`` / ``ScenarioInputs`` API and its deprecated shims.
+"""The ``SimulationConfig`` / ``ScenarioInputs`` API — the only surface.
 
 PR 6 collapsed the keyword tails of ``Simulator(...)`` and
-``Simulator.run(...)`` into two frozen bundles.  This file pins the
-contract:
+``Simulator.run(...)`` into two frozen bundles; PR 12 deleted the
+deprecated keyword shims that survived alongside them.  This file pins
+the contract:
 
-* the old loose keywords still work, emit ``DeprecationWarning``, and
-  produce bit-identical results to the bundled form;
+* every removed keyword is a ``TypeError`` (never silently ignored) and
+  nothing in ``repro`` raises ``DeprecationWarning``;
 * the new surface is exported from ``repro`` / ``repro.core``;
 * the cache identity is pinned — ``CACHE_VERSION`` (bumped 3 → 4 when the
   scenario digest entered every fingerprint) and the fingerprint
@@ -20,7 +21,6 @@ import pytest
 
 from repro.core.machine import Machine
 from repro.core.simulator import (
-    Cancellation,
     ScenarioInputs,
     SimulationConfig,
     Simulator,
@@ -44,45 +44,71 @@ def _scheduler():
     return build_scheduler(config, NODES)
 
 
-def test_config_bundle_equals_legacy_keywords():
-    jobs = make_jobs(80, seed=17, max_nodes=NODES, mean_gap=40.0)
-    bundled = Simulator(
-        Machine(NODES),
-        _scheduler(),
-        SimulationConfig(cancel_over_limit=True, incremental_state=False),
-    ).run(jobs)
-    with pytest.deprecated_call():
-        legacy = Simulator(
-            Machine(NODES),
-            _scheduler(),
-            cancel_over_limit=True,
-            incremental_state=False,
-        ).run(jobs)
-    assert signature(legacy) == signature(bundled)
+REMOVED_KEYWORDS = [
+    ("Simulator", "cancel_over_limit", True),
+    ("Simulator", "collect_trace", True),
+    ("Simulator", "incremental_state", False),
+    ("Simulator", "verify_state", 3),
+    ("Simulator.run", "cancellations", []),
+    ("Simulator.run", "failures", None),
+    ("Simulator.run", "recovery", "abandon"),
+    ("simulate", "cancellations", []),
+    ("simulate", "failures", None),
+    ("simulate", "recovery", "abandon"),
+    ("simulate", "collect_trace", True),
+    ("ExperimentEngine", "use_workload_store", False),
+    ("ExperimentEngine.run", "failures", None),
+    ("ExperimentEngine.run", "recovery", "abandon"),
+    ("ExperimentEngine.run_id_for", "failures", None),
+    ("ExperimentEngine.run_id_for", "recovery", "abandon"),
+    ("ExperimentEngine.resume", "recovery", "abandon"),
+    ("run_experiment", "use_workload_store", False),
+]
 
 
-def test_scenario_bundle_equals_legacy_keywords():
-    jobs = make_jobs(80, seed=19, max_nodes=NODES, mean_gap=40.0)
-    cancellations = [
-        Cancellation(time=job.submit_time + 60.0, job_id=job.job_id)
-        for job in jobs
-        if job.job_id % 6 == 0
-    ]
-    bundled = Simulator(Machine(NODES), _scheduler()).run(
-        jobs, scenario=ScenarioInputs(cancellations=cancellations)
-    )
-    with pytest.deprecated_call():
-        legacy = Simulator(Machine(NODES), _scheduler()).run(
-            jobs, cancellations=cancellations
-        )
-    assert signature(legacy) == signature(bundled)
-    assert legacy.cancelled_queued == bundled.cancelled_queued
-    assert legacy.killed_running == bundled.killed_running
+@pytest.mark.parametrize(
+    "surface, keyword, value",
+    REMOVED_KEYWORDS,
+    ids=[f"{surface}-{keyword}" for surface, keyword, _ in REMOVED_KEYWORDS],
+)
+def test_removed_keyword_raises_type_error(surface, keyword, value):
+    """PR 12 deleted the deprecated shims: the old spellings are rejected
+    by the signature itself, never silently ignored."""
+    from repro.experiments import ExperimentEngine, run_experiment
+
+    jobs = make_jobs(10, seed=2, max_nodes=NODES, mean_gap=40.0)
+    extra = {keyword: value}
+    calls = {
+        "Simulator": lambda: Simulator(Machine(NODES), _scheduler(), **extra),
+        "Simulator.run": lambda: Simulator(Machine(NODES), _scheduler()).run(
+            jobs, **extra
+        ),
+        "simulate": lambda: simulate(jobs, _scheduler(), NODES, **extra),
+        "ExperimentEngine": lambda: ExperimentEngine(**extra),
+        "ExperimentEngine.run": lambda: ExperimentEngine().run(
+            jobs, total_nodes=NODES, **extra
+        ),
+        "ExperimentEngine.run_id_for": lambda: ExperimentEngine().run_id_for(
+            jobs, total_nodes=NODES, **extra
+        ),
+        "ExperimentEngine.resume": lambda: ExperimentEngine().resume(
+            "0" * 16, jobs, total_nodes=NODES, **extra
+        ),
+        "run_experiment": lambda: run_experiment("table3", scale=20, **extra),
+    }
+    with pytest.raises(TypeError, match=f"unexpected keyword.*'{keyword}'"):
+        calls[surface]()
+
+
+def test_cancellations_are_no_longer_positional():
+    jobs = make_jobs(10, seed=2, max_nodes=NODES, mean_gap=40.0)
+    with pytest.raises(TypeError, match="positional"):
+        Simulator(Machine(NODES), _scheduler()).run(jobs, [])
 
 
 def test_scenario_and_legacy_keywords_conflict():
     jobs = make_jobs(10, seed=2, max_nodes=NODES, mean_gap=40.0)
-    with pytest.raises(TypeError, match="not both"), pytest.deprecated_call():
+    with pytest.raises(TypeError, match="unexpected keyword.*'cancellations'"):
         Simulator(Machine(NODES), _scheduler()).run(
             jobs, cancellations=[], scenario=ScenarioInputs()
         )
@@ -111,10 +137,14 @@ def test_config_properties_reflect_bundle():
             verify_state=3,
         ),
     )
-    assert sim.cancel_over_limit is True
-    assert sim.collect_trace is True
-    assert sim.incremental_state is False
-    assert sim.verify_state == 3
+    assert sim.config.cancel_over_limit is True
+    assert sim.config.collect_trace is True
+    assert sim.config.incremental_state is False
+    assert sim.config.verify_state == 3
+    # The bundle is the only home of these fields: no mirror attributes.
+    for name in ("cancel_over_limit", "collect_trace", "incremental_state",
+                 "verify_state"):
+        assert not hasattr(sim, name)
     assert sim.trace is not None
     assert sim.backend in ("python", "numpy")
 

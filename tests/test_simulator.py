@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.job import Job
 from repro.core.machine import Machine
-from repro.core.simulator import Simulator, simulate
+from repro.core.simulator import SimulationConfig, Simulator, simulate
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.garey_graham import GareyGrahamScheduler
 from tests.conftest import make_jobs
@@ -91,7 +91,9 @@ class TestOnlineSemantics:
     def test_cancel_over_limit(self):
         jobs = [J(0, 0.0, 4, runtime=100.0, estimate=10.0)]
         machine = Machine(8)
-        res = Simulator(machine, FCFSScheduler.plain(), cancel_over_limit=True).run(jobs)
+        res = Simulator(
+            machine, FCFSScheduler.plain(), SimulationConfig(cancel_over_limit=True)
+        ).run(jobs)
         assert res.schedule[0].cancelled
         assert res.schedule[0].end_time == 10.0
 
@@ -120,7 +122,9 @@ class TestDiagnostics:
 
     def test_trace_collection(self):
         machine = Machine(64)
-        sim = Simulator(machine, FCFSScheduler.plain(), collect_trace=True)
+        sim = Simulator(
+            machine, FCFSScheduler.plain(), SimulationConfig(collect_trace=True)
+        )
         sim.run(make_jobs(10, seed=1, max_nodes=8))
         assert sim.trace is not None
         assert len(sim.trace.queue_lengths) > 0

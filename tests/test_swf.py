@@ -126,6 +126,37 @@ class TestParseReport:
         assert len(jobs) == 1
         assert report.malformed == 1
 
+    @pytest.mark.parametrize(
+        "hostile",
+        [
+            "1 nan 0 10 4 -1 -1 4 20 -1 1 1 -1 -1 -1 -1 -1 -1",   # submit
+            "1 inf 0 10 4 -1 -1 4 20 -1 1 1 -1 -1 -1 -1 -1 -1",
+            "1 5 0 nan 4 -1 -1 4 20 -1 1 1 -1 -1 -1 -1 -1 -1",    # run time
+            "1 5 0 inf 4 -1 -1 4 20 -1 1 1 -1 -1 -1 -1 -1 -1",
+            "1 5 0 10 4 -1 -1 4 nan -1 1 1 -1 -1 -1 -1 -1 -1",    # requested time
+            "1 5 0 10 4 -1 -1 4 -inf -1 1 1 -1 -1 -1 -1 -1 -1",
+            "1 5 0 10 inf -1 -1 inf 20 -1 1 1 -1 -1 -1 -1 -1 -1",  # processors
+        ],
+        ids=["nan-submit", "inf-submit", "nan-runtime", "inf-runtime",
+             "nan-requested", "neg-inf-requested", "inf-processors"],
+    )
+    def test_non_finite_fields_are_a_counted_skip(self, tmp_path, hostile):
+        """A ``nan`` submit time passes every sign check (``nan < 0`` is
+        false) and would spin the event loop forever; ``inf`` run times
+        yield infinite objectives.  Neither may become a Job."""
+        from repro.workloads.swf import ParseReport
+
+        valid = "2 5 0 10 4 -1 -1 4 20 -1 1 1 -1 -1 -1 -1 -1 -1"
+        path = tmp_path / "hostile.swf"
+        path.write_text(hostile + "\n" + valid + "\n")
+        report = ParseReport()
+        jobs = read_swf(path, report=report)
+        assert [job.job_id for job in jobs] == [2]
+        assert report.malformed == 1 and report.parsed == 1
+        assert report.examples["malformed"] == [1]
+        with pytest.raises(SWFParseError, match="line 1"):
+            read_swf(path, strict=True)
+
 
 class TestRoundTrip:
     def test_write_then_read(self, tmp_path):

@@ -101,10 +101,12 @@ class TestSaturation:
 class TestConsistencyWithSimulatorTrace:
     def test_queue_series_matches_trace_samples(self):
         from repro.core.machine import Machine
-        from repro.core.simulator import Simulator
+        from repro.core.simulator import SimulationConfig, Simulator
 
         jobs = make_jobs(30, seed=94, max_nodes=48, mean_gap=40.0)
-        sim = Simulator(Machine(64), FCFSScheduler.plain(), collect_trace=True)
+        sim = Simulator(
+            Machine(64), FCFSScheduler.plain(), SimulationConfig(collect_trace=True)
+        )
         result = sim.run(jobs)
         series = queue_length_series(result.schedule)
         assert sim.trace is not None

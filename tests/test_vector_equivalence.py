@@ -26,7 +26,6 @@ import pytest
 
 from repro.core import vector
 from repro.core.machine import Machine
-from repro.core.profile import AvailabilityProfile
 from repro.core.simulator import (
     Cancellation,
     ScenarioInputs,
@@ -160,56 +159,6 @@ def test_simultaneous_submissions_bit_identical():
     jobs = [replace(job, submit_time=float(int(job.submit_time) // 200 * 200)) for job in jobs]
     for config in registered_configurations():
         run_both(lambda: build_scheduler(config, NODES), jobs)
-
-
-# -- the batched first-fit kernel ------------------------------------------------
-
-
-def test_batch_kernel_matches_scalar_over_random_profiles():
-    """Property test: the 2-D first-fit kernel equals the scalar batch on
-    profiles shaped like real simulation snapshots."""
-    import random
-
-    rng = random.Random(97)
-    for trial in range(30):
-        total = rng.choice([16, 64, 256])
-        profile = AvailabilityProfile(total, origin=rng.uniform(0.0, 1000.0))
-        for _ in range(rng.randrange(0, 40)):
-            nodes = rng.randrange(1, total + 1)
-            start = profile.origin + rng.uniform(0.0, 5000.0)
-            duration = rng.uniform(1.0, 2000.0)
-            if profile.free_at(start) >= nodes:
-                try:
-                    profile.reserve(start, duration, nodes)
-                except ValueError:
-                    pass  # a later segment dipped below; irrelevant here
-        requests = [
-            (rng.randrange(1, total + 1), rng.uniform(0.0, 3000.0))
-            for _ in range(rng.randrange(1, 25))
-        ]
-        after = (
-            None
-            if rng.random() < 0.5
-            else profile.origin + rng.uniform(-100.0, 4000.0)
-        )
-        scalar = profile.earliest_start_batch(requests, after)
-        vectorised = vector.earliest_start_batch(profile, requests, after)
-        assert vectorised == scalar, (trial, requests, after)
-
-
-def test_batch_kernel_rejects_oversized_requests():
-    profile = AvailabilityProfile(8)
-    with pytest.raises(ValueError, match="never fit"):
-        vector.earliest_start_batch(profile, [(4, 10.0), (9, 10.0)])
-
-
-def test_profile_batch_backend_dispatch():
-    profile = AvailabilityProfile(32)
-    profile.reserve(0.0, 100.0, 20)
-    requests = [(16, 50.0), (32, 10.0), (1, 500.0)]
-    assert profile.earliest_start_batch(requests, backend="numpy") == (
-        profile.earliest_start_batch(requests)
-    )
 
 
 # -- backend resolution and the no-numpy fallback --------------------------------
