@@ -409,7 +409,7 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
     columns = vector.ResultColumns.from_schedule(items)
     jobs = _bench_jobs()
 
-    def end_to_end(backend):
+    def simulate_cells(keys, stream, backend=None):
         from repro.core.machine import Machine
         from repro.core.simulator import SimulationConfig, Simulator
         from repro.schedulers.registry import (
@@ -417,14 +417,29 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
             registered_configurations,
         )
 
-        config = next(
-            c for c in registered_configurations() if c.key == "fcfs/easy"
+        configs = [c for c in registered_configurations() if c.key in keys]
+
+        def run():
+            for config in configs:
+                Simulator(
+                    Machine(256),
+                    build_scheduler(config, 256),
+                    SimulationConfig(backend=backend),
+                ).run(stream)
+
+        return run
+
+    def end_to_end(backend):
+        return simulate_cells(("fcfs/easy",), jobs, backend)
+
+    def conservative_ctc600():
+        from repro.workloads import ctc_like_workload
+        from repro.workloads.transforms import cap_nodes
+
+        return simulate_cells(
+            ("fcfs/conservative", "psrs/conservative", "smart-ffia/conservative"),
+            cap_nodes(ctc_like_workload(n_jobs=600, seed=42), 256),
         )
-        return lambda: Simulator(
-            Machine(256),
-            build_scheduler(config, 256),
-            SimulationConfig(backend=backend),
-        ).run(jobs)
 
     scalar_awrt = _best_of(lambda: average_weighted_response_time(items), rounds)
     vector_awrt = _best_of(
@@ -460,6 +475,11 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
         # independent of host speed drift (the `_speedup_x` floor rule in
         # check_regression.py).
         "simulate_easy_1k_speedup_x": simulate_python / simulate_numpy,
+        # PR 13: conservative backfilling's reservation plan.  The three
+        # conservative cells of the end-to-end benchmark's ctc_conservative
+        # workload (600-job CTC draw, seed 42, no jitter), so the plan
+        # reuse is gated on this ladder too.
+        "simulate_conservative_ctc600": _best_of(conservative_ctc600(), rounds),
     }
 
 

@@ -21,6 +21,8 @@ supports
 
 * :meth:`release` — returning the projected remainder of an early
   completion to the free pool,
+* :meth:`unreserve` — withdrawing a queued job's reservation from a plan
+  that outlives the decision point (conservative backfilling),
 * :meth:`advance_origin` — dropping segments the simulation clock has
   passed, and
 * :meth:`clone` — copy-on-write snapshots handed to the disciplines.
@@ -456,6 +458,45 @@ class AvailabilityProfile:
                     f"({free[i]} already free at {times[i]})"
                 )
         for i in range(hi):
+            free[i] += nodes
+
+    def unreserve(self, start: float, end: float, nodes: int) -> None:
+        """Add ``nodes`` free nodes back over ``[start, end)``.
+
+        The checked inverse of the reservation :meth:`allocate` (or
+        :meth:`reserve_until`) made over that interval: a plan that keeps
+        its profile across decision points withdraws the reservations of
+        jobs it has to re-place.  The part of the interval the origin has
+        already passed is gone and is clamped away, like :meth:`release`;
+        an interval entirely at or before the origin is a no-op.
+
+        Raises ``ValueError`` if any segment would rise above
+        ``total_nodes`` (un-reserving what was never reserved).  The
+        interval's breakpoints stay behind as redundant ones — they never
+        change a first-fit answer (see :meth:`canonical_steps`) and are
+        dropped as the origin passes them.
+        """
+        if start < self._times[0]:
+            start = self._times[0]
+        if nodes <= 0 or end <= start:
+            return
+        self._detach()
+        self._block_max = None
+        self._memo = None
+        times = self._times
+        free = self._free
+        total = self.total_nodes
+        self._ensure_breakpoint(start)
+        self._ensure_breakpoint(end)
+        lo = bisect_left(times, start)
+        hi = bisect_left(times, end)
+        for i in range(lo, hi):
+            if free[i] + nodes > total:
+                raise ValueError(
+                    f"unreserve of {nodes} nodes over [{start}, {end}) exceeds "
+                    f"total_nodes ({free[i]} already free at {times[i]})"
+                )
+        for i in range(lo, hi):
             free[i] += nodes
 
     def advance_origin(self, now: float) -> None:

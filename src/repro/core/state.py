@@ -300,6 +300,17 @@ class SchedulingState:
 
     # -- snapshots ----------------------------------------------------------------
 
+    def has_overrun(self) -> bool:
+        """True when a running job's projected end is at or before ``now``.
+
+        Such a job gets the overrun clamp in every :meth:`snapshot`, an
+        epsilon reservation that moves with the clock — so a planning
+        profile kept across decision points cannot stand in for a fresh
+        snapshot while one exists.
+        """
+        ends = self._ends
+        return bool(ends) and ends[0][0] <= self.now
+
     def snapshot(self) -> AvailabilityProfile:
         """The availability profile as of ``now`` — a copy-on-write clone.
 
@@ -312,8 +323,8 @@ class SchedulingState:
         """
         self.snapshots += 1
         snap = self.profile.clone()
-        ends = self._ends
-        if ends and ends[0][0] <= self.now:
+        if self.has_overrun():
+            ends = self._ends
             overrun = bisect_right(ends, (self.now, _MAX_JOB_ID))
             for _end, job_id in ends[:overrun]:
                 snap.reserve(self.now, _OVERRUN_EPSILON, self._jobs[job_id][1])

@@ -48,6 +48,9 @@ class UserLimitDiscipline(Discipline):
         self.name = f"user-limit({inner.name})"
         self.uses_estimates = inner.uses_estimates
 
+    def reset(self) -> None:
+        self.inner.reset()
+
     def select(self, queue: Sequence[Job], ctx: SchedulerContext) -> list[Job]:
         running_per_user: dict[int, int] = {}
         for running in ctx.running.values():

@@ -188,6 +188,13 @@ class Discipline(abc.ABC):
     #: by the equivalence suites (see docs/architecture.md).
     coalesce_idle_starts: bool = False
 
+    def reset(self) -> None:
+        """Drop anything carried between decision points (fresh simulation).
+
+        The default keeps nothing; disciplines that plan across decisions
+        override it, and wrappers forward it to the discipline they wrap.
+        """
+
     @abc.abstractmethod
     def select(self, queue: Sequence[Job], ctx: SchedulerContext) -> list[Job]:
         """Jobs to start now, in start order.  Must not mutate ``queue``;
@@ -224,6 +231,7 @@ class OrderedQueueScheduler(Scheduler):
 
     def reset(self) -> None:
         self.order_policy.reset()
+        self.discipline.reset()
 
     def on_submit(self, job: Job, ctx: SchedulerContext) -> None:
         self.order_policy.enqueue(job, ctx.now)

@@ -24,18 +24,24 @@ behaviour the paper points out at the end of Section 5.2.
 Both backfilling disciplines plan on ``ctx.profile`` — a snapshot of the
 incrementally-maintained availability state (or a ``from_running`` rebuild
 when the driving loop keeps no state).  The snapshot is theirs to mutate:
-tentative starts and reservations go straight into it and die with the
-decision point, so early completions are still absorbed automatically — the
-next snapshot reflects them.
+tentative starts and reservations go straight into it.  EASY's snapshot
+dies with the decision point.  Conservative backfilling keeps its snapshot,
+reservations and all, as a *plan* for the next decision point, and takes a
+new one only when an event invalidated the old — an early completion above
+all, which is how early completions are still absorbed: the new snapshot
+reflects them (the plan-validity contract is on
+:class:`ConservativeBackfill`).
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from repro.core.job import Job
 from repro.core.profile import _OVERRUN_EPSILON, AvailabilityProfile
 from repro.core.scheduler import SchedulerContext
+from repro.core.state import SchedulingState, StateDivergenceError
 from repro.core.vector import numpy_or_none
 from repro.schedulers.base import Discipline
 
@@ -383,21 +389,150 @@ class EasyBackfill(Discipline):
         return started, indices
 
 
+class _ReservationPlan:
+    """What :class:`ConservativeBackfill` carries from one decision to the next.
+
+    ``profile`` holds the running jobs' projected remainders *and* one
+    reservation per planned job; ``jobs``/``starts`` list those planned jobs
+    (queued, not yet started) in queue order with the start each was given.
+    ``deltas`` is the value ``state.deltas`` must have at the next decision
+    point and ``started`` the jobs the last decision returned — together
+    they prove that nothing but those starts touched the machine since.
+    """
+
+    __slots__ = ("state", "profile", "jobs", "starts", "deltas", "started")
+
+    def __init__(
+        self, state: SchedulingState | None, profile: AvailabilityProfile
+    ) -> None:
+        self.state = state
+        self.profile = profile
+        self.jobs: list[Job] = []
+        self.starts: list[float] = []
+        self.deltas = 0
+        self.started: tuple[Job, ...] = ()
+
+    def keep_prefix(self, queue: Sequence[Job], now: float) -> int:
+        """Bring a valid plan to ``now`` and keep what still matches ``queue``.
+
+        Returns the length of the longest common prefix (by identity) of
+        the planned jobs and the queue; the reservations past it are
+        withdrawn from the profile.
+        """
+        profile = self.profile
+        profile.advance_origin(now)
+        jobs = self.jobs
+        keep = 0
+        for planned, queued in zip(jobs, queue):
+            if planned is not queued:
+                break
+            keep += 1
+        if keep < len(jobs):
+            starts = self.starts
+            for job, start in zip(jobs[keep:], starts[keep:]):
+                # The same sum allocate() placed the end breakpoint at.
+                end = start + max(job.estimated_runtime, _ZERO_RUNTIME_EPSILON)
+                profile.unreserve(start, end, job.nodes)
+            del jobs[keep:]
+            del starts[keep:]
+        return keep
+
+    def place(
+        self, queue: Sequence[Job], keep: int, now: float, free: int
+    ) -> tuple[list[Job], list[int]]:
+        """The queue walk: place ``queue[keep:]`` on the plan, in order.
+
+        ``queue[:keep]`` is already planned (all later than ``now``, or the
+        plan would not be valid).  Each further job is ``allocate``d — the
+        first-fit query fused with its reservation, the measured hot spot
+        of the whole simulator — and either starts now or joins the plan.
+        ``keep == 0`` on a fresh snapshot is the from-scratch plan.
+        """
+        n = len(queue)
+        # Early exit: once the nodes free *right now* drop below the
+        # narrowest job left in the queue, no further job can start at this
+        # decision point.  The jobs past that point stay unplanned and are
+        # picked up as the tail of a later decision; no planned job depends
+        # on them, so stopping is exact, not an approximation.
+        suffix_min = [_NO_JOB] * (n + 1)
+        for i in range(n - 1, keep - 1, -1):
+            nodes = queue[i].nodes
+            narrower = suffix_min[i + 1]
+            suffix_min[i] = nodes if nodes < narrower else narrower
+        allocate = self.profile.allocate
+        jobs = self.jobs
+        starts = self.starts
+        started: list[Job] = []
+        indices: list[int] = []
+        for i in range(keep, n):
+            if free < suffix_min[i]:
+                break
+            job = queue[i]
+            # Zero-length estimates still occupy their nodes for the instant
+            # they run; reserve an epsilon so two such jobs cannot
+            # double-book the same nodes at the same decision point.
+            est = job.estimated_runtime
+            if est < _ZERO_RUNTIME_EPSILON:
+                est = _ZERO_RUNTIME_EPSILON
+            start = allocate(job.nodes, est)
+            if start <= now:
+                started.append(job)
+                indices.append(i)
+                free -= job.nodes
+            else:
+                jobs.append(job)
+                starts.append(start)
+        return started, indices
+
+
 class ConservativeBackfill(Discipline):
     """Conservative backfilling: no queued job's projected completion grows.
 
-    Every decision point takes a fresh availability snapshot
-    (``ctx.profile``) and walks the queue in order: each job either starts
-    now or receives a reservation at its earliest projected start.  Later
-    jobs plan around all earlier reservations, so no job can be postponed
-    (with respect to the projections) by a backfilled successor.
+    The queue is walked in order: each job either starts now or receives a
+    reservation at its earliest projected start.  Later jobs plan around
+    all earlier reservations, so no job can be postponed (with respect to
+    the projections) by a backfilled successor.
 
-    Queued-job reservations live only inside the decision point's snapshot
-    — never in the persistent state — which automatically exploits early
-    completions: when a job finishes ahead of its estimate the next
-    snapshot already shows the freed remainder, exactly like a real
-    conservative-backfill queue manager re-evaluating its reservation
-    table.
+    The reservation table is a *plan* that outlives the decision point:
+    the planning profile (running remainders plus queued reservations) and
+    the ``(job, start)`` list in queue order.  A decision point reuses the
+    longest prefix of it that is still what a from-scratch walk would
+    compute, and re-places only the rest of the queue.  The plan is valid
+    iff all of these hold (the invariant table in ``docs/architecture.md``
+    has the reasons):
+
+    * it was built on this ``ctx.state`` (same simulation run);
+    * ``state.deltas`` advanced by exactly the starts this discipline
+      returned last time, and each of those jobs is running — so no
+      release, kill, outage, repair or foreign start happened, and no
+      wrapper dropped a start;
+    * no running job is in overrun (``state.has_overrun()``): the overrun
+      clamp moves with the clock and only fresh snapshots carry it;
+    * no job with an estimate below the zero-runtime epsilon was started:
+      the plan holds such a job's nodes for the epsilon, the state does not.
+
+    On reuse the plan profile's origin advances to ``now``, the plan is cut
+    to its longest common prefix with the queue *by identity* (arrivals
+    extend the queue, a withdrawn or reordered job ends the prefix), the
+    reservations past the prefix are withdrawn with
+    :meth:`~repro.core.profile.AvailabilityProfile.unreserve`, and only the
+    queue tail is ``allocate``d.  An invalid plan — an early completion, a
+    failure, a kill, or no ``ctx.state`` at all (gang, metasystem, rebuild
+    mode) — is the same walk with an empty prefix on a fresh
+    ``ctx.profile``, which is how early completions are exploited: the
+    fresh snapshot shows the freed remainder and every job is re-placed
+    against it, exactly like a queue manager re-evaluating its reservation
+    table.  Kept starts are exact, not approximate: with an unchanged base
+    profile a kept job's from-scratch start is the earliest fit ``>= now``
+    on the same step function with the same earlier reservations, and its
+    kept start is a breakpoint later than ``now``, so both are the same
+    float.
+
+    Under state verification (``REPRO_VERIFY_STATE`` /
+    ``SimulationConfig(verify_state=K)``) every decision the cadence picks
+    re-runs the walk from scratch on a fresh snapshot and raises
+    :class:`~repro.core.state.StateDivergenceError` if a started job or a
+    planned start differs.
 
     ``depth`` bounds how many queued jobs are considered per decision point
     (production systems call this ``bf_max_job_test``); jobs beyond the
@@ -416,6 +551,10 @@ class ConservativeBackfill(Discipline):
         if depth is not None and depth < 1:
             raise ValueError("depth must be at least 1 (or None for unbounded)")
         self.depth = depth
+        self._plan: _ReservationPlan | None = None
+
+    def reset(self) -> None:
+        self._plan = None
 
     def select(self, queue: Sequence[Job], ctx: SchedulerContext) -> list[Job]:
         started, _indices = self.select_indexed(queue, ctx)
@@ -430,39 +569,90 @@ class ConservativeBackfill(Discipline):
         if self.depth is not None:
             queue = queue[: self.depth]
         # Nothing can start when no queued job fits the free nodes; skip the
-        # profile snapshot entirely (frequent during backlog phases).
-        if ctx.free_nodes < _min_queue_nodes(queue, ctx):
+        # planning entirely (frequent during backlog phases).  The plan is
+        # left as it is: its validity is judged when it is next used.
+        free = ctx.free_nodes
+        if free < _min_queue_nodes(queue, ctx):
             return [], None
-        profile = ctx.profile
-        # Early-exit support: once the nodes free *right now* drop below the
-        # narrowest job remaining in the queue, no further job can start at
-        # this decision point.  The skipped tail's reservations are never
-        # consulted (each decision point plans on a fresh snapshot), so
-        # stopping is exact, not an approximation.
-        suffix_min = [0] * (len(queue) + 1)
-        suffix_min[len(queue)] = _NO_JOB
-        for i in range(len(queue) - 1, -1, -1):
-            suffix_min[i] = min(queue[i].nodes, suffix_min[i + 1])
-        current_free = ctx.free_nodes
-
-        started: list[Job] = []
-        indices: list[int] = []
-        for i, job in enumerate(queue):
-            if current_free < suffix_min[i]:
-                break
-            # Zero-length estimates still occupy their nodes for the instant
-            # they run; reserve an epsilon so two such jobs cannot double-book
-            # the same nodes at the same decision point.  allocate() fuses
-            # the first-fit query with the reservation (one scan, no
-            # re-validation) — this pair is the measured hot spot of the
-            # whole simulator.
-            est = max(job.estimated_runtime, _ZERO_RUNTIME_EPSILON)
-            start = profile.allocate(job.nodes, est)
-            if start <= now:
-                started.append(job)
-                indices.append(i)
-                current_free -= job.nodes
+        state = ctx.state
+        plan = self._valid_plan(ctx)
+        reused = plan is not None
+        if reused:
+            keep = plan.keep_prefix(queue, now)
+        else:
+            plan = _ReservationPlan(state, ctx.profile)
+            keep = 0
+        started, indices = plan.place(queue, keep, now, free)
+        if reused and state.verify_every:
+            _cross_check(plan, queue, ctx, started)
+        if state is None or any(
+            job.estimated_runtime < _ZERO_RUNTIME_EPSILON for job in started
+        ):
+            # No delta bookkeeping to judge a plan by (gang, metasystem,
+            # rebuild mode), or a start the plan holds for the epsilon and
+            # the state does not hold at all.
+            self._plan = None
+        else:
+            plan.deltas = state.deltas + len(started)
+            plan.started = tuple(started)  # the caller owns the list
+            self._plan = plan
         return started, indices
+
+    def _valid_plan(self, ctx: SchedulerContext) -> _ReservationPlan | None:
+        """The kept plan, if nothing but its own starts happened since."""
+        plan = self._plan
+        state = ctx.state
+        if (
+            plan is None
+            or plan.state is not state
+            or state.deltas != plan.deltas
+            or state.has_overrun()
+        ):
+            return None
+        if plan.started:
+            running = ctx.running
+            for job in plan.started:
+                entry = running.get(job.job_id)
+                if entry is None or entry.job is not job:
+                    return None  # a wrapper dropped the start
+        return plan
+
+
+def _cross_check(
+    plan: _ReservationPlan,
+    queue: Sequence[Job],
+    ctx: SchedulerContext,
+    started: list[Job],
+) -> None:
+    """Verification mode: compare a reused plan with a from-scratch walk.
+
+    Taking the snapshot drives the state's own verification cadence, as
+    one snapshot per decision always did; the walk is repeated only when
+    that cadence fired.
+    """
+    state = ctx.state
+    fired = state.verifications
+    scratch = _ReservationPlan(state, ctx.profile)
+    if state.verifications == fired:
+        return
+    expected, _indices = scratch.place(queue, 0, ctx.now, ctx.free_nodes)
+    # Both walks stop early on their own, so compare what both planned.
+    both = min(len(scratch.jobs), len(plan.jobs))
+    if (
+        len(expected) != len(started)
+        or any(map(operator.is_not, expected, started))
+        or any(map(operator.is_not, scratch.jobs[:both], plan.jobs[:both]))
+        or scratch.starts[:both] != plan.starts[:both]
+    ):
+        def ids(jobs: Sequence[Job]) -> list[int]:
+            return [job.job_id for job in jobs]
+
+        raise StateDivergenceError(
+            f"reused conservative-backfill plan diverged from a from-scratch "
+            f"walk at t={ctx.now}: started {ids(started)} vs {ids(expected)}; "
+            f"planned {ids(plan.jobs[:both])} at {plan.starts[:both]} vs "
+            f"{ids(scratch.jobs[:both])} at {scratch.starts[:both]}"
+        )
 
 
 #: Sentinel larger than any machine, so the suffix-min bottom never triggers.

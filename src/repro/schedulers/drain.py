@@ -98,6 +98,9 @@ class DrainDiscipline(Discipline):
 
     # -- Discipline interface ----------------------------------------------------
 
+    def reset(self) -> None:
+        self.inner.reset()
+
     def select(self, queue: Sequence[Job], ctx: SchedulerContext) -> list[Job]:
         if not queue:
             return []

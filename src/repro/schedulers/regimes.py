@@ -134,6 +134,8 @@ class RegimeSwitchingScheduler(Scheduler):
     def reset(self) -> None:
         self._window_policy.reset()
         self._other_policy.reset()
+        self._window_discipline.reset()
+        self._other_discipline.reset()
         self.switch_log.clear()
         self._last_regime = None
 

@@ -10,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.job import Job
-from repro.core.simulator import simulate
+from repro.core.machine import Machine
+from repro.core.profile import AvailabilityProfile
+from repro.core.scheduler import RunningJob, SchedulerContext
+from repro.core.simulator import SimulationConfig, simulate
+from repro.core.state import SchedulingState, StateDivergenceError
 from repro.schedulers.base import OrderedQueueScheduler, SubmitOrderPolicy
 from repro.schedulers.disciplines import (
     AnyFitDiscipline,
@@ -207,6 +211,130 @@ class TestConservativeDepth:
         res = run(jobs, ConservativeBackfill(depth=5), nodes=64)
         assert len(res.schedule) == len(jobs)
         res.schedule.validate(64)
+
+
+class _HandDrivenMachine:
+    """Machine, state, context and wait queue moved by hand, delta for delta
+    the way the simulator moves them."""
+
+    def __init__(self, nodes):
+        self.machine = Machine(nodes)
+        self.running = {}
+        self.state = SchedulingState(nodes)
+        self.ctx = SchedulerContext(self.machine, self.running, state=self.state)
+        self.queue = []
+
+    def submit(self, job):
+        self.queue.append(job)
+        self.state.note_enqueued(job.nodes)
+
+    def withdraw(self, job):
+        self.queue.remove(job)
+        self.state.note_dequeued(job.nodes)
+
+    def decide(self, discipline, now):
+        self.ctx.now = now
+        started = discipline.select(self.queue, self.ctx)
+        for job in started:
+            self.withdraw(job)
+            self.machine.allocate(job)
+            self.running[job.job_id] = RunningJob(job=job, start_time=now)
+            self.state.on_start(job.job_id, job.estimated_runtime, job.nodes)
+        return started
+
+    def complete(self, job, now):
+        self.ctx.now = now
+        self.machine.release(job.job_id)
+        del self.running[job.job_id]
+        self.state.on_release(job.job_id)
+
+
+class TestConservativePlanReuse:
+    """The reservation plan outlives the decision point: a decision re-places
+    only what an event invalidated, counted in profile calls."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"allocate": 0, "unreserve": 0}
+
+        def counting(name):
+            original = getattr(AvailabilityProfile, name)
+
+            def spy(self, *args, **kwargs):
+                counts[name] += 1
+                return original(self, *args, **kwargs)
+
+            return spy
+
+        for name in counts:
+            monkeypatch.setattr(AvailabilityProfile, name, counting(name))
+        return counts
+
+    def _backlogged(self, discipline):
+        """8 of 10 nodes busy until 100; A and B wait with reservations at
+        100 and 150, C backfilled on the spare nodes."""
+        m = _HandDrivenMachine(10)
+        m.submit(J(0, 0.0, 8, 100.0, estimate=100.0))
+        assert [j.job_id for j in m.decide(discipline, 0.0)] == [0]
+        a, b, c = J(1, 1.0, 5, 50.0), J(2, 1.0, 6, 50.0), J(3, 1.0, 1, 7.0, estimate=10.0)
+        for job in (a, b, c):
+            m.submit(job)
+        assert m.decide(discipline, 1.0) == [c]
+        return m, a, b, c
+
+    def test_pure_arrival_allocates_only_the_new_tail(self, calls):
+        discipline = ConservativeBackfill()
+        m, a, b, _c = self._backlogged(discipline)
+        calls.update(allocate=0, unreserve=0)
+        snapshots = m.state.snapshots
+        d = J(4, 5.0, 1, 10.0)
+        m.submit(d)
+        assert m.decide(discipline, 5.0) == [d]
+        # A and B keep their reservations; no snapshot, one first-fit.
+        assert calls == {"allocate": 1, "unreserve": 0}
+        assert m.state.snapshots == snapshots
+        assert m.queue == [a, b]
+
+    def test_early_completion_forces_a_full_replan(self, calls):
+        discipline = ConservativeBackfill()
+        m, a, b, c = self._backlogged(discipline)
+        m.complete(c, 8.0)  # estimated 11: an early completion
+        e = J(5, 8.0, 1, 5.0)
+        m.submit(e)
+        calls.update(allocate=0, unreserve=0)
+        snapshots = m.state.snapshots
+        assert m.decide(discipline, 8.0) == [e]
+        # Fresh snapshot, every queued job placed again, nothing withdrawn
+        # (the old plan is dropped whole, not edited).
+        assert calls == {"allocate": 3, "unreserve": 0}
+        assert m.state.snapshots == snapshots + 1
+
+    def test_withdrawn_job_ends_the_kept_prefix(self, calls):
+        discipline = ConservativeBackfill()
+        m, a, b, _c = self._backlogged(discipline)
+        m.withdraw(a)  # a queued-job cancellation: no state delta
+        f = J(6, 6.0, 1, 3.0)
+        m.submit(f)
+        calls.update(allocate=0, unreserve=0)
+        assert m.decide(discipline, 6.0) == [f]
+        # A's and B's reservations are withdrawn; B and F are re-placed on
+        # the same profile, and B moves up into A's slot.
+        assert calls == {"allocate": 2, "unreserve": 2}
+        m.complete(m.running[0].job, 100.0)
+        assert m.decide(discipline, 100.0) == [b]
+
+    def test_verification_catches_a_plan_kept_past_its_validity(self, monkeypatch):
+        """Were the validity rule ever wrong, REPRO_VERIFY_STATE says so:
+        the reused walk is compared with a from-scratch one."""
+
+        def always_valid(self, ctx):
+            return self._plan if ctx.state is not None else None
+
+        monkeypatch.setattr(ConservativeBackfill, "_valid_plan", always_valid)
+        jobs = make_jobs(80, seed=22, max_nodes=48, mean_gap=30.0)  # loose estimates
+        scheduler = OrderedQueueScheduler(SubmitOrderPolicy(), ConservativeBackfill())
+        with pytest.raises(StateDivergenceError, match="from-scratch walk"):
+            simulate(jobs, scheduler, 64, config=SimulationConfig(verify_state=1))
 
 
 class TestEmptyQueueGuards:

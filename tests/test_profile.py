@@ -202,6 +202,43 @@ class TestRelease:
             p.release(50.0, 4)  # nothing was reserved there
 
 
+class TestUnreserve:
+    def test_inverts_a_future_reservation(self):
+        p = AvailabilityProfile(10)
+        p.reserve(0.0, 40.0, 8)
+        start = p.allocate(6, 30.0)
+        assert start == 40.0
+        p.unreserve(start, start + 30.0, 6)
+        assert p.canonical_steps() == [(0.0, 2), (40.0, 10)]
+
+    def test_part_before_the_origin_is_clamped_like_release(self):
+        p = AvailabilityProfile(10)
+        p.reserve(10.0, 50.0, 4)
+        p.advance_origin(30.0)
+        p.unreserve(10.0, 60.0, 4)  # [10, 30) is already gone
+        assert p.canonical_steps() == [(30.0, 10)]
+        p.unreserve(0.0, 30.0, 4)  # entirely passed: nothing to free
+        p.unreserve(40.0, 50.0, 0)
+        assert p.canonical_steps() == [(30.0, 10)]
+
+    def test_unreserving_what_was_never_reserved_raises(self):
+        p = AvailabilityProfile(10)
+        p.reserve(0.0, 100.0, 4)
+        with pytest.raises(ValueError, match="exceeds total_nodes"):
+            p.unreserve(50.0, 150.0, 4)  # [100, 150) is already fully free
+        with pytest.raises(ValueError, match="exceeds total_nodes"):
+            p.unreserve(0.0, 100.0, 7)
+        assert p.canonical_steps() == [(0.0, 6), (100.0, 10)]  # checked first
+
+    def test_unreserve_detaches_clones(self):
+        base = AvailabilityProfile(10)
+        start = base.allocate(4, 20.0)
+        snap = base.clone()
+        snap.unreserve(start, start + 20.0, 4)
+        assert base.free_at(0.0) == 6
+        assert snap.free_at(0.0) == 10
+
+
 class TestAdvanceOrigin:
     def test_drops_passed_segments(self):
         p = AvailabilityProfile(10)
@@ -310,6 +347,29 @@ def test_earliest_start_minimality_at_breakpoints(case):
             if t <= bp < t + duration
         )
         assert not ok, f"window at {t} < {start} would also fit"
+
+
+@given(profile_and_query(), st.floats(min_value=0.0, max_value=2e5, allow_nan=False))
+@settings(max_examples=200, deadline=None)
+def test_allocate_then_unreserve_restores_the_step_function(case, advance_to):
+    """unreserve() is the inverse of allocate()'s reservation — also after
+    the origin moved into (or past) the reserved interval."""
+    profile, nodes, duration, after = case
+    before = profile.clone()
+    start = profile.allocate(nodes, duration, after=after)
+    # The memo and index describe the pre-unreserve epoch; a query in
+    # between must not leak into the answers afterwards.
+    assert profile.earliest_start(nodes, duration, after=after) >= start
+    profile.advance_origin(advance_to)
+    before.advance_origin(advance_to)
+    profile.unreserve(start, start + duration, nodes)
+    assert profile.canonical_steps() == before.canonical_steps()
+    assert profile.earliest_start(nodes, duration, after=after) == (
+        before.earliest_start(nodes, duration, after=after)
+    )
+    if start + duration > profile.origin:
+        with pytest.raises(ValueError, match="exceeds total_nodes"):
+            profile.unreserve(start, start + duration, profile.total_nodes + 1)
 
 
 @given(

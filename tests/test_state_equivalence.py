@@ -10,8 +10,12 @@ the reference oracle).  This file asserts exactly that, over
 * every cell of the scheduler registry, in both objective regimes,
 * slack backfilling (the continuum between the paper's two variants),
 * drained schedules with whole-machine reservations,
-* streams with queued and running cancellations, and
-* the estimate-limit kill policy (``cancel_over_limit``),
+* streams with queued and running cancellations,
+* the estimate-limit kill policy (``cancel_over_limit``), and
+* conservative backfilling's reservation plan, which outlives the decision
+  point only on the incremental side: every order, a bounded depth and
+  both discipline wrappers, under every kind of event that must (or must
+  not) invalidate the plan,
 
 plus a verified pass (``verify_state=1``) that cross-checks every snapshot
 against a rebuild while simulating — the CI ``verify-state`` job runs this
@@ -22,6 +26,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.job import Job
 from repro.core.machine import Machine
 from repro.core.simulator import (
     Cancellation,
@@ -30,7 +35,9 @@ from repro.core.simulator import (
     Simulator,
 )
 from repro.failures import FailureTrace, audit_run, mtbf_trace
+from repro.schedulers.admission import UserLimitDiscipline
 from repro.schedulers.base import OrderedQueueScheduler, SubmitOrderPolicy
+from repro.schedulers.disciplines import ConservativeBackfill
 from repro.schedulers.drain import DrainingScheduler, Reservation
 from repro.schedulers.registry import build_scheduler, registered_configurations
 from repro.schedulers.slack import SlackBackfill
@@ -238,3 +245,146 @@ def test_verified_run_stays_clean():
             Machine(NODES), build_scheduler(config, NODES), REBUILD
         ).run(jobs)
         assert signature(result) == signature(reference), config.key
+
+
+# -- conservative backfilling: the plan kept across decision points -------------
+#
+# The rebuild side has no SchedulingState, so its ConservativeBackfill plans
+# from scratch at every decision; the incremental side reuses its plan
+# whenever the validity contract allows.  Bit-identical schedules are the
+# exactness claim.  Under REPRO_VERIFY_STATE=1 every reused decision is also
+# re-walked from scratch in-simulation.
+
+
+def _registry_cell(key):
+    config = next(c for c in registered_configurations() if c.key == key)
+    return lambda: build_scheduler(config, NODES)
+
+
+CONSERVATIVE_CELLS = {
+    "fcfs": _registry_cell("fcfs/conservative"),
+    "psrs": _registry_cell("psrs/conservative"),
+    "smart-ffia": _registry_cell("smart-ffia/conservative"),
+    "depth": lambda: OrderedQueueScheduler(
+        SubmitOrderPolicy(), ConservativeBackfill(depth=5)
+    ),
+    "drain": lambda: DrainingScheduler(
+        SubmitOrderPolicy(),
+        ConservativeBackfill(),
+        [Reservation(3_000.0, 3_900.0), Reservation(7_000.0, 7_900.0)],
+    ),
+    # Drops starts the inner discipline returned: the plan must notice.
+    "user-limit": lambda: OrderedQueueScheduler(
+        SubmitOrderPolicy(), UserLimitDiscipline(ConservativeBackfill(), 2)
+    ),
+}
+
+
+def _backlog_jobs(seed):
+    jobs = make_jobs(140, seed=seed, max_nodes=NODES, mean_gap=35.0)
+    return [replace(job, user=job.job_id % 4) for job in jobs]
+
+
+def _plain(jobs):
+    return jobs, None, SimulationConfig()
+
+
+def _cancellations(jobs):
+    # Shortly after submission: still queued, already running, already done.
+    cancellations = [
+        Cancellation(time=job.submit_time + 90.0, job_id=job.job_id)
+        for job in jobs
+        if job.job_id % 6 == 0
+    ]
+    return jobs, ScenarioInputs(cancellations=cancellations), SimulationConfig()
+
+
+def _failures_with_resubmit(jobs):
+    trace = mtbf_trace(
+        total_nodes=NODES,
+        horizon=max(j.submit_time for j in jobs) + 8_000.0,
+        mtbf=12_000.0,
+        mttr=1_200.0,
+        seed=71,
+        max_nodes_per_failure=4,
+    )
+    assert len(trace) > 0
+    return jobs, ScenarioInputs(failures=trace, recovery="resubmit"), SimulationConfig()
+
+
+def _overruns(jobs):
+    # Runtime beyond the estimate and nobody kills the job: it sits in
+    # overrun, where only fresh snapshots carry the clamp.
+    jobs = [
+        replace(job, estimate=job.runtime * 0.5) if job.job_id % 4 == 0 else job
+        for job in jobs
+    ]
+    return jobs, None, SimulationConfig(cancel_over_limit=False)
+
+
+def _zero_estimates(jobs):
+    jobs = [
+        replace(job, estimate=0.0, runtime=0.0 if job.job_id % 2 else job.runtime)
+        if job.job_id % 5 == 0
+        else job
+        for job in jobs
+    ]
+    return jobs, None, SimulationConfig(cancel_over_limit=False)
+
+
+def _simultaneous_arrivals(jobs):
+    jobs = [
+        replace(job, submit_time=(job.submit_time // 400.0) * 400.0) for job in jobs
+    ]
+    return jobs, None, SimulationConfig()
+
+
+CONSERVATIVE_SCENARIOS = {
+    "plain": _plain,
+    "cancellations": _cancellations,
+    "failures-resubmit": _failures_with_resubmit,
+    "overruns": _overruns,
+    "zero-estimates": _zero_estimates,
+    "simultaneous-arrivals": _simultaneous_arrivals,
+}
+
+
+@pytest.mark.parametrize("scenario", CONSERVATIVE_SCENARIOS)
+@pytest.mark.parametrize("cell", CONSERVATIVE_CELLS)
+def test_conservative_plan_reuse_bit_identical(cell, scenario):
+    jobs, inputs, config = CONSERVATIVE_SCENARIOS[scenario](_backlog_jobs(seed=83))
+    make_scheduler = CONSERVATIVE_CELLS[cell]
+    result = assert_equivalent(make_scheduler, jobs, config=config, scenario=inputs)
+    # And with every reused decision re-walked from scratch in-simulation.
+    verified = Simulator(
+        Machine(NODES), make_scheduler(), replace(config, verify_state=1)
+    ).run(jobs, scenario=inputs)
+    assert signature(verified) == signature(result)
+
+
+def test_start_below_the_zero_runtime_epsilon_drops_the_plan():
+    """The plan holds a started job's nodes for at least the epsilon, the
+    state for the estimate itself.  Job 0 runs for half the epsilon on all
+    but one node; an arrival inside that window must plan job 1 behind the
+    estimate, as a fresh snapshot does, not behind the epsilon."""
+    jobs = [
+        Job(job_id=0, submit_time=0.0, nodes=NODES - 1, runtime=5e-10, estimate=5e-10),
+        Job(job_id=1, submit_time=2e-10, nodes=NODES, runtime=10.0, estimate=20.0),
+        Job(job_id=2, submit_time=2e-10, nodes=1, runtime=10.0, estimate=20.0),
+    ]
+    result = assert_equivalent(
+        CONSERVATIVE_CELLS["fcfs"], jobs, config=SimulationConfig(verify_state=1)
+    )
+    assert signature(result)[1][:2] == (1, 5e-10)
+
+
+def test_reused_scheduler_object_starts_from_a_clean_plan():
+    """``Simulator.run`` resets the scheduler, and the reset reaches the
+    discipline through its wrappers: the second run of one object equals
+    the run of a fresh one."""
+    jobs = _backlog_jobs(seed=89)
+    for cell, make_scheduler in CONSERVATIVE_CELLS.items():
+        scheduler = make_scheduler()
+        first = Simulator(Machine(NODES), scheduler).run(jobs)
+        second = Simulator(Machine(NODES), scheduler).run(jobs)
+        assert signature(first) == signature(second), cell
