@@ -1,21 +1,29 @@
 """The discrete-event simulator driving an on-line scheduler.
 
-The simulator owns the clock, the event queue, the machine, the table of
-running jobs, and the incremental
-:class:`~repro.core.state.SchedulingState` (persistent availability
-profile + queue statistics) that schedulers read through the context.  The
-scheduler owns the wait queue and the policy.  Per decision point (a batch
-of events at one instant) the flow is:
+Section 2's scheduling system is one on-line loop: submissions and
+completions arrive, and after every batch of simultaneous events the
+scheduler is asked which queued jobs to start *now*.  Three pieces:
 
-1. apply every completion at this instant (release nodes, notify scheduler),
-2. apply every submission at this instant (notify scheduler),
-3. ask the scheduler which queued jobs to start now, allocate them, and
-   push their completion events.
+**The site** (:class:`repro.core.site.SiteRun`) owns the machine, the
+running table, the incremental :class:`~repro.core.state.SchedulingState`
+and the finished records, and is the only code that commits a start, a
+finish or a kill to them.  The closed-loop workload driver and the
+metasystem drive the same object.
 
-Completions are applied before submissions at equal times (see
-:mod:`repro.core.events`), so a newly submitted job sees every node freed at
-its arrival instant — the behaviour of a real batch system where the
-resource manager processes its event queue in order.
+**The run** (:class:`_Run`) is the mutable state of one
+:meth:`Simulator.run` — event queue, reruns, kill times, failure and
+cancellation tallies — and its methods are the event handlers.
+:meth:`Simulator.run` is set-up, then "next instant → each event through
+``EventKind → handler`` → one decision".  Completions are applied before
+submissions at equal times (see :mod:`repro.core.events`), so a newly
+submitted job sees every node freed at its arrival instant, as in a real
+batch system whose resource manager processes its event queue in order.
+
+**The coalescers** are loop *shapes*, not second implementations: where
+the scheduler's capability flags prove that a run of events needs no
+inter-event decision, the run advances through it in bulk — through the
+same site operations and the same decision method
+(``docs/architecture.md``, "Event coalescing").
 
 Jobs whose actual runtime exceeds the user limit can optionally be cancelled
 at the limit (``cancel_over_limit=True``), matching policy rule 2 of
@@ -37,9 +45,9 @@ so backfilling disciplines plan around it like any other commitment.
 
 from __future__ import annotations
 
-import time
-from heapq import heappop
+import math
 from dataclasses import dataclass, field, replace
+from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core import vector
@@ -47,13 +55,15 @@ from repro.core.events import EventKind, EventQueue
 from repro.core.job import Job, validate_stream
 from repro.core.machine import Machine
 from repro.core.schedule import Schedule, ScheduledJob
-from repro.core.scheduler import RunningJob, Scheduler, SchedulerContext
-from repro.core.state import SchedulingState, verify_every_from_env
+from repro.core.scheduler import RunningJob, Scheduler
+from repro.core.site import SiteRun
 from repro.core.vector import resolve_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (failures imports core)
     from repro.failures.recovery import RecoveryPolicy
-    from repro.failures.trace import FailureTrace
+    from repro.failures.trace import FailureTrace, NodeFailure
+
+_COMPLETION = EventKind.COMPLETION
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,6 +79,14 @@ class Cancellation:
     time: float
     job_id: int
 
+    def __post_init__(self) -> None:
+        # A NaN time never equals the loop's clock, so its batch would
+        # never close; an infinite one would end the run at infinity.
+        if not math.isfinite(self.time):
+            raise ValueError(
+                f"cancellation of job {self.job_id}: time must be finite, got {self.time}"
+            )
+
 
 @dataclass(frozen=True, slots=True)
 class SimulationConfig:
@@ -79,18 +97,26 @@ class SimulationConfig:
     (the equivalence suites' contract), which is why none of them enters a
     cache fingerprint.
 
-    ``backend`` selects the simulation kernels: ``"python"`` (the oracle),
-    ``"numpy"`` (the vectorised fast path of :mod:`repro.core.vector`),
-    ``"auto"`` (numpy when importable, else python) or ``None`` (the
-    default — consult the ``REPRO_BACKEND`` environment variable, then
-    auto).  The remaining fields are described in the :class:`Simulator`
-    docstring.
     """
 
+    #: Simulation kernels: ``"python"`` (the oracle), ``"numpy"`` (the
+    #: vectorised fast path of :mod:`repro.core.vector`), ``"auto"`` (numpy
+    #: when importable, else python) or ``None`` (consult ``REPRO_BACKEND``,
+    #: then auto).  Resolved once per :class:`Simulator`; both backends are
+    #: bit-identical (``tests/test_vector_equivalence.py``).
     backend: str | None = None
+    #: Kill jobs at their estimate when the actual runtime exceeds it
+    #: (recorded ``cancelled=True``).
     cancel_over_limit: bool = False
+    #: Record queue length and free nodes at every decision point (for the
+    #: analysis plots); adds memory overhead.
     collect_trace: bool = False
+    #: Maintain a :class:`~repro.core.state.SchedulingState` across events;
+    #: ``False`` selects the reference rebuild-per-decision path — same
+    #: schedules, bit for bit (the equivalence oracle).
     incremental_state: bool = True
+    #: Cross-check the incremental state against a fresh rebuild every N-th
+    #: snapshot (0 disables; ``None`` reads ``REPRO_VERIFY_STATE``).
     verify_state: int | None = None
     #: Collect the fine-grained per-phase wall-clock breakdown
     #: (``SimulationResult.phase_seconds`` gains ``events``/``commit``/
@@ -205,6 +231,479 @@ class _Trace:
     free_nodes: list[tuple[float, int]] = field(default_factory=list)
 
 
+class _Run:
+    """The mutable state of one :meth:`Simulator.run`.
+
+    Its methods are the event handlers (:meth:`handlers` maps each
+    :class:`EventKind` to one), the failure kill, the decision point and
+    the coalescers.  Handlers take the event payload and act at
+    ``ctx.now``; every machine/state commit goes through ``self.site``.
+    """
+
+    __slots__ = (
+        "scheduler", "site", "ctx", "state", "trace", "events", "feed", "by_id",
+        "failures", "policy", "coalesce", "pure", "coalesced", "batch_enqueued",
+        "pending_timers", "reruns", "finished_ids", "cancelled_queued",
+        "killed_running", "failure_killed", "interrupted", "recovery_state",
+        "killed_at", "resubmit_pending", "resubmit_cancelled",
+        "wasted_node_seconds", "requeue_delay", "decision_points",
+        "decision_time", "max_queue", "timed", "phase_seconds", "clock_start",
+        "_mark",
+    )  # fmt: skip
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        stream: Sequence[Job],
+        arrival_times: "Sequence[float] | None",
+        inputs: ScenarioInputs,
+        cancel_over_limit: bool,
+    ) -> None:
+        self.by_id = by_id = {job.job_id: job for job in stream}
+        for cancel in inputs.cancellations:
+            if cancel.job_id not in by_id:
+                raise ValueError(f"cancellation references unknown job {cancel.job_id}")
+            if cancel.time < by_id[cancel.job_id].submit_time:
+                raise ValueError(
+                    f"job {cancel.job_id} cancelled at {cancel.time} before its "
+                    f"submission at {by_id[cancel.job_id].submit_time}"
+                )
+        self.failures = inputs.failures or None
+        self.policy: "RecoveryPolicy | None" = None
+        if self.failures is not None:
+            from repro.failures.recovery import recovery_from_spec
+
+            self.failures.validate_for(sim.machine.total_nodes)
+            self.policy = recovery_from_spec(
+                "resubmit" if inputs.recovery is None else inputs.recovery
+            )
+
+        numpy_backend = sim.backend == "numpy"
+        config = sim.config
+        self.site = SiteRun(
+            sim.machine,
+            incremental_state=config.incremental_state,
+            verify_state=config.verify_state,
+            vectorize=numpy_backend,
+            cancel_over_limit=cancel_over_limit,
+        )
+        self.ctx = self.site.ctx
+        self.state = self.site.state
+        self.scheduler = scheduler = sim.scheduler
+        scheduler.reset()
+        self.trace = sim.trace
+
+        # The numpy backend keeps the N original submissions out of the
+        # heap entirely: the sorted arrival arrays hold the virtual
+        # sequences 0..N-1 and the queue counter starts above them, so the
+        # merged (time, kind, sequence) order equals the oracle's heap
+        # order event for event.
+        self.events = events = EventQueue(
+            start_sequence=len(stream) if numpy_backend else 0
+        )
+        if numpy_backend:
+            self.feed = vector.MergedEventFeed(events, stream, arrival_times)
+        else:
+            self.feed = events
+            for job in stream:
+                events.push(job.submit_time, EventKind.SUBMISSION, job)
+        for cancel in inputs.cancellations:
+            events.push(cancel.time, EventKind.CANCELLATION, cancel.job_id)
+        for fail in self.failures or ():
+            events.push(fail.down_time, EventKind.NODE_DOWN, fail)
+            events.push(fail.up_time, EventKind.NODE_UP, fail)
+
+        # Event coalescing: bulk-advance maximal runs of events that
+        # provably need no inter-event decision.  The scheduler opts in
+        # through its capability flags; only the numpy backend coalesces
+        # (the python oracle keeps the per-event loop, which is what the
+        # equivalence suites compare against), and tracing forces the
+        # per-event loop so the trace stays complete.
+        caps = scheduler.coalescing_caps()
+        self.coalesce = caps if numpy_backend and self.trace is None and caps else None
+        #: No cancellations and no failures: once the original arrivals
+        #: are spent the heap can only ever hold live COMPLETION events
+        #: (no reruns, no kills, no timers under the capability contract).
+        self.pure = self.policy is None and not inputs.cancellations
+        self.coalesced = dict.fromkeys(
+            (
+                "blocked_arrival_runs", "blocked_arrival_jobs",
+                "idle_start_runs", "idle_start_jobs",
+                "drain_runs", "drained_completions", "decision_points",
+            ),
+            0,
+        )  # fmt: skip
+
+        self.batch_enqueued = False
+        self.pending_timers: set[float] = set()
+        #: Latest rerun attempt of each recovered job (``by_id`` keeps the
+        #: original submissions, which is what recovery policies reason
+        #: about).
+        self.reruns: dict[int, Job] = {}
+        #: Jobs that left the system for good (completed, killed by their
+        #: user, abandoned after a failure): cancelling them is a no-op.
+        self.finished_ids: set[int] = set()
+        self.cancelled_queued: list[int] = []
+        self.killed_running: list[int] = []
+        self.failure_killed: list[int] = []
+        self.interrupted: list[ScheduledJob] = []
+        #: job_id -> (runtime seconds safely checkpointed, restart overhead
+        #: baked into the current attempt's runtime) — the recovery policy's
+        #: cross-attempt memory.
+        self.recovery_state: dict[int, tuple[float, float]] = {}
+        #: job_id -> kill time, for jobs awaiting their recovery attempt.
+        self.killed_at: dict[int, float] = {}
+        self.resubmit_pending: set[int] = set()
+        self.resubmit_cancelled: set[int] = set()
+        self.wasted_node_seconds = 0.0
+        self.requeue_delay = 0.0
+        self.decision_points = 0
+        self.decision_time = 0.0
+        self.max_queue = 0
+        self.timed = config.profile_phases
+        self.phase_seconds = {"events": 0.0, "commit": 0.0, "coalesce": 0.0}
+        self.clock_start = self._mark = perf_counter()
+
+    def _charge(self, phase: str, upto: float) -> None:
+        """Charge the wall-clock since the previous charge to ``phase``."""
+        self.phase_seconds[phase] += upto - self._mark
+        self._mark = upto
+
+    # -- event handlers ------------------------------------------------------
+
+    def handlers(self) -> dict:
+        """The dispatch table ``EventKind → handler``, for the loop to hold:
+        stored here, a table of bound methods would be a reference cycle
+        keeping the whole run alive until the cyclic collector finds it."""
+        return {
+            EventKind.COMPLETION: self._on_completion,
+            EventKind.NODE_UP: self._on_node_up,
+            EventKind.NODE_DOWN: self._on_node_down,
+            EventKind.SUBMISSION: self._on_submission,
+            EventKind.CANCELLATION: self._on_cancellation,
+            EventKind.TIMER: self._on_timer,
+        }
+
+    def _on_completion(self, item: ScheduledJob) -> None:
+        if self.site.finish(item):  # else: stale completion of a killed attempt
+            self.finished_ids.add(item.job.job_id)
+            if self.coalesce is None:
+                # Coalescing capability implies the base (no-op)
+                # ``on_complete`` — skip the call on the fast path.
+                self.scheduler.on_complete(item.job, self.ctx)
+
+    def _on_node_up(self, fail: "NodeFailure") -> None:
+        self.site.capacity_up(fail.up_time, fail.nodes)
+
+    def _on_node_down(self, fail: "NodeFailure") -> None:
+        site = self.site
+        needed = fail.nodes - site.machine.free_nodes
+        if needed > 0:
+            # Free nodes do not cover the failure: kill running jobs,
+            # youngest first (least work destroyed), until enough nodes
+            # are freed.  ``validate_for`` bounds concurrent failures by
+            # the machine size, so the running jobs always hold enough.
+            victims = sorted(
+                site.running.values(), key=lambda r: (-r.start_time, -r.job.job_id)
+            )
+            freed = 0
+            for victim in victims:
+                if freed >= needed:
+                    break
+                freed += victim.job.nodes
+                self._kill_for_failure(victim)
+        site.capacity_down(fail.up_time, fail.nodes)
+
+    def _on_submission(self, job: Job) -> None:
+        job_id = job.job_id
+        if job_id in self.resubmit_pending:
+            self.resubmit_pending.discard(job_id)
+            if job_id in self.resubmit_cancelled:
+                # Cancelled in the gap between kill and rerun: the rerun
+                # never reaches the queue.
+                self.resubmit_cancelled.discard(job_id)
+                self.finished_ids.add(job_id)
+                return
+            self.reruns[job_id] = job
+        if self.state is not None:
+            self.state.note_enqueued(job.nodes)
+        self.scheduler.on_submit(job, self.ctx)
+        self.batch_enqueued = True
+
+    def _on_cancellation(self, job_id: int) -> None:
+        if job_id in self.site.running:
+            # Kill mid-run: partial execution enters the record.
+            record = self.site.kill(job_id, self.ctx.now)
+            self.site.record(record)
+            self.finished_ids.add(job_id)
+            self.killed_running.append(job_id)
+            self.scheduler.on_complete(record.job, self.ctx)
+        elif job_id in self.resubmit_pending:
+            # Killed by a failure, recovery attempt not yet submitted: the
+            # user withdraws the rerun.
+            if job_id not in self.resubmit_cancelled:
+                self.resubmit_cancelled.add(job_id)
+                self.killed_at.pop(job_id, None)
+                self.cancelled_queued.append(job_id)
+        elif job_id not in self.finished_ids:
+            # Still queued: withdraw it.
+            job = self.reruns.get(job_id, self.by_id[job_id])
+            self.scheduler.on_cancel(job, self.ctx)
+            if self.state is not None:
+                self.state.note_dequeued(job.nodes)
+            self.cancelled_queued.append(job_id)
+        # else: already finished — the realistic no-op race.
+
+    def _on_timer(self, _payload: object) -> None:
+        # TIMER events need no state change; they exist to create a
+        # decision point.  Inside a batch the event's time is ``now``.
+        self.pending_timers.discard(self.ctx.now)
+
+    def _kill_for_failure(self, victim: RunningJob) -> None:
+        """Kill ``victim`` for a node failure and dispatch its recovery.
+
+        Abandonment turns the partial attempt into the job's final
+        (cancelled) schedule record; recovery stores the attempt under
+        ``interrupted`` and schedules a rerun submission carrying the
+        remaining runtime under the original identity.
+        """
+        now = self.ctx.now
+        job_id = victim.job.job_id
+        record = self.site.kill(job_id, now)
+        self.failure_killed.append(job_id)
+        executed = now - victim.start_time
+        saved, overhead_paid = self.recovery_state.get(job_id, (0.0, 0.0))
+        original = self.by_id[job_id]
+        policy = self.policy
+        assert policy is not None  # failures without a policy cannot happen
+        outcome = policy.on_interrupt(
+            original,
+            now=now,
+            executed=executed,
+            saved=saved,
+            overhead_paid=overhead_paid,
+        )
+        nodes = victim.job.nodes
+        if outcome.resubmit_at is None:
+            # Abandoned: the partial attempt is the job's final record, and
+            # everything it executed (plus any checkpoints from earlier
+            # attempts, now useless) is wasted.
+            self.finished_ids.add(job_id)
+            self.site.record(record)
+            self.wasted_node_seconds += (executed + saved) * nodes
+        else:
+            if outcome.resubmit_at < now:
+                raise ValueError(
+                    f"recovery policy {policy.spec!r} resubmits job {job_id} "
+                    f"at {outcome.resubmit_at}, before the kill at {now}"
+                )
+            self.interrupted.append(record)
+            rerun = replace(original, runtime=outcome.remaining_runtime)
+            self.events.push(outcome.resubmit_at, EventKind.SUBMISSION, rerun)
+            self.resubmit_pending.add(job_id)
+            self.killed_at[job_id] = now
+            self.recovery_state[job_id] = (outcome.saved, outcome.overhead)
+            # Work preserved by new checkpoints survives; the rest of this
+            # attempt's execution is wasted.
+            self.wasted_node_seconds += (executed - (outcome.saved - saved)) * nodes
+        self.scheduler.on_complete(victim.job, self.ctx)
+
+    # -- the decision point --------------------------------------------------
+
+    def decide(self) -> int:
+        """One decision point at ``ctx.now``; returns how many jobs started.
+
+        Asks the scheduler which queued jobs start now, commits them and
+        schedules their completions, then honours wake-up requests and
+        tracks the queue peak.
+        """
+        now = self.ctx.now
+        scheduler = self.scheduler
+        self.decision_points += 1
+        t_select = perf_counter()
+        started = scheduler.select_jobs(self.ctx)
+        t_commit = perf_counter()
+        self.decision_time += t_commit - t_select
+        if self.timed:
+            self._charge("events", t_select)
+        start = self.site.start
+        push = self.events.push
+        for job in started:
+            if job.job_id in self.killed_at:  # a rerun leaves the queue
+                self.requeue_delay += now - self.killed_at.pop(job.job_id)
+            item = start(job, now)
+            push(item.end_time, _COMPLETION, item)
+
+        if self.coalesce is None:
+            # Honour timer requests; only queue jobs justify a wake-up, so
+            # a drained scheduler cannot keep an otherwise-finished
+            # simulation alive forever.  Coalescing capability implies the
+            # base (None) ``next_wakeup``, so that path skips the probe.
+            wake = scheduler.next_wakeup(self.ctx)
+            if (
+                wake is not None
+                and wake > now
+                and wake not in self.pending_timers
+                and (scheduler.pending_count > 0 or self.site.running)
+            ):
+                self.pending_timers.add(wake)
+                self.events.push(wake, EventKind.TIMER)
+            queue_len = scheduler.pending_count
+            self.max_queue = max(self.max_queue, queue_len)
+            if self.trace is not None:
+                self.trace.queue_lengths.append((now, queue_len))
+                self.trace.free_nodes.append((now, self.site.machine.free_nodes))
+        elif self.batch_enqueued:
+            # The wait queue only ever grows inside ``on_submit``, so the
+            # peak queue length is always attained at a decision point
+            # whose batch carried a submission — completion-only decisions
+            # cannot raise it and skip the probe.
+            self.max_queue = max(self.max_queue, scheduler.pending_count)
+        self.batch_enqueued = False
+        if self.timed:
+            self._mark = t_commit  # the decision itself is ``decision_time``
+            self._charge("commit", perf_counter())
+        return len(started)
+
+    # -- coalescers: loop shapes over the same operations ----------------------
+
+    def _close_run(self, now: float, closed: int) -> None:
+        """Advance to the end of a coalesced run that closed ``closed``
+        decision points without consulting the scheduler."""
+        self.ctx.now = now
+        self.decision_points += closed
+        self.coalesced["decision_points"] += closed
+
+    def coalesce_ahead(self) -> None:
+        """Bulk-advance whatever provably needs no per-event decision."""
+        if self.scheduler.pending_count:
+            self._coalesce_backlogged()
+        else:
+            self._coalesce_idle()
+        if self.timed:
+            self._charge("coalesce", perf_counter())
+
+    def _coalesce_backlogged(self) -> None:
+        """Non-empty queue: drain the backlog, or enqueue blocked arrivals."""
+        feed = self.feed
+        if self.pure and feed.arrivals_exhausted:
+            # Arrivals spent, pure scenario: every heap event is a live
+            # completion and every instant a decision point, so run
+            # finish → decide straight off the heap, without the merged
+            # feed, the dispatch table or the coalescing probes.  Each
+            # iteration is exactly the generic body for a completions-only
+            # batch; it ends when the queue or the heap empties.
+            events = self.events
+            peek, pop = events.peek_time, events.pop_next
+            on_completion = self._on_completion
+            pending = self.scheduler.pending_count
+            while events and pending:
+                self.ctx.now = now = peek()
+                while events and peek() == now:
+                    on_completion(pop()[1])
+                pending -= self.decide()
+            if not pending and events:
+                self._coalesce_idle()
+        elif self.coalesce.blocked_arrivals and not self.resubmit_pending:
+            # Arrivals strictly before the next heap event and too wide
+            # for the free nodes can neither start nor unblock anything
+            # (the discipline's ``blocked_arrivals`` guarantee) — enqueue
+            # the whole run without touching the decision machinery.
+            run_jobs, run_times, closed = feed.take_blocked_arrivals(
+                self.site.machine.free_nodes
+            )
+            if run_jobs:
+                if self.state is not None:
+                    self.state.note_enqueued_run(run_jobs)
+                self.scheduler.on_submit_run(run_jobs, self.ctx)
+                self._close_run(run_times[-1], closed)
+                self.coalesced["blocked_arrival_runs"] += 1
+                self.coalesced["blocked_arrival_jobs"] += len(run_jobs)
+                self.max_queue = max(self.max_queue, self.scheduler.pending_count)
+
+    def _coalesce_idle(self) -> None:
+        """Empty queue: alternate completion drains and immediate starts
+        until neither makes progress (a light-load phase collapses here)."""
+        caps = self.coalesce
+        feed = self.feed
+        events = self.events
+        site = self.site
+        while feed:
+            progressed = False
+            if caps.empty_drain:
+                run_events, closed = events.take_completion_run(
+                    feed.next_arrival_time()
+                )
+                if run_events:
+                    # ``on_complete`` is the base no-op under ``empty_drain``.
+                    for item in site.finish_run([e.payload for e in run_events]):
+                        self.finished_ids.add(item.job.job_id)
+                    self._close_run(run_events[-1].time, closed)
+                    self.coalesced["drain_runs"] += 1
+                    self.coalesced["drained_completions"] += len(run_events)
+                    progressed = True
+            if caps.idle_starts and not self.resubmit_pending:
+                run_jobs, run_times, instants = feed.take_idle_starts(
+                    site.machine.free_nodes
+                )
+                if run_jobs:
+                    for item in site.start_run(run_jobs, run_times):
+                        events.push(item.end_time, _COMPLETION, item)
+                    self._close_run(run_times[-1], instants)
+                    self.coalesced["idle_start_runs"] += 1
+                    self.coalesced["idle_start_jobs"] += len(run_jobs)
+                    progressed = True
+            if not progressed:
+                break
+
+    # -- the result ----------------------------------------------------------
+
+    def result(self) -> SimulationResult:
+        site = self.site
+        if site.running:
+            raise RuntimeError(
+                f"simulation drained its events with {len(site.running)} jobs still "
+                "running — scheduler pushed no completion?"
+            )
+        leftover = self.scheduler.pending_count
+        if leftover:
+            raise RuntimeError(
+                f"simulation ended with {leftover} jobs still queued — the "
+                "scheduler starved them (every job fits the machine, so a "
+                "work-conserving scheduler must eventually start everything)"
+            )
+        total_seconds = perf_counter() - self.clock_start
+        phase_seconds = {"total": total_seconds, "decide": self.decision_time}
+        if self.timed:
+            phase_seconds.update(self.phase_seconds)
+            phase_seconds["other"] = max(
+                0.0,
+                total_seconds - self.decision_time - sum(self.phase_seconds.values()),
+            )
+        state = self.state
+        return SimulationResult(
+            schedule=Schedule(site.completed),
+            decision_points=self.decision_points,
+            max_queue_length=self.max_queue,
+            end_time=self.ctx.now,
+            cancelled_queued=tuple(self.cancelled_queued),
+            killed_running=tuple(self.killed_running),
+            decision_time=self.decision_time,
+            profile_deltas=state.deltas if state is not None else 0,
+            profile_snapshots=state.snapshots if state is not None else 0,
+            failure_killed=tuple(self.failure_killed),
+            interrupted=tuple(self.interrupted),
+            lost_node_seconds=(
+                self.failures.lost_node_seconds() if self.failures is not None else 0.0
+            ),
+            wasted_node_seconds=self.wasted_node_seconds,
+            requeue_delay=self.requeue_delay,
+            columns=site.columns,
+            phase_seconds=phase_seconds,
+            coalesced=self.coalesced,
+        )
+
+
 class Simulator:
     """Run a job stream through a scheduler on a machine.
 
@@ -215,24 +714,8 @@ class Simulator:
     scheduler:
         Any :class:`~repro.core.scheduler.Scheduler`.
     config:
-        A :class:`SimulationConfig`; ``None`` means all defaults:
-
-        * ``backend`` — simulation kernels (``"python"`` oracle /
-          ``"numpy"`` fast path / ``"auto"``; ``None`` consults
-          ``REPRO_BACKEND`` then auto-selects).  Resolved once at
-          construction, exposed as :attr:`backend`; both backends are
-          bit-identical (``tests/test_vector_equivalence.py``).
-        * ``cancel_over_limit`` — kill jobs at their estimate when the
-          actual runtime exceeds it (recorded ``cancelled=True``).
-        * ``collect_trace`` — record queue length and free nodes at every
-          decision point (for the analysis plots); adds memory overhead.
-        * ``incremental_state`` — maintain a
-          :class:`~repro.core.state.SchedulingState` across events
-          (default); ``False`` selects the reference rebuild-per-decision
-          path — same schedules, bit for bit (the equivalence oracle).
-        * ``verify_state`` — cross-check the incremental state against a
-          fresh rebuild every N-th snapshot (0 disables; ``None`` reads
-          ``REPRO_VERIFY_STATE``).
+        A :class:`SimulationConfig` (its fields are documented there);
+        ``None`` means all defaults.
     backend:
         Convenience override for ``config.backend`` (the one config field
         callers flip routinely).
@@ -300,13 +783,39 @@ class Simulator:
             jobs = compiled.jobs
             scenario = compiled.inputs
             cancel_over_limit = cancel_over_limit or compiled.cancel_over_limit
-        cancellations = scenario.cancellations
-        failures = scenario.failures
-        recovery = scenario.recovery
+        run = _Run(self, *self._sorted_stream(jobs), scenario, cancel_over_limit)
 
-        backend = self.backend
+        # Hot-loop bindings: the loop runs a few times per job, so the
+        # repeated attribute walks are measurable at bench scale.
+        feed = run.feed
+        peek = feed.peek_time
+        pop = feed.pop_next
+        handlers = run.handlers()
+        ctx = run.ctx
+        coalescing = run.coalesce is not None
+        while feed:
+            if coalescing:
+                run.coalesce_ahead()
+                if not feed:
+                    break
+            ctx.now = now = peek()
+            # Batch every event at this instant; completions first by the
+            # event-kind priority.
+            while feed and peek() == now:
+                kind, payload = pop()
+                handlers[kind](payload)
+            run.decide()
+        return run.result()
+
+    def _sorted_stream(
+        self, jobs: Iterable[Job]
+    ) -> "tuple[Sequence[Job], Sequence[float] | None]":
+        """The validated stream in arrival order, plus — on the numpy
+        backend — its arrival-time array (``None`` on the python oracle)."""
         stream: Sequence[Job]
-        if backend == "numpy":
+        arrival_times = None
+        ids_unique = False
+        if self.backend == "numpy":
             # Pre-sorted arrival arrays: one lexsort instead of N heap
             # pushes; duplicate ids fall back to the scalar validator for
             # the canonical error.
@@ -319,12 +828,8 @@ class Simulator:
                 "schedule — use SimulationResult.empty() if a degenerate "
                 "stream is expected"
             )
-        if backend == "numpy":
-            if not ids_unique:
-                validate_stream(list(stream))
-        else:
+        if not ids_unique:
             validate_stream(list(stream))
-        by_id = {job.job_id: job for job in stream}
         for job in stream:
             if not self.machine.can_ever_fit(job):
                 raise ValueError(
@@ -332,680 +837,7 @@ class Simulator:
                     f"has only {self.machine.total_nodes}; filter the workload first "
                     "(see repro.workloads.transforms.cap_nodes)"
                 )
-        for cancel in cancellations:
-            if cancel.job_id not in by_id:
-                raise ValueError(f"cancellation references unknown job {cancel.job_id}")
-            if cancel.time < by_id[cancel.job_id].submit_time:
-                raise ValueError(
-                    f"job {cancel.job_id} cancelled at {cancel.time} before its "
-                    f"submission at {by_id[cancel.job_id].submit_time}"
-                )
-        policy: "RecoveryPolicy | None" = None
-        if failures is not None and failures:
-            from repro.failures.recovery import ResubmitPolicy, recovery_from_spec
-
-            failures.validate_for(self.machine.total_nodes)
-            policy = (
-                ResubmitPolicy() if recovery is None else recovery_from_spec(recovery)
-            )
-        else:
-            failures = None
-
-        self.machine.reset()
-        self.scheduler.reset()
-        # The numpy backend keeps the N original submissions out of the
-        # heap entirely: the sorted arrival arrays hold the virtual
-        # sequences 0..N-1 and the queue counter starts above them, so the
-        # merged (time, kind, sequence) order equals the oracle's heap
-        # order event for event.
-        events = EventQueue(
-            start_sequence=len(stream) if backend == "numpy" else 0
-        )
-        feed: "EventQueue | vector.MergedEventFeed"
-        columns: "vector.ResultColumns | None" = None
-        if backend == "numpy":
-            feed = vector.MergedEventFeed(events, stream, arrival_times)
-            columns = vector.ResultColumns()
-        else:
-            feed = events
-        pending_timers: set[float] = set()
-        running: dict[int, RunningJob] = {}
-        state: SchedulingState | None = None
-        if self.config.incremental_state:
-            verify_every = (
-                self.config.verify_state
-                if self.config.verify_state is not None
-                else verify_every_from_env()
-            )
-            state = SchedulingState(
-                self.machine.total_nodes,
-                verify_every=verify_every,
-            )
-        active_outages: list[tuple[float, int]] = []
-        ctx = SchedulerContext(
-            self.machine, running, state=state, capacity_outages=active_outages
-        )
-        ctx.vectorize = backend == "numpy"
-        completed: list[ScheduledJob] = []
-        decision_points = 0
-        decision_time = 0.0
-        max_queue = 0
-        now = 0.0
-
-        if backend != "numpy":
-            for job in stream:
-                events.push(job.submit_time, EventKind.SUBMISSION, job)
-        for cancel in cancellations:
-            events.push(cancel.time, EventKind.CANCELLATION, cancel.job_id)
-        if failures is not None:
-            for fail in failures:
-                events.push(fail.down_time, EventKind.NODE_DOWN, fail)
-                events.push(fail.up_time, EventKind.NODE_UP, fail)
-        started_ids: set[int] = set()
-        finished_ids: set[int] = set()
-        cancelled_queued: list[int] = []
-        killed_running: list[int] = []
-        #: Latest submitted version of each job (rerun attempts replace the
-        #: original here; ``by_id`` keeps the original submissions, which is
-        #: what recovery policies reason about).
-        current: dict[int, Job] = {}
-        failure_killed: list[int] = []
-        interrupted: list[ScheduledJob] = []
-        #: job_id -> (runtime seconds safely checkpointed, restart overhead
-        #: baked into the current attempt's runtime) — the recovery policy's
-        #: cross-attempt memory.
-        recovery_state: dict[int, tuple[float, float]] = {}
-        #: job_id -> kill time, for jobs awaiting their recovery attempt.
-        killed_at: dict[int, float] = {}
-        resubmit_pending: set[int] = set()
-        resubmit_cancelled: set[int] = set()
-        wasted_node_seconds = 0.0
-        requeue_delay = 0.0
-
-        # -- event coalescing (see docs/architecture.md) -----------------------
-        # Bulk-advance maximal runs of events that provably need no
-        # inter-event scheduler decision.  The scheduler opts in through
-        # its capability flags; only the numpy backend coalesces (the
-        # python oracle keeps the per-event loop, which is what the
-        # equivalence suites compare against), and tracing forces the
-        # per-event loop so the trace stays complete.
-        caps = self.scheduler.coalescing_caps()
-        coalesce = (
-            caps if backend == "numpy" and self.trace is None and caps else None
-        )
-        # A "pure" run has no cancellations and no failures: once the
-        # original arrivals are spent, the heap can only ever hold live
-        # COMPLETION events (no reruns, no kills, no timers under the
-        # capability contract) — licence for the backlogged-drain subloop
-        # below to skip the generic dispatch entirely.
-        pure_drain = coalesce is not None and policy is None and not cancellations
-        coalesced = {
-            "blocked_arrival_runs": 0,
-            "blocked_arrival_jobs": 0,
-            "idle_start_runs": 0,
-            "idle_start_jobs": 0,
-            "drain_runs": 0,
-            "drained_completions": 0,
-            "decision_points": 0,
-        }
-        profile_phases = self.config.profile_phases
-        # Hot-loop bindings: the loop below runs a few times per job, so the
-        # repeated attribute walks are measurable at bench scale.  Every
-        # hoisted object is construction-stable for the whole run.
-        machine = self.machine
-        scheduler = self.scheduler
-        select_jobs = scheduler.select_jobs
-        feed_peek = feed.peek_time
-        feed_pop = feed.pop_next
-        perf_counter = time.perf_counter
-        run_clock_start = perf_counter()
-        coalesce_seconds = 0.0
-        events_seconds = 0.0
-        commit_seconds = 0.0
-
-        while feed:
-            if coalesce is not None:
-                if profile_phases:
-                    t_coalesce = perf_counter()
-                pending_now = scheduler.pending_count
-                if pending_now:
-                    if pure_drain and feed.arrivals_exhausted:
-                        # Backlogged drain: arrivals spent, queue non-empty,
-                        # pure scenario.  Every heap event is a live
-                        # completion and every instant is a decision point,
-                        # so run the tight release→decide→commit loop with
-                        # the generic peek/dispatch machinery (and the
-                        # cancellation/failure bookkeeping a pure run never
-                        # reads) stripped out.  Identical decisions: each
-                        # iteration is exactly the generic body for a
-                        # completions-only batch under the capability
-                        # contract (no-op ``on_complete``, no wakeups, and
-                        # submissions — the only way the queue grows — never
-                        # happen, so the ``max_queue`` probe is dead too).
-                        if profile_phases:
-                            coalesce_seconds += perf_counter() - t_coalesce
-                        heap = events._heap
-                        pending = pending_now
-                        machine_release = machine.release
-                        machine_allocate = machine.allocate
-                        events_push = events.push
-                        completed_append = completed.append
-                        columns_append = columns.append
-                        if state is not None:
-                            state_on_release = state.on_release
-                            note_dequeued = state.note_dequeued
-                            state_on_start = state.on_start
-                            state_advance = state.advance
-                        else:
-                            state_on_release = None
-                            state_advance = None
-                        while heap and pending:
-                            if profile_phases:
-                                t_events = perf_counter()
-                            event = heappop(heap)
-                            t = event.time
-                            item = event.payload
-                            jid = item.job.job_id
-                            machine_release(jid)
-                            del running[jid]
-                            if state_on_release is not None:
-                                state_on_release(jid)
-                            completed_append(item)
-                            columns_append(item)
-                            while heap and heap[0].time == t:
-                                item = heappop(heap).payload
-                                jid = item.job.job_id
-                                machine_release(jid)
-                                del running[jid]
-                                if state_on_release is not None:
-                                    state_on_release(jid)
-                                completed_append(item)
-                                columns_append(item)
-                            now = t
-                            # Inlined ``ctx.now = t`` (slot write + state
-                            # advance) — the property dispatch is measurable
-                            # at this call rate.
-                            ctx._now = t
-                            if state_advance is not None:
-                                state_advance(t)
-                            decision_points += 1
-                            t_select = perf_counter()
-                            started = select_jobs(ctx)
-                            t_commit = perf_counter()
-                            decision_time += t_commit - t_select
-                            if profile_phases:
-                                events_seconds += t_select - t_events
-                            for job in started:
-                                cancelled = (
-                                    cancel_over_limit
-                                    and job.estimate is not None
-                                    and job.runtime > job.estimate
-                                )
-                                duration = job.estimate if cancelled else job.runtime
-                                item = ScheduledJob(
-                                    job=job,
-                                    start_time=t,
-                                    end_time=t + duration,
-                                    cancelled=cancelled,
-                                )
-                                machine_allocate(job)
-                                running[job.job_id] = RunningJob(
-                                    job=job, start_time=t
-                                )
-                                if state_on_release is not None:
-                                    note_dequeued(job.nodes)
-                                    state_on_start(
-                                        job.job_id, job.estimated_runtime, job.nodes
-                                    )
-                                events_push(item.end_time, EventKind.COMPLETION, item)
-                            pending -= len(started)
-                            if profile_phases:
-                                commit_seconds += perf_counter() - t_commit
-                        continue
-                    # Backlogged: arrivals strictly before the next heap
-                    # event and too wide for the free nodes can neither
-                    # start nor unblock anything (the discipline's
-                    # ``blocked_arrivals`` guarantee) — enqueue the whole
-                    # run without touching the decision machinery.
-                    if coalesce.blocked_arrivals and not resubmit_pending:
-                        run_jobs, run_times, closed = feed.take_blocked_arrivals(
-                            machine.free_nodes
-                        )
-                        if run_jobs:
-                            for job in run_jobs:
-                                current[job.job_id] = job
-                            if state is not None:
-                                state.note_enqueued_run(run_jobs)
-                            scheduler.on_submit_run(run_jobs, ctx)
-                            ctx.now = run_times[-1]
-                            decision_points += closed
-                            coalesced["blocked_arrival_runs"] += 1
-                            coalesced["blocked_arrival_jobs"] += len(run_jobs)
-                            coalesced["decision_points"] += closed
-                            queue_len = scheduler.pending_count
-                            if queue_len > max_queue:
-                                max_queue = queue_len
-                else:
-                    # Empty queue: alternate completion drains and
-                    # immediate starts until neither makes progress (a
-                    # light-load phase collapses into this inner loop).
-                    while feed:
-                        progressed = False
-                        if coalesce.empty_drain:
-                            run_events, closed = events.take_completion_run(
-                                feed.next_arrival_time()
-                            )
-                            if run_events:
-                                fresh: list[ScheduledJob] = []
-                                for event in run_events:
-                                    item = event.payload
-                                    jid = item.job.job_id
-                                    run_entry = running.get(jid)
-                                    if (
-                                        run_entry is None
-                                        or run_entry.start_time != item.start_time
-                                    ):
-                                        continue  # stale: a killed attempt
-                                    machine.release(jid)
-                                    del running[jid]
-                                    finished_ids.add(jid)
-                                    fresh.append(item)
-                                if fresh:
-                                    completed.extend(fresh)
-                                    if columns is not None:
-                                        columns.extend(fresh)
-                                    if state is not None:
-                                        state.on_release_batch(
-                                            [(f.end_time, f.job.job_id) for f in fresh]
-                                        )
-                                # ``on_complete`` is the base no-op under
-                                # the ``empty_drain`` capability.
-                                now = run_events[-1].time
-                                ctx.now = now
-                                decision_points += closed
-                                coalesced["drain_runs"] += 1
-                                coalesced["drained_completions"] += len(run_events)
-                                coalesced["decision_points"] += closed
-                                progressed = True
-                        if coalesce.idle_starts and not resubmit_pending:
-                            run_jobs, run_times, instants = feed.take_idle_starts(
-                                machine.free_nodes
-                            )
-                            if run_jobs:
-                                start_entries = []
-                                for job, start_t in zip(run_jobs, run_times):
-                                    jid = job.job_id
-                                    current[jid] = job
-                                    started_ids.add(jid)
-                                    if jid in killed_at:
-                                        requeue_delay += start_t - killed_at.pop(jid)
-                                    over = (
-                                        cancel_over_limit
-                                        and job.estimate is not None
-                                        and job.runtime > job.estimate
-                                    )
-                                    duration = job.estimate if over else job.runtime
-                                    item = ScheduledJob(
-                                        job=job,
-                                        start_time=start_t,
-                                        end_time=start_t + duration,
-                                        cancelled=over,
-                                    )
-                                    machine.allocate(job)
-                                    running[jid] = RunningJob(
-                                        job=job, start_time=start_t
-                                    )
-                                    start_entries.append(
-                                        (start_t, jid, job.estimated_runtime, job.nodes)
-                                    )
-                                    events.push(item.end_time, EventKind.COMPLETION, item)
-                                if state is not None:
-                                    # enqueue+dequeue of the same widths is
-                                    # state-neutral, so only the start
-                                    # deltas need committing.
-                                    state.on_start_batch(start_entries)
-                                now = run_times[-1]
-                                ctx.now = now
-                                decision_points += instants
-                                coalesced["idle_start_runs"] += 1
-                                coalesced["idle_start_jobs"] += len(run_jobs)
-                                coalesced["decision_points"] += instants
-                                progressed = True
-                        if not progressed:
-                            break
-                if profile_phases:
-                    coalesce_seconds += perf_counter() - t_coalesce
-                if not feed:
-                    break
-            now = feed_peek()
-            ctx.now = now
-            if profile_phases:
-                t_events = perf_counter()
-            batch_enqueued = False
-            # Batch every event at this instant; completions first by the
-            # event-kind priority.
-            while feed and feed_peek() == now:
-                kind, payload = feed_pop()
-                if kind is EventKind.COMPLETION:
-                    item: ScheduledJob = payload
-                    jid = item.job.job_id
-                    run_entry = running.get(jid)
-                    if run_entry is None or run_entry.start_time != item.start_time:
-                        # Stale completion of a killed attempt.  Rerun
-                        # attempts reuse the job id, so membership alone is
-                        # not enough — the start time identifies the attempt
-                        # (attempt starts strictly increase).
-                        continue
-                    machine.release(jid)
-                    del running[jid]
-                    if state is not None:
-                        state.on_release(jid)
-                    finished_ids.add(jid)
-                    completed.append(item)
-                    if columns is not None:
-                        columns.append(item)
-                    if coalesce is None:
-                        # Coalescing capability implies the base (no-op)
-                        # ``on_complete`` — skip the call on the fast path.
-                        scheduler.on_complete(item.job, ctx)
-                elif kind is EventKind.NODE_UP:
-                    fail = payload
-                    self.machine.repair_nodes(fail.nodes, now)
-                    if state is not None:
-                        state.on_capacity_up(fail.up_time, fail.nodes)
-                    active_outages.remove((fail.up_time, fail.nodes))
-                elif kind is EventKind.NODE_DOWN:
-                    fail = payload
-                    needed = fail.nodes - self.machine.free_nodes
-                    if needed > 0:
-                        # Free nodes do not cover the failure: kill running
-                        # jobs, youngest first (least work destroyed), until
-                        # enough nodes are freed.  ``validate_for`` bounds
-                        # concurrent failures by the machine size, so the
-                        # running jobs always hold enough.
-                        victims = sorted(
-                            running.values(),
-                            key=lambda r: (-r.start_time, -r.job.job_id),
-                        )
-                        freed = 0
-                        for victim in victims:
-                            if freed >= needed:
-                                break
-                            freed += victim.job.nodes
-                            wasted_node_seconds += self._kill_for_failure(
-                                victim,
-                                now=now,
-                                policy=policy,
-                                ctx=ctx,
-                                state=state,
-                                events=events,
-                                running=running,
-                                by_id=by_id,
-                                completed=completed,
-                                started_ids=started_ids,
-                                finished_ids=finished_ids,
-                                failure_killed=failure_killed,
-                                interrupted=interrupted,
-                                recovery_state=recovery_state,
-                                killed_at=killed_at,
-                                resubmit_pending=resubmit_pending,
-                                columns=columns,
-                            )
-                    self.machine.fail_nodes(fail.nodes, now)
-                    if state is not None:
-                        state.on_capacity_down(fail.up_time, fail.nodes)
-                    active_outages.append((fail.up_time, fail.nodes))
-                elif kind is EventKind.SUBMISSION:
-                    job = payload
-                    if job.job_id in resubmit_pending:
-                        resubmit_pending.discard(job.job_id)
-                        if job.job_id in resubmit_cancelled:
-                            # Cancelled in the gap between kill and rerun:
-                            # the rerun never reaches the queue.
-                            resubmit_cancelled.discard(job.job_id)
-                            finished_ids.add(job.job_id)
-                            continue
-                    current[job.job_id] = job
-                    if state is not None:
-                        state.note_enqueued(job.nodes)
-                    scheduler.on_submit(job, ctx)
-                    batch_enqueued = True
-                elif kind is EventKind.CANCELLATION:
-                    job_id: int = payload
-                    job = current.get(job_id, by_id[job_id])
-                    if job_id in running:
-                        # Kill mid-run: partial execution enters the record.
-                        start_time = running[job_id].start_time
-                        self.machine.release(job_id)
-                        del running[job_id]
-                        if state is not None:
-                            state.on_release(job_id)
-                        finished_ids.add(job_id)
-                        killed_running.append(job_id)
-                        item = ScheduledJob(
-                            job=job,
-                            start_time=start_time,
-                            end_time=now,
-                            cancelled=True,
-                        )
-                        completed.append(item)
-                        if columns is not None:
-                            columns.append(item)
-                        self.scheduler.on_complete(job, ctx)
-                    elif job_id in resubmit_pending:
-                        # Killed by a failure, recovery attempt not yet
-                        # submitted: the user withdraws the rerun.
-                        if job_id not in resubmit_cancelled:
-                            resubmit_cancelled.add(job_id)
-                            killed_at.pop(job_id, None)
-                            cancelled_queued.append(job_id)
-                    elif job_id not in finished_ids and job_id not in started_ids:
-                        # Still queued: withdraw it.
-                        self.scheduler.on_cancel(job, ctx)
-                        if state is not None:
-                            state.note_dequeued(job.nodes)
-                        cancelled_queued.append(job_id)
-                    # else: already finished — the realistic no-op race.
-                else:
-                    # TIMER events need no state change; they exist to
-                    # create a decision point.  Inside this batch the
-                    # event's time is ``now`` by construction.
-                    pending_timers.discard(now)
-
-            if profile_phases:
-                events_seconds += time.perf_counter() - t_events
-            decision_points += 1
-            t_select = perf_counter()
-            started = select_jobs(ctx)
-            t_commit = perf_counter()
-            decision_time += t_commit - t_select
-            for job in started:
-                started_ids.add(job.job_id)
-                if job.job_id in killed_at:
-                    requeue_delay += now - killed_at.pop(job.job_id)
-                cancelled = (
-                    cancel_over_limit
-                    and job.estimate is not None
-                    and job.runtime > job.estimate
-                )
-                duration = job.estimate if cancelled else job.runtime
-                item = ScheduledJob(
-                    job=job,
-                    start_time=now,
-                    end_time=now + duration,
-                    cancelled=cancelled,
-                )
-                machine.allocate(job)  # raises if the scheduler overcommitted
-                running[job.job_id] = RunningJob(job=job, start_time=now)
-                if state is not None:
-                    state.note_dequeued(job.nodes)
-                    state.on_start(job.job_id, job.estimated_runtime, job.nodes)
-                events.push(item.end_time, EventKind.COMPLETION, item)
-
-            if coalesce is None:
-                # Honour timer requests; only queue jobs justify a wake-up,
-                # so a drained scheduler cannot keep an otherwise-finished
-                # simulation alive forever.  Coalescing capability implies
-                # the base (None) ``next_wakeup``, so the probe is skipped
-                # on that path.
-                wake = scheduler.next_wakeup(ctx)
-                if (
-                    wake is not None
-                    and wake > now
-                    and wake not in pending_timers
-                    and (scheduler.pending_count > 0 or running)
-                ):
-                    pending_timers.add(wake)
-                    events.push(wake, EventKind.TIMER)
-
-                try:
-                    queue_len = scheduler.pending_count
-                except NotImplementedError:  # pragma: no cover - exotic schedulers
-                    queue_len = 0
-                max_queue = max(max_queue, queue_len)
-                if self.trace is not None:
-                    self.trace.queue_lengths.append((now, queue_len))
-                    self.trace.free_nodes.append((now, machine.free_nodes))
-            elif batch_enqueued:
-                # The wait queue only ever grows inside ``on_submit``, so
-                # the peak queue length is always attained at a decision
-                # point whose batch carried a submission — completion-only
-                # drain decisions cannot raise it and skip the probe.
-                queue_len = scheduler.pending_count
-                if queue_len > max_queue:
-                    max_queue = queue_len
-            if profile_phases:
-                commit_seconds += perf_counter() - t_commit
-
-        if running:
-            raise RuntimeError(
-                f"simulation drained its events with {len(running)} jobs still "
-                "running — scheduler pushed no completion?"
-            )
-        leftover = self.scheduler.pending_count
-        if leftover:
-            raise RuntimeError(
-                f"simulation ended with {leftover} jobs still queued — the "
-                "scheduler starved them (every job fits the machine, so a "
-                "work-conserving scheduler must eventually start everything)"
-            )
-
-        total_seconds = time.perf_counter() - run_clock_start
-        phase_seconds = {"total": total_seconds, "decide": decision_time}
-        if profile_phases:
-            phase_seconds["events"] = events_seconds
-            phase_seconds["commit"] = commit_seconds
-            phase_seconds["coalesce"] = coalesce_seconds
-            phase_seconds["other"] = max(
-                0.0,
-                total_seconds
-                - events_seconds
-                - commit_seconds
-                - coalesce_seconds
-                - decision_time,
-            )
-
-        schedule = Schedule(completed)
-        return SimulationResult(
-            schedule=schedule,
-            decision_points=decision_points,
-            max_queue_length=max_queue,
-            end_time=now,
-            cancelled_queued=tuple(cancelled_queued),
-            killed_running=tuple(killed_running),
-            decision_time=decision_time,
-            profile_deltas=state.deltas if state is not None else 0,
-            profile_snapshots=state.snapshots if state is not None else 0,
-            failure_killed=tuple(failure_killed),
-            interrupted=tuple(interrupted),
-            lost_node_seconds=(
-                failures.lost_node_seconds() if failures is not None else 0.0
-            ),
-            wasted_node_seconds=wasted_node_seconds,
-            requeue_delay=requeue_delay,
-            columns=columns,
-            phase_seconds=phase_seconds,
-            coalesced=coalesced,
-        )
-
-    def _kill_for_failure(
-        self,
-        victim: RunningJob,
-        *,
-        now: float,
-        policy: "RecoveryPolicy | None",
-        ctx: SchedulerContext,
-        state: SchedulingState | None,
-        events: EventQueue,
-        running: dict[int, RunningJob],
-        by_id: dict[int, Job],
-        completed: list[ScheduledJob],
-        started_ids: set[int],
-        finished_ids: set[int],
-        failure_killed: list[int],
-        interrupted: list[ScheduledJob],
-        recovery_state: dict[int, tuple[float, float]],
-        killed_at: dict[int, float],
-        resubmit_pending: set[int],
-        columns: "vector.ResultColumns | None",
-    ) -> float:
-        """Kill ``victim`` for a node failure; returns wasted node-seconds.
-
-        Releases the partition, records the partial attempt, and dispatches
-        the recovery policy: abandonment turns the attempt into the job's
-        final (cancelled) schedule record; recovery stores the attempt under
-        ``interrupted`` and schedules a rerun submission carrying the
-        remaining runtime under the original identity.
-        """
-        attempt = victim.job
-        job_id = attempt.job_id
-        self.machine.release(job_id)
-        del running[job_id]
-        if state is not None:
-            state.on_release(job_id)
-        record = ScheduledJob(
-            job=attempt, start_time=victim.start_time, end_time=now, cancelled=True
-        )
-        failure_killed.append(job_id)
-        executed = now - victim.start_time
-        saved, overhead_paid = recovery_state.get(job_id, (0.0, 0.0))
-        original = by_id[job_id]
-        assert policy is not None  # failures without a policy cannot happen
-        outcome = policy.on_interrupt(
-            original,
-            now=now,
-            executed=executed,
-            saved=saved,
-            overhead_paid=overhead_paid,
-        )
-        nodes = attempt.nodes
-        if outcome.resubmit_at is None:
-            # Abandoned: the partial attempt is the job's final record, and
-            # everything it executed (plus any checkpoints from earlier
-            # attempts, now useless) is wasted.
-            finished_ids.add(job_id)
-            completed.append(record)
-            if columns is not None:
-                columns.append(record)
-            waste = (executed + saved) * nodes
-        else:
-            if outcome.resubmit_at < now:
-                raise ValueError(
-                    f"recovery policy {policy.spec!r} resubmits job {job_id} "
-                    f"at {outcome.resubmit_at}, before the kill at {now}"
-                )
-            interrupted.append(record)
-            started_ids.discard(job_id)
-            rerun = replace(original, runtime=outcome.remaining_runtime)
-            events.push(outcome.resubmit_at, EventKind.SUBMISSION, rerun)
-            resubmit_pending.add(job_id)
-            killed_at[job_id] = now
-            recovery_state[job_id] = (outcome.saved, outcome.overhead)
-            # Work preserved by new checkpoints survives; the rest of this
-            # attempt's execution is wasted.
-            waste = (executed - (outcome.saved - saved)) * nodes
-        self.scheduler.on_complete(attempt, ctx)
-        return waste
+        return stream, arrival_times
 
 
 def simulate(

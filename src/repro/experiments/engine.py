@@ -1185,15 +1185,11 @@ class ExperimentEngine:
                     self.workers > 1 or self.execution_backend != "local"
                 ) and len(pending) > 1:
                     self._run_distributed(
-                        pending, jobs, grid, stats, recompute_threshold, results,
-                        prep.failures, prep.recovery, prep.cancellations,
-                        prep.cancel_over_limit, prep.digest,
+                        pending, prep, grid, stats, recompute_threshold, results
                     )
                 else:
                     self._run_serial(
-                        pending, jobs, grid, stats, recompute_threshold, results,
-                        prep.failures, prep.recovery, prep.cancellations,
-                        prep.cancel_over_limit,
+                        pending, prep, grid, stats, recompute_threshold, results
                     )
             finally:
                 self._restore_signal_handlers(previous)
@@ -1270,15 +1266,11 @@ class ExperimentEngine:
     def _run_serial(
         self,
         pending: list[tuple[SchedulerConfig, str]],
-        jobs: list[Job],
+        prep: _PreparedRun,
         grid: GridResult,
         stats: RunStats,
         recompute_threshold: float,
         results: dict[str, CellResult],
-        failures: "FailureTrace | None",
-        recovery: str | None,
-        cancellations: "tuple[Cancellation, ...]" = (),
-        cancel_over_limit: bool = False,
     ) -> None:
         for index, (config, fp) in enumerate(pending):
             if self._interrupted is not None:
@@ -1304,14 +1296,14 @@ class ExperimentEngine:
             t0 = time.perf_counter()
             cell = simulate_cell(
                 config,
-                jobs,
+                prep.jobs,
                 total_nodes=grid.total_nodes,
                 weighted=grid.weighted,
                 recompute_threshold=recompute_threshold,
-                failures=failures,
-                recovery=recovery,
-                cancellations=cancellations,
-                cancel_over_limit=cancel_over_limit,
+                failures=prep.failures,
+                recovery=prep.recovery,
+                cancellations=prep.cancellations,
+                cancel_over_limit=prep.cancel_over_limit,
                 backend=self.backend,
             )
             wall = time.perf_counter() - t0
@@ -1356,16 +1348,11 @@ class ExperimentEngine:
     def _run_distributed(
         self,
         pending: list[tuple[SchedulerConfig, str]],
-        jobs: list[Job],
+        prep: _PreparedRun,
         grid: GridResult,
         stats: RunStats,
         recompute_threshold: float,
         results: dict[str, CellResult],
-        failures: "FailureTrace | None",
-        recovery: str | None,
-        cancellations: "tuple[Cancellation, ...]",
-        cancel_over_limit: bool,
-        digest: str,
     ) -> None:
         """Drive the grid down the execution-backend ladder.
 
@@ -1389,8 +1376,8 @@ class ExperimentEngine:
         # Zero-copy dispatch: register the packed stream once, ship only
         # the digest per cell; pool workers hydrate via the initializer,
         # remote workers via a one-time SEED frame per connection.
-        self.workload_store.register(digest, jobs)
-        store_entries = self.workload_store.entries(digest)
+        self.workload_store.register(prep.digest, prep.jobs)
+        store_entries = self.workload_store.entries(prep.digest)
 
         def make_task(fp: str) -> CellTask:
             config = config_by_fp[fp]
@@ -1400,14 +1387,14 @@ class ExperimentEngine:
                 args=(
                     config.row,
                     config.column,
-                    digest,
+                    prep.digest,
                     grid.total_nodes,
                     grid.weighted,
                     recompute_threshold,
-                    failures,
-                    recovery,
-                    cancellations,
-                    cancel_over_limit,
+                    prep.failures,
+                    prep.recovery,
+                    prep.cancellations,
+                    prep.cancel_over_limit,
                     self.backend,
                 ),
             )
@@ -1503,8 +1490,7 @@ class ExperimentEngine:
                 f"{stats.pool_rebuilds} pool rebuilds"
             )
             self._run_serial(
-                unique, jobs, grid, stats, recompute_threshold, results,
-                failures, recovery, cancellations, cancel_over_limit,
+                unique, prep, grid, stats, recompute_threshold, results
             )
 
     def _drive_backend(

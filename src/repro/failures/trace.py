@@ -20,6 +20,7 @@ Two sources:
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -40,6 +41,13 @@ class NodeFailure:
     nodes: int
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below and would stall the event loop
+        # (its batch never closes); an infinite repair ends the run at inf.
+        if not (math.isfinite(self.down_time) and math.isfinite(self.up_time)):
+            raise ValueError(
+                "failure times must be finite, got "
+                f"down_time={self.down_time}, up_time={self.up_time}"
+            )
         if self.down_time < 0:
             raise ValueError(f"down_time must be non-negative, got {self.down_time}")
         if self.up_time <= self.down_time:

@@ -9,15 +9,15 @@ visible to the remote scheduler — the wide-area staging cost of [17].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from repro.core.events import EventKind, EventQueue
 from repro.core.job import Job, validate_stream
 from repro.core.machine import Machine
 from repro.core.schedule import Schedule, ScheduledJob
-from repro.core.scheduler import RunningJob, Scheduler, SchedulerContext
-from repro.core.state import SchedulingState, verify_every_from_env
+from repro.core.scheduler import Scheduler
+from repro.core.site import SiteRun
 from repro.metasystem.routing import Router, SiteView
 
 
@@ -86,34 +86,31 @@ class MetasystemResult:
         return max(counts) / low if low else float("inf")
 
 
-class _SiteState:
-    """Mutable per-site simulation state."""
+class _SiteState(SiteRun):
+    """One member site's run, plus what the router and the report read."""
 
-    __slots__ = (
-        "site", "machine", "running", "state", "ctx", "completed", "routed",
-        "max_queue",
-    )
+    __slots__ = ("site", "routed", "max_queue")
 
     def __init__(self, site: Site) -> None:
+        super().__init__(Machine(site.nodes))
         self.site = site
-        self.machine = Machine(site.nodes)
-        self.running: dict[int, RunningJob] = {}
-        self.state = SchedulingState(
-            site.nodes, verify_every=verify_every_from_env()
-        )
-        self.ctx = SchedulerContext(self.machine, self.running, state=self.state)
-        self.completed: list[ScheduledJob] = []
+        site.scheduler.reset()
         self.routed = 0
         self.max_queue = 0
+
+    def submit(self, job: Job) -> None:
+        """``job`` becomes visible to this site's scheduler."""
+        self.routed += 1
+        self.state.note_enqueued(job.nodes)
+        self.site.scheduler.on_submit(job, self.ctx)
 
     def view(self) -> SiteView:
         backlog = sum(
             max(0.0, r.projected_end - self.ctx.now) * r.job.nodes
             for r in self.running.values()
         )
-        # Queued work: the scheduler's queue is opaque; expose length via
-        # pending_count and approximate queued backlog from it is not
-        # possible — so sites track queued area in the wrapper below.
+        # The scheduler's queue is opaque: ``pending_count`` gives its
+        # length, ``_queued_area`` its area where the policy exposes one.
         return SiteView(
             name=self.site.name,
             total_nodes=self.site.nodes,
@@ -157,9 +154,6 @@ class Metasystem:
         validate_stream(list(stream))
         self.router.reset()
         states = {s.name: _SiteState(s) for s in self.sites}
-        for state in states.values():
-            state.machine.reset()
-            state.site.scheduler.reset()
 
         events = EventQueue()
         placement: dict[int, str] = {}
@@ -168,68 +162,46 @@ class Metasystem:
             events.push(job.submit_time, EventKind.SUBMISSION, ("route", job))
 
         while events:
-            now = events.peek().time
+            now = events.peek_time()
             for state in states.values():
                 state.ctx.now = now
             touched: set[str] = set()
-            while events and events.peek().time == now:
+            while events and events.peek_time() == now:
                 event = events.pop()
                 if event.kind is EventKind.COMPLETION:
                     site_name, item = event.payload
                     state = states[site_name]
-                    state.machine.release(item.job.job_id)
-                    del state.running[item.job.job_id]
-                    state.state.on_release(item.job.job_id)
-                    state.completed.append(item)
+                    state.finish(item)
                     state.site.scheduler.on_complete(item.job, state.ctx)
                     touched.add(site_name)
-                else:
-                    kind, job = event.payload
-                    if kind == "route":
-                        views = [states[s.name].view() for s in self.sites]
-                        target = self.router.route(job, views)
-                        if target not in states:
-                            raise ValueError(
-                                f"router returned unknown site {target!r}"
-                            )
-                        placement[job.job_id] = target
-                        home = job.meta.get("home", target)
-                        if target != home and self.transfer_delay > 0:
-                            migrations += 1
+                    continue
+                kind, payload = event.payload
+                if kind == "route":
+                    job = payload
+                    views = [states[s.name].view() for s in self.sites]
+                    target = self.router.route(job, views)
+                    if target not in states:
+                        raise ValueError(f"router returned unknown site {target!r}")
+                    placement[job.job_id] = target
+                    if target != job.meta.get("home", target):
+                        migrations += 1
+                        if self.transfer_delay > 0:
                             shifted = _shift(job, self.transfer_delay)
                             events.push(
                                 shifted.submit_time,
                                 EventKind.SUBMISSION,
                                 ("arrive", (target, shifted)),
                             )
-                        else:
-                            if target != home:
-                                migrations += 1
-                            states[target].routed += 1
-                            states[target].state.note_enqueued(job.nodes)
-                            states[target].site.scheduler.on_submit(
-                                job, states[target].ctx
-                            )
-                            touched.add(target)
-                    else:  # staged arrival at the remote site
-                        target, shifted = job
-                        states[target].routed += 1
-                        states[target].state.note_enqueued(shifted.nodes)
-                        states[target].site.scheduler.on_submit(
-                            shifted, states[target].ctx
-                        )
-                        touched.add(target)
+                            continue
+                else:  # staged arrival at the remote site
+                    target, job = payload
+                states[target].submit(job)
+                touched.add(target)
 
             for name in touched:
                 state = states[name]
                 for job in state.site.scheduler.select_jobs(state.ctx):
-                    state.machine.allocate(job)
-                    item = ScheduledJob(
-                        job=job, start_time=now, end_time=now + job.runtime
-                    )
-                    state.running[job.job_id] = RunningJob(job=job, start_time=now)
-                    state.state.note_dequeued(job.nodes)
-                    state.state.on_start(job.job_id, job.estimated_runtime, job.nodes)
+                    item = state.start(job, now)
                     events.push(item.end_time, EventKind.COMPLETION, (name, item))
                 state.max_queue = max(state.max_queue, state.site.scheduler.pending_count)
 
@@ -253,8 +225,6 @@ class Metasystem:
 def _shift(job: Job, delay: float) -> Job:
     """Delay a job's visibility at the remote site, remembering the original
     submission for response-time accounting."""
-    from dataclasses import replace
-
     meta = dict(job.meta)
     meta.setdefault("meta_submit", job.submit_time)
     return replace(job, submit_time=job.submit_time + delay, meta=meta)

@@ -22,15 +22,10 @@ sensitivity ablation in ``benchmarks/bench_ablations.py`` can sweep it.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.job import Job
 from repro.schedulers.base import OrderPolicy
-from repro.schedulers.weights import WeightFn
-
-#: An off-line ordering kernel: (queued jobs, machine size) -> service order.
-OrderKernel = Callable[[Sequence[Job], int], list[Job]]
-
 
 class RecomputingOrderPolicy(OrderPolicy):
     """Maintains an off-line computed order over a changing wait queue."""
@@ -87,21 +82,3 @@ class RecomputingOrderPolicy(OrderPolicy):
     def __len__(self) -> int:
         return len(self._ordered) + len(self._fresh)
 
-
-class KernelOrderPolicy(RecomputingOrderPolicy):
-    """A :class:`RecomputingOrderPolicy` wrapping a plain ordering function."""
-
-    def __init__(
-        self,
-        kernel: OrderKernel,
-        total_nodes: int,
-        name: str,
-        *,
-        recompute_threshold: float = 2.0 / 3.0,
-    ) -> None:
-        super().__init__(total_nodes, recompute_threshold=recompute_threshold)
-        self._kernel = kernel
-        self.name = name
-
-    def compute_order(self, jobs: Sequence[Job]) -> list[Job]:
-        return self._kernel(jobs, self.total_nodes)

@@ -16,11 +16,12 @@ adapts to scheduler quality: a better scheduler elicits more work, which
 is precisely the coupling Section 2.4 warns about.
 
 :func:`run_closed_loop` co-simulates the user population with any
-:class:`~repro.core.scheduler.Scheduler` by interleaving simulator runs
-is not possible (the stream must react to completions), so it embeds the
-same event loop as :class:`repro.core.simulator.Simulator` with user
-events added.  The result separates cleanly: a realised trace (reusable
-as an open-loop workload) plus the schedule.
+:class:`~repro.core.scheduler.Scheduler`.  The stream must react to
+completions, so it cannot be replayed through
+:class:`repro.core.simulator.Simulator`; it runs its own event loop over
+the same :class:`~repro.core.site.SiteRun`, with user reactions added.
+The result separates cleanly: a realised trace (reusable as an open-loop
+workload) plus the schedule.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from repro.core.events import EventKind, EventQueue
 from repro.core.job import Job
 from repro.core.machine import Machine
 from repro.core.schedule import Schedule, ScheduledJob
-from repro.core.scheduler import RunningJob, Scheduler, SchedulerContext
-from repro.core.state import SchedulingState, verify_every_from_env
+from repro.core.scheduler import Scheduler
+from repro.core.site import SiteRun
 
 
 @dataclass(slots=True)
@@ -117,14 +118,10 @@ def run_closed_loop(
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     rng = np.random.default_rng(seed)
-    machine = Machine(total_nodes)
-    machine.reset()
+    site = SiteRun(Machine(total_nodes))
+    ctx = site.ctx
     scheduler.reset()
     events = EventQueue()
-    running: dict[int, RunningJob] = {}
-    state = SchedulingState(total_nodes, verify_every=verify_every_from_env())
-    ctx = SchedulerContext(machine, running, state=state)
-    completed: list[ScheduledJob] = []
     trace: list[Job] = []
     submissions: dict[int, int] = {u.user_id: 0 for u in users}
     abandoned: set[int] = set()
@@ -174,37 +171,28 @@ def run_closed_loop(
         if first < horizon:
             events.push(first, EventKind.SUBMISSION, make_job(user, first))
 
-    now = 0.0
     while events:
-        now = events.peek().time
-        ctx.now = now
-        while events and events.peek().time == now:
+        now = ctx.now = events.peek_time()
+        while events and events.peek_time() == now:
             event = events.pop()
             if event.kind is EventKind.COMPLETION:
                 item: ScheduledJob = event.payload
-                machine.release(item.job.job_id)
-                del running[item.job.job_id]
-                state.on_release(item.job.job_id)
-                completed.append(item)
+                site.finish(item)
                 scheduler.on_complete(item.job, ctx)
                 user_reacts(item)
             elif event.kind is EventKind.SUBMISSION:
                 job: Job = event.payload
                 trace.append(job)
                 submissions[job.user] += 1
-                state.note_enqueued(job.nodes)
+                site.state.note_enqueued(job.nodes)
                 scheduler.on_submit(job, ctx)
 
         for job in scheduler.select_jobs(ctx):
-            machine.allocate(job)
-            item = ScheduledJob(job=job, start_time=now, end_time=now + job.runtime)
-            running[job.job_id] = RunningJob(job=job, start_time=now)
-            state.note_dequeued(job.nodes)
-            state.on_start(job.job_id, job.estimated_runtime, job.nodes)
+            item = site.start(job, now)
             events.push(item.end_time, EventKind.COMPLETION, item)
 
     return ClosedLoopResult(
-        schedule=Schedule(completed),
+        schedule=Schedule(site.completed),
         trace=sorted(trace, key=lambda j: (j.submit_time, j.job_id)),
         submissions_per_user=submissions,
         abandoned_users=abandoned,

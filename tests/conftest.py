@@ -55,3 +55,14 @@ def small_stream() -> list[Job]:
 @pytest.fixture
 def machine() -> Machine:
     return Machine(128)
+
+
+def schedule_digest(schedule) -> str:
+    """SHA-256 over ``(job_id, repr(start), repr(end))`` in record order —
+    the bit-level pin for event loops that have no independent oracle."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for item in schedule:
+        h.update(f"{item.job.job_id},{item.start_time!r},{item.end_time!r};".encode())
+    return h.hexdigest()

@@ -77,6 +77,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown job"):
             run([J(0, 0.0, 1, 1.0)], [Cancellation(time=1.0, job_id=99)])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected_at_construction(self, bad):
+        # NaN used to hang Simulator.run on both backends (``peek == now``
+        # is never true) and inf returned end_time = inf: reject the
+        # object itself, so no loop can ever see one.
+        with pytest.raises(ValueError, match="finite"):
+            Cancellation(time=bad, job_id=0)
+
     def test_cancel_before_submit_rejected(self):
         with pytest.raises(ValueError, match="before its"):
             run([J(0, 10.0, 1, 1.0)], [Cancellation(time=5.0, job_id=0)])

@@ -53,6 +53,22 @@ class TestNodeFailure:
         with pytest.raises(ValueError, match="positive"):
             NodeFailure(down_time=0.0, up_time=5.0, nodes=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_times_rejected_at_construction(self, bad):
+        # NaN used to hang Simulator.run (its batch never closes) and inf
+        # returned end_time = inf; both must die here, before any loop.
+        with pytest.raises(ValueError, match="finite"):
+            NodeFailure(down_time=bad, up_time=5.0, nodes=1)
+        with pytest.raises(ValueError, match="finite"):
+            NodeFailure(down_time=1.0, up_time=bad, nodes=1)
+
+    def test_non_finite_time_rejected_through_a_scenario_spec(self):
+        from repro.scenarios import FailureModel, ScenarioSpec
+
+        bad = ScenarioSpec((FailureModel(trace=((1.0, float("nan"), 1),)),))
+        with pytest.raises(ValueError, match="finite"):
+            bad.compile(make_jobs(5, seed=1))
+
     def test_duration_and_node_seconds(self):
         f = NodeFailure(down_time=10.0, up_time=40.0, nodes=4)
         assert f.duration == 30.0

@@ -114,3 +114,21 @@ class TestClosedLoop:
             assert replay.schedule[job.job_id].end_time == pytest.approx(
                 closed.schedule[job.job_id].end_time
             )
+
+    def test_pinned_closed_loop_digest(self):
+        """Bit-level pin of one seeded run (recorded before the loop moved
+        onto the shared site object): a backfilling scheduler, balking
+        users, three days."""
+        from tests.conftest import schedule_digest
+
+        users = default_population(
+            14, seed=21, mean_think_time=300.0, balk_slowdown=6.0
+        )
+        result = run_closed_loop(
+            users, FCFSScheduler.with_easy(), 32, horizon=3 * DAY, seed=22
+        )
+        assert result.total_jobs == 424
+        assert sorted(result.abandoned_users) == [1, 5, 7, 9, 13]
+        assert schedule_digest(result.schedule) == (
+            "f8c3aaeb3444640f59b3b0e4aa3ad5029310bfe85e8c05328f075b1294e48ce2"
+        )

@@ -167,3 +167,33 @@ class TestMetasystem:
         for name, site_result in result.sites.items():
             nodes = 24 if name == "a" else 48
             site_result.schedule.validate(nodes)
+
+    def test_pinned_two_site_digest(self):
+        """Bit-level pin of one seeded run (recorded before the loop moved
+        onto the shared site object): two backfilling sites, eager
+        offloading, a positive transfer delay."""
+        from dataclasses import replace
+
+        from tests.conftest import schedule_digest
+
+        jobs = [
+            replace(j, meta={"home": "a" if j.job_id % 3 else "b"})
+            for j in make_jobs(300, seed=97, max_nodes=32, mean_gap=20.0)
+        ]
+        sites = [
+            Site("a", 32, FCFSScheduler.with_easy()),
+            Site("b", 48, FCFSScheduler.with_conservative()),
+        ]
+        result = Metasystem(
+            sites, HomeSiteRouter(overflow_factor=1.5), transfer_delay=45.0
+        ).run(jobs)
+        assert result.migrations == 47
+        a, b = result.sites["a"], result.sites["b"]
+        assert (a.jobs_routed, a.max_queue_length) == (153, 121)
+        assert (b.jobs_routed, b.max_queue_length) == (147, 114)
+        assert schedule_digest(a.schedule) == (
+            "f780070e3e1690141ea2e54ac0088c00914e834949b7bb5258e80664319bfa66"
+        )
+        assert schedule_digest(b.schedule) == (
+            "8bb642ce2f4278a3ec5b3607eabe928478342db666c956c7122dd8e4975a3e27"
+        )
