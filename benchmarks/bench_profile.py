@@ -409,7 +409,7 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
     columns = vector.ResultColumns.from_schedule(items)
     jobs = _bench_jobs()
 
-    def simulate_cells(keys, stream, backend=None):
+    def simulate_cells(keys, stream, backend=None, scenario=None):
         from repro.core.machine import Machine
         from repro.core.simulator import SimulationConfig, Simulator
         from repro.schedulers.registry import (
@@ -420,12 +420,18 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
         configs = [c for c in registered_configurations() if c.key in keys]
 
         def run():
+            jobs, inputs = stream, None
+            if scenario is not None:
+                # Compiled once per grid, inside the timing, as the
+                # engine's _prepare does.
+                compiled = scenario.compile(stream)
+                jobs, inputs = compiled.jobs, compiled.inputs
             for config in configs:
                 Simulator(
                     Machine(256),
                     build_scheduler(config, 256),
                     SimulationConfig(backend=backend),
-                ).run(stream)
+                ).run(jobs, scenario=inputs)
 
         return run
 
@@ -439,6 +445,26 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
         return simulate_cells(
             ("fcfs/conservative", "psrs/conservative", "smart-ffia/conservative"),
             cap_nodes(ctc_like_workload(n_jobs=600, seed=42), 256),
+        )
+
+    def disturbed_ctc1000():
+        from repro.scenarios import ScenarioSpec
+        from repro.workloads import ctc_like_workload
+        from repro.workloads.transforms import cap_nodes
+
+        return simulate_cells(
+            ("fcfs/list", "fcfs/easy", "gg/list"),
+            cap_nodes(ctc_like_workload(n_jobs=1000, seed=42), 256),
+            scenario=ScenarioSpec.from_dict(
+                {
+                    "seed": 7,
+                    "components": [
+                        {"kind": "failures", "mtbf": 40_000.0, "mttr": 3600.0,
+                         "recovery": "resubmit"},
+                        {"kind": "cancellations", "fraction": 0.05},
+                    ],
+                }
+            ),  # fmt: skip
         )
 
     scalar_awrt = _best_of(lambda: average_weighted_response_time(items), rounds)
@@ -480,6 +506,13 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
         # workload (600-job CTC draw, seed 42, no jitter), so the plan
         # reuse is gated on this ladder too.
         "simulate_conservative_ctc600": _best_of(conservative_ctc600(), rounds),
+        # PR 17: the general event path.  The three cells of the
+        # end-to-end benchmark's ctc_disturbed workload (1,000-job CTC
+        # draw, seed 42, no jitter) under its scenario — node failures
+        # with resubmit plus 5 % cancellations, seed 7: ~5,500 node events
+        # and 50 withdrawals walked off the static timeline, two list
+        # cells that never build a profile.
+        "simulate_disturbed_ctc1000": _best_of(disturbed_ctc1000(), rounds),
     }
 
 

@@ -14,14 +14,24 @@ Events are processed in ``(time, priority, sequence)`` order.  Completions
 are processed *before* submissions at the same instant — a scheduler seeing
 a new job should already know about every node freed at that time — and the
 monotone ``sequence`` counter makes the order total and deterministic.
+
+An event is a plain tuple (:class:`Event` is a ``NamedTuple``), so the heap
+compares entries in C, never through a Python ``__lt__``.  Events differ in
+*when they become known*: arrivals, cancellations and node failures are all
+known before the run starts, completions, rerun submissions and timers only
+come into being during it.  The python oracle pushes both sorts onto one
+:class:`EventQueue`; the numpy backend sorts the first sort once into a
+static timeline and keeps the heap for the second
+(:class:`repro.core.vector.MergedEventFeed`), which pops the same order:
+a static event holds a sequence below every pushed one, so it precedes the
+heap head iff its ``(time, kind)`` is not greater.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class EventKind(enum.IntEnum):
@@ -44,38 +54,36 @@ class EventKind(enum.IntEnum):
     TIMER = 5
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Event:
-    """A single simulator event.
+class Event(NamedTuple):
+    """A single simulator event — a plain tuple, so ``heapq`` orders it in C.
 
     Ordering is by time, then kind priority, then insertion sequence, so a
-    heap of events pops deterministically.  ``payload`` carries the job for
-    submission/completion events and an arbitrary token for timers.
+    heap of events pops deterministically; sequences are unique within a
+    queue, so the comparison never reaches ``payload``.  ``payload``
+    carries the job for submission/completion events and an arbitrary
+    token for timers.
     """
 
     time: float
     kind: EventKind
     sequence: int
-    payload: Any = field(compare=False, default=None)
+    payload: Any = None
 
 
 class EventQueue:
-    """A binary-heap priority queue of :class:`Event` objects.
+    """A binary-heap priority queue of :class:`Event` tuples.
 
-    ``start_sequence`` offsets the insertion counter: the numpy backend
-    keeps the N original submissions *outside* the heap (pre-sorted
-    arrival arrays merged by :class:`repro.core.vector.MergedEventFeed`)
-    and reserves the virtual sequences ``0..N-1`` for them, so every
-    event actually pushed here — cancellations, completions, rerun
-    submissions — orders after a same-time, same-kind arrival exactly as
-    it would have in the oracle's all-heap ordering.
+    The python oracle pushes every event of a run here.  The numpy backend
+    pushes only what the run itself creates — completions, rerun
+    submissions, timers — and keeps everything known before the run in the
+    static timeline beside it (:class:`repro.core.vector.MergedEventFeed`).
     """
 
     __slots__ = ("_heap", "_sequence")
 
-    def __init__(self, start_sequence: int = 0) -> None:
+    def __init__(self) -> None:
         self._heap: list[Event] = []
-        self._sequence = start_sequence
+        self._sequence = 0
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
         """Schedule an event and return it."""
@@ -103,18 +111,17 @@ class EventQueue:
         :class:`repro.core.vector.MergedEventFeed` so both backends drive
         one event loop.
         """
-        event = heapq.heappop(self._heap)
-        return event.kind, event.payload
+        _time, kind, _sequence, payload = heapq.heappop(self._heap)
+        return kind, payload
 
-    def take_completion_run(
-        self, bound: float | None
-    ) -> tuple[list[Event], int]:
+    def take_completion_run(self, bound: float) -> tuple[list[Event], int]:
         """Pop the maximal run of completion events below ``bound``.
 
         The run-extraction primitive of the simulator's empty-queue drain
         fast path: consumes consecutive ``COMPLETION`` events whose times
-        are strictly before ``bound`` (the next pending arrival instant;
-        ``None`` means unbounded) and returns ``(events, closed_instants)``.
+        are strictly before ``bound`` (the next pending static event of any
+        kind; ``inf`` means unbounded) and returns ``(events,
+        closed_instants)``.
 
         ``closed_instants`` counts the distinct instants in the run that
         the run itself *closes* — instants at which no further event is
@@ -122,8 +129,8 @@ class EventQueue:
         shares the last consumed instant, that instant stays open (the
         caller's per-event loop will finish its batch and count its
         decision point), so it is excluded from the count.  Completions at
-        exactly ``bound`` are never consumed: they belong to the arrival's
-        batch.
+        exactly ``bound`` are never consumed: they belong to the static
+        event's batch.
         """
         heap = self._heap
         out: list[Event] = []
@@ -131,16 +138,17 @@ class EventQueue:
         last: float | None = None
         while heap:
             event = heap[0]
+            time = event.time
             if event.kind is not EventKind.COMPLETION:
-                if last is not None and event.time == last:
+                if time == last:
                     closed -= 1
                 break
-            if bound is not None and event.time >= bound:
+            if time >= bound:
                 break
             heapq.heappop(heap)
-            if event.time != last:
+            if time != last:
                 closed += 1
-                last = event.time
+                last = time
             out.append(event)
         return out, closed
 

@@ -293,25 +293,31 @@ class _Run:
         scheduler.reset()
         self.trace = sim.trace
 
-        # The numpy backend keeps the N original submissions out of the
-        # heap entirely: the sorted arrival arrays hold the virtual
-        # sequences 0..N-1 and the queue counter starts above them, so the
-        # merged (time, kind, sequence) order equals the oracle's heap
-        # order event for event.
-        self.events = events = EventQueue(
-            start_sequence=len(stream) if numpy_backend else 0
-        )
+        # Events split by when they become known.  On the numpy backend
+        # everything known before the run — arrivals, cancellations, both
+        # halves of every failure — is one static timeline sorted once
+        # and walked by the feed's cursor; the heap holds only what the
+        # run creates (completions, rerun submissions, timers).  The
+        # python oracle pushes it all, in the same source order, so the
+        # merged (time, kind, sequence) order equals its heap order event
+        # for event.
+        self.events = events = EventQueue()
         if numpy_backend:
-            self.feed = vector.MergedEventFeed(events, stream, arrival_times)
+            self.feed = vector.MergedEventFeed(
+                events,
+                *vector.static_timeline(
+                    stream, arrival_times, inputs.cancellations, self.failures
+                ),
+            )
         else:
             self.feed = events
             for job in stream:
                 events.push(job.submit_time, EventKind.SUBMISSION, job)
-        for cancel in inputs.cancellations:
-            events.push(cancel.time, EventKind.CANCELLATION, cancel.job_id)
-        for fail in self.failures or ():
-            events.push(fail.down_time, EventKind.NODE_DOWN, fail)
-            events.push(fail.up_time, EventKind.NODE_UP, fail)
+            for cancel in inputs.cancellations:
+                events.push(cancel.time, EventKind.CANCELLATION, cancel.job_id)
+            for fail in self.failures or ():
+                events.push(fail.down_time, EventKind.NODE_DOWN, fail)
+                events.push(fail.up_time, EventKind.NODE_UP, fail)
 
         # Event coalescing: bulk-advance maximal runs of events that
         # provably need no inter-event decision.  The scheduler opts in
@@ -321,9 +327,10 @@ class _Run:
         # per-event loop so the trace stays complete.
         caps = scheduler.coalescing_caps()
         self.coalesce = caps if numpy_backend and self.trace is None and caps else None
-        #: No cancellations and no failures: once the original arrivals
-        #: are spent the heap can only ever hold live COMPLETION events
-        #: (no reruns, no kills, no timers under the capability contract).
+        #: No cancellations and no failures: the static timeline is the
+        #: arrivals alone, and once they are spent the heap can only ever
+        #: hold live COMPLETION events (no reruns, no kills, no timers
+        #: under the capability contract).
         self.pure = self.policy is None and not inputs.cancellations
         self.coalesced = dict.fromkeys(
             (
@@ -586,7 +593,7 @@ class _Run:
     def _coalesce_backlogged(self) -> None:
         """Non-empty queue: drain the backlog, or enqueue blocked arrivals."""
         feed = self.feed
-        if self.pure and feed.arrivals_exhausted:
+        if self.pure and feed.static_exhausted:
             # Arrivals spent, pure scenario: every heap event is a live
             # completion and every instant a decision point, so run
             # finish → decide straight off the heap, without the merged
@@ -605,8 +612,9 @@ class _Run:
             if not pending and events:
                 self._coalesce_idle()
         elif self.coalesce.blocked_arrivals and not self.resubmit_pending:
-            # Arrivals strictly before the next heap event and too wide
-            # for the free nodes can neither start nor unblock anything
+            # Arrivals strictly before the next other event (heap head or
+            # static cancellation / node event) and too wide for the free
+            # nodes can neither start nor unblock anything
             # (the discipline's ``blocked_arrivals`` guarantee) — enqueue
             # the whole run without touching the decision machinery.
             run_jobs, run_times, closed = feed.take_blocked_arrivals(
@@ -632,7 +640,7 @@ class _Run:
             progressed = False
             if caps.empty_drain:
                 run_events, closed = events.take_completion_run(
-                    feed.next_arrival_time()
+                    feed.next_static_time()
                 )
                 if run_events:
                     # ``on_complete`` is the base no-op under ``empty_drain``.
@@ -801,9 +809,11 @@ class Simulator:
             ctx.now = now = peek()
             # Batch every event at this instant; completions first by the
             # event-kind priority.
-            while feed and peek() == now:
+            while True:
                 kind, payload = pop()
                 handlers[kind](payload)
+                if not feed or peek() != now:
+                    break
             run.decide()
         return run.result()
 

@@ -12,7 +12,9 @@ simulator and exposed to schedulers through
 * a **persistent availability profile** absorbing job start, completion and
   kill deltas (``on_start`` / ``on_release``) and advancing its origin with
   the simulation clock, so early completions free their projected remainder
-  the instant they happen;
+  the instant they happen — built on the first :meth:`~SchedulingState.snapshot`
+  from the indexes below, so a run whose discipline never reads a profile
+  (list scheduling) never owns one;
 * a **sorted projected-release index** — ``(projected_end, job_id)`` pairs
   maintained by binary insertion — replacing the per-decision sort hidden
   inside ``AvailabilityProfile.from_running``;
@@ -118,9 +120,12 @@ class SchedulingState:
     ) -> None:
         self.total_nodes = total_nodes
         self.now = origin
-        #: The persistent profile; schedulers must never mutate it directly —
-        #: they receive copy-on-write clones from :meth:`snapshot`.
-        self.profile = AvailabilityProfile(total_nodes, origin=origin)
+        #: The persistent profile, built by the first :meth:`snapshot` or
+        #: :meth:`verify` and kept up to date by the deltas from then on;
+        #: ``None`` until something reads it (a list cell never does).
+        #: Schedulers must never mutate it directly — they receive
+        #: copy-on-write clones from :meth:`snapshot`.
+        self.profile: AvailabilityProfile | None = None
         self._ends: list[tuple[float, int]] = []  # (projected_end, job_id), sorted
         self._jobs: dict[int, tuple[float, int]] = {}  # job_id -> (end, nodes)
         self._queue_widths: dict[int, int] = {}  # nodes -> queued count
@@ -144,16 +149,19 @@ class SchedulingState:
         """
         if now > self.now:
             self.now = now
-            self.profile.advance_origin(now)
+            if self.profile is not None:
+                self.profile.advance_origin(now)
 
     # -- job deltas (simulator-only) ---------------------------------------------
 
     def on_start(self, job_id: int, estimated_runtime: float, nodes: int) -> None:
         """A job started *now*: commit its projected run to the profile."""
         end = self.now + estimated_runtime
-        # The persistent profile is prefix-anchored (advance() has already
-        # moved the origin to ``now``), so the origin fast path applies.
-        self.profile.reserve_from_origin(estimated_runtime, nodes)
+        if self.profile is not None:
+            # The persistent profile is prefix-anchored (advance() has
+            # already moved the origin to ``now``), so the origin fast
+            # path applies.
+            self.profile.reserve_from_origin(estimated_runtime, nodes)
         insort(self._ends, (end, job_id))
         self._jobs[job_id] = (end, nodes)
         self.deltas += 1
@@ -169,7 +177,7 @@ class SchedulingState:
         end, nodes = self._jobs.pop(job_id)
         idx = bisect_left(self._ends, (end, job_id))
         del self._ends[idx]
-        if end > self.now:
+        if end > self.now and self.profile is not None:
             self.profile.release(end, nodes)
         self.deltas += 1
 
@@ -187,9 +195,11 @@ class SchedulingState:
         for start, job_id, estimated_runtime, nodes in entries:
             if start > self.now:
                 self.now = start
-                profile.advance_origin(start)
+                if profile is not None:
+                    profile.advance_origin(start)
             end = start + estimated_runtime
-            profile.reserve_from_origin(estimated_runtime, nodes)
+            if profile is not None:
+                profile.reserve_from_origin(estimated_runtime, nodes)
             insort(ends, (end, job_id))
             jobs[job_id] = (end, nodes)
         self.deltas += len(entries)
@@ -207,11 +217,12 @@ class SchedulingState:
         for time, job_id in entries:
             if time > self.now:
                 self.now = time
-                profile.advance_origin(time)
+                if profile is not None:
+                    profile.advance_origin(time)
             end, nodes = jobs.pop(job_id)
             idx = bisect_left(ends, (end, job_id))
             del ends[idx]
-            if end > time:
+            if end > time and profile is not None:
                 profile.release(end, nodes)
         self.deltas += len(entries)
 
@@ -230,10 +241,11 @@ class SchedulingState:
             raise ValueError(
                 f"capacity outage until {until} does not extend past now={self.now}"
             )
-        # reserve_until, not reserve: the repair breakpoint must sit at
-        # exactly ``until`` so later rebuilds (which reserve from a
-        # different ``now``) produce bit-identical step functions.
-        self.profile.reserve_until(self.now, until, nodes)
+        if self.profile is not None:
+            # reserve_until, not reserve: the repair breakpoint must sit at
+            # exactly ``until`` so later rebuilds (which reserve from a
+            # different ``now``) produce bit-identical step functions.
+            self.profile.reserve_until(self.now, until, nodes)
         insort(self._capacity, (until, nodes))
         self.deltas += 1
 
@@ -315,25 +327,63 @@ class SchedulingState:
         """The availability profile as of ``now`` — a copy-on-write clone.
 
         Equals ``AvailabilityProfile.from_running(total, now,
-        projected_releases)`` as a step function: overrun jobs (projected
+        projected_releases())`` as a step function: overrun jobs (projected
         end at or before ``now``) are clamped to hold their nodes for the
         same epsilon the reference constructor uses.  Mutating the returned
         profile (disciplines reserve tentative starts into it) never
         touches the persistent state.
         """
         self.snapshots += 1
-        snap = self.profile.clone()
-        if self.has_overrun():
-            ends = self._ends
-            overrun = bisect_right(ends, (self.now, _MAX_JOB_ID))
-            for _end, job_id in ends[:overrun]:
-                snap.reserve(self.now, _OVERRUN_EPSILON, self._jobs[job_id][1])
+        snap = self._clamped_clone()
         if self.verify_every:
             self._since_verify += 1
             if self._since_verify >= self.verify_every:
                 self._since_verify = 0
                 self.verify(snap)
         return snap
+
+    def _clamped_clone(self) -> AvailabilityProfile:
+        """A clone of the persistent profile — built now if nothing has
+        read it yet — with the overrun clamps of this instant added."""
+        ends = self._ends
+        # Length of the release index's overrun prefix (end <= now).
+        overrun = (
+            bisect_right(ends, (self.now, _MAX_JOB_ID)) if self.has_overrun() else 0
+        )
+        profile = self.profile
+        if profile is None:
+            # Materialise on first read: the persistent profile holds the
+            # live projections and the active outages, never the overrun
+            # clamps (they move with the clock).
+            profile = self.profile = self._rebuild(overrun)
+        snap = profile.clone()
+        if overrun:
+            jobs = self._jobs
+            for _end, job_id in ends[:overrun]:
+                snap.reserve(self.now, _OVERRUN_EPSILON, jobs[job_id][1])
+        return snap
+
+    def _rebuild(self, skip: int = 0) -> AvailabilityProfile:
+        """The profile as of ``now``, rebuilt from the indexes.
+
+        ``from_running`` over the release index from entry ``skip`` on,
+        plus a reservation per active outage.  With ``skip=0`` it is the
+        reference :meth:`verify` compares against (``from_running`` clamps
+        the overrun prefix); skipping that prefix gives the persistent
+        profile a state materialises on first read.
+        """
+        jobs = self._jobs
+        profile = AvailabilityProfile.from_running(
+            self.total_nodes,
+            self.now,
+            [(end, jobs[job_id][1]) for end, job_id in self._ends[skip:]],
+        )
+        # A rebuild on a degraded machine must reserve the down nodes
+        # until repair.
+        for until, nodes in self._capacity:
+            if until > self.now:
+                profile.reserve_until(self.now, until, nodes)
+        return profile
 
     def projected_releases(self) -> list[tuple[float, int]]:
         """``(projected_end, nodes)`` of every running job, end-sorted."""
@@ -350,20 +400,9 @@ class SchedulingState:
         """
         self.verifications += 1
         if snap is None:
-            snap = self.profile.clone()
-            overrun = bisect_right(self._ends, (self.now, _MAX_JOB_ID))
-            for _end, job_id in self._ends[:overrun]:
-                snap.reserve(self.now, _OVERRUN_EPSILON, self._jobs[job_id][1])
-        rebuilt = AvailabilityProfile.from_running(
-            self.total_nodes, self.now, self.projected_releases()
-        )
-        # Active capacity outages are part of the reference too: a rebuild
-        # on a degraded machine must reserve the down nodes until repair.
-        for until, nodes in self._capacity:
-            if until > self.now:
-                rebuilt.reserve_until(self.now, until, nodes)
+            snap = self._clamped_clone()
         incremental = snap.canonical_steps()
-        reference = rebuilt.canonical_steps()
+        reference = self._rebuild().canonical_steps()
         if incremental != reference:
             raise StateDivergenceError(
                 f"incremental availability profile diverged from the "

@@ -8,14 +8,16 @@ backend is deliberately absent from
 keep on two hot loops:
 
 * **event-queue advance** — instead of heap-pushing one
-  :class:`~repro.core.events.Event` per submission (N dataclass
-  constructions plus N × O(log N) comparison-driven sifts), the arrival
-  stream is sorted once with ``np.lexsort`` and merged against the residual
-  event heap by :class:`MergedEventFeed`.  Arrivals occupy the virtual
-  sequence numbers ``0..N-1`` below the heap's counter
-  (``EventQueue(start_sequence=N)``), so the merged order equals the heap
-  order of the oracle exactly — including rerun submissions and
-  cancellations racing original arrivals at the same instant;
+  :class:`~repro.core.events.Event` per event known before the run (one
+  tuple plus an O(log n) sift each, into a heap every later pop has to
+  sift through), the arrival stream is sorted once with ``np.lexsort``,
+  merged once with the cancellations and node failures into a static
+  timeline (:func:`static_timeline`) and walked by the cursor of
+  :class:`MergedEventFeed` beside a heap that holds only what the run
+  itself creates.  Static events hold the oracle's sequences below every
+  pushed one, so the merged order equals the heap order of the oracle
+  exactly — including rerun submissions racing original arrivals, and
+  completions racing repairs, at the same instant;
 * **metric accumulation** — :class:`ResultColumns` collects the schedule's
   numeric columns during the run, and the ``*_columns`` kernels reduce them
   with ``np.add.accumulate``.
@@ -45,6 +47,7 @@ from __future__ import annotations
 import os
 from array import array
 from heapq import heappop
+from itertools import count, repeat
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.events import EventKind, EventQueue
@@ -65,6 +68,7 @@ __all__ = [
     "numpy_or_none",
     "resolve_backend",
     "sorted_stream",
+    "static_timeline",
 ]
 
 #: Environment variable overriding an unspecified backend choice.
@@ -160,35 +164,87 @@ def sorted_stream(jobs: Iterable["Job"]) -> tuple[list["Job"], list[float], bool
 
 
 _SUBMISSION = EventKind.SUBMISSION
+_CANCELLATION = EventKind.CANCELLATION
+_INF = float("inf")
+
+
+def static_timeline(
+    stream: Sequence["Job"],
+    arrival_times: Sequence[float],
+    cancellations: Sequence[Any] = (),
+    failures: Any = None,
+) -> tuple[list[float], list[EventKind], list[Any]]:
+    """Everything known before the run, as one sorted event timeline.
+
+    Returns the parallel lists ``(times, kinds, payloads)`` of the N
+    arrivals of ``stream`` (already in arrival order), the
+    ``cancellations`` and both halves of every failure of ``failures`` (a
+    :class:`~repro.failures.trace.FailureTrace` or ``None``), sorted by
+    the oracle's ``(time, kind, sequence)`` key.  The oracle pushes the
+    three sources one after the other, and no two of them share an event
+    kind, so the position within its own source is all the sequence a
+    static event needs: ties on ``(time, kind)`` only ever arise inside
+    one source.
+    """
+    if not cancellations and not failures:
+        return arrival_times, [_SUBMISSION] * len(stream), stream
+    entries = list(zip(arrival_times, repeat(_SUBMISSION), count(), stream))
+    entries.extend(
+        (cancel.time, _CANCELLATION, i, cancel.job_id)
+        for i, cancel in enumerate(cancellations)
+    )
+    if failures:
+        entries.extend(failures.node_events())
+    # Three sorted runs: timsort merges them in linear time, and unique
+    # per-kind sequences keep the tuple comparison off the payloads.
+    entries.sort()
+    times, kinds, _sequences, payloads = map(list, zip(*entries))
+    return times, kinds, payloads
 
 
 class MergedEventFeed:
-    """Merge a pre-sorted arrival array with the residual event heap.
+    """Merge the static timeline with the heap of events the run creates.
 
     Presents the same ``peek_time`` / ``pop_next`` / truthiness interface
-    as :class:`~repro.core.events.EventQueue`, but the N original
-    submissions never enter the heap: they are consumed from the sorted
-    arrays by a cursor.  Arrivals carry the virtual sequence numbers
-    ``0..N-1`` — strictly below every sequence the queue (constructed with
-    ``start_sequence=N``) will ever hand out — so the merge comparison
-    reduces to: at equal times, an arrival precedes every heap event whose
-    kind is ``SUBMISSION`` or later, and follows completions and node
-    events, exactly the ``(time, kind, sequence)`` total order of the
-    oracle's heap.
+    as :class:`~repro.core.events.EventQueue`, but nothing known before
+    the run — original submissions, cancellations, node failures and
+    repairs (:func:`static_timeline`) — ever enters the heap: a cursor
+    walks the sorted timeline.  In the oracle's all-heap order every
+    static event was pushed before the run and so holds a sequence below
+    every event pushed during it; the merge comparison therefore reduces
+    to: a static event ``(t, kind)`` precedes the heap head ``(t', kind')``
+    iff ``(t, kind) <= (t', kind')`` — exactly the ``(time, kind,
+    sequence)`` total order of the oracle's heap.
     """
 
-    __slots__ = ("_events", "_jobs", "_times", "_idx", "_n")
+    __slots__ = (
+        "_events", "_times", "_kinds", "_payloads", "_idx", "_n", "_barriers",
+        "_passed",
+    )  # fmt: skip
 
     def __init__(
-        self, events: EventQueue, jobs: Sequence["Job"], times: Sequence[float]
+        self,
+        events: EventQueue,
+        times: Sequence[float],
+        kinds: Sequence[EventKind],
+        payloads: Sequence[Any],
     ) -> None:
-        if len(jobs) != len(times):
-            raise ValueError("arrival jobs and times disagree on length")
+        if not len(times) == len(kinds) == len(payloads):
+            raise ValueError("static times, kinds and payloads disagree on length")
         self._events = events
-        self._jobs = jobs
         self._times = times
+        self._kinds = kinds
+        self._payloads = payloads
         self._idx = 0
-        self._n = len(jobs)
+        self._n = len(times)
+        #: Instants of the static non-arrival events, in timeline order and
+        #: closed by ``inf``; ``_passed`` counts the ones already popped, so
+        #: ``_barriers[_passed]`` is the next one — what bounds the arrival
+        #: run extractors exactly as the heap head does.
+        self._barriers = [
+            t for t, kind in zip(times, kinds) if kind is not _SUBMISSION
+        ] + [_INF]
+        self._passed = 0
 
     def __bool__(self) -> bool:
         return self._idx < self._n or bool(self._events._heap)
@@ -201,29 +257,33 @@ class MergedEventFeed:
         heap = self._events._heap
         if self._idx >= self._n:
             return heap[0].time
-        arrival = self._times[self._idx]
+        static = self._times[self._idx]
         if not heap:
-            return arrival
+            return static
         event = heap[0].time
-        return arrival if arrival <= event else event
+        return static if static <= event else event
 
     def pop_next(self) -> tuple[EventKind, Any]:
         """Remove and return the earliest ``(kind, payload)`` pair."""
         heap = self._events._heap
         idx = self._idx
         if idx < self._n:
-            if not heap:
+            kind = self._kinds[idx]
+            if heap:
+                head = heap[0]
+                static = self._times[idx]
+                first = static < head.time or (
+                    static == head.time and kind <= head.kind
+                )
+            else:
+                first = True
+            if first:
                 self._idx = idx + 1
-                return _SUBMISSION, self._jobs[idx]
-            arrival = self._times[idx]
-            head = heap[0]
-            if arrival < head.time or (
-                arrival == head.time and head.kind >= _SUBMISSION
-            ):
-                self._idx = idx + 1
-                return _SUBMISSION, self._jobs[idx]
-        event = heappop(heap)
-        return event.kind, event.payload
+                if kind is not _SUBMISSION:
+                    self._passed += 1
+                return kind, self._payloads[idx]
+        _time, kind, _sequence, payload = heappop(heap)
+        return kind, payload
 
     # -- run extraction (the simulator's event-coalescing fast paths) ----------
 
@@ -232,14 +292,24 @@ class MergedEventFeed:
     _EMPTY_RUN: "tuple[list, list, int]" = ([], [], 0)
 
     @property
-    def arrivals_exhausted(self) -> bool:
-        """True once every original arrival has been consumed — from then on
-        the feed is exactly the residual heap."""
+    def static_exhausted(self) -> bool:
+        """True once the whole static timeline has been consumed — from then
+        on the feed is exactly the heap."""
         return self._idx >= self._n
 
-    def next_arrival_time(self) -> float | None:
-        """Instant of the next pending *original* arrival (``None`` if spent)."""
-        return self._times[self._idx] if self._idx < self._n else None
+    def next_static_time(self) -> float:
+        """Instant of the next pending static event of any kind (``inf``
+        once the timeline is spent)."""
+        return self._times[self._idx] if self._idx < self._n else _INF
+
+    def _arrival_bound(self) -> float:
+        """Instant no arrival run may reach: the earlier of the heap head
+        and the next static non-arrival event."""
+        heap = self._events._heap
+        barrier = self._barriers[self._passed]
+        if heap and heap[0].time < barrier:
+            return heap[0].time
+        return barrier
 
     def take_blocked_arrivals(
         self, free_nodes: int
@@ -247,11 +317,12 @@ class MergedEventFeed:
         """Consume the maximal run of arrivals that cannot possibly start.
 
         A pending original arrival belongs to the run when it occurs
-        strictly before the earliest heap event (so nothing else happens in
-        between — in particular no completion frees nodes) *and* requests
-        more than ``free_nodes`` nodes (so it can neither start nor, free
-        nodes being unchanged throughout the run, enable any other queued
-        job under a discipline guaranteeing
+        strictly before the earliest other event — heap head or static
+        cancellation / node event — (so nothing else happens in between,
+        in particular no completion frees nodes) *and* requests more than
+        ``free_nodes`` nodes (so it can neither start nor, free nodes
+        being unchanged throughout the run, enable any other queued job
+        under a discipline guaranteeing
         :attr:`~repro.core.scheduler.CoalescingCaps.blocked_arrivals`).
 
         Returns ``(jobs, times, closed_instants)``.  ``closed_instants``
@@ -260,18 +331,19 @@ class MergedEventFeed:
         open — the per-event loop finishes its batch and owns its decision
         point.
         """
-        heap = self._events._heap
-        bound = heap[0].time if heap else None
+        bound = self._arrival_bound()
         times = self._times
-        jobs = self._jobs
+        jobs = self._payloads
         i = self._idx
         n = self._n
         start = i
         closed = 0
         last: float | None = None
+        # Every static entry before ``bound`` is an arrival: the first
+        # non-arrival sits at the barrier instant or later.
         while i < n:
             t = times[i]
-            if bound is not None and t >= bound:
+            if t >= bound:
                 break
             if jobs[i].nodes <= free_nodes:
                 if t == last:
@@ -293,15 +365,14 @@ class MergedEventFeed:
         :attr:`~repro.core.scheduler.CoalescingCaps.idle_starts`, a batch
         of arrivals that jointly fits the free nodes starts immediately and
         leaves the queue empty again.  This consumes whole instants only
-        (never part of a batch), each strictly before the earliest heap
-        event, while the cumulative node demand fits ``free_nodes``.
-        Returns ``(jobs, times, instants)`` — all consumed instants are
-        closed by construction.
+        (never part of a batch), each strictly before the earliest other
+        event (heap head or static non-arrival), while the cumulative node
+        demand fits ``free_nodes``.  Returns ``(jobs, times, instants)`` —
+        all consumed instants are closed by construction.
         """
-        heap = self._events._heap
-        bound = heap[0].time if heap else None
+        bound = self._arrival_bound()
         times = self._times
-        jobs = self._jobs
+        jobs = self._payloads
         i = self._idx
         n = self._n
         start = i
@@ -309,7 +380,7 @@ class MergedEventFeed:
         instants = 0
         while i < n:
             t = times[i]
-            if bound is not None and t >= bound:
+            if t >= bound:
                 break
             j = i
             need = 0

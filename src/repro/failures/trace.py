@@ -23,7 +23,10 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Iterator
+
+from repro.core.events import EventKind
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,14 +71,28 @@ class NodeFailure:
 
 
 class FailureTrace:
-    """An immutable, time-sorted sequence of :class:`NodeFailure` events."""
+    """An immutable, time-sorted sequence of :class:`NodeFailure` events.
 
-    __slots__ = ("_failures",)
+    Being immutable, the trace computes its sorted node-event sequence and
+    its peak concurrent outage once and keeps them: every cell of a grid
+    validates and replays the same trace.  The cached values are derived
+    data — no part of equality, hashing, :meth:`fingerprint` or the
+    pickled form.
+    """
+
+    __slots__ = ("_failures", "_node_events", "_peak_down")
 
     def __init__(self, failures: Iterable[NodeFailure] = ()) -> None:
         self._failures: tuple[NodeFailure, ...] = tuple(
             sorted(failures, key=lambda f: (f.down_time, f.up_time, f.nodes))
         )
+        self._node_events: tuple[tuple, ...] | None = None
+        self._peak_down: int | None = None
+
+    def __reduce__(self) -> tuple:
+        # Only the failures travel to pool and remote workers; each
+        # process derives the cached sweep on first use.
+        return (FailureTrace, (self._failures,))
 
     # -- container protocol ---------------------------------------------------
 
@@ -105,19 +122,37 @@ class FailureTrace:
 
     # -- aggregate queries ----------------------------------------------------
 
+    def node_events(self) -> "tuple[tuple[float, EventKind, int, NodeFailure], ...]":
+        """Both halves of every failure, in the simulator's event order.
+
+        ``(time, kind, sequence, failure)`` tuples sorted by ``(time, kind,
+        sequence)``: repairs (``NODE_UP``) apply before failures
+        (``NODE_DOWN``) at the same instant, and ``sequence`` (``2i`` for
+        the down half of failure ``i``, ``2i + 1`` for its up half) is the
+        order in which the python oracle pushes them.
+        """
+        events = self._node_events
+        if events is None:
+            entries: list[tuple[float, EventKind, int, NodeFailure]] = []
+            for i, f in enumerate(self._failures):
+                entries.append((f.down_time, EventKind.NODE_DOWN, 2 * i, f))
+                entries.append((f.up_time, EventKind.NODE_UP, 2 * i + 1, f))
+            entries.sort()  # sequences are unique: never reaches the payload
+            events = self._node_events = tuple(entries)
+        return events
+
     def max_concurrent_down(self) -> int:
         """Peak number of nodes simultaneously down (event sweep)."""
-        events: list[tuple[float, int]] = []
-        for f in self._failures:
-            events.append((f.down_time, f.nodes))
-            events.append((f.up_time, -f.nodes))
-        # Repairs apply before failures at the same instant, matching the
-        # simulator's NODE_UP-before-NODE_DOWN event ordering.
-        events.sort(key=lambda e: (e[0], e[1]))
-        down = peak = 0
-        for _time, delta in events:
-            down += delta
-            peak = max(peak, down)
+        peak = self._peak_down
+        if peak is None:
+            down = peak = 0
+            for _time, kind, _sequence, f in self.node_events():
+                if kind is EventKind.NODE_DOWN:
+                    down += f.nodes
+                    peak = max(peak, down)
+                else:
+                    down -= f.nodes
+            self._peak_down = peak
         return peak
 
     def lost_node_seconds(self) -> float:
@@ -198,19 +233,23 @@ def mtbf_trace(
     rate = total_nodes / mtbf
     cap = max(1, int(max_down_fraction * total_nodes))
     failures: list[NodeFailure] = []
-    active: list[NodeFailure] = []  # repairs pending, for the concurrency cap
+    # Outages still open at ``t``, for the concurrency cap: a heap of
+    # (repair time, nodes) beside the running count of nodes down.
+    pending: list[tuple[float, int]] = []
+    down = 0
     t = 0.0
     while True:
         t += rng.expovariate(rate)
         if t >= horizon:
             break
         nodes = rng.randint(1, max_nodes_per_failure)
-        active = [f for f in active if f.up_time > t]
-        down = sum(f.nodes for f in active)
+        while pending and pending[0][0] <= t:
+            down -= heappop(pending)[1]
         if down + nodes > cap:
             continue  # skip: the site would not tolerate a deeper outage
         repair = rng.expovariate(1.0 / mttr)
         failure = NodeFailure(down_time=t, up_time=t + repair, nodes=nodes)
         failures.append(failure)
-        active.append(failure)
+        heappush(pending, (failure.up_time, nodes))
+        down += nodes
     return FailureTrace(failures)

@@ -47,6 +47,23 @@ def failure_spec(trace, recovery: str | None = None):
     return ScenarioSpec((FailureModel(trace=triples, recovery=recovery),))
 
 
+def all_heap_queue(jobs, cancellations=(), failures=()):
+    """One heap holding everything known before a run, pushed as the
+    python backend pushes it: arrivals, cancellations, failures (down,
+    up) — the oracle the merged feed's order is checked against."""
+    from repro.core.events import EventKind, EventQueue
+
+    events = EventQueue()
+    for job in jobs:
+        events.push(job.submit_time, EventKind.SUBMISSION, job)
+    for cancel in cancellations:
+        events.push(cancel.time, EventKind.CANCELLATION, cancel.job_id)
+    for fail in failures:
+        events.push(fail.down_time, EventKind.NODE_DOWN, fail)
+        events.push(fail.up_time, EventKind.NODE_UP, fail)
+    return events
+
+
 @pytest.fixture
 def small_stream() -> list[Job]:
     return make_jobs(60, seed=7)

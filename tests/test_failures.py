@@ -6,10 +6,14 @@ derived on paper; :func:`repro.failures.audit.audit_run` then re-derives the
 accounting independently and must agree.
 """
 
+import copy
 import dataclasses
+import pickle
+import random
 
 import pytest
 
+from repro.core.events import EventKind
 from repro.core.job import Job
 from repro.core.machine import Machine
 from repro.core.simulator import Cancellation, ScenarioInputs, Simulator
@@ -149,7 +153,107 @@ class TestFailureTrace:
         assert a.fingerprint() != FailureTrace().fingerprint()
 
 
+    def test_node_events_in_simulator_order(self):
+        first = NodeFailure(down_time=0.0, up_time=10.0, nodes=2)
+        second = NodeFailure(down_time=10.0, up_time=20.0, nodes=2)
+        third = NodeFailure(down_time=10.0, up_time=20.0, nodes=3)
+        trace = FailureTrace([third, first, second])
+        # Repairs before failures at one instant; the oracle's push order
+        # (down half 2i, up half 2i + 1 of failure i) breaks what is left.
+        assert trace.node_events() == (
+            (0.0, EventKind.NODE_DOWN, 0, first),
+            (10.0, EventKind.NODE_UP, 1, first),
+            (10.0, EventKind.NODE_DOWN, 2, second),
+            (10.0, EventKind.NODE_DOWN, 4, third),
+            (20.0, EventKind.NODE_UP, 3, second),
+            (20.0, EventKind.NODE_UP, 5, third),
+        )
+        assert trace.node_events() is trace.node_events()  # swept once
+        assert FailureTrace().node_events() == ()
+
+    def test_cached_sweep_is_not_part_of_the_value(self):
+        trace = mtbf_trace(
+            total_nodes=64, horizon=50_000.0, mtbf=20_000.0, mttr=1_800.0, seed=5
+        )
+        fresh = FailureTrace(trace.failures)
+        before = (hash(trace), trace.fingerprint())
+        assert trace.max_concurrent_down() == fresh.max_concurrent_down() > 0
+        trace.validate_for(64)
+        assert trace._node_events is not None and trace._peak_down is not None
+        # Equality, hash and fingerprint see the failures only.
+        fresh = FailureTrace(trace.failures)
+        assert fresh._node_events is None
+        assert trace == fresh and (hash(trace), trace.fingerprint()) == before
+        assert (hash(fresh), fresh.fingerprint()) == before
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles_without_the_cached_sweep(self, protocol):
+        trace = mtbf_trace(
+            total_nodes=64, horizon=50_000.0, mtbf=20_000.0, mttr=1_800.0, seed=5
+        )
+        cold = pickle.dumps(trace, protocol)
+        trace.node_events()
+        trace.max_concurrent_down()
+        warm = pickle.dumps(trace, protocol)
+        assert warm == cold  # only the failures travel to workers
+        clone = pickle.loads(warm)
+        assert clone == trace and clone.fingerprint() == trace.fingerprint()
+        assert clone._node_events is None
+        assert clone.node_events() == trace.node_events()
+        assert copy.deepcopy(trace) == trace
+
+
+def _mtbf_trace_by_rescan(
+    *, total_nodes, horizon, mtbf, mttr, seed, max_nodes_per_failure, max_down_fraction
+):
+    """The generator as first written: rebuild and re-sum the active set
+    per draw.  The reference for the RNG draw order and the skipped draws."""
+    rng = random.Random(seed)
+    rate = total_nodes / mtbf
+    cap = max(1, int(max_down_fraction * total_nodes))
+    failures, active, t = [], [], 0.0
+    while True:
+        t += rng.expovariate(rate)
+        if t >= horizon:
+            return FailureTrace(failures)
+        nodes = rng.randint(1, max_nodes_per_failure)
+        active = [f for f in active if f.up_time > t]
+        if sum(f.nodes for f in active) + nodes > cap:
+            continue
+        failure = NodeFailure(t, t + rng.expovariate(1.0 / mttr), nodes)
+        failures.append(failure)
+        active.append(failure)
+
+
 class TestMtbfTrace:
+    def test_benchmark_trace_fingerprint_pinned(self):
+        # The e2e benchmark's failure model (seed 7, per-node MTBF 40,000 s,
+        # MTTR 3,600 s, 256 nodes) over a fixed horizon: any change to the
+        # draw order or to which draws the concurrency cap skips moves it.
+        trace = mtbf_trace(
+            total_nodes=256, horizon=2_000_000.0, mtbf=40_000.0, mttr=3600.0, seed=7
+        )
+        assert len(trace) == 12_850
+        assert trace.max_concurrent_down() == 42
+        assert trace.fingerprint() == (
+            "c66d697bbb13e870becf641a25c705a238f6868d7cc28fec1d60abae1f77eb18"
+        )
+
+    @pytest.mark.parametrize(
+        "width, fraction, mttr",
+        [(1, 0.5, 3_600.0), (6, 0.25, 4_000.0), (8, 0.05, 20_000.0), (64, 1.0, 500.0)],
+    )
+    def test_same_draws_and_skips_as_the_rescanning_generator(
+        self, width, fraction, mttr
+    ):
+        kwargs = dict(
+            total_nodes=64, horizon=400_000.0, mtbf=9_000.0, mttr=mttr, seed=11,
+            max_nodes_per_failure=width, max_down_fraction=fraction,
+        )  # fmt: skip
+        trace = mtbf_trace(**kwargs)
+        assert len(trace) > 0
+        assert trace.failures == _mtbf_trace_by_rescan(**kwargs).failures
+
     def test_deterministic_per_seed(self):
         kwargs = dict(total_nodes=64, horizon=50_000.0, mtbf=100_000.0, mttr=1_800.0)
         assert mtbf_trace(seed=5, **kwargs) == mtbf_trace(seed=5, **kwargs)

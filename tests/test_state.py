@@ -118,6 +118,71 @@ class TestSnapshots:
         assert state.snapshots == 1
 
 
+#: A delta script crossing every state the persistent profile can be
+#: first read in: jobs running, an early completion, outages active, a job
+#: in overrun.  ``(time, method, args)``; the clock advances before each.
+_SCRIPT = (
+    (0.0, "on_start", (1, 100.0, 8)),
+    (0.0, "on_start", (2, 40.0, 16)),
+    (10.0, "on_capacity_down", (90.0, 4)),
+    (20.0, "on_start", (3, 25.0, 8)),
+    (30.0, "on_release", (2,)),  # early
+    (50.0, "on_capacity_down", (70.0, 2)),  # job 3 (end 45) is in overrun
+    (60.0, "on_start_batch", ([(60.0, 4, 30.0, 4), (65.0, 5, 500.0, 2)],)),
+    (70.0, "on_capacity_up", (70.0, 2)),
+    (80.0, "on_release_batch", ([(80.0, 3), (85.0, 4)],)),
+    (90.0, "on_capacity_up", (90.0, 4)),
+    (120.0, "on_release", (1,)),  # overran its projection
+    (130.0, "on_start", (6, 10.0, 32)),
+)
+
+
+def _play(state: SchedulingState, steps, read_from: int) -> list:
+    """Apply ``steps``; snapshot after each one from index ``read_from`` on."""
+    seen = []
+    for i, (time, method, args) in enumerate(steps):
+        state.advance(time)
+        getattr(state, method)(*args)
+        if i >= read_from:
+            seen.append((i, state.snapshot().canonical_steps()))
+    return seen
+
+
+class TestLazyProfile:
+    def test_no_profile_until_first_read(self):
+        state = SchedulingState(64)
+        _play(state, _SCRIPT, read_from=len(_SCRIPT))
+        assert state.profile is None  # nothing read it: nothing built it
+        assert state.deltas == 14 and state.snapshots == 0
+        assert state.projected_releases() == [(140.0, 32), (565.0, 2)]
+
+    @pytest.mark.parametrize("first_read", range(len(_SCRIPT)))
+    def test_late_materialisation_equals_eager_maintenance(self, first_read):
+        """Whenever the first read happens — outages active (steps 2-8), a
+        job in overrun (steps 5-7, 10) — every snapshot from then on is the
+        one a profile maintained from the start hands out, and the
+        reference rebuild agrees (cadence 1 verifies each)."""
+        eager = SchedulingState(64, verify_every=1)
+        eager.snapshot()
+        assert eager.profile is not None
+        lazy = SchedulingState(64, verify_every=1)
+        expected = dict(_play(eager, _SCRIPT, read_from=0))
+        got = _play(lazy, _SCRIPT, read_from=first_read)
+        assert got == [(i, expected[i]) for i in range(first_read, len(_SCRIPT))]
+        assert lazy.deltas == eager.deltas == 14
+        assert lazy.verifications == len(_SCRIPT) - first_read
+
+    def test_verify_is_a_first_read_too(self):
+        state = SchedulingState(64)
+        _play(state, _SCRIPT[:6], read_from=6)  # outages active, job 3 overrun
+        assert state.profile is None and state.has_overrun()
+        state.verify()
+        assert state.profile is not None
+        # The persistent profile never holds the overrun clamp itself.
+        assert state.profile.free_at(50.0) == 64 - 8 - 4 - 2
+        assert state.snapshot().free_at(50.0) == 64 - 8 - 8 - 4 - 2
+
+
 class TestQueueStats:
     def test_min_tracking(self):
         state = SchedulingState(10)
@@ -155,9 +220,27 @@ class TestVerification:
     def test_injected_divergence_raises(self):
         state = SchedulingState(10)
         state.on_start(1, 50.0, 4)
+        state.verify()  # first read: builds the persistent profile, agrees
+        state.on_start(2, 80.0, 3)  # from here on deltas maintain it
+        state.verify()
         # Corrupt the persistent profile behind the bookkeeping's back —
         # exactly the class of bug verification exists to catch.
         state.profile.reserve(0.0, 5.0, 2)
+        with pytest.raises(StateDivergenceError, match="diverged"):
+            state.verify()
+        state.verify_every = 1  # ...and the snapshot cadence catches it too
+        with pytest.raises(StateDivergenceError, match="diverged"):
+            state.snapshot()
+
+    def test_dropped_delta_after_materialisation_raises(self):
+        # The other half of the class: a delta the persistent profile
+        # misses once it exists (the indexes see it, the profile does not).
+        state = SchedulingState(10)
+        state.on_start(1, 50.0, 4)
+        state.snapshot()
+        profile, state.profile = state.profile, None
+        state.on_start(2, 80.0, 3)  # lands in the indexes only
+        state.profile = profile
         with pytest.raises(StateDivergenceError, match="diverged"):
             state.verify()
 

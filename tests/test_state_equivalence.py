@@ -11,7 +11,9 @@ the reference oracle).  This file asserts exactly that, over
 * slack backfilling (the continuum between the paper's two variants),
 * drained schedules with whole-machine reservations,
 * streams with queued and running cancellations,
-* the estimate-limit kill policy (``cancel_over_limit``), and
+* the estimate-limit kill policy (``cancel_over_limit``),
+* the persistent profile being built on first read, whenever that comes
+  (never, in a list cell; under outages and overruns, when forced), and
 * conservative backfilling's reservation plan, which outlives the decision
   point only on the incremental side: every order, a bounded depth and
   both discipline wrappers, under every kind of event that must (or must
@@ -28,19 +30,28 @@ import pytest
 
 from repro.core.job import Job
 from repro.core.machine import Machine
+from repro.core.profile import AvailabilityProfile
 from repro.core.simulator import (
     Cancellation,
     ScenarioInputs,
     SimulationConfig,
     Simulator,
 )
+from repro.core.state import SchedulingState
 from repro.failures import FailureTrace, audit_run, mtbf_trace
+from repro.scenarios import ScenarioSpec
 from repro.schedulers.admission import UserLimitDiscipline
 from repro.schedulers.base import OrderedQueueScheduler, SubmitOrderPolicy
 from repro.schedulers.disciplines import ConservativeBackfill
 from repro.schedulers.drain import DrainingScheduler, Reservation
-from repro.schedulers.registry import build_scheduler, registered_configurations
+from repro.schedulers.registry import (
+    SchedulerConfig,
+    build_scheduler,
+    registered_configurations,
+)
 from repro.schedulers.slack import SlackBackfill
+from repro.workloads import ctc_like_workload
+from repro.workloads.transforms import cap_nodes
 from tests.conftest import make_jobs
 
 NODES = 64
@@ -245,6 +256,123 @@ def test_verified_run_stays_clean():
             Machine(NODES), build_scheduler(config, NODES), REBUILD
         ).run(jobs)
         assert signature(result) == signature(reference), config.key
+
+
+# -- the persistent profile is built on first read --------------------------------
+#
+# The benchmark's disturbed scenario (node failures with resubmit, 5 %
+# cancellations) over a CTC-like prefix, with some estimates shrunk below
+# the runtime so jobs overrun while outages are active.
+
+_DISTURBED = ScenarioSpec.from_dict(
+    {
+        "seed": 7,
+        "components": [
+            {"kind": "failures", "mtbf": 40_000.0, "mttr": 3600.0,
+             "recovery": "resubmit"},
+            {"kind": "cancellations", "fraction": 0.05},
+        ],
+    }
+)  # fmt: skip
+_CTC_NODES = 256
+
+
+def _disturbed_inputs():
+    jobs = cap_nodes(ctc_like_workload(n_jobs=250, seed=42), _CTC_NODES)
+    jobs = [
+        replace(job, estimate=job.runtime * 0.5) if job.job_id % 9 == 0 else job
+        for job in jobs
+    ]
+    compiled = _DISTURBED.compile(jobs)
+    return list(compiled.jobs), compiled.inputs
+
+
+def _run_signature(result):
+    return (
+        _failure_signature(result),
+        result.cancelled_queued,
+        result.killed_running,
+        result.decision_points,
+        result.max_queue_length,
+        result.profile_deltas,
+        result.profile_snapshots,
+    )
+
+
+def _run_ctc_cell(key, jobs, inputs, config=SimulationConfig(), backend=None):
+    scheduler = build_scheduler(SchedulerConfig(*key.split("/")), _CTC_NODES)
+    return Simulator(Machine(_CTC_NODES), scheduler, config, backend=backend).run(
+        jobs, scenario=inputs
+    )
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize("key", ["fcfs/list", "gg/list"])
+def test_list_cell_never_builds_a_profile(key, backend, monkeypatch):
+    """No discipline of a list cell reads the profile, so none is ever
+    built — while the state counts its deltas and snapshots exactly as a
+    state that owned one from the start."""
+    jobs, inputs = _disturbed_inputs()
+    built = []
+    rebuild = SchedulingState._rebuild
+    monkeypatch.setattr(
+        SchedulingState,
+        "_rebuild",
+        lambda self, skip=0: built.append(self.now) or rebuild(self, skip),
+    )
+    lazy = _run_ctc_cell(key, jobs, inputs, backend=backend)
+    assert built == []
+    # The scenario bites: failure kills and user withdrawals both happen.
+    assert lazy.failure_killed and (lazy.cancelled_queued or lazy.killed_running)
+
+    init = SchedulingState.__init__
+
+    def eager_init(self, total_nodes, *, origin=0.0, verify_every=0):
+        init(self, total_nodes, origin=origin, verify_every=verify_every)
+        self.profile = AvailabilityProfile(total_nodes, origin=origin)
+
+    monkeypatch.setattr(SchedulingState, "__init__", eager_init)
+    eager = _run_ctc_cell(key, jobs, inputs, backend=backend)
+    assert built == []  # an owned profile is maintained, never rebuilt
+    assert _run_signature(lazy) == _run_signature(eager)
+    assert lazy.profile_deltas == eager.profile_deltas > 0
+    assert lazy.profile_snapshots == eager.profile_snapshots
+
+
+@pytest.mark.parametrize(
+    "key", ["fcfs/easy", "fcfs/conservative", "psrs/conservative"]
+)
+def test_materialisation_under_outages_and_overruns(key, monkeypatch):
+    """The first read can come at any moment of a run.  Force it to come
+    again at every snapshot taken while an outage is active or a job is in
+    overrun (the profile is dropped first, so it is rebuilt from the
+    indexes there and maintained by deltas until the next such moment):
+    every snapshot verifies against the reference, and the schedule is the
+    one the profile maintained from the first decision on gives — and the
+    one the rebuild-per-decision oracle gives."""
+    jobs, inputs = _disturbed_inputs()
+    verified = SimulationConfig(verify_state=1)
+    baseline = _run_ctc_cell(key, jobs, inputs, verified)
+    reference = _run_ctc_cell(key, jobs, inputs, REBUILD)
+
+    hits = {"outage": 0, "overrun": 0, "both": 0}
+    snapshot = SchedulingState.snapshot
+
+    def dropping_snapshot(self):
+        outage, overrun = bool(self._capacity), self.has_overrun()
+        if outage or overrun:
+            self.profile = None
+            hits["outage"] += outage
+            hits["overrun"] += overrun
+            hits["both"] += outage and overrun
+        return snapshot(self)
+
+    monkeypatch.setattr(SchedulingState, "snapshot", dropping_snapshot)
+    result = _run_ctc_cell(key, jobs, inputs, verified)
+    assert min(hits.values()) > 0, hits
+    assert _run_signature(result) == _run_signature(baseline)
+    assert _failure_signature(result) == _failure_signature(reference)
+    audit_run(result, jobs, inputs.failures, _CTC_NODES, recovery=inputs.recovery)
 
 
 # -- conservative backfilling: the plan kept across decision points -------------
