@@ -30,6 +30,7 @@ import os
 
 import pytest
 
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.paper import EXPERIMENTS, run_experiment
 
 #: Default jobs per workload for benchmark runs: large enough to develop the
@@ -68,8 +69,9 @@ def experiment_cache():
                 experiment_id,
                 scale=bench_scale(experiment_id),
                 regimes=list(regimes) if regimes else None,
-                workers=bench_workers(),
-                cache=bench_result_cache(),
+                engine=ExperimentEngine(
+                    workers=bench_workers(), cache=bench_result_cache()
+                ),
             )
         return cache[key]
 

@@ -2,9 +2,13 @@
 
 * :mod:`repro.experiments.runner` — the grid result records and the serial
   ``run_grid`` convenience wrapper;
-* :mod:`repro.experiments.engine` — the parallel experiment engine:
-  process-pool cell fan-out, content-addressed result caching, structured
-  progress events;
+* :mod:`repro.experiments.engine` — the parallel experiment engine: one
+  frozen grid request per call, process-pool cell fan-out,
+  content-addressed result caching, structured progress events
+  (:mod:`~repro.experiments.fingerprint` holds the content addresses,
+  :mod:`~repro.experiments.lifecycle` the per-run state,
+  :mod:`~repro.experiments.dispatch` the lease/retry loop over
+  :mod:`~repro.experiments.backends`);
 * :mod:`repro.experiments.tables` — render results in the paper's table
   layout (Listscheduler / Backfilling / EASY-Backfilling columns, absolute
   values plus percentages against the FCFS+EASY reference);

@@ -12,10 +12,11 @@ backends.base.ExecutionBackend` at a time:
   processes over the length-prefixed, checksummed socket protocol of
   :mod:`~repro.experiments.backends.protocol`, with worker heartbeats,
   lease-aware zombie handling and bounded jittered reconnect;
-* :mod:`~repro.experiments.backends.cache` — pluggable
-  :class:`~repro.experiments.backends.cache.CacheStore` backends for
-  :class:`~repro.experiments.engine.ResultCache` (local directory +
-  remote store over the same protocol), plus
+* :mod:`~repro.experiments.backends.cache` —
+  :class:`~repro.experiments.backends.cache.ResultCache` and the
+  pluggable :class:`~repro.experiments.backends.cache.CacheStore`
+  backends behind it (local directory + remote store over the same
+  protocol), plus
   :class:`~repro.experiments.backends.objectstore.ObjectStoreCacheStore`
   speaking a minimal S3-compatible HTTP subset to any object store, and
   the deterministic fault-injecting
@@ -34,6 +35,7 @@ from typing import TYPE_CHECKING
 _EXPORTS = {
     "BackendUnavailable": "repro.experiments.backends.base",
     "CellOutcome": "repro.experiments.backends.base",
+    "CellRequest": "repro.experiments.backends.base",
     "CellTask": "repro.experiments.backends.base",
     "ExecutionBackend": "repro.experiments.backends.base",
     "ReleaseReport": "repro.experiments.backends.base",
@@ -41,6 +43,7 @@ _EXPORTS = {
     "CacheStoreHealth": "repro.experiments.backends.cache",
     "LocalDirStore": "repro.experiments.backends.cache",
     "RemoteCacheStore": "repro.experiments.backends.cache",
+    "ResultCache": "repro.experiments.backends.cache",
     "store_from_spec": "repro.experiments.backends.cache",
     "ObjectStoreCacheStore": "repro.experiments.backends.objectstore",
     "ChaosSpec": "repro.experiments.backends.s3stub",
@@ -58,6 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.backends.base import (  # noqa: F401
         BackendUnavailable,
         CellOutcome,
+        CellRequest,
         CellTask,
         ExecutionBackend,
         ReleaseReport,
@@ -67,6 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         CacheStoreHealth,
         LocalDirStore,
         RemoteCacheStore,
+        ResultCache,
         store_from_spec,
     )
     from repro.experiments.backends.objectstore import (  # noqa: F401

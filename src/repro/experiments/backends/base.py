@@ -25,7 +25,11 @@ backends"):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.simulator import ScenarioInputs
+    from repro.schedulers.registry import SchedulerConfig
 
 
 class BackendUnavailable(RuntimeError):
@@ -36,18 +40,35 @@ class BackendUnavailable(RuntimeError):
     """
 
 
-class CellTask(NamedTuple):
-    """One grid cell, ready to dispatch.
+class CellRequest(NamedTuple):
+    """Everything a worker needs to simulate one cell, by name.
 
-    ``args`` is the full :func:`repro.experiments.engine._run_cell_task`
-    argument tuple (row, column, workload digest, machine, regime,
-    compiled scenario inputs, kernel backend) — a backend never needs to
-    understand it, only move it.
+    The picklable TASK payload.  ``digest`` names the packed workload
+    the worker was seeded with; ``scenario`` is the *compiled*
+    disturbance bundle (``None``: healthy baseline) and
+    ``cancel_over_limit`` its estimate-limit kill flag; ``backend``
+    selects the worker's simulation kernels (bit-identical results, so
+    it never enters a fingerprint).  The worker rebuilds the scheduler
+    from its own registry by ``config``'s row/column keys.
     """
 
+    config: "SchedulerConfig"
+    digest: str
+    total_nodes: int
+    weighted: bool
+    recompute_threshold: float
+    scenario: "ScenarioInputs | None"
+    cancel_over_limit: bool
+    backend: str | None
+
+
+class CellTask(NamedTuple):
+    """One grid cell, ready to dispatch — a backend never needs to
+    understand ``request``, only move it to
+    :func:`repro.experiments.engine._run_cell_task`."""
+
     fingerprint: str
-    key: str
-    args: tuple
+    request: CellRequest
 
 
 class CellOutcome(NamedTuple):

@@ -1,14 +1,14 @@
-"""Pluggable byte-level stores behind :class:`~repro.experiments.engine.ResultCache`.
+"""The result cache and the pluggable byte-level stores behind it.
 
 A :class:`CacheStore` moves *raw JSON text* keyed by cell fingerprint;
 all semantics — version eviction, ``.corrupt`` quarantine, payload
-validation — stay in :class:`~repro.experiments.engine.ResultCache`,
-which composes one mandatory :class:`LocalDirStore` with an optional
-remote store in read-through/write-back fashion.  Keeping validation
-out of the stores is the poisoning defense: a remote entry is parsed
-and classified *before* it is trusted, so a corrupt or stale payload
-served by a fleet cache can never enter a ``GridResult`` (and is never
-written into the local store either).
+validation — stay in :class:`ResultCache`, which composes one mandatory
+:class:`LocalDirStore` with an optional remote store in
+read-through/write-back fashion.  Keeping validation out of the stores
+is the poisoning defense: a remote entry is parsed and classified
+*before* it is trusted, so a corrupt or stale payload served by a fleet
+cache can never enter a ``GridResult`` (and is never written into the
+local store either).
 
 Remote stores share one resilience implementation
 (:mod:`repro.resilience`): a :class:`~repro.resilience.RetryPolicy`
@@ -31,15 +31,18 @@ over any S3-compatible object store.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import secrets
 import socket
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro.experiments.fingerprint import CACHE_VERSION
 from repro.resilience import (
     CallOutcome,
     CircuitBreaker,
@@ -48,11 +51,16 @@ from repro.resilience import (
     with_resilience,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.runner import CellResult
+
 __all__ = [
+    "CachePruneStats",
     "CacheStore",
     "CacheStoreHealth",
     "LocalDirStore",
     "RemoteCacheStore",
+    "ResultCache",
     "resolve_cache_cooldown",
     "store_from_spec",
 ]
@@ -117,7 +125,20 @@ class CacheStoreHealth:
 
 
 class CacheStore(ABC):
-    """Raw fingerprint -> JSON-text transport; no validation here."""
+    """Raw fingerprint -> JSON-text transport; no validation here.
+
+    The health attributes are what a run's ``cache-health`` journal
+    record is folded from; a store that cannot fail keeps the defaults.
+    """
+
+    #: Round trips that failed (connection or protocol).
+    errors = 0
+    #: Calls an open breaker refused without attempting.
+    shed = 0
+    #: ``(fingerprint, reason)`` of every entry this store moved aside.
+    quarantined: "Sequence[tuple[str, str]]" = ()
+    #: The store's circuit breaker (``None``: it never sheds load).
+    breaker: "CircuitBreaker | None" = None
 
     @abstractmethod
     def load(self, fingerprint: str) -> str | None:
@@ -130,11 +151,11 @@ class CacheStore(ABC):
     def quarantine(self, fingerprint: str, text: str, reason: str) -> None:
         """Move a poisoned entry aside on the store's side; best effort.
 
-        Called by :class:`~repro.experiments.engine.ResultCache` when a
-        loaded entry fails validation.  The default does nothing (a
-        fleet worker owns its own directory); the object store copies
-        the entry under its ``quarantine/`` prefix so operators can see
-        the corruption instead of every driver silently re-rejecting it.
+        Called by :class:`ResultCache` when a loaded entry fails
+        validation.  The default does nothing (a fleet worker owns its
+        own directory); the object store copies the entry under its
+        ``quarantine/`` prefix so operators can see the corruption
+        instead of every driver silently re-rejecting it.
         """
 
     def health(self) -> CacheStoreHealth | None:
@@ -392,3 +413,210 @@ def store_from_spec(
             spec, timeout=timeout, cooldown=cooldown
         )
     return RemoteCacheStore(spec, timeout=timeout, cooldown=cooldown)
+
+
+@dataclass(frozen=True, slots=True)
+class CachePruneStats:
+    """Outcome of one :meth:`ResultCache.prune` sweep."""
+
+    scanned: int
+    stale_evicted: int
+    quarantined: int
+    tmp_removed: int
+
+    def describe(self) -> str:
+        return (
+            f"cache: scanned {self.scanned} entr(ies), "
+            f"evicted {self.stale_evicted} stale, "
+            f"quarantined {self.quarantined} corrupt, "
+            f"removed {self.tmp_removed} stray tmp file(s)"
+        )
+
+
+class ResultCache:
+    """Content-addressed cell store: one JSON file per fingerprint.
+
+    Keys are the hex digests from
+    :func:`~repro.experiments.fingerprint.cell_fingerprint`; values are
+    :class:`~repro.experiments.runner.CellResult` payloads.  Writes are
+    crash-safe *and* race-safe (see :class:`LocalDirStore`): the payload
+    goes to a temporary file whose name carries the pid and a random
+    token, finalized with ``os.replace``, so a killed run never leaves a
+    truncated entry and concurrent engines filling the same directory
+    never collide on the temp name.
+
+    An optional ``remote`` :class:`CacheStore` turns the cache into a
+    fleet-shared one, read-through / write-back: a local miss consults
+    the remote store, and every local write is mirrored best-effort.
+    Remote payloads are **validated before they are trusted** — only an
+    entry that parses as a current-version cell is returned or written
+    back locally, so a corrupt, stale or truncated entry served by a
+    remote cache can never enter a ``GridResult`` (``remote_rejected``
+    counts such refusals, ``remote_hits`` the accepted ones).  An
+    unreachable remote store degrades the run to local-only caching; it
+    never blocks or fails it.
+
+    Reads distinguish three failure modes: a missing file or I/O error is
+    a plain miss; a version-skewed entry is a miss that also **evicts**
+    the entry (fingerprints embed ``CACHE_VERSION``, so no current or
+    future key can ever hit it again — leaving it would accumulate dead
+    files forever); an entry that *parses wrong* — truncated JSON,
+    malformed payload — is quarantined by renaming it to
+    ``<fingerprint>.corrupt`` so the corruption is visible on disk
+    instead of silently re-simulated forever.  :meth:`prune` sweeps the
+    whole store the same way without needing the fingerprints, and
+    :meth:`status` classifies an entry without mutating anything (the
+    ``verify_run`` audit path).
+    """
+
+    #: Orphaned ``.tmp`` files older than this are removed by ``prune``
+    #: (younger ones may belong to a concurrently running engine).
+    TMP_MAX_AGE = 3600.0
+
+    def __init__(
+        self,
+        root: str | Path,
+        *,
+        remote: "CacheStore | str | None" = None,
+    ) -> None:
+        self.root = Path(root)
+        self._local = LocalDirStore(self.root)
+        if isinstance(remote, str):
+            remote = store_from_spec(remote)
+        self.remote: "CacheStore | None" = remote
+        #: Local misses served by the remote store (validated payloads).
+        self.remote_hits = 0
+        #: Remote payloads refused on validation (corrupt/stale/skewed).
+        self.remote_rejected = 0
+
+    def path(self, fingerprint: str) -> Path:
+        return self._local.path(fingerprint)
+
+    def get(self, fingerprint: str) -> "CellResult | None":
+        from repro.analysis.persistence import cell_from_dict
+
+        text = self._local.load(fingerprint)
+        if text is None:
+            return self._get_remote(fingerprint)  # plain local miss
+        try:
+            payload = json.loads(text)
+            if payload.get("version") != CACHE_VERSION:
+                # Version-skewed entries can never hit again (the version
+                # is part of every fingerprint): evict instead of letting
+                # them accumulate forever.
+                try:
+                    self.path(fingerprint).unlink()
+                except OSError:  # pragma: no cover - racing cleanup
+                    pass
+                return self._get_remote(fingerprint)
+            return cell_from_dict(payload["cell"])
+        except (AttributeError, KeyError, TypeError, ValueError):
+            self._quarantine(self.path(fingerprint))
+            return self._get_remote(fingerprint)
+
+    def _get_remote(self, fingerprint: str) -> "CellResult | None":
+        """Read-through: validate a remote payload before trusting it."""
+        from repro.analysis.persistence import cell_from_dict
+
+        if self.remote is None:
+            return None
+        text = self.remote.load(fingerprint)
+        if text is None:
+            return None
+        verdict = self.classify(text)
+        if verdict != "hit":
+            # Never written locally: a poisoned remote entry is counted,
+            # handed to the store's own quarantine hook (the object store
+            # moves it under its ``quarantine/`` prefix; the fleet store
+            # leaves it to the server), and recomputed.
+            self.remote_rejected += 1
+            self.remote.quarantine(fingerprint, text, verdict)
+            return None
+        self.remote_hits += 1
+        self._local.save(fingerprint, text)  # write-back for next time
+        return cell_from_dict(json.loads(text)["cell"])
+
+    def status(self, fingerprint: str) -> str:
+        """Classify an entry without touching it.
+
+        Returns ``"hit"`` (readable, current version), ``"miss"`` (no
+        file), ``"stale"`` (version skew) or ``"corrupt"`` (unparseable)
+        — unlike :meth:`get`, nothing is evicted or quarantined, so
+        audits are repeatable.
+        """
+        text = self._local.load(fingerprint)
+        return "miss" if text is None else self.classify(text)
+
+    @staticmethod
+    def classify(text: str) -> str:
+        """``"hit"``, ``"stale"`` or ``"corrupt"`` for one entry's raw text."""
+        from repro.analysis.persistence import cell_from_dict
+
+        try:
+            payload = json.loads(text)
+        except ValueError:
+            return "corrupt"
+        if not isinstance(payload, dict):
+            return "corrupt"
+        if payload.get("version") != CACHE_VERSION:
+            return "stale"
+        try:
+            cell_from_dict(payload["cell"])
+        except (AttributeError, KeyError, TypeError, ValueError):
+            return "corrupt"
+        return "hit"
+
+    def prune(self) -> CachePruneStats:
+        """Sweep the store: evict stale entries, quarantine corrupt ones.
+
+        Version-skewed entries are unlinked (their fingerprints are
+        unreachable by construction), unparseable ones become
+        ``*.corrupt``, and orphaned temp files older than
+        :data:`TMP_MAX_AGE` — a crashed writer's leftovers — are removed.
+        Used by ``repro-experiments --list-runs`` so long-lived cache
+        directories stay honest about what they hold.
+        """
+        scanned = stale = quarantined = removed_tmp = 0
+        if not self.root.is_dir():
+            return CachePruneStats(0, 0, 0, 0)
+        now = time.time()
+        for path in self.root.glob("??/*.json"):
+            scanned += 1
+            text = self._local.load(path.stem)
+            if text is None:  # pragma: no cover - racing cleanup
+                continue
+            verdict = self.classify(text)
+            if verdict == "stale":
+                try:
+                    path.unlink()
+                    stale += 1
+                except OSError:  # pragma: no cover - racing cleanup
+                    pass
+            elif verdict == "corrupt":
+                if self._quarantine(path) is not None:
+                    quarantined += 1
+        for tmp in self.root.glob("??/.*.tmp"):
+            try:
+                if now - tmp.stat().st_mtime > self.TMP_MAX_AGE:
+                    tmp.unlink()
+                    removed_tmp += 1
+            except OSError:  # pragma: no cover - racing cleanup
+                pass
+        return CachePruneStats(scanned, stale, quarantined, removed_tmp)
+
+    def _quarantine(self, path: Path) -> Path | None:
+        """Move a corrupt entry aside as ``*.corrupt``; best effort."""
+        target = path.with_suffix(".corrupt")
+        try:
+            os.replace(path, target)
+        except OSError:  # pragma: no cover - racing cleanup
+            return None
+        return target
+
+    def put(self, fingerprint: str, cell: "CellResult") -> None:
+        from repro.analysis.persistence import cell_to_dict
+
+        text = json.dumps({"version": CACHE_VERSION, "cell": cell_to_dict(cell)})
+        self._local.save(fingerprint, text)
+        if self.remote is not None:
+            self.remote.save(fingerprint, text)  # write-back, best effort

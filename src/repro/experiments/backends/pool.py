@@ -150,7 +150,7 @@ class PoolBackend(ExecutionBackend):
             if pool is None or index in self._broken:
                 continue
             try:
-                future = pool.submit(_run_cell_task, task.args)
+                future = pool.submit(_run_cell_task, task.request)
             except RuntimeError:  # shut down under us
                 self._broken.add(index)
                 continue

@@ -12,7 +12,7 @@ on receipt — a truncated or bit-flipped frame raises
 :class:`ProtocolError` instead of deserializing garbage, and the
 engine's reconnect ladder treats that connection as lost.  Payloads are
 pickled Python objects (:class:`~repro.core.packing.PackedJobs`, cell
-argument tuples, :class:`~repro.experiments.runner.CellResult`).
+requests, :class:`~repro.experiments.runner.CellResult`).
 
 .. warning::
    Pickle is not safe against a *malicious* peer — the checksum guards
@@ -41,8 +41,10 @@ __all__ = [
 ]
 
 #: Bump on wire-format changes; exchanged in HELLO/WELCOME so skewed
-#: driver/worker versions fail the handshake loudly.
-PROTOCOL_VERSION = 1
+#: driver/worker versions fail the handshake loudly.  v2: the TASK
+#: payload is a named :class:`~repro.experiments.backends.base.CellRequest`
+#: instead of an 11-slot positional tuple.
+PROTOCOL_VERSION = 2
 
 MAGIC = b"Rp"
 HEADER = struct.Struct(">2sBI8s")
@@ -64,7 +66,7 @@ class Kind(enum.IntEnum):
     WELCOME = 2  # {"version": int, "pid": int}
     SEED = 3  # (digest, PackedJobs) — workload shipped once per worker
     SEEDED = 4  # digest
-    TASK = 5  # _run_cell_task args tuple
+    TASK = 5  # CellRequest, the argument of _run_cell_task
     RESULT = 6  # (key, CellResult, wall_seconds)
     TASK_ERROR = 7  # repr of the exception the cell raised
     PING = 8  # {"pid": int} — worker heartbeat, also sent mid-cell

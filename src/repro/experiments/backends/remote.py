@@ -218,7 +218,7 @@ class RemoteWorkerBackend(ExecutionBackend):
             if worker.state != "idle":
                 continue
             try:
-                proto.send_frame(worker.sock, proto.Kind.TASK, task.args)
+                proto.send_frame(worker.sock, proto.Kind.TASK, task.request)
             except (OSError, proto.ProtocolError):
                 self._schedule_retry(worker)
                 continue

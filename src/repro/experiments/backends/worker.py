@@ -221,7 +221,7 @@ class WorkerServer:
         from repro.experiments.engine import _run_cell_task
 
         try:
-            result = _run_cell_task(tuple(payload))  # type: ignore[arg-type]
+            result = _run_cell_task(payload)  # type: ignore[arg-type]
         except Exception as exc:
             send(proto.Kind.TASK_ERROR, f"{exc!r}")
             return True

@@ -73,6 +73,7 @@ from pathlib import Path
 from repro.experiments.paper import EXPERIMENTS, run_experiment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.job import Job
     from repro.experiments.engine import ResultCache
     from repro.experiments.journal import RunSummary
     from repro.scenarios import ScenarioSpec
@@ -210,7 +211,7 @@ def _cmd_profile_cell(args: argparse.Namespace) -> int:
     profiler.
     """
     from repro.core.machine import Machine
-    from repro.core.simulator import ScenarioInputs, SimulationConfig, Simulator
+    from repro.core.simulator import SimulationConfig, Simulator
     from repro.experiments.engine import ExperimentEngine
     from repro.experiments.journal import (
         JournalError,
@@ -277,7 +278,7 @@ def _cmd_profile_cell(args: argparse.Namespace) -> int:
     recompute_threshold = float(manifest["recompute_threshold"])
     row, _, column = key.partition("/")
     config = SchedulerConfig(row=row, column=column)
-    prep = ExperimentEngine()._prepare(
+    request = ExperimentEngine()._prepare(
         spec.workload(scale, args.seed),
         total_nodes=total_nodes,
         weighted=weighted,
@@ -285,13 +286,8 @@ def _cmd_profile_cell(args: argparse.Namespace) -> int:
         recompute_threshold=recompute_threshold,
         scenario=scenario_from_args(args),
     )
-    jobs = prep.jobs
-    expected = prep.fingerprint(
-        config,
-        total_nodes=total_nodes,
-        weighted=weighted,
-        recompute_threshold=recompute_threshold,
-    )
+    jobs = request.jobs
+    expected = request.fingerprint(config)
     if expected != fingerprint:
         print(
             f"reconstructed inputs do not reproduce fingerprint "
@@ -311,18 +307,11 @@ def _cmd_profile_cell(args: argparse.Namespace) -> int:
         ),
         SimulationConfig(
             backend=args.backend,
-            cancel_over_limit=prep.cancel_over_limit,
+            cancel_over_limit=request.cancel_over_limit,
             profile_phases=True,
         ),
     )
-    result = simulator.run(
-        jobs,
-        scenario=ScenarioInputs(
-            cancellations=prep.cancellations,
-            failures=prep.failures,
-            recovery=prep.recovery,
-        ),
-    )
+    result = simulator.run(jobs, scenario=request.scenario)
     print(f"cell {key} of run {run_id}")
     print(f"  fingerprint {fingerprint}")
     print(
@@ -344,38 +333,8 @@ def _cmd_profile_cell(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description="Regenerate the tables and figures of Krallmann et al. (IPPS'99).",
-    )
-    from repro.experiments.extensions import EXTENSIONS
-
-    parser.add_argument(
-        "ids",
-        nargs="*",
-        help="experiment ids "
-        f"({', '.join(sorted(EXPERIMENTS))}; extensions: "
-        f"{', '.join(sorted(EXTENSIONS))}), 'all' (paper artifacts) or "
-        "'ext-all' (extensions)",
-    )
-    parser.add_argument("--scale", type=int, default=None, help="jobs per workload")
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="use the paper's job counts (very slow for conservative cells)",
-    )
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--nodes", type=int, default=256)
-    parser.add_argument("--out", type=Path, default=None, help="directory for report files")
-    parser.add_argument(
-        "--swf",
-        type=Path,
-        default=None,
-        help="real trace (Standard Workload Format) replacing the synthetic "
-        "CTC stand-in — e.g. the genuine CTC SP2 trace from the Parallel "
-        "Workloads Archive",
-    )
+def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """Where and how cells execute, and where results and journals land."""
     parser.add_argument(
         "--workers",
         type=int,
@@ -454,13 +413,10 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="run-journal directory (default: <cache-dir>/runs)",
     )
-    parser.add_argument(
-        "--resume",
-        metavar="RUN_ID",
-        default=None,
-        help="resume the journaled run with this id: completed cells are "
-        "skipped via the cache, only the remainder is re-dispatched",
-    )
+
+
+def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
+    """The scenario every cell runs under (spec file or shorthand flags)."""
     parser.add_argument(
         "--scenario",
         type=Path,
@@ -507,6 +463,49 @@ def main(argv: list[str] | None = None) -> int:
         help="override the scenario spec's seed (component sub-seeds "
         "derive from it)",
     )
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-experiments",
+        description="Regenerate the tables and figures of Krallmann et al. (IPPS'99).",
+    )
+    from repro.experiments.extensions import EXTENSIONS
+
+    parser.add_argument(
+        "ids",
+        nargs="*",
+        help="experiment ids "
+        f"({', '.join(sorted(EXPERIMENTS))}; extensions: "
+        f"{', '.join(sorted(EXTENSIONS))}), 'all' (paper artifacts) or "
+        "'ext-all' (extensions)",
+    )
+    parser.add_argument("--scale", type=int, default=None, help="jobs per workload")
+    parser.add_argument(
+        "--full",
+        action="store_true",
+        help="use the paper's job counts (very slow for conservative cells)",
+    )
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--nodes", type=int, default=256)
+    parser.add_argument("--out", type=Path, default=None, help="directory for report files")
+    parser.add_argument(
+        "--swf",
+        type=Path,
+        default=None,
+        help="real trace (Standard Workload Format) replacing the synthetic "
+        "CTC stand-in — e.g. the genuine CTC SP2 trace from the Parallel "
+        "Workloads Archive",
+    )
+    _add_engine_arguments(parser)
+    parser.add_argument(
+        "--resume",
+        metavar="RUN_ID",
+        default=None,
+        help="resume the journaled run with this id: completed cells are "
+        "skipped via the cache, only the remainder is re-dispatched",
+    )
+    _add_scenario_arguments(parser)
     parser.add_argument(
         "--list-runs",
         action="store_true",
@@ -528,6 +527,93 @@ def main(argv: list[str] | None = None) -> int:
         "breakdown, then exit (pass the run's --scale/--seed/scenario "
         "flags if they differed from the defaults)",
     )
+    return parser
+
+
+def _run_experiments(
+    args: argparse.Namespace,
+    ids: list[str],
+    scenario: "ScenarioSpec | None",
+    source_trace: "list[Job] | None",
+) -> int:
+    """Run the paper artifacts on the one engine of this invocation (every
+    artifact shares its cache, journal directory and workload store)."""
+    from repro.experiments.engine import ExperimentEngine
+    from repro.experiments.journal import (
+        ManifestMismatchError,
+        RunInterrupted,
+        UnknownRunError,
+    )
+
+    def on_event(event) -> None:
+        from repro.analysis.persistence import append_events
+
+        if event.kind in ("cell-finished", "cache-hit"):
+            wall = f" in {event.wall_time:.2f}s" if event.wall_time is not None else ""
+            hit = " (cache hit)" if event.cached else ""
+            print(
+                f"  {event.key}: objective {event.objective:.4G}{wall}{hit}",
+                file=sys.stderr,
+            )
+        elif event.kind == "cache-degraded":
+            print(f"  [cache degraded] {event.detail}", file=sys.stderr)
+        if args.events is not None:
+            append_events([event], args.events)
+
+    engine = ExperimentEngine(
+        workers=args.workers,
+        cache=None if args.no_cache else args.cache_dir,
+        on_event=on_event,
+        journal_dir=args.journal_dir,
+        backend=args.backend,
+        execution_backend=args.backend_exec,
+        shards=args.shards,
+        connect=tuple(args.connect or ()),
+        remote_cache=args.remote_cache,
+    )
+    for experiment_id in ids:
+        spec = EXPERIMENTS[experiment_id]
+        scale = spec.paper_scale if args.full else args.scale
+        try:
+            result = run_experiment(
+                experiment_id,
+                scale=scale,
+                seed=args.seed,
+                total_nodes=args.nodes,
+                progress=lambda msg: print(f"[{experiment_id}] {msg}", file=sys.stderr),
+                source_trace=source_trace,
+                resume_run_id=args.resume,
+                scenario=scenario,
+                engine=engine,
+            )
+        except RunInterrupted as exc:
+            print(f"\ninterrupted by {exc.signal_name}: {exc}", file=sys.stderr)
+            if exc.run_id:
+                print(
+                    f"resume with: repro-experiments {experiment_id} --resume "
+                    f"{exc.run_id}",
+                    file=sys.stderr,
+                )
+            return 130
+        except (ManifestMismatchError, UnknownRunError) as exc:
+            print(f"cannot resume {args.resume}: {exc}", file=sys.stderr)
+            return 2
+        for regime, run_id in result.run_ids.items():
+            print(f"[{experiment_id}] {regime} run id: {run_id}", file=sys.stderr)
+        for regime, report in result.reports.items():
+            banner = f"=== {experiment_id} ({regime}) — {spec.description} ==="
+            print(banner)
+            print(report)
+            print(f"rank agreement with the paper: {result.agreement[regime]:.2f}")
+            print()
+            if args.out is not None:
+                path = args.out / f"{experiment_id}_{regime}.txt"
+                path.write_text(banner + "\n" + report + "\n")
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
     args = parser.parse_args(argv)
 
     if args.serve_worker is not None:
@@ -574,6 +660,8 @@ def main(argv: list[str] | None = None) -> int:
         source_trace = read_swf(args.swf)
         print(f"loaded {len(source_trace)} jobs from {args.swf}", file=sys.stderr)
 
+    from repro.experiments.extensions import EXTENSIONS, run_extension
+
     ids = list(args.ids)
     if "all" in ids:
         ids = sorted(EXPERIMENTS) + [i for i in ids if i != "all" and i in EXTENSIONS]
@@ -585,8 +673,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-
-    from repro.experiments.extensions import run_extension
 
     for experiment_id in (i for i in ids if i in EXTENSIONS):
         result = run_extension(experiment_id, scale=args.scale, seed=args.seed)
@@ -600,76 +686,10 @@ def main(argv: list[str] | None = None) -> int:
                 banner + "\n" + result.report + f"\nclaim holds: {result.claim_holds}\n"
             )
 
-    cache = None if args.no_cache else args.cache_dir
-
-    def on_event(event) -> None:
-        from repro.analysis.persistence import append_events
-
-        if event.kind in ("cell-finished", "cache-hit"):
-            wall = f" in {event.wall_time:.2f}s" if event.wall_time is not None else ""
-            hit = " (cache hit)" if event.cached else ""
-            print(
-                f"  {event.key}: objective {event.objective:.4G}{wall}{hit}",
-                file=sys.stderr,
-            )
-        elif event.kind == "cache-degraded":
-            print(f"  [cache degraded] {event.detail}", file=sys.stderr)
-        if args.events is not None:
-            append_events([event], args.events)
-
-    from repro.experiments.journal import (
-        ManifestMismatchError,
-        RunInterrupted,
-        UnknownRunError,
-    )
-
-    for experiment_id in (i for i in ids if i in EXPERIMENTS):
-        spec = EXPERIMENTS[experiment_id]
-        scale = spec.paper_scale if args.full else args.scale
-        try:
-            result = run_experiment(
-                experiment_id,
-                scale=scale,
-                seed=args.seed,
-                total_nodes=args.nodes,
-                progress=lambda msg: print(f"[{experiment_id}] {msg}", file=sys.stderr),
-                source_trace=source_trace,
-                workers=args.workers,
-                cache=cache,
-                on_event=on_event,
-                journal_dir=args.journal_dir,
-                resume_run_id=args.resume,
-                backend=args.backend,
-                scenario=scenario,
-                execution_backend=args.backend_exec,
-                shards=args.shards,
-                connect=tuple(args.connect or ()),
-                remote_cache=args.remote_cache,
-            )
-        except RunInterrupted as exc:
-            print(f"\ninterrupted by {exc.signal_name}: {exc}", file=sys.stderr)
-            if exc.run_id:
-                print(
-                    f"resume with: repro-experiments {experiment_id} --resume "
-                    f"{exc.run_id}",
-                    file=sys.stderr,
-                )
-            return 130
-        except (ManifestMismatchError, UnknownRunError) as exc:
-            print(f"cannot resume {args.resume}: {exc}", file=sys.stderr)
-            return 2
-        for regime, run_id in result.run_ids.items():
-            print(f"[{experiment_id}] {regime} run id: {run_id}", file=sys.stderr)
-        for regime, report in result.reports.items():
-            banner = f"=== {experiment_id} ({regime}) — {spec.description} ==="
-            print(banner)
-            print(report)
-            print(f"rank agreement with the paper: {result.agreement[regime]:.2f}")
-            print()
-            if args.out is not None:
-                path = args.out / f"{experiment_id}_{regime}.txt"
-                path.write_text(banner + "\n" + report + "\n")
-    return 0
+    paper_ids = [i for i in ids if i in EXPERIMENTS]
+    if not paper_ids:
+        return 0
+    return _run_experiments(args, paper_ids, scenario, source_trace)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -720,9 +720,9 @@ def verify_run(
         text = remote_store.load(fingerprint)
         if text is None:
             return "missing" if remote_store.connected else "unreachable"
-        from repro.experiments.engine import ResultCache
+        from repro.experiments.backends.cache import ResultCache
 
-        return "hit" if ResultCache._classify(text) == "hit" else "corrupt"
+        return "hit" if ResultCache.classify(text) == "hit" else "corrupt"
     for key in replay.manifest.get("configs", []):
         cell = replay.cells.get(key)
         if cell is None or cell.state != TERMINAL_STATE:

@@ -19,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from pathlib import Path
-
 from repro.core.job import Job
-from repro.experiments.engine import EventFn, ExperimentEngine, ResultCache
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.runner import GridResult
 from repro.experiments.tables import (
     agreement_score,
@@ -294,17 +292,9 @@ def run_experiment(
     regimes: Sequence[str] | None = None,
     progress: Callable[[str], None] | None = None,
     source_trace: Sequence[Job] | None = None,
-    workers: int | None = None,
-    cache: ResultCache | str | Path | None = None,
-    on_event: EventFn | None = None,
-    journal_dir: str | Path | None = None,
     resume_run_id: str | None = None,
-    backend: str | None = None,
     scenario: "ScenarioSpec | None" = None,
-    execution_backend: str | None = None,
-    shards: int = 2,
-    connect: Sequence[str] = (),
-    remote_cache: str | None = None,
+    engine: ExperimentEngine | None = None,
 ) -> ExperimentResult:
     """Regenerate one paper artifact at the given scale.
 
@@ -319,16 +309,15 @@ def run_experiment(
     their model on it; the randomized experiment ignores it (Table 2 is
     trace-free by construction).
 
-    ``workers``, ``cache`` and ``on_event`` configure the underlying
-    :class:`~repro.experiments.engine.ExperimentEngine`: worker processes
-    for parallel cell fan-out, a content-addressed result cache (a
-    directory path suffices), and a structured progress-event callback.
-    ``backend`` selects the simulation kernels per cell (``"python"``/
-    ``"numpy"``/``"auto"``; ``None`` consults ``REPRO_BACKEND``) — results,
-    caches and run ids are bit-identical across backends.
+    ``engine`` is the :class:`~repro.experiments.engine.ExperimentEngine`
+    every regime runs on — workers, result cache, progress events,
+    journal directory, simulation and execution backends are all its
+    constructor arguments; ``None`` builds the default one (serial, no
+    cache).  Pass one engine to several calls to share its workload
+    store.  Results, caches and run ids are bit-identical across
+    simulation and execution backends.
 
-    ``journal_dir`` overrides where run journals land (default: under the
-    cache).  ``resume_run_id`` resumes the regime whose deterministic run
+    ``resume_run_id`` resumes the regime whose deterministic run
     id matches (other regimes run normally — their completed cells come
     out of the cache anyway); when it matches *no* regime the inputs
     drifted since the run was journaled, and the call refuses with
@@ -341,30 +330,13 @@ def run_experiment(
     load surges, …): its canonical digest joins every cell fingerprint
     and each regime's run id, so scenario runs cache and resume
     independently of the healthy baseline.
-
-    ``execution_backend`` selects *where* cells run (``"local"``,
-    ``"sharded"``, ``"remote"``; see
-    :mod:`repro.experiments.backends`), ``shards`` sizes the sharded
-    pool, ``connect`` lists remote worker addresses and
-    ``remote_cache`` points at a shared fleet cache — all forwarded to
-    the engine verbatim.  Results and run ids are bit-identical across
-    execution backends.
     """
     spec = EXPERIMENTS[experiment_id]
     n = spec.default_scale if scale is None else scale
     jobs = _experiment_jobs(spec, n, seed, source_trace)
     wanted = list(regimes) if regimes is not None else list(spec.paper.keys())
-    engine = ExperimentEngine(
-        workers=workers,
-        cache=cache,
-        on_event=on_event,
-        journal_dir=journal_dir,
-        backend=backend,
-        execution_backend=execution_backend,
-        shards=shards,
-        connect=connect,
-        remote_cache=remote_cache,
-    )
+    if engine is None:
+        engine = ExperimentEngine()
 
     def _grid_kwargs(regime: str) -> dict:
         return dict(

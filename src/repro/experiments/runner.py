@@ -15,27 +15,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.core import vector
 from repro.core.job import Job
 from repro.core.machine import Machine
 from repro.core.packing import PackedJobs, unpack_jobs
 from repro.core.scheduler import CoalescingCaps, Scheduler, SchedulerContext
-from repro.core.simulator import (
-    Cancellation,
-    ScenarioInputs,
-    SimulationConfig,
-    Simulator,
-)
+from repro.core.simulator import ScenarioInputs, SimulationConfig, Simulator
 from repro.metrics.objectives import (
     average_response_time,
     average_weighted_response_time,
 )
 from repro.schedulers.registry import SchedulerConfig, build_scheduler
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.failures.trace import FailureTrace
 
 
 class TimingScheduler(Scheduler):
@@ -191,9 +183,7 @@ def simulate_cell(
     total_nodes: int = 256,
     weighted: bool = False,
     recompute_threshold: float = 2.0 / 3.0,
-    failures: "FailureTrace | None" = None,
-    recovery: str | None = None,
-    cancellations: "Sequence[Cancellation]" = (),
+    scenario: "ScenarioInputs | None" = None,
     cancel_over_limit: bool = False,
     backend: str | None = None,
 ) -> CellResult:
@@ -209,13 +199,12 @@ def simulate_cell(
     ``Job`` tuple the caller would have shipped, so results are identical
     either way.
 
-    ``failures``/``recovery``/``cancellations``/``cancel_over_limit`` are
-    the *compiled* scenario inputs (see :mod:`repro.scenarios`): a failure
-    trace plus recovery spec, user-withdrawal events, and the
-    estimate-limit kill flag.  The resilience metrics of the result are
-    populated when failures are injected.  ``recovery`` must be a spec
-    string here (not a policy object) so the cell stays picklable and
-    cache-fingerprintable.
+    ``scenario`` and ``cancel_over_limit`` are the *compiled* scenario
+    (see :mod:`repro.scenarios`): the disturbance bundle — ``None`` for
+    the healthy baseline — and the estimate-limit kill flag.  The
+    resilience metrics of the result are populated when failures are
+    injected.  ``scenario.recovery`` must be a spec string here (not a
+    policy object) so the cell stays picklable and cache-fingerprintable.
 
     ``backend`` selects the simulation kernels (see
     :func:`repro.core.vector.resolve_backend`); both backends produce
@@ -231,9 +220,6 @@ def simulate_cell(
             config, total_nodes, weighted=weighted,
             recompute_threshold=recompute_threshold,
         )
-    )
-    scenario = ScenarioInputs(
-        cancellations=tuple(cancellations), failures=failures, recovery=recovery
     )
     result = Simulator(
         Machine(total_nodes),

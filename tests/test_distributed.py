@@ -23,6 +23,7 @@ from repro.experiments.backends import protocol as proto
 from repro.experiments.backends.base import (
     BackendUnavailable,
     CellOutcome,
+    CellRequest,
     CellTask,
     ExecutionBackend,
     ReleaseReport,
@@ -30,6 +31,7 @@ from repro.experiments.backends.base import (
 from repro.experiments.backends.cache import LocalDirStore, RemoteCacheStore
 from repro.experiments.backends.remote import RemoteWorkerBackend
 from repro.experiments.backends.worker import WorkerServer
+from repro.experiments.dispatch import Dispatch
 from repro.experiments.engine import (
     ExperimentEngine,
     ResultCache,
@@ -412,7 +414,7 @@ class _DuplicatingBackend(ExecutionBackend):
 
         outcomes = []
         for task in self._pending:
-            value = _run_cell_task(task.args)
+            value = _run_cell_task(task.request)
             outcomes.append(CellOutcome(task.fingerprint, "done", value=value))
             if not self._duplicated:
                 self._duplicated = True
@@ -451,10 +453,15 @@ class TestLeasesAndDuplicates:
             try:
                 task = CellTask(
                     fingerprint="ab" * 32,
-                    key="fcfs/easy",
-                    args=(
-                        "fcfs", "easy", digest, 256, False, 2.0 / 3.0,
-                        None, None, (), False, None,
+                    request=CellRequest(
+                        config=SchedulerConfig("fcfs", "easy"),
+                        digest=digest,
+                        total_nodes=256,
+                        weighted=False,
+                        recompute_threshold=2.0 / 3.0,
+                        scenario=None,
+                        cancel_over_limit=False,
+                        backend=None,
                     ),
                 )
                 assert backend.submit(task)
@@ -477,13 +484,15 @@ class TestLeasesAndDuplicates:
                 backend.close()
 
     def test_duplicate_result_counts_once_and_stays_bit_identical(
-        self, workload, oracle
+        self, workload, oracle, monkeypatch
     ):
         events = []
         engine = ExperimentEngine(workers=2, on_event=events.append)
-        engine._backend_ladder = lambda store_entries, n_cells: [
-            lambda: _DuplicatingBackend(store_entries)
-        ]
+        monkeypatch.setattr(
+            Dispatch,
+            "ladder",
+            lambda self, store_entries: [lambda: _DuplicatingBackend(store_entries)],
+        )
         configs = [
             SchedulerConfig("fcfs", "easy"),
             SchedulerConfig("fcfs", "list"),

@@ -1,7 +1,10 @@
 """Tests for the parallel experiment engine, its cache, and the open registry."""
 
+import inspect
 import multiprocessing
 import os
+import signal
+import threading
 import time
 
 import pytest
@@ -16,8 +19,14 @@ from repro.experiments.engine import (
     fingerprint_jobs,
 )
 from repro.failures import FailureTrace, NodeFailure, mtbf_trace
+from repro.experiments.journal import RunInterrupted, RunJournal
 from repro.experiments.paper import probabilistic_workload
-from repro.experiments.runner import GridResult, TimingScheduler, run_grid
+from repro.experiments.runner import (
+    GridResult,
+    TimingScheduler,
+    run_grid,
+    simulate_cell,
+)
 from repro.experiments.tables import format_grid
 from repro.schedulers.baselines import KeyOrderPolicy
 from repro.schedulers.registry import (
@@ -475,6 +484,10 @@ class TestCrashTolerance:
             assert crashy
             assert all("worker crashed" in e.detail for e in crashy)
             assert all(e.wall_time > 0 for e in retries)  # backoff scheduled
+            # Announced once per cell per run, however many attempts —
+            # pool retries and the serial fallback included.
+            started = [e.key for e in events if e.kind == "cell-started"]
+            assert sorted(started) == ["crashy/easy", "fcfs/easy"]
 
             # The serial result is the canonical one: a plain serial engine
             # (no pool, nothing to crash) computes the same objective.
@@ -767,3 +780,110 @@ class TestTimingWakeup:
         assert timed.elapsed == 0.0
         assert timed.next_wakeup(None) is None
         assert timed.elapsed >= 0.002
+
+
+# -- one dispatch core: request -> run -> dispatch -------------------------------
+
+
+THREE_CELLS = [
+    SchedulerConfig("fcfs", "easy"),
+    SchedulerConfig("fcfs", "list"),
+    SchedulerConfig("psrs", "easy"),
+]
+
+
+def _assert_no_run_state(engine):
+    """A run leaves nothing on the engine but the public ``stats``."""
+    state = vars(engine)
+    assert set(state) == set(vars(ExperimentEngine()))
+    assert not any(isinstance(value, RunJournal) for value in state.values())
+    run_id = engine.stats.run_id
+    assert run_id is None or run_id not in state.values()
+    assert not [name for name in state if "interrupt" in name or "run_id" in name]
+
+
+class TestOneDispatchCore:
+    def test_engine_interrupted_once_runs_its_next_grid(self, tmp_path, workload):
+        """The interrupt flag belongs to the run, not the engine: a SIGINT
+        that stopped one run must not stop the next one at its first
+        cell when that run installs no handlers of its own."""
+        jobs = workload[:30]
+        fired = []
+
+        def interrupt_once(event):
+            if event.kind == "cell-finished" and not fired:
+                fired.append(event.key)
+                os.kill(os.getpid(), signal.SIGINT)
+
+        engine = ExperimentEngine(journal_dir=tmp_path, on_event=interrupt_once)
+        with pytest.raises(RunInterrupted) as caught:
+            engine.run(jobs, total_nodes=256, configs=THREE_CELLS)
+        assert caught.value.signal_name == "SIGINT"
+        assert caught.value.completed == 1
+        assert caught.value.remaining == 2
+        _assert_no_run_state(engine)
+
+        # (a) no journal root: no handlers are installed for this run.
+        engine.journal_dir = None
+        grid = engine.run(jobs, total_nodes=256, configs=THREE_CELLS)
+        assert list(grid.cells) == [c.key for c in THREE_CELLS]
+        assert engine.stats.simulated == 3
+        _assert_no_run_state(engine)
+
+        # (b) journaled, but off the main thread: no handlers either.
+        engine.journal_dir = tmp_path
+        outcome = {}
+
+        def target():
+            try:
+                outcome["grid"] = engine.run(
+                    jobs, total_nodes=256, configs=THREE_CELLS
+                )
+            except BaseException as exc:  # surfaced by the assert below
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=target)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert "error" not in outcome, outcome.get("error")
+        assert list(outcome["grid"].cells) == [c.key for c in THREE_CELLS]
+        assert engine.stats.simulated == 3
+        _assert_no_run_state(engine)
+
+    def test_simulate_cell_takes_the_compiled_scenario_as_one_object(self):
+        parameters = inspect.signature(simulate_cell).parameters
+        assert "scenario" in parameters
+        assert not {"failures", "recovery", "cancellations"} & set(parameters)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_traced_names_are_called_through_the_engine_module(
+        self, tmp_path, workload, workers
+    ):
+        """The benchmark tracer binds ``simulate_cell``, ``fingerprint_jobs``
+        and ``cell_fingerprint`` as globals of ``repro.experiments.engine``
+        and patches ``ResultCache`` / ``RunJournal`` on their classes:
+        wherever the code moves, those are the names it has to be called
+        through."""
+        tracing = pytest.importorskip("benchmarks.e2e.tracing")
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            engine = ExperimentEngine(workers=workers, cache=tmp_path)
+            engine.run(workload[:30], total_nodes=256, configs=THREE_CELLS[:2])
+        assert tracing.still_wrapped() == []
+        assert tracer.missing == []
+        assert engine.stats.simulated == 2
+        recorded = {span[1] for span in tracer.spans}
+        expected = {
+            "engine.run",
+            "engine.fingerprint_jobs",
+            "engine.cell_fingerprint",
+            "cache.get",
+            "cache.put",
+            "journal.record_cell",
+        }
+        if workers == 1:
+            # Pool workers simulate in their own processes: their spans
+            # stay there.
+            expected.add("engine.cell")
+        assert expected <= recorded, expected - recorded

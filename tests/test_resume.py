@@ -313,15 +313,16 @@ class TestInProcessResume:
     def test_run_experiment_refuses_unmatched_resume_id(self, tmp_path):
         from repro.experiments.paper import run_experiment
 
-        result = run_experiment("table4", scale=60, cache=tmp_path)
+        engine = ExperimentEngine(cache=tmp_path)
+        result = run_experiment("table4", scale=60, engine=engine)
         run_id = result.run_ids["unweighted"]
         # Same inputs: the matching regime resumes, everything is cached.
         resumed = run_experiment(
-            "table4", scale=60, cache=tmp_path, resume_run_id=run_id
+            "table4", scale=60, engine=engine, resume_run_id=run_id
         )
         assert resumed.run_ids["unweighted"] == run_id
         # Drifted inputs: refuse loudly instead of silently running fresh.
         with pytest.raises(UnknownRunError, match="matches no regime"):
             run_experiment(
-                "table4", scale=70, cache=tmp_path, resume_run_id=run_id
+                "table4", scale=70, engine=engine, resume_run_id=run_id
             )

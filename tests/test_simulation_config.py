@@ -63,6 +63,10 @@ REMOVED_KEYWORDS = [
     ("ExperimentEngine.run_id_for", "recovery", "abandon"),
     ("ExperimentEngine.resume", "recovery", "abandon"),
     ("run_experiment", "use_workload_store", False),
+    ("run_experiment", "workers", 2),
+    ("run_experiment", "cache", None),
+    ("simulate_cell", "failures", None),
+    ("simulate_cell", "cancellations", ()),
 ]
 
 
@@ -72,9 +76,11 @@ REMOVED_KEYWORDS = [
     ids=[f"{surface}-{keyword}" for surface, keyword, _ in REMOVED_KEYWORDS],
 )
 def test_removed_keyword_raises_type_error(surface, keyword, value):
-    """PR 12 deleted the deprecated shims: the old spellings are rejected
-    by the signature itself, never silently ignored."""
+    """Deleted spellings (PR 12's shims, PR 18's engine pass-throughs) are
+    rejected by the signature itself, never silently ignored."""
     from repro.experiments import ExperimentEngine, run_experiment
+    from repro.experiments.runner import simulate_cell
+    from repro.schedulers.registry import SchedulerConfig
 
     jobs = make_jobs(10, seed=2, max_nodes=NODES, mean_gap=40.0)
     extra = {keyword: value}
@@ -95,6 +101,9 @@ def test_removed_keyword_raises_type_error(surface, keyword, value):
             "0" * 16, jobs, total_nodes=NODES, **extra
         ),
         "run_experiment": lambda: run_experiment("table3", scale=20, **extra),
+        "simulate_cell": lambda: simulate_cell(
+            SchedulerConfig("fcfs", "easy"), jobs, total_nodes=NODES, **extra
+        ),
     }
     with pytest.raises(TypeError, match=f"unexpected keyword.*'{keyword}'"):
         calls[surface]()

@@ -183,7 +183,14 @@ class TestOneRunCore:
                      ".on_release_batch(", "SchedulerContext("):
             assert call in text, call
 
-    @pytest.mark.parametrize("module", ["core/simulator.py", "core/site.py"])
+    @pytest.mark.parametrize(
+        "module",
+        sorted(
+            path.relative_to(SRC).as_posix()
+            for package in ("core", "experiments")
+            for path in (SRC / package).rglob("*.py")
+        ),
+    )
     def test_no_function_longer_than_150_lines(self, module):
         tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
         too_long = [
