@@ -22,7 +22,9 @@ supports
 * :meth:`release` — returning the projected remainder of an early
   completion to the free pool,
 * :meth:`unreserve` — withdrawing a queued job's reservation from a plan
-  that outlives the decision point (conservative backfilling),
+  that outlives the decision point (conservative backfilling); both
+  delete the breakpoint their addition levels, so long-lived profiles
+  hold real steps only and a first-fit scan reads no dead ones,
 * :meth:`advance_origin` — dropping segments the simulation clock has
   passed, and
 * :meth:`clone` — copy-on-write snapshots handed to the disciplines.
@@ -50,7 +52,13 @@ Three query kernels keep the first-fit scan cheap as profiles grow:
   prefix structure.  See the decision record in ``docs/architecture.md``.)
 * :meth:`allocate` fuses the query with its reservation, skipping the
   redundant feasibility re-validation — conservative and slack
-  backfilling issue exactly that pair per queued job.
+  backfilling issue exactly that pair per queued job.  The kernel hands
+  back the two segment indices its scan ended on and ``allocate`` splits
+  those edges in place, with no second search for them.
+
+:meth:`fits_at_origin` is the one query that is not a search: "could a job
+this wide and this long start *now*?", read off the first few segments —
+conservative backfilling ends its queue walk on it.
 """
 
 from __future__ import annotations
@@ -81,7 +89,7 @@ def _first_fit(
     nodes: int,
     duration: float,
     start_at: float,
-) -> float:
+) -> tuple[float, int, int]:
     """First ``t >= start_at`` with ``free >= nodes`` over ``[t, t+duration)``.
 
     The single query kernel behind :meth:`AvailabilityProfile.earliest_start`
@@ -89,6 +97,12 @@ def _first_fit(
     holds ``max(free[k*B:(k+1)*B])`` per block and must describe exactly
     ``free``; the caller guarantees ``nodes <= total_nodes`` so the scan
     always terminates on the final, fully-free segment.
+
+    Returns ``(t, idx, j)`` with the two segment indices the scan ended on:
+    ``t`` lies in segment ``idx`` (``times[idx] <= t < times[idx + 1]``) and
+    ``j`` is the first index with ``times[j] >= t + duration``, or ``n`` when
+    the window outlasts every breakpoint — what :meth:`allocate` needs to
+    split the window's two edges without searching for them again.
     """
     idx = bisect_right(times, start_at) - 1
     while True:
@@ -117,12 +131,12 @@ def _first_fit(
         j = idx + 1
         while j < n:
             if times[j] >= end:
-                return candidate
+                return candidate, idx, j
             if free[j] < nodes:
                 break
             j += 1
         else:
-            return candidate
+            return candidate, idx, n
         idx = j
 
 
@@ -233,17 +247,40 @@ class AvailabilityProfile:
             raise ValueError(f"time {time} precedes profile origin {self._times[0]}")
         return self._free[bisect_right(self._times, time) - 1]
 
+    def fits_at_origin(self, nodes: int, duration: float) -> bool:
+        """Whether ``free >= nodes`` holds on all of ``[origin, origin + duration)``.
+
+        ``earliest_start(nodes, duration) == origin`` without the search:
+        the scan ends at the first dip or the first breakpoint at or past
+        the window's end, so it reads only the segments a job starting
+        *now* would occupy.
+        """
+        times = self._times
+        free = self._free
+        n = len(times)
+        end = times[0] + duration
+        i = 0
+        while free[i] >= nodes:
+            i += 1
+            if i == n or times[i] >= end:
+                return True
+        return False
+
     def steps(self) -> list[tuple[float, int]]:
         """The profile as ``(time, free_nodes_from_time)`` pairs (a copy)."""
         return list(zip(self._times, self._free))
 
     def canonical_steps(self) -> list[tuple[float, int]]:
-        """Steps with redundant breakpoints merged.
+        """Steps with level-equal breakpoints merged.
 
-        Incremental maintenance can leave breakpoints where the free count
-        does not change (a release exactly cancelling a reservation edge);
-        they never affect queries, but equality comparisons — the
-        incremental-vs-rebuild cross-check — must ignore them.
+        A breakpoint where the free count does not change never affects a
+        query: a first-fit answer is the origin, ``after`` or a breakpoint
+        that follows an infeasible segment.  :meth:`release` and
+        :meth:`unreserve` delete the ones their addition creates, but a
+        *reservation* can still level a step it abuts (a ``w``-wide job
+        planned to start where a ``w``-wide one ends), so equality
+        comparisons — the incremental-vs-rebuild cross-check — go through
+        this form.
         """
         out: list[tuple[float, int]] = []
         for time, free in zip(self._times, self._free):
@@ -291,7 +328,7 @@ class AvailabilityProfile:
                     return cached
             start = _first_fit(
                 times, self._free, len(times), self._query_index(), nodes, duration, origin
-            )
+            )[0]
             if memo is None:
                 memo = self._memo = {}
             elif len(memo) >= _MEMO_MAX:
@@ -300,7 +337,7 @@ class AvailabilityProfile:
             return start
         return _first_fit(
             times, self._free, len(times), self._query_index(), nodes, duration, after
-        )
+        )[0]
 
     def allocate(self, nodes: int, duration: float, after: float | None = None) -> float:
         """Fused :meth:`earliest_start` + :meth:`reserve`; returns the start.
@@ -321,17 +358,29 @@ class AvailabilityProfile:
         times = self._times
         origin = times[0]
         start_at = origin if after is None or after < origin else after
-        candidate = _first_fit(
-            times, self._free, len(times), self._query_index(), nodes, duration, start_at
+        free = self._free
+        n = len(times)
+        candidate, lo, hi = _first_fit(
+            times, free, n, self._query_index(), nodes, duration, start_at
         )
         end = candidate + duration
         self._block_max = None
         self._memo = None
-        self._ensure_breakpoint(candidate)
-        self._ensure_breakpoint(end)
-        free = self._free
-        lo = bisect_left(times, candidate)
-        hi = bisect_left(times, end)
+        if end == candidate:
+            # A duration the float sum absorbs reserves nothing; reserve()
+            # still leaves the start breakpoint behind, so match it.
+            self._ensure_breakpoint(candidate)
+            return candidate
+        # Split the two edges the scan stopped on — the far one first, so
+        # ``lo`` still names the candidate's segment.
+        if hi == n or times[hi] != end:
+            times.insert(hi, end)
+            free.insert(hi, free[hi - 1])
+        if times[lo] != candidate:
+            lo += 1
+            times.insert(lo, candidate)
+            free.insert(lo, free[lo - 1])
+            hi += 1
         for i in range(lo, hi):
             free[i] -= nodes
         return candidate
@@ -433,7 +482,10 @@ class AvailabilityProfile:
         projection already expired on its own.
 
         Raises ``ValueError`` if the release would lift any segment above
-        ``total_nodes`` (releasing nodes that were never reserved).
+        ``total_nodes`` (releasing nodes that were never reserved).  If the
+        addition levels the step at ``end`` — the usual case, the released
+        job's own projected end — that breakpoint is deleted, so a profile
+        without level-equal breakpoints stays without them.
         """
         if nodes <= 0 or end <= self._times[0]:
             return
@@ -459,6 +511,10 @@ class AvailabilityProfile:
                 )
         for i in range(hi):
             free[i] += nodes
+        if free[hi - 1] == free[hi]:
+            # The reservation edge this release cancels: no step left here.
+            del times[hi]
+            del free[hi]
 
     def unreserve(self, start: float, end: float, nodes: int) -> None:
         """Add ``nodes`` free nodes back over ``[start, end)``.
@@ -471,10 +527,10 @@ class AvailabilityProfile:
         an interval entirely at or before the origin is a no-op.
 
         Raises ``ValueError`` if any segment would rise above
-        ``total_nodes`` (un-reserving what was never reserved).  The
-        interval's breakpoints stay behind as redundant ones — they never
-        change a first-fit answer (see :meth:`canonical_steps`) and are
-        dropped as the origin passes them.
+        ``total_nodes`` (un-reserving what was never reserved).  Where the
+        addition levels the step at ``start`` or at ``end`` that breakpoint
+        is deleted, so ``allocate`` followed by ``unreserve`` of the same
+        interval restores :meth:`steps` exactly.
         """
         if start < self._times[0]:
             start = self._times[0]
@@ -498,6 +554,13 @@ class AvailabilityProfile:
                 )
         for i in range(lo, hi):
             free[i] += nodes
+        # The far edge first, so ``lo`` still names the near one.
+        if free[hi - 1] == free[hi]:
+            del times[hi]
+            del free[hi]
+        if lo and free[lo - 1] == free[lo]:
+            del times[lo]
+            del free[lo]
 
     def advance_origin(self, now: float) -> None:
         """Move the origin forward to ``now``, dropping passed segments.

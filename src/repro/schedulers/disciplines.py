@@ -36,6 +36,7 @@ reflects them (the plan-validity contract is on
 from __future__ import annotations
 
 import operator
+from math import inf
 from typing import Sequence
 
 from repro.core.job import Job
@@ -449,23 +450,44 @@ class _ReservationPlan:
         ``keep == 0`` on a fresh snapshot is the from-scratch plan.
         """
         n = len(queue)
-        # Early exit: once the nodes free *right now* drop below the
-        # narrowest job left in the queue, no further job can start at this
-        # decision point.  The jobs past that point stay unplanned and are
+        # Two exact early exits, both "no job left in the queue can start at
+        # this decision point".  (1) The nodes free *right now* are fewer
+        # than the narrowest remaining job needs.  (2) The plan profile dips
+        # below that narrowest width somewhere in ``[now, now + shortest)``,
+        # ``shortest`` being the least estimate among the remaining jobs
+        # that fit the nodes free at walk entry: a remaining job that fits
+        # is at least that wide and runs at least that long, and is placed
+        # on a profile pointwise no higher than this one, so the dip lies
+        # inside its window.  The jobs past the exit stay unplanned and are
         # picked up as the tail of a later decision; no planned job depends
         # on them, so stopping is exact, not an approximation.
         suffix_min = [_NO_JOB] * (n + 1)
+        shortest = [inf] * (n + 1)
         for i in range(n - 1, keep - 1, -1):
-            nodes = queue[i].nodes
+            job = queue[i]
+            nodes = job.nodes
             narrower = suffix_min[i + 1]
             suffix_min[i] = nodes if nodes < narrower else narrower
-        allocate = self.profile.allocate
+            shorter = shortest[i + 1]
+            if nodes <= free:
+                est = job.estimated_runtime
+                if est < _ZERO_RUNTIME_EPSILON:
+                    est = _ZERO_RUNTIME_EPSILON
+                if est < shorter:
+                    shorter = est
+            shortest[i] = shorter
+        profile = self.profile
+        allocate = profile.allocate
+        fits_now = profile.fits_at_origin
         jobs = self.jobs
         starts = self.starts
         started: list[Job] = []
         indices: list[int] = []
         for i in range(keep, n):
-            if free < suffix_min[i]:
+            # Passing (1) means the narrowest remaining job fits, so it is
+            # also the narrowest of those that fit at walk entry.
+            narrowest = suffix_min[i]
+            if free < narrowest or not fits_now(narrowest, shortest[i]):
                 break
             job = queue[i]
             # Zero-length estimates still occupy their nodes for the instant
@@ -537,7 +559,9 @@ class ConservativeBackfill(Discipline):
     ``depth`` bounds how many queued jobs are considered per decision point
     (production systems call this ``bf_max_job_test``); jobs beyond the
     bound neither start nor reserve.  ``None`` (the default) is the exact
-    algorithm of the paper.  A bounded depth keeps per-event cost constant
+    algorithm of the paper — the walk still ends early, but only where no
+    job left in the queue can start (:meth:`_ReservationPlan.place`), which
+    changes no start.  A bounded depth keeps per-event cost constant
     on pathological backlogs at the price of slightly weaker backfilling —
     never of correctness: the no-postponement guarantee among *considered*
     jobs is unchanged, and skipped jobs are simply deferred.

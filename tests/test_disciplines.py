@@ -5,6 +5,8 @@ scheduling, Garey & Graham any-fit, EASY's no-head-postponement invariant,
 and conservative backfilling's no-anyone-postponement invariant.
 """
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,10 +219,10 @@ class _HandDrivenMachine:
     """Machine, state, context and wait queue moved by hand, delta for delta
     the way the simulator moves them."""
 
-    def __init__(self, nodes):
+    def __init__(self, nodes, verify_every=0):
         self.machine = Machine(nodes)
         self.running = {}
-        self.state = SchedulingState(nodes)
+        self.state = SchedulingState(nodes, verify_every=verify_every)
         self.ctx = SchedulerContext(self.machine, self.running, state=self.state)
         self.queue = []
 
@@ -335,6 +337,76 @@ class TestConservativePlanReuse:
         scheduler = OrderedQueueScheduler(SubmitOrderPolicy(), ConservativeBackfill())
         with pytest.raises(StateDivergenceError, match="from-scratch walk"):
             simulate(jobs, scheduler, 64, config=SimulationConfig(verify_state=1))
+
+
+def _exit_free_walk(m, now):
+    """The textbook conservative walk, kept here as the reference: every
+    queued job is placed, in order, on a profile rebuilt from the running
+    set; no early exit, no kept plan, no fused kernel."""
+    profile = AvailabilityProfile.from_running(
+        m.machine.total_nodes,
+        now,
+        [(r.projected_end, r.job.nodes) for r in m.running.values()],
+    )
+    started = []
+    for job in m.queue:
+        estimate = job.estimated_runtime  # >= 1 here: no zero-length clamp
+        start = profile.earliest_start(job.nodes, estimate)
+        profile.reserve(start, estimate, job.nodes)
+        if start <= now:
+            started.append(job)
+    return started
+
+
+@st.composite
+def machine_and_stream(draw):
+    total = draw(st.integers(min_value=2, max_value=24))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=12),  # gap to the previous arrival
+                st.integers(min_value=1, max_value=total),
+                st.integers(min_value=1, max_value=60),  # estimate
+                st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),  # runtime / estimate
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    jobs, submit = [], 0.0
+    for job_id, (gap, nodes, estimate, used) in enumerate(rows):
+        submit += gap
+        jobs.append(J(job_id, submit, nodes, estimate * used, estimate=float(estimate)))
+    return total, jobs
+
+
+@given(machine_and_stream())
+@settings(max_examples=300, deadline=None)
+def test_conservative_starts_what_the_exit_free_walk_starts(case):
+    """Arrivals, early completions and on-time ones, instant by instant:
+    the walk that stops as soon as nothing more can start, on a plan kept
+    across decisions, starts the jobs the reference walk starts."""
+    total, jobs = case
+    # verify_every=1: each reused plan is also re-walked by _cross_check.
+    m = _HandDrivenMachine(total, verify_every=1)
+    discipline = ConservativeBackfill()
+    arrivals = jobs[::-1]
+    completions = []  # (time, job_id) heap
+    while arrivals or completions:
+        now = min(
+            arrivals[-1].submit_time if arrivals else float("inf"),
+            completions[0][0] if completions else float("inf"),
+        )
+        while completions and completions[0][0] == now:
+            m.complete(m.running[heapq.heappop(completions)[1]].job, now)
+        while arrivals and arrivals[-1].submit_time == now:
+            m.submit(arrivals.pop())
+        expected = _exit_free_walk(m, now)
+        started = m.decide(discipline, now)
+        assert [j.job_id for j in started] == [j.job_id for j in expected]
+        for job in started:
+            heapq.heappush(completions, (now + job.runtime, job.job_id))
+    assert not m.queue and not m.running
 
 
 class TestEmptyQueueGuards:

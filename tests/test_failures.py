@@ -404,6 +404,30 @@ class TestSimulatorFailures:
         res.schedule.validate(8, capacity=trace.capacity_steps(8))
         audit_run(res, jobs, trace, 8, recovery="resubmit")
 
+    def test_failure_that_kills_nothing_can_start_a_backfill(self):
+        # Not a no-op decision: the outage takes free nodes only, yet it
+        # moves the blocked head's shadow time from 100 (job 0's projected
+        # end, 10 nodes free) to the repair at 400 (7 free until then), and
+        # job 2 — too long for the old shadow, too wide for its 2 extra
+        # nodes — now ends before the new one.  A predicate that skips the
+        # scheduler after every kill-free NODE_DOWN is wrong under EASY.
+        jobs = [
+            J(0, 0.0, 4, 100.0),
+            J(1, 1.0, 8, 50.0),   # head, blocked: 6 free
+            J(2, 2.0, 3, 150.0),  # fits the free nodes, not the backfill rule
+        ]
+        trace = FailureTrace([NodeFailure(down_time=10.0, up_time=400.0, nodes=3)])
+        res = run(jobs, trace, nodes=10, scheduler=FCFSScheduler.with_easy())
+        assert res.failure_killed == ()
+        assert res.schedule[2].start_time == 10.0
+        assert res.schedule[1].start_time == 400.0
+        res.schedule.validate(10, capacity=trace.capacity_steps(10))
+        audit_run(res, jobs, trace, 10, recovery="resubmit")
+        # Without the outage job 2 waits behind the head.
+        healthy = run(jobs, FailureTrace([]), nodes=10, scheduler=FCFSScheduler.with_easy())
+        assert healthy.schedule[1].start_time == 100.0
+        assert healthy.schedule[2].start_time == 150.0
+
     def test_youngest_victim_killed_first(self):
         jobs = [J(0, 0.0, 4, 100.0), J(1, 5.0, 4, 100.0)]
         trace = FailureTrace([NodeFailure(down_time=20.0, up_time=200.0, nodes=4)])

@@ -1,7 +1,7 @@
 """Unit and property tests for the availability profile."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.profile import AvailabilityProfile
@@ -273,8 +273,40 @@ class TestCanonicalSteps:
     def test_merges_redundant_breakpoints(self):
         p = AvailabilityProfile(10)
         p.reserve(0.0, 10.0, 4)
-        p.release(10.0, 4)  # leaves a redundant breakpoint at 10
-        assert p.canonical_steps() == [(0.0, 10)]
+        p.reserve(10.0, 10.0, 4)  # abuts the first: levels its end step
+        assert p.steps() == [(0.0, 6), (10.0, 6), (20.0, 10)]
+        assert p.canonical_steps() == [(0.0, 6), (20.0, 10)]
+
+    def test_release_deletes_the_breakpoint_it_levels(self):
+        p = AvailabilityProfile(10)
+        p.reserve(0.0, 10.0, 4)
+        p.release(10.0, 4)
+        assert p.steps() == [(0.0, 10)]
+
+    def test_release_keeps_a_breakpoint_that_is_still_a_step(self):
+        p = AvailabilityProfile(10)
+        p.reserve(0.0, 10.0, 4)
+        p.reserve(0.0, 10.0, 3)
+        p.release(10.0, 4)  # the 3-wide job still ends at 10
+        assert p.steps() == [(0.0, 7), (10.0, 10)]
+        p.release(10.0, 3)
+        assert p.steps() == [(0.0, 10)]
+
+    def test_unreserve_deletes_both_edges_it_levels(self):
+        p = AvailabilityProfile(10)
+        p.reserve(0.0, 40.0, 8)
+        start = p.allocate(6, 30.0)
+        assert p.steps() == [(0.0, 2), (40.0, 4), (70.0, 10)]
+        p.unreserve(start, start + 30.0, 6)
+        assert p.steps() == [(0.0, 2), (40.0, 10)]  # 40 is still a step
+
+    def test_deleting_a_breakpoint_detaches_clones(self):
+        base = AvailabilityProfile(10)
+        base.reserve(0.0, 10.0, 4)
+        snap = base.clone()
+        base.release(10.0, 4)
+        assert base.steps() == [(0.0, 10)]
+        assert snap.steps() == [(0.0, 6), (10.0, 10)]
 
     def test_plain_profile_unchanged(self):
         p = AvailabilityProfile(10)
@@ -372,6 +404,73 @@ def test_allocate_then_unreserve_restores_the_step_function(case, advance_to):
             profile.unreserve(start, start + duration, profile.total_nodes + 1)
 
 
+def _canonical_copy(profile):
+    """The same step function with no level-equal breakpoint."""
+    steps = profile.canonical_steps()
+    copy = AvailabilityProfile(profile.total_nodes, origin=steps[0][0])
+    for (time, free), (until, _free) in zip(steps, steps[1:]):
+        copy.reserve_until(time, until, profile.total_nodes - free)
+    assert copy.steps() == steps
+    return copy
+
+
+@given(profile_and_query(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_allocate_unreserve_round_trip_restores_steps_exactly(case, from_origin):
+    """From a canonical profile the round trip leaves no breakpoint behind
+    and takes none away — ``steps()``, not only ``canonical_steps()``."""
+    profile, nodes, duration, after = case
+    profile = _canonical_copy(profile)
+    before = profile.steps()
+    witness = profile.clone()
+    start = profile.allocate(nodes, duration, after=None if from_origin else after)
+    assert witness.steps() == before  # the clone detached
+    profile.unreserve(start, start + duration, nodes)
+    assert profile.steps() == before
+
+
+running_sets = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
+        st.integers(min_value=1, max_value=16),
+    ),
+    max_size=8,
+)
+
+
+@given(
+    running_sets,
+    st.integers(min_value=1, max_value=64),
+    st.floats(min_value=0.1, max_value=2e5, allow_nan=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_reserve_from_origin_release_round_trip_restores_steps_exactly(
+    running, nodes, duration
+):
+    """Start a job now, have it complete at once: the state profile's cycle."""
+    profile = AvailabilityProfile.from_running(128, 10.0, running)
+    before = profile.steps()
+    assert before == profile.canonical_steps()
+    assume(nodes <= profile.free_at(10.0))
+    witness = profile.clone()
+    profile.reserve_from_origin(duration, nodes)
+    profile.release(10.0 + duration, nodes)
+    assert profile.steps() == before
+    assert witness.steps() == before
+    with pytest.raises(ValueError, match="exceeds total_nodes"):
+        profile.release(10.0 + duration, 129)
+
+
+@given(profile_and_query())
+@settings(max_examples=200, deadline=None)
+def test_fits_at_origin_is_earliest_start_at_the_origin(case):
+    profile, nodes, duration, after = case
+    profile.advance_origin(after)
+    assert profile.fits_at_origin(nodes, duration) == (
+        profile.earliest_start(nodes, duration) == profile.origin
+    )
+
+
 @given(
     st.integers(min_value=1, max_value=64),
     st.floats(min_value=0.1, max_value=1e4, allow_nan=False),
@@ -426,11 +525,29 @@ class TestAllocate:
             nodes = rng.randint(1, 64)
             duration = rng.uniform(0.1, 5000.0)
             after = rng.uniform(0.0, 1e5)
+            if rng.random() < 0.3:
+                after = None  # the conservative walk's spelling
             start_fused = fused.allocate(nodes, duration, after=after)
             start_paired = paired.earliest_start(nodes, duration, after=after)
             paired.reserve(start_paired, duration, nodes)
             assert start_fused == start_paired
             assert fused.steps() == paired.steps()
+        # The later half of the run went through the block-max path.
+        assert len(fused.steps()) >= 2 * _INDEX_MIN_SEGMENTS
+
+    def test_bit_identical_when_the_float_sum_absorbs_the_duration(self):
+        fused = AvailabilityProfile(16)
+        fused.reserve(0.0, 5e7, 16)
+        paired = fused.clone()
+        tiny = 1e-9  # 5e7 + 1e-9 == 5e7
+        start = paired.earliest_start(4, tiny)
+        paired.reserve(start, tiny, 4)
+        assert fused.allocate(4, tiny) == start == 5e7
+        assert fused.steps() == paired.steps() == [(0.0, 0), (5e7, 16)]
+        # ... and off a breakpoint, where the start edge is a new one.
+        assert fused.allocate(4, tiny, after=6e7) == 6e7
+        paired.reserve(paired.earliest_start(4, tiny, after=6e7), tiny, 4)
+        assert fused.steps() == paired.steps() == [(0.0, 0), (5e7, 16), (6e7, 16)]
 
     def test_nonpositive_duration_is_pure_query(self):
         profile = _busy_profile(seed=17)

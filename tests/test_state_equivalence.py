@@ -467,8 +467,33 @@ def _simultaneous_arrivals(jobs):
     return jobs, None, SimulationConfig()
 
 
+def _early_completions(jobs):
+    # Runtimes shrunk at fixed estimates, arrivals compressed with them so
+    # the backlog stays: nearly every completion is early and replans the
+    # queue, and the plans are long because the estimates still are.
+    jobs = [
+        replace(job, runtime=job.runtime * 0.2, submit_time=job.submit_time * 0.2)
+        for job in jobs
+    ]
+    return jobs, None, SimulationConfig()
+
+
+def _mixed_early_completions(jobs):
+    # Most jobs vanish almost at once, every third one runs to its estimate:
+    # on-time completions (no release, still a delta) between early ones.
+    jobs = [
+        replace(job, runtime=job.estimate, submit_time=job.submit_time * 0.5)
+        if job.job_id % 3 == 0
+        else replace(job, runtime=job.runtime * 0.02, submit_time=job.submit_time * 0.5)
+        for job in jobs
+    ]
+    return jobs, None, SimulationConfig()
+
+
 CONSERVATIVE_SCENARIOS = {
     "plain": _plain,
+    "early-completions": _early_completions,
+    "mixed-early-completions": _mixed_early_completions,
     "cancellations": _cancellations,
     "failures-resubmit": _failures_with_resubmit,
     "overruns": _overruns,
