@@ -1,16 +1,17 @@
 """Dispatch-overhead benchmarks for the parallel experiment engine.
 
-The engine fans the paper's 13-cell grid out over a process pool; cells
-travel as the workload's digest and the packed stream ships once per pool
-through the worker initializer.  These benchmarks price that path:
+The engine fans the paper's 13-cell grid out over a process pool it keeps
+for all its grids; cells travel as the workload's digest and the packed
+stream is spooled once per pool, for workers to hydrate on their first
+cell of it.  These benchmarks price that path:
 
 * **payload bytes per cell** — the 64-char digest each cell carries, plus
-  the packed buffer shipped once per pool (``store_bytes_per_cell`` is
+  the packed buffer spooled once per pool (``store_bytes_per_cell`` is
   gated "must not grow" by ``check_regression.py``);
 * **pack / unpack / fingerprint throughput** — the fixed costs the store
   adds on the way in;
-* **store dispatch** (script mode) — wall clock of a real pool
-  round-trip through the seeded store;
+* **store dispatch** (script mode) — wall clock of a grid's round-trip
+  through the spool on a pool an earlier grid already warmed;
 * **journal append** — the fsynced per-cell cost of the run journal, the
   price every journaled cell pays for crash tolerance;
 * **remote dispatch latency** — one length-prefixed, checksummed frame
@@ -194,29 +195,41 @@ def _store_cell(digest):
 
 
 def measure_pool_dispatch(jobs: list[Job], workers: int = 2) -> float:
-    """Wall clock of one grid's worth of no-op cells through a fresh pool.
+    """Wall clock of a second grid's worth of no-op cells on a warm pool.
 
-    Isolates dispatch overhead: each task only resolves its digest from
-    the worker cache the initializer seeded.
+    The engine keeps one pool for all its grids, so what a grid costs in
+    dispatch is what it costs on workers that already run: spool the new
+    stream once, then per cell the digest out and the answer back, with
+    one validated hydration per worker.  A first grid (another stream)
+    forks and warms the workers outside the timed section.
     """
     from concurrent.futures import ProcessPoolExecutor
 
     from repro.experiments.backends.pool import pool_context
-    from repro.experiments.workload_store import WorkloadStore, seed_worker_cache
+    from repro.experiments.workload_store import (
+        WorkloadStore,
+        init_worker,
+        spool_workload,
+    )
 
     store = WorkloadStore()
-    packed = store.register(fingerprint_jobs(jobs), jobs)
-    digest = fingerprint_packed(packed)
+    streams = [jobs[: len(jobs) // 2], jobs]
+    digests = [fingerprint_jobs(stream) for stream in streams]
+    packed = [store.register(d, stream) for d, stream in zip(digests, streams)]
 
-    t0 = time.perf_counter()
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=pool_context(),
-        initializer=seed_worker_cache,
-        initargs=(store.entries(digest),),
-    ) as pool:
-        counts = list(pool.map(_store_cell, [digest] * N_CELLS))
-    elapsed = time.perf_counter() - t0
+    with tempfile.TemporaryDirectory(prefix="repro-bench-pool-") as spool:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=pool_context(),
+            initializer=init_worker,
+            initargs=(spool, None),
+        ) as pool:
+            spool_workload(spool, digests[0], packed[0])
+            list(pool.map(_store_cell, [digests[0]] * N_CELLS))
+            t0 = time.perf_counter()
+            spool_workload(spool, digests[1], packed[1])
+            counts = list(pool.map(_store_cell, [digests[1]] * N_CELLS))
+            elapsed = time.perf_counter() - t0
     assert counts == [len(jobs)] * N_CELLS
     return elapsed
 

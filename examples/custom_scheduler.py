@@ -78,15 +78,17 @@ def main() -> None:
         registered_configurations(rows=("sjf", "wf"))
     )
 
-    engine = ExperimentEngine(
+    # The engine keeps its worker pool between runs; leaving the block
+    # stops the workers.
+    with ExperimentEngine(
         workers=4,
         cache=".repro-cache",
         on_event=lambda e: e.kind == "cell-finished"
         and print(f"  {e.key}: {e.objective:.4G} in {e.wall_time:.2f}s"),
-    )
-    grid = engine.run(
-        jobs, workload_name="CTC-like", total_nodes=TOTAL_NODES, configs=configs
-    )
+    ) as engine:
+        grid = engine.run(
+            jobs, workload_name="CTC-like", total_nodes=TOTAL_NODES, configs=configs
+        )
     print()
     print(format_grid(grid))
     stats = engine.stats

@@ -12,13 +12,14 @@ versions, or loaded into any analysis stack:
   :func:`cell_to_dict` / :func:`cell_from_dict` pair backs the
   experiment engine's content-addressed cache);
 * **engine events** — :func:`append_events` archives the engine's
-  structured progress stream as JSON lines for later timing analysis.
+  structured progress stream as JSON lines for later timing analysis
+  (:func:`event_line` is the one encoder, shared with the CLI's
+  ``--events`` log).
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, TextIO
@@ -227,6 +228,26 @@ def read_grid(source: str | Path) -> "GridResult":
 # -- engine progress events (JSON lines) ---------------------------------------
 
 
+#: The fields of a :class:`~repro.experiments.lifecycle.ProgressEvent`,
+#: in declaration order — the key order of every events-JSONL line.
+EVENT_FIELDS = (
+    "kind",
+    "workload_name",
+    "weighted",
+    "key",
+    "wall_time",
+    "objective",
+    "cached",
+    "detail",
+    "run_id",
+)
+
+
+def event_line(event: "ProgressEvent") -> str:
+    """One engine progress event as its JSONL line (newline included)."""
+    return json.dumps({name: getattr(event, name) for name in EVENT_FIELDS}) + "\n"
+
+
 def append_events(events: "Iterable[ProgressEvent]", target: str | Path) -> int:
     """Append engine progress events to a JSONL file; returns the count.
 
@@ -236,6 +257,6 @@ def append_events(events: "Iterable[ProgressEvent]", target: str | Path) -> int:
     count = 0
     with open(target, "a", encoding="utf-8") as handle:
         for event in events:
-            handle.write(json.dumps(dataclasses.asdict(event)) + "\n")
+            handle.write(event_line(event))
             count += 1
     return count

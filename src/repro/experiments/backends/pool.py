@@ -8,9 +8,15 @@ across independent executors so one crashing or hung cell only takes its
 own shard's in-flight cells with it — the other groups keep computing
 while the broken one is rebuilt.
 
-All groups share one heartbeat sentinel directory: the engine's watchdog
-only needs the *freshest* touch to know the backend is alive, and a
-silently dead shard surfaces through lease expiry on its cells.
+A pool outlives the grids it runs: the engine keeps it between runs
+(see :meth:`ExperimentEngine.borrow_pool <repro.experiments.engine.
+ExperimentEngine.borrow_pool>`), so workers are forked once per engine,
+not once per grid.  All groups share one scratch directory holding the
+workload spool (``<digest>.jobs``, written on the first cell of a digest
+and read by workers on their first miss) and the heartbeat sentinels
+(``<pid>.hb``): the engine's watchdog only needs the *freshest* touch to
+know the backend is alive, and a silently dead shard surfaces through
+lease expiry on its cells.
 """
 
 from __future__ import annotations
@@ -30,10 +36,11 @@ from repro.experiments.backends.base import (
     ReleaseReport,
 )
 from repro.experiments.journal import freshest_heartbeat
-from repro.experiments.workload_store import init_worker
+from repro.experiments.workload_store import init_worker, spool_workload
+from repro.schedulers.registry import registry_generation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.packing import PackedJobs
+    from repro.experiments.workload_store import WorkloadStore
 
 __all__ = ["PoolBackend", "pool_context", "terminate_pool"]
 
@@ -69,12 +76,11 @@ class PoolBackend(ExecutionBackend):
         self,
         *,
         workers: int,
-        n_cells: int,
         groups: int = 1,
-        store_entries: "tuple[tuple[str, PackedJobs], ...]",
+        store: "WorkloadStore",
         heartbeat_interval: float | None = None,
     ) -> None:
-        total = max(1, min(workers, n_cells))
+        total = max(1, workers)
         self.groups = max(1, min(groups, total))
         self.name = (
             "local-pool" if self.groups == 1 else f"sharded-pool[{self.groups}]"
@@ -84,36 +90,39 @@ class PoolBackend(ExecutionBackend):
             total // self.groups + (1 if i < total % self.groups else 0)
             for i in range(self.groups)
         ]
-        self._store_entries = store_entries
+        self._store = store
         self._heartbeat_interval = heartbeat_interval
         self._execs: list[ProcessPoolExecutor | None] = [None] * self.groups
         self._futures: dict[Future, tuple[str, int]] = {}
         self._broken: set[int] = set()
-        self._hb_dir: str | None = None
+        #: Scratch directory (spool + heartbeat sentinels) while started.
+        self._dir: str | None = None
+        #: Digests already spooled into ``_dir``.
+        self._spooled: set[str] = set()
+        #: Scheduler-registry generation the workers were forked under.
+        self.generation = -1
         self._epoch = time.time()
         self._rr = 0
 
     # -- lifecycle ---------------------------------------------------------
 
     def _make_group(self, index: int) -> None:
-        # A (re)built group re-seeds its workers from the store and
-        # re-arms their heartbeats: the initializer runs again in every
-        # fresh worker process.
+        # A (re)built group re-arms its workers' heartbeats (the
+        # initializer runs again in every fresh worker process); they
+        # hydrate their workloads from the spool like the first ones did.
         self._epoch = time.time()
         self._execs[index] = ProcessPoolExecutor(
             max_workers=self._group_workers[index],
             mp_context=pool_context(),
             initializer=init_worker,
-            initargs=(
-                self._store_entries,
-                self._hb_dir,
-                self._heartbeat_interval,
-            ),
+            initargs=(self._dir, self._heartbeat_interval),
         )
 
     def start(self) -> None:
-        if self._heartbeat_interval is not None:
-            self._hb_dir = tempfile.mkdtemp(prefix="repro-hb-")
+        if self._dir is not None:
+            return  # kept running by the engine since an earlier grid
+        self._dir = tempfile.mkdtemp(prefix="repro-pool-")
+        self.generation = registry_generation()
         for index in range(self.groups):
             self._make_group(index)
 
@@ -124,11 +133,12 @@ class PoolBackend(ExecutionBackend):
                 self._execs[index] = None
         self._futures.clear()
         self._broken.clear()
-        if self._hb_dir is not None:
+        self._spooled.clear()
+        if self._dir is not None:
             # Worker heartbeat threads exit on their next touch (the
             # sentinel directory is gone).
-            shutil.rmtree(self._hb_dir, ignore_errors=True)
-            self._hb_dir = None
+            shutil.rmtree(self._dir, ignore_errors=True)
+            self._dir = None
 
     # -- dispatch ----------------------------------------------------------
 
@@ -143,6 +153,10 @@ class PoolBackend(ExecutionBackend):
     def submit(self, task: CellTask) -> bool:
         from repro.experiments.engine import _run_cell_task
 
+        digest = task.request.digest
+        if digest not in self._spooled:
+            spool_workload(self._dir, digest, self._store.get(digest))
+            self._spooled.add(digest)
         for _ in range(self.groups):
             index = self._rr % self.groups
             self._rr += 1
@@ -192,9 +206,9 @@ class PoolBackend(ExecutionBackend):
         return {fp for fp, _ in self._futures.values()}
 
     def liveness(self) -> float | None:
-        if self._hb_dir is None:
+        if self._heartbeat_interval is None or self._dir is None:
             return None
-        newest = freshest_heartbeat(self._hb_dir)
+        newest = freshest_heartbeat(self._dir)
         return max(newest or 0.0, self._epoch)
 
     # -- failure paths -----------------------------------------------------

@@ -537,7 +537,9 @@ def _run_experiments(
     source_trace: "list[Job] | None",
 ) -> int:
     """Run the paper artifacts on the one engine of this invocation (every
-    artifact shares its cache, journal directory and workload store)."""
+    artifact shares its cache, journal directory, workload store, worker
+    pool and ``--events`` log handle)."""
+    from repro.analysis.persistence import event_line
     from repro.experiments.engine import ExperimentEngine
     from repro.experiments.journal import (
         ManifestMismatchError,
@@ -546,8 +548,6 @@ def _run_experiments(
     )
 
     def on_event(event) -> None:
-        from repro.analysis.persistence import append_events
-
         if event.kind in ("cell-finished", "cache-hit"):
             wall = f" in {event.wall_time:.2f}s" if event.wall_time is not None else ""
             hit = " (cache hit)" if event.cached else ""
@@ -557,8 +557,10 @@ def _run_experiments(
             )
         elif event.kind == "cache-degraded":
             print(f"  [cache degraded] {event.detail}", file=sys.stderr)
-        if args.events is not None:
-            append_events([event], args.events)
+        if events_log is not None:
+            # Flushed per event: a killed run's log ends at its last event.
+            events_log.write(event_line(event))
+            events_log.flush()
 
     engine = ExperimentEngine(
         workers=args.workers,
@@ -571,44 +573,53 @@ def _run_experiments(
         connect=tuple(args.connect or ()),
         remote_cache=args.remote_cache,
     )
-    for experiment_id in ids:
-        spec = EXPERIMENTS[experiment_id]
-        scale = spec.paper_scale if args.full else args.scale
-        try:
-            result = run_experiment(
-                experiment_id,
-                scale=scale,
-                seed=args.seed,
-                total_nodes=args.nodes,
-                progress=lambda msg: print(f"[{experiment_id}] {msg}", file=sys.stderr),
-                source_trace=source_trace,
-                resume_run_id=args.resume,
-                scenario=scenario,
-                engine=engine,
-            )
-        except RunInterrupted as exc:
-            print(f"\ninterrupted by {exc.signal_name}: {exc}", file=sys.stderr)
-            if exc.run_id:
-                print(
-                    f"resume with: repro-experiments {experiment_id} --resume "
-                    f"{exc.run_id}",
-                    file=sys.stderr,
+    # One handle for the whole invocation (appending: resumes accumulate).
+    events_log = (
+        open(args.events, "a", encoding="utf-8") if args.events is not None else None
+    )
+    try:
+        for experiment_id in ids:
+            spec = EXPERIMENTS[experiment_id]
+            scale = spec.paper_scale if args.full else args.scale
+            try:
+                result = run_experiment(
+                    experiment_id,
+                    scale=scale,
+                    seed=args.seed,
+                    total_nodes=args.nodes,
+                    progress=lambda msg: print(f"[{experiment_id}] {msg}", file=sys.stderr),
+                    source_trace=source_trace,
+                    resume_run_id=args.resume,
+                    scenario=scenario,
+                    engine=engine,
                 )
-            return 130
-        except (ManifestMismatchError, UnknownRunError) as exc:
-            print(f"cannot resume {args.resume}: {exc}", file=sys.stderr)
-            return 2
-        for regime, run_id in result.run_ids.items():
-            print(f"[{experiment_id}] {regime} run id: {run_id}", file=sys.stderr)
-        for regime, report in result.reports.items():
-            banner = f"=== {experiment_id} ({regime}) — {spec.description} ==="
-            print(banner)
-            print(report)
-            print(f"rank agreement with the paper: {result.agreement[regime]:.2f}")
-            print()
-            if args.out is not None:
-                path = args.out / f"{experiment_id}_{regime}.txt"
-                path.write_text(banner + "\n" + report + "\n")
+            except RunInterrupted as exc:
+                print(f"\ninterrupted by {exc.signal_name}: {exc}", file=sys.stderr)
+                if exc.run_id:
+                    print(
+                        f"resume with: repro-experiments {experiment_id} --resume "
+                        f"{exc.run_id}",
+                        file=sys.stderr,
+                    )
+                return 130
+            except (ManifestMismatchError, UnknownRunError) as exc:
+                print(f"cannot resume {args.resume}: {exc}", file=sys.stderr)
+                return 2
+            for regime, run_id in result.run_ids.items():
+                print(f"[{experiment_id}] {regime} run id: {run_id}", file=sys.stderr)
+            for regime, report in result.reports.items():
+                banner = f"=== {experiment_id} ({regime}) — {spec.description} ==="
+                print(banner)
+                print(report)
+                print(f"rank agreement with the paper: {result.agreement[regime]:.2f}")
+                print()
+                if args.out is not None:
+                    path = args.out / f"{experiment_id}_{regime}.txt"
+                    path.write_text(banner + "\n" + report + "\n")
+    finally:
+        engine.close()
+        if events_log is not None:
+            events_log.close()
     return 0
 
 

@@ -29,7 +29,6 @@ from repro.experiments.backends.base import (
     ExecutionBackend,
 )
 from repro.experiments.backends.pool import PoolBackend
-from repro.experiments.backends.remote import RemoteWorkerBackend
 from repro.schedulers.registry import SchedulerConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -128,20 +127,20 @@ class Dispatch:
 
         In-process serial execution (the unconditional last resort) is
         not a rung: :meth:`execute` returns the leftovers to the engine.
+        The pool rungs borrow the engine's long-lived pool, whose workers
+        read the workload from its spool; ``store_entries`` seeds the
+        remote workers.
         """
         engine = self.engine
 
         def pool_rung(groups: int) -> "Callable[[], ExecutionBackend]":
-            return lambda: PoolBackend(
-                workers=engine.workers,
-                n_cells=len(self.order),
-                groups=groups,
-                store_entries=store_entries,
-                heartbeat_interval=engine.heartbeat_interval,
-            )
+            return lambda: engine.borrow_pool(groups)
 
         factories: "list[Callable[[], ExecutionBackend]]" = []
         if engine.execution_backend == "remote":
+            # Imported here: a local sweep never loads the socket stack.
+            from repro.experiments.backends.remote import RemoteWorkerBackend
+
             factories.append(
                 lambda: RemoteWorkerBackend(
                     engine.connect,
@@ -162,11 +161,14 @@ class Dispatch:
         more than ``max_pool_rebuilds`` times on one rung — hands its
         leftovers to the next rung; what the last rung leaves, plus every
         cell whose retry budget ran out, is returned in grid order for
-        in-process serial execution.
+        in-process serial execution.  A local pool whose rung finished
+        every cell it was given goes back to the engine for the next
+        grid; any other backend — and a pool that gave up, or that an
+        interrupt or error took the run away from — is closed.
         """
         run, request = self.run, self.run.request
         # Zero-copy dispatch: register the packed stream once, ship only
-        # the digest per cell; pool workers hydrate via the initializer,
+        # the digest per cell; pool workers hydrate from the pool's spool,
         # remote workers via a one-time SEED frame per connection.
         store = self.engine.workload_store
         store.register(request.digest, request.jobs)
@@ -178,6 +180,7 @@ class Dispatch:
             if not queue:
                 break
             backend = factory()
+            # Non-empty here, so empty only once drive() has finished them.
             leftovers = queue
             try:
                 try:
@@ -194,7 +197,10 @@ class Dispatch:
                     run.stats.backend = backend.name
                 leftovers = self.drive(backend, queue)
             finally:
-                backend.close()
+                if not leftovers and isinstance(backend, PoolBackend):
+                    self.engine.return_pool(backend)
+                else:
+                    backend.close()
                 queue = leftovers
             if queue and rung + 1 < len(ladder):
                 run.emit(
@@ -265,7 +271,7 @@ class Dispatch:
     def shut_down(self) -> NoReturn:
         """Graceful shutdown: journal everything unfinished as
         interrupted and surface the resumable id (the ladder walk's
-        ``finally`` drops the backend)."""
+        ``finally`` closes the backend)."""
         unfinished = (
             set(self.queue)
             | self.backend.in_flight()
@@ -283,18 +289,19 @@ class Dispatch:
             del self.resubmit_at[fp]
             self.queue.append(fp)
         cell_timeout = self.engine.cell_timeout
-        while self.queue and self.backend.can_accept():
-            fp = self.queue[0]
-            config = self.config_by_fp[fp]
-            task = CellTask(
-                fp, self.run.request.cell_request(config, self.engine.backend)
-            )
-            if not self.backend.submit(task):
-                break
-            del self.queue[0]
-            self.run.journal_cell(config.key, "started", fingerprint=fp)
-            if cell_timeout is not None:
-                self.leases[fp] = time.perf_counter() + cell_timeout
+        with self.run.batch():
+            while self.queue and self.backend.can_accept():
+                fp = self.queue[0]
+                config = self.config_by_fp[fp]
+                task = CellTask(
+                    fp, self.run.request.cell_request(config, self.engine.backend)
+                )
+                if not self.backend.submit(task):
+                    break
+                del self.queue[0]
+                self.run.journal_cell(config.key, "started", fingerprint=fp)
+                if cell_timeout is not None:
+                    self.leases[fp] = time.perf_counter() + cell_timeout
 
     def next_wait_timeout(self) -> float | None:
         """Seconds until the next dispatch-loop deadline (None: never).
@@ -323,24 +330,25 @@ class Dispatch:
     def handle_outcomes(self, outcomes: list[CellOutcome]) -> bool:
         """File collected outcomes; False once the rung is beyond help."""
         broke = False
-        for outcome in outcomes:
-            fp = outcome.fingerprint
-            self.leases.pop(fp, None)
-            if outcome.kind == "done":
-                # A late answer may beat its own retry: cancel the
-                # cell's other copies wherever they are queued.
-                self.resubmit_at.pop(fp, None)
-                if fp in self.queue:
-                    self.queue.remove(fp)
-                if fp in self.serial_fallback:
-                    self.serial_fallback.remove(fp)
-                self.record_done(fp, outcome.value)  # type: ignore[arg-type]
-                continue
-            if outcome.kind == "broken":
-                broke = True
-            if fp in self.completed:
-                continue  # stale failure for an already-answered cell
-            self.charge_retry(fp, outcome.detail)
+        with self.run.batch():
+            for outcome in outcomes:
+                fp = outcome.fingerprint
+                self.leases.pop(fp, None)
+                if outcome.kind == "done":
+                    # A late answer may beat its own retry: cancel the
+                    # cell's other copies wherever they are queued.
+                    self.resubmit_at.pop(fp, None)
+                    if fp in self.queue:
+                        self.queue.remove(fp)
+                    if fp in self.serial_fallback:
+                        self.serial_fallback.remove(fp)
+                    self.record_done(fp, outcome.value)  # type: ignore[arg-type]
+                    continue
+                if outcome.kind == "broken":
+                    broke = True
+                if fp in self.completed:
+                    continue  # stale failure for an already-answered cell
+                self.charge_retry(fp, outcome.detail)
         if not broke:
             return True
         # Broken backend parts doom their other in-flight cells;

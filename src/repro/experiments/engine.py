@@ -38,6 +38,7 @@ over this engine, so all existing callers share the same execution path.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -50,6 +51,7 @@ from repro.experiments.backends.cache import (
     ResultCache,
     store_from_spec,
 )
+from repro.experiments.backends.pool import PoolBackend
 from repro.experiments.dispatch import Dispatch, watchdog_defaults
 from repro.experiments.fingerprint import (
     CACHE_VERSION,
@@ -70,7 +72,11 @@ from repro.experiments.workload_store import (
 )
 from repro.resilience import RetryPolicy
 from repro.scenarios import ScenarioSpec
-from repro.schedulers.registry import SchedulerConfig, paper_configurations
+from repro.schedulers.registry import (
+    SchedulerConfig,
+    paper_configurations,
+    registry_generation,
+)
 
 __all__ = [
     "CACHE_VERSION",
@@ -179,10 +185,12 @@ def _run_cell_task(request: CellRequest) -> tuple[str, CellResult, float]:
     """Worker entry point: simulate one cell, return (key, result, wall).
 
     ``request.digest`` is resolved against the process-global workload
-    cache the pool initializer (or a remote SEED frame) hydrated, and the
-    scheduler is rebuilt from the registry inside the worker — with the
-    fork start method the child inherits user registrations made before
-    the run — so nothing unpicklable crosses the process boundary.
+    cache (hydrated from the pool's spool on first use, or by a remote
+    SEED frame), and the scheduler is rebuilt from the registry inside
+    the worker — with the fork start method the child inherits user
+    registrations made before its pool was forked, and the engine
+    re-forks a pool the registry has changed under — so nothing
+    unpicklable crosses the process boundary.
     """
     jobs = resolve_worker_workload(request.digest)
     t0 = time.perf_counter()
@@ -193,6 +201,11 @@ def _run_cell_task(request: CellRequest) -> tuple[str, CellResult, float]:
 #: Sentinel distinguishing "kwarg not passed" (environment default
 #: applies) from an explicit ``heartbeat_interval=None`` (watchdog off).
 _WATCHDOG_UNSET: object = object()
+
+
+def _close_pools(pools: "dict[int, PoolBackend]") -> None:
+    while pools:
+        pools.popitem()[1].close()
 
 
 # -- the engine ----------------------------------------------------------------
@@ -280,9 +293,13 @@ class ExperimentEngine:
         absent from cell fingerprints and run manifests — caches and
         journals written under one backend resume cleanly under the other.
 
-    ``stats`` holds the :class:`RunStats` of the most recent :meth:`run`
-    — the only thing a run leaves on the engine; everything else a run
-    mutates lives on its own :class:`~repro.experiments.lifecycle.GridRun`.
+    ``stats`` holds the :class:`RunStats` of the most recent :meth:`run`;
+    everything else a run mutates lives on its own
+    :class:`~repro.experiments.lifecycle.GridRun`.  Between runs the
+    engine also keeps its local worker pool alive, so a sweep of many
+    grids forks its workers once: :meth:`close` (or ``with engine:``)
+    stops them, and an engine that is dropped or still open at
+    interpreter exit is closed by a finalizer.
     """
 
     def __init__(
@@ -376,6 +393,56 @@ class ExperimentEngine:
         self.heartbeat_timeout = heartbeat_timeout
         self.handle_signals = handle_signals
         self.stats = RunStats()
+        #: The started pool kept between runs, under its shard count (at
+        #: most one entry; see :meth:`borrow_pool`).
+        self._pools: dict[int, PoolBackend] = {}
+        weakref.finalize(self, _close_pools, self._pools)
+
+    # -- the worker pool --------------------------------------------------------
+
+    def borrow_pool(self, groups: int) -> PoolBackend:
+        """Take the engine's local pool for one rung of one run.
+
+        The pool kept from an earlier run when there is one — unless the
+        scheduler registry changed since its workers were forked, which
+        they could not see — else a new, unstarted one.  The borrower
+        either hands it back (:meth:`return_pool`, the rung finished
+        every cell) or closes it; the engine keeps no reference
+        meanwhile, so a pool that broke or was interrupted is never
+        reused.
+        """
+        groups = min(groups, self.workers)  # as PoolBackend clamps it
+        pool = self._pools.pop(groups, None)
+        self.close()  # a pool kept for another sharding
+        if pool is not None and pool.generation != registry_generation():
+            pool.close()
+            pool = None
+        if pool is None:
+            pool = PoolBackend(
+                workers=self.workers,
+                groups=groups,
+                store=self.workload_store,
+                heartbeat_interval=self.heartbeat_interval,
+            )
+        return pool
+
+    def return_pool(self, pool: PoolBackend) -> None:
+        """Keep a started, idle pool for the next run (see :meth:`borrow_pool`)."""
+        self.close()  # at most one is kept: two overlapping runs each had one
+        self._pools[pool.groups] = pool
+
+    def close(self) -> None:
+        """Stop the worker pool kept between runs (idempotent).
+
+        The engine stays usable: the next parallel run starts a new pool.
+        """
+        _close_pools(self._pools)
+
+    def __enter__(self) -> "ExperimentEngine":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def _prepare(
         self,

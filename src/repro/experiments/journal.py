@@ -11,7 +11,8 @@ trustworthy.  This module adds that record:
   (workload digest, config keys, machine size, regime, failure-scenario
   fingerprints, ``CACHE_VERSION``); every later record is one cell state
   transition (``scheduled`` / ``started`` / ``completed`` / ``failed`` /
-  ``abandoned`` / ``interrupted``).  Every record is fsynced and carries
+  ``abandoned`` / ``interrupted``).  Every record is fsynced (records
+  written in one loop share the fsync, :meth:`RunJournal.batch`) and carries
   a truncated-SHA256 checksum, so a torn final line (the driver died
   mid-``write``) is detected and dropped on replay while torn *interior*
   lines — which cannot happen under append-only semantics and therefore
@@ -38,6 +39,7 @@ the *latest* record per cell wins.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -45,7 +47,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.engine import ResultCache
@@ -355,9 +357,10 @@ class RunJournal:
     attempt under the same run id) or continue one with :meth:`open_resume`
     (appends a ``resumed`` marker).  Every record is written as one JSON
     line with an embedded checksum and flushed + fsynced before the
-    method returns, so the journal never lies about what *was* recorded
-    — the worst a crash can do is tear the final line, which replay
-    detects and drops.
+    method returns — or, inside :meth:`batch`, before the batch ends — so
+    the journal never lies about what *was* recorded: the worst a crash
+    can do is lose the records of the batch it interrupted and tear the
+    final line, which replay detects and drops.
     """
 
     def __init__(self, path: Path, manifest: dict, handle: io.TextIOBase) -> None:
@@ -365,6 +368,10 @@ class RunJournal:
         self.manifest = manifest
         self._handle = handle
         self._seq = 0
+        #: Open :meth:`batch` blocks (they nest).
+        self._batches = 0
+        #: Records written since the last fsync.
+        self._unsynced = False
 
     @property
     def run_id(self) -> str:
@@ -393,6 +400,13 @@ class RunJournal:
         """
         path = Path(path)
         replay = read_journal(path)
+        if replay.torn_tail:
+            # Cut the torn line off: appended to, it would become a torn
+            # *interior* line and the journal unreadable for good.
+            with open(path, "rb+") as raw:
+                data = raw.read()
+                torn_end = len(data.rstrip(b"\r\n"))
+                raw.truncate(data.rfind(b"\n", 0, torn_end) + 1)
         handle = open(path, "a", encoding="utf-8")
         journal = cls(path, dict(replay.manifest), handle)
         journal._append(
@@ -405,8 +419,31 @@ class RunJournal:
         payload["seq"] = self._seq
         self._seq += 1
         self._handle.write(_encode_record(payload) + "\n")
+        self._unsynced = True
+        if not self._batches:
+            self._sync()
+
+    def _sync(self) -> None:
         self._handle.flush()
         os.fsync(self._handle.fileno())
+        self._unsynced = False
+
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        """Group commit: records appended inside share one flush + fsync.
+
+        The sync happens when the outermost batch ends, also when an
+        exception ends it.  Nothing written inside is durable before
+        that, so callers announce those records (events, results handed
+        on) only after the block.
+        """
+        self._batches += 1
+        try:
+            yield
+        finally:
+            self._batches -= 1
+            if not self._batches and self._unsynced:
+                self._sync()
 
     def record_cell(
         self,

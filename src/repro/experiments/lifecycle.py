@@ -124,7 +124,7 @@ class GridRun:
 
     __slots__ = (
         "request", "grid", "stats", "results", "cache", "journal",
-        "interrupted", "handlers_active", "_on_event", "_already",
+        "interrupted", "handlers_active", "_on_event", "_held", "_already",
         "_health_base", "_breaker_hook",
     )
 
@@ -142,6 +142,8 @@ class GridRun:
         self.results: dict[str, CellResult] = {}
         self.cache = cache
         self._on_event = on_event
+        #: Events raised inside an open :meth:`batch`, in order.
+        self._held: list[ProgressEvent] | None = None
         self.stats = RunStats(
             total_cells=len(request.configs),
             run_id=request.run_id if journal_root is not None else None,
@@ -183,45 +185,76 @@ class GridRun:
     # -- events, journal, results -------------------------------------------
 
     def emit(self, kind: str, **fields: object) -> None:
-        """Send one :class:`ProgressEvent` of this grid to the callback."""
-        if self._on_event is not None:
-            self._on_event(
-                ProgressEvent(
-                    kind=kind,
-                    workload_name=self.grid.workload_name,
-                    weighted=self.grid.weighted,
-                    **fields,  # type: ignore[arg-type]
-                )
-            )
+        """Send one :class:`ProgressEvent` of this grid to the callback
+        (once the open :meth:`batch`, if any, has committed)."""
+        if self._on_event is None:
+            return
+        event = ProgressEvent(
+            kind=kind,
+            workload_name=self.grid.workload_name,
+            weighted=self.grid.weighted,
+            **fields,  # type: ignore[arg-type]
+        )
+        if self._held is not None:
+            self._held.append(event)
+        else:
+            self._on_event(event)
 
     def journal_cell(self, key: str, state: str, **fields: object) -> None:
         if self.journal is not None:
             self.journal.record_cell(key, state, **fields)  # type: ignore[arg-type]
 
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        """Group commit around a loop that journals several cells.
+
+        The records written inside share one fsync
+        (:meth:`RunJournal.batch <repro.experiments.journal.RunJournal.
+        batch>`), and every event raised inside is held back, in order,
+        until that fsync returned — so an event still never announces a
+        fact the journal could lose.  An exception leaving the block
+        drops the held events: the run is over, and what its journal
+        kept is what a resume replays.
+        """
+        commit = (
+            self.journal.batch() if self.journal is not None
+            else contextlib.nullcontext()
+        )
+        self._held = held = []
+        try:
+            with commit:
+                yield
+        finally:
+            self._held = None
+        for event in held:  # empty without a callback: emit holds nothing
+            self._on_event(event)  # type: ignore[misc]
+
     def lookup(self) -> list[tuple[SchedulerConfig, str]]:
         """Fingerprint every cell; serve hits from the cache, return misses."""
         pending: list[tuple[SchedulerConfig, str]] = []
-        for config in self.request.configs:
-            fp = self.request.fingerprint(config)
-            self.grid.fingerprints[config.key] = fp
-            cell = self.cache.get(fp) if self.cache is not None else None
-            if cell is None:
-                self.journal_cell(config.key, "scheduled", fingerprint=fp)
-                pending.append((config, fp))
-                continue
-            self.results[config.key] = cell
-            self.stats.cache_hits += 1
-            if config.key not in self._already:
-                self.journal_cell(
-                    config.key,
-                    "completed",
-                    fingerprint=fp,
-                    objective=cell.objective,
+        with self.batch():
+            for config in self.request.configs:
+                fp = self.request.fingerprint(config)
+                self.grid.fingerprints[config.key] = fp
+                cell = self.cache.get(fp) if self.cache is not None else None
+                if cell is None:
+                    self.journal_cell(config.key, "scheduled", fingerprint=fp)
+                    pending.append((config, fp))
+                    continue
+                self.results[config.key] = cell
+                self.stats.cache_hits += 1
+                if config.key not in self._already:
+                    self.journal_cell(
+                        config.key,
+                        "completed",
+                        fingerprint=fp,
+                        objective=cell.objective,
+                        cached=True,
+                    )
+                self.emit(
+                    "cache-hit", key=config.key, objective=cell.objective,
                     cached=True,
                 )
-            self.emit(
-                "cache-hit", key=config.key, objective=cell.objective, cached=True
-            )
         return pending
 
     def record(
@@ -234,7 +267,8 @@ class GridRun:
             self.cache.put(fingerprint, cell)
         # Cache write lands before the journal record: a crash between
         # the two leaves an orphaned cache entry (healed on resume), never
-        # a journaled completion with no backing result.
+        # a journaled completion with no backing result.  Inside a batch
+        # the record is durable, and the event sent, when the batch ends.
         self.journal_cell(
             key, "completed", fingerprint=fingerprint, objective=cell.objective
         )

@@ -9,68 +9,126 @@ register-once/reference-many:
 * the parent packs the stream once (:func:`repro.core.packing.pack_jobs`)
   and registers it under its content digest — the same digest the result
   cache already computes, so registration is free of extra hashing;
-* the pool is built with an ``initializer`` that ships the packed buffer
-  to each worker exactly once per pool lifetime and hydrates it into a
-  process-global cache (a rebuilt pool re-runs the initializer, so crash
-  recovery re-seeds automatically);
+* a local pool outlives the grids it runs (one pool per engine), so its
+  workers cannot be seeded when they start: the driver writes the packed
+  buffer once per digest into the pool's scratch directory
+  (:func:`spool_workload`, ``<digest>.jobs`` next to the heartbeat
+  sentinels) and a worker hydrates it on its first miss, into a bounded
+  process-global cache — after checking that the bytes hash to the
+  digest they are filed under (a rebuilt worker finds the same file, so
+  crash recovery re-seeds automatically); remote workers receive the
+  buffer in a one-time SEED frame per connection
+  (:func:`seed_worker_cache`);
 * each cell task then carries only the 64-character digest — 79 bytes
   per cell against 234,825 for the pickled tuple of a 5,000-job stream
   (``benchmarks/bench_engine_overhead.py``; decision record in
   ``docs/architecture.md``) — and workers deserialize the workload once
-  per pool lifetime instead of once per cell.
+  per worker lifetime instead of once per cell.
 
 The in-process serial path (and the engine's serial-degradation fallback)
 bypasses the store entirely — it already holds the live job list.
 
-Worker-side state is process-global by design: with the ``fork`` start
-method the initializer runs in the child after the fork, with ``spawn`` it
-receives the pickled buffer — either way :func:`resolve_worker_workload`
-finds the hydrated tuple without any per-task shipping.
+Worker-side state is process-global by design: the pool initializer
+(:func:`init_worker`) tells the worker where its pool's spool is, and
+:func:`resolve_worker_workload` finds or hydrates the tuple without any
+per-task shipping.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 import time
 from pathlib import Path
 from typing import Sequence
 
 from repro.core.job import Job
-from repro.core.packing import PackedJobs, pack_jobs
+from repro.core.packing import PackedJobs, fingerprint_packed, pack_jobs, unpack_jobs
 
 __all__ = [
     "WorkloadStore",
     "init_worker",
     "resolve_worker_workload",
     "seed_worker_cache",
+    "spool_workload",
     "start_worker_heartbeat",
 ]
 
 
-#: Worker-process-global cache: digest -> hydrated job tuple.  Populated by
-#: the pool initializer (:func:`seed_worker_cache`), read by cell tasks.
+#: Worker-process-global cache: digest -> hydrated job tuple.  Filled from
+#: the pool's spool on a cell's first miss (:func:`resolve_worker_workload`)
+#: or by a remote SEED frame (:func:`seed_worker_cache`), read by cell tasks.
 _WORKER_WORKLOADS: dict[str, tuple[Job, ...]] = {}
 
 #: Hydration counter, observable from tests: how many times this process
-#: actually unpacked a workload (should be once per digest per pool).
+#: actually unpacked a workload (should be once per digest per worker).
 _WORKER_HYDRATIONS = 0
+
+#: The scratch directory of the pool this process works for (set by
+#: :func:`init_worker`); ``None`` outside a pool worker.
+_SPOOL_DIR: str | None = None
 
 
 def seed_worker_cache(entries: tuple[tuple[str, PackedJobs], ...]) -> None:
-    """Pool initializer: hydrate packed workloads into the worker cache.
+    """Hydrate packed workloads handed over in memory (a remote SEED frame).
 
-    Runs once per worker process per pool.  Idempotent per digest, so a
-    worker inheriting an already-seeded cache via ``fork`` does not unpack
-    again.
+    Idempotent per digest: a worker that already holds a stream does not
+    unpack it again.
     """
     global _WORKER_HYDRATIONS
-    from repro.core.packing import unpack_jobs
-
     for digest, packed in entries:
         if digest not in _WORKER_WORKLOADS:
             _WORKER_WORKLOADS[digest] = unpack_jobs(packed)
             _WORKER_HYDRATIONS += 1
+
+
+def _spool_path(spool_dir: str, digest: str) -> str:
+    return os.path.join(spool_dir, f"{digest}.jobs")
+
+
+def spool_workload(spool_dir: str, digest: str, packed: PackedJobs) -> None:
+    """Driver side: file ``packed`` under ``digest`` for the pool's workers.
+
+    Written to a temporary name and renamed, so a worker never reads a
+    half-written file.  No fsync: the spool lives and dies with the pool
+    and is read on the machine that wrote it.
+    """
+    path = _spool_path(spool_dir, digest)
+    scratch = f"{path}.{os.getpid()}.tmp"
+    with open(scratch, "wb") as handle:
+        pickle.dump(packed, handle, protocol=pickle.HIGHEST_PROTOCOL)
+    os.replace(scratch, path)
+
+
+def _hydrate_from_spool(digest: str) -> tuple[Job, ...]:
+    """Worker side: load, validate and unpack ``<digest>.jobs``."""
+    global _WORKER_HYDRATIONS
+    if _SPOOL_DIR is None:
+        raise RuntimeError(
+            f"workload {digest[:12]}... was not seeded into this worker; "
+            f"seeded: {[d[:12] for d in _WORKER_WORKLOADS]} — was the pool "
+            f"built without the WorkloadStore initializer?"
+        )
+    try:
+        with open(_spool_path(_SPOOL_DIR, digest), "rb") as handle:
+            # The driver's own bytes, from a directory only it can write
+            # (mkdtemp, mode 0700) — the trust the pool's pipes already get.
+            packed = pickle.load(handle)
+    except FileNotFoundError:
+        raise RuntimeError(
+            f"workload {digest[:12]}... was not spooled for this pool"
+        ) from None
+    if not isinstance(packed, PackedJobs) or fingerprint_packed(packed) != digest:
+        raise RuntimeError(
+            f"spool file {digest[:12]}....jobs does not hold the workload it "
+            f"is named after; refusing to simulate it"
+        )
+    while len(_WORKER_WORKLOADS) >= WorkloadStore.MAX_ENTRIES:
+        _WORKER_WORKLOADS.pop(next(iter(_WORKER_WORKLOADS)))
+    jobs = _WORKER_WORKLOADS[digest] = unpack_jobs(packed)
+    _WORKER_HYDRATIONS += 1
+    return jobs
 
 
 #: Worker-process heartbeat thread, stamped with the pid it was started
@@ -112,39 +170,33 @@ def start_worker_heartbeat(heartbeat_dir: str, interval: float) -> None:
     _HEARTBEAT_THREAD = (pid, thread)
 
 
-def init_worker(
-    entries: tuple[tuple[str, PackedJobs], ...],
-    heartbeat_dir: str | None,
-    heartbeat_interval: float | None,
-) -> None:
-    """Combined pool initializer: seed the workload cache, start heartbeats.
+def init_worker(spool_dir: str, heartbeat_interval: float | None) -> None:
+    """Pool initializer: remember the pool's spool, start heartbeats.
 
-    A watchdog-less engine passes ``heartbeat_dir=None``.  Runs once per
-    worker process per pool; a rebuilt pool re-runs it in every fresh
-    worker, which is what re-seeds the store and re-arms the heartbeat
-    after a crash — including on resume, where the journal replay changes
-    nothing about worker setup.
+    ``spool_dir`` is the pool's scratch directory: workloads are read
+    from it, heartbeat sentinels written to it.  A watchdog-less engine
+    passes ``heartbeat_interval=None``.  Runs once per worker process; a
+    rebuilt group re-runs it in every fresh worker, which re-arms the
+    heartbeat after a crash (the spool needs no re-seeding: the files are
+    still there).
     """
-    seed_worker_cache(entries)
-    if heartbeat_dir is not None and heartbeat_interval is not None:
-        start_worker_heartbeat(heartbeat_dir, heartbeat_interval)
+    global _SPOOL_DIR
+    _SPOOL_DIR = spool_dir
+    if heartbeat_interval is not None:
+        start_worker_heartbeat(spool_dir, heartbeat_interval)
 
 
 def resolve_worker_workload(digest: str) -> tuple[Job, ...]:
-    """The hydrated job stream for ``digest`` inside a pool worker.
+    """The hydrated job stream for ``digest`` inside a worker.
 
-    Raises :class:`RuntimeError` when the digest was never seeded — a
-    bookkeeping bug, surfaced loudly so the engine's retry/serial-fallback
-    machinery reports it instead of simulating the wrong workload.
+    A pool worker hydrates it from the pool's spool the first time it is
+    asked.  Raises :class:`RuntimeError` when the digest was neither
+    seeded nor spooled, or when the spooled bytes do not hash to it —
+    surfaced loudly so the engine's retry/serial-fallback machinery
+    reports it instead of simulating the wrong workload.
     """
-    try:
-        return _WORKER_WORKLOADS[digest]
-    except KeyError:
-        raise RuntimeError(
-            f"workload {digest[:12]}... was not seeded into this worker; "
-            f"seeded: {[d[:12] for d in _WORKER_WORKLOADS]} — was the pool "
-            f"built without the WorkloadStore initializer?"
-        ) from None
+    jobs = _WORKER_WORKLOADS.get(digest)
+    return jobs if jobs is not None else _hydrate_from_spool(digest)
 
 
 class WorkloadStore:
@@ -152,8 +204,9 @@ class WorkloadStore:
 
     One instance lives on each :class:`~repro.experiments.engine.
     ExperimentEngine`; ``register`` packs at most once per digest (repeat
-    runs over the same stream reuse the packed buffer), and ``entries()``
-    supplies the pool-initializer arguments.  The store keeps only the
+    runs over the same stream reuse the packed buffer), ``get()`` is what
+    a local pool spools from and ``entries()`` the SEED payload of a
+    remote backend.  The store keeps only the
     most recent :data:`MAX_ENTRIES` workloads so long-lived engines
     sweeping many workloads do not accumulate every stream they ever saw.
     """
@@ -181,7 +234,7 @@ class WorkloadStore:
         return self._packed.get(digest)
 
     def entries(self, digest: str) -> tuple[tuple[str, PackedJobs], ...]:
-        """Initializer payload for a pool that will run cells of ``digest``."""
+        """Seed payload for a remote backend that will run cells of ``digest``."""
         packed = self._packed.get(digest)
         if packed is None:
             raise KeyError(f"workload {digest[:12]}... is not registered")

@@ -99,6 +99,21 @@ _COLUMN_REGISTRY: dict[str, ColumnSpec] = {}
 ROW_LABELS: dict[str, str] = {}
 COLUMN_LABELS: dict[str, str] = {}
 
+#: Bumped by every call that changes a registry.  Forked pool workers see
+#: the registries as of their fork, so a pool forked under an older
+#: generation is rebuilt before it runs another grid.
+_GENERATION = 0
+
+
+def registry_generation() -> int:
+    """How often the row/column registries have changed in this process."""
+    return _GENERATION
+
+
+def _changed() -> None:
+    global _GENERATION
+    _GENERATION += 1
+
 
 def register_row(
     key: str,
@@ -130,6 +145,7 @@ def register_row(
     )
     _ROW_REGISTRY[key] = spec
     ROW_LABELS[key] = spec.label
+    _changed()
     return spec
 
 
@@ -146,19 +162,22 @@ def register_discipline(
     spec = ColumnSpec(key=key, label=label or key, factory=factory)
     _COLUMN_REGISTRY[key] = spec
     COLUMN_LABELS[key] = spec.label
+    _changed()
     return spec
 
 
 def unregister_row(key: str) -> None:
     """Remove a registered row (no-op when absent)."""
-    _ROW_REGISTRY.pop(key, None)
-    ROW_LABELS.pop(key, None)
+    if _ROW_REGISTRY.pop(key, None) is not None:
+        ROW_LABELS.pop(key, None)
+        _changed()
 
 
 def unregister_discipline(key: str) -> None:
     """Remove a registered column (no-op when absent)."""
-    _COLUMN_REGISTRY.pop(key, None)
-    COLUMN_LABELS.pop(key, None)
+    if _COLUMN_REGISTRY.pop(key, None) is not None:
+        COLUMN_LABELS.pop(key, None)
+        _changed()
 
 
 def registered_rows() -> tuple[str, ...]:

@@ -336,8 +336,8 @@ class TestWorkloadStore:
         assert store.get(f"digest-{WorkloadStore.MAX_ENTRIES + 1}") is not None
 
     def test_worker_cache_seeding_is_idempotent(self, workload):
-        """A rebuilt pool re-runs the initializer; re-seeding must not
-        re-hydrate digests the process already holds (the fork-start case)."""
+        """A reconnecting remote driver sends its SEED frame again;
+        re-seeding must not re-hydrate digests the process already holds."""
         from repro.core.packing import pack_jobs
         from repro.experiments import workload_store as ws
 
@@ -411,6 +411,347 @@ class TestProgressEvents:
         # appending accumulates across runs (resumable logs)
         append_events(events, target)
         assert len(target.read_text().splitlines()) == 2 * len(events)
+
+    def test_event_lines_are_the_asdict_encoding_byte_for_byte(
+        self, tmp_path, workload
+    ):
+        """The fixed field tuple replaced ``dataclasses.asdict`` on the
+        ``--events`` path; the JSONL format did not move."""
+        import dataclasses
+        import json
+
+        from repro.analysis.persistence import EVENT_FIELDS, event_line
+        from repro.experiments.engine import ProgressEvent
+
+        assert EVENT_FIELDS == tuple(
+            f.name for f in dataclasses.fields(ProgressEvent)
+        )
+        events = []
+        configs = [SchedulerConfig("fcfs", "easy"), SchedulerConfig("fcfs", "list")]
+        for _ in range(2):  # simulated, then served from the cache
+            ExperimentEngine(cache=tmp_path, on_event=events.append).run(
+                workload[:20], total_nodes=256, configs=configs
+            )
+        events.append(
+            ProgressEvent("cell-retry", "w", True, key="a/b", wall_time=0.25,
+                          detail="attempt 1/2: worker crashed \u2014 \"quoted\"")
+        )
+        assert {e.kind for e in events} >= {
+            "grid-started", "cell-started", "cell-finished", "cache-hit",
+            "grid-finished", "cell-retry",
+        }
+        for event in events:
+            assert event_line(event) == json.dumps(dataclasses.asdict(event)) + "\n"
+        target = tmp_path / "events.jsonl"
+        append_events(events, target)
+        assert target.read_text(encoding="utf-8") == "".join(
+            json.dumps(dataclasses.asdict(event)) + "\n" for event in events
+        )
+
+    def test_cli_events_log_appends_across_invocations(self, tmp_path):
+        import json
+
+        from repro.analysis.persistence import EVENT_FIELDS
+        from repro.experiments import cli
+
+        log = tmp_path / "ev.jsonl"
+        argv = ["table4", "--scale", "40", "--cache-dir", str(tmp_path / "c"),
+                "--events", str(log)]
+        assert cli.main(argv) == 0
+        first = log.read_text(encoding="utf-8").splitlines()
+        assert cli.main(argv) == 0  # all cache hits, appended to the same log
+        lines = log.read_text(encoding="utf-8").splitlines()
+        assert lines[: len(first)] == first and len(lines) > len(first)
+        records = [json.loads(line) for line in lines]
+        assert all(tuple(record) == EVENT_FIELDS for record in records)
+        kinds = [record["kind"] for record in records]
+        assert kinds[0] == "grid-started" and kinds[-1] == "grid-finished"
+        assert "cell-finished" in kinds[: len(first)]
+        assert "cell-finished" not in kinds[len(first):]
+
+
+# -- one pool per engine ---------------------------------------------------------
+
+
+THREE_CELLS = [
+    SchedulerConfig("fcfs", "easy"),
+    SchedulerConfig("fcfs", "list"),
+    SchedulerConfig("psrs", "easy"),
+]
+
+
+#: Where :func:`_probe_order` logs; set before a pool forks, so its workers
+#: inherit it.
+_PROBE_LOG = None
+
+
+def _probe_order(total_nodes, weight, threshold):
+    """FCFS that logs who built it: pid, in a pool worker or not, how many
+    workloads that process has hydrated and how many it holds."""
+    from repro.experiments import workload_store as ws
+
+    with open(_PROBE_LOG, "a") as handle:
+        handle.write(
+            f"{os.getpid()} {int(_in_pool_worker())} "
+            f"{ws._WORKER_HYDRATIONS} {len(ws._WORKER_WORKLOADS)}\n"
+        )
+    if _in_pool_worker():
+        time.sleep(0.05)  # long enough that every worker gets a cell
+    return KeyOrderPolicy(lambda job: job.submit_time, "probe")
+
+
+def _probe_lines():
+    with open(_PROBE_LOG) as handle:
+        lines = [tuple(int(field) for field in line.split()) for line in handle]
+    open(_PROBE_LOG, "w").close()
+    return lines
+
+
+def _kept_pool(engine):
+    (pool,) = engine._pools.values()
+    return pool
+
+
+def _worker_processes(pool):
+    return [
+        proc
+        for executor in pool._execs
+        for proc in (executor._processes or {}).values()
+    ]
+
+
+def _assert_all_dead(processes):
+    for proc in processes:
+        proc.join(timeout=10)
+        assert not proc.is_alive()
+
+
+@pytest.fixture
+def probe_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        "tests.test_engine._PROBE_LOG", str(tmp_path / "probe.log")
+    )
+    (tmp_path / "probe.log").touch()
+    register_row("probe", _probe_order)
+    yield [SchedulerConfig("probe", column) for column in registered_columns()]
+    unregister_row("probe")
+
+
+class TestPoolLifetime:
+    def test_two_digests_one_pool_one_hydration_per_worker_per_digest(
+        self, workload, probe_row, monkeypatch
+    ):
+        from repro.experiments import workload_store as ws
+
+        configs = [*probe_row, SchedulerConfig("fcfs", "easy"),
+                   SchedulerConfig("fcfs", "list"), SchedulerConfig("psrs", "easy")]
+        # Forked workers start from this process's cache and counter, which
+        # in-process seeding by earlier tests may have left non-empty.
+        monkeypatch.setattr(ws, "_WORKER_WORKLOADS", {})
+        monkeypatch.setattr(ws, "_WORKER_HYDRATIONS", 0)
+        with ExperimentEngine(workers=2) as engine:
+            engine.run(workload[:30], total_nodes=256, configs=configs)
+            pool = _kept_pool(engine)
+            pids = {proc.pid for proc in _worker_processes(pool)}
+            assert len(pids) == 2
+            first = _probe_lines()
+            engine.run(workload[30:70], total_nodes=256, configs=configs)
+            second = _probe_lines()
+            assert engine.stats.backend == "local-pool"
+            assert engine.stats.degraded_cells == engine.stats.retries == 0
+            # The same pool object, the same worker processes.
+            assert _kept_pool(engine) is pool
+            assert {proc.pid for proc in _worker_processes(pool)} == pids
+            assert len(pool._spooled) == 2  # spooled once per digest
+        for grid, lines in enumerate((first, second), start=1):
+            assert len(lines) == len(probe_row)
+            for pid, in_worker, hydrations, held in lines:
+                assert pid in pids and in_worker
+                # Never unpacked twice: a worker has hydrated exactly the
+                # digests it holds, at most one per grid so far.
+                assert 1 <= hydrations == held <= grid
+        # Both workers served the second grid (each probe cell sleeps), so
+        # some worker hydrated both digests — once each.
+        assert max(held for *_, held in second) == 2
+
+    @pytest.mark.parametrize("wreck", ["other-workload", "garbage"])
+    def test_spool_file_that_is_not_its_digest_is_refused(
+        self, workload, wreck
+    ):
+        from repro.core.packing import pack_jobs
+        from repro.experiments.workload_store import _spool_path, spool_workload
+
+        configs = [SchedulerConfig("fcfs", "easy"), SchedulerConfig("fcfs", "list")]
+        events = []
+        with ExperimentEngine(
+            workers=2, on_event=events.append, max_retries=1, retry_backoff=0.01
+        ) as engine:
+            engine.run(workload[:20], total_nodes=256, configs=configs)
+            pool = _kept_pool(engine)
+            victim = workload[20:50]
+            digest = fingerprint_jobs(victim)
+            # Plant the wrong bytes under the digest the next grid will ask
+            # for, and make the driver believe it spooled them itself.
+            if wreck == "garbage":
+                with open(_spool_path(pool._dir, digest), "wb") as handle:
+                    handle.write(b"\x80\x05not a pickle at all")
+            else:
+                spool_workload(pool._dir, digest, pack_jobs(workload[:20]))
+            pool._spooled.add(digest)
+            grid = engine.run(victim, total_nodes=256, configs=configs)
+            stats = engine.stats
+        # Every worker attempt failed; the serial fallback, which holds the
+        # live jobs, completed the grid with the right numbers.
+        assert stats.retries == len(configs) and stats.degraded_cells == len(configs)
+        serial = ExperimentEngine(workers=1).run(
+            victim, total_nodes=256, configs=configs
+        )
+        for key in serial.cells:
+            assert grid.cells[key].objective == serial.cells[key].objective
+        retries = [e for e in events if e.kind == "cell-retry"]
+        assert retries and all("cell raised" in e.detail for e in retries)
+        if wreck == "other-workload":
+            assert all("does not hold the workload" in e.detail for e in retries)
+
+    def test_row_registered_between_runs_is_simulated_in_a_worker(
+        self, tmp_path, monkeypatch, workload
+    ):
+        monkeypatch.setattr(
+            "tests.test_engine._PROBE_LOG", str(tmp_path / "probe.log")
+        )
+        with ExperimentEngine(workers=2) as engine:
+            engine.run(workload[:20], total_nodes=256, configs=THREE_CELLS)
+            before = _worker_processes(_kept_pool(engine))
+            register_row("probe", _probe_order, columns=("easy", "list"))
+            try:
+                configs = [
+                    SchedulerConfig("probe", "easy"),
+                    SchedulerConfig("probe", "list"),
+                    *THREE_CELLS,
+                ]
+                grid = engine.run(workload[:20], total_nodes=256, configs=configs)
+                assert engine.stats.degraded_cells == engine.stats.retries == 0
+                assert engine.stats.pool_rebuilds == 0
+                after = _worker_processes(_kept_pool(engine))
+            finally:
+                unregister_row("probe")
+            assert grid.cells["probe/easy"].objective > 0
+        # Workers forked before the registration could not have built the
+        # row: the pool was replaced, and the new one did.
+        _assert_all_dead(before)
+        lines = _probe_lines()
+        assert len(lines) == 2
+        assert {pid for pid, *_ in lines} <= {proc.pid for proc in after}
+        assert all(in_worker for _, in_worker, *_ in lines)
+
+    def test_close_is_idempotent_and_leaves_nothing_behind(self, workload):
+        engine = ExperimentEngine(workers=2)
+        engine.close()  # nothing started yet
+        engine.run(workload[:20], total_nodes=256, configs=THREE_CELLS)
+        pool = _kept_pool(engine)
+        scratch, processes = pool._dir, _worker_processes(pool)
+        assert os.path.isdir(scratch) and len(processes) == 2
+        engine.close()
+        engine.close()
+        assert engine._pools == {}
+        _assert_all_dead(processes)
+        assert not os.path.exists(scratch)
+        # Closed is not dead: the next parallel run starts a new pool.
+        grid = engine.run(workload[:25], total_nodes=256, configs=THREE_CELLS)
+        assert engine.stats.backend == "local-pool"
+        assert engine.stats.degraded_cells == 0 and len(grid.cells) == 3
+        processes = _worker_processes(_kept_pool(engine))
+        scratch = _kept_pool(engine)._dir
+        del engine, pool  # a dropped engine is closed by its finalizer
+        _assert_all_dead(processes)
+        assert not os.path.exists(scratch)
+
+    @pytest.mark.parametrize("max_pool_rebuilds", [5, 0])
+    def test_crashed_worker_is_rebuilt_and_the_next_run_is_healthy(
+        self, workload, max_pool_rebuilds
+    ):
+        register_row("crashy", _crashy_order, columns=("easy",))
+        try:
+            with ExperimentEngine(
+                workers=2,
+                max_retries=1,
+                retry_backoff=0.01,
+                max_pool_rebuilds=max_pool_rebuilds,
+            ) as engine:
+                grid = engine.run(
+                    workload[:30],
+                    total_nodes=256,
+                    configs=[SchedulerConfig("crashy", "easy"), *THREE_CELLS],
+                )
+                assert grid.cells["crashy/easy"].objective > 0
+                assert engine.stats.pool_rebuilds >= 1
+                assert engine.stats.degraded_cells >= 1
+                if max_pool_rebuilds:
+                    # Rebuilt inside the run, finished its rung: kept (the
+                    # last rebuild forks on its first cell).
+                    assert _kept_pool(engine)._dir is not None
+                else:
+                    # Out of resets: the rung gave up, the pool is gone.
+                    assert engine._pools == {}
+                engine.run(workload[30:60], total_nodes=256, configs=THREE_CELLS)
+                assert engine.stats.backend == "local-pool"
+                assert engine.stats.simulated == 3
+                assert engine.stats.retries == engine.stats.pool_rebuilds == 0
+                assert engine.stats.degraded_cells == 0
+                assert all(p.is_alive() for p in _worker_processes(_kept_pool(engine)))
+        finally:
+            unregister_row("crashy")
+
+    def test_hung_worker_is_rebuilt_and_the_next_run_is_healthy(self, workload):
+        register_row("sleepy", _sleepy_order, columns=("easy",))
+        try:
+            with ExperimentEngine(
+                workers=2, cell_timeout=1.0, max_retries=0, max_pool_rebuilds=5
+            ) as engine:
+                engine.run(
+                    workload[:20],
+                    total_nodes=256,
+                    configs=[SchedulerConfig("sleepy", "easy"), *THREE_CELLS],
+                )
+                assert engine.stats.pool_rebuilds >= 1
+                assert engine.stats.degraded_cells >= 1
+                engine.run(workload[20:45], total_nodes=256, configs=THREE_CELLS)
+                assert engine.stats.retries == engine.stats.pool_rebuilds == 0
+                assert engine.stats.degraded_cells == 0
+                processes = _worker_processes(_kept_pool(engine))
+                assert all(p.is_alive() for p in processes)
+        finally:
+            unregister_row("sleepy")
+        _assert_all_dead(processes)
+
+    def test_interrupted_run_leaves_no_pool_behind(self, tmp_path, workload):
+        borrowed, seen = [], []
+        engine = ExperimentEngine(workers=2, journal_dir=tmp_path)
+        borrow = engine.borrow_pool
+
+        def spying_borrow(groups):
+            borrowed.append(borrow(groups))
+            return borrowed[-1]
+
+        def interrupt_once(event):
+            if event.kind == "cell-finished" and not seen:
+                seen.extend(_worker_processes(borrowed[0]))
+                os.kill(os.getpid(), signal.SIGINT)
+
+        engine.borrow_pool = spying_borrow
+        engine.on_event = interrupt_once
+        with pytest.raises(RunInterrupted):
+            engine.run(workload[:30], total_nodes=256, configs=list(paper_configurations()))
+        assert engine._pools == {}
+        assert borrowed[0]._dir is None  # closed: scratch directory removed
+        assert seen
+        _assert_all_dead(seen)
+        # The next run borrows a new pool and keeps it.
+        engine.on_event = None
+        engine.run(workload[:30], total_nodes=256, configs=THREE_CELLS)
+        assert len(borrowed) == 2 and _kept_pool(engine) is borrowed[1]
+        assert engine.stats.degraded_cells == 0
+        engine.close()
 
 
 # -- crash tolerance: retries, backoff, serial degradation ---------------------
@@ -783,13 +1124,6 @@ class TestTimingWakeup:
 
 
 # -- one dispatch core: request -> run -> dispatch -------------------------------
-
-
-THREE_CELLS = [
-    SchedulerConfig("fcfs", "easy"),
-    SchedulerConfig("fcfs", "list"),
-    SchedulerConfig("psrs", "easy"),
-]
 
 
 def _assert_no_run_state(engine):

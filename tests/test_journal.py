@@ -174,6 +174,21 @@ class TestTornAndCorrupt:
         with pytest.raises(JournalCorruptError):
             read_journal(path)
 
+    def test_resume_cuts_the_torn_tail_before_appending(self, tmp_path):
+        """A resume appends; glued onto a torn tail its first record would
+        turn a tolerated torn *final* line into a fatal interior one."""
+        path = self._journal_with_cells(tmp_path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"kind": "cell", "key": "fcfs/li')
+        resumed, replay = RunJournal.open_resume(path)
+        with resumed:
+            assert replay.torn_tail
+            resumed.record_cell("fcfs/list", "completed", objective=2.0)
+        replay = read_journal(path)
+        assert not replay.torn_tail
+        assert replay.resumes == 1
+        assert replay.complete
+
     def test_missing_manifest_raises(self, tmp_path):
         path = tmp_path / "nomanifest.jsonl"
         path.write_text("", encoding="utf-8")
@@ -183,6 +198,149 @@ class TestTornAndCorrupt:
     def test_missing_file_is_unknown_run(self, tmp_path):
         with pytest.raises(UnknownRunError):
             read_journal(tmp_path / "nope.jsonl")
+
+
+class TestGroupCommit:
+    """``RunJournal.batch``: one fsync for the records of one loop."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        import os
+
+        calls = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real(fd))[1])
+        return calls
+
+    def test_batch_shares_one_fsync_and_nests(self, tmp_path, fsyncs):
+        manifest = _manifest()
+        path = journal_path(tmp_path, manifest["run"])
+        with RunJournal.create(path, manifest) as journal:
+            assert len(fsyncs) == 1  # the manifest
+            with journal.batch():
+                journal.record_cell("fcfs/easy", "scheduled")
+                with journal.batch():
+                    journal.record_cell("fcfs/list", "scheduled")
+                journal.record_cell("fcfs/easy", "started")
+                assert len(fsyncs) == 1  # nothing synced inside, nested or not
+            assert len(fsyncs) == 2
+            with journal.batch():
+                pass  # nothing written: nothing to sync
+            assert len(fsyncs) == 2
+            journal.record_cell("fcfs/easy", "completed", objective=1.0)
+            assert len(fsyncs) == 3  # outside a batch: per record, as ever
+            assert read_journal(path).records == 5
+
+    def test_exception_leaving_a_batch_still_syncs(self, tmp_path, fsyncs):
+        manifest = _manifest()
+        path = journal_path(tmp_path, manifest["run"])
+        journal = RunJournal.create(path, manifest)
+        with pytest.raises(KeyError):
+            with journal.batch():
+                journal.record_cell("fcfs/easy", "completed", objective=1.0)
+                raise KeyError("boom")
+        assert len(fsyncs) == 2
+        # Readable before close(): the record did not wait in a buffer.
+        assert read_journal(path).completed == ["fcfs/easy"]
+        journal.record_cell("fcfs/list", "started")
+        assert len(fsyncs) == 3  # and the journal is back to per-record syncs
+        journal.close()
+
+    def test_crash_inside_a_batch_loses_only_that_batch(self, tmp_path):
+        """What is on disk while a batch is open is what a killed driver
+        leaves: every record from before the batch, and of the batch a
+        prefix whose last line may be torn."""
+        configs = [f"row{i}/easy" for i in range(120)]
+        manifest = _manifest(configs=configs)
+        path = journal_path(tmp_path, manifest["run"])
+        journal = RunJournal.create(path, manifest)
+        journal.record_cell(configs[0], "completed", objective=1.0)
+        with journal.batch():
+            for key in configs[1:]:  # more than the file buffer holds
+                journal.record_cell(key, "scheduled", fingerprint="ab" * 32)
+            crashed = tmp_path / "crashed.jsonl"
+            crashed.write_bytes(path.read_bytes())
+        journal.close()
+        assert read_journal(path).records == 1 + len(configs)
+        replay = read_journal(crashed)
+        assert replay.completed == [configs[0]]
+        assert 2 <= replay.records < 1 + len(configs)  # part of the batch is gone
+        # What survived is a prefix of the batch, every line of it intact.
+        assert list(replay.cells) == configs[: len(replay.cells)]
+        assert {c.state for c in replay.cells.values()} <= {"completed", "scheduled"}
+        # And the wreck resumes: the torn line goes, new records follow.
+        resumed, _ = RunJournal.open_resume(crashed)
+        with resumed:
+            resumed.record_cell(configs[1], "completed", objective=2.0)
+        assert read_journal(crashed).completed == configs[:2]
+
+
+class TestCrashInsideBatchResume:
+    """The disk state a driver killed inside a dispatch batch leaves —
+    cache entries written, journal lines still in the buffer — resumes to
+    the uninterrupted grid and never shows a completion without its
+    cache entry."""
+
+    #: Which fsync of the run the driver dies at: the manifest is the
+    #: first, then the commits of the lookup, the submit and the first
+    #: outcome batch.
+    @pytest.mark.parametrize("dies_at", [2, 3, 4])
+    def test_resume_after_crash_at_batch_commit(self, tmp_path, monkeypatch, dies_at):
+        import shutil
+
+        from repro.experiments.engine import ExperimentEngine
+        from repro.experiments.paper import probabilistic_workload
+        from repro.experiments.runner import SchedulerConfig
+
+        jobs = probabilistic_workload(60, seed=5)
+        configs = [
+            SchedulerConfig(row, column)
+            for row in ("fcfs", "psrs")
+            for column in ("list", "easy")
+        ]
+        live, wreck = tmp_path / "live", tmp_path / "wreck"
+        syncs = []
+        real_sync = RunJournal._sync
+
+        def snapshotting_sync(journal):
+            syncs.append(journal)
+            if len(syncs) == dies_at:
+                # Before the flush: exactly what SIGKILL here would leave.
+                shutil.copytree(live, wreck)
+            real_sync(journal)
+
+        monkeypatch.setattr(RunJournal, "_sync", snapshotting_sync)
+        with ExperimentEngine(workers=2, cache=live, handle_signals=False) as engine:
+            fresh = engine.run(jobs, total_nodes=256, configs=configs)
+            run_id = engine.stats.run_id
+            assert engine.stats.degraded_cells == 0
+        monkeypatch.undo()
+        assert wreck.is_dir()
+
+        cache = ResultCache(wreck)
+        replay = read_journal(journal_path(wreck / "runs", run_id))
+        for key in replay.completed:
+            assert cache.status(replay.cells[key].fingerprint) == "hit", key
+        assert len(replay.completed) < len(configs)
+        audit = verify_run(run_id, journal_dir=wreck / "runs", cache=cache)
+        assert audit.ok  # orphaned cache entries heal on resume
+        if dies_at == 4:
+            # The cells of that batch: cached, their "completed" lines lost.
+            assert audit.orphaned and not replay.completed
+
+        with ExperimentEngine(workers=2, cache=wreck, handle_signals=False) as engine:
+            resumed = engine.resume(run_id, jobs, total_nodes=256, configs=configs)
+            # Cells whose entry reached the cache before the crash are
+            # hits; the rest are dispatched again.
+            assert engine.stats.cache_hits + engine.stats.simulated == len(configs)
+        assert resumed.fingerprints == fresh.fingerprints
+        for key, cell in fresh.cells.items():
+            assert resumed.cells[key].objective == cell.objective, key
+            assert resumed.cells[key].makespan == cell.makespan, key
+        audit = verify_run(
+            run_id, journal_dir=wreck / "runs", cache=ResultCache(wreck), grid=resumed
+        )
+        assert audit.ok and audit.completed == len(configs)
 
 
 class TestListRuns:

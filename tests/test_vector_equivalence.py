@@ -161,6 +161,43 @@ def test_simultaneous_submissions_bit_identical():
         run_both(lambda: build_scheduler(config, NODES), jobs)
 
 
+def test_sorted_stream_flags_duplicate_ids():
+    jobs = make_jobs(12, seed=5, max_nodes=NODES)
+    assert vector.sorted_stream(jobs)[2] is True
+    assert vector.sorted_stream(reversed(jobs))[2] is True
+    clash = [*jobs, replace(jobs[3], submit_time=jobs[3].submit_time + 1.0)]
+    assert vector.sorted_stream(clash)[2] is False
+    assert vector.sorted_stream(jobs[:1])[2] is True
+
+
+def test_numpy_simulation_does_not_import_numpy_ma():
+    """``numpy.ma`` costs ~35 ms to import; every pool worker would pay it
+    on its first cell (the driver never simulates, so no fork inherits it)."""
+    import os
+    import subprocess
+
+    code = (
+        "import sys\n"
+        "from repro.core.simulator import simulate\n"
+        "from repro.schedulers.registry import SchedulerConfig, build_scheduler\n"
+        "from tests.conftest import make_jobs\n"
+        "for column in ('list', 'conservative', 'easy'):\n"
+        "    scheduler = build_scheduler(SchedulerConfig('psrs', column), 64)\n"
+        "    result = simulate(make_jobs(60, seed=3, max_nodes=64), scheduler, 64,\n"
+        "                      backend='numpy')\n"
+        "    assert len(result.schedule) == 60\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 # -- backend resolution and the no-numpy fallback --------------------------------
 
 
