@@ -200,13 +200,10 @@ def test_incremental_beats_rebuild():
 # * metric accumulation (ResultColumns + np.add.accumulate reductions) beats
 #   the scalar objective loops by well over an order of magnitude at grid
 #   scale — the acceptance bar below asserts >= 5x with a wide margin;
-# * the dense 2-D first-fit kernel answers a whole batch in one shot and is
-#   bit-identical, but the block-max-indexed scalar scan *wins* at
-#   simulation-sized profiles (tens to hundreds of segments) — the same
-#   NumPy-per-call-overhead finding recorded for PR 4, now extended to the
-#   batched form.  Its timing is tracked so either kernel regressing is
-#   caught; the simulator's per-decision scans stay scalar (see the
-#   decision record in docs/architecture.md).
+# * the simulator's per-decision first-fit scans stay scalar: at
+#   simulation-sized profiles (tens to hundreds of segments) NumPy's
+#   per-call overhead loses to the plain list scan (see the decision
+#   record in docs/architecture.md).
 
 _METRIC_N = 100_000
 
@@ -396,14 +393,17 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
             profile.earliest_start(nodes, duration, after=after)
 
     def allocate_churn():
-        p = build_profile(50)
-        churn = random.Random(7)
-        for _ in range(250):
-            p.allocate(
-                churn.randint(1, 64),
-                churn.uniform(10.0, 5000.0),
-                after=churn.uniform(0.0, 1e5),
-            )
+        # From ~100 segments and from 200+, the size of a conservative
+        # plan, where the first-fit scan is longest.
+        for reservations in (50, 120):
+            p = build_profile(reservations)
+            churn = random.Random(7)
+            for _ in range(250):
+                p.allocate(
+                    churn.randint(1, 64),
+                    churn.uniform(10.0, 5000.0),
+                    after=churn.uniform(0.0, 1e5),
+                )
 
     items = _metric_fixture()
     columns = vector.ResultColumns.from_schedule(items)

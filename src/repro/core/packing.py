@@ -25,13 +25,6 @@ the class-priority admission wrapper reads ``job.meta['class']`` — compares
 equal after a round trip, which ``tests/test_packing.py`` asserts over
 randomized streams (extreme estimates, zero weights, zero runtimes, ``None``
 optionals).
-
-NumPy interop: :meth:`PackedJobs.numpy_views` exposes the numeric columns
-as zero-copy ``numpy`` views when NumPy is importable (vectorised workload
-statistics read straight out of the packed buffer).  It is a *view*
-facility only — the simulator hot paths stay on plain lists, where the
-measured per-call overhead of NumPy loses at profile-sized inputs (see the
-decision record in ``docs/architecture.md``).
 """
 
 from __future__ import annotations
@@ -48,7 +41,6 @@ __all__ = [
     "unpack_jobs",
     "fingerprint_packed",
     "job_record",
-    "numpy_available",
 ]
 
 
@@ -108,7 +100,6 @@ class PackedJobs:
         "weight",
         "has_weight",
         "metas",
-        "_views",
     )
 
     def __init__(
@@ -138,7 +129,6 @@ class PackedJobs:
         self.weight = weight
         self.has_weight = has_weight
         self.metas = metas
-        self._views: dict[str, Any] | None = None
 
     def __len__(self) -> int:
         return len(self.job_ids)
@@ -177,39 +167,6 @@ class PackedJobs:
                 wt[i] if has_wt[i] else None,
             )
 
-    def numpy_views(self) -> dict[str, Any]:
-        """Zero-copy NumPy views of the numeric columns.
-
-        Returns ``{"job_ids": int64[:], "submit": float64[:], ...}``
-        backed by the packed buffers — no copies, mutations are visible
-        both ways.  The view objects are materialised once per instance
-        and cached (repeated kernel calls pay one dict copy, not nine
-        ``frombuffer`` constructions); the returned dict itself is a fresh
-        copy each call, so callers may add or drop keys freely.  Raises
-        :class:`RuntimeError` when NumPy is not importable, so the core
-        stays importable without it.
-        """
-        if self._views is not None:
-            return dict(self._views)
-        if not numpy_available():
-            raise RuntimeError(
-                "PackedJobs.numpy_views requires numpy, which is not installed"
-            )
-        import numpy as np
-
-        self._views = {
-            "job_ids": np.frombuffer(self.job_ids, dtype=np.int64),
-            "submit": np.frombuffer(self.submit, dtype=np.float64),
-            "nodes": np.frombuffer(self.nodes, dtype=np.int64),
-            "runtime": np.frombuffer(self.runtime, dtype=np.float64),
-            "estimate": np.frombuffer(self.estimate, dtype=np.float64),
-            "has_estimate": np.frombuffer(self.has_estimate, dtype=np.uint8),
-            "users": np.frombuffer(self.users, dtype=np.int64),
-            "weight": np.frombuffer(self.weight, dtype=np.float64),
-            "has_weight": np.frombuffer(self.has_weight, dtype=np.uint8),
-        }
-        return dict(self._views)
-
     def nbytes(self) -> int:
         """Total size of the column buffers in bytes (excludes metas)."""
         return sum(
@@ -226,15 +183,6 @@ class PackedJobs:
                 self.has_weight,
             )
         )
-
-
-def numpy_available() -> bool:
-    """Whether the optional NumPy view facility can be used."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - image always ships numpy
-        return False
-    return True
 
 
 def pack_jobs(jobs: Sequence[Job]) -> PackedJobs:

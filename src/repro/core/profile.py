@@ -27,7 +27,7 @@ supports
   hold real steps only and a first-fit scan reads no dead ones,
 * :meth:`advance_origin` — dropping segments the simulation clock has
   passed, and
-* :meth:`clone` — copy-on-write snapshots handed to the disciplines.
+* :meth:`clone` — the private copies handed to the disciplines.
 
 ``from_running`` remains the reference constructor: the incremental path is
 cross-checked against it (see ``SchedulingState.verify``), and contexts
@@ -39,22 +39,15 @@ month).  Profiles here are small (tens to a few hundred segments), so tight
 Python loops over plain lists beat NumPy, whose per-call overhead dominates
 at these sizes — measured both ways; see ``benchmarks/bench_profile.py``.
 
-Three query kernels keep the first-fit scan cheap as profiles grow:
-
-* every query funnels through one module-level kernel (:func:`_first_fit`)
-  with the hot lists hoisted into locals;
-* profiles with ≥ :data:`_INDEX_MIN_SEGMENTS` segments lazily build a
-  **block-max index** (max free nodes per :data:`_INDEX_BLOCK`-segment
-  block) that lets the feasibility scan skip whole runs of infeasible
-  breakpoints; any mutation invalidates it, clones share it.  (A plain
-  suffix-max is vacuous here: the final segment is always fully free, so
-  every suffix max equals ``total_nodes`` — the blocked form is the useful
-  prefix structure.  See the decision record in ``docs/architecture.md``.)
-* :meth:`allocate` fuses the query with its reservation, skipping the
-  redundant feasibility re-validation — conservative and slack
-  backfilling issue exactly that pair per queued job.  The kernel hands
-  back the two segment indices its scan ended on and ``allocate`` splits
-  those edges in place, with no second search for them.
+Every first-fit query funnels through one module-level kernel
+(:func:`_first_fit`), a plain scan with the hot lists hoisted into locals.
+:meth:`allocate` fuses the query with its reservation, skipping the
+redundant feasibility re-validation — conservative and slack backfilling
+issue exactly that pair per queued job.  The kernel hands back the two
+segment indices its scan ended on and ``allocate`` splits those edges in
+place, with no second search for them.  A block-max index over the scan, a
+per-profile first-fit memo and copy-on-write clones were tried and deleted:
+no workload defended them (census in ``docs/architecture.md``).
 
 :meth:`fits_at_origin` is the one query that is not a search: "could a job
 this wide and this long start *now*?", read off the first few segments —
@@ -66,26 +59,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Iterable
 
-#: Segments per block of the lazily-built block-max feasibility index.
-_INDEX_BLOCK = 32
-
-#: Minimum segment count before a query builds the block-max index; below
-#: it the plain scan wins (index upkeep would cost more than it saves).
-_INDEX_MIN_SEGMENTS = 96
-
-#: Entries kept in the per-profile first-fit memo before it is wiped.  The
-#: bound is enforced by a deterministic clear-on-full (never an eviction
-#: order that could depend on hash iteration), so two runs of the same
-#: scenario always see the same hit/miss sequence — not that a miss could
-#: change an answer, but determinism keeps the cache a non-observable.
-_MEMO_MAX = 128
-
 
 def _first_fit(
     times: list[float],
     free: list[int],
     n: int,
-    block_max: list[int] | None,
     nodes: int,
     duration: float,
     start_at: float,
@@ -93,10 +71,9 @@ def _first_fit(
     """First ``t >= start_at`` with ``free >= nodes`` over ``[t, t+duration)``.
 
     The single query kernel behind :meth:`AvailabilityProfile.earliest_start`
-    and :meth:`~AvailabilityProfile.allocate`.  ``block_max`` (when not ``None``)
-    holds ``max(free[k*B:(k+1)*B])`` per block and must describe exactly
-    ``free``; the caller guarantees ``nodes <= total_nodes`` so the scan
-    always terminates on the final, fully-free segment.
+    and :meth:`~AvailabilityProfile.allocate`.  The caller guarantees
+    ``nodes <= total_nodes`` so the scan always terminates on the final,
+    fully-free segment.
 
     Returns ``(t, idx, j)`` with the two segment indices the scan ended on:
     ``t`` lies in segment ``idx`` (``times[idx] <= t < times[idx + 1]``) and
@@ -107,24 +84,9 @@ def _first_fit(
     idx = bisect_right(times, start_at) - 1
     while True:
         # Skip infeasible segments; _free[-1] == total_nodes >= nodes, so
-        # neither loop runs off the end.
-        if block_max is None:
-            while free[idx] < nodes:
-                idx += 1
-        else:
-            # Finish the current block by scan, then hop infeasible blocks.
-            end_of_block = ((idx // _INDEX_BLOCK) + 1) * _INDEX_BLOCK
-            if end_of_block > n:
-                end_of_block = n
-            while idx < end_of_block and free[idx] < nodes:
-                idx += 1
-            if idx == end_of_block:
-                block = idx // _INDEX_BLOCK
-                while block_max[block] < nodes:
-                    block += 1
-                idx = block * _INDEX_BLOCK
-                while free[idx] < nodes:
-                    idx += 1
+        # the loop cannot run off the end.
+        while free[idx] < nodes:
+            idx += 1
         t = times[idx]
         candidate = t if t > start_at else start_at
         end = candidate + duration
@@ -150,7 +112,7 @@ class AvailabilityProfile:
     ``total_nodes`` — the machine eventually drains.
     """
 
-    __slots__ = ("_times", "_free", "total_nodes", "_shared", "_block_max", "_memo")
+    __slots__ = ("_times", "_free", "total_nodes")
 
     def __init__(self, total_nodes: int, origin: float = 0.0) -> None:
         if total_nodes <= 0:
@@ -158,9 +120,6 @@ class AvailabilityProfile:
         self.total_nodes = total_nodes
         self._times: list[float] = [origin]
         self._free: list[int] = [total_nodes]
-        self._shared = False
-        self._block_max: list[int] | None = None
-        self._memo: dict[tuple[int, float], float] | None = None
 
     # -- construction ----------------------------------------------------------
 
@@ -207,33 +166,17 @@ class AvailabilityProfile:
         return profile
 
     def clone(self) -> "AvailabilityProfile":
-        """Copy-on-write snapshot: O(1) until either copy mutates.
+        """An independent copy: two list copies, O(segments).
 
-        Both instances share the segment lists and carry a shared flag;
-        the first mutation on either side (reserve, release,
-        advance_origin) copies the lists before writing.  Queries never
-        detach.
+        Neither side sees the other's later mutations.  Eager on purpose:
+        nearly every clone is written to at once, and so is its parent (the
+        copies-per-clone census is in ``docs/architecture.md``).
         """
         other = AvailabilityProfile.__new__(AvailabilityProfile)
         other.total_nodes = self.total_nodes
-        other._times = self._times
-        other._free = self._free
-        # The block-max index and the first-fit memo describe the shared
-        # segment lists, so the clone inherits both; whichever copy mutates
-        # first drops only its own references (the epoch contract: a
-        # mutation starts a new epoch with an empty memo, see
-        # docs/architecture.md).
-        other._block_max = self._block_max
-        other._memo = self._memo
-        other._shared = True
-        self._shared = True
+        other._times = list(self._times)
+        other._free = list(self._free)
         return other
-
-    def _detach(self) -> None:
-        if self._shared:
-            self._times = list(self._times)
-            self._free = list(self._free)
-            self._shared = False
 
     # -- queries ----------------------------------------------------------------
 
@@ -289,18 +232,6 @@ class AvailabilityProfile:
             out.append((time, free))
         return out
 
-    def _query_index(self) -> list[int] | None:
-        """The block-max feasibility index, built lazily for large profiles."""
-        block_max = self._block_max
-        if block_max is None:
-            free = self._free
-            if len(free) >= _INDEX_MIN_SEGMENTS:
-                block_max = self._block_max = [
-                    max(free[i : i + _INDEX_BLOCK])
-                    for i in range(0, len(free), _INDEX_BLOCK)
-                ]
-        return block_max
-
     def earliest_start(self, nodes: int, duration: float, after: float | None = None) -> float:
         """Earliest ``t >= after`` with ``free >= nodes`` on ``[t, t+duration)``.
 
@@ -312,32 +243,8 @@ class AvailabilityProfile:
             raise ValueError(f"{nodes} nodes never fit a {self.total_nodes}-node machine")
         times = self._times
         origin = times[0]
-        if after is None or after <= origin:
-            # Memoizable: the answer depends only on (nodes, duration) and
-            # the step function of the current epoch.  A cached start from
-            # before an ``advance_origin`` stays valid exactly when it has
-            # not been overtaken by the new origin — the levels on
-            # ``[origin, inf)`` are untouched by origin advances, and every
-            # instant in ``[origin, cached)`` was already scanned and found
-            # infeasible — so staleness is a cheap comparison, not a flush.
-            memo = self._memo
-            key = (nodes, duration)
-            if memo is not None:
-                cached = memo.get(key)
-                if cached is not None and cached >= origin:
-                    return cached
-            start = _first_fit(
-                times, self._free, len(times), self._query_index(), nodes, duration, origin
-            )[0]
-            if memo is None:
-                memo = self._memo = {}
-            elif len(memo) >= _MEMO_MAX:
-                memo.clear()
-            memo[key] = start
-            return start
-        return _first_fit(
-            times, self._free, len(times), self._query_index(), nodes, duration, after
-        )[0]
+        start_at = origin if after is None or after < origin else after
+        return _first_fit(times, self._free, len(times), nodes, duration, start_at)[0]
 
     def allocate(self, nodes: int, duration: float, after: float | None = None) -> float:
         """Fused :meth:`earliest_start` + :meth:`reserve`; returns the start.
@@ -354,18 +261,13 @@ class AvailabilityProfile:
         if duration <= 0:
             # reserve() treats non-positive durations as no-ops; match it.
             return self.earliest_start(nodes, duration, after)
-        self._detach()
         times = self._times
         origin = times[0]
         start_at = origin if after is None or after < origin else after
         free = self._free
         n = len(times)
-        candidate, lo, hi = _first_fit(
-            times, free, n, self._query_index(), nodes, duration, start_at
-        )
+        candidate, lo, hi = _first_fit(times, free, n, nodes, duration, start_at)
         end = candidate + duration
-        self._block_max = None
-        self._memo = None
         if end == candidate:
             # A duration the float sum absorbs reserves nothing; reserve()
             # still leaves the start breakpoint behind, so match it.
@@ -427,9 +329,6 @@ class AvailabilityProfile:
         """
         if duration <= 0:
             return
-        self._detach()
-        self._block_max = None
-        self._memo = None
         free = self._free
         if free[0] < nodes:
             raise ValueError(
@@ -451,9 +350,6 @@ class AvailabilityProfile:
             free[i] -= nodes
 
     def _reserve_span(self, start: float, end: float, nodes: int) -> None:
-        self._detach()
-        self._block_max = None
-        self._memo = None
         times = self._times
         free = self._free
         if start < times[0]:
@@ -489,9 +385,6 @@ class AvailabilityProfile:
         """
         if nodes <= 0 or end <= self._times[0]:
             return
-        self._detach()
-        self._block_max = None
-        self._memo = None
         times = self._times
         free = self._free
         total = self.total_nodes
@@ -536,9 +429,6 @@ class AvailabilityProfile:
             start = self._times[0]
         if nodes <= 0 or end <= start:
             return
-        self._detach()
-        self._block_max = None
-        self._memo = None
         times = self._times
         free = self._free
         total = self.total_nodes
@@ -572,8 +462,6 @@ class AvailabilityProfile:
         """
         if now <= self._times[0]:
             return
-        self._detach()
-        self._block_max = None
         times = self._times
         free = self._free
         idx = bisect_right(times, now) - 1

@@ -140,9 +140,10 @@ class SchedulerContext:
     def profile(self) -> AvailabilityProfile:
         """The availability profile as of ``now`` — a private, mutable copy.
 
-        With an incremental state this is a copy-on-write snapshot of the
-        persistent profile (O(overruns), usually O(1)); without one it
-        falls back to a full ``from_running`` rebuild.  Either way the
+        With an incremental state this is a snapshot of the persistent
+        profile (one copy of its segment lists, O(segments), no sort and
+        no rebuild); without one it falls back to a full ``from_running``
+        rebuild.  Either way the
         returned step function is identical, disciplines may freely
         ``reserve`` into it, and every access yields an independent copy.
         """

@@ -27,8 +27,8 @@ simulator and exposed to schedulers through
   against the degraded machine exactly as it plans around running jobs.
 
 The contract (see ``docs/architecture.md`` for the full invariant table):
-only the simulator mutates the state; schedulers read copy-on-write
-:meth:`snapshot` s, which are guaranteed to describe *exactly* the same
+only the simulator mutates the state; schedulers read private
+:meth:`snapshot` copies, which are guaranteed to describe *exactly* the same
 step function ``from_running`` would rebuild — including the clamping of
 overrun jobs (projected end in the past) to an epsilon after *now*.  That
 guarantee is mechanical equivalence: schedules under the incremental state
@@ -124,7 +124,7 @@ class SchedulingState:
         #: :meth:`verify` and kept up to date by the deltas from then on;
         #: ``None`` until something reads it (a list cell never does).
         #: Schedulers must never mutate it directly — they receive
-        #: copy-on-write clones from :meth:`snapshot`.
+        #: private copies from :meth:`snapshot`.
         self.profile: AvailabilityProfile | None = None
         self._ends: list[tuple[float, int]] = []  # (projected_end, job_id), sorted
         self._jobs: dict[int, tuple[float, int]] = {}  # job_id -> (end, nodes)
@@ -324,14 +324,15 @@ class SchedulingState:
         return bool(ends) and ends[0][0] <= self.now
 
     def snapshot(self) -> AvailabilityProfile:
-        """The availability profile as of ``now`` — a copy-on-write clone.
+        """The availability profile as of ``now`` — a private, mutable copy.
 
         Equals ``AvailabilityProfile.from_running(total, now,
         projected_releases())`` as a step function: overrun jobs (projected
         end at or before ``now``) are clamped to hold their nodes for the
         same epsilon the reference constructor uses.  Mutating the returned
         profile (disciplines reserve tentative starts into it) never
-        touches the persistent state.
+        touches the persistent state.  Costs one copy of the segment lists,
+        O(segments), plus the overrun clamps.
         """
         self.snapshots += 1
         snap = self._clamped_clone()

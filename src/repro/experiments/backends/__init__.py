@@ -4,9 +4,7 @@ The engine fans grid cells out through one :class:`~repro.experiments.
 backends.base.ExecutionBackend` at a time:
 
 * :class:`~repro.experiments.backends.pool.PoolBackend` — the default
-  local ``ProcessPoolExecutor`` fan-out (``groups=1``) and the sharded
-  multi-process-group variant (``groups>1``; a broken shard rebuilds
-  alone instead of tearing down the whole pool);
+  local ``ProcessPoolExecutor`` fan-out, kept by the engine between runs;
 * :class:`~repro.experiments.backends.remote.RemoteWorkerBackend` —
   cells dispatched to :mod:`~repro.experiments.backends.worker`
   processes over the length-prefixed, checksummed socket protocol of

@@ -92,7 +92,7 @@ class ReleaseReport(NamedTuple):
     """What :meth:`ExecutionBackend.release` had to do.
 
     ``requeue`` lists collateral cells the backend abandoned alongside
-    the charged ones (a torn-down pool group dooms every cell it was
+    the charged ones (a torn-down pool dooms every cell it was
     running); the engine resubmits them uncharged.  ``broke`` is true
     when the release damaged the backend itself — the engine then spends
     a reset from its rebuild budget before dispatching again.

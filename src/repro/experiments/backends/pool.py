@@ -1,22 +1,20 @@
-"""Local process-pool execution backend (single pool or sharded groups).
+"""Local process-pool execution backend.
 
-``groups=1`` is the engine's historical ``ProcessPoolExecutor`` fan-out,
-bit-identical in behavior: every cell is submitted eagerly (the executor
+One ``ProcessPoolExecutor``: every cell is submitted eagerly (the executor
 queues the backlog), a ``BrokenProcessPool`` dooms the whole pool, and a
-lease expiry tears it down.  ``groups>1`` shards the same worker budget
-across independent executors so one crashing or hung cell only takes its
-own shard's in-flight cells with it — the other groups keep computing
-while the broken one is rebuilt.
+lease expiry tears it down; :meth:`PoolBackend.reset` rebuilds it and the
+cells that were merely in flight beside the culprit are requeued
+uncharged.
 
 A pool outlives the grids it runs: the engine keeps it between runs
 (see :meth:`ExperimentEngine.borrow_pool <repro.experiments.engine.
 ExperimentEngine.borrow_pool>`), so workers are forked once per engine,
-not once per grid.  All groups share one scratch directory holding the
-workload spool (``<digest>.jobs``, written on the first cell of a digest
-and read by workers on their first miss) and the heartbeat sentinels
-(``<pid>.hb``): the engine's watchdog only needs the *freshest* touch to
-know the backend is alive, and a silently dead shard surfaces through
-lease expiry on its cells.
+not once per grid.  Its scratch directory holds the workload spool
+(``<digest>.jobs``, written on the first cell of a digest and read by
+workers on their first miss) and the heartbeat sentinels (``<pid>.hb``):
+the engine's watchdog only needs the *freshest* touch to know the backend
+is alive, and a silently dead worker surfaces through lease expiry on its
+cell.
 """
 
 from __future__ import annotations
@@ -70,31 +68,24 @@ def terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 class PoolBackend(ExecutionBackend):
-    """Cells on local ``ProcessPoolExecutor``\\ s, optionally sharded."""
+    """Cells on one local ``ProcessPoolExecutor``."""
+
+    name = "local-pool"
 
     def __init__(
         self,
         *,
         workers: int,
-        groups: int = 1,
         store: "WorkloadStore",
         heartbeat_interval: float | None = None,
     ) -> None:
-        total = max(1, workers)
-        self.groups = max(1, min(groups, total))
-        self.name = (
-            "local-pool" if self.groups == 1 else f"sharded-pool[{self.groups}]"
-        )
-        #: Worker budget per group; every group gets at least one process.
-        self._group_workers = [
-            total // self.groups + (1 if i < total % self.groups else 0)
-            for i in range(self.groups)
-        ]
+        self._workers = max(1, workers)
         self._store = store
         self._heartbeat_interval = heartbeat_interval
-        self._execs: list[ProcessPoolExecutor | None] = [None] * self.groups
-        self._futures: dict[Future, tuple[str, int]] = {}
-        self._broken: set[int] = set()
+        self._exec: ProcessPoolExecutor | None = None
+        self._futures: dict[Future, str] = {}
+        #: The executor died (crash, expired lease) and awaits :meth:`reset`.
+        self._broken = False
         #: Scratch directory (spool + heartbeat sentinels) while started.
         self._dir: str | None = None
         #: Digests already spooled into ``_dir``.
@@ -102,37 +93,37 @@ class PoolBackend(ExecutionBackend):
         #: Scheduler-registry generation the workers were forked under.
         self.generation = -1
         self._epoch = time.time()
-        self._rr = 0
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _make_group(self, index: int) -> None:
-        # A (re)built group re-arms its workers' heartbeats (the
+    def _make_executor(self) -> None:
+        # A (re)built executor re-arms its workers' heartbeats (the
         # initializer runs again in every fresh worker process); they
         # hydrate their workloads from the spool like the first ones did.
         self._epoch = time.time()
-        self._execs[index] = ProcessPoolExecutor(
-            max_workers=self._group_workers[index],
+        self._exec = ProcessPoolExecutor(
+            max_workers=self._workers,
             mp_context=pool_context(),
             initializer=init_worker,
             initargs=(self._dir, self._heartbeat_interval),
         )
+
+    def _stop_executor(self) -> None:
+        if self._exec is not None:
+            terminate_pool(self._exec)
+            self._exec = None
 
     def start(self) -> None:
         if self._dir is not None:
             return  # kept running by the engine since an earlier grid
         self._dir = tempfile.mkdtemp(prefix="repro-pool-")
         self.generation = registry_generation()
-        for index in range(self.groups):
-            self._make_group(index)
+        self._make_executor()
 
     def close(self) -> None:
-        for index, pool in enumerate(self._execs):
-            if pool is not None:
-                terminate_pool(pool)
-                self._execs[index] = None
+        self._stop_executor()
         self._futures.clear()
-        self._broken.clear()
+        self._broken = False
         self._spooled.clear()
         if self._dir is not None:
             # Worker heartbeat threads exit on their next touch (the
@@ -143,12 +134,9 @@ class PoolBackend(ExecutionBackend):
     # -- dispatch ----------------------------------------------------------
 
     def can_accept(self) -> bool:
-        # Executors queue their own backlog, exactly like the historical
-        # single-pool dispatch: the engine hands the whole grid over.
-        return any(
-            pool is not None and index not in self._broken
-            for index, pool in enumerate(self._execs)
-        )
+        # The executor queues its own backlog: the engine hands the whole
+        # grid over.
+        return self._exec is not None and not self._broken
 
     def submit(self, task: CellTask) -> bool:
         from repro.experiments.engine import _run_cell_task
@@ -157,20 +145,15 @@ class PoolBackend(ExecutionBackend):
         if digest not in self._spooled:
             spool_workload(self._dir, digest, self._store.get(digest))
             self._spooled.add(digest)
-        for _ in range(self.groups):
-            index = self._rr % self.groups
-            self._rr += 1
-            pool = self._execs[index]
-            if pool is None or index in self._broken:
-                continue
-            try:
-                future = pool.submit(_run_cell_task, task.request)
-            except RuntimeError:  # shut down under us
-                self._broken.add(index)
-                continue
-            self._futures[future] = (task.fingerprint, index)
-            return True
-        return False
+        if not self.can_accept():
+            return False
+        try:
+            future = self._exec.submit(_run_cell_task, task.request)
+        except RuntimeError:  # shut down under us
+            self._broken = True
+            return False
+        self._futures[future] = task.fingerprint
+        return True
 
     def collect(self, timeout: float | None) -> list[CellOutcome]:
         if not self._futures:
@@ -182,11 +165,11 @@ class PoolBackend(ExecutionBackend):
         )
         outcomes: list[CellOutcome] = []
         for future in done:
-            fp, index = self._futures.pop(future)
+            fp = self._futures.pop(future)
             try:
                 value = future.result()
             except BrokenProcessPool as exc:
-                self._broken.add(index)
+                self._broken = True
                 outcomes.append(
                     CellOutcome(fp, "broken", detail=f"worker crashed: {exc!r}")
                 )
@@ -203,7 +186,7 @@ class PoolBackend(ExecutionBackend):
         return outcomes
 
     def in_flight(self) -> set[str]:
-        return {fp for fp, _ in self._futures.values()}
+        return set(self._futures.values())
 
     def liveness(self) -> float | None:
         if self._heartbeat_interval is None or self._dir is None:
@@ -214,43 +197,31 @@ class PoolBackend(ExecutionBackend):
     # -- failure paths -----------------------------------------------------
 
     def release(self, fingerprints: set[str], reason: str) -> ReleaseReport:
-        """Tear down every group running a released cell.
+        """Tear the pool down if it is running a released cell.
 
-        A pool cannot abandon one running future, so the owning group
-        dies with the lease; its other in-flight cells come back as
-        uncharged collateral (with one group this is exactly the
-        historical kill-the-pool-on-timeout behavior).
+        A pool cannot abandon one running future, so it dies with the
+        lease; its other in-flight cells come back as uncharged
+        collateral.
         """
-        affected = {
-            index for _, (fp, index) in self._futures.items() if fp in fingerprints
-        }
-        requeue: list[str] = []
-        for future, (fp, index) in list(self._futures.items()):
-            if index in affected:
-                del self._futures[future]
-                if fp not in fingerprints:
-                    requeue.append(fp)
-        for index in affected:
-            pool = self._execs[index]
-            if pool is not None:
-                terminate_pool(pool)
-                self._execs[index] = None
-            self._broken.add(index)
-        return ReleaseReport(requeue=tuple(requeue), broke=bool(affected))
+        in_flight = self._futures.values()
+        if not any(fp in fingerprints for fp in in_flight):
+            return ReleaseReport(requeue=(), broke=False)
+        requeue = tuple(fp for fp in in_flight if fp not in fingerprints)
+        self._futures.clear()
+        self._stop_executor()
+        self._broken = True
+        return ReleaseReport(requeue=requeue, broke=True)
 
     def drain_broken(self) -> list[str]:
-        stranded: list[str] = []
-        for future, (fp, index) in list(self._futures.items()):
-            if index in self._broken:
-                del self._futures[future]
-                stranded.append(fp)
+        if not self._broken:
+            return []
+        stranded = list(self._futures.values())
+        self._futures.clear()
         return stranded
 
     def reset(self, should_abort=None) -> bool:
-        for index in sorted(self._broken):
-            pool = self._execs[index]
-            if pool is not None:
-                terminate_pool(pool)
-            self._make_group(index)
-        self._broken.clear()
+        if self._broken:
+            self._stop_executor()
+            self._make_executor()
+            self._broken = False
         return True

@@ -22,8 +22,8 @@ Failure handling, by symptom:
   service; a lost connection sends it through reconnect like any other.
 * **every worker gone**: the engine sees an empty in-flight set with a
   non-empty queue, spends one reset — a full blocking reconnect sweep —
-  and steps down the degradation ladder (sharded -> local pool ->
-  serial) if that fails, so the grid completes regardless.
+  and steps down the degradation ladder (local pool -> serial) if that
+  fails, so the grid completes regardless.
 """
 
 from __future__ import annotations

@@ -47,9 +47,9 @@ and poisoned objects are quarantined under a ``quarantine/`` prefix::
 
 Execution backends never change results: grids, per-cell fingerprints
 and run ids are bit-identical whether cells ran serially, in a local
-pool, in sharded pools, or on a remote fleet that crashed halfway
-through (lease expiry, retries and the remote -> sharded -> local ->
-serial degradation ladder guarantee completion).
+pool, or on a remote fleet that crashed halfway through (lease expiry,
+retries and the remote -> local pool -> serial degradation ladder
+guarantee completion).
 
 Scenario runs (see :mod:`repro.scenarios`) are driven either by a JSON
 spec file or by convenience flags that translate into spec components::
@@ -350,18 +350,11 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend-exec",
-        choices=["local", "sharded", "remote"],
+        choices=["local", "remote"],
         default=None,
-        help="where grid cells execute: local (single process pool, "
-        "default), sharded (independent pool groups so one crash only "
-        "costs its own shard), or remote (TCP workers from --connect); "
-        "results are bit-identical across execution backends",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help="pool groups for --backend-exec sharded (default 2)",
+        help="where grid cells execute: local (one process pool, default) "
+        "or remote (TCP workers from --connect); results are "
+        "bit-identical across execution backends",
     )
     parser.add_argument(
         "--connect",
@@ -569,7 +562,6 @@ def _run_experiments(
         journal_dir=args.journal_dir,
         backend=args.backend,
         execution_backend=args.backend_exec,
-        shards=args.shards,
         connect=tuple(args.connect or ()),
         remote_cache=args.remote_cache,
     )
@@ -673,11 +665,11 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.experiments.extensions import EXTENSIONS, run_extension
 
-    ids = list(args.ids)
-    if "all" in ids:
-        ids = sorted(EXPERIMENTS) + [i for i in ids if i != "all" and i in EXTENSIONS]
-    if "ext-all" in ids:
-        ids = [i for i in ids if i != "ext-all"] + sorted(EXTENSIONS)
+    # "all" and "ext-all" each expand on their own; an id named twice runs once.
+    expansions = {"all": sorted(EXPERIMENTS), "ext-all": sorted(EXTENSIONS)}
+    ids: list[str] = []
+    for typed in args.ids:
+        ids.extend(i for i in expansions.get(typed, [typed]) if i not in ids)
     unknown = [i for i in ids if i not in EXPERIMENTS and i not in EXTENSIONS]
     if unknown:
         parser.error(f"unknown experiment ids: {', '.join(unknown)}")

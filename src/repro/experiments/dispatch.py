@@ -1,7 +1,7 @@
 """The lease/retry/reset/watchdog loop behind a distributed run.
 
 One :class:`Dispatch` object drives one run's cache misses down the
-execution-backend ladder — remote -> sharded -> local pool — and hands
+execution-backend ladder — remote -> local pool — and hands
 whatever is left to the engine's in-process serial path, so the grid
 always completes.  Each safety property is one method: lease deadlines
 stamped at submit (:meth:`~Dispatch.submit_ready`), expired leases and
@@ -123,19 +123,15 @@ class Dispatch:
     # -- the ladder -----------------------------------------------------------
 
     def ladder(self, store_entries: tuple) -> "list[Callable[[], ExecutionBackend]]":
-        """Backend factories, best first: remote -> sharded -> local pool.
+        """Backend factories, best first: remote -> local pool.
 
         In-process serial execution (the unconditional last resort) is
         not a rung: :meth:`execute` returns the leftovers to the engine.
-        The pool rungs borrow the engine's long-lived pool, whose workers
+        The pool rung borrows the engine's long-lived pool, whose workers
         read the workload from its spool; ``store_entries`` seeds the
         remote workers.
         """
         engine = self.engine
-
-        def pool_rung(groups: int) -> "Callable[[], ExecutionBackend]":
-            return lambda: engine.borrow_pool(groups)
-
         factories: "list[Callable[[], ExecutionBackend]]" = []
         if engine.execution_backend == "remote":
             # Imported here: a local sweep never loads the socket stack.
@@ -149,9 +145,7 @@ class Dispatch:
                     reconnect_backoff=max(engine.retry_backoff, 0.05),
                 )
             )
-        if engine.execution_backend in ("remote", "sharded") and engine.shards > 1:
-            factories.append(pool_rung(engine.shards))
-        factories.append(pool_rung(1))
+        factories.append(engine.borrow_pool)
         return factories
 
     def execute(self) -> list[tuple[SchedulerConfig, str]]:

@@ -15,8 +15,8 @@ three steps, one object each:
   one run mutates (grid, stats, results, journal, interrupt flag);
 * **dispatch** — cache misses run in process (one worker) or through a
   :class:`~repro.experiments.dispatch.Dispatch`: leases, retries,
-  duplicate dedup, the watchdog and the remote -> sharded -> local pool
-  -> serial ladder over :mod:`~repro.experiments.backends`.
+  duplicate dedup, the watchdog and the remote -> local pool -> serial
+  ladder over :mod:`~repro.experiments.backends`.
 
 Fingerprints live in :mod:`repro.experiments.fingerprint`, the result
 cache in :mod:`repro.experiments.backends.cache`; this module re-exports
@@ -203,11 +203,6 @@ def _run_cell_task(request: CellRequest) -> tuple[str, CellResult, float]:
 _WATCHDOG_UNSET: object = object()
 
 
-def _close_pools(pools: "dict[int, PoolBackend]") -> None:
-    while pools:
-        pools.popitem()[1].close()
-
-
 # -- the engine ----------------------------------------------------------------
 
 
@@ -261,18 +256,12 @@ class ExperimentEngine:
         ``max(4 * heartbeat_interval, 30.0)`` so one missed touch never
         trips it.
     execution_backend:
-        ``"local"`` (the default) dispatches to one process pool —
-        exactly the historical behaviour; ``"sharded"`` splits the same
-        worker budget across ``shards`` independent pools so one
-        crashing or hung cell only takes its own shard's in-flight cells
-        with it; ``"remote"`` dispatches over TCP to
+        ``"local"`` (the default) dispatches to one process pool;
+        ``"remote"`` dispatches over TCP to
         ``repro.experiments.backends.worker`` processes named by
-        ``connect``.  Every mode degrades down the ladder
-        remote -> sharded -> local pool -> serial, so the grid completes
+        ``connect``.  Both degrade down the ladder
+        remote -> local pool -> serial, so the grid completes
         regardless of backend health.
-    shards:
-        Pool groups for the sharded backend (also the sharded rung of
-        the remote ladder).
     connect:
         ``HOST:PORT`` worker addresses for ``execution_backend="remote"``.
     remote_cache:
@@ -318,7 +307,6 @@ class ExperimentEngine:
         handle_signals: bool = True,
         backend: str | None = None,
         execution_backend: str | None = None,
-        shards: int = 2,
         connect: Sequence[str] = (),
         remote_cache: str | None = None,
     ) -> None:
@@ -339,13 +327,11 @@ class ExperimentEngine:
                 self.cache.remote = store_from_spec(remote_cache)
         self.remote_cache = remote_cache
         mode = execution_backend or "local"
-        if mode not in ("local", "sharded", "remote"):
+        if mode not in ("local", "remote"):
             raise ValueError(
-                f"execution_backend must be 'local', 'sharded' or 'remote', "
+                f"execution_backend must be 'local' or 'remote', "
                 f"got {execution_backend!r}"
             )
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.connect = tuple(connect)
         if mode == "remote" and not self.connect:
             raise ValueError(
@@ -353,7 +339,6 @@ class ExperimentEngine:
                 "connect='HOST:PORT' worker address"
             )
         self.execution_backend = mode
-        self.shards = shards
         self.on_event = on_event
         self.workload_store = WorkloadStore()
         if cell_timeout is not None and cell_timeout <= 0:
@@ -393,14 +378,14 @@ class ExperimentEngine:
         self.heartbeat_timeout = heartbeat_timeout
         self.handle_signals = handle_signals
         self.stats = RunStats()
-        #: The started pool kept between runs, under its shard count (at
-        #: most one entry; see :meth:`borrow_pool`).
-        self._pools: dict[int, PoolBackend] = {}
-        weakref.finalize(self, _close_pools, self._pools)
+        #: The started, idle pool kept between runs (see :meth:`borrow_pool`),
+        #: and the finalizer that stops it if the engine is dropped first.
+        self._pool: PoolBackend | None = None
+        self._pool_finalizer: weakref.finalize | None = None
 
     # -- the worker pool --------------------------------------------------------
 
-    def borrow_pool(self, groups: int) -> PoolBackend:
+    def borrow_pool(self) -> PoolBackend:
         """Take the engine's local pool for one rung of one run.
 
         The pool kept from an earlier run when there is one — unless the
@@ -411,16 +396,15 @@ class ExperimentEngine:
         meanwhile, so a pool that broke or was interrupted is never
         reused.
         """
-        groups = min(groups, self.workers)  # as PoolBackend clamps it
-        pool = self._pools.pop(groups, None)
-        self.close()  # a pool kept for another sharding
-        if pool is not None and pool.generation != registry_generation():
-            pool.close()
-            pool = None
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            self._pool_finalizer.detach()
+            if pool.generation != registry_generation():
+                pool.close()
+                pool = None
         if pool is None:
             pool = PoolBackend(
                 workers=self.workers,
-                groups=groups,
                 store=self.workload_store,
                 heartbeat_interval=self.heartbeat_interval,
             )
@@ -429,14 +413,17 @@ class ExperimentEngine:
     def return_pool(self, pool: PoolBackend) -> None:
         """Keep a started, idle pool for the next run (see :meth:`borrow_pool`)."""
         self.close()  # at most one is kept: two overlapping runs each had one
-        self._pools[pool.groups] = pool
+        self._pool = pool
+        self._pool_finalizer = weakref.finalize(self, pool.close)
 
     def close(self) -> None:
         """Stop the worker pool kept between runs (idempotent).
 
         The engine stays usable: the next parallel run starts a new pool.
         """
-        _close_pools(self._pools)
+        if self._pool is not None:
+            self._pool = None
+            self._pool_finalizer()  # runs pool.close() once and retires itself
 
     def __enter__(self) -> "ExperimentEngine":
         return self

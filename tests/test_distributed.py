@@ -360,22 +360,11 @@ class TestRemoteExecution:
         )
         configs = [SchedulerConfig("fcfs", "easy"), SchedulerConfig("psrs", "easy")]
         grid = engine.run(workload[:40], total_nodes=256, configs=configs)
-        # The remote rung never started; the sharded pool rung did.
-        assert engine.stats.backend.startswith("sharded-pool")
+        # The remote rung never started; the local pool rung did.
+        assert engine.stats.backend == "local-pool"
         degraded = [e for e in events if e.kind == "engine-degraded"]
         assert any("unavailable" in e.detail for e in degraded)
         assert_grids_equal(grid, oracle, keys=[c.key for c in configs])
-
-    def test_sharded_backend_matches_serial(
-        self, workload, registry_configs, oracle
-    ):
-        engine = ExperimentEngine(
-            workers=2, execution_backend="sharded", shards=2
-        )
-        grid = engine.run(workload[:40], total_nodes=256, configs=registry_configs)
-        assert engine.stats.backend == "sharded-pool[2]"
-        assert grid.fingerprints == oracle.fingerprints
-        assert_grids_equal(grid, oracle)
 
 
 # -- leases, zombies and duplicate results (satellite) -------------------------
@@ -630,35 +619,80 @@ class TestFleetCache:
 
 
 class TestJournalBackendSurfacing:
-    def test_list_runs_reports_execution_backend(self, tmp_path, workload):
-        from repro.experiments.journal import list_runs
+    def test_list_runs_reports_execution_backend(self, tmp_path, workload, oracle):
+        """A journal from a sharded-pool run (an execution backend since
+        removed) is still listed, verified and resumed."""
+        from repro.experiments.journal import (
+            RunJournal,
+            list_runs,
+            read_journal,
+            verify_run,
+        )
 
-        engine = ExperimentEngine(
-            workers=2,
-            cache=tmp_path,
-            execution_backend="sharded",
-            shards=2,
-        )
-        engine.run(
-            workload[:30],
-            total_nodes=256,
-            configs=[SchedulerConfig("fcfs", "easy"), SchedulerConfig("psrs", "easy")],
-        )
-        summaries = list_runs(tmp_path / "runs")
-        assert len(summaries) == 1
-        assert summaries[0].backend == "sharded"
-        assert "[sharded]" in summaries[0].describe()
+        configs = [
+            SchedulerConfig("fcfs", "easy"),
+            SchedulerConfig("psrs", "easy"),
+            SchedulerConfig("fcfs", "list"),
+        ]
+        kwargs = dict(total_nodes=256, configs=configs)
+        with ExperimentEngine(workers=2, cache=tmp_path) as engine:
+            engine.run(workload[:40], **kwargs)
+            cache = engine.cache
+        (summary,) = list_runs(tmp_path / "runs")
+        assert summary.backend == "local"
+        # Rewrite it as the old run left it when it died after one cell.
+        replay = read_journal(summary.path)
+        done = replay.cells[configs[0].key]
+        with RunJournal.create(
+            summary.path, {**replay.manifest, "execution_backend": "sharded"}
+        ) as journal:
+            journal.record_cell(
+                done.key,
+                "completed",
+                fingerprint=done.fingerprint,
+                objective=done.objective,
+            )
+        for config in configs[1:]:
+            cache.path(replay.cells[config.key].fingerprint).unlink()
+
+        (summary,) = list_runs(tmp_path / "runs")
+        assert summary.run_id == replay.run_id
+        assert summary.backend == "sharded"
+        assert "[sharded]" in summary.describe()
+        audit = verify_run(summary.run_id, journal_dir=tmp_path / "runs", cache=cache)
+        assert audit.ok and audit.backend == "sharded"
+
+        with ExperimentEngine(workers=2, cache=tmp_path) as engine:
+            grid = engine.resume(summary.run_id, workload[:40], **kwargs)
+            assert engine.stats.backend == "local-pool"
+            assert engine.stats.cache_hits == 1
+        assert_grids_equal(grid, oracle, keys=[c.key for c in configs])
+        (summary,) = list_runs(tmp_path / "runs")
+        assert summary.run_id == replay.run_id
+        assert summary.status == "complete"
+        assert summary.backend == "sharded"  # a resume keeps the manifest
+
+        # ...but nothing new can ask for it.
+        from repro.experiments.cli import main
+
+        with pytest.raises(ValueError, match="execution_backend must be"):
+            ExperimentEngine(execution_backend="sharded")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table3", "--backend-exec", "sharded"])
+        assert exit_info.value.code == 2
 
     def test_backend_choice_does_not_perturb_run_ids(self, tmp_path, workload):
         """Backend identity is manifest metadata, never run-id input: the
         same grid resumes across backends."""
-        configs = [SchedulerConfig("fcfs", "easy")]
         local = ExperimentEngine(workers=1, cache=tmp_path / "a")
-        sharded = ExperimentEngine(
-            workers=2, cache=tmp_path / "b", execution_backend="sharded"
+        remote = ExperimentEngine(
+            workers=2,
+            cache=tmp_path / "b",
+            execution_backend="remote",
+            connect=[_dead_address()],
         )
         kwargs = dict(total_nodes=256)
-        assert local.run_id_for(workload[:30], **kwargs) == sharded.run_id_for(
+        assert local.run_id_for(workload[:30], **kwargs) == remote.run_id_for(
             workload[:30], **kwargs
         )
 

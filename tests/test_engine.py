@@ -508,21 +508,22 @@ def _probe_lines():
 
 
 def _kept_pool(engine):
-    (pool,) = engine._pools.values()
-    return pool
+    assert engine._pool is not None
+    return engine._pool
 
 
 def _worker_processes(pool):
-    return [
-        proc
-        for executor in pool._execs
-        for proc in (executor._processes or {}).values()
-    ]
+    return list((pool._exec._processes or {}).values())
 
 
 def _assert_all_dead(processes):
     for proc in processes:
         proc.join(timeout=10)
+        # The executor's manager thread reaps its workers too: when it wins
+        # the waitpid, this thread sees the exit code a moment later.
+        deadline = time.monotonic() + 2
+        while proc.is_alive() and time.monotonic() < deadline:
+            time.sleep(0.01)
         assert not proc.is_alive()
 
 
@@ -653,7 +654,7 @@ class TestPoolLifetime:
         assert os.path.isdir(scratch) and len(processes) == 2
         engine.close()
         engine.close()
-        assert engine._pools == {}
+        assert engine._pool is None
         _assert_all_dead(processes)
         assert not os.path.exists(scratch)
         # Closed is not dead: the next parallel run starts a new pool.
@@ -692,7 +693,7 @@ class TestPoolLifetime:
                     assert _kept_pool(engine)._dir is not None
                 else:
                     # Out of resets: the rung gave up, the pool is gone.
-                    assert engine._pools == {}
+                    assert engine._pool is None
                 engine.run(workload[30:60], total_nodes=256, configs=THREE_CELLS)
                 assert engine.stats.backend == "local-pool"
                 assert engine.stats.simulated == 3
@@ -729,8 +730,8 @@ class TestPoolLifetime:
         engine = ExperimentEngine(workers=2, journal_dir=tmp_path)
         borrow = engine.borrow_pool
 
-        def spying_borrow(groups):
-            borrowed.append(borrow(groups))
+        def spying_borrow():
+            borrowed.append(borrow())
             return borrowed[-1]
 
         def interrupt_once(event):
@@ -742,7 +743,7 @@ class TestPoolLifetime:
         engine.on_event = interrupt_once
         with pytest.raises(RunInterrupted):
             engine.run(workload[:30], total_nodes=256, configs=list(paper_configurations()))
-        assert engine._pools == {}
+        assert engine._pool is None
         assert borrowed[0]._dir is None  # closed: scratch directory removed
         assert seen
         _assert_all_dead(seen)

@@ -53,3 +53,26 @@ class TestCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "fig3" in out and "ext-bounds" in out
+
+    @pytest.mark.parametrize("ids", [["all", "ext-all"], ["ext-all", "all"]])
+    def test_cli_all_and_ext_all_expand_independently(self, ids, capsys):
+        from repro.experiments.cli import main
+        from repro.experiments.paper import EXPERIMENTS
+
+        assert main([*ids, "--scale", "60", "--no-cache"]) == 0
+        banners = [
+            line.split()[1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("=== ")
+        ]
+        assert set(banners) == set(EXPERIMENTS) | set(EXTENSIONS)
+
+    def test_cli_all_does_not_hide_an_unknown_id(self, capsys):
+        from repro.experiments.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["all", "bogus", "--scale", "60", "--no-cache"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "unknown experiment ids: bogus" in captured.err
+        assert "===" not in captured.out  # rejected before anything ran

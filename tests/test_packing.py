@@ -12,7 +12,6 @@ from repro.core.packing import (
     PackedJobs,
     fingerprint_packed,
     job_record,
-    numpy_available,
     pack_jobs,
     unpack_jobs,
 )
@@ -179,18 +178,3 @@ def test_nbytes_counts_columns():
     # 5 eight-byte columns + 2 one-byte masks... job_ids/submit/nodes/
     # runtime/estimate/users/weight are 8 B each (7 columns), masks 1 B (2).
     assert packed.nbytes() == 100 * (7 * 8 + 2)
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_numpy_views_zero_copy():
-    import numpy as np
-
-    jobs = [
-        Job(job_id=i, submit_time=float(i), nodes=i + 1, runtime=2.0 * i)
-        for i in range(50)
-    ]
-    views = pack_jobs(jobs).numpy_views()
-    assert views["job_ids"].dtype == np.int64
-    assert views["submit"].dtype == np.float64
-    assert list(views["nodes"]) == [j.nodes for j in jobs]
-    assert float(views["runtime"].sum()) == sum(j.runtime for j in jobs)

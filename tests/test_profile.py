@@ -328,8 +328,14 @@ reservations = st.lists(
 
 @st.composite
 def profile_and_query(draw):
-    total = draw(st.integers(min_value=16, max_value=128))
-    profile = AvailabilityProfile(total)
+    if draw(st.booleans()):
+        total = draw(st.integers(min_value=16, max_value=128))
+        profile = AvailabilityProfile(total)
+    else:
+        # The size of a conservative plan, where the scan is longest.
+        total = 256
+        profile = _busy_profile(seed=draw(st.integers(min_value=0, max_value=7)))
+        assert len(profile.steps()) >= 200
     for start, duration, nodes in draw(reservations):
         if profile.earliest_start(nodes, duration, after=start) == start:
             profile.reserve(start, duration, nodes)
@@ -389,8 +395,7 @@ def test_allocate_then_unreserve_restores_the_step_function(case, advance_to):
     profile, nodes, duration, after = case
     before = profile.clone()
     start = profile.allocate(nodes, duration, after=after)
-    # The memo and index describe the pre-unreserve epoch; a query in
-    # between must not leak into the answers afterwards.
+    # A query in between must not leak into the answers afterwards.
     assert profile.earliest_start(nodes, duration, after=after) >= start
     profile.advance_origin(advance_to)
     before.advance_origin(advance_to)
@@ -424,7 +429,7 @@ def test_allocate_unreserve_round_trip_restores_steps_exactly(case, from_origin)
     before = profile.steps()
     witness = profile.clone()
     start = profile.allocate(nodes, duration, after=None if from_origin else after)
-    assert witness.steps() == before  # the clone detached
+    assert witness.steps() == before  # the clone is isolated
     profile.unreserve(start, start + duration, nodes)
     assert profile.steps() == before
 
@@ -494,14 +499,11 @@ def test_from_running_tail_is_fully_free(nodes, duration, running):
     assert steps[-1][1] == total
 
 
-# -- fused allocate and the block-max index ---------------------
-
-
-from repro.core.profile import _INDEX_BLOCK, _INDEX_MIN_SEGMENTS, _first_fit
+# -- fused allocate, and scans over hundreds of segments ---------------------
 
 
 def _busy_profile(n_reservations=120, total=256, seed=11):
-    """A profile with enough segments to cross the index threshold."""
+    """A profile of 200+ segments, the size of a conservative plan."""
     import random
 
     rng = random.Random(seed)
@@ -532,8 +534,8 @@ class TestAllocate:
             paired.reserve(start_paired, duration, nodes)
             assert start_fused == start_paired
             assert fused.steps() == paired.steps()
-        # The later half of the run went through the block-max path.
-        assert len(fused.steps()) >= 2 * _INDEX_MIN_SEGMENTS
+        # The later half of the run scanned a plan-sized profile.
+        assert len(fused.steps()) >= 192
 
     def test_bit_identical_when_the_float_sum_absorbs_the_duration(self):
         fused = AvailabilityProfile(16)
@@ -561,57 +563,4 @@ class TestAllocate:
         reference = base.steps()
         snap = base.clone()
         snap.allocate(64, 1000.0)
-        assert base.steps() == reference  # copy-on-write: base untouched
-
-
-class TestBlockMaxIndex:
-    def test_index_built_only_past_threshold(self):
-        small = AvailabilityProfile(64)
-        small.reserve(0.0, 10.0, 8)
-        assert small._query_index() is None
-
-        big = _busy_profile()
-        assert len(big.steps()) >= _INDEX_MIN_SEGMENTS
-        index = big._query_index()
-        assert index is not None
-        free = [f for _t, f in big.steps()]
-        assert index == [
-            max(free[i : i + _INDEX_BLOCK])
-            for i in range(0, len(free), _INDEX_BLOCK)
-        ]
-
-    def test_indexed_and_linear_scans_agree(self):
-        import random
-
-        profile = _busy_profile(seed=23)
-        times = profile._times
-        free = profile._free
-        index = profile._query_index()
-        assert index is not None
-        rng = random.Random(29)
-        for _ in range(300):
-            nodes = rng.randint(1, 256)
-            duration = rng.uniform(0.1, 5000.0)
-            after = rng.uniform(0.0, 2e5)
-            start_at = max(after, times[0])
-            assert _first_fit(
-                times, free, len(times), index, nodes, duration, start_at
-            ) == _first_fit(
-                times, free, len(times), None, nodes, duration, start_at
-            )
-
-    def test_mutation_invalidates_index(self):
-        profile = _busy_profile(seed=31)
-        assert profile._query_index() is not None
-        profile.reserve(profile.earliest_start(8, 10.0), 10.0, 8)
-        assert profile._block_max is None  # rebuilt lazily on next query
-        assert profile._query_index() is not None
-
-    def test_clone_shares_index_until_mutation(self):
-        profile = _busy_profile(seed=37)
-        index = profile._query_index()
-        snap = profile.clone()
-        assert snap._block_max is index
-        snap.allocate(8, 10.0)
-        assert snap._block_max is None
-        assert profile._block_max is index  # parent keeps its copy
+        assert base.steps() == reference  # base untouched

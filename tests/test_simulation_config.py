@@ -236,23 +236,3 @@ def test_cache_hits_across_backends(tmp_path):
     assert {k: v.objective for k, v in grid_np.cells.items()} == {
         k: v.objective for k, v in grid_py.cells.items()
     }
-
-
-def test_packed_numpy_views_cached_per_instance():
-    import pickle
-
-    from repro.core.packing import pack_jobs
-
-    jobs = make_jobs(50, seed=37, max_nodes=NODES, mean_gap=40.0)
-    packed = pack_jobs(jobs)
-    first = packed.numpy_views()
-    second = packed.numpy_views()
-    assert first is not second  # callers get their own dict...
-    for name, view in first.items():
-        assert second[name] is view  # ...over the same cached view objects
-    # Views stay zero-copy: a write through the view lands in the column.
-    first["submit"][0] = 123.5
-    assert packed.submit[0] == 123.5
-    # The cache is per-instance state that never rides the pickle wire.
-    clone = pickle.loads(pickle.dumps(packed))
-    assert clone.numpy_views()["submit"][0] == 123.5

@@ -3,7 +3,7 @@
 The state's contract is mechanical equivalence: every snapshot must be the
 same step function ``AvailabilityProfile.from_running`` would rebuild from
 the running-job table.  These tests exercise the delta bookkeeping, the
-copy-on-write snapshot isolation, the queue statistics with their refusal
+snapshot isolation, the queue statistics with their refusal
 guard, and the verification mode — including that an injected divergence
 actually raises.
 """
