@@ -447,6 +447,16 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
             cap_nodes(ctc_like_workload(n_jobs=600, seed=42), 256),
         )
 
+    def conservative_2k(backend):
+        from repro.workloads import ctc_like_workload
+        from repro.workloads.transforms import cap_nodes
+
+        return simulate_cells(
+            ("fcfs/conservative",),
+            cap_nodes(ctc_like_workload(n_jobs=2000, seed=42), 256),
+            backend,
+        )
+
     def disturbed_ctc1000():
         from repro.scenarios import ScenarioSpec
         from repro.workloads import ctc_like_workload
@@ -473,6 +483,9 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
     )
     simulate_python = _best_of(end_to_end("python"), rounds)
     simulate_numpy = _best_of(end_to_end("numpy"), rounds)
+    # A second each on the python walk: three rounds bound the cost.
+    conservative_python = _best_of(conservative_2k("python"), min(rounds, 3))
+    conservative_numpy = _best_of(conservative_2k("numpy"), min(rounds, 3))
     return {
         "earliest_start_500_queries": _best_of(scalar_queries, rounds),
         "allocate_churn_250": _best_of(allocate_churn, rounds),
@@ -506,8 +519,16 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
         # workload (600-job CTC draw, seed 42, no jitter), so the plan
         # reuse is gated on this ladder too.  Re-recorded after ISSUE 22
         # (the walk's second exit, no dead breakpoints): 0.234 -> 0.157 s
-        # back to back, best of 9.
+        # back to back, best of 9.  Re-recorded once the fast backend ran
+        # the queue walk as compiled C.
         "simulate_conservative_ctc600": _best_of(conservative_ctc600(), rounds),
+        # The compiled conservative walk.  One fcfs/conservative
+        # cell over a 2,000-job CTC draw (seed 42) on the python walk and on
+        # the compiled one; their ratio is floored at 2x in
+        # check_regression.py (a same-run ratio, so host speed cancels out).
+        "simulate_conservative_2k_python": conservative_python,
+        "simulate_conservative_2k_numpy": conservative_numpy,
+        "simulate_conservative_2k_speedup_x": conservative_python / conservative_numpy,
         # PR 17: the general event path.  The three cells of the
         # end-to-end benchmark's ctc_disturbed workload (1,000-job CTC
         # draw, seed 42, no jitter) under its scenario — node failures

@@ -52,12 +52,17 @@ no workload defended them (census in ``docs/architecture.md``).
 :meth:`fits_at_origin` is the one query that is not a search: "could a job
 this wide and this long start *now*?", read off the first few segments —
 conservative backfilling ends its queue walk on it.
+
+On the fast backend conservative backfilling runs that walk, these
+queries included, in compiled C (:mod:`repro.core.native`);
+:meth:`rewrite` is the one place the segment lists cross into it.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 def _first_fit(
@@ -208,6 +213,10 @@ class AvailabilityProfile:
             if i == n or times[i] >= end:
                 return True
         return False
+
+    def __len__(self) -> int:
+        """Number of segments (breakpoints, the origin included)."""
+        return len(self._times)
 
     def steps(self) -> list[tuple[float, int]]:
         """The profile as ``(time, free_nodes_from_time)`` pairs (a copy)."""
@@ -451,6 +460,25 @@ class AvailabilityProfile:
         if lo and free[lo - 1] == free[lo]:
             del times[lo]
             del free[lo]
+
+    def rewrite(
+        self, times: array, levels: array, kernel: Callable[[int], int]
+    ) -> None:
+        """Let a compiled kernel edit the profile in caller-owned buffers.
+
+        The one place the segment lists cross into C: they are copied into
+        ``times`` (``array('d')``) and ``levels`` (``array('q')``), which
+        must be at least ``len(self)`` long plus whatever the kernel
+        inserts; ``kernel(segments)`` edits the buffers in place and
+        returns the new segment count, and that prefix becomes the
+        profile.  If the kernel raises, the profile is left as it was.
+        """
+        segments = len(self._times)
+        times[:segments] = array("d", self._times)
+        levels[:segments] = array("q", self._free)
+        segments = kernel(segments)
+        self._times = times[:segments].tolist()
+        self._free = levels[:segments].tolist()
 
     def advance_origin(self, now: float) -> None:
         """Move the origin forward to ``now``, dropping passed segments.

@@ -36,8 +36,9 @@ reflects them (the plan-validity contract is on
 from __future__ import annotations
 
 import operator
+from array import array
 from math import inf
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.job import Job
 from repro.core.profile import _OVERRUN_EPSILON, AvailabilityProfile
@@ -45,6 +46,9 @@ from repro.core.scheduler import SchedulerContext
 from repro.core.state import SchedulingState, StateDivergenceError
 from repro.core.vector import numpy_or_none
 from repro.schedulers.base import Discipline
+
+if TYPE_CHECKING:  # pragma: no cover - the loader is imported lazily
+    from repro.core.native import ConservativeWalk
 
 
 def _min_queue_nodes(queue: Sequence[Job], ctx: SchedulerContext) -> int:
@@ -506,6 +510,52 @@ class _ReservationPlan:
                 starts.append(start)
         return started, indices
 
+    def place_compiled(
+        self,
+        walk: "ConservativeWalk",
+        queue: Sequence[Job],
+        keep: int,
+        now: float,
+        free: int,
+        columns: "tuple[array, array] | None",
+    ) -> tuple[list[Job], list[int]]:
+        """:meth:`place` as one call into the compiled walk.
+
+        Same starts, same planned starts, same profile afterwards — the C
+        kernel is a port of :meth:`place` and the profile calls it makes.
+        ``columns`` are the order policy's ``(nodes, estimates)`` mirrors
+        of ``queue``, read in place from ``keep`` on; without them the
+        tail's two columns are built here.
+        """
+        count = len(queue) - keep
+        if columns is None:
+            tail = queue[keep:]
+            columns = (
+                array("q", [job.nodes for job in tail]),
+                array("d", [job.estimated_runtime for job in tail]),
+            )
+            offset = 0
+        else:
+            offset = keep
+        placed, positions, planned = walk(
+            self.profile, columns[0], columns[1], offset, count, now, free
+        )
+        # The placed jobs are queue[keep:keep + placed]: the started ones
+        # at their positions, the planned ones in the runs between them.
+        jobs = self.jobs
+        started: list[Job] = []
+        indices: list[int] = []
+        run_from = keep
+        for position in positions:
+            i = keep + position
+            started.append(queue[i])
+            indices.append(i)
+            jobs += queue[run_from:i]
+            run_from = i + 1
+        jobs += queue[run_from : keep + placed]
+        self.starts += planned
+        return started, indices
+
 
 class ConservativeBackfill(Discipline):
     """Conservative backfilling: no queued job's projected completion grows.
@@ -550,6 +600,12 @@ class ConservativeBackfill(Discipline):
     kept start is a breakpoint later than ``now``, so both are the same
     float.
 
+    On the fast backend (``ctx.vectorize``) the walk is one call into
+    compiled C (:meth:`_ReservationPlan.place_compiled`, a port of
+    :meth:`_ReservationPlan.place` with the same float operations); the
+    python backend, and any host where the kernel cannot be built or
+    loaded, runs :meth:`~_ReservationPlan.place` itself.
+
     Under state verification (``REPRO_VERIFY_STATE`` /
     ``SimulationConfig(verify_state=K)``) every decision the cadence picks
     re-runs the walk from scratch on a fresh snapshot and raises
@@ -570,6 +626,9 @@ class ConservativeBackfill(Discipline):
     name = "conservative"
     uses_estimates = True
     coalesce_blocked_arrivals = True
+    #: The compiled walk once looked up: ``None`` not yet, ``False`` when
+    #: the Python walk stays (instance attribute).
+    _walk: "ConservativeWalk | bool | None" = None
 
     def __init__(self, depth: int | None = None) -> None:
         if depth is not None and depth < 1:
@@ -590,8 +649,11 @@ class ConservativeBackfill(Discipline):
         if not queue:
             return [], None
         now = ctx.now
+        columns = ctx.queue_columns
+        if columns is not None and len(columns[0]) != len(queue):
+            columns = None
         if self.depth is not None:
-            queue = queue[: self.depth]
+            queue = queue[: self.depth]  # the columns still hold its prefix
         # Nothing can start when no queued job fits the free nodes; skip the
         # planning entirely (frequent during backlog phases).  The plan is
         # left as it is: its validity is judged when it is next used.
@@ -606,9 +668,13 @@ class ConservativeBackfill(Discipline):
         else:
             plan = _ReservationPlan(state, ctx.profile)
             keep = 0
-        started, indices = plan.place(queue, keep, now, free)
+        walk = self._compiled_walk(ctx)
+        if walk is None:
+            started, indices = plan.place(queue, keep, now, free)
+        else:
+            started, indices = plan.place_compiled(walk, queue, keep, now, free, columns)
         if reused and state.verify_every:
-            _cross_check(plan, queue, ctx, started)
+            _cross_check(plan, queue, ctx, started, walk, columns)
         if state is None or any(
             job.estimated_runtime < _ZERO_RUNTIME_EPSILON for job in started
         ):
@@ -621,6 +687,21 @@ class ConservativeBackfill(Discipline):
             plan.started = tuple(started)  # the caller owns the list
             self._plan = plan
         return started, indices
+
+    def _compiled_walk(self, ctx: SchedulerContext) -> "ConservativeWalk | None":
+        """The compiled queue walk on the fast backend, when it loaded.
+
+        Each instance keeps its own (the walk owns scratch buffers); the
+        loader is imported on the first conservative walk that could use it.
+        """
+        if not ctx.vectorize:
+            return None
+        walk = self._walk
+        if walk is None:
+            from repro.core import native
+
+            walk = self._walk = native.conservative_walk() or False
+        return walk or None
 
     def _valid_plan(self, ctx: SchedulerContext) -> _ReservationPlan | None:
         """The kept plan, if nothing but its own starts happened since."""
@@ -647,19 +728,27 @@ def _cross_check(
     queue: Sequence[Job],
     ctx: SchedulerContext,
     started: list[Job],
+    walk: "ConservativeWalk | None",
+    columns: "tuple[array, array] | None",
 ) -> None:
     """Verification mode: compare a reused plan with a from-scratch walk.
 
     Taking the snapshot drives the state's own verification cadence, as
     one snapshot per decision always did; the walk is repeated only when
-    that cadence fired.
+    that cadence fired, by the same walk (compiled or Python) the decision
+    used.
     """
     state = ctx.state
     fired = state.verifications
     scratch = _ReservationPlan(state, ctx.profile)
     if state.verifications == fired:
         return
-    expected, _indices = scratch.place(queue, 0, ctx.now, ctx.free_nodes)
+    if walk is None:
+        expected, _indices = scratch.place(queue, 0, ctx.now, ctx.free_nodes)
+    else:
+        expected, _indices = scratch.place_compiled(
+            walk, queue, 0, ctx.now, ctx.free_nodes, columns
+        )
     # Both walks stop early on their own, so compare what both planned.
     both = min(len(scratch.jobs), len(plan.jobs))
     if (

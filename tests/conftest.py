@@ -2,12 +2,37 @@
 
 from __future__ import annotations
 
+import os
 import random
+import shutil
+import tempfile
 
 import pytest
 
 from repro.core.job import Job
 from repro.core.machine import Machine
+
+_saved_cache_home: "str | None" = None
+_session_cache: "str | None" = None
+
+
+def pytest_configure(config):
+    """Build the compiled conservative walk into a per-session cache, not
+    the user's: every simulation the suite runs on the fast backend (and
+    every worker process it forks) loads it from there."""
+    global _saved_cache_home, _session_cache
+    _saved_cache_home = os.environ.get("XDG_CACHE_HOME")
+    _session_cache = tempfile.mkdtemp(prefix="repro-test-cache-")
+    os.environ["XDG_CACHE_HOME"] = _session_cache
+
+
+def pytest_unconfigure(config):
+    if _saved_cache_home is None:
+        os.environ.pop("XDG_CACHE_HOME", None)
+    else:
+        os.environ["XDG_CACHE_HOME"] = _saved_cache_home
+    if _session_cache is not None:
+        shutil.rmtree(_session_cache, ignore_errors=True)
 
 
 def make_jobs(

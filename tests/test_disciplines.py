@@ -339,23 +339,77 @@ class TestConservativePlanReuse:
             simulate(jobs, scheduler, 64, config=SimulationConfig(verify_state=1))
 
 
-def _exit_free_walk(m, now):
+def _from_scratch_starts(m, now):
     """The textbook conservative walk, kept here as the reference: every
     queued job is placed, in order, on a profile rebuilt from the running
-    set; no early exit, no kept plan, no fused kernel."""
+    set; no early exit, no kept plan, no fused kernel.  Job id -> start."""
     profile = AvailabilityProfile.from_running(
         m.machine.total_nodes,
         now,
         [(r.projected_end, r.job.nodes) for r in m.running.values()],
     )
-    started = []
+    starts = {}
     for job in m.queue:
         estimate = job.estimated_runtime  # >= 1 here: no zero-length clamp
         start = profile.earliest_start(job.nodes, estimate)
         profile.reserve(start, estimate, job.nodes)
-        if start <= now:
-            started.append(job)
-    return started
+        starts[job.job_id] = start
+    return starts
+
+
+def _exit_free_walk(m, now):
+    """The jobs the reference walk starts at ``now``."""
+    starts = _from_scratch_starts(m, now)
+    return [job for job in m.queue if starts[job.job_id] <= now]
+
+
+class TestConservativeReplansFromScratch:
+    """An early completion rebuilds the plan from scratch; it does not
+    compress the old one.  Mu'alem–Feitelson compression never delays a
+    planned job, and here the from-scratch walk delays B from 4 to 10 —
+    so compression would compute a different schedule."""
+
+    def _jobs(self):
+        return [
+            J(0, 0.0, 2, 1.0, estimate=10.0),  # R1: completes early, at 1
+            J(1, 0.0, 2, 4.0),  # R2: exact estimate
+            J(2, 0.0, 4, 6.0),  # A
+            J(3, 0.0, 2, 5.0),  # B
+        ]
+
+    @pytest.mark.parametrize("vectorize", [False, True], ids=["python", "compiled"])
+    def test_early_completion_moves_a_planned_job_later(self, vectorize):
+        m = _HandDrivenMachine(4)
+        m.ctx.vectorize = vectorize  # the compiled walk, where it loads
+        r1, r2, a, b = jobs = self._jobs()
+        discipline = ConservativeBackfill()
+        for job in jobs:
+            m.submit(job)
+        assert _from_scratch_starts(m, 0.0) == {0: 0.0, 1: 0.0, 2: 10.0, 3: 4.0}
+        assert m.decide(discipline, 0.0) == [r1, r2]
+        m.complete(r1, 1.0)
+        assert _from_scratch_starts(m, 1.0) == {2: 4.0, 3: 10.0}
+        assert m.decide(discipline, 1.0) == []
+        # A is planned at 4; the walk stops before B (nothing can start
+        # now), which the reference walk above puts at 10.
+        plan = discipline._plan
+        assert (plan.jobs, plan.starts) == ([a], [4.0])
+        m.complete(r2, 4.0)
+        assert m.decide(discipline, 4.0) == [a]
+        m.complete(a, 10.0)
+        assert m.decide(discipline, 10.0) == [b]
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_schedule_on_both_backends(self, backend):
+        res = simulate(
+            self._jobs(), FCFSScheduler.with_conservative(), 4, backend=backend
+        )
+        assert {i.job.job_id: i.start_time for i in res.schedule} == {
+            0: 0.0,
+            1: 0.0,
+            2: 4.0,
+            3: 10.0,
+        }
 
 
 @st.composite
