@@ -27,7 +27,9 @@ MIN_REDUCTION_X = 10.0
 #: from the same host run (fast path over oracle), so host speed cancels
 #: out — but they compare *whole simulations* where only part of the work
 #: is accelerated, so the bar is far lower than the kernel-reduction bar.
-#: Measured ~1.65x for `simulate_easy_1k_speedup_x`; 1.2 leaves CI headroom.
+#: Measured ~2.4x for `simulate_easy_1k_speedup_x` and ~3.6x for
+#: `simulate_easy_20k_speedup_x` (coalescing plus the compiled EASY walk);
+#: 1.2 leaves CI headroom.
 MIN_SPEEDUP_X = 1.2
 
 #: The compiled conservative walk must stay at least twice as fast as the

@@ -1,8 +1,10 @@
-"""The compiled conservative queue walk: build, cache, trust, load.
+"""The compiled backfilling queue walks: build, cache, trust, load.
 
-``_walk.c`` is the conservative-backfilling queue walk in plain C99
-(``ConservativeBackfill`` runs it on the fast backend; the Python walk is
-the reference and the fallback).  This module turns it into a callable:
+``_walk.c`` holds both backfilling queue walks in plain C99: the
+conservative one (``ConservativeBackfill``) and EASY's blocked-head phase
+(``EasyBackfill``).  The fast backend runs them; the Python walks are the
+reference and the fallback.  This module turns the library into two
+callables, bound from the one library under the one trust rule:
 
 * **Build on first use** with the host ``cc`` (``-O2 -fPIC -shared
   -ffp-contract=off``, no fast-math, so the kernel performs the float
@@ -23,11 +25,11 @@ the reference and the fallback).  This module turns it into a callable:
   same directory, loads *that* file, then ``os.replace``-s it into place,
   so two processes building at once each load a complete library and one
   of the two remains.
-* **Fallback.**  Any failure leaves the Python walk in place; the reason
+* **Fallback.**  Any failure leaves the Python walks in place; the reason
   is what :func:`status` returns.
 
-Nothing imports this module until the first conservative walk on the fast
-backend asks for :func:`conservative_walk`.
+Nothing imports this module until the first backfilling walk on the fast
+backend asks for :func:`conservative_walk` or :func:`easy_walk`.
 """
 
 from __future__ import annotations
@@ -50,19 +52,28 @@ from typing import Callable
 COMMAND = ("cc", "-std=c99", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _SOURCE = Path(__file__).with_name("_walk.c")
-_SYMBOL = "repro_conservative_walk"
 
 #: Kernel return codes (``_walk.c``).
 _WIDER_THAN_MACHINE = -1
 _PROFILE_TOO_LOW = -2
+_OVERCOMMITTED = -4
+
+#: ``repro_easy_walk``'s frame ``io`` (``_walk.c``): the slots it reads,
+#: the slots it writes, and where its picks start.
+(
+    _IO_TIMES, _IO_LEVELS, _IO_CAPACITY, _IO_ROOM, _IO_NODES, _IO_ESTIMATES,
+    _IO_COUNT, _IO_TOTAL, _IO_HEAD, _IO_FREE, _IO_SEGMENTS, _IO_PICKS, _IO_AT,
+    _IO_HEADER,
+) = range(14)  # fmt: skip
 
 _lock = threading.Lock()
-_function: "Callable | None" = None
+#: ``(conservative, easy)`` kernels, or ``None`` while the Python walks run.
+_kernels: "tuple[Callable, Callable] | None" = None
 _status: str | None = None  # None: not tried yet in this process
 
 
 def status() -> str:
-    """``"loaded <path>"``, or why the Python walk runs instead.
+    """``"loaded <path>"``, or why the Python walks run instead.
 
     Tries the load first if nothing has asked for the kernel yet.
     """
@@ -78,19 +89,26 @@ def conservative_walk() -> "ConservativeWalk | None":
     discipline instance.
     """
     _ensure_loaded()
-    return None if _function is None else ConservativeWalk(_function)
+    return None if _kernels is None else ConservativeWalk(_kernels[0])
+
+
+def easy_walk() -> "EasyWalk | None":
+    """A fresh EASY walk with its own buffers, or ``None`` (fallback); one
+    per discipline instance, as for :func:`conservative_walk`."""
+    _ensure_loaded()
+    return None if _kernels is None else EasyWalk(_kernels[1])
 
 
 def _ensure_loaded() -> None:
-    global _function, _status
+    global _kernels, _status
     if _status is not None:
         return
     with _lock:
         if _status is None:
-            _function, _status = _load()
+            _kernels, _status = _load()
 
 
-# -- the walk ------------------------------------------------------------------
+# -- the walks -----------------------------------------------------------------
 
 
 class ConservativeWalk:
@@ -163,7 +181,7 @@ class ConservativeWalk:
                 count, now, free, ints_at, floats_at, out_at,
             )  # fmt: skip
             if code:
-                raise _walk_error(code, nodes, offset + out[3], total)
+                raise _walk_error(code, nodes[offset + out[3]], total, self._levels)
             return out[0]
 
         profile.rewrite(self._times, self._levels, walk)
@@ -173,21 +191,108 @@ class ConservativeWalk:
         return placed, started, self._floats[: placed - n_started].tolist()
 
 
-def _walk_error(code: int, nodes: array, at: int, total: int) -> ValueError:
-    """A kernel error code as a ``ValueError``; for a job wider than the
-    machine, the one ``AvailabilityProfile.allocate`` raises."""
+class EasyWalk:
+    """The compiled EASY walk plus the buffers it runs on.
+
+    ``walk(profile, nodes, estimates, head, free, now)`` runs the
+    blocked-head phase of ``EasyBackfill.select_indexed`` on ``profile``, a
+    snapshot taken at ``now``: the queue's ``array('q')``/``array('d')``
+    columns are read in place, ``queue[:head]`` started greedily, and
+    ``queue[head]`` does not fit the ``free`` nodes left.  Returns the
+    positions of the backfilled jobs in the order the Python walk picks
+    them.  ``profile`` is left as it was: the walk's reservations die with
+    the decision, as the Python walk's snapshot does.
+
+    Everything but ``now`` travels in one ``array('q')`` frame, buffer
+    addresses included, so a call converts two arguments.
+    """
+
+    __slots__ = ("_function", "_times", "_levels", "_io", "_io_at")
+
+    def __init__(self, function: Callable) -> None:
+        self._function = function
+        self._grow(256, 64)
+
+    def _grow(self, capacity: int, room: int) -> None:
+        """(Re)allocate the buffers and write their addresses and sizes
+        into the frame."""
+        self._times = array("d", bytes(8 * capacity))
+        self._levels = array("q", bytes(8 * capacity))
+        # The header, one pick per job, then a byte of scratch per job.
+        io = self._io = array("q", bytes(8 * (_IO_HEADER + room + room // 8 + 1)))
+        io[_IO_TIMES] = self._times.buffer_info()[0]
+        io[_IO_LEVELS] = self._levels.buffer_info()[0]
+        io[_IO_CAPACITY] = capacity
+        io[_IO_ROOM] = room
+        self._io_at = io.buffer_info()[0]
+
+    def __call__(
+        self,
+        profile,
+        nodes: array,
+        estimates: array,
+        head: int,
+        free: int,
+        now: float,
+    ) -> list[int]:
+        count = len(nodes)
+        if (
+            nodes.typecode != "q"
+            or estimates.typecode != "d"
+            or len(estimates) != count
+            or not 0 <= head < count
+        ):
+            raise ValueError(
+                "queue columns must be array('q') and array('d') of the "
+                "queue's length, past the head"
+            )
+        io = self._io
+        # Room for one insert per reservation (the prefix and each pick).
+        need = len(profile) + count
+        if need > io[_IO_CAPACITY] or count > io[_IO_ROOM]:
+            self._grow(max(need, io[_IO_CAPACITY]) * 2, max(2 * count, io[_IO_ROOM]))
+            io = self._io
+        io[_IO_NODES] = nodes.buffer_info()[0]
+        io[_IO_ESTIMATES] = estimates.buffer_info()[0]
+        io[_IO_COUNT] = count
+        io[_IO_TOTAL] = profile.total_nodes
+        io[_IO_HEAD] = head
+        io[_IO_FREE] = free
+        function = self._function
+        io_at = self._io_at
+
+        def walk(segments: int) -> None:
+            io[_IO_SEGMENTS] = segments
+            code = function(io_at, now)
+            if code:
+                raise _walk_error(
+                    code, nodes[io[_IO_AT]], io[_IO_TOTAL], self._levels
+                )
+
+        profile.rewrite(self._times, self._levels, walk)
+        return io[_IO_HEADER : _IO_HEADER + io[_IO_PICKS]].tolist()
+
+
+def _walk_error(code: int, width: int, total: int, levels: array) -> ValueError:
+    """A kernel error code as a ``ValueError``: for the job ``width`` nodes
+    wide at fault, the one the Python walk's profile call raises."""
     if code == _WIDER_THAN_MACHINE:
-        return ValueError(f"{nodes[at]} nodes never fit a {total}-node machine")
+        return ValueError(f"{width} nodes never fit a {total}-node machine")
     if code == _PROFILE_TOO_LOW:
-        return ValueError(f"no segment of the profile has {nodes[at]} free nodes")
-    return ValueError(f"conservative walk failed with code {code}")
+        return ValueError(f"no segment of the profile has {width} free nodes")
+    if code == _OVERCOMMITTED:
+        return ValueError(
+            f"reservation of {width} nodes from origin exceeds "
+            f"availability ({levels[0]} free)"
+        )
+    return ValueError(f"backfilling walk failed with code {code}")
 
 
 # -- build, cache, trust, load --------------------------------------------------
 
 
-def _load() -> tuple["Callable | None", str]:
-    """(kernel, status) — never raises."""
+def _load() -> tuple["tuple[Callable, Callable] | None", str]:
+    """(kernels, status) — never raises."""
     try:
         source = _SOURCE.read_bytes()
     except OSError as exc:
@@ -289,7 +394,9 @@ def _intact(library: Path, digest_file: Path) -> bool:
     return actual == expected
 
 
-def _build(library: Path, digest_file: Path) -> tuple["Callable | None", str]:
+def _build(
+    library: Path, digest_file: Path
+) -> tuple["tuple[Callable, Callable] | None", str]:
     compiler = shutil.which(COMMAND[0])
     if compiler is None:
         return None, f"python walk: no C compiler ({COMMAND[0]}) on PATH"
@@ -314,11 +421,11 @@ def _build(library: Path, digest_file: Path) -> tuple["Callable | None", str]:
             content = handle.read()
         with open(digest, "w") as handle:
             handle.write(hashlib.sha256(content).hexdigest() + "\n")
-        function = _bind(Path(built))  # the bytes this process wrote
+        kernels = _bind(Path(built))  # the bytes this process wrote
         os.replace(built, library)
         os.replace(digest, digest_file)
         built = digest = None
-        return function, f"loaded {library} (built)"
+        return kernels, f"loaded {library} (built)"
     except (OSError, AttributeError, subprocess.SubprocessError) as exc:
         return None, f"python walk: could not build in {cache}: {exc}"
     finally:
@@ -330,11 +437,15 @@ def _build(library: Path, digest_file: Path) -> tuple["Callable | None", str]:
                     pass
 
 
-def _bind(path: Path) -> Callable:
-    function = getattr(ctypes.CDLL(str(path)), _SYMBOL)
+def _bind(path: Path) -> tuple[Callable, Callable]:
+    library = ctypes.CDLL(str(path))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    function.argtypes = (
+    conservative = library.repro_conservative_walk
+    conservative.argtypes = (
         ptr, ptr, i64, i64, i64, ptr, ptr, i64, f64, i64, ptr, ptr, ptr,
     )  # fmt: skip
-    function.restype = i64
-    return function
+    easy = library.repro_easy_walk
+    easy.argtypes = (ptr, f64)
+    for function in (conservative, easy):
+        function.restype = i64
+    return conservative, easy

@@ -462,7 +462,7 @@ class AvailabilityProfile:
             del free[lo]
 
     def rewrite(
-        self, times: array, levels: array, kernel: Callable[[int], int]
+        self, times: array, levels: array, kernel: Callable[[int], int | None]
     ) -> None:
         """Let a compiled kernel edit the profile in caller-owned buffers.
 
@@ -471,14 +471,17 @@ class AvailabilityProfile:
         must be at least ``len(self)`` long plus whatever the kernel
         inserts; ``kernel(segments)`` edits the buffers in place and
         returns the new segment count, and that prefix becomes the
-        profile.  If the kernel raises, the profile is left as it was.
+        profile.  A kernel that returns ``None`` (EASY's walk, whose
+        snapshot dies with the decision) leaves the profile as it was, as
+        does one that raises.
         """
         segments = len(self._times)
         times[:segments] = array("d", self._times)
         levels[:segments] = array("q", self._free)
         segments = kernel(segments)
-        self._times = times[:segments].tolist()
-        self._free = levels[:segments].tolist()
+        if segments is not None:
+            self._times = times[:segments].tolist()
+            self._free = levels[:segments].tolist()
 
     def advance_origin(self, now: float) -> None:
         """Move the origin forward to ``now``, dropping passed segments.

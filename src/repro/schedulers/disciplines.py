@@ -44,11 +44,10 @@ from repro.core.job import Job
 from repro.core.profile import _OVERRUN_EPSILON, AvailabilityProfile
 from repro.core.scheduler import SchedulerContext
 from repro.core.state import SchedulingState, StateDivergenceError
-from repro.core.vector import numpy_or_none
 from repro.schedulers.base import Discipline
 
 if TYPE_CHECKING:  # pragma: no cover - the loader is imported lazily
-    from repro.core.native import ConservativeWalk
+    from repro.core.native import ConservativeWalk, EasyWalk
 
 
 def _min_queue_nodes(queue: Sequence[Job], ctx: SchedulerContext) -> int:
@@ -154,13 +153,21 @@ class EasyBackfill(Discipline):
     ``ctx.profile`` snapshot taken lazily when the head first blocks; jobs
     started this decision point are reserved into it incrementally, which
     is function-identical to the old rebuild-per-backfill.
+
+    On the fast backend (``ctx.vectorize``), with the order policy's
+    ``(nodes, estimates)`` columns, the walk past the blocked head is one
+    call into compiled C (:meth:`_select_compiled`, a port of this walk
+    with the same float operations); the python backend, queues without
+    columns, and hosts where the kernel cannot be built or loaded run the
+    walk below.
     """
 
     name = "easy"
     uses_estimates = True
     coalesce_blocked_arrivals = True
-    #: Scratch arrays for the columnar walk, lazily sized (instance attr).
-    _buffers = None
+    #: The compiled walk once looked up: ``None`` not yet, ``False`` when
+    #: the Python walk stays (instance attribute).
+    _walk: "EasyWalk | bool | None" = None
 
     def select(self, queue: Sequence[Job], ctx: SchedulerContext) -> list[Job]:
         started, _indices = self.select_indexed(queue, ctx)
@@ -177,11 +184,11 @@ class EasyBackfill(Discipline):
         # backfill candidate can start, so skip the profile work.
         if free < _min_queue_nodes(queue, ctx):
             return [], None
-        cols = ctx.queue_columns
-        if cols is not None and len(cols[0]) == len(queue):
-            np = numpy_or_none()
-            if np is not None:
-                return self._select_indexed_columns(queue, ctx, cols, np, free, now)
+        columns = ctx.queue_columns
+        if ctx.vectorize and columns is not None and len(columns[0]) == len(queue):
+            walk = self._compiled_walk()
+            if walk is not None:
+                return self._select_compiled(walk, queue, ctx, columns, free)
         started: list[Job] = []
         indices: list[int] = []
         profile: AvailabilityProfile | None = None  # taken when the head blocks
@@ -234,164 +241,44 @@ class EasyBackfill(Discipline):
             _reserve_from_now(profile, now, job.estimated_runtime, job.nodes)
         return started, indices
 
-    def _work_buffers(self, n: int, np: "object") -> tuple:
-        """Reusable per-instance scratch arrays (sized to the queue).
-
-        One discipline instance serves one scheduler in one simulation
-        loop, so the buffers are never shared; reusing them removes the
-        per-decision allocations that dominated the vector walk's cost.
-        """
-        bufs = self._buffers
-        if bufs is None or bufs[0].shape[0] < n:
-            cap = max(256, 2 * n)
-            bufs = (
-                np.empty(cap, dtype=np.int64),  # widths (sentinel = taken)
-                np.empty(cap, dtype=np.float64),  # now + estimate
-                np.empty(cap, dtype=bool),  # candidate mask
-                np.empty(cap, dtype=bool),  # scratch for the OR
-            )
-            self._buffers = bufs
-        return bufs
-
-    def _select_indexed_columns(
+    def _select_compiled(
         self,
+        walk: "EasyWalk",
         queue: Sequence[Job],
         ctx: SchedulerContext,
-        cols: "tuple[object, object]",
-        np: "object",
+        columns: "tuple[array, array]",
         free: int,
-        now: float,
     ) -> tuple[list[Job], Sequence[int]]:
-        """Columnar twin of the scalar walk — same decisions, same order.
+        """:meth:`select_indexed` with the walk past the head in C.
 
-        The candidate scan (first later job that fits the free nodes and
-        either finishes by the shadow or uses only extra nodes) dominates
-        EASY's per-decision cost on a long backlog; with the order
-        policy's ``(nodes, estimate)`` columns it collapses into a few
-        C-speed array comparisons per backfill.  The comparisons are the
-        scalar walk's expressions verbatim in float64, so the chosen
-        candidate index is always the index the scalar loop would pick.
-
-        Taken jobs are marked by setting their width to a sentinel above
-        the machine size: the ``nodes <= free`` and ``nodes <= extra``
-        tests then exclude them with no separate mask, and comparisons
-        write into preallocated scratch (``out=``) so a decision allocates
-        nothing.
+        The greedy head starts stay here: decisions that never block take
+        no snapshot.  Once the head blocks it stays blocked (free nodes
+        only shrink), and the rest of the decision — the started prefix
+        reserved into the snapshot, the shadow, every backfill — is one
+        kernel call reading ``columns`` in place.
         """
+        nodes = columns[0]
         n = len(queue)
-        started: list[Job] = []
-        indices: list[int] = []
         head = 0
-        remaining = n
-
-        # Phase 1 — greedy head starts.  Free nodes only shrink, so once the
-        # head blocks it stays blocked for the rest of the decision point.
-        # Pure scalar: decisions that never block pay for no array work.
-        while True:
-            job = queue[head]
-            if job.nodes > free:
-                break
-            started.append(job)
-            indices.append(head)
-            free -= job.nodes
-            remaining -= 1
-            if not remaining:
-                return started, indices
+        while head < n and nodes[head] <= free:
+            free -= nodes[head]
             head += 1
+        if head >= n - 1:
+            # Everything started, or only the blocked head is left.
+            return list(queue[:head]), range(head)
+        picks = walk(ctx.profile, nodes, columns[1], head, free, ctx.now)
+        indices = [*range(head), *picks]
+        return [queue[i] for i in indices], indices
 
-        if remaining == 1 or free == 0:
-            # One job left (the blocked head), or no free nodes at all:
-            # nothing can backfill, so skip the profile work entirely.
-            return started, indices
+    def _compiled_walk(self) -> "EasyWalk | None":
+        """The compiled walk, when it loaded (one per instance: it owns
+        buffers); the loader is imported on first use."""
+        walk = self._walk
+        if walk is None:
+            from repro.core import native
 
-        # Phase 2 — the head is blocked: backfill against its shadow.
-        bufs = self._work_buffers(n, np)
-        widths = bufs[0][:n]
-        est_now = bufs[1][:n]
-        mask = bufs[2][:n]
-        scratch = bufs[3][:n]
-        less_equal = np.less_equal
-        logical_or = np.logical_or
-        logical_and = np.logical_and
-        widths[:] = np.frombuffer(cols[0], dtype=np.int64, count=n)
-        np.add(np.frombuffer(cols[1], dtype=np.float64, count=n), now, out=est_now)
-        taken_sentinel = ctx.total_nodes + 1
-        nodes_col = cols[0]
-        profile = ctx.profile
-        reserve_from_origin = profile.reserve_from_origin
-        for prior in started:
-            duration = prior.estimated_runtime
-            reserve_from_origin(
-                duration if duration > 0 else _OVERRUN_EPSILON, prior.nodes
-            )
-        head_nodes = job.nodes
-        head_estimate = job.estimated_runtime
-        shadow = profile.earliest_start(head_nodes, head_estimate)
-        extra = profile.free_at(shadow) - head_nodes
-        # Case-1 reservations (ending at or before the shadow) are only ever
-        # *read back* if a later case-2 start recomputes the shadow, so they
-        # are deferred and flushed just before that read.  Chains that end
-        # without a case-2 never pay for them — the snapshot is discarded.
-        pending: list[tuple[float, int]] = []
-        while True:
-            # One (shadow, extra) epoch: build the candidate mask — nodes <=
-            # free and (now + est <= shadow or nodes <= extra); sentinel
-            # widths of jobs taken in earlier epochs fail both node tests —
-            # and list its indices once.
-            less_equal(est_now, shadow, out=mask)
-            if extra >= 1:
-                # Jobs are at least one node wide, so an extra count below
-                # one admits nobody — skip the pair of array tests.
-                less_equal(widths, extra, out=scratch)
-                logical_or(mask, scratch, out=mask)
-            less_equal(widths, free, out=scratch)
-            logical_and(mask, scratch, out=mask)
-            mask[: head + 1] = False
-            candidates = np.nonzero(mask)[0].tolist()
-            recompute = False
-            for idx in candidates:
-                # Within the epoch the scalar walk would re-scan after each
-                # start, but a start whose reservation ends at or before the
-                # shadow leaves [shadow, inf) — and with it the shadow and
-                # the extra count — untouched, so the surviving candidates
-                # are exactly this list narrowed by the shrinking free
-                # count.  The first hit always lies *after* the previous one
-                # (the re-scan's mask is a subset with the previous hit
-                # cleared), so a forward walk that skips now-too-wide
-                # entries reproduces the re-scan's picks index for index.
-                w = nodes_col[idx]
-                if w > free:
-                    continue  # free only shrinks: permanently out
-                job = queue[idx]
-                started.append(job)
-                indices.append(idx)
-                free -= w
-                widths[idx] = taken_sentinel
-                remaining -= 1
-                estimate = job.estimated_runtime
-                # The reserve clamp means the shortcut needs the *reserved*
-                # end, so clamp once and reuse it for both.
-                duration = estimate if estimate > 0 else _OVERRUN_EPSILON
-                if remaining == 1:
-                    return started, indices
-                if now + duration <= shadow:
-                    pending.append((duration, w))
-                    continue  # epoch intact: keep walking this list
-                # The reservation may reshape availability at the shadow:
-                # flush the deferred case-1 reservations, commit this one,
-                # and recompute exactly as the scalar oracle does.
-                if pending:
-                    for prior_duration, prior_w in pending:
-                        reserve_from_origin(prior_duration, prior_w)
-                    pending.clear()
-                reserve_from_origin(duration, w)
-                shadow = profile.earliest_start(head_nodes, head_estimate)
-                extra = profile.free_at(shadow) - head_nodes
-                recompute = True
-                break
-            if not recompute:
-                break
-        return started, indices
+            walk = self._walk = native.easy_walk() or False
+        return walk or None
 
 
 class _ReservationPlan:
