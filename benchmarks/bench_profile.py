@@ -455,6 +455,16 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
             backend,
         )
 
+    def anyfit_20k():
+        from repro.workloads import ctc_like_workload
+        from repro.workloads.transforms import cap_nodes
+
+        return simulate_cells(
+            ("gg/list",),
+            cap_nodes(ctc_like_workload(n_jobs=20_000, seed=42), 256),
+            "numpy",
+        )
+
     def conservative_ctc600():
         from repro.workloads import ctc_like_workload
         from repro.workloads.transforms import cap_nodes
@@ -528,16 +538,21 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
         ),
         "simulate_easy_1k_python": simulate_python,
         "simulate_easy_1k_numpy": simulate_numpy,
-        # PR 9: event coalescing, and since then the compiled EASY walk.
-        # The whole-cell speedup of the numpy backend (coalescing plus the
-        # compiled walk) over the python oracle on the same host run — a
-        # ratio of two same-regime timings, so it gates the fast path's
-        # relative win independent of host speed drift (the `_speedup_x`
-        # floor rule in check_regression.py).
+        # The whole-cell speedup of the numpy backend (static event
+        # timeline, result columns and, above all, the compiled EASY walk)
+        # over the python oracle on the same host run — a ratio of two
+        # same-regime timings, so it gates the fast path's relative win
+        # independent of host speed drift (the `_speedup_x` floor rule in
+        # check_regression.py).
         "simulate_easy_1k_speedup_x": simulate_python / simulate_numpy,
         # The same ratio on a 20,000-job CTC draw (seed 42), where the
         # backlog is long and the EASY walk is most of the cell.
         "simulate_easy_20k_speedup_x": easy_20k_python / easy_20k_numpy,
+        # One gg/list cell on the same 20,000-job draw, numpy backend: the
+        # any-fit scan runs at every decision point, and its exit when no
+        # queued job fits the free nodes is what keeps the long backlog's
+        # blocked arrivals cheap.
+        "simulate_anyfit_20k": _best_of(anyfit_20k(), min(rounds, 3)),
         # PR 13: conservative backfilling's reservation plan.  The three
         # conservative cells of the end-to-end benchmark's ctc_conservative
         # workload (600-job CTC draw, seed 42, no jitter), so the plan

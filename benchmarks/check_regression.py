@@ -9,7 +9,7 @@ are noisy; the gate catches melts, not jitter).  Byte counts and ratio
 factors are structural, so they get hard bounds: dispatch payload byte
 counts must not grow at all beyond rounding, ``*_reduction_x`` kernel ratios
 must stay >= 10 (the vectorised-metric acceptance bar), and ``*_speedup_x`` whole-
-simulation ratios must stay >= 1.2 (the event-coalescing acceptance bar),
+simulation ratios must stay >= 1.2 (the numpy backend's whole-cell bar),
 the compiled conservative walk's >= 2.
 """
 
@@ -27,8 +27,8 @@ MIN_REDUCTION_X = 10.0
 #: from the same host run (fast path over oracle), so host speed cancels
 #: out — but they compare *whole simulations* where only part of the work
 #: is accelerated, so the bar is far lower than the kernel-reduction bar.
-#: Measured ~2.4x for `simulate_easy_1k_speedup_x` and ~3.6x for
-#: `simulate_easy_20k_speedup_x` (coalescing plus the compiled EASY walk);
+#: Measured ~2.0x for `simulate_easy_1k_speedup_x` and ~3.6x for
+#: `simulate_easy_20k_speedup_x`, most of it the compiled EASY walk;
 #: 1.2 leaves CI headroom.
 MIN_SPEEDUP_X = 1.2
 

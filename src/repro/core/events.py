@@ -24,7 +24,8 @@ come into being during it.  The python oracle pushes both sorts onto one
 static timeline and keeps the heap for the second
 (:class:`repro.core.vector.MergedEventFeed`), which pops the same order:
 a static event holds a sequence below every pushed one, so it precedes the
-heap head iff its ``(time, kind)`` is not greater.
+heap head iff its ``(time, kind)`` is not greater.  Either source is
+popped one event at a time by the same loop.
 """
 
 from __future__ import annotations
@@ -113,44 +114,6 @@ class EventQueue:
         """
         _time, kind, _sequence, payload = heapq.heappop(self._heap)
         return kind, payload
-
-    def take_completion_run(self, bound: float) -> tuple[list[Event], int]:
-        """Pop the maximal run of completion events below ``bound``.
-
-        The run-extraction primitive of the simulator's empty-queue drain
-        fast path: consumes consecutive ``COMPLETION`` events whose times
-        are strictly before ``bound`` (the next pending static event of any
-        kind; ``inf`` means unbounded) and returns ``(events,
-        closed_instants)``.
-
-        ``closed_instants`` counts the distinct instants in the run that
-        the run itself *closes* — instants at which no further event is
-        pending.  When the run stops because a non-completion heap event
-        shares the last consumed instant, that instant stays open (the
-        caller's per-event loop will finish its batch and count its
-        decision point), so it is excluded from the count.  Completions at
-        exactly ``bound`` are never consumed: they belong to the static
-        event's batch.
-        """
-        heap = self._heap
-        out: list[Event] = []
-        closed = 0
-        last: float | None = None
-        while heap:
-            event = heap[0]
-            time = event.time
-            if event.kind is not EventKind.COMPLETION:
-                if time == last:
-                    closed -= 1
-                break
-            if time >= bound:
-                break
-            heapq.heappop(heap)
-            if time != last:
-                closed += 1
-                last = time
-            out.append(event)
-        return out, closed
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -27,8 +27,6 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 __all__ = [
-    "CoalescingCaps",
-    "NO_COALESCING",
     "RunningJob",
     "Scheduler",
     "SchedulerContext",
@@ -171,45 +169,6 @@ class SchedulerContext:
         return self.state.queue_min_nodes(expected_count)
 
 
-@dataclass(frozen=True, slots=True)
-class CoalescingCaps:
-    """What the simulator's event coalescer may skip for a scheduler.
-
-    Each flag is a *behavioural guarantee* the scheduler makes about its own
-    decision procedure; the simulator's fast paths (see
-    ``docs/architecture.md``, "Event coalescing") only engage when the
-    corresponding guarantee holds.  All flags default to ``False`` — a
-    scheduler that says nothing is never coalesced, which keeps every
-    wrapper, regime switcher and exotic policy on the per-event oracle path
-    automatically.
-
-    ``blocked_arrivals``
-        If ``select_jobs`` just returned (reaching its fixpoint for the
-        current instant) and the only change since is newly *appended*
-        arrivals each requesting more nodes than are free, the next
-        ``select_jobs`` is guaranteed to return ``[]``.
-    ``idle_starts``
-        Work conservation on an empty queue: a lone arriving job that fits
-        the free nodes always starts immediately (``select_jobs`` would
-        return exactly the arrivals, in arrival order, when they all fit).
-    ``empty_drain``
-        With an empty wait queue, ``select_jobs`` / ``on_complete`` /
-        ``next_wakeup`` have no observable effect, so pure-completion
-        instants need no scheduler involvement at all.
-    """
-
-    blocked_arrivals: bool = False
-    idle_starts: bool = False
-    empty_drain: bool = False
-
-    def __bool__(self) -> bool:
-        return self.blocked_arrivals or self.idle_starts or self.empty_drain
-
-
-#: The default capability set: nothing may be coalesced.
-NO_COALESCING = CoalescingCaps()
-
-
 class Scheduler(abc.ABC):
     """Base class for on-line schedulers.
 
@@ -231,14 +190,6 @@ class Scheduler(abc.ABC):
     @abc.abstractmethod
     def on_submit(self, job: Job, ctx: SchedulerContext) -> None:
         """A new job arrived; enqueue it."""
-
-    def on_submit_run(self, jobs: "list[Job]", ctx: SchedulerContext) -> None:
-        """A coalesced run of arrivals (time-ordered).  Equivalent to
-        per-job :meth:`on_submit`; the simulator only uses it inside
-        capability-gated fast paths, and schedulers with bulk-appendable
-        queues may override it to hoist the per-job dispatch."""
-        for job in jobs:
-            self.on_submit(job, ctx)
 
     def on_complete(self, job: Job, ctx: SchedulerContext) -> None:
         """A running job finished (its nodes are already released)."""
@@ -265,12 +216,6 @@ class Scheduler(abc.ABC):
         means "wait for the next event".  Selected jobs must be removed
         from the scheduler's own queue before returning.
         """
-
-    def coalescing_caps(self) -> CoalescingCaps:
-        """Event-coalescing guarantees this scheduler makes (see
-        :class:`CoalescingCaps`).  The base default grants none; concrete
-        schedulers opt in per capability."""
-        return NO_COALESCING
 
     def next_wakeup(self, ctx: SchedulerContext) -> float | None:
         """Optional timer request, polled after each decision point.

@@ -2,7 +2,7 @@
 
 Section 2's scheduling system is one on-line loop: submissions and
 completions arrive, and after every batch of simultaneous events the
-scheduler is asked which queued jobs to start *now*.  Three pieces:
+scheduler is asked which queued jobs to start *now*.  Two pieces:
 
 **The site** (:class:`repro.core.site.SiteRun`) owns the machine, the
 running table, the incremental :class:`~repro.core.state.SchedulingState`
@@ -18,12 +18,9 @@ cancellation tallies — and its methods are the event handlers.
 submissions at equal times (see :mod:`repro.core.events`), so a newly
 submitted job sees every node freed at its arrival instant, as in a real
 batch system whose resource manager processes its event queue in order.
-
-**The coalescers** are loop *shapes*, not second implementations: where
-the scheduler's capability flags prove that a run of events needs no
-inter-event decision, the run advances through it in bulk — through the
-same site operations and the same decision method
-(``docs/architecture.md``, "Event coalescing").
+Both backends run this loop event for event; they differ only in where
+the events known before the run live (:mod:`repro.core.vector`), in the
+result columns, and in the compiled queue walks behind ``ctx.vectorize``.
 
 Jobs whose actual runtime exceeds the user limit can optionally be cancelled
 at the limit (``cancel_over_limit=True``), matching policy rule 2 of
@@ -120,8 +117,8 @@ class SimulationConfig:
     verify_state: int | None = None
     #: Collect the fine-grained per-phase wall-clock breakdown
     #: (``SimulationResult.phase_seconds`` gains ``events``/``commit``/
-    #: ``coalesce``/``other`` entries).  Off by default: the extra clock
-    #: reads would tax the hot loop the breakdown exists to explain.
+    #: ``other`` entries).  Off by default: the extra clock reads would tax
+    #: the hot loop the breakdown exists to explain.
     profile_phases: bool = False
 
 
@@ -191,12 +188,10 @@ class SimulationResult:
     #: (whole run) and ``decide`` (== ``decision_time``); with
     #: ``SimulationConfig.profile_phases`` it adds ``events`` (per-event
     #: dispatch), ``commit`` (start/timer/stats bookkeeping after each
-    #: decision), ``coalesce`` (bulk fast paths) and ``other`` (the
-    #: remainder).  Excluded from equality — timings never affect results.
+    #: decision) and ``other`` (the remainder).  Excluded from equality —
+    #: timings never affect results.
     phase_seconds: dict = field(default_factory=dict, compare=False, repr=False)
-    #: Event-coalescing fast-path counters (all zero when coalescing never
-    #: engaged — the python oracle, traced runs, or incapable schedulers):
-    #: runs/jobs per path plus the decision points they bulk-advanced.
+    #: Always empty: kept only for the benchmark harness, which reads it.
     coalesced: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -235,17 +230,16 @@ class _Run:
     """The mutable state of one :meth:`Simulator.run`.
 
     Its methods are the event handlers (:meth:`handlers` maps each
-    :class:`EventKind` to one), the failure kill, the decision point and
-    the coalescers.  Handlers take the event payload and act at
-    ``ctx.now``; every machine/state commit goes through ``self.site``.
+    :class:`EventKind` to one), the failure kill and the decision point.
+    Handlers take the event payload and act at ``ctx.now``; every
+    machine/state commit goes through ``self.site``.
     """
 
     __slots__ = (
         "scheduler", "site", "ctx", "state", "trace", "events", "feed", "by_id",
-        "failures", "policy", "coalesce", "pure", "coalesced", "batch_enqueued",
-        "pending_timers", "reruns", "finished_ids", "cancelled_queued",
-        "killed_running", "failure_killed", "interrupted", "recovery_state",
-        "killed_at", "resubmit_pending", "resubmit_cancelled",
+        "failures", "policy", "pending_timers", "reruns", "finished_ids",
+        "cancelled_queued", "killed_running", "failure_killed", "interrupted",
+        "recovery_state", "killed_at", "resubmit_pending", "resubmit_cancelled",
         "wasted_node_seconds", "requeue_delay", "decision_points",
         "decision_time", "max_queue", "timed", "phase_seconds", "clock_start",
         "_mark",
@@ -319,29 +313,6 @@ class _Run:
                 events.push(fail.down_time, EventKind.NODE_DOWN, fail)
                 events.push(fail.up_time, EventKind.NODE_UP, fail)
 
-        # Event coalescing: bulk-advance maximal runs of events that
-        # provably need no inter-event decision.  The scheduler opts in
-        # through its capability flags; only the numpy backend coalesces
-        # (the python oracle keeps the per-event loop, which is what the
-        # equivalence suites compare against), and tracing forces the
-        # per-event loop so the trace stays complete.
-        caps = scheduler.coalescing_caps()
-        self.coalesce = caps if numpy_backend and self.trace is None and caps else None
-        #: No cancellations and no failures: the static timeline is the
-        #: arrivals alone, and once they are spent the heap can only ever
-        #: hold live COMPLETION events (no reruns, no kills, no timers
-        #: under the capability contract).
-        self.pure = self.policy is None and not inputs.cancellations
-        self.coalesced = dict.fromkeys(
-            (
-                "blocked_arrival_runs", "blocked_arrival_jobs",
-                "idle_start_runs", "idle_start_jobs",
-                "drain_runs", "drained_completions", "decision_points",
-            ),
-            0,
-        )  # fmt: skip
-
-        self.batch_enqueued = False
         self.pending_timers: set[float] = set()
         #: Latest rerun attempt of each recovered job (``by_id`` keeps the
         #: original submissions, which is what recovery policies reason
@@ -368,7 +339,7 @@ class _Run:
         self.decision_time = 0.0
         self.max_queue = 0
         self.timed = config.profile_phases
-        self.phase_seconds = {"events": 0.0, "commit": 0.0, "coalesce": 0.0}
+        self.phase_seconds = {"events": 0.0, "commit": 0.0}
         self.clock_start = self._mark = perf_counter()
 
     def _charge(self, phase: str, upto: float) -> None:
@@ -394,10 +365,7 @@ class _Run:
     def _on_completion(self, item: ScheduledJob) -> None:
         if self.site.finish(item):  # else: stale completion of a killed attempt
             self.finished_ids.add(item.job.job_id)
-            if self.coalesce is None:
-                # Coalescing capability implies the base (no-op)
-                # ``on_complete`` — skip the call on the fast path.
-                self.scheduler.on_complete(item.job, self.ctx)
+            self.scheduler.on_complete(item.job, self.ctx)
 
     def _on_node_up(self, fail: "NodeFailure") -> None:
         self.site.capacity_up(fail.up_time, fail.nodes)
@@ -435,7 +403,6 @@ class _Run:
         if self.state is not None:
             self.state.note_enqueued(job.nodes)
         self.scheduler.on_submit(job, self.ctx)
-        self.batch_enqueued = True
 
     def _on_cancellation(self, job_id: int) -> None:
         if job_id in self.site.running:
@@ -517,8 +484,8 @@ class _Run:
 
     # -- the decision point --------------------------------------------------
 
-    def decide(self) -> int:
-        """One decision point at ``ctx.now``; returns how many jobs started.
+    def decide(self) -> None:
+        """One decision point at ``ctx.now``.
 
         Asks the scheduler which queued jobs start now, commits them and
         schedules their completions, then honours wake-up requests and
@@ -541,128 +508,27 @@ class _Run:
             item = start(job, now)
             push(item.end_time, _COMPLETION, item)
 
-        if self.coalesce is None:
-            # Honour timer requests; only queue jobs justify a wake-up, so
-            # a drained scheduler cannot keep an otherwise-finished
-            # simulation alive forever.  Coalescing capability implies the
-            # base (None) ``next_wakeup``, so that path skips the probe.
-            wake = scheduler.next_wakeup(self.ctx)
-            if (
-                wake is not None
-                and wake > now
-                and wake not in self.pending_timers
-                and (scheduler.pending_count > 0 or self.site.running)
-            ):
-                self.pending_timers.add(wake)
-                self.events.push(wake, EventKind.TIMER)
-            queue_len = scheduler.pending_count
-            self.max_queue = max(self.max_queue, queue_len)
-            if self.trace is not None:
-                self.trace.queue_lengths.append((now, queue_len))
-                self.trace.free_nodes.append((now, self.site.machine.free_nodes))
-        elif self.batch_enqueued:
-            # The wait queue only ever grows inside ``on_submit``, so the
-            # peak queue length is always attained at a decision point
-            # whose batch carried a submission — completion-only decisions
-            # cannot raise it and skip the probe.
-            self.max_queue = max(self.max_queue, scheduler.pending_count)
-        self.batch_enqueued = False
+        # Honour timer requests; only queue jobs justify a wake-up, so a
+        # drained scheduler cannot keep an otherwise-finished simulation
+        # alive forever.
+        wake = scheduler.next_wakeup(self.ctx)
+        queue_len = scheduler.pending_count
+        if (
+            wake is not None
+            and wake > now
+            and wake not in self.pending_timers
+            and (queue_len > 0 or self.site.running)
+        ):
+            self.pending_timers.add(wake)
+            self.events.push(wake, EventKind.TIMER)
+        if queue_len > self.max_queue:
+            self.max_queue = queue_len
+        if self.trace is not None:
+            self.trace.queue_lengths.append((now, queue_len))
+            self.trace.free_nodes.append((now, self.site.machine.free_nodes))
         if self.timed:
             self._mark = t_commit  # the decision itself is ``decision_time``
             self._charge("commit", perf_counter())
-        return len(started)
-
-    # -- coalescers: loop shapes over the same operations ----------------------
-
-    def _close_run(self, now: float, closed: int) -> None:
-        """Advance to the end of a coalesced run that closed ``closed``
-        decision points without consulting the scheduler."""
-        self.ctx.now = now
-        self.decision_points += closed
-        self.coalesced["decision_points"] += closed
-
-    def coalesce_ahead(self) -> None:
-        """Bulk-advance whatever provably needs no per-event decision."""
-        if self.scheduler.pending_count:
-            self._coalesce_backlogged()
-        else:
-            self._coalesce_idle()
-        if self.timed:
-            self._charge("coalesce", perf_counter())
-
-    def _coalesce_backlogged(self) -> None:
-        """Non-empty queue: drain the backlog, or enqueue blocked arrivals."""
-        feed = self.feed
-        if self.pure and feed.static_exhausted:
-            # Arrivals spent, pure scenario: every heap event is a live
-            # completion and every instant a decision point, so run
-            # finish → decide straight off the heap, without the merged
-            # feed, the dispatch table or the coalescing probes.  Each
-            # iteration is exactly the generic body for a completions-only
-            # batch; it ends when the queue or the heap empties.
-            events = self.events
-            peek, pop = events.peek_time, events.pop_next
-            on_completion = self._on_completion
-            pending = self.scheduler.pending_count
-            while events and pending:
-                self.ctx.now = now = peek()
-                while events and peek() == now:
-                    on_completion(pop()[1])
-                pending -= self.decide()
-            if not pending and events:
-                self._coalesce_idle()
-        elif self.coalesce.blocked_arrivals and not self.resubmit_pending:
-            # Arrivals strictly before the next other event (heap head or
-            # static cancellation / node event) and too wide for the free
-            # nodes can neither start nor unblock anything
-            # (the discipline's ``blocked_arrivals`` guarantee) — enqueue
-            # the whole run without touching the decision machinery.
-            run_jobs, run_times, closed = feed.take_blocked_arrivals(
-                self.site.machine.free_nodes
-            )
-            if run_jobs:
-                if self.state is not None:
-                    self.state.note_enqueued_run(run_jobs)
-                self.scheduler.on_submit_run(run_jobs, self.ctx)
-                self._close_run(run_times[-1], closed)
-                self.coalesced["blocked_arrival_runs"] += 1
-                self.coalesced["blocked_arrival_jobs"] += len(run_jobs)
-                self.max_queue = max(self.max_queue, self.scheduler.pending_count)
-
-    def _coalesce_idle(self) -> None:
-        """Empty queue: alternate completion drains and immediate starts
-        until neither makes progress (a light-load phase collapses here)."""
-        caps = self.coalesce
-        feed = self.feed
-        events = self.events
-        site = self.site
-        while feed:
-            progressed = False
-            if caps.empty_drain:
-                run_events, closed = events.take_completion_run(
-                    feed.next_static_time()
-                )
-                if run_events:
-                    # ``on_complete`` is the base no-op under ``empty_drain``.
-                    for item in site.finish_run([e.payload for e in run_events]):
-                        self.finished_ids.add(item.job.job_id)
-                    self._close_run(run_events[-1].time, closed)
-                    self.coalesced["drain_runs"] += 1
-                    self.coalesced["drained_completions"] += len(run_events)
-                    progressed = True
-            if caps.idle_starts and not self.resubmit_pending:
-                run_jobs, run_times, instants = feed.take_idle_starts(
-                    site.machine.free_nodes
-                )
-                if run_jobs:
-                    for item in site.start_run(run_jobs, run_times):
-                        events.push(item.end_time, _COMPLETION, item)
-                    self._close_run(run_times[-1], instants)
-                    self.coalesced["idle_start_runs"] += 1
-                    self.coalesced["idle_start_jobs"] += len(run_jobs)
-                    progressed = True
-            if not progressed:
-                break
 
     # -- the result ----------------------------------------------------------
 
@@ -708,7 +574,6 @@ class _Run:
             requeue_delay=self.requeue_delay,
             columns=site.columns,
             phase_seconds=phase_seconds,
-            coalesced=self.coalesced,
         )
 
 
@@ -800,12 +665,8 @@ class Simulator:
         pop = feed.pop_next
         handlers = run.handlers()
         ctx = run.ctx
-        coalescing = run.coalesce is not None
+        decide = run.decide
         while feed:
-            if coalescing:
-                run.coalesce_ahead()
-                if not feed:
-                    break
             ctx.now = now = peek()
             # Batch every event at this instant; completions first by the
             # event-kind priority.
@@ -814,7 +675,7 @@ class Simulator:
                 handlers[kind](payload)
                 if not feed or peek() != now:
                     break
-            run.decide()
+            decide()
         return run.result()
 
     def _sorted_stream(

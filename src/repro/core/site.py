@@ -20,8 +20,6 @@ to file — and every operation assumes the loop has already moved the clock
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core import vector
 from repro.core.job import Job
 from repro.core.machine import Machine
@@ -106,25 +104,6 @@ class SiteRun:
             state.on_start(job.job_id, job.estimated_runtime, job.nodes)
         return item
 
-    def start_run(
-        self, jobs: Sequence[Job], times: Sequence[float]
-    ) -> list[ScheduledJob]:
-        """Start a time-ordered run of arrivals that never queued.
-
-        The batched form behind idle-start coalescing: the clock advances
-        through ``times`` inside the state, and — enqueue plus dequeue of
-        the same width being state-neutral — only the start deltas commit.
-        """
-        items = [self._admit(job, t) for job, t in zip(jobs, times)]
-        if self.state is not None:
-            self.state.on_start_batch(
-                [
-                    (t, job.job_id, job.estimated_runtime, job.nodes)
-                    for job, t in zip(jobs, times)
-                ]
-            )
-        return items
-
     # -- finish ------------------------------------------------------------
 
     def _live(self, item: ScheduledJob) -> bool:
@@ -158,25 +137,6 @@ class SiteRun:
         self._vacate(item.job.job_id)
         self.record(item)
         return True
-
-    def finish_run(self, items: Sequence[ScheduledJob]) -> list[ScheduledJob]:
-        """Commit a time-ordered run of completions; returns the live ones.
-
-        The batched form behind the empty-queue completion drain: the
-        clock advances through the run inside the state.
-        """
-        fresh = [item for item in items if self._live(item)]
-        for item in fresh:
-            self.machine.release(item.job.job_id)
-            del self.running[item.job.job_id]
-        self.completed.extend(fresh)
-        if self.columns is not None:
-            self.columns.extend(fresh)
-        if self.state is not None and fresh:
-            self.state.on_release_batch(
-                [(item.end_time, item.job.job_id) for item in fresh]
-            )
-        return fresh
 
     def kill(self, job_id: int, now: float) -> ScheduledJob:
         """Stop a running job at ``now``; returns its partial record.

@@ -181,51 +181,6 @@ class SchedulingState:
             self.profile.release(end, nodes)
         self.deltas += 1
 
-    def on_start_batch(self, entries: "list[tuple[float, int, float, int]]") -> None:
-        """Apply a time-ordered run of ``(start, job_id, estimate, nodes)``.
-
-        The fused commit behind the simulator's idle-start coalescing:
-        equivalent, delta for delta, to ``advance(start)`` + ``on_start``
-        per entry (the clock advances through the run), with the method
-        dispatch and counter updates hoisted out of the loop.
-        """
-        profile = self.profile
-        ends = self._ends
-        jobs = self._jobs
-        for start, job_id, estimated_runtime, nodes in entries:
-            if start > self.now:
-                self.now = start
-                if profile is not None:
-                    profile.advance_origin(start)
-            end = start + estimated_runtime
-            if profile is not None:
-                profile.reserve_from_origin(estimated_runtime, nodes)
-            insort(ends, (end, job_id))
-            jobs[job_id] = (end, nodes)
-        self.deltas += len(entries)
-
-    def on_release_batch(self, entries: "list[tuple[float, int]]") -> None:
-        """Apply a time-ordered run of ``(completion_time, job_id)`` releases.
-
-        The fused commit behind the simulator's empty-queue completion
-        drain: equivalent, delta for delta, to ``advance(time)`` +
-        ``on_release`` per entry.
-        """
-        profile = self.profile
-        ends = self._ends
-        jobs = self._jobs
-        for time, job_id in entries:
-            if time > self.now:
-                self.now = time
-                if profile is not None:
-                    profile.advance_origin(time)
-            end, nodes = jobs.pop(job_id)
-            idx = bisect_left(ends, (end, job_id))
-            del ends[idx]
-            if end > time and profile is not None:
-                profile.release(end, nodes)
-        self.deltas += len(entries)
-
     # -- capacity deltas (simulator-only) ------------------------------------------
 
     def on_capacity_down(self, until: float, nodes: int) -> None:
@@ -266,19 +221,6 @@ class SchedulingState:
         self._queued_count += 1
         if self._queue_min is None or nodes < self._queue_min:
             self._queue_min = nodes
-
-    def note_enqueued_run(self, jobs: "list") -> None:
-        """Batched :meth:`note_enqueued` over a run of arriving jobs."""
-        widths = self._queue_widths
-        get = widths.get
-        queue_min = self._queue_min
-        for job in jobs:
-            nodes = job.nodes
-            widths[nodes] = get(nodes, 0) + 1
-            if queue_min is None or nodes < queue_min:
-                queue_min = nodes
-        self._queue_min = queue_min
-        self._queued_count += len(jobs)
 
     def note_dequeued(self, nodes: int) -> None:
         """A queued job left the queue (started or cancelled)."""

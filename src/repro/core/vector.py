@@ -22,6 +22,11 @@ keep on two hot loops:
   numeric columns during the run, and the ``*_columns`` kernels reduce them
   with ``np.add.accumulate``.
 
+Both backends drive the same per-event loop
+(:meth:`repro.core.simulator.Simulator.run`): one decision point per
+instant.  Besides these two kernels the numpy backend differs only in the
+compiled queue walks behind ``ctx.vectorize`` (:mod:`repro.core.native`).
+
 Exactness notes (the reasons the bit-identity contract is *provable*, not
 hoped for):
 
@@ -168,7 +173,6 @@ def sorted_stream(jobs: Iterable["Job"]) -> tuple[list["Job"], list[float], bool
 
 _SUBMISSION = EventKind.SUBMISSION
 _CANCELLATION = EventKind.CANCELLATION
-_INF = float("inf")
 
 
 def static_timeline(
@@ -220,10 +224,7 @@ class MergedEventFeed:
     sequence)`` total order of the oracle's heap.
     """
 
-    __slots__ = (
-        "_events", "_times", "_kinds", "_payloads", "_idx", "_n", "_barriers",
-        "_passed",
-    )  # fmt: skip
+    __slots__ = ("_events", "_times", "_kinds", "_payloads", "_idx", "_n")
 
     def __init__(
         self,
@@ -240,14 +241,6 @@ class MergedEventFeed:
         self._payloads = payloads
         self._idx = 0
         self._n = len(times)
-        #: Instants of the static non-arrival events, in timeline order and
-        #: closed by ``inf``; ``_passed`` counts the ones already popped, so
-        #: ``_barriers[_passed]`` is the next one — what bounds the arrival
-        #: run extractors exactly as the heap head does.
-        self._barriers = [
-            t for t, kind in zip(times, kinds) if kind is not _SUBMISSION
-        ] + [_INF]
-        self._passed = 0
 
     def __bool__(self) -> bool:
         return self._idx < self._n or bool(self._events._heap)
@@ -282,125 +275,9 @@ class MergedEventFeed:
                 first = True
             if first:
                 self._idx = idx + 1
-                if kind is not _SUBMISSION:
-                    self._passed += 1
                 return kind, self._payloads[idx]
         _time, kind, _sequence, payload = heappop(heap)
         return kind, payload
-
-    # -- run extraction (the simulator's event-coalescing fast paths) ----------
-
-    #: Shared empty-run result: failed extraction probes happen once per
-    #: uncoalesced decision, so returning a constant keeps them allocation-free.
-    _EMPTY_RUN: "tuple[list, list, int]" = ([], [], 0)
-
-    @property
-    def static_exhausted(self) -> bool:
-        """True once the whole static timeline has been consumed — from then
-        on the feed is exactly the heap."""
-        return self._idx >= self._n
-
-    def next_static_time(self) -> float:
-        """Instant of the next pending static event of any kind (``inf``
-        once the timeline is spent)."""
-        return self._times[self._idx] if self._idx < self._n else _INF
-
-    def _arrival_bound(self) -> float:
-        """Instant no arrival run may reach: the earlier of the heap head
-        and the next static non-arrival event."""
-        heap = self._events._heap
-        barrier = self._barriers[self._passed]
-        if heap and heap[0].time < barrier:
-            return heap[0].time
-        return barrier
-
-    def take_blocked_arrivals(
-        self, free_nodes: int
-    ) -> tuple[list["Job"], list[float], int]:
-        """Consume the maximal run of arrivals that cannot possibly start.
-
-        A pending original arrival belongs to the run when it occurs
-        strictly before the earliest other event — heap head or static
-        cancellation / node event — (so nothing else happens in between,
-        in particular no completion frees nodes) *and* requests more than
-        ``free_nodes`` nodes (so it can neither start nor, free nodes
-        being unchanged throughout the run, enable any other queued job
-        under a discipline guaranteeing
-        :attr:`~repro.core.scheduler.CoalescingCaps.blocked_arrivals`).
-
-        Returns ``(jobs, times, closed_instants)``.  ``closed_instants``
-        counts the distinct instants the run closes; when the run stops at
-        a same-instant arrival that *does* fit, that last instant stays
-        open — the per-event loop finishes its batch and owns its decision
-        point.
-        """
-        bound = self._arrival_bound()
-        times = self._times
-        jobs = self._payloads
-        i = self._idx
-        n = self._n
-        start = i
-        closed = 0
-        last: float | None = None
-        # Every static entry before ``bound`` is an arrival: the first
-        # non-arrival sits at the barrier instant or later.
-        while i < n:
-            t = times[i]
-            if t >= bound:
-                break
-            if jobs[i].nodes <= free_nodes:
-                if t == last:
-                    closed -= 1
-                break
-            if t != last:
-                closed += 1
-                last = t
-            i += 1
-        if i == start:
-            return self._EMPTY_RUN
-        self._idx = i
-        return jobs[start:i], times[start:i], closed
-
-    def take_idle_starts(self, free_nodes: int) -> tuple[list["Job"], list[float], int]:
-        """Consume the maximal run of arrival instants that start instantly.
-
-        With an empty wait queue and a scheduler guaranteeing
-        :attr:`~repro.core.scheduler.CoalescingCaps.idle_starts`, a batch
-        of arrivals that jointly fits the free nodes starts immediately and
-        leaves the queue empty again.  This consumes whole instants only
-        (never part of a batch), each strictly before the earliest other
-        event (heap head or static non-arrival), while the cumulative node
-        demand fits ``free_nodes``.  Returns ``(jobs, times, instants)`` —
-        all consumed instants are closed by construction.
-        """
-        bound = self._arrival_bound()
-        times = self._times
-        jobs = self._payloads
-        i = self._idx
-        n = self._n
-        start = i
-        free = free_nodes
-        instants = 0
-        while i < n:
-            t = times[i]
-            if t >= bound:
-                break
-            j = i
-            need = 0
-            while j < n and times[j] == t:
-                need += jobs[j].nodes
-                if need > free:
-                    break
-                j += 1
-            if j < n and times[j] == t:
-                break  # instant does not jointly fit: leave it whole
-            free -= need
-            i = j
-            instants += 1
-            if free == 0:
-                break
-        self._idx = i
-        return jobs[start:i], times[start:i], instants
 
 
 # -- columnar result buffers and exact metric kernels --------------------------
@@ -435,19 +312,6 @@ class ResultColumns:
         self.start.append(item.start_time)
         self.end.append(item.end_time)
         self.area.append(job.area)
-
-    def extend(self, items: Sequence["ScheduledJob"]) -> None:
-        """Append a run of records (the completion-drain fast path)."""
-        submit = self.submit.append
-        start = self.start.append
-        end = self.end.append
-        area = self.area.append
-        for item in items:
-            job = item.job
-            submit(job.submit_time)
-            start(item.start_time)
-            end(item.end_time)
-            area(job.area)
 
     @classmethod
     def from_schedule(cls, schedule: "Schedule | Iterable[ScheduledJob]") -> "ResultColumns":

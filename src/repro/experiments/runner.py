@@ -21,7 +21,7 @@ from repro.core import vector
 from repro.core.job import Job
 from repro.core.machine import Machine
 from repro.core.packing import PackedJobs, unpack_jobs
-from repro.core.scheduler import CoalescingCaps, Scheduler, SchedulerContext
+from repro.core.scheduler import Scheduler, SchedulerContext
 from repro.core.simulator import ScenarioInputs, SimulationConfig, Simulator
 from repro.metrics.objectives import (
     average_response_time,
@@ -33,11 +33,9 @@ from repro.schedulers.registry import SchedulerConfig, build_scheduler
 class TimingScheduler(Scheduler):
     """Delegating proxy that accumulates time spent in scheduler callbacks.
 
-    The proxy makes the inner scheduler's coalescing guarantees its own
-    (:meth:`coalescing_caps`), so the simulator's event-coalescing fast
-    path engages on the engine path as it does on a bare scheduler.  The
-    callbacks the simulator then skips — ones the guarantees prove to be
-    no-ops — are never entered, so ``elapsed`` does not count them.
+    The simulator makes the same calls on both backends — ``on_complete``
+    at every completion, ``select_jobs`` and ``next_wakeup`` at every
+    decision point — so ``elapsed`` counts all of them.
     """
 
     def __init__(self, inner: Scheduler) -> None:
@@ -53,11 +51,6 @@ class TimingScheduler(Scheduler):
     def on_submit(self, job: Job, ctx: SchedulerContext) -> None:
         t0 = time.perf_counter()
         self.inner.on_submit(job, ctx)
-        self.elapsed += time.perf_counter() - t0
-
-    def on_submit_run(self, jobs: "list[Job]", ctx: SchedulerContext) -> None:
-        t0 = time.perf_counter()
-        self.inner.on_submit_run(jobs, ctx)
         self.elapsed += time.perf_counter() - t0
 
     def on_complete(self, job: Job, ctx: SchedulerContext) -> None:
@@ -81,9 +74,6 @@ class TimingScheduler(Scheduler):
         out = self.inner.select_jobs(ctx)
         self.elapsed += time.perf_counter() - t0
         return out
-
-    def coalescing_caps(self) -> CoalescingCaps:
-        return self.inner.coalescing_caps()
 
     @property
     def pending_count(self) -> int:

@@ -80,8 +80,6 @@ class HeadBlockingDiscipline(Discipline):
 
     name = "list"
     uses_estimates = False
-    coalesce_blocked_arrivals = True
-    coalesce_idle_starts = True
 
     def select(self, queue: Sequence[Job], ctx: SchedulerContext) -> list[Job]:
         if not queue:
@@ -111,8 +109,6 @@ class AnyFitDiscipline(Discipline):
 
     name = "any-fit"
     uses_estimates = False
-    coalesce_blocked_arrivals = True
-    coalesce_idle_starts = True
 
     def select(self, queue: Sequence[Job], ctx: SchedulerContext) -> list[Job]:
         started, _indices = self.select_indexed(queue, ctx)
@@ -124,6 +120,10 @@ class AnyFitDiscipline(Discipline):
         if not queue:
             return [], None
         free = ctx.free_nodes
+        # No queued job fits the free nodes: skip the scan (under a long
+        # backlog, e.g. at an arrival too wide to start).
+        if free < _min_queue_nodes(queue, ctx):
+            return [], None
         started: list[Job] = []
         indices: list[int] = []
         for idx, job in enumerate(queue):
@@ -164,7 +164,6 @@ class EasyBackfill(Discipline):
 
     name = "easy"
     uses_estimates = True
-    coalesce_blocked_arrivals = True
     #: The compiled walk once looked up: ``None`` not yet, ``False`` when
     #: the Python walk stays (instance attribute).
     _walk: "EasyWalk | bool | None" = None
@@ -512,7 +511,6 @@ class ConservativeBackfill(Discipline):
 
     name = "conservative"
     uses_estimates = True
-    coalesce_blocked_arrivals = True
     #: The compiled walk once looked up: ``None`` not yet, ``False`` when
     #: the Python walk stays (instance attribute).
     _walk: "ConservativeWalk | bool | None" = None

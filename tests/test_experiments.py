@@ -189,8 +189,7 @@ class TestCLI:
     def test_cli_profile_cell(self, tmp_path, capsys):
         """--profile-cell finds a journaled cell by fingerprint prefix,
         reproduces the fingerprint from the manifest recipe, and prints
-        the per-phase breakdown with the coalescing counters — for a
-        healthy cell and for one that ran under a scenario (whose digest,
+        the per-phase breakdown — for a healthy cell and for one that ran under a scenario (whose digest,
         failure trace and recovery spec all enter the fingerprint)."""
         import json
 
@@ -220,7 +219,7 @@ class TestCLI:
             assert code == 0, name
             assert fingerprint in out
             assert "phase_seconds:" in out
-            for phase in ("total", "decide", "events", "commit", "coalesce"):
+            for phase in ("total", "decide", "events", "commit"):
                 assert phase in out
             if flags:
                 # Without the scenario flags the reconstruction must fail

@@ -130,6 +130,28 @@ class TestDiagnostics:
         assert len(sim.trace.queue_lengths) > 0
         assert len(sim.trace.free_nodes) == len(sim.trace.queue_lengths)
 
+    def test_phase_seconds_breakdown_present(self):
+        """With ``profile_phases`` the run attributes its wall clock: the
+        phase breakdown sums to (at most) the total."""
+        jobs = make_jobs(100, seed=7, max_nodes=64, mean_gap=25.0)
+        result = Simulator(
+            Machine(64),
+            FCFSScheduler.plain(),
+            SimulationConfig(backend="numpy", profile_phases=True),
+        ).run(jobs)
+        phases = result.phase_seconds
+        for key in ("total", "decide", "events", "commit", "other"):
+            assert key in phases
+            assert phases[key] >= 0.0
+        parts = phases["decide"] + phases["events"] + phases["commit"]
+        assert parts <= phases["total"] + 1e-9
+        # Without ``profile_phases`` only the cheap breakdown is collected (no
+        # extra clock reads on the hot loop).
+        plain = Simulator(
+            Machine(64), FCFSScheduler.plain(), SimulationConfig(backend="python")
+        ).run(jobs)
+        assert set(plain.phase_seconds) == {"total", "decide"}
+
 
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=10, max_value=40))
 @settings(max_examples=25, deadline=None)

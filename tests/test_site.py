@@ -104,40 +104,14 @@ class TestStartFinish:
         with pytest.raises(ValueError, match="are free"):
             begin(site, J(2, nodes=8), 0.0)
 
-
-class TestBatchedForms:
-    def test_runs_equal_the_per_job_forms(self):
-        jobs = [J(i, nodes=2, runtime=10.0 * (i + 1), estimate=200.0) for i in range(4)]
-        times = [0.0, 0.0, 3.0, 7.0]
-        one, run = SiteRun(Machine(16), verify_state=1), SiteRun(Machine(16), verify_state=1)
-        singles = []
-        for job, t in zip(jobs, times):
-            singles.append(begin(one, job, t))
-        batched = run.start_run(jobs, times)
-        run.ctx.now = times[-1]
-        assert batched == singles
-        assert run.running == one.running
-        assert run.state.deltas == one.state.deltas == 4
-        assert run.ctx.profile.canonical_steps() == one.ctx.profile.canonical_steps()
-
-        order = sorted(singles, key=lambda i: i.end_time)
-        for item in order:
-            one.ctx.now = item.end_time
-            assert one.finish(item)
-        stale = begin(SiteRun(Machine(16)), J(99), 1.0)
-        assert run.finish_run(order[:2] + [stale] + order[2:]) == order
-        run.ctx.now = order[-1].end_time
-        assert run.completed == one.completed == order
-        assert run.machine.free_nodes == one.machine.free_nodes == 16
-        assert run.state.deltas == one.state.deltas == 8
-
     def test_columns_mirror_completed(self):
         site = SiteRun(Machine(16), vectorize=True)
         assert site.ctx.vectorize
-        items = site.start_run([J(1), J(2)], [0.0, 1.0])
-        site.finish_run(items[:1])
-        site.ctx.now = 200.0
-        site.finish(items[1])
+        items = [begin(site, J(1), 0.0), begin(site, J(2), 1.0)]
+        site.ctx.now = 100.0
+        site.finish(items[0])
+        record = site.kill(2, 100.0)
+        site.record(record)
         assert len(site.columns) == len(site.completed) == 2
         assert list(site.columns.end) == [i.end_time for i in site.completed]
 
@@ -162,9 +136,7 @@ class TestOneRunCore:
     def test_state_commits_and_context_construction_live_in_the_site_module(self):
         """The grep gate: what a start and a release commit to the
         scheduling state, and the context schedulers read, exist once."""
-        pattern = re.compile(
-            r"\.on_(?:start|release)(?:_batch)?\(|\bSchedulerContext\("
-        )
+        pattern = re.compile(r"\.on_(?:start|release)\(|\bSchedulerContext\(")
         offenders = []
         for path in SRC.rglob("*.py"):
             if path.name == "site.py" and path.parent.name == "core":
@@ -179,8 +151,7 @@ class TestOneRunCore:
 
     def test_the_gate_pattern_still_matches_the_site_module(self):
         text = (SRC / "core" / "site.py").read_text(encoding="utf-8")
-        for call in (".on_start(", ".on_release(", ".on_start_batch(",
-                     ".on_release_batch(", "SchedulerContext("):
+        for call in (".on_start(", ".on_release(", "SchedulerContext("):
             assert call in text, call
 
     @pytest.mark.parametrize(

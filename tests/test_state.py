@@ -128,9 +128,11 @@ _SCRIPT = (
     (20.0, "on_start", (3, 25.0, 8)),
     (30.0, "on_release", (2,)),  # early
     (50.0, "on_capacity_down", (70.0, 2)),  # job 3 (end 45) is in overrun
-    (60.0, "on_start_batch", ([(60.0, 4, 30.0, 4), (65.0, 5, 500.0, 2)],)),
+    (60.0, "on_start", (4, 30.0, 4)),
+    (65.0, "on_start", (5, 500.0, 2)),
     (70.0, "on_capacity_up", (70.0, 2)),
-    (80.0, "on_release_batch", ([(80.0, 3), (85.0, 4)],)),
+    (80.0, "on_release", (3,)),
+    (85.0, "on_release", (4,)),  # early
     (90.0, "on_capacity_up", (90.0, 4)),
     (120.0, "on_release", (1,)),  # overran its projection
     (130.0, "on_start", (6, 10.0, 32)),
@@ -158,8 +160,8 @@ class TestLazyProfile:
 
     @pytest.mark.parametrize("first_read", range(len(_SCRIPT)))
     def test_late_materialisation_equals_eager_maintenance(self, first_read):
-        """Whenever the first read happens — outages active (steps 2-8), a
-        job in overrun (steps 5-7, 10) — every snapshot from then on is the
+        """Whenever the first read happens — outages active (steps 2-10), a
+        job in overrun (steps 5-8, 12) — every snapshot from then on is the
         one a profile maintained from the start hands out, and the
         reference rebuild agrees (cadence 1 verifies each)."""
         eager = SchedulingState(64, verify_every=1)

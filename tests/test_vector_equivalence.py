@@ -6,7 +6,8 @@ oracle's :class:`~repro.core.simulator.SimulationResult` bit for bit —
 same schedules, same objectives in the last ulp, same resilience metrics —
 over
 
-* every cell of the scheduler registry, in both objective regimes,
+* every cell of the scheduler registry, in both objective regimes and
+  with the per-decision trace (``collect_trace``) compared too,
 * streams with queued and running cancellations,
 * the estimate-limit kill policy (``cancel_over_limit``),
 * failure traces under every recovery policy, and
@@ -50,8 +51,10 @@ def signature(result):
     ]
 
 
-def full_signature(result):
-    return (
+def full_signature(result, trace=None):
+    """Everything a result carries that both backends must agree on, plus
+    the decision-point trace when the run collected one."""
+    fields = (
         signature(result),
         result.decision_points,
         result.max_queue_length,
@@ -67,29 +70,48 @@ def full_signature(result):
         result.wasted_node_seconds,
         result.requeue_delay,
     )
+    if trace is None:
+        return fields
+    # One trace entry per decision point, on either backend.
+    assert len(trace.queue_lengths) == len(trace.free_nodes) == result.decision_points
+    return fields + (trace.queue_lengths, trace.free_nodes)
 
 
 def run_both(make_scheduler, jobs, *, config=None, scenario=None):
     """Run oracle and fast path; assert full bit-identity, return the pair."""
     config = config or SimulationConfig()
-    oracle = Simulator(
-        Machine(NODES), make_scheduler(), replace(config, backend="python")
-    ).run(jobs, scenario=scenario)
-    fast = Simulator(
-        Machine(NODES), make_scheduler(), replace(config, backend="numpy")
-    ).run(jobs, scenario=scenario)
-    assert full_signature(fast) == full_signature(oracle)
+    signatures = []
+    results = []
+    for backend in ("python", "numpy"):
+        sim = Simulator(Machine(NODES), make_scheduler(), replace(config, backend=backend))
+        result = sim.run(jobs, scenario=scenario)
+        assert (sim.trace is not None) == config.collect_trace
+        signatures.append(full_signature(result, sim.trace))
+        results.append(result)
+    assert signatures[1] == signatures[0]
+    oracle, fast = results
     assert oracle.columns is None
     assert fast.columns is not None and len(fast.columns) == len(fast.schedule)
     return oracle, fast
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+#: Objective regime × simulation config of the registry sweep: both
+#: regimes plain, and the unweighted one with the decision-point trace on.
+_REGISTRY_RUNS = [
+    pytest.param(False, SimulationConfig(), id="unweighted"),
+    pytest.param(True, SimulationConfig(), id="weighted"),
+    pytest.param(False, SimulationConfig(collect_trace=True), id="traced"),
+]
+
+
+@pytest.mark.parametrize("weighted,sim_config", _REGISTRY_RUNS)
 @pytest.mark.parametrize("config", registered_configurations(), ids=lambda c: c.key)
-def test_registry_cells_bit_identical(config, weighted):
+def test_registry_cells_bit_identical(config, weighted, sim_config):
     jobs = make_jobs(150, seed=23, max_nodes=NODES, mean_gap=40.0)
     _, fast = run_both(
-        lambda: build_scheduler(config, NODES, weighted=weighted), jobs
+        lambda: build_scheduler(config, NODES, weighted=weighted),
+        jobs,
+        config=sim_config,
     )
     # The columnar objective kernels must equal the scalar loops exactly —
     # np.add.accumulate is sequential, so not a single ulp of drift.
@@ -129,9 +151,16 @@ def test_over_limit_kills_bit_identical():
 
 
 @pytest.mark.parametrize(
-    "recovery", ["abandon", "resubmit", "checkpoint:interval=300.0,overhead=30.0"]
+    "recovery,sim_config",
+    [
+        *(
+            pytest.param(spec, SimulationConfig(), id=spec)
+            for spec in ("abandon", "resubmit", "checkpoint:interval=300.0,overhead=30.0")
+        ),
+        pytest.param("resubmit", SimulationConfig(collect_trace=True), id="resubmit-traced"),
+    ],
 )
-def test_failure_injection_bit_identical(recovery):
+def test_failure_injection_bit_identical(recovery, sim_config):
     jobs = make_jobs(120, seed=53, max_nodes=NODES, mean_gap=40.0)
     trace = mtbf_trace(
         total_nodes=NODES,
@@ -145,7 +174,10 @@ def test_failure_injection_bit_identical(recovery):
     scenario = ScenarioInputs(failures=trace, recovery=recovery)
     for config in registered_configurations():
         _, fast = run_both(
-            lambda: build_scheduler(config, NODES), jobs, scenario=scenario
+            lambda: build_scheduler(config, NODES),
+            jobs,
+            config=sim_config,
+            scenario=scenario,
         )
         # The fast path's schedule passes the same independent audit.
         fast.schedule.validate(NODES, capacity=trace.capacity_steps(NODES))
