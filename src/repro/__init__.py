@@ -19,6 +19,10 @@ The package provides, bottom-up:
 * :mod:`repro.experiments` — the harness regenerating Tables 3–8 and
   Figures 3–6.
 
+The public names of this package and of its subpackages load their
+modules on first use (:mod:`repro._lazy`): ``import repro`` imports
+nothing else, and a process pays only for what it touches.
+
 Quickstart::
 
     from repro import SimulationConfig, simulate, FCFSScheduler
@@ -44,40 +48,63 @@ form is a ``ScenarioInputs`` bundle, which ``run`` also accepts raw)::
     Simulator(Machine(256), scheduler, config).run(jobs, scenario=spec)
 """
 
-from repro.core import (
-    AvailabilityProfile,
-    Job,
-    Machine,
-    ScenarioInputs,
-    Schedule,
-    ScheduledJob,
-    SimulationConfig,
-    SimulationResult,
-    Simulator,
-    ValidityError,
-    available_backends,
-    resolve_backend,
-)
-from repro.core.simulator import simulate
-from repro.schedulers import (
-    FCFSScheduler,
-    GareyGrahamScheduler,
-    OrderedQueueScheduler,
-    SchedulerConfig,
-    build_scheduler,
-    paper_configurations,
-    register_discipline,
-    register_row,
-    registered_configurations,
-)
-from repro.scenarios import (
-    CancellationModel,
-    FailureModel,
-    FeedbackUsers,
-    LoadSurge,
-    RuntimeVariability,
-    ScenarioSpec,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core import (
+        AvailabilityProfile,
+        Job,
+        Machine,
+        ScenarioInputs,
+        Schedule,
+        ScheduledJob,
+        SimulationConfig,
+        SimulationResult,
+        Simulator,
+        ValidityError,
+        available_backends,
+        resolve_backend,
+    )
+    from repro.core.simulator import simulate
+    from repro.schedulers import (
+        FCFSScheduler,
+        GareyGrahamScheduler,
+        OrderedQueueScheduler,
+        SchedulerConfig,
+        build_scheduler,
+        paper_configurations,
+        register_discipline,
+        register_row,
+        registered_configurations,
+    )
+    from repro.scenarios import (
+        CancellationModel,
+        FailureModel,
+        FeedbackUsers,
+        LoadSurge,
+        RuntimeVariability,
+        ScenarioSpec,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": (
+        "AvailabilityProfile", "Job", "Machine", "ScenarioInputs", "Schedule",
+        "ScheduledJob", "SimulationConfig", "SimulationResult", "Simulator",
+        "ValidityError", "available_backends", "resolve_backend",
+    ),
+    ".core.simulator": ("simulate",),
+    ".schedulers": (
+        "FCFSScheduler", "GareyGrahamScheduler", "OrderedQueueScheduler",
+        "SchedulerConfig", "build_scheduler", "paper_configurations",
+        "register_discipline", "register_row", "registered_configurations",
+    ),
+    ".scenarios": (
+        "CancellationModel", "FailureModel", "FeedbackUsers", "LoadSurge",
+        "RuntimeVariability", "ScenarioSpec",
+    ),
+})
 
 __version__ = "1.0.0"
 

@@ -9,7 +9,7 @@ defines
   Example 5),
 * what a :class:`~repro.core.machine.Machine` is (a space-shared partition of
   identical nodes, no time sharing, exclusive access),
-* how simulated time advances (:mod:`repro.core.engine`),
+* how simulated time advances (:mod:`repro.core.simulator`),
 * what a finished :class:`~repro.core.schedule.Schedule` looks like and what
   makes it *valid*,
 * the :class:`~repro.core.profile.AvailabilityProfile` step function used by
@@ -18,19 +18,37 @@ defines
   maintains across events and exposes to schedulers as cheap snapshots.
 """
 
-from repro.core.job import Job, JobState
-from repro.core.machine import Machine
-from repro.core.schedule import Schedule, ScheduledJob, ValidityError
-from repro.core.events import Event, EventKind, EventQueue
-from repro.core.profile import AvailabilityProfile
-from repro.core.simulator import (
-    ScenarioInputs,
-    SimulationConfig,
-    SimulationResult,
-    Simulator,
-)
-from repro.core.state import SchedulingState, StateDivergenceError
-from repro.core.vector import available_backends, resolve_backend
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.job import Job, JobState
+    from repro.core.machine import Machine
+    from repro.core.schedule import Schedule, ScheduledJob, ValidityError
+    from repro.core.events import Event, EventKind, EventQueue
+    from repro.core.profile import AvailabilityProfile
+    from repro.core.simulator import (
+        ScenarioInputs,
+        SimulationConfig,
+        SimulationResult,
+        Simulator,
+    )
+    from repro.core.state import SchedulingState, StateDivergenceError
+    from repro.core.vector import available_backends, resolve_backend
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".job": ("Job", "JobState"),
+    ".machine": ("Machine",),
+    ".schedule": ("Schedule", "ScheduledJob", "ValidityError"),
+    ".events": ("Event", "EventKind", "EventQueue"),
+    ".profile": ("AvailabilityProfile",),
+    ".simulator": (
+        "ScenarioInputs", "SimulationConfig", "SimulationResult", "Simulator",
+    ),
+    ".state": ("SchedulingState", "StateDivergenceError"),
+    ".vector": ("available_backends", "resolve_backend"),
+})
 
 __all__ = [
     "AvailabilityProfile",

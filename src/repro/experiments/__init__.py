@@ -21,33 +21,53 @@
 * :mod:`repro.experiments.cli` — ``repro-experiments`` command line.
 """
 
-from repro.experiments.runner import CellResult, GridResult, run_grid
-from repro.experiments.engine import (
-    CachePruneStats,
-    ExperimentEngine,
-    ProgressEvent,
-    ResultCache,
-    RunStats,
-)
-from repro.experiments.journal import (
-    JournalCorruptError,
-    JournalError,
-    ManifestMismatchError,
-    RunAudit,
-    RunInterrupted,
-    RunJournal,
-    RunSummary,
-    UnknownRunError,
-    list_runs,
-    read_journal,
-    verify_run,
-)
-from repro.experiments.paper import (
-    EXPERIMENTS,
-    ExperimentSpec,
-    run_experiment,
-)
-from repro.experiments.tables import format_grid, format_comparison
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.runner import CellResult, GridResult, run_grid
+    from repro.experiments.engine import (
+        CachePruneStats,
+        ExperimentEngine,
+        ProgressEvent,
+        ResultCache,
+        RunStats,
+    )
+    from repro.experiments.journal import (
+        JournalCorruptError,
+        JournalError,
+        ManifestMismatchError,
+        RunAudit,
+        RunInterrupted,
+        RunJournal,
+        RunSummary,
+        UnknownRunError,
+        list_runs,
+        read_journal,
+        verify_run,
+    )
+    from repro.experiments.paper import (
+        EXPERIMENTS,
+        ExperimentSpec,
+        run_experiment,
+    )
+    from repro.experiments.tables import format_grid, format_comparison
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".runner": ("CellResult", "GridResult", "run_grid"),
+    ".engine": (
+        "CachePruneStats", "ExperimentEngine", "ProgressEvent",
+        "ResultCache", "RunStats",
+    ),
+    ".journal": (
+        "JournalCorruptError", "JournalError", "ManifestMismatchError",
+        "RunAudit", "RunInterrupted", "RunJournal", "RunSummary",
+        "UnknownRunError", "list_runs", "read_journal", "verify_run",
+    ),
+    ".paper": ("EXPERIMENTS", "ExperimentSpec", "run_experiment"),
+    ".tables": ("format_grid", "format_comparison"),
+})
 
 __all__ = [
     "CachePruneStats",

@@ -26,37 +26,12 @@ the worker/server side (which itself imports the engine for the cell
 task entry point).
 """
 
-from __future__ import annotations
-
 from typing import TYPE_CHECKING
 
-_EXPORTS = {
-    "BackendUnavailable": "repro.experiments.backends.base",
-    "CellOutcome": "repro.experiments.backends.base",
-    "CellRequest": "repro.experiments.backends.base",
-    "CellTask": "repro.experiments.backends.base",
-    "ExecutionBackend": "repro.experiments.backends.base",
-    "ReleaseReport": "repro.experiments.backends.base",
-    "CacheStore": "repro.experiments.backends.cache",
-    "CacheStoreHealth": "repro.experiments.backends.cache",
-    "LocalDirStore": "repro.experiments.backends.cache",
-    "RemoteCacheStore": "repro.experiments.backends.cache",
-    "ResultCache": "repro.experiments.backends.cache",
-    "store_from_spec": "repro.experiments.backends.cache",
-    "ObjectStoreCacheStore": "repro.experiments.backends.objectstore",
-    "ChaosSpec": "repro.experiments.backends.s3stub",
-    "S3StubServer": "repro.experiments.backends.s3stub",
-    "PoolBackend": "repro.experiments.backends.pool",
-    "ProtocolError": "repro.experiments.backends.protocol",
-    "RemoteWorkerBackend": "repro.experiments.backends.remote",
-    "WorkerServer": "repro.experiments.backends.worker",
-    "serve_worker": "repro.experiments.backends.worker",
-}
-
-__all__ = sorted(_EXPORTS)
+from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.backends.base import (  # noqa: F401
+    from repro.experiments.backends.base import (
         BackendUnavailable,
         CellOutcome,
         CellRequest,
@@ -64,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         ExecutionBackend,
         ReleaseReport,
     )
-    from repro.experiments.backends.cache import (  # noqa: F401
+    from repro.experiments.backends.cache import (
         CacheStore,
         CacheStoreHealth,
         LocalDirStore,
@@ -72,26 +47,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         ResultCache,
         store_from_spec,
     )
-    from repro.experiments.backends.objectstore import (  # noqa: F401
-        ObjectStoreCacheStore,
-    )
-    from repro.experiments.backends.pool import PoolBackend  # noqa: F401
-    from repro.experiments.backends.s3stub import (  # noqa: F401
-        ChaosSpec,
-        S3StubServer,
-    )
-    from repro.experiments.backends.protocol import ProtocolError  # noqa: F401
-    from repro.experiments.backends.remote import RemoteWorkerBackend  # noqa: F401
-    from repro.experiments.backends.worker import (  # noqa: F401
-        WorkerServer,
-        serve_worker,
-    )
+    from repro.experiments.backends.objectstore import ObjectStoreCacheStore
+    from repro.experiments.backends.pool import PoolBackend
+    from repro.experiments.backends.s3stub import ChaosSpec, S3StubServer
+    from repro.experiments.backends.protocol import ProtocolError
+    from repro.experiments.backends.remote import RemoteWorkerBackend
+    from repro.experiments.backends.worker import WorkerServer, serve_worker
 
+_EXPORTS = {
+    ".base": (
+        "BackendUnavailable", "CellOutcome", "CellRequest", "CellTask",
+        "ExecutionBackend", "ReleaseReport",
+    ),
+    ".cache": (
+        "CacheStore", "CacheStoreHealth", "LocalDirStore", "RemoteCacheStore",
+        "ResultCache", "store_from_spec",
+    ),
+    ".objectstore": ("ObjectStoreCacheStore",),
+    ".s3stub": ("ChaosSpec", "S3StubServer"),
+    ".pool": ("PoolBackend",),
+    ".protocol": ("ProtocolError",),
+    ".remote": ("RemoteWorkerBackend",),
+    ".worker": ("WorkerServer", "serve_worker"),
+}
 
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
-    return getattr(importlib.import_module(module_name), name)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -34,8 +34,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import secrets
-import socket
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -43,16 +41,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.experiments.fingerprint import CACHE_VERSION
-from repro.resilience import (
-    CallOutcome,
-    CircuitBreaker,
-    ResilienceError,
-    RetryPolicy,
-    with_resilience,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import socket
+
     from repro.experiments.runner import CellResult
+    from repro.resilience import CallOutcome, CircuitBreaker
 
 __all__ = [
     "CachePruneStats",
@@ -193,7 +187,7 @@ class LocalDirStore(CacheStore):
         path = self.path(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / (
-            f".{fingerprint}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+            f".{fingerprint}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
         )
         try:
             tmp.write_text(text, encoding="utf-8")
@@ -216,6 +210,9 @@ class RemoteCacheStore(CacheStore):
     while the server is unreachable the breaker sheds every round trip
     for one jittered ``cooldown``, so an unreachable fleet cache
     degrades a run to local-only caching, never blocks it.
+
+    Only this store loads :mod:`socket` and :mod:`repro.resilience`: a
+    run on the local cache alone imports neither.
     """
 
     def __init__(
@@ -228,6 +225,7 @@ class RemoteCacheStore(CacheStore):
         on_outcome: "Callable[[CallOutcome], None] | None" = None,
     ) -> None:
         from repro.experiments.backends.protocol import parse_address
+        from repro.resilience import CircuitBreaker, RetryPolicy
 
         self.address = parse_address(address)
         self.timeout = timeout
@@ -265,6 +263,8 @@ class RemoteCacheStore(CacheStore):
 
     def _connect(self) -> socket.socket:
         """Dial and handshake (reusing an open socket); raise on failure."""
+        import socket
+
         from repro.experiments.backends import protocol as proto
 
         if self._sock is not None:
@@ -361,6 +361,7 @@ class RemoteCacheStore(CacheStore):
 
     def load(self, fingerprint: str) -> str | None:
         from repro.experiments.backends.protocol import ProtocolError
+        from repro.resilience import ResilienceError, with_resilience
 
         try:
             return with_resilience(
@@ -376,6 +377,7 @@ class RemoteCacheStore(CacheStore):
 
     def save(self, fingerprint: str, text: str) -> None:
         from repro.experiments.backends.protocol import ProtocolError
+        from repro.resilience import ResilienceError, with_resilience
 
         try:
             with_resilience(

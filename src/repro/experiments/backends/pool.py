@@ -34,6 +34,7 @@ from repro.experiments.backends.base import (
     ReleaseReport,
 )
 from repro.experiments.journal import freshest_heartbeat
+from repro.experiments.runner import import_simulation_stack
 from repro.experiments.workload_store import init_worker, spool_workload
 from repro.schedulers.registry import registry_generation
 
@@ -116,6 +117,7 @@ class PoolBackend(ExecutionBackend):
     def start(self) -> None:
         if self._dir is not None:
             return  # kept running by the engine since an earlier grid
+        import_simulation_stack()
         self._dir = tempfile.mkdtemp(prefix="repro-pool-")
         self.generation = registry_generation()
         self._make_executor()

@@ -133,6 +133,15 @@ def _cmd_list_runs(args: argparse.Namespace) -> int:
     return 0
 
 
+def _asks_for_scenario(args: argparse.Namespace) -> bool:
+    """Whether a spec file or a scenario component flag was given."""
+    return (
+        args.scenario is not None
+        or args.cancellation_rate is not None
+        or args.failure_mtbf is not None
+    )
+
+
 def scenario_from_args(args: argparse.Namespace) -> "ScenarioSpec | None":
     """Build the run's :class:`~repro.scenarios.spec.ScenarioSpec`.
 
@@ -142,6 +151,8 @@ def scenario_from_args(args: argparse.Namespace) -> "ScenarioSpec | None":
     never matters).  ``--scenario-seed`` overrides the spec seed.
     Returns ``None`` — the healthy baseline — when nothing was asked for.
     """
+    if not _asks_for_scenario(args):
+        return None
     from repro.scenarios import CancellationModel, FailureModel, ScenarioSpec
 
     spec = ScenarioSpec()
@@ -649,6 +660,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--recovery needs --failure-mtbf")
     if args.failure_mttr is not None and args.failure_mtbf is None:
         parser.error("--failure-mttr needs --failure-mtbf")
+    if args.scenario_seed is not None and not _asks_for_scenario(args):
+        parser.error(
+            "--scenario-seed needs --scenario, --cancellation-rate or --failure-mtbf"
+        )
     try:
         scenario = scenario_from_args(args)
     except (OSError, ValueError) as exc:

@@ -28,7 +28,6 @@ from repro.experiments.backends.base import (
     CellTask,
     ExecutionBackend,
 )
-from repro.experiments.backends.pool import PoolBackend
 from repro.schedulers.registry import SchedulerConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -160,6 +159,8 @@ class Dispatch:
         grid; any other backend — and a pool that gave up, or that an
         interrupt or error took the run away from — is closed.
         """
+        from repro.experiments.backends.pool import PoolBackend
+
         run, request = self.run, self.run.request
         # Zero-copy dispatch: register the packed stream once, ship only
         # the digest per cell; pool workers hydrate from the pool's spool,

@@ -40,18 +40,17 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.job import Job
-from repro.core.simulator import ScenarioInputs
 from repro.experiments.backends.base import CellRequest
 from repro.experiments.backends.cache import (
     CachePruneStats,
     ResultCache,
     store_from_spec,
 )
-from repro.experiments.backends.pool import PoolBackend
 from repro.experiments.dispatch import Dispatch, watchdog_defaults
 from repro.experiments.fingerprint import (
     CACHE_VERSION,
@@ -70,13 +69,17 @@ from repro.experiments.workload_store import (
     WorkloadStore,
     resolve_worker_workload,
 )
-from repro.resilience import RetryPolicy
-from repro.scenarios import ScenarioSpec
 from repro.schedulers.registry import (
     SchedulerConfig,
     paper_configurations,
     registry_generation,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.simulator import ScenarioInputs
+    from repro.experiments.backends.pool import PoolBackend
+    from repro.resilience import RetryPolicy
+    from repro.scenarios import ScenarioSpec
 
 __all__ = [
     "CACHE_VERSION",
@@ -367,9 +370,6 @@ class ExperimentEngine:
         self.cell_timeout = cell_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        self.retry_policy = RetryPolicy(
-            max_attempts=max_retries + 1, backoff=retry_backoff, jitter=(0.5, 1.5)
-        )
         self.max_pool_rebuilds = max_pool_rebuilds
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         self.heartbeat_interval = heartbeat_interval
@@ -382,6 +382,18 @@ class ExperimentEngine:
         #: and the finalizer that stops it if the engine is dropped first.
         self._pool: PoolBackend | None = None
         self._pool_finalizer: weakref.finalize | None = None
+
+    @cached_property
+    def retry_policy(self) -> RetryPolicy:
+        """Backoff before each retry; built on the first retry, since most
+        runs never retry and :mod:`repro.resilience` need not load."""
+        from repro.resilience import RetryPolicy
+
+        return RetryPolicy(
+            max_attempts=self.max_retries + 1,
+            backoff=self.retry_backoff,
+            jitter=(0.5, 1.5),
+        )
 
     # -- the worker pool --------------------------------------------------------
 
@@ -403,6 +415,8 @@ class ExperimentEngine:
                 pool.close()
                 pool = None
         if pool is None:
+            from repro.experiments.backends.pool import PoolBackend
+
             pool = PoolBackend(
                 workers=self.workers,
                 store=self.workload_store,

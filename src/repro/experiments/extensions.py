@@ -23,13 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.simulator import simulate
 from repro.experiments.paper import ctc_workload
 from repro.metrics.objectives import average_response_time, utilisation
-from repro.metrics.bounds import improvement_potential
-from repro.metrics.windows import windowed_art, windowed_awrt
-from repro.schedulers.fcfs import FCFSScheduler
-from repro.schedulers.garey_graham import GareyGrahamScheduler
 
 NODES = 256
 
@@ -54,7 +49,9 @@ class ExtensionSpec:
 
 
 def _gang(scale: int, seed: int) -> ExtensionResult:
+    from repro.core.simulator import simulate
     from repro.gang import fcfs_gang_schedule
+    from repro.schedulers.fcfs import FCFSScheduler
 
     jobs = ctc_workload(scale, seed=seed)
     values = {
@@ -75,8 +72,11 @@ def _gang(scale: int, seed: int) -> ExtensionResult:
 
 
 def _combined(scale: int, seed: int) -> ExtensionResult:
+    from repro.core.simulator import simulate
+    from repro.metrics.windows import windowed_art, windowed_awrt
     from repro.schedulers.base import OrderedQueueScheduler
     from repro.schedulers.disciplines import EasyBackfill
+    from repro.schedulers.garey_graham import GareyGrahamScheduler
     from repro.schedulers.regimes import WEEKDAY_DAYTIME, example5_combined_scheduler
     from repro.schedulers.smart import SmartOrderPolicy, SmartVariant
     from repro.schedulers.weights import unit_weight
@@ -115,6 +115,7 @@ def _combined(scale: int, seed: int) -> ExtensionResult:
 
 
 def _drain(scale: int, seed: int) -> ExtensionResult:
+    from repro.core.simulator import simulate
     from repro.schedulers.base import SubmitOrderPolicy
     from repro.schedulers.disciplines import EasyBackfill
     from repro.schedulers.drain import DrainingScheduler, example4_reservations
@@ -143,6 +144,11 @@ def _drain(scale: int, seed: int) -> ExtensionResult:
 
 
 def _bounds(scale: int, seed: int) -> ExtensionResult:
+    from repro.core.simulator import simulate
+    from repro.metrics.bounds import improvement_potential
+    from repro.schedulers.fcfs import FCFSScheduler
+    from repro.schedulers.garey_graham import GareyGrahamScheduler
+
     jobs = ctc_workload(scale, seed=seed)
     values: dict[str, float] = {}
     lines = ["Section 2.3 lower-bound headroom (unweighted ART)"]
@@ -164,6 +170,8 @@ def _bounds(scale: int, seed: int) -> ExtensionResult:
 
 
 def _closed_loop(scale: int, seed: int) -> ExtensionResult:
+    from repro.schedulers.fcfs import FCFSScheduler
+    from repro.schedulers.garey_graham import GareyGrahamScheduler
     from repro.workloads.feedback import default_population, run_closed_loop
 
     # scale controls the population; horizon fixed at four days.
@@ -191,6 +199,8 @@ def _metasystem(scale: int, seed: int) -> ExtensionResult:
         RoundRobinRouter,
         Site,
     )
+    from repro.schedulers.fcfs import FCFSScheduler
+    from repro.schedulers.garey_graham import GareyGrahamScheduler
 
     homes = ("alpha", "beta", "gamma")
     jobs = [

@@ -15,19 +15,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.core import vector
 from repro.core.job import Job
-from repro.core.machine import Machine
 from repro.core.packing import PackedJobs, unpack_jobs
 from repro.core.scheduler import Scheduler, SchedulerContext
-from repro.core.simulator import ScenarioInputs, SimulationConfig, Simulator
 from repro.metrics.objectives import (
     average_response_time,
     average_weighted_response_time,
 )
-from repro.schedulers.registry import SchedulerConfig, build_scheduler
+from repro.schedulers.registry import SchedulerConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.simulator import ScenarioInputs
 
 
 class TimingScheduler(Scheduler):
@@ -203,6 +203,13 @@ def simulate_cell(
     run's columnar buffers (:class:`repro.core.vector.ResultColumns`) with
     the exact-summation kernels — same bits as the scalar loops.
     """
+    # Imported here: a warm rerun serves every cell from the cache and
+    # never loads the simulator (the pool imports it before forking).
+    from repro.core import vector
+    from repro.core.machine import Machine
+    from repro.core.simulator import SimulationConfig, Simulator
+    from repro.schedulers.registry import build_scheduler
+
     if isinstance(jobs, PackedJobs):
         jobs = unpack_jobs(jobs)
     scheduler = TimingScheduler(
@@ -240,6 +247,18 @@ def simulate_cell(
         lost_node_seconds=result.lost_node_seconds,
         requeue_delay=result.requeue_delay,
     )
+
+
+def import_simulation_stack() -> None:
+    """Import the modules :func:`simulate_cell` runs a paper cell on.
+
+    The local pool calls this before it forks: its workers inherit the
+    modules instead of each importing them on its first cell.
+    """
+    import repro.core.simulator  # noqa: F401
+    import repro.schedulers.disciplines  # noqa: F401
+    import repro.schedulers.psrs  # noqa: F401
+    import repro.schedulers.smart  # noqa: F401
 
 
 def run_grid(

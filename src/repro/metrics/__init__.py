@@ -16,36 +16,60 @@ the job scheduling literature (utilisation, wait, slowdown), all usable as
 criterion functions in the :mod:`repro.policy` framework.
 """
 
-from repro.metrics.objectives import (
-    average_bounded_slowdown,
-    average_response_time,
-    average_wait_time,
-    average_weighted_response_time,
-    idle_node_seconds,
-    makespan,
-    total_weighted_completion_time,
-    utilisation,
-)
-from repro.metrics.bounds import (
-    ImprovementPotential,
-    art_lower_bound,
-    awrt_lower_bound,
-    improvement_potential,
-    makespan_lower_bound,
-    smith_squashed_bound,
-    srpt_squashed_bound,
-)
-from repro.metrics.windows import (
-    filter_by_window,
-    windowed_art,
-    windowed_awrt,
-)
-from repro.metrics.classes import (
-    class_breakdown,
-    class_compute_share,
-    class_response_time,
-    format_class_breakdown,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.metrics.objectives import (
+        average_bounded_slowdown,
+        average_response_time,
+        average_wait_time,
+        average_weighted_response_time,
+        idle_node_seconds,
+        makespan,
+        total_weighted_completion_time,
+        utilisation,
+    )
+    from repro.metrics.bounds import (
+        ImprovementPotential,
+        art_lower_bound,
+        awrt_lower_bound,
+        improvement_potential,
+        makespan_lower_bound,
+        smith_squashed_bound,
+        srpt_squashed_bound,
+    )
+    from repro.metrics.windows import (
+        filter_by_window,
+        windowed_art,
+        windowed_awrt,
+    )
+    from repro.metrics.classes import (
+        class_breakdown,
+        class_compute_share,
+        class_response_time,
+        format_class_breakdown,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".objectives": (
+        "average_bounded_slowdown", "average_response_time",
+        "average_wait_time", "average_weighted_response_time",
+        "idle_node_seconds", "makespan",
+        "total_weighted_completion_time", "utilisation",
+    ),
+    ".bounds": (
+        "ImprovementPotential", "art_lower_bound", "awrt_lower_bound",
+        "improvement_potential", "makespan_lower_bound",
+        "smith_squashed_bound", "srpt_squashed_bound",
+    ),
+    ".windows": ("filter_by_window", "windowed_art", "windowed_awrt"),
+    ".classes": (
+        "class_breakdown", "class_compute_share", "class_response_time",
+        "format_class_breakdown",
+    ),
+})
 
 __all__ = [
     "ImprovementPotential",

@@ -24,6 +24,10 @@ Equal specs digest equally regardless of component order or spelled-out
 defaults, so the content-addressed cache, run journals and ``--resume``
 all work unchanged for any component — including ones registered after
 the fact (see :mod:`repro.scenarios.base`).
+
+Unlike the other packages this one imports its modules eagerly: importing
+:mod:`repro.scenarios.components` registers the component kinds that
+:meth:`ScenarioSpec.from_dict` looks up by name.
 """
 
 from repro.scenarios.base import (

@@ -14,62 +14,103 @@ Every cell of the paper's Tables 3–6 is one ``(order policy, discipline)``
 pair; :mod:`repro.schedulers.registry` enumerates them all.
 """
 
-from repro.schedulers.base import (
-    Discipline,
-    OrderPolicy,
-    OrderedQueueScheduler,
-    SubmitOrderPolicy,
-)
-from repro.schedulers.disciplines import (
-    AnyFitDiscipline,
-    ConservativeBackfill,
-    EasyBackfill,
-    HeadBlockingDiscipline,
-)
-from repro.schedulers.fcfs import FCFSScheduler
-from repro.schedulers.garey_graham import GareyGrahamScheduler
-from repro.schedulers.smart import (
-    SmartOrderPolicy,
-    smart_order,
-    SmartVariant,
-)
-from repro.schedulers.psrs import PsrsOrderPolicy, psrs_order, preemptive_psrs
-from repro.schedulers.weights import area_weight, unit_weight
-from repro.schedulers.registry import (
-    SchedulerConfig,
-    build_scheduler,
-    paper_configurations,
-    register_discipline,
-    register_row,
-    registered_columns,
-    registered_configurations,
-    registered_rows,
-    unregister_discipline,
-    unregister_row,
-)
-from repro.schedulers.baselines import (
-    KeyOrderPolicy,
-    RandomOrderPolicy,
-    all_baselines,
-    baseline_scheduler,
-)
-from repro.schedulers.regimes import (
-    WEEKDAY_DAYTIME,
-    RegimeSwitchingScheduler,
-    TimeWindow,
-    example5_combined_scheduler,
-)
-from repro.schedulers.drain import (
-    DrainDiscipline,
-    DrainingScheduler,
-    Reservation,
-    example4_reservations,
-)
-from repro.schedulers.slack import SlackBackfill
-from repro.schedulers.admission import (
-    ClassPriorityOrderPolicy,
-    UserLimitDiscipline,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.schedulers.base import (
+        Discipline,
+        OrderPolicy,
+        OrderedQueueScheduler,
+        SubmitOrderPolicy,
+    )
+    from repro.schedulers.disciplines import (
+        AnyFitDiscipline,
+        ConservativeBackfill,
+        EasyBackfill,
+        HeadBlockingDiscipline,
+    )
+    from repro.schedulers.fcfs import FCFSScheduler
+    from repro.schedulers.garey_graham import GareyGrahamScheduler
+    from repro.schedulers.smart import (
+        SmartOrderPolicy,
+        smart_order,
+        SmartVariant,
+    )
+    from repro.schedulers.psrs import PsrsOrderPolicy, psrs_order, preemptive_psrs
+    from repro.schedulers.weights import area_weight, unit_weight
+    from repro.schedulers.registry import (
+        SchedulerConfig,
+        build_scheduler,
+        paper_configurations,
+        register_discipline,
+        register_row,
+        registered_columns,
+        registered_configurations,
+        registered_rows,
+        unregister_discipline,
+        unregister_row,
+    )
+    from repro.schedulers.baselines import (
+        KeyOrderPolicy,
+        RandomOrderPolicy,
+        all_baselines,
+        baseline_scheduler,
+    )
+    from repro.schedulers.regimes import (
+        WEEKDAY_DAYTIME,
+        RegimeSwitchingScheduler,
+        TimeWindow,
+        example5_combined_scheduler,
+    )
+    from repro.schedulers.drain import (
+        DrainDiscipline,
+        DrainingScheduler,
+        Reservation,
+        example4_reservations,
+    )
+    from repro.schedulers.slack import SlackBackfill
+    from repro.schedulers.admission import (
+        ClassPriorityOrderPolicy,
+        UserLimitDiscipline,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": (
+        "Discipline", "OrderPolicy", "OrderedQueueScheduler",
+        "SubmitOrderPolicy",
+    ),
+    ".disciplines": (
+        "AnyFitDiscipline", "ConservativeBackfill", "EasyBackfill",
+        "HeadBlockingDiscipline",
+    ),
+    ".fcfs": ("FCFSScheduler",),
+    ".garey_graham": ("GareyGrahamScheduler",),
+    ".smart": ("SmartOrderPolicy", "smart_order", "SmartVariant"),
+    ".psrs": ("PsrsOrderPolicy", "psrs_order", "preemptive_psrs"),
+    ".weights": ("area_weight", "unit_weight"),
+    ".registry": (
+        "SchedulerConfig", "build_scheduler", "paper_configurations",
+        "register_discipline", "register_row", "registered_columns",
+        "registered_configurations", "registered_rows",
+        "unregister_discipline", "unregister_row",
+    ),
+    ".baselines": (
+        "KeyOrderPolicy", "RandomOrderPolicy", "all_baselines",
+        "baseline_scheduler",
+    ),
+    ".regimes": (
+        "WEEKDAY_DAYTIME", "RegimeSwitchingScheduler", "TimeWindow",
+        "example5_combined_scheduler",
+    ),
+    ".drain": (
+        "DrainDiscipline", "DrainingScheduler", "Reservation",
+        "example4_reservations",
+    ),
+    ".slack": ("SlackBackfill",),
+    ".admission": ("ClassPriorityOrderPolicy", "UserLimitDiscipline"),
+})
 
 __all__ = [
     "AnyFitDiscipline",

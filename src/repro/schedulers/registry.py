@@ -39,30 +39,18 @@ size and weight regime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from repro.core.scheduler import Scheduler
-from repro.schedulers.base import (
-    Discipline,
-    OrderedQueueScheduler,
-    OrderPolicy,
-    SubmitOrderPolicy,
-)
-from repro.schedulers.disciplines import (
-    AnyFitDiscipline,
-    ConservativeBackfill,
-    EasyBackfill,
-    HeadBlockingDiscipline,
-)
-from repro.schedulers.psrs import PsrsOrderPolicy
-from repro.schedulers.smart import SmartOrderPolicy, SmartVariant
-from repro.schedulers.weights import WeightFn, estimated_area_weight, unit_weight
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.scheduler import Scheduler
+    from repro.schedulers.base import Discipline, OrderPolicy
+    from repro.schedulers.weights import WeightFn
 
 #: ``factory(total_nodes, weight, recompute_threshold) -> OrderPolicy``
-OrderFactory = Callable[[int, WeightFn, float], OrderPolicy]
+OrderFactory = Callable[[int, "WeightFn", float], "OrderPolicy"]
 
 #: ``factory() -> Discipline``
-DisciplineFactory = Callable[[], Discipline]
+DisciplineFactory = Callable[[], "Discipline"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,48 +219,60 @@ ROWS = ("fcfs", "psrs", "smart-ffia", "smart-nfiw", "gg")
 #: The paper's column keys, in table order (the registry may hold more).
 COLUMNS = ("list", "conservative", "easy")
 
-register_discipline("list", HeadBlockingDiscipline, label="Listscheduler")
-register_discipline("conservative", ConservativeBackfill, label="Backfilling")
-register_discipline("easy", EasyBackfill, label="EASY-Backfilling")
+# The paper's factories import their classes when the first scheduler is
+# built, so code that only names cells (fingerprints, labels, tables)
+# never loads a scheduler.
 
-register_row(
-    "fcfs",
-    lambda total_nodes, weight, threshold: SubmitOrderPolicy(),
-    label="FCFS",
-)
-register_row(
-    "psrs",
-    lambda total_nodes, weight, threshold: PsrsOrderPolicy(
-        total_nodes, weight=weight, recompute_threshold=threshold
-    ),
-    label="PSRS",
-)
-register_row(
-    "smart-ffia",
-    lambda total_nodes, weight, threshold: SmartOrderPolicy(
-        total_nodes,
-        variant=SmartVariant.FFIA,
-        weight=weight,
-        recompute_threshold=threshold,
-    ),
-    label="SMART-FFIA",
-)
-register_row(
-    "smart-nfiw",
-    lambda total_nodes, weight, threshold: SmartOrderPolicy(
-        total_nodes,
-        variant=SmartVariant.NFIW,
-        weight=weight,
-        recompute_threshold=threshold,
-    ),
-    label="SMART-NFIW",
-)
+
+def _discipline(name: str) -> DisciplineFactory:
+    def factory() -> Discipline:
+        from repro.schedulers import disciplines
+
+        return getattr(disciplines, name)()
+
+    return factory
+
+
+def _submit_order(total_nodes: int, weight: WeightFn, threshold: float) -> OrderPolicy:
+    from repro.schedulers.base import SubmitOrderPolicy
+
+    return SubmitOrderPolicy()
+
+
+def _psrs_order(total_nodes: int, weight: WeightFn, threshold: float) -> OrderPolicy:
+    from repro.schedulers.psrs import PsrsOrderPolicy
+
+    return PsrsOrderPolicy(total_nodes, weight=weight, recompute_threshold=threshold)
+
+
+def _smart_order(variant: str) -> OrderFactory:
+    def factory(total_nodes: int, weight: WeightFn, threshold: float) -> OrderPolicy:
+        from repro.schedulers.smart import SmartOrderPolicy, SmartVariant
+
+        return SmartOrderPolicy(
+            total_nodes,
+            variant=SmartVariant[variant],
+            weight=weight,
+            recompute_threshold=threshold,
+        )
+
+    return factory
+
+
+register_discipline("list", _discipline("HeadBlockingDiscipline"), label="Listscheduler")
+register_discipline("conservative", _discipline("ConservativeBackfill"), label="Backfilling")
+register_discipline("easy", _discipline("EasyBackfill"), label="EASY-Backfilling")
+
+register_row("fcfs", _submit_order, label="FCFS")
+register_row("psrs", _psrs_order, label="PSRS")
+register_row("smart-ffia", _smart_order("FFIA"), label="SMART-FFIA")
+register_row("smart-nfiw", _smart_order("NFIW"), label="SMART-NFIW")
 register_row(
     "gg",
-    lambda total_nodes, weight, threshold: SubmitOrderPolicy(),
+    _submit_order,
     label="Garey&Graham",
     columns=("list",),
-    discipline=AnyFitDiscipline,
+    discipline=_discipline("AnyFitDiscipline"),
     scheduler_name="Garey&Graham",
 )
 
@@ -334,6 +334,9 @@ def build_scheduler(
             f"unknown column {config.column!r}; registered columns: "
             f"{', '.join(_COLUMN_REGISTRY)}"
         )
+    from repro.schedulers.base import OrderedQueueScheduler
+    from repro.schedulers.weights import estimated_area_weight, unit_weight
+
     weight = estimated_area_weight if weighted else unit_weight
     order = row.order_factory(total_nodes, weight, recompute_threshold)
     discipline = (

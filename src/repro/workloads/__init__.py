@@ -17,38 +17,66 @@ Parallel Workloads Archive) if you have it, and
 the same shape properties (see DESIGN.md, substitution 1).
 """
 
-from repro.workloads.swf import (
-    ParseReport,
-    SWFField,
-    parse_swf,
-    read_swf,
-    read_swf_with_header,
-    write_swf,
-)
-from repro.workloads.ctc import CTCModel, ctc_like_workload
-from repro.workloads.probabilistic import ProbabilisticModel
-from repro.workloads.randomized import RandomizedModel, randomized_workload
-from repro.workloads.transforms import (
-    cap_nodes,
-    renumber,
-    scale_interarrival,
-    take_prefix,
-    with_exact_estimates,
-    with_scaled_estimates,
-)
-from repro.workloads.stats import WorkloadStats, workload_stats
-from repro.workloads.goodness import (
-    KSResult,
-    compare_interarrival_models,
-    ks_test,
-    weibull_ks,
-)
-from repro.workloads.feedback import (
-    ClosedLoopResult,
-    UserProfile,
-    default_population,
-    run_closed_loop,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workloads.swf import (
+        ParseReport,
+        SWFField,
+        parse_swf,
+        read_swf,
+        read_swf_with_header,
+        write_swf,
+    )
+    from repro.workloads.ctc import CTCModel, ctc_like_workload
+    from repro.workloads.probabilistic import ProbabilisticModel
+    from repro.workloads.randomized import RandomizedModel, randomized_workload
+    from repro.workloads.transforms import (
+        cap_nodes,
+        renumber,
+        scale_interarrival,
+        take_prefix,
+        with_exact_estimates,
+        with_scaled_estimates,
+    )
+    from repro.workloads.stats import WorkloadStats, workload_stats
+    from repro.workloads.goodness import (
+        KSResult,
+        compare_interarrival_models,
+        ks_test,
+        weibull_ks,
+    )
+    from repro.workloads.feedback import (
+        ClosedLoopResult,
+        UserProfile,
+        default_population,
+        run_closed_loop,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".swf": (
+        "ParseReport", "SWFField", "parse_swf", "read_swf",
+        "read_swf_with_header", "write_swf",
+    ),
+    ".ctc": ("CTCModel", "ctc_like_workload"),
+    ".probabilistic": ("ProbabilisticModel",),
+    ".randomized": ("RandomizedModel", "randomized_workload"),
+    ".transforms": (
+        "cap_nodes", "renumber", "scale_interarrival", "take_prefix",
+        "with_exact_estimates", "with_scaled_estimates",
+    ),
+    ".stats": ("WorkloadStats", "workload_stats"),
+    ".goodness": (
+        "KSResult", "compare_interarrival_models", "ks_test",
+        "weibull_ks",
+    ),
+    ".feedback": (
+        "ClosedLoopResult", "UserProfile", "default_population",
+        "run_closed_loop",
+    ),
+})
 
 __all__ = [
     "CTCModel",

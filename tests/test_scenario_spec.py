@@ -549,6 +549,16 @@ class TestCli:
             main(["table3", "--recovery", "resubmit"])
         assert "--recovery needs --failure-mtbf" in capsys.readouterr().err
 
+    def test_cli_rejects_orphan_scenario_seed(self, capsys):
+        from repro.experiments.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["table3", "--scenario-seed", "7"])
+        assert (
+            "--scenario-seed needs --scenario, --cancellation-rate or "
+            "--failure-mtbf" in capsys.readouterr().err
+        )
+
     def test_list_runs_notes_evicted_cells(self, tmp_path, capsys):
         from repro.experiments.cli import main
         from repro.experiments.engine import ExperimentEngine
