@@ -13,14 +13,7 @@ cell of it.  These benchmarks price that path:
 * **store dispatch** (script mode) — wall clock of a grid's round-trip
   through the spool on a pool an earlier grid already warmed;
 * **journal append** — the fsynced per-cell cost of the run journal, the
-  price every journaled cell pays for crash tolerance;
-* **remote dispatch latency** — one length-prefixed, checksummed frame
-  round trip to an in-thread worker server: the pure per-cell tax of the
-  remote execution backend's wire protocol;
-* **object-store round trip** — one PUT + integrity-verified GET of a
-  representative cache entry against the in-process S3 stub: the
-  per-entry tax of the durable object-store fleet cache (HTTP framing,
-  checksum stamping and re-verification included).
+  price every journaled cell pays for crash tolerance.
 
 Run under pytest-benchmark for statistics, or as a script for the CI
 perf-smoke baseline::
@@ -234,98 +227,6 @@ def measure_pool_dispatch(jobs: list[Job], workers: int = 2) -> float:
     return elapsed
 
 
-def measure_remote_dispatch(frames: int = 200) -> float:
-    """Seconds per remote protocol round trip (the per-cell fleet tax).
-
-    An in-thread :class:`WorkerServer` answers CACHE_GET probes over a
-    real TCP socket: each round trip pays the full frame cost — pickle,
-    checksum, send, recv, verify — without any simulation time, so this
-    is the pure dispatch latency a remote cell adds over a local one.
-    """
-    import threading
-
-    from repro.experiments.backends import protocol as proto
-    from repro.experiments.backends.worker import WorkerServer
-
-    server = WorkerServer("127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        import socket
-
-        sock = socket.create_connection((server.host, server.port), timeout=5.0)
-        try:
-            proto.send_frame(sock, proto.Kind.HELLO, {
-                "version": proto.PROTOCOL_VERSION, "heartbeat_interval": None,
-            })
-            assert proto.recv_frame(sock).kind is proto.Kind.WELCOME
-            t0 = time.perf_counter()
-            for _ in range(frames):
-                proto.send_frame(sock, proto.Kind.CACHE_GET, "ab" * 32)
-                assert proto.recv_frame(sock).kind is proto.Kind.CACHE_MISS
-            elapsed = time.perf_counter() - t0
-            proto.send_frame(sock, proto.Kind.BYE, None)
-        finally:
-            sock.close()
-    finally:
-        server.close()
-    return elapsed / frames
-
-
-def measure_objectstore_roundtrip(entries: int = 50) -> float:
-    """Seconds per object-store PUT + verified GET of one cache entry.
-
-    Drives :class:`ObjectStoreCacheStore` against the in-process S3 stub
-    (loopback HTTP, no chaos) with a payload shaped like a real cell
-    entry, so the number covers the whole durable-cache tax per entry:
-    request signing/framing, the checksum stamp on the way in and the
-    sha256 + fingerprint re-verification on the way out.
-    """
-    import hashlib
-
-    from repro.experiments.backends.objectstore import ObjectStoreCacheStore
-    from repro.experiments.backends.s3stub import S3StubServer
-
-    text = json.dumps(
-        {"version": 4, "objective": 1.25, "makespan": 3.5e5,
-         "trace": [[i, i * 0.5] for i in range(200)]}
-    )
-    with S3StubServer() as stub:
-        store = ObjectStoreCacheStore(
-            stub.endpoint, "bench-cache", prefix="grids", cooldown=30.0
-        )
-        t0 = time.perf_counter()
-        for i in range(entries):
-            fingerprint = hashlib.sha256(str(i).encode()).hexdigest()
-            store.save(fingerprint, text)
-            assert store.load(fingerprint) == text
-        elapsed = time.perf_counter() - t0
-        assert store.errors == 0 and store.quarantined == []
-        store.close()
-    return elapsed / entries
-
-
-def test_objectstore_roundtrip(benchmark):
-    import hashlib
-
-    from repro.experiments.backends.objectstore import ObjectStoreCacheStore
-    from repro.experiments.backends.s3stub import S3StubServer
-
-    text = json.dumps({"version": 4, "objective": 1.25})
-    with S3StubServer() as stub:
-        store = ObjectStoreCacheStore(
-            stub.endpoint, "bench-cache", prefix="grids", cooldown=30.0
-        )
-        fingerprint = hashlib.sha256(b"bench").hexdigest()
-
-        def roundtrip():
-            store.save(fingerprint, text)
-            return store.load(fingerprint)
-
-        assert benchmark(roundtrip) == text
-        store.close()
-
-
 def collect_measurements(rounds: int = 3) -> dict[str, float]:
     jobs = synthetic_workload()
     packed = pack_jobs(jobs)
@@ -346,8 +247,6 @@ def collect_measurements(rounds: int = 3) -> dict[str, float]:
         "fingerprint_jobs_5k": best_of(lambda: fingerprint_jobs(jobs)),
         "pool_dispatch_store": measure_pool_dispatch(jobs),
         "journal_append_per_record": measure_journal_append(),
-        "remote_dispatch_per_frame": measure_remote_dispatch(),
-        "objectstore_put_get_per_entry": measure_objectstore_roundtrip(),
     }
     measurements.update(payload_bytes(jobs))
     return measurements

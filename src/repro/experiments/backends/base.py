@@ -2,50 +2,40 @@
 
 The engine owns everything that makes a grid *correct* — fingerprints,
 leases, retry/backoff budgets, duplicate-result dedup, journaling and
-the degradation ladder.  A backend owns only *where cells run*: it takes
+the serial fallback.  A backend owns only *where cells run*: it takes
 :class:`CellTask`\\ s, returns :class:`CellOutcome`\\ s, and reports its
-own liveness so the engine's watchdog math works unchanged for local
-pools and remote fleets alike.
+own liveness for the engine's watchdog.
 
 The lease state machine (see docs/architecture.md, "Execution
 backends"):
 
 * the engine stamps a lease deadline on every submitted cell;
 * a lease that expires triggers :meth:`ExecutionBackend.release` — the
-  backend gives the cell up (a local pool tears the owning process
-  group down, a remote backend marks the worker a *zombie*), the engine
-  charges the cell a retry, and any collateral cells the backend had to
-  abandon with it are requeued uncharged;
-* a late result for a released cell may still arrive (the zombie
-  answered after all); the backend delivers it normally and the engine
-  dedupes it idempotently by fingerprint — a cell counts exactly once
-  no matter how many workers eventually answered for it.
+  backend gives the cell up (the local pool tears its workers down),
+  the engine charges the cell a retry, and any collateral cells the
+  backend had to abandon with it are requeued uncharged;
+* a late result for a released cell may still arrive; the backend
+  delivers it normally and the engine dedupes it idempotently by
+  fingerprint — a cell counts exactly once no matter how many workers
+  eventually answered for it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.simulator import ScenarioInputs
     from repro.schedulers.registry import SchedulerConfig
 
 
-class BackendUnavailable(RuntimeError):
-    """The backend cannot start at all (e.g. no remote worker reachable).
-
-    The engine treats this as an immediate step down the degradation
-    ladder, not an error: the grid still completes on the next rung.
-    """
-
-
 class CellRequest(NamedTuple):
     """Everything a worker needs to simulate one cell, by name.
 
-    The picklable TASK payload.  ``digest`` names the packed workload
-    the worker was seeded with; ``scenario`` is the *compiled*
-    disturbance bundle (``None``: healthy baseline) and
+    The picklable task payload.  ``digest`` names the packed workload
+    the worker hydrates from its pool's spool; ``scenario`` is the
+    *compiled* disturbance bundle (``None``: healthy baseline) and
     ``cancel_over_limit`` its estimate-limit kill flag; ``backend``
     selects the worker's simulation kernels (bit-identical results, so
     it never enters a fingerprint).  The worker rebuilds the scheduler
@@ -77,7 +67,7 @@ class CellOutcome(NamedTuple):
     ``kind`` is ``"done"`` (``value`` holds the worker's
     ``(key, cell, wall)`` tuple), ``"failed"`` (the cell raised or its
     worker/connection died; the engine charges a retry) or ``"broken"``
-    (like ``"failed"``, but the failure also broke part of the backend —
+    (like ``"failed"``, but the failure also broke the backend —
     the engine must requeue :meth:`ExecutionBackend.drain_broken` and
     spend a reset from its budget before submitting again).
     """
@@ -103,7 +93,7 @@ class ReleaseReport(NamedTuple):
 
 
 class ExecutionBackend(ABC):
-    """Where grid cells run; the engine drives exactly one at a time.
+    """Where grid cells run; the engine drives one per parallel run.
 
     Lifecycle: :meth:`start` once, then repeated
     :meth:`submit`/:meth:`collect` rounds, with :meth:`release`,
@@ -112,13 +102,12 @@ class ExecutionBackend(ABC):
     Implementations are driven from a single thread.
     """
 
-    #: Human-readable backend identity; recorded (non-identity) in run
-    #: manifests and surfaced by ``--list-runs``.
+    #: Human-readable backend identity, reported as ``RunStats.backend``.
     name: str = "backend"
 
     @abstractmethod
     def start(self) -> None:
-        """Acquire workers; raise :class:`BackendUnavailable` if none."""
+        """Acquire workers."""
 
     @abstractmethod
     def can_accept(self) -> bool:
@@ -152,14 +141,8 @@ class ExecutionBackend(ABC):
         return []
 
     @abstractmethod
-    def reset(
-        self, should_abort: Callable[[], bool] | None = None
-    ) -> bool:
-        """Heal after breakage; False means the backend is beyond repair.
-
-        ``should_abort`` lets a blocking reset (a remote reconnect
-        sweep) bail out early on engine shutdown.
-        """
+    def reset(self) -> bool:
+        """Heal after breakage; False means the backend is beyond repair."""
 
     @abstractmethod
     def close(self) -> None:

@@ -221,7 +221,7 @@ class PoolBackend(ExecutionBackend):
         self._futures.clear()
         return stranded
 
-    def reset(self, should_abort=None) -> bool:
+    def reset(self) -> bool:
         if self._broken:
             self._stop_executor()
             self._make_executor()

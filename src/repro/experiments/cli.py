@@ -29,27 +29,10 @@ Every cached run is journaled under ``<cache>/runs/<run_id>.jsonl``
 A run killed by SIGINT/SIGTERM exits cleanly (status 130) after printing
 the ``--resume`` handle.
 
-A fleet of remote workers turns the same grid into a distributed run
-(trusted networks only — the wire protocol ships pickles)::
-
-    repro-experiments --serve-worker 9100            # on each worker host
-    repro-experiments all --backend-exec remote \\
-        --connect hostA:9100 --connect hostB:9100 \\
-        --remote-cache hostA:9100
-
-``--remote-cache`` also accepts an S3-compatible object store
-(``s3://HOST:PORT/BUCKET[/PREFIX]``, path-style, MinIO-friendly) as the
-durable fleet cache; entries are checksummed, validated before trust,
-and poisoned objects are quarantined under a ``quarantine/`` prefix::
-
-    repro-experiments all --workers 8 \\
-        --remote-cache s3://minio.internal:9000/repro-cache/grids
-
-Execution backends never change results: grids, per-cell fingerprints
-and run ids are bit-identical whether cells ran serially, in a local
-pool, or on a remote fleet that crashed halfway through (lease expiry,
-retries and the remote -> local pool -> serial degradation ladder
-guarantee completion).
+Parallelism never changes results: grids, per-cell fingerprints and
+run ids are bit-identical whether cells ran serially or in the local
+pool, even one whose workers crashed halfway through (lease expiry,
+retries and the pool -> serial fallback guarantee completion).
 
 Scenario runs (see :mod:`repro.scenarios`) are driven either by a JSON
 spec file or by convenience flags that translate into spec components::
@@ -355,41 +338,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "— numpy when importable); results are bit-identical either way",
     )
     parser.add_argument(
-        "--backend-exec",
-        choices=["local", "remote"],
-        default=None,
-        help="where grid cells execute: local (one process pool, default) "
-        "or remote (TCP workers from --connect); results are "
-        "bit-identical across execution backends",
-    )
-    parser.add_argument(
-        "--connect",
-        action="append",
-        default=None,
-        metavar="HOST:PORT",
-        help="remote worker address for --backend-exec remote (repeat "
-        "for a fleet); start workers with --serve-worker",
-    )
-    parser.add_argument(
-        "--serve-worker",
-        metavar="[HOST:]PORT",
-        default=None,
-        help="run a remote worker serving cells (and the shared cache, "
-        "unless --no-cache) on this address until killed, then exit; "
-        "trusted networks only — the protocol ships pickles",
-    )
-    parser.add_argument(
-        "--remote-cache",
-        metavar="HOST:PORT|s3://…",
-        default=None,
-        help="shared fleet result cache: HOST:PORT reads through a "
-        "worker's cache, s3://HOST:PORT/BUCKET[/PREFIX] (or s3://BUCKET "
-        "with REPRO_S3_ENDPOINT set) a durable S3-compatible object "
-        "store; every entry is validated before trust, poisoned objects "
-        "are quarantined, and an unreachable store trips a circuit "
-        "breaker that degrades the run to local-only caching",
-    )
-    parser.add_argument(
         "--cache-dir",
         type=Path,
         default=Path(".repro-cache"),
@@ -557,8 +505,6 @@ def _run_experiments(
                 f"  {event.key}: objective {event.objective:.4G}{wall}{hit}",
                 file=sys.stderr,
             )
-        elif event.kind == "cache-degraded":
-            print(f"  [cache degraded] {event.detail}", file=sys.stderr)
         if events_log is not None:
             # Flushed per event: a killed run's log ends at its last event.
             events_log.write(event_line(event))
@@ -570,9 +516,6 @@ def _run_experiments(
         on_event=on_event,
         journal_dir=args.journal_dir,
         backend=args.backend,
-        execution_backend=args.backend_exec,
-        connect=tuple(args.connect or ()),
-        remote_cache=args.remote_cache,
     )
     # One handle for the whole invocation (appending: resumes accumulate).
     events_log = (
@@ -628,15 +571,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    if args.serve_worker is not None:
-        from repro.experiments.backends.worker import serve_worker
-
-        cache_dir = None if args.no_cache else args.cache_dir
-        try:
-            serve_worker(args.serve_worker, cache_dir=cache_dir)
-        except KeyboardInterrupt:
-            return 130
-        return 0
     if args.list_runs:
         return _cmd_list_runs(args)
     if args.verify_run is not None:
@@ -650,12 +584,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.resume is not None and args.no_cache:
         parser.error("--resume needs the cache; drop --no-cache")
-    if args.backend_exec == "remote" and not args.connect:
-        parser.error("--backend-exec remote needs at least one --connect")
-    if args.connect and args.backend_exec != "remote":
-        parser.error("--connect needs --backend-exec remote")
-    if args.remote_cache is not None and args.no_cache:
-        parser.error("--remote-cache needs the local cache; drop --no-cache")
     if args.recovery is not None and args.failure_mtbf is None:
         parser.error("--recovery needs --failure-mtbf")
     if args.failure_mttr is not None and args.failure_mtbf is None:
@@ -664,6 +592,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(
             "--scenario-seed needs --scenario, --cancellation-rate or --failure-mtbf"
         )
+    for flag, value in (
+        ("--scale", args.scale), ("--nodes", args.nodes), ("--workers", args.workers)
+    ):
+        if value is not None and value < 1:
+            parser.error(f"{flag} must be >= 1")
     try:
         scenario = scenario_from_args(args)
     except (OSError, ValueError) as exc:

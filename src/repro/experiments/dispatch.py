@@ -1,12 +1,12 @@
-"""The lease/retry/reset/watchdog loop behind a distributed run.
+"""The lease/retry/reset/watchdog loop behind a parallel run.
 
-One :class:`Dispatch` object drives one run's cache misses down the
-execution-backend ladder — remote -> local pool — and hands
-whatever is left to the engine's in-process serial path, so the grid
-always completes.  Each safety property is one method: lease deadlines
-stamped at submit (:meth:`~Dispatch.submit_ready`), expired leases and
-the heartbeat watchdog (:meth:`~Dispatch.handle_timeout`), the retry
-budget with non-blocking backoff (:meth:`~Dispatch.charge_retry`,
+One :class:`Dispatch` object drives one run's cache misses through the
+engine's local pool and hands whatever is left to the engine's
+in-process serial path, so the grid always completes.  Each safety
+property is one method: lease deadlines stamped at submit
+(:meth:`~Dispatch.submit_ready`), expired leases and the heartbeat
+watchdog (:meth:`~Dispatch.handle_timeout`), the retry budget with
+non-blocking backoff (:meth:`~Dispatch.charge_retry`,
 :meth:`~Dispatch.next_wait_timeout`), idempotent dedup of late
 duplicates by fingerprint (:meth:`~Dispatch.record_done`), the reset
 budget (:meth:`~Dispatch.spend_reset`) and graceful shutdown
@@ -20,21 +20,25 @@ import math
 import os
 import random
 import time
-from typing import TYPE_CHECKING, Callable, NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-from repro.experiments.backends.base import (
-    BackendUnavailable,
-    CellOutcome,
-    CellTask,
-    ExecutionBackend,
-)
+from repro.experiments.backends.base import CellOutcome, CellTask, ExecutionBackend
 from repro.schedulers.registry import SchedulerConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.engine import ExperimentEngine
     from repro.experiments.lifecycle import GridRun
 
-__all__ = ["Dispatch", "watchdog_defaults"]
+__all__ = ["Dispatch", "retry_pause", "watchdog_defaults"]
+
+
+def retry_pause(backoff: float, attempt: int, rng: random.Random) -> float:
+    """Seconds to wait before retry ``attempt`` (1-based) of a cell.
+
+    Exponential doubling from ``backoff``, jittered by x0.5–1.5 with one
+    ``rng.uniform`` draw, so retrying engines do not stampede in lockstep.
+    """
+    return backoff * 2 ** (attempt - 1) * rng.uniform(0.5, 1.5)
 
 
 def watchdog_defaults() -> "tuple[float | None, float | None]":
@@ -73,13 +77,10 @@ def watchdog_defaults() -> "tuple[float | None, float | None]":
 
 
 class Dispatch:
-    """One run's cells on their way through the backend ladder.
+    """One run's cells on their way through the engine's pool.
 
-    ``engine`` supplies the policy (budgets, timeouts, backend choice),
-    ``run`` everything the dispatch writes to (stats, journal, events,
-    results).  The per-run fields outlive a rung; ``backend``, ``queue``,
-    ``leases``, ``resubmit_at`` and ``resets`` are reset by
-    :meth:`drive` for each rung.
+    ``engine`` supplies the policy (budgets, timeouts, the pool), ``run``
+    everything the dispatch writes to (stats, journal, events, results).
     """
 
     __slots__ = (
@@ -103,7 +104,7 @@ class Dispatch:
         self.attempts: dict[str, int] = {}
         self.completed: set[str] = set()
         #: Cells whose retry budget is spent; the engine runs them
-        #: in-process once the ladder is done.
+        #: in-process once the pool is done.
         self.serial_fallback: list[str] = []
         self.rng = random.Random()
         self.hb_budget = engine.heartbeat_timeout or 0.0
@@ -119,95 +120,39 @@ class Dispatch:
         self.resubmit_at: dict[str, float] = {}
         self.resets = 0
 
-    # -- the ladder -----------------------------------------------------------
-
-    def ladder(self, store_entries: tuple) -> "list[Callable[[], ExecutionBackend]]":
-        """Backend factories, best first: remote -> local pool.
-
-        In-process serial execution (the unconditional last resort) is
-        not a rung: :meth:`execute` returns the leftovers to the engine.
-        The pool rung borrows the engine's long-lived pool, whose workers
-        read the workload from its spool; ``store_entries`` seeds the
-        remote workers.
-        """
-        engine = self.engine
-        factories: "list[Callable[[], ExecutionBackend]]" = []
-        if engine.execution_backend == "remote":
-            # Imported here: a local sweep never loads the socket stack.
-            from repro.experiments.backends.remote import RemoteWorkerBackend
-
-            factories.append(
-                lambda: RemoteWorkerBackend(
-                    engine.connect,
-                    store_entries=store_entries,
-                    heartbeat_interval=engine.heartbeat_interval,
-                    reconnect_backoff=max(engine.retry_backoff, 0.05),
-                )
-            )
-        factories.append(engine.borrow_pool)
-        return factories
+    # -- the run ----------------------------------------------------------------
 
     def execute(self) -> list[tuple[SchedulerConfig, str]]:
-        """Drive the cells down the ladder; return the serial leftovers.
+        """Drive the cells through the pool; return the serial leftovers.
 
-        One backend at a time.  A backend that cannot start — or breaks
-        more than ``max_pool_rebuilds`` times on one rung — hands its
-        leftovers to the next rung; what the last rung leaves, plus every
-        cell whose retry budget ran out, is returned in grid order for
-        in-process serial execution.  A local pool whose rung finished
-        every cell it was given goes back to the engine for the next
-        grid; any other backend — and a pool that gave up, or that an
-        interrupt or error took the run away from — is closed.
+        What the pool leaves once it broke more than ``max_pool_rebuilds``
+        times, plus every cell whose retry budget ran out, is returned in
+        grid order for in-process serial execution.  A pool that finished
+        every cell it was given goes back to the engine for the next grid;
+        a pool that gave up, or that an interrupt or error took the run
+        away from, is closed.
         """
-        from repro.experiments.backends.pool import PoolBackend
-
         run, request = self.run, self.run.request
         # Zero-copy dispatch: register the packed stream once, ship only
-        # the digest per cell; pool workers hydrate from the pool's spool,
-        # remote workers via a one-time SEED frame per connection.
-        store = self.engine.workload_store
-        store.register(request.digest, request.jobs)
+        # the digest per cell; pool workers hydrate from the pool's spool.
+        self.engine.workload_store.register(request.digest, request.jobs)
         for fp in self.order:
             run.emit("cell-started", key=self.config_by_fp[fp].key)
-        queue = list(self.order)
-        ladder = self.ladder(store.entries(request.digest))
-        for rung, factory in enumerate(ladder):
-            if not queue:
-                break
-            backend = factory()
-            # Non-empty here, so empty only once drive() has finished them.
-            leftovers = queue
-            try:
-                try:
-                    backend.start()
-                except BackendUnavailable as exc:
-                    if rung + 1 < len(ladder):
-                        run.emit(
-                            "engine-degraded",
-                            detail=f"{backend.name} backend unavailable ({exc}); "
-                            f"falling back to the next execution backend",
-                        )
-                    continue
-                if run.stats.backend == "serial":
-                    run.stats.backend = backend.name
-                leftovers = self.drive(backend, queue)
-            finally:
-                if not leftovers and isinstance(backend, PoolBackend):
-                    self.engine.return_pool(backend)
-                else:
-                    backend.close()
-                queue = leftovers
-            if queue and rung + 1 < len(ladder):
-                run.emit(
-                    "engine-degraded",
-                    detail=f"{backend.name} backend gave up with {len(queue)} "
-                    f"cell(s) unfinished; falling back to the next "
-                    f"execution backend",
-                )
+        pool = self.engine.borrow_pool()
+        leftovers = self.order
+        try:
+            pool.start()
+            run.stats.backend = pool.name
+            leftovers = self.drive(pool, self.order)
+        finally:
+            if leftovers:
+                pool.close()
+            else:
+                self.engine.return_pool(pool)
         # Deduplicate while preserving grid order (a cell can be queued
         # for fallback once via retries and once via the reset budget),
         # and drop anything a late duplicate already completed.
-        chosen = (set(self.serial_fallback) | set(queue)) - self.completed
+        chosen = (set(self.serial_fallback) | set(leftovers)) - self.completed
         unique = [(self.config_by_fp[fp], fp) for fp in self.order if fp in chosen]
         if unique:
             run.stats.degraded_cells += len(unique)
@@ -219,21 +164,17 @@ class Dispatch:
             )
         return unique
 
-    # -- one rung ---------------------------------------------------------------
+    # -- the dispatch loop --------------------------------------------------------
 
     def drive(self, backend: ExecutionBackend, queue: list[str]) -> list[str]:
         """Run ``queue`` on one started backend; return its leftovers.
 
-        An empty return means the rung finished (or charged into the
+        An empty return means the backend finished (or charged into the
         serial fallback) every cell it was given; a non-empty one means
-        the rung's reset budget is exhausted and the remainder belongs to
-        the next rung down the ladder.
+        its reset budget is exhausted and the remainder runs serially.
         """
         self.backend = backend
         self.queue = list(queue)
-        self.leases = {}
-        self.resubmit_at = {}
-        self.resets = 0
         while self.queue or backend.in_flight() or self.resubmit_at:
             if self.run.interrupted is not None:
                 self.shut_down()
@@ -241,8 +182,7 @@ class Dispatch:
             if not backend.in_flight():
                 if self.queue:
                     # Wedged: work waiting, nothing running, no capacity
-                    # — spend a reset (for a remote backend this is the
-                    # blocking reconnect sweep) or yield to the next rung.
+                    # — spend a reset or give the rest up.
                     if not self.spend_reset():
                         return self.leftovers()
                 elif self.resubmit_at:
@@ -265,7 +205,7 @@ class Dispatch:
 
     def shut_down(self) -> NoReturn:
         """Graceful shutdown: journal everything unfinished as
-        interrupted and surface the resumable id (the ladder walk's
+        interrupted and surface the resumable id (:meth:`execute`'s
         ``finally`` closes the backend)."""
         unfinished = (
             set(self.queue)
@@ -323,7 +263,7 @@ class Dispatch:
         return max(0.0, min(candidates))
 
     def handle_outcomes(self, outcomes: list[CellOutcome]) -> bool:
-        """File collected outcomes; False once the rung is beyond help."""
+        """File collected outcomes; False once the backend is beyond help."""
         broke = False
         with self.run.batch():
             for outcome in outcomes:
@@ -356,7 +296,7 @@ class Dispatch:
     def handle_timeout(self) -> bool:
         """``collect`` timed out: check leases and the watchdog.
 
-        False once the rung is beyond help.
+        False once the backend is beyond help.
         """
         now = time.perf_counter()
         in_flight = self.backend.in_flight()
@@ -424,7 +364,7 @@ class Dispatch:
             return
         run.journal_cell(key, "failed", fingerprint=fp, detail=why)
         run.stats.retries += 1
-        pause = engine.retry_policy.backoff_for(attempt, self.rng)
+        pause = retry_pause(engine.retry_backoff, attempt, self.rng)
         run.emit(
             "cell-retry",
             key=key,
@@ -434,12 +374,12 @@ class Dispatch:
         self.resubmit_at[fp] = time.perf_counter() + pause
 
     def spend_reset(self) -> bool:
-        """Count one backend reset; False once the rung is beyond help."""
+        """Count one backend reset; False once the backend is beyond help."""
         self.run.stats.pool_rebuilds += 1
         self.resets += 1
         if self.resets > self.engine.max_pool_rebuilds:
             return False
-        return self.backend.reset(lambda: self.run.interrupted is not None)
+        return self.backend.reset()
 
     def leftovers(self) -> list[str]:
         seen: set[str] = set()

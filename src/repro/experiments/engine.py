@@ -15,8 +15,8 @@ three steps, one object each:
   one run mutates (grid, stats, results, journal, interrupt flag);
 * **dispatch** — cache misses run in process (one worker) or through a
   :class:`~repro.experiments.dispatch.Dispatch`: leases, retries,
-  duplicate dedup, the watchdog and the remote -> local pool -> serial
-  ladder over :mod:`~repro.experiments.backends`.
+  duplicate dedup, the watchdog and the local pool -> serial fallback
+  over :mod:`~repro.experiments.backends`.
 
 Fingerprints live in :mod:`repro.experiments.fingerprint`, the result
 cache in :mod:`repro.experiments.backends.cache`; this module re-exports
@@ -40,17 +40,12 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.job import Job
 from repro.experiments.backends.base import CellRequest
-from repro.experiments.backends.cache import (
-    CachePruneStats,
-    ResultCache,
-    store_from_spec,
-)
+from repro.experiments.backends.cache import CachePruneStats, ResultCache
 from repro.experiments.dispatch import Dispatch, watchdog_defaults
 from repro.experiments.fingerprint import (
     CACHE_VERSION,
@@ -78,7 +73,6 @@ from repro.schedulers.registry import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.simulator import ScenarioInputs
     from repro.experiments.backends.pool import PoolBackend
-    from repro.resilience import RetryPolicy
     from repro.scenarios import ScenarioSpec
 
 __all__ = [
@@ -188,12 +182,11 @@ def _run_cell_task(request: CellRequest) -> tuple[str, CellResult, float]:
     """Worker entry point: simulate one cell, return (key, result, wall).
 
     ``request.digest`` is resolved against the process-global workload
-    cache (hydrated from the pool's spool on first use, or by a remote
-    SEED frame), and the scheduler is rebuilt from the registry inside
-    the worker — with the fork start method the child inherits user
-    registrations made before its pool was forked, and the engine
-    re-forks a pool the registry has changed under — so nothing
-    unpicklable crosses the process boundary.
+    cache (hydrated from the pool's spool on first use), and the
+    scheduler is rebuilt from the registry inside the worker — with the
+    fork start method the child inherits user registrations made before
+    its pool was forked, and the engine re-forks a pool the registry has
+    changed under — so nothing unpicklable crosses the process boundary.
     """
     jobs = resolve_worker_workload(request.digest)
     t0 = time.perf_counter()
@@ -233,10 +226,10 @@ class ExperimentEngine:
         cell to the in-process serial fallback — where a deterministic
         error reproduces and surfaces, and a flaky one recovers.
     retry_backoff:
-        Base pause before retry ``n`` (seconds); the actual pause comes
-        from a shared :class:`repro.resilience.RetryPolicy` —
-        exponential doubling jittered by ×0.5–1.5 so retrying engines
-        do not stampede in lockstep.
+        Base pause before retry ``n`` (seconds); the actual pause
+        (:func:`~repro.experiments.dispatch.retry_pause`) doubles per
+        retry and is jittered by ×0.5–1.5 so retrying engines do not
+        stampede in lockstep.
     max_pool_rebuilds:
         Broken/hung pools rebuilt before giving up on parallelism and
         running every remaining cell serially in-process.
@@ -258,19 +251,6 @@ class ExperimentEngine:
         environment variable when set, else
         ``max(4 * heartbeat_interval, 30.0)`` so one missed touch never
         trips it.
-    execution_backend:
-        ``"local"`` (the default) dispatches to one process pool;
-        ``"remote"`` dispatches over TCP to
-        ``repro.experiments.backends.worker`` processes named by
-        ``connect``.  Both degrade down the ladder
-        remote -> local pool -> serial, so the grid completes
-        regardless of backend health.
-    connect:
-        ``HOST:PORT`` worker addresses for ``execution_backend="remote"``.
-    remote_cache:
-        ``HOST:PORT`` of a fleet cache server (any worker started with a
-        cache directory).  The local cache becomes read-through /
-        write-back against it; requires a local cache.
     handle_signals:
         When true (the default), journaled runs install SIGINT/SIGTERM
         handlers for graceful shutdown: dispatch stops, in-flight cells
@@ -309,39 +289,12 @@ class ExperimentEngine:
         heartbeat_timeout: float | None = None,
         handle_signals: bool = True,
         backend: str | None = None,
-        execution_backend: str | None = None,
-        connect: Sequence[str] = (),
-        remote_cache: str | None = None,
     ) -> None:
         self.workers = max(1, workers if workers is not None else 1)
         self.backend = backend
         self.cache = (
-            ResultCache(cache, remote=remote_cache)
-            if isinstance(cache, (str, Path))
-            else cache
+            ResultCache(cache) if isinstance(cache, (str, Path)) else cache
         )
-        if remote_cache is not None:
-            if self.cache is None:
-                raise ValueError(
-                    "remote_cache requires a local cache directory "
-                    "(remote entries are validated and written back locally)"
-                )
-            if self.cache.remote is None:
-                self.cache.remote = store_from_spec(remote_cache)
-        self.remote_cache = remote_cache
-        mode = execution_backend or "local"
-        if mode not in ("local", "remote"):
-            raise ValueError(
-                f"execution_backend must be 'local' or 'remote', "
-                f"got {execution_backend!r}"
-            )
-        self.connect = tuple(connect)
-        if mode == "remote" and not self.connect:
-            raise ValueError(
-                "execution_backend='remote' needs at least one "
-                "connect='HOST:PORT' worker address"
-            )
-        self.execution_backend = mode
         self.on_event = on_event
         self.workload_store = WorkloadStore()
         if cell_timeout is not None and cell_timeout <= 0:
@@ -383,27 +336,15 @@ class ExperimentEngine:
         self._pool: PoolBackend | None = None
         self._pool_finalizer: weakref.finalize | None = None
 
-    @cached_property
-    def retry_policy(self) -> RetryPolicy:
-        """Backoff before each retry; built on the first retry, since most
-        runs never retry and :mod:`repro.resilience` need not load."""
-        from repro.resilience import RetryPolicy
-
-        return RetryPolicy(
-            max_attempts=self.max_retries + 1,
-            backoff=self.retry_backoff,
-            jitter=(0.5, 1.5),
-        )
-
     # -- the worker pool --------------------------------------------------------
 
     def borrow_pool(self) -> PoolBackend:
-        """Take the engine's local pool for one rung of one run.
+        """Take the engine's local pool for one run.
 
         The pool kept from an earlier run when there is one — unless the
         scheduler registry changed since its workers were forked, which
         they could not see — else a new, unstarted one.  The borrower
-        either hands it back (:meth:`return_pool`, the rung finished
+        either hands it back (:meth:`return_pool`, the pool finished
         every cell) or closes it; the engine keeps no reference
         meanwhile, so a pool that broke or was interrupted is never
         reused.
@@ -501,8 +442,6 @@ class ExperimentEngine:
             n_jobs=len(jobs),
             reference_key=reference_key,
             scenario=scenario_digest,
-            execution_backend=self.execution_backend,
-            remote_cache=self.remote_cache or "",
         )
         return GridRequest(
             jobs=jobs,
@@ -592,11 +531,9 @@ class ExperimentEngine:
             run.emit("grid-started", run_id=run.run_id)
             pending = run.lookup()
             with run.signals(self.handle_signals):
-                if (
-                    self.workers > 1 or self.execution_backend != "local"
-                ) and len(pending) > 1:
-                    # What the backend ladder leaves runs in process; those
-                    # cells were announced when they were first dispatched.
+                if self.workers > 1 and len(pending) > 1:
+                    # What the pool leaves runs in process; those cells
+                    # were announced when they were first dispatched.
                     leftovers = Dispatch(self, run, pending).execute()
                     self._run_serial(run, leftovers, announce=False)
                 else:

@@ -22,7 +22,7 @@ trustworthy.  This module adds that record:
   grid maps to the same journal and ``--resume RUN_ID`` can re-derive
   everything but the job stream itself from the id.
 * :func:`verify_run` — an integrity audit cross-checking journal records
-  against the result cache (and optionally a persisted
+  against the local result cache (and optionally a persisted
   :class:`~repro.experiments.runner.GridResult`), reporting missing,
   corrupt, mismatched and orphaned cells.
 * :func:`list_runs` — one :class:`RunSummary` per journal in a
@@ -254,9 +254,6 @@ class JournalReplay:
     #: Number of ``resumed`` markers seen (prior resume attempts).
     resumes: int = 0
     records: int = 0
-    #: Latest ``cache-health`` record (remote hits/rejections/quarantines
-    #: and breaker state), or ``None`` for runs without one.
-    cache_health: dict | None = None
 
     @property
     def run_id(self) -> str:
@@ -290,6 +287,8 @@ def read_journal(path: str | Path) -> JournalReplay:
     dropped and flagged.  A torn or checksum-failing *interior* line
     raises :class:`JournalCorruptError` — append-only files cannot tear
     in the middle, so that is real corruption, not a crash artifact.
+    Record kinds replay does not know (such as the ``cache-health``
+    records of older journals) are skipped.
     """
     path = Path(path)
     try:
@@ -319,12 +318,6 @@ def read_journal(path: str | Path) -> JournalReplay:
                 replay.manifest = payload
         elif kind == "resumed":
             replay.resumes += 1
-        elif kind == "cache-health":
-            # Latest wins (a resumed run appends a fresh report).
-            replay.cache_health = {
-                k: v for k, v in payload.items()
-                if k not in ("kind", "crc", "seq", "t")
-            }
         elif kind == "cell":
             key = str(payload.get("key"))
             cell = replay.cells.get(key)
@@ -472,11 +465,8 @@ class RunJournal:
     def record_cache_health(self, health: Mapping[str, object]) -> None:
         """Append one ``cache-health`` record (fsynced).
 
-        Written once at the end of a run that used a remote cache store:
-        remote hits/rejections, quarantined entries, breaker state and
-        how often it opened.  Journal readers that predate the record
-        kind skip it silently (replay tolerates unknown kinds), so old
-        tooling keeps working on new journals.
+        Never called: kept only for the benchmark harness, which names it
+        as a patch point.  Replay skips the record kind.
         """
         payload: dict = {"kind": "cache-health", "t": time.time()}
         payload.update(health)
@@ -511,42 +501,14 @@ class RunSummary:
     resumes: int = 0
     torn_tail: bool = False
     path: Path | None = None
-    #: Execution backend recorded in the manifest ("local" for journals
-    #: written before backends existed).
-    backend: str = "local"
-    #: Remote cache spec the run wrote through to ("" for none).
-    remote_cache: str = ""
-    #: Latest journaled ``cache-health`` record (``None`` when absent).
-    cache_health: Mapping[str, object] | None = None
 
     def describe(self) -> str:
         when = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(self.created))
         extra = f", {self.resumes} resume(s)" if self.resumes else ""
         torn = ", torn tail dropped" if self.torn_tail else ""
-        tags = [] if self.backend == "local" else [self.backend]
-        if self.remote_cache:
-            tags.append(f"remote-cache={self.remote_cache}")
-        tagged = f"  [{', '.join(tags)}]" if tags else ""
-        health = ""
-        if self.cache_health:
-            bits = []
-            for field_name, label in (
-                ("remote_hits", "hit(s)"),
-                ("remote_rejected", "rejected"),
-                ("quarantined", "quarantined"),
-                ("shed", "shed"),
-            ):
-                count = int(self.cache_health.get(field_name, 0) or 0)
-                if count:
-                    bits.append(f"{count} {label}")
-            opened = int(self.cache_health.get("breaker_opened", 0) or 0)
-            if opened:
-                bits.append(f"breaker opened {opened}x")
-            if bits:
-                health = f"  [cache: {', '.join(bits)}]"
         return (
             f"{self.run_id}  {self.status:<11}  {self.completed}/{self.total} cells"
-            f"  {when}  {self.workload_name}{extra}{torn}{tagged}{health}"
+            f"  {when}  {self.workload_name}{extra}{torn}"
         )
 
 
@@ -595,9 +557,6 @@ def list_runs(journal_dir: str | Path) -> list[RunSummary]:
                 resumes=replay.resumes,
                 torn_tail=replay.torn_tail,
                 path=path,
-                backend=str(replay.manifest.get("execution_backend") or "local"),
-                remote_cache=str(replay.manifest.get("remote_cache") or ""),
-                cache_health=replay.cache_health,
             )
         )
     summaries.sort(key=lambda s: s.created, reverse=True)
@@ -637,18 +596,6 @@ class RunAudit:
     grid_mismatched: list[str] = field(default_factory=list)
     torn_tail: bool = False
     cache_checked: bool = False
-    #: Execution backend recorded in the manifest ("local" for journals
-    #: written before backends existed).
-    backend: str = "local"
-    #: Fleet cache address the run wrote through to ("" for none).
-    remote_cache: str = ""
-    #: Completed cells missing locally but served (validated) by the
-    #: manifest's remote cache — consistent, just not local.
-    remote_backed: int = 0
-    #: Completed cells missing locally whose only possible backing is a
-    #: remote cache that could not be reached: unverifiable, not
-    #: (yet) inconsistent.
-    remote_only: list[str] = field(default_factory=list)
 
     @property
     def inconsistencies(self) -> int:
@@ -678,20 +625,6 @@ class RunAudit:
         ):
             if keys:
                 lines.append(f"  INCONSISTENT ({label}): {', '.join(sorted(keys))}")
-        if self.backend != "local" or self.remote_cache:
-            extras = (
-                f", remote cache {self.remote_cache}" if self.remote_cache else ""
-            )
-            lines.append(f"  executed on: {self.backend}{extras}")
-        if self.remote_backed:
-            lines.append(
-                f"  {self.remote_backed} cell(s) served from the remote cache"
-            )
-        if self.remote_only:
-            lines.append(
-                f"  UNVERIFIABLE (only in unreachable remote cache "
-                f"{self.remote_cache}): {', '.join(sorted(self.remote_only))}"
-            )
         if self.remaining:
             lines.append(f"  remaining (resumable): {', '.join(sorted(self.remaining))}")
         if self.orphaned:
@@ -713,53 +646,23 @@ def verify_run(
     journal_dir: str | Path,
     cache: "ResultCache | None" = None,
     grid: "GridResult | None" = None,
-    check_remote: bool = True,
 ) -> RunAudit:
     """Audit one run: does the cache (and grid) back up the journal?
 
     For every cell the journal claims ``completed``, the cache must hold
     a readable entry under the journaled fingerprint whose objective
-    matches the journaled one.  A persisted :class:`GridResult` can be
-    cross-checked the same way.  The audit never mutates the cache.
-
-    When the manifest names a remote fleet cache, a cell missing from
-    the local cache is probed there too (``check_remote=False`` skips
-    the network): a validated remote entry counts as ``remote_backed``
-    (consistent), a reachable remote miss stays ``missing``
-    (inconsistent), and an *unreachable* remote cache flags the cell
-    ``remote_only`` — its only possible backing cannot be checked, which
-    an operator should see before trusting or pruning the run.
+    matches the journaled one; the local cache is the only backing, so a
+    completed cell without an entry is ``missing``.  A persisted
+    :class:`GridResult` can be cross-checked the same way.  The audit
+    never mutates the cache.
     """
     replay = read_journal(journal_path(journal_dir, run_id))
-    remote_addr = str(replay.manifest.get("remote_cache") or "")
     audit = RunAudit(
         run_id=run_id,
         total=len(replay.manifest.get("configs", [])),
         torn_tail=replay.torn_tail,
         cache_checked=cache is not None,
-        backend=str(replay.manifest.get("execution_backend") or "local"),
-        remote_cache=remote_addr,
     )
-    remote_store = None
-    if cache is not None and remote_addr and check_remote:
-        from repro.experiments.backends.cache import store_from_spec
-
-        # An effectively infinite cooldown: one failed round trip marks
-        # the store unreachable for the whole audit instead of re-dialing
-        # (and timing out) once per missing cell.  The spec picks the
-        # store kind — fleet HOST:PORT or s3:// object store.
-        remote_store = store_from_spec(remote_addr, timeout=3.0, cooldown=1e9)
-
-    def remote_verdict(fingerprint: str) -> str:
-        """"hit" | "corrupt" | "missing" | "unreachable" for one entry."""
-        if remote_store is None:
-            return "unreachable" if remote_addr else "missing"
-        text = remote_store.load(fingerprint)
-        if text is None:
-            return "missing" if remote_store.connected else "unreachable"
-        from repro.experiments.backends.cache import ResultCache
-
-        return "hit" if ResultCache.classify(text) == "hit" else "corrupt"
     for key in replay.manifest.get("configs", []):
         cell = replay.cells.get(key)
         if cell is None or cell.state != TERMINAL_STATE:
@@ -776,18 +679,7 @@ def verify_run(
         if cache is not None and cell.fingerprint is not None:
             status = cache.status(cell.fingerprint)
             if status == "miss":
-                if not remote_addr:
-                    audit.missing.append(key)
-                else:
-                    verdict = remote_verdict(cell.fingerprint)
-                    if verdict == "hit":
-                        audit.remote_backed += 1
-                    elif verdict == "unreachable":
-                        audit.remote_only.append(key)
-                    elif verdict == "corrupt":
-                        audit.corrupt.append(key)
-                    else:
-                        audit.missing.append(key)
+                audit.missing.append(key)
             elif status in ("stale", "corrupt"):
                 audit.corrupt.append(key)
             elif cell.objective is not None:
@@ -850,21 +742,15 @@ def manifest_for(
     n_jobs: int = 0,
     reference_key: str | None = None,
     scenario: str = "",
-    execution_backend: str = "local",
-    remote_cache: str = "",
 ) -> dict:
     """Build a run manifest; identity fields feed :func:`compute_run_id`.
 
     ``scenario`` is the canonical scenario-spec digest (``""`` for the
     healthy baseline) — an identity field, like every other input of
-    :func:`repro.experiments.engine.cell_fingerprint`.
-
-    ``execution_backend`` and ``remote_cache`` record *where* the run
-    executed and which fleet cache (if any) it wrote through to.  Both
-    are deliberately **non-identity**: results are bit-identical across
-    backends, so a run dispatched locally and one dispatched to remote
-    workers share one run id, and a run started on one backend resumes
-    cleanly on another.
+    :func:`repro.experiments.engine.cell_fingerprint`.  Fields outside
+    :data:`IDENTITY_FIELDS` never reach the run id, so older manifests
+    that also record ``execution_backend`` or ``remote_cache`` resume
+    under the id they were written with.
     """
     manifest = {
         "kind": "manifest",
@@ -880,8 +766,6 @@ def manifest_for(
         "workload_name": workload_name,
         "n_jobs": n_jobs,
         "reference_key": reference_key,
-        "execution_backend": execution_backend,
-        "remote_cache": remote_cache,
     }
     manifest["run"] = compute_run_id(manifest)
     return manifest

@@ -9,8 +9,7 @@ stateless between runs (its only per-run attribute is the public
 manifest is verified (the constructor), where the cache write lands
 before the journal record (:meth:`GridRun.record`), where SIGINT/SIGTERM
 become a resumable :class:`~repro.experiments.journal.RunInterrupted`
-(:meth:`GridRun.signals`, :meth:`GridRun.interrupt`) and where the
-remote cache's health is hooked and settled (entering / leaving the run).
+(:meth:`GridRun.signals`, :meth:`GridRun.interrupt`).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.schedulers.registry import SchedulerConfig
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.backends.cache import ResultCache
     from repro.experiments.engine import GridRequest
-    from repro.resilience import BreakerTransition
 
 __all__ = ["EventFn", "GridRun", "ProgressEvent", "RunStats"]
 
@@ -47,9 +45,7 @@ class ProgressEvent:
 
     ``kind`` is ``grid-started``, ``cell-started``, ``cache-hit``,
     ``cell-finished``, ``cell-retry``, ``cell-duplicate`` (a late result
-    for an already-completed cell, deduplicated), ``engine-degraded``,
-    ``cache-degraded`` (the remote cache store's circuit breaker tripped
-    open: the run continues on local-only caching for one cooldown) or
+    for an already-completed cell, deduplicated), ``engine-degraded`` or
     ``grid-finished``; ``key`` is the cell key for cell-level events and
     ``None`` for grid-level ones.  ``wall_time`` is the wall-clock of the
     finished unit (whole grid for grid-finished; the backoff pause for
@@ -85,8 +81,7 @@ class RunStats:
     wall_time: float = 0.0
     #: Worker-side retries (crashes or timeouts) during this run.
     retries: int = 0
-    #: Backend resets (pool rebuilds, remote reconnect sweeps) forced by
-    #: broken or hung backends.
+    #: Pool rebuilds forced by broken or hung workers.
     pool_rebuilds: int = 0
     #: Cells that fell back to in-process serial execution.
     degraded_cells: int = 0
@@ -99,33 +94,18 @@ class RunStats:
     #: Deterministic run id of the journal backing this run (``None``
     #: when the run was not journaled).
     run_id: str | None = None
-    #: Local misses served by the remote cache store during this run
-    #: (validated payloads only).
-    remote_hits: int = 0
-    #: Remote cache payloads refused on validation during this run.
-    remote_rejected: int = 0
-    #: Poisoned remote entries quarantined during this run (transport
-    #: integrity failures plus validation rejections the store moved
-    #: aside).
-    quarantined: int = 0
-    #: Times the remote cache store's circuit breaker tripped open
-    #: during this run (each one a local-only degradation period).
-    cache_degraded: int = 0
 
 
 class GridRun:
     """The mutable state of one engine run (see the module docstring).
 
-    Used as a context manager around the run's work: entering hooks the
-    remote cache's breaker, leaving settles the cache-health deltas into
-    the stats and the journal and closes the journal — also when the run
-    is interrupted or fails.
+    Used as a context manager around the run's work: leaving closes the
+    journal — also when the run is interrupted or fails.
     """
 
     __slots__ = (
         "request", "grid", "stats", "results", "cache", "journal",
         "interrupted", "handlers_active", "_on_event", "_held", "_already",
-        "_health_base", "_breaker_hook",
     )
 
     def __init__(
@@ -174,8 +154,6 @@ class GridRun:
             self.journal = RunJournal.create(
                 journal_path(journal_root, request.run_id), request.manifest
             )
-        self._health_base: tuple[int, int, int, int, int] | None = None
-        self._breaker_hook: "Callable[[BreakerTransition], None] | None" = None
 
     @property
     def run_id(self) -> str | None:
@@ -328,76 +306,9 @@ class GridRun:
                 except (OSError, ValueError):  # pragma: no cover - exotic platform
                     pass
 
-    # -- remote-cache health --------------------------------------------------
-
     def __enter__(self) -> "GridRun":
-        """Snapshot the remote store's cumulative counters (it may outlive
-        many runs) and hook its breaker, so the moment it trips open the
-        run emits ``cache-degraded`` — the operator-visible signal that
-        caching just fell back to local-only for a cooldown."""
-        cache = self.cache
-        remote = cache.remote if cache is not None else None
-        if cache is not None and remote is not None:
-            self._health_base = (
-                cache.remote_hits,
-                cache.remote_rejected,
-                len(remote.quarantined),
-                remote.errors,
-                remote.shed,
-            )
-            if remote.breaker is not None:
-                self._breaker_hook = remote.breaker.on_transition
-                remote.breaker.on_transition = self._on_breaker_transition
         return self
 
-    def _on_breaker_transition(self, transition: "BreakerTransition") -> None:
-        if self._breaker_hook is not None:
-            self._breaker_hook(transition)
-        if transition.new == "open":
-            self.stats.cache_degraded += 1
-            breaker = self.cache.remote.breaker  # type: ignore[union-attr]
-            self.emit(
-                "cache-degraded",
-                detail=(
-                    f"remote cache breaker opened "
-                    f"({breaker.name or 'remote store'}); "
-                    f"caching degraded to local-only for the cooldown"
-                ),
-                run_id=self.run_id,
-            )
-
-    def _settle_cache_health(self) -> dict | None:
-        """Unhook the breaker and fold the per-run deltas into the stats;
-        the ``cache-health`` journal payload (``None``: no remote store)."""
-        if self._health_base is None:
-            return None
-        cache, stats = self.cache, self.stats
-        remote = cache.remote  # type: ignore[union-attr]
-        hits, rejected, quarantined, errors, shed = self._health_base
-        if remote.breaker is not None:
-            remote.breaker.on_transition = self._breaker_hook
-        stats.remote_hits = cache.remote_hits - hits  # type: ignore[union-attr]
-        stats.remote_rejected = cache.remote_rejected - rejected  # type: ignore[union-attr]
-        stats.quarantined = len(remote.quarantined) - quarantined
-        health = remote.health()
-        return {
-            "remote_cache": self.request.manifest["remote_cache"],
-            "store": health.kind if health is not None else "",
-            "remote_hits": stats.remote_hits,
-            "remote_rejected": stats.remote_rejected,
-            "quarantined": stats.quarantined,
-            "breaker_opened": stats.cache_degraded,
-            "breaker_state": health.breaker_state if health is not None else "",
-            "errors": remote.errors - errors,
-            "shed": remote.shed - shed,
-        }
-
     def __exit__(self, *exc_info: object) -> None:
-        cache_health = self._settle_cache_health()
         if self.journal is not None:
-            if cache_health is not None:
-                try:
-                    self.journal.record_cache_health(cache_health)
-                except (OSError, ValueError):  # pragma: no cover
-                    pass  # a failed health line must not fail the run
             self.journal.close()

@@ -16,9 +16,7 @@ register-once/reference-many:
   sentinels) and a worker hydrates it on its first miss, into a bounded
   process-global cache — after checking that the bytes hash to the
   digest they are filed under (a rebuilt worker finds the same file, so
-  crash recovery re-seeds automatically); remote workers receive the
-  buffer in a one-time SEED frame per connection
-  (:func:`seed_worker_cache`);
+  crash recovery re-seeds automatically);
 * each cell task then carries only the 64-character digest — 79 bytes
   per cell against 234,825 for the pickled tuple of a 5,000-job stream
   (``benchmarks/bench_engine_overhead.py``; decision record in
@@ -50,15 +48,14 @@ __all__ = [
     "WorkloadStore",
     "init_worker",
     "resolve_worker_workload",
-    "seed_worker_cache",
     "spool_workload",
     "start_worker_heartbeat",
 ]
 
 
 #: Worker-process-global cache: digest -> hydrated job tuple.  Filled from
-#: the pool's spool on a cell's first miss (:func:`resolve_worker_workload`)
-#: or by a remote SEED frame (:func:`seed_worker_cache`), read by cell tasks.
+#: the pool's spool on a cell's first miss (:func:`resolve_worker_workload`),
+#: read by cell tasks.
 _WORKER_WORKLOADS: dict[str, tuple[Job, ...]] = {}
 
 #: Hydration counter, observable from tests: how many times this process
@@ -68,19 +65,6 @@ _WORKER_HYDRATIONS = 0
 #: The scratch directory of the pool this process works for (set by
 #: :func:`init_worker`); ``None`` outside a pool worker.
 _SPOOL_DIR: str | None = None
-
-
-def seed_worker_cache(entries: tuple[tuple[str, PackedJobs], ...]) -> None:
-    """Hydrate packed workloads handed over in memory (a remote SEED frame).
-
-    Idempotent per digest: a worker that already holds a stream does not
-    unpack it again.
-    """
-    global _WORKER_HYDRATIONS
-    for digest, packed in entries:
-        if digest not in _WORKER_WORKLOADS:
-            _WORKER_WORKLOADS[digest] = unpack_jobs(packed)
-            _WORKER_HYDRATIONS += 1
 
 
 def _spool_path(spool_dir: str, digest: str) -> str:
@@ -190,8 +174,8 @@ def resolve_worker_workload(digest: str) -> tuple[Job, ...]:
     """The hydrated job stream for ``digest`` inside a worker.
 
     A pool worker hydrates it from the pool's spool the first time it is
-    asked.  Raises :class:`RuntimeError` when the digest was neither
-    seeded nor spooled, or when the spooled bytes do not hash to it —
+    asked.  Raises :class:`RuntimeError` outside a pool worker, when the
+    digest was not spooled, or when the spooled bytes do not hash to it —
     surfaced loudly so the engine's retry/serial-fallback machinery
     reports it instead of simulating the wrong workload.
     """
@@ -204,11 +188,10 @@ class WorkloadStore:
 
     One instance lives on each :class:`~repro.experiments.engine.
     ExperimentEngine`; ``register`` packs at most once per digest (repeat
-    runs over the same stream reuse the packed buffer), ``get()`` is what
-    a local pool spools from and ``entries()`` the SEED payload of a
-    remote backend.  The store keeps only the
-    most recent :data:`MAX_ENTRIES` workloads so long-lived engines
-    sweeping many workloads do not accumulate every stream they ever saw.
+    runs over the same stream reuse the packed buffer) and ``get()`` is
+    what a local pool spools from.  The store keeps only the most recent
+    :data:`MAX_ENTRIES` workloads so long-lived engines sweeping many
+    workloads do not accumulate every stream they ever saw.
     """
 
     #: Packed workloads retained; oldest evicted first (insertion order).
@@ -232,10 +215,3 @@ class WorkloadStore:
 
     def get(self, digest: str) -> PackedJobs | None:
         return self._packed.get(digest)
-
-    def entries(self, digest: str) -> tuple[tuple[str, PackedJobs], ...]:
-        """Seed payload for a remote backend that will run cells of ``digest``."""
-        packed = self._packed.get(digest)
-        if packed is None:
-            raise KeyError(f"workload {digest[:12]}... is not registered")
-        return ((digest, packed),)

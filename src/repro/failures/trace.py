@@ -90,7 +90,7 @@ class FailureTrace:
         self._peak_down: int | None = None
 
     def __reduce__(self) -> tuple:
-        # Only the failures travel to pool and remote workers; each
+        # Only the failures travel to pool workers; each
         # process derives the cached sweep on first use.
         return (FailureTrace, (self._failures,))
 

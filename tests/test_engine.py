@@ -1,9 +1,13 @@
 """Tests for the parallel experiment engine, its cache, and the open registry."""
 
 import inspect
+import json
 import multiprocessing
 import os
+import random
+import shutil
 import signal
+import tempfile
 import threading
 import time
 
@@ -11,6 +15,14 @@ import pytest
 
 from repro.analysis.persistence import append_events, read_grid, write_grid
 from repro.core.scheduler import Scheduler
+from repro.experiments.backends.base import (
+    CellOutcome,
+    CellTask,
+    ExecutionBackend,
+    ReleaseReport,
+)
+from repro.experiments.backends.cache import LocalDirStore
+from repro.experiments.dispatch import Dispatch, retry_pause
 from repro.experiments.engine import (
     CACHE_VERSION,
     ExperimentEngine,
@@ -20,6 +32,7 @@ from repro.experiments.engine import (
 )
 from repro.failures import FailureTrace, NodeFailure, mtbf_trace
 from repro.experiments.journal import RunInterrupted, RunJournal
+from repro.experiments.lifecycle import RunStats
 from repro.experiments.paper import probabilistic_workload
 from repro.experiments.runner import (
     GridResult,
@@ -28,6 +41,7 @@ from repro.experiments.runner import (
     simulate_cell,
 )
 from repro.experiments.tables import format_grid
+from repro.experiments.workload_store import init_worker, spool_workload
 from repro.schedulers.baselines import KeyOrderPolicy
 from repro.schedulers.registry import (
     SchedulerConfig,
@@ -238,6 +252,33 @@ class TestResultCache:
         assert [p.name for p in entry_dir.iterdir()] == [f"{'ff' * 32}.json"]
 
 
+class TestLocalDirStoreRace:
+    def test_concurrent_writers_same_fingerprint_never_tear(self, tmp_path):
+        store = LocalDirStore(tmp_path)
+        fingerprint = "ab" * 32
+        texts = [json.dumps({"writer": i, "pad": "x" * 256}) for i in range(8)]
+        errors: list = []
+
+        def hammer(text: str) -> None:
+            try:
+                for _ in range(25):
+                    store.save(fingerprint, text)
+            except Exception as exc:  # pragma: no cover - the failure mode
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(t,)) for t in texts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        # The survivor is one of the writers' payloads, intact — never a
+        # torn interleaving of two.
+        assert store.load(fingerprint) in texts
+        # No temp files leaked by the os.replace/unlink dance.
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
 # -- parallel equivalence and cache-served re-runs -----------------------------
 
 
@@ -321,9 +362,8 @@ class TestWorkloadStore:
         first = store.register(digest, workload)
         again = store.register(digest, workload)
         assert first is again  # packed once, reused
-        assert store.entries(digest) == ((digest, first),)
-        with pytest.raises(KeyError):
-            store.entries("no-such-digest")
+        assert store.get(digest) is first
+        assert store.get("no-such-digest") is None
 
     def test_store_evicts_oldest_beyond_capacity(self, workload):
         from repro.experiments.workload_store import WorkloadStore
@@ -335,28 +375,14 @@ class TestWorkloadStore:
         assert store.get("digest-0") is None  # oldest evicted
         assert store.get(f"digest-{WorkloadStore.MAX_ENTRIES + 1}") is not None
 
-    def test_worker_cache_seeding_is_idempotent(self, workload):
-        """A reconnecting remote driver sends its SEED frame again;
-        re-seeding must not re-hydrate digests the process already holds."""
-        from repro.core.packing import pack_jobs
+    def test_unseeded_digest_outside_a_pool_is_refused(self):
+        """Outside a pool worker there is no spool to hydrate from: an
+        unknown digest is a loud error, never a wrong workload."""
         from repro.experiments import workload_store as ws
 
-        saved = dict(ws._WORKER_WORKLOADS)
-        try:
-            ws._WORKER_WORKLOADS.clear()
-            jobs = workload[:10]
-            digest = fingerprint_jobs(jobs)
-            entries = ((digest, pack_jobs(jobs)),)
-            before = ws._WORKER_HYDRATIONS
-            ws.seed_worker_cache(entries)
-            ws.seed_worker_cache(entries)  # the pool-rebuild re-run
-            assert ws._WORKER_HYDRATIONS == before + 1
-            assert ws.resolve_worker_workload(digest) == tuple(jobs)
-            with pytest.raises(RuntimeError, match="not seeded"):
-                ws.resolve_worker_workload("missing-digest")
-        finally:
-            ws._WORKER_WORKLOADS.clear()
-            ws._WORKER_WORKLOADS.update(saved)
+        assert ws._SPOOL_DIR is None
+        with pytest.raises(RuntimeError, match="not seeded"):
+            ws.resolve_worker_workload("missing-digest")
 
     def test_digest_backward_compatible_with_inline_formula(self, workload):
         """The streaming refactor must not move anyone's cache: the shared
@@ -688,11 +714,11 @@ class TestPoolLifetime:
                 assert engine.stats.pool_rebuilds >= 1
                 assert engine.stats.degraded_cells >= 1
                 if max_pool_rebuilds:
-                    # Rebuilt inside the run, finished its rung: kept (the
-                    # last rebuild forks on its first cell).
+                    # Rebuilt inside the run, finished its cells: kept
+                    # (the last rebuild forks on its first cell).
                     assert _kept_pool(engine)._dir is not None
                 else:
-                    # Out of resets: the rung gave up, the pool is gone.
+                    # Out of resets: the pool gave up and is gone.
                     assert engine._pool is None
                 engine.run(workload[30:60], total_nodes=256, configs=THREE_CELLS)
                 assert engine.stats.backend == "local-pool"
@@ -874,6 +900,195 @@ class TestCrashTolerance:
             ExperimentEngine(retry_backoff=-0.1)
         with pytest.raises(ValueError, match="max_pool_rebuilds"):
             ExperimentEngine(max_pool_rebuilds=-1)
+
+
+# -- watchdog knobs from the environment ---------------------------------------
+
+
+class TestWatchdogEnv:
+    def test_interval_env_sets_interval_and_derived_timeout(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WATCHDOG_INTERVAL", "7")
+        engine = ExperimentEngine()
+        assert engine.heartbeat_interval == 7.0
+        assert engine.heartbeat_timeout == 30.0  # max(4*7, 30)
+        monkeypatch.setenv("REPRO_WATCHDOG_INTERVAL", "20")
+        assert ExperimentEngine().heartbeat_timeout == 80.0
+
+    def test_interval_env_off_disables_watchdog(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WATCHDOG_INTERVAL", "off")
+        engine = ExperimentEngine()
+        assert engine.heartbeat_interval is None
+        assert engine.heartbeat_timeout is None
+
+    def test_timeout_env_overrides_derived_budget(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WATCHDOG_TIMEOUT", "120")
+        engine = ExperimentEngine()
+        assert engine.heartbeat_interval == 15.0
+        assert engine.heartbeat_timeout == 120.0
+
+    def test_explicit_kwargs_beat_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WATCHDOG_INTERVAL", "7")
+        monkeypatch.setenv("REPRO_WATCHDOG_TIMEOUT", "120")
+        engine = ExperimentEngine(heartbeat_interval=3.0, heartbeat_timeout=9.0)
+        assert engine.heartbeat_interval == 3.0
+        assert engine.heartbeat_timeout == 9.0
+        assert ExperimentEngine(heartbeat_interval=None).heartbeat_interval is None
+
+    def test_garbage_env_rejected_loudly(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WATCHDOG_INTERVAL", "soon")
+        with pytest.raises(ValueError, match="REPRO_WATCHDOG_INTERVAL"):
+            ExperimentEngine()
+        monkeypatch.delenv("REPRO_WATCHDOG_INTERVAL")
+        monkeypatch.setenv("REPRO_WATCHDOG_TIMEOUT", "later")
+        with pytest.raises(ValueError, match="REPRO_WATCHDOG_TIMEOUT"):
+            ExperimentEngine()
+
+
+# -- the retry pause -------------------------------------------------------------
+
+
+class _RunStub:
+    """The slice of a ``GridRun`` that ``Dispatch.charge_retry`` writes to."""
+
+    def __init__(self) -> None:
+        self.stats = RunStats()
+        self.events: list = []
+
+    def journal_cell(self, *args, **fields) -> None:
+        pass
+
+    def emit(self, kind, **fields) -> None:
+        self.events.append((kind, fields))
+
+
+class TestRetryBackoff:
+    def test_backoff_matches_legacy_formula(self):
+        """retry_pause must reproduce base * 2**(n-1) * uniform(0.5, 1.5)
+        draw for draw."""
+        for failures in range(1, 6):
+            new = retry_pause(0.5, failures, random.Random(42))
+            legacy = 0.5 * (2 ** (failures - 1)) * random.Random(42).uniform(0.5, 1.5)
+            assert new == legacy
+
+    def test_engine_policy_matches_legacy_backoff(self):
+        """The dispatch loop's pauses are the legacy sequence, one draw
+        per retry from its rng, until the budget sends the cell to the
+        serial fallback."""
+        engine = ExperimentEngine(max_retries=3, retry_backoff=0.25)
+        run = _RunStub()
+        dispatch = Dispatch(engine, run, [(SchedulerConfig("fcfs", "easy"), "fp")])
+        dispatch.rng = random.Random(9)
+        for _ in range(4):
+            dispatch.charge_retry("fp", "boom")
+        legacy_rng = random.Random(9)
+        legacy = [
+            0.25 * (2 ** (attempt - 1)) * legacy_rng.uniform(0.5, 1.5)
+            for attempt in range(1, 4)
+        ]
+        pauses = [fields["wall_time"] for kind, fields in run.events if kind == "cell-retry"]
+        assert pauses == legacy
+        assert run.stats.retries == 3
+        assert dispatch.serial_fallback == ["fp"]
+
+
+# -- late duplicate results ------------------------------------------------------
+
+
+class _DuplicatingBackend(ExecutionBackend):
+    """Computes cells in-process and answers the first one twice.
+
+    Models a worker whose revoked lease produces a late second result:
+    both copies reach the engine, which must count the cell once.  Like
+    the pool, it hydrates the process that runs the cells (here, this
+    one) from a spool directory.
+    """
+
+    name = "stub-dup"
+
+    def __init__(self, store) -> None:
+        self._store = store
+        self._dir: str | None = None
+        self._pending: list[CellTask] = []
+        self._duplicated = False
+
+    def start(self) -> None:
+        self._dir = tempfile.mkdtemp(prefix="repro-dup-")
+        init_worker(self._dir, None)
+
+    def can_accept(self) -> bool:
+        return True
+
+    def submit(self, task: CellTask) -> bool:
+        digest = task.request.digest
+        spool_workload(self._dir, digest, self._store.get(digest))
+        self._pending.append(task)
+        return True
+
+    def collect(self, timeout):
+        from repro.experiments.engine import _run_cell_task
+
+        outcomes = []
+        for task in self._pending:
+            value = _run_cell_task(task.request)
+            outcomes.append(CellOutcome(task.fingerprint, "done", value=value))
+            if not self._duplicated:
+                self._duplicated = True
+                outcomes.append(
+                    CellOutcome(task.fingerprint, "done", value=value)
+                )
+        self._pending.clear()
+        return outcomes
+
+    def in_flight(self) -> set:
+        return {task.fingerprint for task in self._pending}
+
+    def release(self, fingerprints, reason):
+        return ReleaseReport()
+
+    def reset(self) -> bool:
+        return True
+
+    def close(self) -> None:
+        if self._dir is not None:
+            shutil.rmtree(self._dir, ignore_errors=True)
+            self._dir = None
+
+
+class TestLeasesAndDuplicates:
+    def test_duplicate_result_counts_once_and_stays_bit_identical(
+        self, workload, monkeypatch
+    ):
+        from repro.experiments import workload_store as ws
+
+        # The fake hydrates this process from its spool: keep the
+        # process-global worker state of other tests out of it and back.
+        monkeypatch.setattr(ws, "_SPOOL_DIR", None)
+        monkeypatch.setattr(ws, "_WORKER_WORKLOADS", {})
+        monkeypatch.setattr(
+            ExperimentEngine,
+            "borrow_pool",
+            lambda self: _DuplicatingBackend(self.workload_store),
+        )
+        configs = [
+            SchedulerConfig("fcfs", "easy"),
+            SchedulerConfig("fcfs", "list"),
+            SchedulerConfig("psrs", "easy"),
+        ]
+        jobs = workload[:40]
+        events = []
+        hydrations = ws._WORKER_HYDRATIONS
+        with ExperimentEngine(workers=2, on_event=events.append) as engine:
+            grid = engine.run(jobs, total_nodes=256, configs=configs)
+            assert engine.stats.backend == "stub-dup"
+            assert engine.stats.duplicate_results == 1
+            assert engine.stats.simulated == len(configs)  # counted once each
+        assert [e.kind for e in events].count("cell-duplicate") == 1
+        assert ws._WORKER_HYDRATIONS == hydrations + 1  # from the spool, once
+        oracle = ExperimentEngine(workers=1).run(jobs, total_nodes=256, configs=configs)
+        for key in oracle.cells:
+            assert grid.cells[key].objective == oracle.cells[key].objective, key
+            assert grid.cells[key].makespan == oracle.cells[key].makespan, key
+            assert grid.fingerprints[key] == oracle.fingerprints[key], key
 
 
 # -- failure scenarios through the engine --------------------------------------

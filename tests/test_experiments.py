@@ -179,6 +179,20 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["tableX"])
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--scale", "0"), ("--scale", "-5"), ("--nodes", "0"), ("--workers", "0")],
+    )
+    def test_cli_rejects_degenerate_numbers(self, flag, value, tmp_path, capsys):
+        from repro.experiments.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table3", flag, value, "--cache-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be >= 1" in err
+        assert "Traceback" not in err
+
     def test_cli_writes_files(self, tmp_path, capsys):
         from repro.experiments.cli import main
 

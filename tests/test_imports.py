@@ -30,8 +30,6 @@ NOT_ON_THE_WARM_PATH = (
     "repro.analysis.report",
     "repro.metrics.bounds",
     "repro.experiments.backends.pool",
-    "repro.experiments.backends.remote",
-    "repro.resilience",
     "multiprocessing",
     "concurrent.futures",
     "socket",

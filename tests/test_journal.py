@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -474,3 +475,84 @@ class TestComputeRunIdStandalone:
     def test_matches_manifest_field(self):
         manifest = _manifest()
         assert compute_run_id(manifest) == manifest["run"]
+
+
+class TestFleetEraJournal:
+    """A journal written when runs could execute on a remote fleet and
+    write through to a remote cache still lists, verifies and resumes
+    locally under the same run id."""
+
+    @staticmethod
+    def _line(payload: dict) -> str:
+        """One record in the on-disk format: canonical JSON plus crc."""
+        canonical = json.dumps(payload, sort_keys=True)
+        crc = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:8]
+        return json.dumps({**payload, "crc": crc}, sort_keys=True)
+
+    def test_lists_verifies_and_resumes_locally(self, tmp_path, monkeypatch):
+        import socket
+
+        from repro.experiments.engine import ExperimentEngine
+        from repro.experiments.paper import probabilistic_workload
+        from repro.experiments.runner import SchedulerConfig
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("the audit opened a socket")
+
+        monkeypatch.setattr(socket, "create_connection", no_network)
+        monkeypatch.setattr(socket.socket, "connect", no_network)
+
+        jobs = probabilistic_workload(40, seed=3)
+        configs = [SchedulerConfig("fcfs", "easy"), SchedulerConfig("fcfs", "list")]
+        cache_dir = tmp_path / "cache"
+        engine = ExperimentEngine(cache=cache_dir)
+        request = engine._prepare(jobs, total_nodes=128, configs=configs)
+        run_id = request.run_id
+        done, started = (c.key for c in configs)
+        records = [
+            {
+                **request.manifest,
+                "execution_backend": "remote",
+                "remote_cache": "hostA:9100",
+                "created": 1.0e9,
+                "pid": 1,
+            },
+            {"kind": "cell", "key": done, "state": "completed", "t": 1.0e9,
+             "fp": request.fingerprint(configs[0]), "objective": 123.0},
+            {"kind": "cell", "key": started, "state": "started", "t": 1.0e9,
+             "fp": request.fingerprint(configs[1])},
+            {"kind": "cache-health", "t": 1.0e9, "remote_cache": "hostA:9100",
+             "store": "fleet", "remote_hits": 1, "remote_rejected": 0,
+             "quarantined": 0, "breaker_opened": 0, "breaker_state": "closed",
+             "errors": 0, "shed": 0},
+        ]
+        runs = cache_dir / "runs"
+        runs.mkdir(parents=True)
+        journal_path(runs, run_id).write_text(
+            "".join(
+                self._line({**record, "seq": seq}) + "\n"
+                for seq, record in enumerate(records)
+            ),
+            encoding="utf-8",
+        )
+
+        (summary,) = list_runs(runs)
+        assert summary.run_id == run_id
+        assert summary.status == "incomplete"
+        assert "1/2 cells" in summary.describe()
+
+        # The local cache is the only backing: the completed cell that
+        # lived only in the fleet cache is missing, not unverifiable.
+        audit = verify_run(run_id, journal_dir=runs, cache=ResultCache(cache_dir))
+        assert audit.missing == [done]
+        assert audit.remaining == [started]
+        assert not audit.ok
+
+        grid = engine.resume(run_id, jobs, total_nodes=128, configs=configs)
+        assert engine.stats.run_id == run_id
+        assert engine.stats.simulated == 2
+        fresh = ExperimentEngine().run(jobs, total_nodes=128, configs=configs)
+        for config in configs:
+            assert grid.cells[config.key].objective == fresh.cells[config.key].objective
+        assert verify_run(run_id, journal_dir=runs, cache=ResultCache(cache_dir)).ok
+        assert read_journal(journal_path(runs, run_id)).resumes == 1
