@@ -19,54 +19,24 @@ rows need no special handling anywhere — the engine fans them out, caches
 them, and the table renderer places them under the right columns.
 """
 
-from typing import Sequence
-
 from repro import paper_configurations, register_row, registered_configurations
-from repro.core.job import Job
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.tables import format_grid
-from repro.schedulers.base import OrderPolicy
+from repro.schedulers.baselines import BASELINE_KEYS, KeyOrderPolicy
 from repro.workloads import ctc_like_workload
 from repro.workloads.transforms import cap_nodes, renumber
 
 TOTAL_NODES = 256
 
 
-class KeyedOrderPolicy(OrderPolicy):
-    """Order the wait queue by an arbitrary job key (smallest first)."""
-
-    uses_estimates = True
-
-    def __init__(self, key, name: str) -> None:
-        self._key = key
-        self.name = name
-        self._queue: list[Job] = []
-
-    def reset(self) -> None:
-        self._queue.clear()
-
-    def enqueue(self, job: Job, now: float) -> None:
-        self._queue.append(job)
-
-    def remove(self, job: Job) -> None:
-        self._queue.remove(job)
-
-    def ordered(self, now: float) -> Sequence[Job]:
-        self._queue.sort(key=self._key)
-        return self._queue
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-
-def sjf_order(total_nodes: int, weight, threshold) -> KeyedOrderPolicy:
+def sjf_order(total_nodes: int, weight, threshold) -> KeyOrderPolicy:
     """Shortest estimated runtime first (ignores the regime weight)."""
-    return KeyedOrderPolicy(lambda j: (j.estimated_runtime, j.job_id), "sjf")
+    return KeyOrderPolicy(BASELINE_KEYS["sjf"], "sjf")
 
 
-def widest_first_order(total_nodes: int, weight, threshold) -> KeyedOrderPolicy:
+def widest_first_order(total_nodes: int, weight, threshold) -> KeyOrderPolicy:
     """Widest job first: big parallel jobs favoured."""
-    return KeyedOrderPolicy(lambda j: (-j.nodes, j.job_id), "widest-first")
+    return KeyOrderPolicy(BASELINE_KEYS["wf"], "widest-first")
 
 
 def main() -> None:

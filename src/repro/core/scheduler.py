@@ -69,7 +69,6 @@ class SchedulerContext:
         "_now",
         "state",
         "_capacity_outages",
-        "queue_columns",
         "vectorize",
     )
 
@@ -87,13 +86,6 @@ class SchedulerContext:
         #: by the simulator; the profile fallback (no incremental state)
         #: reserves them so both paths plan on the same degraded machine.
         self._capacity_outages = capacity_outages if capacity_outages is not None else []
-        #: Columnar ``(nodes array, estimated-runtime array)`` view of the
-        #: wait queue the discipline is about to scan, parallel to the
-        #: ordered queue — or ``None``.  Set transiently by
-        #: :meth:`repro.schedulers.base.OrderedQueueScheduler.select_jobs`
-        #: when the order policy maintains columns; disciplines may use it
-        #: to vectorise candidate scans, never to change a decision.
-        self.queue_columns: "tuple[object, object] | None" = None
         #: True when the driving loop runs the numpy backend: schedulers may
         #: then use vectorised kernels internally.  Off by default so the
         #: python backend remains a numpy-free oracle (decisions are

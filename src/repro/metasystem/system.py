@@ -120,12 +120,13 @@ class _SiteState(SiteRun):
         )
 
     def _queued_area(self) -> float:
-        # OrderPolicy-based schedulers expose their queue through ordered();
-        # fall back to zero for exotic schedulers.
+        # OrderPolicy-based schedulers expose their queue store; reading
+        # it leaves the site's order (and a RANDOM site's draws) alone,
+        # where ``ordered()`` may recompute it.  Zero for exotic schedulers.
         policy = getattr(self.site.scheduler, "order_policy", None)
         if policy is None:
             return 0.0
-        return sum(j.estimated_area for j in policy.ordered(self.ctx.now))
+        return sum(j.estimated_area for j in policy.queue)
 
 
 class Metasystem:

@@ -55,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schedulers.baselines import (
         KeyOrderPolicy,
         RandomOrderPolicy,
-        all_baselines,
         baseline_scheduler,
     )
     from repro.schedulers.regimes import (
@@ -97,8 +96,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "unregister_discipline", "unregister_row",
     ),
     ".baselines": (
-        "KeyOrderPolicy", "RandomOrderPolicy", "all_baselines",
-        "baseline_scheduler",
+        "KeyOrderPolicy", "RandomOrderPolicy", "baseline_scheduler",
     ),
     ".regimes": (
         "WEEKDAY_DAYTIME", "RegimeSwitchingScheduler", "TimeWindow",
@@ -138,7 +136,6 @@ __all__ = [
     "UserLimitDiscipline",
     "TimeWindow",
     "WEEKDAY_DAYTIME",
-    "all_baselines",
     "area_weight",
     "baseline_scheduler",
     "build_scheduler",

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 from repro.core.job import Job
 from repro.core.scheduler import SchedulerContext
-from repro.schedulers.base import Discipline, OrderPolicy
+from repro.schedulers.base import Discipline, JobQueue, OrderPolicy
 
 
 class UserLimitDiscipline(Discipline):
@@ -70,9 +70,6 @@ class UserLimitDiscipline(Discipline):
         ]
         if not eligible:
             return []
-        # The filtered queue no longer matches any columnar view the order
-        # policy published; drop the hint so the inner discipline rescans.
-        ctx.queue_columns = None
         batch = self.inner.select(eligible, ctx)
         started: list[Job] = []
         for job in batch:
@@ -90,6 +87,10 @@ class ClassPriorityOrderPolicy(OrderPolicy):
     rank is served first.  Unknown classes get ``default_rank``.  Within a
     rank, the inner policy's relative order is preserved (stable sort), so
     e.g. FCFS-within-class or SMART-within-class both work.
+
+    Membership is the inner policy's: ``queue`` is its store, and each
+    decision reads a ranked copy of it, so started jobs leave the inner
+    store by identity.
     """
 
     def __init__(
@@ -105,6 +106,10 @@ class ClassPriorityOrderPolicy(OrderPolicy):
         self.name = f"class-priority({inner.name})"
         self.uses_estimates = inner.uses_estimates
 
+    @property
+    def queue(self) -> JobQueue:
+        return self.inner.queue
+
     def rank_of(self, job: Job) -> int:
         label = job.meta.get("class")
         return self.ranks.get(label, self.default_rank) if label else self.default_rank
@@ -118,13 +123,13 @@ class ClassPriorityOrderPolicy(OrderPolicy):
     def remove(self, job: Job) -> None:
         self.inner.remove(job)
 
-    def ordered(self, now: float) -> Sequence[Job]:
-        inner_order = list(self.inner.ordered(now))
-        inner_order.sort(key=self.rank_of)  # stable: preserves inner order per rank
-        return inner_order
+    def remove_indexed(self, indices: Sequence[int], jobs: Sequence[Job]) -> None:
+        for job in jobs:  # the positions are in the ranked copy
+            self.inner.remove(job)
 
-    def __len__(self) -> int:
-        return len(self.inner)
+    def ordered(self, now: float) -> Sequence[Job]:
+        # sorted() is stable: it preserves the inner order within a rank.
+        return JobQueue(sorted(self.inner.ordered(now), key=self.rank_of))
 
 
 #: Example 1's access classes, best first (Rules 1 and 3).

@@ -17,125 +17,126 @@ from __future__ import annotations
 
 import abc
 from array import array
-from typing import Sequence
+from itertools import repeat
+from operator import indexOf, is_
+from typing import Iterable, Sequence
 
 from repro.core.job import Job
 from repro.core.scheduler import Scheduler, SchedulerContext
 
 
+class JobQueue(list):
+    """The wait queue: jobs in service order, with their widths and
+    estimates kept parallel in ``nodes`` (``array('q')``) and
+    ``estimates`` (``array('d')``).
+
+    The compiled backfilling walks read the two columns in place.  Four
+    mutators keep them exact and are the only way the queue changes:
+    :meth:`append`, :meth:`insert`, :meth:`delete` and :meth:`reorder`.
+    Jobs leave by position, found by identity (:meth:`position`) when not
+    known, never by an ``==`` scan.  A ``list`` subclass, so the
+    disciplines index and iterate it at list speed.
+    """
+
+    __slots__ = ("nodes", "estimates")
+
+    def __init__(self, jobs: Iterable[Job] = ()) -> None:
+        super().__init__()
+        self.reorder(jobs)
+
+    @classmethod
+    def of(cls, jobs: Sequence[Job]) -> "JobQueue":
+        """``jobs`` itself when it is a store, else a copy with columns (a
+        filtered or truncated queue)."""
+        return jobs if isinstance(jobs, JobQueue) else cls(jobs)
+
+    def append(self, job: Job) -> None:
+        list.append(self, job)
+        self.nodes.append(job.nodes)
+        self.estimates.append(job.estimated_runtime)
+
+    def insert(self, index: int, job: Job) -> None:
+        list.insert(self, index, job)
+        self.nodes.insert(index, job.nodes)
+        self.estimates.insert(index, job.estimated_runtime)
+
+    def delete(self, positions: Sequence[int]) -> None:
+        """Drop the jobs at ``positions`` (distinct, in any order)."""
+        nodes = self.nodes
+        estimates = self.estimates
+        # Back to front, so the positions still to delete stay valid.
+        for i in sorted(positions, reverse=True) if len(positions) > 1 else positions:
+            del self[i]
+            del nodes[i]
+            del estimates[i]
+
+    def reorder(self, jobs: Iterable[Job]) -> None:
+        """Hold ``jobs``, in that order, instead (``()`` empties the queue)."""
+        self[:] = jobs
+        self.nodes = array("q", [job.nodes for job in self])
+        self.estimates = array("d", [job.estimated_runtime for job in self])
+
+    def position(self, job: Job) -> int:
+        """Where ``job`` itself is queued; ``ValueError`` when it is not."""
+        # The identity scan runs in C; ``index`` would call the dataclass
+        # ``__eq__`` on every job ahead of it.
+        return indexOf(map(is_, self, repeat(job)), True)
+
+
 class OrderPolicy(abc.ABC):
-    """Maintains the ordering of the wait queue."""
+    """Owns the wait queue and decides its service order.
+
+    The queue is one :class:`JobQueue`, ``self.queue``.  The defaults keep
+    submission order: arrivals go to the back and :meth:`ordered` returns
+    the store as it is.  A policy overrides where a job goes
+    (:meth:`enqueue`) and when the order is recomputed (:meth:`ordered`).
+    """
 
     name: str = "order"
 
     #: True when the policy's ordering decisions read runtime estimates.
     uses_estimates: bool = False
 
+    def __init__(self) -> None:
+        self.queue = JobQueue()
+
     def reset(self) -> None:
         """Drop all queued jobs (fresh simulation)."""
+        self.queue.reorder(())
 
-    @abc.abstractmethod
     def enqueue(self, job: Job, now: float) -> None:
         """A job arrived."""
+        self.queue.append(job)
 
-    @abc.abstractmethod
     def remove(self, job: Job) -> None:
-        """A queued job was started — drop it from the order."""
-
-    @abc.abstractmethod
-    def ordered(self, now: float) -> Sequence[Job]:
-        """Current queue in service order.  Must not mutate on read... beyond
-        internal reordering; the returned sequence is read by the discipline
-        and must reflect every enqueued, not-yet-removed job exactly once."""
+        """A queued job was started or withdrawn — drop that very job."""
+        self.remove_indexed((self.queue.position(job),), (job,))
 
     def remove_indexed(self, indices: Sequence[int], jobs: Sequence[Job]) -> None:
         """Drop started jobs known by their positions in ``ordered()``.
 
         ``indices[k]`` is the position ``jobs[k]`` held in the sequence the
-        last ``ordered()`` call returned, with no mutation in between.  The
-        default ignores the positions and falls back to per-job
-        :meth:`remove`; policies whose ``ordered()`` view *is* their backing
-        store override this with direct deletion, skipping the O(queue)
-        equality scan per started job that made ``list.remove`` the
-        simulator's hottest line.
+        last ``ordered()`` call returned, with no mutation in between.
         """
-        for job in jobs:
-            self.remove(job)
+        self.queue.delete(indices)
 
-    def queue_columns(self) -> "tuple[object, object] | None":
-        """Columnar ``(nodes, estimated_runtime)`` arrays parallel to
-        ``ordered()``, or ``None`` (the default) when the policy does not
-        maintain them.  Disciplines use the columns to vectorise their
-        candidate scans; the arrays must stay exact mirrors of the queue
-        across enqueue/remove."""
-        return None
+    def ordered(self, now: float) -> Sequence[Job]:
+        """Current queue in service order: every enqueued, not-yet-removed
+        job exactly once.  The discipline reads it and does not mutate it."""
+        return self.queue
 
-    @abc.abstractmethod
     def __len__(self) -> int:
-        ...
+        return len(self.queue)
 
 
 class SubmitOrderPolicy(OrderPolicy):
     """First-come-first-serve order: by submission time, ties by job id.
 
-    The simulator already delivers submissions in that order, so a plain
-    append keeps the invariant.
+    The simulator already delivers submissions in that order, so the
+    default append keeps the invariant.
     """
 
     name = "submit-order"
-
-    def __init__(self) -> None:
-        self._queue: list[Job] = []
-        # Columnar mirrors of the queue (node widths / runtime estimates),
-        # maintained incrementally so backfilling disciplines can vectorise
-        # their candidate scans without rebuilding arrays per decision.
-        self._nodes = array("q")
-        self._estimates = array("d")
-        # The arrays mutate in place, so one tuple serves every
-        # ``queue_columns`` call for the scheduler's lifetime.
-        self._columns = (self._nodes, self._estimates)
-
-    def reset(self) -> None:
-        self._queue.clear()
-        del self._nodes[:]
-        del self._estimates[:]
-
-    def enqueue(self, job: Job, now: float) -> None:
-        self._queue.append(job)
-        self._nodes.append(job.nodes)
-        self._estimates.append(job.estimated_runtime)
-
-    def remove(self, job: Job) -> None:
-        idx = self._queue.index(job)
-        del self._queue[idx]
-        del self._nodes[idx]
-        del self._estimates[idx]
-
-    def remove_indexed(self, indices: Sequence[int], jobs: Sequence[Job]) -> None:
-        # ordered() returns the backing list itself, so the indices address
-        # it directly; delete from the back so earlier positions stay valid.
-        queue = self._queue
-        nodes = self._nodes
-        estimates = self._estimates
-        if len(indices) == 1:
-            idx = indices[0]
-            del queue[idx]
-            del nodes[idx]
-            del estimates[idx]
-            return
-        for idx in sorted(indices, reverse=True):
-            del queue[idx]
-            del nodes[idx]
-            del estimates[idx]
-
-    def ordered(self, now: float) -> Sequence[Job]:
-        return self._queue
-
-    def queue_columns(self) -> "tuple[object, object] | None":
-        return self._columns
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
 
 class Discipline(abc.ABC):
@@ -167,8 +168,13 @@ class Discipline(abc.ABC):
         of ``started[k]`` in ``queue`` — or ``None`` when the discipline
         cannot vouch for positions (the default, and any wrapper that hands
         a *filtered* queue to an inner discipline).  Positions let the
-        order policy delete started jobs directly instead of scanning with
-        ``==`` per job.
+        order policy delete started jobs directly; without them each is
+        found by identity.
+
+        ``queue`` is usually the order policy's :class:`JobQueue`; a
+        discipline that reads columns takes them through
+        :meth:`JobQueue.of`, which copies only a plain list (a wrapper's
+        filtered queue).
         """
         return self.select(queue, ctx), None
 
@@ -201,10 +207,7 @@ class OrderedQueueScheduler(Scheduler):
         queue = self.order_policy.ordered(ctx.now)
         if not queue:
             return []
-        if ctx.vectorize:
-            ctx.queue_columns = self.order_policy.queue_columns()
         started, indices = self.discipline.select_indexed(queue, ctx)
-        ctx.queue_columns = None
         if started:
             if indices is not None:
                 self.order_policy.remove_indexed(indices, started)

@@ -18,6 +18,7 @@ scheduler-visible data (estimates, widths).
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from typing import Callable, Sequence
 
 from repro.core.job import Job
@@ -36,32 +37,23 @@ OrderKey = Callable[[Job], float]
 class KeyOrderPolicy(OrderPolicy):
     """Order the wait queue by a job key, smallest key first.
 
-    The sort is performed lazily on read and is stable with a job-id tie
-    break, so runs are deterministic.
+    An arrival is inserted at its place on ``(key, job_id)``; job ids are
+    unique, so the order is total and runs are deterministic.
     """
 
     uses_estimates = True
 
     def __init__(self, key: OrderKey, name: str) -> None:
+        super().__init__()
         self._key = key
         self.name = name
-        self._queue: list[Job] = []
 
-    def reset(self) -> None:
-        self._queue.clear()
+    def _rank(self, job: Job) -> tuple[float, int]:
+        return self._key(job), job.job_id
 
     def enqueue(self, job: Job, now: float) -> None:
-        self._queue.append(job)
-
-    def remove(self, job: Job) -> None:
-        self._queue.remove(job)
-
-    def ordered(self, now: float) -> Sequence[Job]:
-        self._queue.sort(key=lambda j: (self._key(j), j.job_id))
-        return self._queue
-
-    def __len__(self) -> int:
-        return len(self._queue)
+        rank = self._rank
+        self.queue.insert(bisect_right(self.queue, rank(job), key=rank), job)
 
 
 class RandomOrderPolicy(OrderPolicy):
@@ -74,27 +66,20 @@ class RandomOrderPolicy(OrderPolicy):
     uses_estimates = False
 
     def __init__(self, seed: int = 0) -> None:
+        super().__init__()
         self.name = "RANDOM"
         self._rng = random.Random(seed)
         self._seed = seed
-        self._queue: list[Job] = []
 
     def reset(self) -> None:
-        self._queue.clear()
+        super().reset()
         self._rng = random.Random(self._seed)
 
-    def enqueue(self, job: Job, now: float) -> None:
-        self._queue.append(job)
-
-    def remove(self, job: Job) -> None:
-        self._queue.remove(job)
-
     def ordered(self, now: float) -> Sequence[Job]:
-        self._rng.shuffle(self._queue)
-        return self._queue
-
-    def __len__(self) -> int:
-        return len(self._queue)
+        order = list(self.queue)
+        self._rng.shuffle(order)
+        self.queue.reorder(order)
+        return self.queue
 
 
 #: name -> key factory for the deterministic baselines.
@@ -139,8 +124,3 @@ def baseline_scheduler(
     disc = _DISCIPLINES[discipline]()
     return OrderedQueueScheduler(policy, disc, name=f"{policy.name}+{disc.name}")
 
-
-def all_baselines(discipline: str = "easy", *, seed: int = 0) -> list[Scheduler]:
-    """All baseline schedulers under one discipline."""
-    names = sorted(BASELINE_KEYS) + ["random"]
-    return [baseline_scheduler(n, discipline, seed=seed) for n in names]

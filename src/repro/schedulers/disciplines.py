@@ -36,7 +36,6 @@ reflects them (the plan-validity contract is on
 from __future__ import annotations
 
 import operator
-from array import array
 from math import inf
 from typing import TYPE_CHECKING, Sequence
 
@@ -44,7 +43,7 @@ from repro.core.job import Job
 from repro.core.profile import _OVERRUN_EPSILON, AvailabilityProfile
 from repro.core.scheduler import SchedulerContext
 from repro.core.state import SchedulingState, StateDivergenceError
-from repro.schedulers.base import Discipline
+from repro.schedulers.base import Discipline, JobQueue
 
 if TYPE_CHECKING:  # pragma: no cover - the loader is imported lazily
     from repro.core.native import ConservativeWalk, EasyWalk
@@ -154,12 +153,12 @@ class EasyBackfill(Discipline):
     started this decision point are reserved into it incrementally, which
     is function-identical to the old rebuild-per-backfill.
 
-    On the fast backend (``ctx.vectorize``), with the order policy's
-    ``(nodes, estimates)`` columns, the walk past the blocked head is one
-    call into compiled C (:meth:`_select_compiled`, a port of this walk
-    with the same float operations); the python backend, queues without
-    columns, and hosts where the kernel cannot be built or loaded run the
-    walk below.
+    On the fast backend (``ctx.vectorize``) the walk past the blocked head
+    is one call into compiled C (:meth:`_select_compiled`, a port of this
+    walk with the same float operations) reading the queue's
+    :class:`~repro.schedulers.base.JobQueue` columns; the python backend
+    and hosts where the kernel cannot be built or loaded run the walk
+    below.
     """
 
     name = "easy"
@@ -183,11 +182,10 @@ class EasyBackfill(Discipline):
         # backfill candidate can start, so skip the profile work.
         if free < _min_queue_nodes(queue, ctx):
             return [], None
-        columns = ctx.queue_columns
-        if ctx.vectorize and columns is not None and len(columns[0]) == len(queue):
+        if ctx.vectorize:
             walk = self._compiled_walk()
             if walk is not None:
-                return self._select_compiled(walk, queue, ctx, columns, free)
+                return self._select_compiled(walk, JobQueue.of(queue), ctx, free)
         started: list[Job] = []
         indices: list[int] = []
         profile: AvailabilityProfile | None = None  # taken when the head blocks
@@ -243,9 +241,8 @@ class EasyBackfill(Discipline):
     def _select_compiled(
         self,
         walk: "EasyWalk",
-        queue: Sequence[Job],
+        queue: JobQueue,
         ctx: SchedulerContext,
-        columns: "tuple[array, array]",
         free: int,
     ) -> tuple[list[Job], Sequence[int]]:
         """:meth:`select_indexed` with the walk past the head in C.
@@ -254,9 +251,9 @@ class EasyBackfill(Discipline):
         no snapshot.  Once the head blocks it stays blocked (free nodes
         only shrink), and the rest of the decision — the started prefix
         reserved into the snapshot, the shadow, every backfill — is one
-        kernel call reading ``columns`` in place.
+        kernel call reading the queue's columns in place.
         """
-        nodes = columns[0]
+        nodes = queue.nodes
         n = len(queue)
         head = 0
         while head < n and nodes[head] <= free:
@@ -265,7 +262,7 @@ class EasyBackfill(Discipline):
         if head >= n - 1:
             # Everything started, or only the blocked head is left.
             return list(queue[:head]), range(head)
-        picks = walk(ctx.profile, nodes, columns[1], head, free, ctx.now)
+        picks = walk(ctx.profile, nodes, queue.estimates, head, free, ctx.now)
         indices = [*range(head), *picks]
         return [queue[i] for i in indices], indices
 
@@ -399,33 +396,22 @@ class _ReservationPlan:
     def place_compiled(
         self,
         walk: "ConservativeWalk",
-        queue: Sequence[Job],
+        queue: JobQueue,
         keep: int,
         now: float,
         free: int,
-        columns: "tuple[array, array] | None",
     ) -> tuple[list[Job], list[int]]:
         """:meth:`place` as one call into the compiled walk.
 
         Same starts, same planned starts, same profile afterwards — the C
         kernel is a port of :meth:`place` and the profile calls it makes.
-        ``columns`` are the order policy's ``(nodes, estimates)`` mirrors
-        of ``queue``, read in place from ``keep`` on; without them the
-        tail's two columns are built here.
+        The queue's ``nodes`` and ``estimates`` columns are read in place
+        from ``keep`` on.
         """
-        count = len(queue) - keep
-        if columns is None:
-            tail = queue[keep:]
-            columns = (
-                array("q", [job.nodes for job in tail]),
-                array("d", [job.estimated_runtime for job in tail]),
-            )
-            offset = 0
-        else:
-            offset = keep
         placed, positions, planned = walk(
-            self.profile, columns[0], columns[1], offset, count, now, free
-        )
+            self.profile, queue.nodes, queue.estimates, keep, len(queue) - keep,
+            now, free,
+        )  # fmt: skip
         # The placed jobs are queue[keep:keep + placed]: the started ones
         # at their positions, the planned ones in the runs between them.
         jobs = self.jobs
@@ -488,7 +474,9 @@ class ConservativeBackfill(Discipline):
 
     On the fast backend (``ctx.vectorize``) the walk is one call into
     compiled C (:meth:`_ReservationPlan.place_compiled`, a port of
-    :meth:`_ReservationPlan.place` with the same float operations); the
+    :meth:`_ReservationPlan.place` with the same float operations) reading
+    the queue's :class:`~repro.schedulers.base.JobQueue` columns — a
+    wrapper's filtered queue or a ``depth`` prefix is copied into one; the
     python backend, and any host where the kernel cannot be built or
     loaded, runs :meth:`~_ReservationPlan.place` itself.
 
@@ -534,11 +522,8 @@ class ConservativeBackfill(Discipline):
         if not queue:
             return [], None
         now = ctx.now
-        columns = ctx.queue_columns
-        if columns is not None and len(columns[0]) != len(queue):
-            columns = None
         if self.depth is not None:
-            queue = queue[: self.depth]  # the columns still hold its prefix
+            queue = queue[: self.depth]
         # Nothing can start when no queued job fits the free nodes; skip the
         # planning entirely (frequent during backlog phases).  The plan is
         # left as it is: its validity is judged when it is next used.
@@ -557,9 +542,10 @@ class ConservativeBackfill(Discipline):
         if walk is None:
             started, indices = plan.place(queue, keep, now, free)
         else:
-            started, indices = plan.place_compiled(walk, queue, keep, now, free, columns)
+            queue = JobQueue.of(queue)
+            started, indices = plan.place_compiled(walk, queue, keep, now, free)
         if reused and state.verify_every:
-            _cross_check(plan, queue, ctx, started, walk, columns)
+            _cross_check(plan, queue, ctx, started, walk)
         if state is None or any(
             job.estimated_runtime < _ZERO_RUNTIME_EPSILON for job in started
         ):
@@ -614,7 +600,6 @@ def _cross_check(
     ctx: SchedulerContext,
     started: list[Job],
     walk: "ConservativeWalk | None",
-    columns: "tuple[array, array] | None",
 ) -> None:
     """Verification mode: compare a reused plan with a from-scratch walk.
 
@@ -632,7 +617,7 @@ def _cross_check(
         expected, _indices = scratch.place(queue, 0, ctx.now, ctx.free_nodes)
     else:
         expected, _indices = scratch.place_compiled(
-            walk, queue, 0, ctx.now, ctx.free_nodes, columns
+            walk, queue, 0, ctx.now, ctx.free_nodes
         )
     # Both walks stop early on their own, so compare what both planned.
     both = min(len(scratch.jobs), len(plan.jobs))

@@ -117,9 +117,6 @@ class DrainDiscipline(Discipline):
         eligible = [job for job in queue if now + job.estimated_runtime <= horizon]
         if not eligible:
             return []
-        # Filtered queue: the order policy's columnar view (if any) no
-        # longer lines up, so withdraw the hint from the inner discipline.
-        ctx.queue_columns = None
         return self.inner.select(eligible, ctx)
 
     def next_wakeup(self, ctx: SchedulerContext) -> float | None:

@@ -27,6 +27,7 @@ from typing import Sequence
 from repro.core.job import Job
 from repro.schedulers.base import OrderPolicy
 
+
 class RecomputingOrderPolicy(OrderPolicy):
     """Maintains an off-line computed order over a changing wait queue."""
 
@@ -42,10 +43,12 @@ class RecomputingOrderPolicy(OrderPolicy):
             raise ValueError(
                 f"recompute_threshold must be in (0, 1], got {recompute_threshold}"
             )
+        super().__init__()
         self.total_nodes = total_nodes
         self.recompute_threshold = recompute_threshold
-        self._ordered: list[Job] = []
-        self._fresh: list[Job] = []  # arrivals since the last off-line run
+        #: ``queue[:_planned]`` is the last off-line order; the jobs past it
+        #: arrived since, in submission order.
+        self._planned = 0
         #: Number of off-line recomputations performed (diagnostics, Tables 7/8).
         self.recompute_count = 0
 
@@ -56,29 +59,20 @@ class RecomputingOrderPolicy(OrderPolicy):
     # -- OrderPolicy interface -------------------------------------------------
 
     def reset(self) -> None:
-        self._ordered.clear()
-        self._fresh.clear()
+        super().reset()
+        self._planned = 0
         self.recompute_count = 0
 
-    def enqueue(self, job: Job, now: float) -> None:
-        self._fresh.append(job)
-
-    def remove(self, job: Job) -> None:
-        try:
-            self._ordered.remove(job)
-        except ValueError:
-            self._fresh.remove(job)
+    def remove_indexed(self, indices: Sequence[int], jobs: Sequence[Job]) -> None:
+        planned = self._planned
+        self._planned = planned - sum(1 for i in indices if i < planned)
+        self.queue.delete(indices)
 
     def ordered(self, now: float) -> Sequence[Job]:
-        total = len(self._ordered) + len(self._fresh)
-        if total == 0:
-            return ()
-        if self._fresh and len(self._ordered) / total < self.recompute_threshold:
-            self._ordered = self.compute_order(self._ordered + self._fresh)
-            self._fresh = []
+        queue = self.queue
+        total = len(queue)
+        if total > self._planned and self._planned / total < self.recompute_threshold:
+            queue.reorder(self.compute_order(list(queue)))
+            self._planned = total
             self.recompute_count += 1
-        return self._ordered + self._fresh
-
-    def __len__(self) -> int:
-        return len(self._ordered) + len(self._fresh)
-
+        return queue

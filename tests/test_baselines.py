@@ -10,7 +10,6 @@ from repro.schedulers.baselines import (
     BASELINE_KEYS,
     KeyOrderPolicy,
     RandomOrderPolicy,
-    all_baselines,
     baseline_scheduler,
 )
 from tests.conftest import make_jobs
@@ -81,13 +80,6 @@ class TestFactory:
     def test_unknown_discipline_rejected(self):
         with pytest.raises(ValueError, match="unknown discipline"):
             baseline_scheduler("sjf", "gang")
-
-    def test_all_baselines_enumeration(self):
-        schedulers = all_baselines("list")
-        assert len(schedulers) == len(BASELINE_KEYS) + 1
-        names = {s.name for s in schedulers}
-        assert any("SJF" in n for n in names)
-        assert any("RANDOM" in n for n in names)
 
 
 class TestSchedulingBehaviour:

@@ -197,3 +197,41 @@ class TestMetasystem:
         assert schedule_digest(b.schedule) == (
             "8bb642ce2f4278a3ec5b3607eabe928478342db666c956c7122dd8e4975a3e27"
         )
+
+    @pytest.mark.parametrize("order", ["smart", "psrs", "random"])
+    def test_reading_a_site_leaves_its_queue_order_alone(self, order):
+        """The router's view sums the queued area without asking the site
+        for its service order, which would recompute a SMART or PSRS
+        order early and use up a RANDOM site's draws."""
+        from repro.metasystem.system import _SiteState
+        from repro.schedulers.base import OrderedQueueScheduler
+        from repro.schedulers.baselines import RandomOrderPolicy
+        from repro.schedulers.disciplines import HeadBlockingDiscipline
+        from repro.schedulers.psrs import PsrsOrderPolicy
+        from repro.schedulers.smart import SmartOrderPolicy
+
+        policies = {
+            "smart": lambda: SmartOrderPolicy(16),
+            "psrs": lambda: PsrsOrderPolicy(16),
+            "random": lambda: RandomOrderPolicy(seed=5),
+        }
+        jobs = [J(i, 0.0, 1 + 3 * i % 7, 100.0 * (4 - i)) for i in range(4)]
+
+        def site():
+            policy = policies[order]()
+            state = _SiteState(
+                Site(order, 16, OrderedQueueScheduler(policy, HeadBlockingDiscipline()))
+            )
+            for job in jobs:
+                state.submit(job)
+            return state, policy
+
+        viewed, policy = site()
+        views = [viewed.view(), viewed.view()]
+        assert views[0] == views[1]
+        assert views[0].projected_backlog == sum(j.estimated_area for j in jobs)
+        assert getattr(policy, "recompute_count", 0) == 0
+        _, twin = site()
+        assert [j.job_id for j in policy.ordered(1.0)] == [
+            j.job_id for j in twin.ordered(1.0)
+        ]

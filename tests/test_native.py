@@ -28,7 +28,7 @@ from repro.core import native
 from repro.core.job import Job
 from repro.core.profile import AvailabilityProfile
 from repro.core.simulator import simulate
-from repro.schedulers.base import OrderedQueueScheduler, SubmitOrderPolicy
+from repro.schedulers.base import JobQueue, OrderedQueueScheduler, SubmitOrderPolicy
 from repro.schedulers.disciplines import (
     ConservativeBackfill,
     EasyBackfill,
@@ -112,25 +112,15 @@ def walk_case(draw):
     keep = draw(st.integers(min_value=0, max_value=len(queue)))  # == len: empty tail
     # Free nodes at walk entry; 0 leaves no job fitting (shortest == inf).
     free = draw(st.integers(min_value=0, max_value=total))
-    columns = draw(st.booleans())
-    return profile, queue, keep, free, columns
+    return profile, queue, keep, free
 
 
-def _columns(queue):
-    return (
-        array("q", [job.nodes for job in queue]),
-        array("d", [job.estimated_runtime for job in queue]),
-    )
-
-
-def _both_walks(profile, queue, keep, free, columns, walk):
+def _both_walks(profile, queue, keep, free, walk):
     now = profile.origin
     python = _ReservationPlan(None, profile.clone())
     compiled = _ReservationPlan(None, profile.clone())
     expected = python.place(queue, keep, now, free)
-    got = compiled.place_compiled(
-        walk, queue, keep, now, free, _columns(queue) if columns else None
-    )
+    got = compiled.place_compiled(walk, JobQueue(queue), keep, now, free)
     return (python, expected), (compiled, got)
 
 
@@ -141,9 +131,9 @@ def _same_bits(a, b):
 @given(case=walk_case())
 @settings(max_examples=400, deadline=None)
 def test_kernel_walk_is_the_python_walk(walk, case):
-    profile, queue, keep, free, columns = case
+    profile, queue, keep, free = case
     (python, (started, indices)), (compiled, (c_started, c_indices)) = _both_walks(
-        profile, queue, keep, free, columns, walk
+        profile, queue, keep, free, walk
     )
     assert [j.job_id for j in c_started] == [j.job_id for j in started]
     assert c_indices == indices
@@ -162,7 +152,7 @@ def test_window_ending_on_a_breakpoint(walk, end):
     profile = AvailabilityProfile(4, 0.0)
     profile.reserve(5.0, 5.0, 4)
     queue = [Job(0, 0.0, 2, 1.0, estimate=end), Job(1, 0.0, 2, 1.0, estimate=7.0)]
-    (python, expected), (compiled, got) = _both_walks(profile, queue, 0, 4, True, walk)
+    (python, expected), (compiled, got) = _both_walks(profile, queue, 0, 4, walk)
     assert got == expected
     assert [j.job_id for j in expected[0]] == ([0] if end <= 5.0 else [])
     assert (compiled.jobs, compiled.starts) == (python.jobs, python.starts)
@@ -175,26 +165,29 @@ def test_kernel_reuses_its_buffers_across_growing_walks(walk):
     for n, seed in ((5, 1), (400, 2), (3, 3), (900, 4)):
         jobs = make_jobs(n, seed=seed, max_nodes=64)
         profile = _profile(64, 0.0, [], seed)
-        (python, expected), (compiled, got) = _both_walks(
-            profile, jobs, 0, 17, seed % 2 == 0, walk
-        )
+        (python, expected), (compiled, got) = _both_walks(profile, jobs, 0, 17, walk)
         assert got == expected
         assert compiled.starts == python.starts
         assert compiled.profile.steps() == python.profile.steps()
 
 
-@pytest.mark.parametrize("columns", [True, False], ids=["columns", "built"])
-def test_job_wider_than_the_machine_raises_the_same_error(walk, columns):
+def _appended(jobs):
+    queue = JobQueue()
+    for job in jobs:
+        queue.append(job)
+    return queue
+
+
+# The queue's columns made whole at construction, or grown job by job.
+@pytest.mark.parametrize("make", [JobQueue, _appended], ids=["columns", "built"])
+def test_job_wider_than_the_machine_raises_the_same_error(walk, make):
     profile = AvailabilityProfile(4, 0.0)
-    queue = [Job(0, 0.0, 8, 5.0), Job(1, 0.0, 1, 5.0)]
+    queue = make([Job(0, 0.0, 8, 5.0), Job(1, 0.0, 1, 5.0)])
     with pytest.raises(ValueError) as python:
         _ReservationPlan(None, profile.clone()).place(queue, 0, 0.0, 4)
     plan = _ReservationPlan(None, profile.clone())
     with pytest.raises(ValueError) as compiled:
-        plan.place_compiled(
-            walk, queue, 0, 0.0, 4,
-            _columns(queue) if columns else None,
-        )  # fmt: skip
+        plan.place_compiled(walk, queue, 0, 0.0, 4)
     message = "8 nodes never fit a 4-node machine"
     assert str(compiled.value) == str(python.value) == message
     assert plan.profile.steps() == profile.steps()  # left as it was
@@ -210,10 +203,11 @@ def test_job_wider_than_the_machine_raises_the_same_error(walk, columns):
     ids=["int32", "float32", "short"],
 )
 def test_columns_are_checked_before_their_pointers_are_passed(walk, columns):
-    queue = [Job(0, 0.0, 1, 1.0), Job(1, 0.0, 1, 1.0)]
+    queue = JobQueue([Job(0, 0.0, 1, 1.0), Job(1, 0.0, 1, 1.0)])
+    queue.nodes, queue.estimates = columns  # tampered with
     plan = _ReservationPlan(None, AvailabilityProfile(4, 0.0))
     with pytest.raises(ValueError, match="queue columns"):
-        plan.place_compiled(walk, queue, 0, 0.0, 4, columns)
+        plan.place_compiled(walk, queue, 0, 0.0, 4)
 
 
 def test_profile_below_the_job_width_is_an_error_not_a_wild_read(walk):
@@ -227,7 +221,7 @@ def test_profile_below_the_job_width_is_an_error_not_a_wild_read(walk):
     queue = [Job(0, 0.0, 4, 100.0), Job(1, 0.0, 1, 1.0)]
     plan = _ReservationPlan(None, profile)
     with pytest.raises(ValueError, match="no segment of the profile has 4 free nodes"):
-        plan.place_compiled(walk, queue, 0, 0.0, 8, None)
+        plan.place_compiled(walk, JobQueue(queue), 0, 0.0, 8)
 
 
 # -- the EASY walk vs the Python walk ------------------------------------------
@@ -238,13 +232,12 @@ class _Context:
     ``profile`` access is a fresh copy of one snapshot, so both walks plan
     on the same one."""
 
-    def __init__(self, snapshot, free, queue, vectorize):
+    def __init__(self, snapshot, free, vectorize):
         self.snapshot = snapshot
         self.now = snapshot.origin
         self.free_nodes = free
         self.total_nodes = snapshot.total_nodes
         self.vectorize = vectorize
-        self.queue_columns = _columns(queue) if vectorize else None
 
     @property
     def profile(self):
@@ -268,7 +261,7 @@ def _easy_both(discipline, snapshot, free, queue):
     indices of each."""
     out = []
     for vectorize in (False, True):
-        ctx = _Context(snapshot, free, queue, vectorize)
+        ctx = _Context(snapshot, free, vectorize)
         started, indices = discipline.select_indexed(queue, ctx)
         out.append(([job.job_id for job in started], list(indices or ())))
     return out
@@ -404,7 +397,7 @@ def test_easy_job_wider_than_the_machine_raises_the_same_error(easy, vectorize):
     queue = [Job(0, 0.0, 8, 5.0), Job(1, 0.0, 1, 5.0)]
     with pytest.raises(ValueError) as reference:
         snapshot.clone().earliest_start(8, 5.0)
-    ctx = _Context(snapshot, 4, queue, vectorize)
+    ctx = _Context(snapshot, 4, vectorize)
     with pytest.raises(ValueError) as walk:
         easy.select_indexed(queue, ctx)
     message = "8 nodes never fit a 4-node machine"
@@ -423,7 +416,7 @@ def test_easy_snapshot_below_the_free_count_raises_the_same_error(easy, vectoriz
         Job(3, 0.0, 1, 1.0, estimate=5.0),
     ]
     with pytest.raises(ValueError) as walk:
-        easy.select_indexed(queue, _Context(snapshot, 8, queue, vectorize))
+        easy.select_indexed(queue, _Context(snapshot, 8, vectorize))
     assert str(walk.value) == (
         "reservation of 4 nodes from origin exceeds availability (0 free)"
     )
@@ -434,7 +427,7 @@ def test_easy_profile_below_the_head_width_is_an_error_not_a_wild_read(easy):
     # Corrupt on purpose: 8 free until 10, then 2 forever.
     snapshot._times, snapshot._free = [0.0, 10.0], [8, 2]
     queue = [Job(0, 0.0, 4, 100.0), Job(1, 0.0, 1, 1.0)]
-    ctx = _Context(snapshot, 3, queue, True)
+    ctx = _Context(snapshot, 3, True)
     with pytest.raises(ValueError, match="no segment of the profile has 4 free nodes"):
         easy.select_indexed(queue, ctx)
 
@@ -504,8 +497,10 @@ def _conservative_cells():
 
 
 def _backfilling_cells():
-    easy = [c for c in registered_configurations() if c.key == "fcfs/easy"]
-    return _conservative_cells() + easy
+    keys = ("fcfs/easy", "psrs/easy", "smart-ffia/easy")
+    return _conservative_cells() + [
+        c for c in registered_configurations() if c.key in keys
+    ]
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -527,6 +522,34 @@ def test_registry_cells_match_the_python_walk(config, seed):
         python.decision_points,
         python.max_queue_length,
     )
+
+
+@pytest.mark.parametrize(
+    "key", ["psrs/easy", "smart-ffia/easy", "psrs/conservative"]
+)
+def test_reordered_queues_reach_the_compiled_walks(walk, easy, monkeypatch, key):
+    """PSRS and SMART queues take the compiled walks on the fast backend,
+    which read the order policy's own store in place."""
+    (config,) = [c for c in registered_configurations() if c.key == key]
+    scheduler = build_scheduler(config, 64)
+    reads = []
+
+    def spy(method):
+        def read(self, kernel, queue, *args):
+            reads.append(queue is scheduler.order_policy.queue)
+            return method(self, kernel, queue, *args)
+
+        return read
+
+    monkeypatch.setattr(
+        EasyBackfill, "_select_compiled", spy(EasyBackfill._select_compiled)
+    )
+    monkeypatch.setattr(
+        _ReservationPlan, "place_compiled", spy(_ReservationPlan.place_compiled)
+    )
+    jobs = make_jobs(150, seed=3, max_nodes=48, mean_gap=25.0)
+    simulate(jobs, scheduler, 64, backend="numpy")
+    assert reads and all(reads)
 
 
 def test_bounded_depth_reads_the_column_prefix():
@@ -657,16 +680,19 @@ time.sleep(max(0.0, float(sys.argv[1]) - time.time()))
 from repro.core import native
 from repro.core.job import Job
 from repro.core.profile import AvailabilityProfile
+from repro.schedulers.base import JobQueue
 from repro.schedulers.disciplines import _ReservationPlan
 walk = native.conservative_walk()
 print(native.status())
 if walk is not None:
     profile = AvailabilityProfile(8, 0.0)
     profile.allocate(6, 50.0)
-    queue = [Job(i, 0.0, 1 + i % 7, 1.0, estimate=10.0 * (i + 1)) for i in range(20)]
+    queue = JobQueue(
+        Job(i, 0.0, 1 + i % 7, 1.0, estimate=10.0 * (i + 1)) for i in range(20)
+    )
     a = _ReservationPlan(None, profile.clone())
     b = _ReservationPlan(None, profile.clone())
-    assert a.place(queue, 0, 0.0, 2) == b.place_compiled(walk, queue, 0, 0.0, 2, None)
+    assert a.place(queue, 0, 0.0, 2) == b.place_compiled(walk, queue, 0, 0.0, 2)
     assert (a.starts, a.profile.steps()) == (b.starts, b.profile.steps())
     print("walk ok")
 """
