@@ -31,8 +31,8 @@ Quickstart::
     from repro.metrics import average_response_time
 
     jobs = cap_nodes(ctc_like_workload(n_jobs=1000, seed=42), 256)
-    # backend="auto" (the default) picks the numpy-vectorised kernels when
-    # numpy is importable; results are bit-identical to backend="python".
+    # backend="auto" (the default) runs the compiled queue walks; results
+    # are bit-identical to backend="python", the Python walks.
     config = SimulationConfig(backend="auto")
     result = simulate(jobs, FCFSScheduler.with_easy(), total_nodes=256,
                       config=config)
@@ -64,7 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         SimulationResult,
         Simulator,
         ValidityError,
-        available_backends,
         resolve_backend,
     )
     from repro.core.simulator import simulate
@@ -92,7 +91,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".core": (
         "AvailabilityProfile", "Job", "Machine", "ScenarioInputs", "Schedule",
         "ScheduledJob", "SimulationConfig", "SimulationResult", "Simulator",
-        "ValidityError", "available_backends", "resolve_backend",
+        "ValidityError", "resolve_backend",
     ),
     ".core.simulator": ("simulate",),
     ".schedulers": (
@@ -130,7 +129,6 @@ __all__ = [
     "Simulator",
     "ValidityError",
     "__version__",
-    "available_backends",
     "build_scheduler",
     "paper_configurations",
     "register_discipline",

@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         Simulator,
     )
     from repro.core.state import SchedulingState, StateDivergenceError
-    from repro.core.vector import available_backends, resolve_backend
+    from repro.core.vector import resolve_backend
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".job": ("Job", "JobState"),
@@ -47,7 +47,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "ScenarioInputs", "SimulationConfig", "SimulationResult", "Simulator",
     ),
     ".state": ("SchedulingState", "StateDivergenceError"),
-    ".vector": ("available_backends", "resolve_backend"),
+    ".vector": ("resolve_backend",),
 })
 
 __all__ = [
@@ -67,6 +67,5 @@ __all__ = [
     "Simulator",
     "StateDivergenceError",
     "ValidityError",
-    "available_backends",
     "resolve_backend",
 ]

@@ -25,6 +25,11 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 
+#: Integer fields travel as signed 64-bit values (``array('q')`` in
+#: :func:`~repro.core.packing.pack_jobs` and the compiled queue walks).
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
 class JobState(enum.Enum):
     """Lifecycle of a job inside the on-line simulator."""
 
@@ -76,10 +81,20 @@ class Job:
     meta: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.job_id < 0:
-            raise ValueError(f"job_id must be non-negative, got {self.job_id}")
-        if self.nodes <= 0:
-            raise ValueError(f"job {self.job_id}: nodes must be positive, got {self.nodes}")
+        if not 0 <= self.job_id <= _INT64_MAX:
+            raise ValueError(
+                f"job_id must be non-negative and below 2**63, got {self.job_id}"
+            )
+        if not 0 < self.nodes <= _INT64_MAX:
+            raise ValueError(
+                f"job {self.job_id}: nodes must be positive and below 2**63, "
+                f"got {self.nodes}"
+            )
+        if not _INT64_MIN <= self.user <= _INT64_MAX:
+            raise ValueError(
+                f"job {self.job_id}: user must fit a signed 64-bit integer, "
+                f"got {self.user}"
+            )
         # ``0 <= x < inf`` is false for NaN and both infinities as well as
         # for negatives: a NaN submit time would otherwise pass a sign
         # check and stall the event loop forever.

@@ -86,9 +86,9 @@ class SchedulerContext:
         #: by the simulator; the profile fallback (no incremental state)
         #: reserves them so both paths plan on the same degraded machine.
         self._capacity_outages = capacity_outages if capacity_outages is not None else []
-        #: True when the driving loop runs the numpy backend: schedulers may
-        #: then use vectorised kernels internally.  Off by default so the
-        #: python backend remains a numpy-free oracle (decisions are
+        #: True when the driving loop runs the fast backend: the backfilling
+        #: disciplines then run the compiled queue walks.  Off by default so
+        #: the Python walks remain the reference (decisions are
         #: bit-identical either way — the vector-equivalence contract).
         self.vectorize: bool = False
         self._now: float = state.now if state is not None else 0.0

@@ -18,9 +18,10 @@ cancellation tallies — and its methods are the event handlers.
 submissions at equal times (see :mod:`repro.core.events`), so a newly
 submitted job sees every node freed at its arrival instant, as in a real
 batch system whose resource manager processes its event queue in order.
-Both backends run this loop event for event; they differ only in where
-the events known before the run live (:mod:`repro.core.vector`), in the
-result columns, and in the compiled queue walks behind ``ctx.vectorize``.
+Both backends run this one loop on one event path — the static timeline
+and heap of :mod:`repro.core.events` — and report the same schedule; the
+backend picks only which queue walk runs (the compiled walks behind
+``ctx.vectorize`` or the Python walks, see :mod:`repro.core.vector`).
 
 Jobs whose actual runtime exceeds the user limit can optionally be cancelled
 at the limit (``cancel_over_limit=True``), matching policy rule 2 of
@@ -47,8 +48,7 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.core import vector
-from repro.core.events import EventKind, EventQueue
+from repro.core.events import EventKind, EventQueue, MergedEventFeed, static_timeline
 from repro.core.job import Job, validate_stream
 from repro.core.machine import Machine
 from repro.core.schedule import Schedule, ScheduledJob
@@ -96,11 +96,12 @@ class SimulationConfig:
 
     """
 
-    #: Simulation kernels: ``"python"`` (the oracle), ``"numpy"`` (the
-    #: vectorised fast path of :mod:`repro.core.vector`), ``"auto"`` (numpy
-    #: when importable, else python) or ``None`` (consult ``REPRO_BACKEND``,
-    #: then auto).  Resolved once per :class:`Simulator`; both backends are
-    #: bit-identical (``tests/test_vector_equivalence.py``).
+    #: Which queue walks run: ``"python"`` (the scalar Python walks, the
+    #: reference), ``"numpy"`` (the compiled walks of
+    #: :mod:`repro.core.native`), ``"auto"`` (``"numpy"``) or ``None``
+    #: (consult ``REPRO_BACKEND``, then auto).  Resolved once per
+    #: :class:`Simulator`; both backends are bit-identical
+    #: (``tests/test_vector_equivalence.py``).
     backend: str | None = None
     #: Kill jobs at their estimate when the actual runtime exceeds it
     #: (recorded ``cancelled=True``).
@@ -177,13 +178,6 @@ class SimulationResult:
     #: Total seconds failure-killed jobs spent between the kill and the
     #: start of their recovery attempt (0 for abandoned jobs).
     requeue_delay: float = 0.0
-    #: Columnar numeric view of ``schedule`` (submit/start/end/area arrays
-    #: in completion order), accumulated by the numpy backend so objectives
-    #: reduce vectorised; ``None`` under the python backend.  Excluded from
-    #: equality — the backends' results compare equal without it.
-    columns: "vector.ResultColumns | None" = field(
-        default=None, compare=False, repr=False
-    )
     #: Wall-clock seconds by simulator phase.  Always carries ``total``
     #: (whole run) and ``decide`` (== ``decision_time``); with
     #: ``SimulationConfig.profile_phases`` it adds ``events`` (per-event
@@ -249,7 +243,6 @@ class _Run:
         self,
         sim: "Simulator",
         stream: Sequence[Job],
-        arrival_times: "Sequence[float] | None",
         inputs: ScenarioInputs,
         cancel_over_limit: bool,
     ) -> None:
@@ -272,13 +265,12 @@ class _Run:
                 "resubmit" if inputs.recovery is None else inputs.recovery
             )
 
-        numpy_backend = sim.backend == "numpy"
         config = sim.config
         self.site = SiteRun(
             sim.machine,
             incremental_state=config.incremental_state,
             verify_state=config.verify_state,
-            vectorize=numpy_backend,
+            vectorize=sim.backend == "numpy",
             cancel_over_limit=cancel_over_limit,
         )
         self.ctx = self.site.ctx
@@ -287,31 +279,21 @@ class _Run:
         scheduler.reset()
         self.trace = sim.trace
 
-        # Events split by when they become known.  On the numpy backend
-        # everything known before the run — arrivals, cancellations, both
-        # halves of every failure — is one static timeline sorted once
-        # and walked by the feed's cursor; the heap holds only what the
-        # run creates (completions, rerun submissions, timers).  The
-        # python oracle pushes it all, in the same source order, so the
-        # merged (time, kind, sequence) order equals its heap order event
-        # for event.
+        # Events split by when they become known: everything known before
+        # the run — arrivals, cancellations, both halves of every failure —
+        # is one static timeline sorted once and walked by the feed's
+        # cursor; the heap holds only what the run creates (completions,
+        # rerun submissions, timers).
         self.events = events = EventQueue()
-        if numpy_backend:
-            self.feed = vector.MergedEventFeed(
-                events,
-                *vector.static_timeline(
-                    stream, arrival_times, inputs.cancellations, self.failures
-                ),
-            )
-        else:
-            self.feed = events
-            for job in stream:
-                events.push(job.submit_time, EventKind.SUBMISSION, job)
-            for cancel in inputs.cancellations:
-                events.push(cancel.time, EventKind.CANCELLATION, cancel.job_id)
-            for fail in self.failures or ():
-                events.push(fail.down_time, EventKind.NODE_DOWN, fail)
-                events.push(fail.up_time, EventKind.NODE_UP, fail)
+        self.feed = MergedEventFeed(
+            events,
+            *static_timeline(
+                stream,
+                [job.submit_time for job in stream],
+                inputs.cancellations,
+                self.failures,
+            ),
+        )
 
         self.pending_timers: set[float] = set()
         #: Latest rerun attempt of each recovered job (``by_id`` keeps the
@@ -572,7 +554,6 @@ class _Run:
             ),
             wasted_node_seconds=self.wasted_node_seconds,
             requeue_delay=self.requeue_delay,
-            columns=site.columns,
             phase_seconds=phase_seconds,
         )
 
@@ -610,7 +591,7 @@ class Simulator:
         self.scheduler = scheduler
         self.config = config
         #: The concrete backend this simulator runs on ("python"/"numpy"),
-        #: resolved once (environment consulted, auto-fallback applied).
+        #: resolved once (environment consulted, "auto" applied).
         self.backend = resolve_backend(config.backend)
         self.trace = _Trace() if config.collect_trace else None
 
@@ -656,7 +637,7 @@ class Simulator:
             jobs = compiled.jobs
             scenario = compiled.inputs
             cancel_over_limit = cancel_over_limit or compiled.cancel_over_limit
-        run = _Run(self, *self._sorted_stream(jobs), scenario, cancel_over_limit)
+        run = _Run(self, self._validated_stream(jobs), scenario, cancel_over_limit)
 
         # Hot-loop bindings: the loop runs a few times per job, so the
         # repeated attribute walks are measurable at bench scale.
@@ -678,29 +659,16 @@ class Simulator:
             decide()
         return run.result()
 
-    def _sorted_stream(
-        self, jobs: Iterable[Job]
-    ) -> "tuple[Sequence[Job], Sequence[float] | None]":
-        """The validated stream in arrival order, plus — on the numpy
-        backend — its arrival-time array (``None`` on the python oracle)."""
-        stream: Sequence[Job]
-        arrival_times = None
-        ids_unique = False
-        if self.backend == "numpy":
-            # Pre-sorted arrival arrays: one lexsort instead of N heap
-            # pushes; duplicate ids fall back to the scalar validator for
-            # the canonical error.
-            stream, arrival_times, ids_unique = vector.sorted_stream(jobs)
-        else:
-            stream = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
+    def _validated_stream(self, jobs: Iterable[Job]) -> list[Job]:
+        """The validated stream in arrival order."""
+        stream = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
         if not stream:
             raise ValueError(
                 "cannot simulate an empty workload: no jobs, no events, no "
                 "schedule — use SimulationResult.empty() if a degenerate "
                 "stream is expected"
             )
-        if not ids_unique:
-            validate_stream(list(stream))
+        validate_stream(stream)
         for job in stream:
             if not self.machine.can_ever_fit(job):
                 raise ValueError(
@@ -708,7 +676,7 @@ class Simulator:
                     f"has only {self.machine.total_nodes}; filter the workload first "
                     "(see repro.workloads.transforms.cap_nodes)"
                 )
-        return stream, arrival_times
+        return stream
 
 
 def simulate(

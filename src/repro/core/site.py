@@ -20,7 +20,6 @@ to file — and every operation assumes the loop has already moved the clock
 
 from __future__ import annotations
 
-from repro.core import vector
 from repro.core.job import Job
 from repro.core.machine import Machine
 from repro.core.schedule import ScheduledJob
@@ -36,13 +35,13 @@ class SiteRun:
     :class:`~repro.core.simulator.SimulationConfig` fields of those names
     mean: no state means ``ctx.profile`` rebuilds per decision, and
     ``verify_state=None`` reads ``REPRO_VERIFY_STATE``.  ``vectorize`` says
-    the loop runs the numpy backend — schedulers may use vector kernels and
-    finished records are mirrored into ``columns``.  ``cancel_over_limit``
-    kills a job at its estimate when its runtime exceeds it.
+    the loop runs the fast backend: the backfilling disciplines run the
+    compiled queue walks.  ``cancel_over_limit`` kills a job at its
+    estimate when its runtime exceeds it.
     """
 
     __slots__ = (
-        "machine", "running", "state", "outages", "ctx", "completed", "columns",
+        "machine", "running", "state", "outages", "ctx", "completed",
         "cancel_over_limit",
     )  # fmt: skip
 
@@ -74,7 +73,6 @@ class SiteRun:
         self.ctx.vectorize = vectorize
         #: Finished records, in completion order.
         self.completed: list[ScheduledJob] = []
-        self.columns = vector.ResultColumns() if vectorize else None
         self.cancel_over_limit = cancel_over_limit
 
     # -- start -------------------------------------------------------------
@@ -125,10 +123,8 @@ class SiteRun:
         return entry
 
     def record(self, item: ScheduledJob) -> None:
-        """File a finished record (and its column row)."""
+        """File a finished record."""
         self.completed.append(item)
-        if self.columns is not None:
-            self.columns.append(item)
 
     def finish(self, item: ScheduledJob) -> bool:
         """Commit a completion; ``False`` (nothing changed) when stale."""

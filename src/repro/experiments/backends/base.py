@@ -37,7 +37,7 @@ class CellRequest(NamedTuple):
     the worker hydrates from its pool's spool; ``scenario`` is the
     *compiled* disturbance bundle (``None``: healthy baseline) and
     ``cancel_over_limit`` its estimate-limit kill flag; ``backend``
-    selects the worker's simulation kernels (bit-identical results, so
+    selects the worker's queue walks (bit-identical results, so
     it never enters a fingerprint).  The worker rebuilds the scheduler
     from its own registry by ``config``'s row/column keys.
     """

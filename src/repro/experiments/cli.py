@@ -334,8 +334,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=["auto", "python", "numpy"],
         default=None,
-        help="simulation kernel backend (default: $REPRO_BACKEND, else auto "
-        "— numpy when importable); results are bit-identical either way",
+        help="queue-walk backend (default: $REPRO_BACKEND, else auto — "
+        "numpy, the compiled walks; python runs the Python walks); results "
+        "are bit-identical either way",
     )
     parser.add_argument(
         "--cache-dir",

@@ -259,8 +259,8 @@ class ExperimentEngine:
         the resumable run id.  Handlers are installed only in the main
         thread and always restored afterwards.
     backend:
-        Simulation kernel backend for every cell (``"python"`` /
-        ``"numpy"`` / ``"auto"``; ``None`` consults ``REPRO_BACKEND``).
+        Queue-walk backend for every cell (``"python"`` / ``"numpy"`` /
+        ``"auto"``; ``None`` consults ``REPRO_BACKEND``).
         Bit-identical results either way, so the backend is deliberately
         absent from cell fingerprints and run manifests — caches and
         journals written under one backend resume cleanly under the other.

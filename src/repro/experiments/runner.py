@@ -196,16 +196,13 @@ def simulate_cell(
     injected.  ``scenario.recovery`` must be a spec string here (not a
     policy object) so the cell stays picklable and cache-fingerprintable.
 
-    ``backend`` selects the simulation kernels (see
+    ``backend`` selects the queue walks (see
     :func:`repro.core.vector.resolve_backend`); both backends produce
     bit-identical cells, which is why the backend is absent from the cache
-    fingerprint.  Under the numpy backend the objective reduces over the
-    run's columnar buffers (:class:`repro.core.vector.ResultColumns`) with
-    the exact-summation kernels — same bits as the scalar loops.
+    fingerprint.
     """
     # Imported here: a warm rerun serves every cell from the cache and
     # never loads the simulator (the pool imports it before forking).
-    from repro.core import vector
     from repro.core.machine import Machine
     from repro.core.simulator import SimulationConfig, Simulator
     from repro.schedulers.registry import build_scheduler
@@ -223,18 +220,11 @@ def simulate_cell(
         scheduler,
         SimulationConfig(backend=backend, cancel_over_limit=cancel_over_limit),
     ).run(jobs, scenario=scenario)
-    if result.columns is not None:
-        objective = (
-            vector.average_weighted_response_time_columns(result.columns)
-            if weighted
-            else vector.average_response_time_columns(result.columns)
-        )
-    else:
-        objective = (
-            average_weighted_response_time(result.schedule)
-            if weighted
-            else average_response_time(result.schedule)
-        )
+    objective = (
+        average_weighted_response_time(result.schedule)
+        if weighted
+        else average_response_time(result.schedule)
+    )
     return CellResult(
         config=config,
         objective=objective,
@@ -276,8 +266,8 @@ def run_grid(
 
     ``weighted`` selects both the objective (ART vs AWRT) and the ordering
     weight SMART/PSRS use internally — matching the paper, which tunes and
-    evaluates each regime separately.  ``backend`` selects the simulation
-    kernels per cell (bit-identical either way).
+    evaluates each regime separately.  ``backend`` selects the queue walks
+    per cell (bit-identical either way).
 
     This is a thin serial wrapper over
     :class:`repro.experiments.engine.ExperimentEngine` (one worker, no

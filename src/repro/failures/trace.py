@@ -129,7 +129,7 @@ class FailureTrace:
         sequence)``: repairs (``NODE_UP``) apply before failures
         (``NODE_DOWN``) at the same instant, and ``sequence`` (``2i`` for
         the down half of failure ``i``, ``2i + 1`` for its up half) is the
-        order in which the python oracle pushes them.
+        order in which one all-holding heap would have them pushed.
         """
         events = self._node_events
         if events is None:

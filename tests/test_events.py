@@ -3,10 +3,15 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.events import Event, EventKind, EventQueue
+from repro.core.events import (
+    Event,
+    EventKind,
+    EventQueue,
+    MergedEventFeed,
+    static_timeline,
+)
 from repro.core.job import Job
 from repro.core.simulator import Cancellation
-from repro.core.vector import MergedEventFeed, static_timeline
 from repro.failures import FailureTrace, NodeFailure
 from tests.conftest import all_heap_queue
 

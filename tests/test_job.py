@@ -26,6 +26,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="job_id"):
             job(job_id=-1)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("job_id", 2**63), ("nodes", 2**63), ("user", 2**63), ("user", -(2**63) - 1)],
+    )
+    def test_integer_fields_must_fit_int64(self, field, value):
+        # Packed workloads and the compiled walks store these as
+        # array('q'): a wider value must fail here, not as an
+        # OverflowError deep inside a run.
+        with pytest.raises(ValueError, match=field):
+            job(**{field: value})
+
     def test_zero_nodes_rejected(self):
         with pytest.raises(ValueError, match="nodes"):
             job(nodes=0)

@@ -150,9 +150,14 @@ def test_meta_rides_sparsely():
 
 
 def test_int64_overflow_raises():
-    job = Job(job_id=2**63, submit_time=0.0, nodes=1, runtime=1.0)
-    with pytest.raises(OverflowError):
-        pack_jobs([job])
+    # The int64 columns cannot hold 2**63; the Job refuses it first, so
+    # pack_jobs never meets a value it would have to truncate.
+    with pytest.raises(ValueError, match="job_id"):
+        Job(job_id=2**63, submit_time=0.0, nodes=1, runtime=1.0)
+    edge = Job(
+        job_id=2**63 - 1, submit_time=0.0, nodes=2**63 - 1, runtime=1.0, user=-(2**63)
+    )
+    assert unpack_jobs(pack_jobs([edge])) == (edge,)
 
 
 def test_job_record_matches_engine_line_format():

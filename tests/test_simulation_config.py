@@ -165,7 +165,6 @@ def test_exports():
     for module in (repro, repro.core):
         assert module.SimulationConfig is SimulationConfig
         assert module.ScenarioInputs is ScenarioInputs
-        assert "python" in module.available_backends()
         assert module.resolve_backend("python") == "python"
 
 

@@ -104,17 +104,6 @@ class TestStartFinish:
         with pytest.raises(ValueError, match="are free"):
             begin(site, J(2, nodes=8), 0.0)
 
-    def test_columns_mirror_completed(self):
-        site = SiteRun(Machine(16), vectorize=True)
-        assert site.ctx.vectorize
-        items = [begin(site, J(1), 0.0), begin(site, J(2), 1.0)]
-        site.ctx.now = 100.0
-        site.finish(items[0])
-        record = site.kill(2, 100.0)
-        site.record(record)
-        assert len(site.columns) == len(site.completed) == 2
-        assert list(site.columns.end) == [i.end_time for i in site.completed]
-
 
 class TestCapacity:
     def test_outage_round_trip(self, site):

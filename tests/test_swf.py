@@ -136,14 +136,19 @@ class TestParseReport:
             "1 5 0 10 4 -1 -1 4 nan -1 1 1 -1 -1 -1 -1 -1 -1",    # requested time
             "1 5 0 10 4 -1 -1 4 -inf -1 1 1 -1 -1 -1 -1 -1 -1",
             "1 5 0 10 inf -1 -1 inf 20 -1 1 1 -1 -1 -1 -1 -1 -1",  # processors
+            "9223372036854775808 5 0 10 4 -1 -1 4 20 -1 1 1 -1 -1 -1 -1 -1 -1",
+            "1 5 0 10 4 -1 -1 4 20 -1 1 9223372036854775808 -1 -1 -1 -1 -1 -1",
         ],
         ids=["nan-submit", "inf-submit", "nan-runtime", "inf-runtime",
-             "nan-requested", "neg-inf-requested", "inf-processors"],
+             "nan-requested", "neg-inf-requested", "inf-processors",
+             "int64-job-number", "int64-user-id"],
     )
     def test_non_finite_fields_are_a_counted_skip(self, tmp_path, hostile):
         """A ``nan`` submit time passes every sign check (``nan < 0`` is
         false) and would spin the event loop forever; ``inf`` run times
-        yield infinite objectives.  Neither may become a Job."""
+        yield infinite objectives; an id of 2**63 or more does not fit the
+        signed 64-bit columns of a packed workload.  None may become a
+        Job."""
         from repro.workloads.swf import ParseReport
 
         valid = "2 5 0 10 4 -1 -1 4 20 -1 1 1 -1 -1 -1 -1 -1 -1"

@@ -1,23 +1,23 @@
-"""Bit-identity of the numpy backend against the pure-Python oracle.
+"""Bit-identity of the fast backend against the Python walks.
 
-The vectorised kernels of :mod:`repro.core.vector` are an *optimisation*,
-never an algorithm change: ``backend="numpy"`` must reproduce the Python
-oracle's :class:`~repro.core.simulator.SimulationResult` bit for bit —
-same schedules, same objectives in the last ulp, same resilience metrics —
-over
+The backend picks only which queue walk runs — the compiled walks of
+:mod:`repro.core.native` or the scalar Python walks — and the walks are an
+*optimisation*, never an algorithm change: ``backend="numpy"`` must
+reproduce ``backend="python"``'s
+:class:`~repro.core.simulator.SimulationResult` bit for bit — same
+schedules, same objectives in the last ulp, same resilience metrics — over
 
 * every cell of the scheduler registry, in both objective regimes and
   with the per-decision trace (``collect_trace``) compared too,
 * streams with queued and running cancellations,
 * the estimate-limit kill policy (``cancel_over_limit``),
 * failure traces under every recovery policy, and
-* the columnar objective kernels (``ResultColumns`` reductions vs the
-  scalar ``objectives`` loops).
+* the columnar objective kernels the benchmark harness times
+  (``ResultColumns`` reductions vs the scalar ``objectives`` loops).
 
-It must also degrade cleanly: with the numpy import blocked, ``"auto"``
-falls back to the Python backend and an explicit ``"numpy"`` request
-raises.  The CI ``vector-equivalence`` job runs this file with
-``REPRO_BACKEND=numpy`` forced so the fast path cannot silently fall back.
+Neither backend needs numpy: with its import blocked, ``"auto"`` still
+selects the fast backend.  The CI ``vector-equivalence`` job runs this
+file with ``REPRO_BACKEND=numpy`` and once more with ``=python``.
 """
 
 import sys
@@ -89,10 +89,7 @@ def run_both(make_scheduler, jobs, *, config=None, scenario=None):
         signatures.append(full_signature(result, sim.trace))
         results.append(result)
     assert signatures[1] == signatures[0]
-    oracle, fast = results
-    assert oracle.columns is None
-    assert fast.columns is not None and len(fast.columns) == len(fast.schedule)
-    return oracle, fast
+    return results
 
 
 #: Objective regime × simulation config of the registry sweep: both
@@ -115,10 +112,11 @@ def test_registry_cells_bit_identical(config, weighted, sim_config):
     )
     # The columnar objective kernels must equal the scalar loops exactly —
     # np.add.accumulate is sequential, so not a single ulp of drift.
-    assert vector.average_response_time_columns(fast.columns) == (
+    columns = vector.ResultColumns.from_schedule(fast.schedule)
+    assert vector.average_response_time_columns(columns) == (
         average_response_time(fast.schedule)
     )
-    assert vector.average_weighted_response_time_columns(fast.columns) == (
+    assert vector.average_weighted_response_time_columns(columns) == (
         average_weighted_response_time(fast.schedule)
     )
 
@@ -185,26 +183,17 @@ def test_failure_injection_bit_identical(recovery, sim_config):
 
 
 def test_simultaneous_submissions_bit_identical():
-    """Equal submit times force the merged feed to break ties by job id —
-    the exact case where a sloppy lexsort would diverge from the oracle."""
+    """Equal submit times force the merged feed to break ties by job id."""
     jobs = make_jobs(80, seed=71, max_nodes=NODES, mean_gap=40.0)
     jobs = [replace(job, submit_time=float(int(job.submit_time) // 200 * 200)) for job in jobs]
     for config in registered_configurations():
         run_both(lambda: build_scheduler(config, NODES), jobs)
 
 
-def test_sorted_stream_flags_duplicate_ids():
-    jobs = make_jobs(12, seed=5, max_nodes=NODES)
-    assert vector.sorted_stream(jobs)[2] is True
-    assert vector.sorted_stream(reversed(jobs))[2] is True
-    clash = [*jobs, replace(jobs[3], submit_time=jobs[3].submit_time + 1.0)]
-    assert vector.sorted_stream(clash)[2] is False
-    assert vector.sorted_stream(jobs[:1])[2] is True
-
-
 def test_numpy_simulation_does_not_import_numpy_ma():
-    """``numpy.ma`` costs ~35 ms to import; every pool worker would pay it
-    on its first cell (the driver never simulates, so no fork inherits it)."""
+    """A simulation imports no numpy at all — not ``numpy.ma`` (~35 ms),
+    not numpy itself (~0.1 s), on either backend: every pool worker would
+    pay it on its first cell."""
     import os
     import subprocess
 
@@ -218,7 +207,7 @@ def test_numpy_simulation_does_not_import_numpy_ma():
         "    result = simulate(make_jobs(60, seed=3, max_nodes=64), scheduler, 64,\n"
         "                      backend='numpy')\n"
         "    assert len(result.schedule) == 60\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print('numpy' in sys.modules)\n"
     )
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]))
@@ -230,7 +219,7 @@ def test_numpy_simulation_does_not_import_numpy_ma():
     assert done.stdout.strip() == "False"
 
 
-# -- backend resolution and the no-numpy fallback --------------------------------
+# -- backend resolution ----------------------------------------------------------
 
 
 def test_resolve_backend_env_override(monkeypatch):
@@ -250,39 +239,27 @@ def test_resolve_backend_rejects_unknown():
         vector.resolve_backend("fortran")
 
 
-def test_no_numpy_fallback(monkeypatch):
-    """With the numpy import blocked, auto falls back to python and an
-    explicit numpy request fails loudly instead of silently degrading."""
+def test_fast_backend_needs_no_numpy(monkeypatch):
+    """With the numpy import blocked, auto still selects the fast backend,
+    an explicit numpy request is honoured, and the run equals the python
+    one."""
     monkeypatch.delenv(vector.ENV_BACKEND, raising=False)
     monkeypatch.setitem(sys.modules, "numpy", None)
-    assert vector.numpy_or_none() is None
-    assert vector.available_backends() == ("python",)
-    assert vector.resolve_backend("auto") == "python"
-    assert vector.resolve_backend(None) == "python"
-    with pytest.raises(RuntimeError, match="numpy is not importable"):
-        vector.resolve_backend("numpy")
-    # A simulation still runs end to end on the fallback.
-    jobs = make_jobs(40, seed=3, max_nodes=NODES, mean_gap=40.0)
-    config = next(iter(registered_configurations()))
-    result = Simulator(
-        Machine(NODES),
-        build_scheduler(config, NODES),
-        SimulationConfig(backend="auto"),
-    ).run(jobs)
-    assert result.columns is None
-    assert len(result.schedule) == len(jobs)
+    assert vector.resolve_backend("auto") == "numpy"
+    assert vector.resolve_backend(None) == "numpy"
+    assert vector.resolve_backend("numpy") == "numpy"
+    jobs = make_jobs(80, seed=3, max_nodes=NODES, mean_gap=40.0)
+    for config in registered_configurations():
+        run_both(lambda: build_scheduler(config, NODES), jobs)
 
 
 def test_simulator_env_backend(monkeypatch):
     """REPRO_BACKEND steers an unconfigured Simulator."""
-    monkeypatch.setenv(vector.ENV_BACKEND, "numpy")
-    jobs = make_jobs(40, seed=5, max_nodes=NODES, mean_gap=40.0)
     config = next(iter(registered_configurations()))
-    result = Simulator(Machine(NODES), build_scheduler(config, NODES)).run(jobs)
-    assert result.columns is not None
+    monkeypatch.setenv(vector.ENV_BACKEND, "numpy")
+    assert Simulator(Machine(NODES), build_scheduler(config, NODES)).backend == "numpy"
     monkeypatch.setenv(vector.ENV_BACKEND, "python")
-    result = Simulator(Machine(NODES), build_scheduler(config, NODES)).run(jobs)
-    assert result.columns is None
+    assert Simulator(Machine(NODES), build_scheduler(config, NODES)).backend == "python"
 
 
 # -- columnar metric kernels ------------------------------------------------------
@@ -304,7 +281,8 @@ def test_result_columns_from_schedule_matches_run_columns():
         Machine(NODES), build_scheduler(config, NODES), backend="numpy"
     ).run(jobs)
     rebuilt = vector.ResultColumns.from_schedule(result.schedule)
-    assert rebuilt.views()["end"].tolist() == result.columns.views()["end"].tolist()
+    assert list(rebuilt.end) == [item.end_time for item in result.schedule]
+    assert list(rebuilt.area) == [item.job.area for item in result.schedule]
     assert vector.average_response_time_columns(rebuilt) == (
         average_response_time(result.schedule)
     )
