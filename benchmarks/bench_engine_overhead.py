@@ -198,7 +198,7 @@ def measure_pool_dispatch(jobs: list[Job], workers: int = 2) -> float:
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.experiments.backends.pool import pool_context
+    from repro.experiments.pool import pool_context
     from repro.experiments.workload_store import (
         WorkloadStore,
         init_worker,

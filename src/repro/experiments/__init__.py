@@ -7,8 +7,8 @@
   content-addressed result caching, structured progress events
   (:mod:`~repro.experiments.fingerprint` holds the content addresses,
   :mod:`~repro.experiments.lifecycle` the per-run state,
-  :mod:`~repro.experiments.dispatch` the lease/retry loop over
-  :mod:`~repro.experiments.backends`);
+  :mod:`~repro.experiments.pool` the worker pool and its retry loop,
+  :mod:`~repro.experiments.backends` the result cache);
 * :mod:`repro.experiments.tables` — render results in the paper's table
   layout (Listscheduler / Backfilling / EASY-Backfilling columns, absolute
   values plus percentages against the FCFS+EASY reference);

@@ -8,22 +8,21 @@ three steps, one object each:
   into a frozen :class:`GridRequest` (compiled jobs and digest, configs,
   machine, regime, the compiled scenario as one
   :class:`~repro.core.simulator.ScenarioInputs`, the run manifest); the
-  cell fingerprint, the picklable per-cell
-  :class:`~repro.experiments.backends.base.CellRequest` and the
+  cell fingerprint, the picklable per-cell :class:`CellRequest` and the
   in-process ``simulate_cell`` call are methods of it;
 * **run** — a :class:`~repro.experiments.lifecycle.GridRun` holds what
   one run mutates (grid, stats, results, journal, interrupt flag);
 * **dispatch** — cache misses run in process (one worker) or through a
-  :class:`~repro.experiments.dispatch.Dispatch`: leases, retries,
-  duplicate dedup, the watchdog and the local pool -> serial fallback
-  over :mod:`~repro.experiments.backends`.
+  :class:`~repro.experiments.pool.PoolRun` on the engine's kept
+  :class:`~repro.experiments.pool.WorkerPool`: leases, retries, the
+  watchdog, rebuilds and the serial fallback.
 
 Fingerprints live in :mod:`repro.experiments.fingerprint`, the result
 cache in :mod:`repro.experiments.backends.cache`; this module re-exports
 their public names and stays the one whose code *calls*
 ``simulate_cell``, ``fingerprint_jobs`` and ``cell_fingerprint`` (the
 benchmark tracer binds them here).  See docs/architecture.md,
-"Experiment engine" and "Execution backends".
+"Experiment engine" and "The pool loop".
 
 Determinism: the simulation is a pure function of (jobs, config,
 machine), so parallel and serial runs produce bit-identical objectives;
@@ -41,12 +40,10 @@ import time
 import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from repro.core.job import Job
-from repro.experiments.backends.base import CellRequest
 from repro.experiments.backends.cache import CachePruneStats, ResultCache
-from repro.experiments.dispatch import Dispatch, watchdog_defaults
 from repro.experiments.fingerprint import (
     CACHE_VERSION,
     cell_fingerprint,
@@ -72,12 +69,13 @@ from repro.schedulers.registry import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.simulator import ScenarioInputs
-    from repro.experiments.backends.pool import PoolBackend
+    from repro.experiments.pool import WorkerPool
     from repro.scenarios import ScenarioSpec
 
 __all__ = [
     "CACHE_VERSION",
     "CachePruneStats",
+    "CellRequest",
     "EventFn",
     "ExperimentEngine",
     "GridRequest",
@@ -90,6 +88,28 @@ __all__ = [
 
 
 # -- one grid, normalized ------------------------------------------------------
+
+
+class CellRequest(NamedTuple):
+    """Everything a worker needs to simulate one cell, by name.
+
+    The picklable task payload.  ``digest`` names the packed workload
+    the worker hydrates from its pool's spool; ``scenario`` is the
+    *compiled* disturbance bundle (``None``: healthy baseline) and
+    ``cancel_over_limit`` its estimate-limit kill flag; ``backend``
+    selects the worker's queue walks (bit-identical results, so
+    it never enters a fingerprint).  The worker rebuilds the scheduler
+    from its own registry by ``config``'s row/column keys.
+    """
+
+    config: SchedulerConfig
+    digest: str
+    total_nodes: int
+    weighted: bool
+    recompute_threshold: float
+    scenario: "ScenarioInputs | None"
+    cancel_over_limit: bool
+    backend: str | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,11 +214,6 @@ def _run_cell_task(request: CellRequest) -> tuple[str, CellResult, float]:
     return request.config.key, cell, time.perf_counter() - t0
 
 
-#: Sentinel distinguishing "kwarg not passed" (environment default
-#: applies) from an explicit ``heartbeat_interval=None`` (watchdog off).
-_WATCHDOG_UNSET: object = object()
-
-
 # -- the engine ----------------------------------------------------------------
 
 
@@ -227,7 +242,7 @@ class ExperimentEngine:
         error reproduces and surfaces, and a flaky one recovers.
     retry_backoff:
         Base pause before retry ``n`` (seconds); the actual pause
-        (:func:`~repro.experiments.dispatch.retry_pause`) doubles per
+        (:func:`~repro.experiments.pool.retry_pause`) doubles per
         retry and is jittered by ×0.5–1.5 so retrying engines do not
         stampede in lockstep.
     max_pool_rebuilds:
@@ -240,15 +255,15 @@ class ExperimentEngine:
         journal-free.
     heartbeat_interval:
         Seconds between worker heartbeat touches (the watchdog's input).
-        ``None`` disables the watchdog entirely.  When not passed, the
-        ``REPRO_WATCHDOG_INTERVAL`` environment variable overrides the
-        15 s default (``off`` disables).
+        ``None`` disables the watchdog entirely.
     heartbeat_timeout:
         Driver-side staleness budget: when no worker heartbeat is newer
-        than this while cells are in flight, the backend is presumed
-        silently dead (SIGKILLed, SIGSTOPped) and every in-flight cell
-        is charged a retry.  Defaults to the ``REPRO_WATCHDOG_TIMEOUT``
-        environment variable when set, else
+        than this while cells are in flight, every worker has gone
+        unscheduled at once (all SIGSTOPped, say); the pool is presumed
+        dead and every in-flight cell is charged a retry.  One stopped
+        or hung worker beside a live one is not caught here — the live
+        worker's heartbeat stays fresh — but by ``cell_timeout``, and a
+        SIGKILLed worker breaks the pool outright.  Defaults to
         ``max(4 * heartbeat_interval, 30.0)`` so one missed touch never
         trips it.
     handle_signals:
@@ -285,7 +300,7 @@ class ExperimentEngine:
         retry_backoff: float = 0.5,
         max_pool_rebuilds: int = 2,
         journal_dir: str | Path | None = None,
-        heartbeat_interval: float | None = _WATCHDOG_UNSET,  # type: ignore[assignment]
+        heartbeat_interval: float | None = 15.0,
         heartbeat_timeout: float | None = None,
         handle_signals: bool = True,
         backend: str | None = None,
@@ -307,11 +322,6 @@ class ExperimentEngine:
             raise ValueError(
                 f"max_pool_rebuilds must be non-negative, got {max_pool_rebuilds}"
             )
-        env_interval, env_timeout = watchdog_defaults()
-        if heartbeat_interval is _WATCHDOG_UNSET:
-            heartbeat_interval = env_interval
-        if heartbeat_timeout is None:
-            heartbeat_timeout = env_timeout
         if heartbeat_interval is not None and heartbeat_interval <= 0:
             raise ValueError(
                 f"heartbeat_interval must be positive, got {heartbeat_interval}"
@@ -333,19 +343,19 @@ class ExperimentEngine:
         self.stats = RunStats()
         #: The started, idle pool kept between runs (see :meth:`borrow_pool`),
         #: and the finalizer that stops it if the engine is dropped first.
-        self._pool: PoolBackend | None = None
+        self._pool: WorkerPool | None = None
         self._pool_finalizer: weakref.finalize | None = None
 
     # -- the worker pool --------------------------------------------------------
 
-    def borrow_pool(self) -> PoolBackend:
+    def borrow_pool(self) -> WorkerPool:
         """Take the engine's local pool for one run.
 
         The pool kept from an earlier run when there is one — unless the
         scheduler registry changed since its workers were forked, which
-        they could not see — else a new, unstarted one.  The borrower
-        either hands it back (:meth:`return_pool`, the pool finished
-        every cell) or closes it; the engine keeps no reference
+        they could not see — else a newly started one.  The borrower
+        either hands it back (:meth:`return_pool`, its executor is
+        healthy) or closes it; the engine keeps no reference
         meanwhile, so a pool that broke or was interrupted is never
         reused.
         """
@@ -356,16 +366,16 @@ class ExperimentEngine:
                 pool.close()
                 pool = None
         if pool is None:
-            from repro.experiments.backends.pool import PoolBackend
+            from repro.experiments.pool import WorkerPool
 
-            pool = PoolBackend(
+            pool = WorkerPool(
                 workers=self.workers,
                 store=self.workload_store,
                 heartbeat_interval=self.heartbeat_interval,
             )
         return pool
 
-    def return_pool(self, pool: PoolBackend) -> None:
+    def return_pool(self, pool: WorkerPool) -> None:
         """Keep a started, idle pool for the next run (see :meth:`borrow_pool`)."""
         self.close()  # at most one is kept: two overlapping runs each had one
         self._pool = pool
@@ -532,9 +542,11 @@ class ExperimentEngine:
             pending = run.lookup()
             with run.signals(self.handle_signals):
                 if self.workers > 1 and len(pending) > 1:
+                    from repro.experiments.pool import PoolRun
+
                     # What the pool leaves runs in process; those cells
                     # were announced when they were first dispatched.
-                    leftovers = Dispatch(self, run, pending).execute()
+                    leftovers = PoolRun(self, run, pending).execute()
                     self._run_serial(run, leftovers, announce=False)
                 else:
                     self._run_serial(run, pending)

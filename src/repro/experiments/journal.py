@@ -27,10 +27,6 @@ trustworthy.  This module adds that record:
   corrupt, mismatched and orphaned cells.
 * :func:`list_runs` — one :class:`RunSummary` per journal in a
   directory, powering ``repro-experiments --list-runs``.
-* driver-side heartbeat freshness (:func:`freshest_heartbeat`) for the
-  engine's worker watchdog — workers touch per-process sentinel files
-  (see :func:`repro.experiments.workload_store.init_worker`); the
-  dispatch loop treats a stale directory as a silently dead pool.
 
 The journal is written only by the driver process (single writer, append
 only); workers never touch it.  Replay is therefore a linear scan, and
@@ -65,7 +61,6 @@ __all__ = [
     "RunSummary",
     "UnknownRunError",
     "compute_run_id",
-    "freshest_heartbeat",
     "journal_path",
     "list_runs",
     "read_journal",
@@ -698,34 +693,6 @@ def verify_run(
             ):
                 audit.grid_mismatched.append(key)
     return audit
-
-
-# -- driver-side heartbeat freshness -------------------------------------------
-
-
-def freshest_heartbeat(heartbeat_dir: str | Path) -> float | None:
-    """Newest heartbeat mtime under ``heartbeat_dir`` (wall-clock seconds).
-
-    Workers touch one sentinel file each (named by pid) from a daemon
-    thread, so a returned time older than the watchdog budget means no
-    worker process has been scheduled in that long — SIGKILLed, SIGSTOPped
-    or wedged in D-state.  ``None`` when no worker has checked in yet.
-    """
-    newest: float | None = None
-    try:
-        names = os.listdir(heartbeat_dir)
-    except OSError:
-        return None
-    for name in names:
-        if not name.endswith(".hb"):
-            continue
-        try:
-            mtime = os.stat(os.path.join(heartbeat_dir, name)).st_mtime
-        except OSError:  # pragma: no cover - racing cleanup
-            continue
-        if newest is None or mtime > newest:
-            newest = mtime
-    return newest
 
 
 def manifest_for(

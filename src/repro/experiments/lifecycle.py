@@ -44,8 +44,7 @@ class ProgressEvent:
     """One structured engine event.
 
     ``kind`` is ``grid-started``, ``cell-started``, ``cache-hit``,
-    ``cell-finished``, ``cell-retry``, ``cell-duplicate`` (a late result
-    for an already-completed cell, deduplicated), ``engine-degraded`` or
+    ``cell-finished``, ``cell-retry``, ``engine-degraded`` or
     ``grid-finished``; ``key`` is the cell key for cell-level events and
     ``None`` for grid-level ones.  ``wall_time`` is the wall-clock of the
     finished unit (whole grid for grid-finished; the backoff pause for
@@ -85,11 +84,7 @@ class RunStats:
     pool_rebuilds: int = 0
     #: Cells that fell back to in-process serial execution.
     degraded_cells: int = 0
-    #: Late results for already-completed cells, dropped idempotently
-    #: (a revoked lease whose worker answered anyway).
-    duplicate_results: int = 0
-    #: Name of the execution backend that dispatched this run
-    #: ("serial" when no backend was started).
+    #: "local-pool" when cells ran on the worker pool, else "serial".
     backend: str = "serial"
     #: Deterministic run id of the journal backing this run (``None``
     #: when the run was not journaled).

@@ -126,12 +126,14 @@ def start_worker_heartbeat(heartbeat_dir: str, interval: float) -> None:
 
     A daemon thread touches ``<heartbeat_dir>/<pid>.hb`` every
     ``interval`` seconds; the driver's watchdog reads the mtimes (see
-    :func:`repro.experiments.journal.freshest_heartbeat`).  The thread
+    :meth:`repro.experiments.pool.WorkerPool.liveness`).  The thread
     heartbeats even while the worker is grinding through a simulation —
-    it proves the *process* is alive and scheduled, which is exactly the
-    signal that distinguishes a long cell (fine, ``cell_timeout``'s
-    business) from a SIGKILLed or SIGSTOPped worker (the watchdog's).
-    Idempotent per process; fork-safe via the pid stamp.
+    it proves the *process* is alive and scheduled.  The watchdog reads
+    only the freshest sentinel, so it catches every worker going
+    unscheduled at once (all SIGSTOPped, say); one stopped or hung worker
+    beside a live one is ``cell_timeout``'s business, and a SIGKILLed one
+    breaks the pool outright.  Idempotent per process; fork-safe via the
+    pid stamp.
     """
     global _HEARTBEAT_THREAD
     pid = os.getpid()
@@ -160,7 +162,7 @@ def init_worker(spool_dir: str, heartbeat_interval: float | None) -> None:
     ``spool_dir`` is the pool's scratch directory: workloads are read
     from it, heartbeat sentinels written to it.  A watchdog-less engine
     passes ``heartbeat_interval=None``.  Runs once per worker process; a
-    rebuilt group re-runs it in every fresh worker, which re-arms the
+    rebuilt executor re-runs it in every fresh worker, which re-arms the
     heartbeat after a crash (the spool needs no re-seeding: the files are
     still there).
     """

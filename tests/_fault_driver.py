@@ -1,0 +1,122 @@
+"""Subprocess driver for the pool's fault matrix.
+
+Runs one small journaled grid on two pool workers with one injected
+fault and prints two lines: ``READY`` just before the grid starts, then
+``DONE`` followed by a JSON report once it finished::
+
+    python -m tests._fault_driver CASE JOURNAL_DIR
+
+Cases (one faulty row, ``crashy`` or ``stoppy``, ahead of three healthy
+cells):
+
+* ``sigkill`` — a worker SIGKILLs itself; watchdog off, no
+  ``cell_timeout``;
+* ``stop-all`` — two cells each SIGSTOP their worker, so both workers
+  stop; watchdog on, no ``cell_timeout``;
+* ``stop-one`` — one cell SIGSTOPs its worker, the other worker stays
+  live; watchdog on and ``cell_timeout=1``;
+* ``stop-one-watchdog-only`` — as ``stop-one`` without ``cell_timeout``.
+
+A row faults only inside a pool worker, which it recognises by a pid
+other than the driver's: the serial fallback, in the driver, computes
+the cell.  The report lists the reason of every charged retry, the
+number of ``completed`` journal records per fingerprint and the run's
+stats.  The driver returns normally, so the parent also sees whether the
+interpreter exits once the grid is done.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import signal
+import sys
+from pathlib import Path
+
+from repro.experiments.engine import ExperimentEngine
+from repro.experiments.journal import journal_path
+from repro.experiments.paper import probabilistic_workload
+from repro.experiments.runner import SchedulerConfig
+from repro.schedulers import register_row
+from repro.schedulers.baselines import KeyOrderPolicy
+
+#: Forked workers inherit this value, so it names the driver in them too.
+DRIVER_PID = os.getpid()
+
+HEALTHY = [
+    SchedulerConfig("fcfs", "easy"),
+    SchedulerConfig("fcfs", "list"),
+    SchedulerConfig("psrs", "easy"),
+]
+
+
+def _faulty_row(signum: int):
+    def order(total_nodes, weight, threshold):
+        if os.getpid() != DRIVER_PID:
+            os.kill(os.getpid(), signum)
+        return KeyOrderPolicy(lambda job: job.submit_time, "faulty")
+
+    return order
+
+
+#: case -> (row, signal, faulty columns, engine kwargs)
+CASES = {
+    "sigkill": (
+        "crashy", signal.SIGKILL, ("easy",),
+        dict(heartbeat_interval=None, max_retries=1, max_pool_rebuilds=5),
+    ),
+    "stop-all": (
+        "stoppy", signal.SIGSTOP, ("easy", "list"),
+        dict(heartbeat_interval=0.2, heartbeat_timeout=1.0, max_retries=0),
+    ),
+    "stop-one": (
+        "stoppy", signal.SIGSTOP, ("easy",),
+        dict(
+            heartbeat_interval=0.2, heartbeat_timeout=1.0, cell_timeout=1.0,
+            max_retries=0,
+        ),
+    ),
+    "stop-one-watchdog-only": (
+        "stoppy", signal.SIGSTOP, ("easy",),
+        dict(heartbeat_interval=0.2, heartbeat_timeout=1.0, max_retries=0),
+    ),
+}
+
+
+def main(argv: list[str]) -> int:
+    case, journal_dir = argv[1], Path(argv[2])
+    row, signum, columns, kwargs = CASES[case]
+    register_row(row, _faulty_row(signum), columns=columns)
+    configs = [SchedulerConfig(row, column) for column in columns] + HEALTHY
+    engine = ExperimentEngine(
+        workers=2, journal_dir=journal_dir, retry_backoff=0.01, **kwargs
+    )
+    print("READY", flush=True)
+    with engine:
+        engine.run(probabilistic_workload(40, seed=3), total_nodes=256, configs=configs)
+    stats = engine.stats
+    reasons: list[str] = []
+    completed: dict[str, int] = {}
+    with open(journal_path(journal_dir, stats.run_id), encoding="utf-8") as handle:
+        for line in handle:
+            record = json.loads(line)
+            if record.get("kind") != "cell":
+                continue
+            if record["state"] in ("failed", "abandoned"):
+                reasons.append(record["detail"])
+            elif record["state"] == "completed":
+                completed[record["fp"]] = completed.get(record["fp"], 0) + 1
+    report = dict(
+        cells=len(configs),
+        simulated=stats.simulated,
+        pool_rebuilds=stats.pool_rebuilds,
+        degraded_cells=stats.degraded_cells,
+        reasons=reasons,
+        completed=completed,
+    )
+    print("DONE", json.dumps(report), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv))

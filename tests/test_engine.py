@@ -4,25 +4,20 @@ import inspect
 import json
 import multiprocessing
 import os
+import queue
 import random
-import shutil
 import signal
-import tempfile
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.persistence import append_events, read_grid, write_grid
 from repro.core.scheduler import Scheduler
-from repro.experiments.backends.base import (
-    CellOutcome,
-    CellTask,
-    ExecutionBackend,
-    ReleaseReport,
-)
 from repro.experiments.backends.cache import LocalDirStore
-from repro.experiments.dispatch import Dispatch, retry_pause
 from repro.experiments.engine import (
     CACHE_VERSION,
     ExperimentEngine,
@@ -31,9 +26,15 @@ from repro.experiments.engine import (
     fingerprint_jobs,
 )
 from repro.failures import FailureTrace, NodeFailure, mtbf_trace
-from repro.experiments.journal import RunInterrupted, RunJournal
+from repro.experiments.journal import (
+    JournalError,
+    RunInterrupted,
+    RunJournal,
+    read_journal,
+)
 from repro.experiments.lifecycle import RunStats
 from repro.experiments.paper import probabilistic_workload
+from repro.experiments.pool import PoolRun, retry_pause
 from repro.experiments.runner import (
     GridResult,
     TimingScheduler,
@@ -41,7 +42,6 @@ from repro.experiments.runner import (
     simulate_cell,
 )
 from repro.experiments.tables import format_grid
-from repro.experiments.workload_store import init_worker, spool_workload
 from repro.schedulers.baselines import KeyOrderPolicy
 from repro.schedulers.registry import (
     SchedulerConfig,
@@ -539,7 +539,7 @@ def _kept_pool(engine):
 
 
 def _worker_processes(pool):
-    return list((pool._exec._processes or {}).values())
+    return list((pool.executor._processes or {}).values())
 
 
 def _assert_all_dead(processes):
@@ -589,7 +589,7 @@ class TestPoolLifetime:
             # The same pool object, the same worker processes.
             assert _kept_pool(engine) is pool
             assert {proc.pid for proc in _worker_processes(pool)} == pids
-            assert len(pool._spooled) == 2  # spooled once per digest
+            assert len(pool.spooled) == 2  # spooled once per digest
         for grid, lines in enumerate((first, second), start=1):
             assert len(lines) == len(probe_row)
             for pid, in_worker, hydrations, held in lines:
@@ -620,11 +620,11 @@ class TestPoolLifetime:
             # Plant the wrong bytes under the digest the next grid will ask
             # for, and make the driver believe it spooled them itself.
             if wreck == "garbage":
-                with open(_spool_path(pool._dir, digest), "wb") as handle:
+                with open(_spool_path(pool.dir, digest), "wb") as handle:
                     handle.write(b"\x80\x05not a pickle at all")
             else:
-                spool_workload(pool._dir, digest, pack_jobs(workload[:20]))
-            pool._spooled.add(digest)
+                spool_workload(pool.dir, digest, pack_jobs(workload[:20]))
+            pool.spooled.add(digest)
             grid = engine.run(victim, total_nodes=256, configs=configs)
             stats = engine.stats
         # Every worker attempt failed; the serial fallback, which holds the
@@ -676,7 +676,7 @@ class TestPoolLifetime:
         engine.close()  # nothing started yet
         engine.run(workload[:20], total_nodes=256, configs=THREE_CELLS)
         pool = _kept_pool(engine)
-        scratch, processes = pool._dir, _worker_processes(pool)
+        scratch, processes = pool.dir, _worker_processes(pool)
         assert os.path.isdir(scratch) and len(processes) == 2
         engine.close()
         engine.close()
@@ -688,7 +688,7 @@ class TestPoolLifetime:
         assert engine.stats.backend == "local-pool"
         assert engine.stats.degraded_cells == 0 and len(grid.cells) == 3
         processes = _worker_processes(_kept_pool(engine))
-        scratch = _kept_pool(engine)._dir
+        scratch = _kept_pool(engine).dir
         del engine, pool  # a dropped engine is closed by its finalizer
         _assert_all_dead(processes)
         assert not os.path.exists(scratch)
@@ -716,7 +716,7 @@ class TestPoolLifetime:
                 if max_pool_rebuilds:
                     # Rebuilt inside the run, finished its cells: kept
                     # (the last rebuild forks on its first cell).
-                    assert _kept_pool(engine)._dir is not None
+                    assert _kept_pool(engine).dir is not None
                 else:
                     # Out of resets: the pool gave up and is gone.
                     assert engine._pool is None
@@ -770,7 +770,7 @@ class TestPoolLifetime:
         with pytest.raises(RunInterrupted):
             engine.run(workload[:30], total_nodes=256, configs=list(paper_configurations()))
         assert engine._pool is None
-        assert borrowed[0]._dir is None  # closed: scratch directory removed
+        assert borrowed[0].dir is None  # closed: scratch directory removed
         assert seen
         _assert_all_dead(seen)
         # The next run borrows a new pool and keeps it.
@@ -902,53 +902,35 @@ class TestCrashTolerance:
             ExperimentEngine(max_pool_rebuilds=-1)
 
 
-# -- watchdog knobs from the environment ---------------------------------------
+# -- watchdog knobs --------------------------------------------------------------
 
 
-class TestWatchdogEnv:
-    def test_interval_env_sets_interval_and_derived_timeout(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WATCHDOG_INTERVAL", "7")
+class TestWatchdogKnobs:
+    def test_interval_sets_interval_and_derived_timeout(self):
         engine = ExperimentEngine()
-        assert engine.heartbeat_interval == 7.0
-        assert engine.heartbeat_timeout == 30.0  # max(4*7, 30)
-        monkeypatch.setenv("REPRO_WATCHDOG_INTERVAL", "20")
-        assert ExperimentEngine().heartbeat_timeout == 80.0
+        assert engine.heartbeat_interval == 15.0
+        assert engine.heartbeat_timeout == 60.0  # max(4*15, 30)
+        assert ExperimentEngine(heartbeat_interval=7.0).heartbeat_timeout == 30.0
+        assert ExperimentEngine(heartbeat_interval=20.0).heartbeat_timeout == 80.0
 
-    def test_interval_env_off_disables_watchdog(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WATCHDOG_INTERVAL", "off")
-        engine = ExperimentEngine()
+    def test_interval_none_disables_watchdog(self):
+        engine = ExperimentEngine(heartbeat_interval=None)
         assert engine.heartbeat_interval is None
         assert engine.heartbeat_timeout is None
 
-    def test_timeout_env_overrides_derived_budget(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WATCHDOG_TIMEOUT", "120")
-        engine = ExperimentEngine()
+    def test_timeout_overrides_derived_budget(self):
+        engine = ExperimentEngine(heartbeat_timeout=120.0)
         assert engine.heartbeat_interval == 15.0
         assert engine.heartbeat_timeout == 120.0
-
-    def test_explicit_kwargs_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WATCHDOG_INTERVAL", "7")
-        monkeypatch.setenv("REPRO_WATCHDOG_TIMEOUT", "120")
-        engine = ExperimentEngine(heartbeat_interval=3.0, heartbeat_timeout=9.0)
-        assert engine.heartbeat_interval == 3.0
-        assert engine.heartbeat_timeout == 9.0
-        assert ExperimentEngine(heartbeat_interval=None).heartbeat_interval is None
-
-    def test_garbage_env_rejected_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WATCHDOG_INTERVAL", "soon")
-        with pytest.raises(ValueError, match="REPRO_WATCHDOG_INTERVAL"):
-            ExperimentEngine()
-        monkeypatch.delenv("REPRO_WATCHDOG_INTERVAL")
-        monkeypatch.setenv("REPRO_WATCHDOG_TIMEOUT", "later")
-        with pytest.raises(ValueError, match="REPRO_WATCHDOG_TIMEOUT"):
-            ExperimentEngine()
+        with pytest.raises(ValueError, match="heartbeat_timeout"):
+            ExperimentEngine(heartbeat_timeout=0.0)
 
 
 # -- the retry pause -------------------------------------------------------------
 
 
 class _RunStub:
-    """The slice of a ``GridRun`` that ``Dispatch.charge_retry`` writes to."""
+    """The slice of a ``GridRun`` that ``PoolRun.charge_retry`` writes to."""
 
     def __init__(self) -> None:
         self.stats = RunStats()
@@ -971,15 +953,15 @@ class TestRetryBackoff:
             assert new == legacy
 
     def test_engine_policy_matches_legacy_backoff(self):
-        """The dispatch loop's pauses are the legacy sequence, one draw
-        per retry from its rng, until the budget sends the cell to the
-        serial fallback."""
+        """The pool loop's pauses are the legacy sequence, one draw per
+        retry from its rng, until the budget sends the cell to the serial
+        fallback."""
         engine = ExperimentEngine(max_retries=3, retry_backoff=0.25)
         run = _RunStub()
-        dispatch = Dispatch(engine, run, [(SchedulerConfig("fcfs", "easy"), "fp")])
-        dispatch.rng = random.Random(9)
+        pool_run = PoolRun(engine, run, [(SchedulerConfig("fcfs", "easy"), "fp")])
+        pool_run.rng = random.Random(9)
         for _ in range(4):
-            dispatch.charge_retry("fp", "boom")
+            pool_run.charge_retry("fp", "boom")
         legacy_rng = random.Random(9)
         legacy = [
             0.25 * (2 ** (attempt - 1)) * legacy_rng.uniform(0.5, 1.5)
@@ -988,107 +970,145 @@ class TestRetryBackoff:
         pauses = [fields["wall_time"] for kind, fields in run.events if kind == "cell-retry"]
         assert pauses == legacy
         assert run.stats.retries == 3
-        assert dispatch.serial_fallback == ["fp"]
+        assert pool_run.serial_fallback == ["fp"]
 
 
-# -- late duplicate results ------------------------------------------------------
+# -- the fault matrix: which detector catches what ------------------------------
 
 
-class _DuplicatingBackend(ExecutionBackend):
-    """Computes cells in-process and answers the first one twice.
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
-    Models a worker whose revoked lease produces a late second result:
-    both copies reach the engine, which must count the cell once.  Like
-    the pool, it hydrates the process that runs the cells (here, this
-    one) from a spool directory.
+#: Seconds a fault case may take to reach each line it prints; generous for
+#: slow CI (the cases take about a second each).
+FAULT_DEADLINE = 60.0
+
+#: Seconds the driver may take to exit once its grid is done.
+EXIT_DEADLINE = 10.0
+
+
+@pytest.fixture
+def fault_driver(tmp_path):
+    """Start ``tests._fault_driver`` cases in their own sessions; the
+    stdout lines arrive on a queue.  Teardown SIGKILLs each session, so
+    no stopped worker outlives the test."""
+    started = []
+
+    def start(case):
+        with open(tmp_path / f"{case}.stderr", "w") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "tests._fault_driver", case,
+                 str(tmp_path / "runs")],
+                cwd=REPO_ROOT,
+                env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+                stdout=subprocess.PIPE,
+                stderr=stderr,
+                text=True,
+                start_new_session=True,
+            )
+        started.append(proc)
+        lines = queue.Queue()
+
+        def pump():
+            for line in proc.stdout:
+                lines.put(line)
+
+        threading.Thread(target=pump, daemon=True).start()
+        return proc, lines
+
+    yield start
+    for proc in started:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        proc.stdout.close()
+
+
+def _next_line(lines, timeout):
+    try:
+        return lines.get(timeout=timeout)
+    except queue.Empty:
+        return None
+
+
+def _run_fault_case(fault_driver, case):
+    """Run one case to the end; its report.  The driver must exit within
+    :data:`EXIT_DEADLINE` of finishing its grid."""
+    proc, lines = fault_driver(case)
+    assert _next_line(lines, FAULT_DEADLINE) == "READY\n"
+    line = _next_line(lines, FAULT_DEADLINE)
+    assert line is not None and line.startswith("DONE "), (case, line)
+    try:
+        proc.wait(timeout=EXIT_DEADLINE)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{case}: the driver hangs at exit after its grid finished")
+    assert proc.returncode == 0
+    return json.loads(line[len("DONE "):])
+
+
+def _assert_delivered_exactly_once(report):
+    assert report["simulated"] == report["cells"]
+    assert len(report["completed"]) == report["cells"]
+    assert set(report["completed"].values()) == {1}
+
+
+class TestFaultMatrix:
+    """Which detector catches which worker fault.
+
+    Each case runs a journaled two-worker grid in a subprocess (see
+    ``tests/_fault_driver.py``).  The retry reasons name the detector: a
+    SIGKILLed worker breaks the pool, every worker stopped at once leaves
+    every heartbeat stale, and one stopped worker beside a live one is
+    caught by ``cell_timeout`` alone — the live worker keeps the freshest
+    heartbeat fresh.  Every finished case must also exit promptly: a
+    SIGSTOPped worker ignores SIGTERM, and a surviving worker makes the
+    interpreter hang at exit.
     """
 
-    name = "stub-dup"
-
-    def __init__(self, store) -> None:
-        self._store = store
-        self._dir: str | None = None
-        self._pending: list[CellTask] = []
-        self._duplicated = False
-
-    def start(self) -> None:
-        self._dir = tempfile.mkdtemp(prefix="repro-dup-")
-        init_worker(self._dir, None)
-
-    def can_accept(self) -> bool:
-        return True
-
-    def submit(self, task: CellTask) -> bool:
-        digest = task.request.digest
-        spool_workload(self._dir, digest, self._store.get(digest))
-        self._pending.append(task)
-        return True
-
-    def collect(self, timeout):
-        from repro.experiments.engine import _run_cell_task
-
-        outcomes = []
-        for task in self._pending:
-            value = _run_cell_task(task.request)
-            outcomes.append(CellOutcome(task.fingerprint, "done", value=value))
-            if not self._duplicated:
-                self._duplicated = True
-                outcomes.append(
-                    CellOutcome(task.fingerprint, "done", value=value)
-                )
-        self._pending.clear()
-        return outcomes
-
-    def in_flight(self) -> set:
-        return {task.fingerprint for task in self._pending}
-
-    def release(self, fingerprints, reason):
-        return ReleaseReport()
-
-    def reset(self) -> bool:
-        return True
-
-    def close(self) -> None:
-        if self._dir is not None:
-            shutil.rmtree(self._dir, ignore_errors=True)
-            self._dir = None
-
-
-class TestLeasesAndDuplicates:
-    def test_duplicate_result_counts_once_and_stays_bit_identical(
-        self, workload, monkeypatch
-    ):
-        from repro.experiments import workload_store as ws
-
-        # The fake hydrates this process from its spool: keep the
-        # process-global worker state of other tests out of it and back.
-        monkeypatch.setattr(ws, "_SPOOL_DIR", None)
-        monkeypatch.setattr(ws, "_WORKER_WORKLOADS", {})
-        monkeypatch.setattr(
-            ExperimentEngine,
-            "borrow_pool",
-            lambda self: _DuplicatingBackend(self.workload_store),
+    def test_sigkill_is_caught_by_the_broken_pool(self, fault_driver):
+        report = _run_fault_case(fault_driver, "sigkill")
+        assert report["reasons"]
+        assert all(
+            reason.startswith("worker crashed: BrokenProcessPool")
+            for reason in report["reasons"]
         )
-        configs = [
-            SchedulerConfig("fcfs", "easy"),
-            SchedulerConfig("fcfs", "list"),
-            SchedulerConfig("psrs", "easy"),
-        ]
-        jobs = workload[:40]
-        events = []
-        hydrations = ws._WORKER_HYDRATIONS
-        with ExperimentEngine(workers=2, on_event=events.append) as engine:
-            grid = engine.run(jobs, total_nodes=256, configs=configs)
-            assert engine.stats.backend == "stub-dup"
-            assert engine.stats.duplicate_results == 1
-            assert engine.stats.simulated == len(configs)  # counted once each
-        assert [e.kind for e in events].count("cell-duplicate") == 1
-        assert ws._WORKER_HYDRATIONS == hydrations + 1  # from the spool, once
-        oracle = ExperimentEngine(workers=1).run(jobs, total_nodes=256, configs=configs)
-        for key in oracle.cells:
-            assert grid.cells[key].objective == oracle.cells[key].objective, key
-            assert grid.cells[key].makespan == oracle.cells[key].makespan, key
-            assert grid.fingerprints[key] == oracle.fingerprints[key], key
+        assert report["pool_rebuilds"] >= 1
+        _assert_delivered_exactly_once(report)
+
+    def test_all_workers_stopped_is_caught_by_the_watchdog(self, fault_driver):
+        report = _run_fault_case(fault_driver, "stop-all")
+        assert report["reasons"]
+        assert all(
+            reason.startswith("lost worker heartbeat")
+            for reason in report["reasons"]
+        )
+        assert report["simulated"] == report["cells"]
+
+    def test_one_worker_stopped_is_caught_by_cell_timeout(self, fault_driver):
+        report = _run_fault_case(fault_driver, "stop-one")
+        assert report["reasons"] == ["exceeded cell_timeout=1.0s"]
+        assert report["degraded_cells"] == 1
+        _assert_delivered_exactly_once(report)
+
+    def test_one_worker_stopped_escapes_the_watchdog(self, fault_driver, tmp_path):
+        proc, lines = fault_driver("stop-one-watchdog-only")
+        assert _next_line(lines, FAULT_DEADLINE) == "READY\n"
+        # The live worker finishes the three healthy cells...
+        deadline = time.monotonic() + FAULT_DEADLINE
+        while True:
+            try:
+                replay = read_journal(next((tmp_path / "runs").glob("*.jsonl")))
+            except (StopIteration, JournalError):
+                replay = None  # not created yet, or before its manifest
+            if replay is not None and len(replay.completed) == 3:
+                break
+            assert time.monotonic() < deadline, "healthy cells never finished"
+            time.sleep(0.05)
+        # ...and five watchdog budgets later the stopped one is still out.
+        assert _next_line(lines, 5.0) is None
+        assert replay.cells["stoppy/easy"].state == "started"
+        assert proc.poll() is None
 
 
 # -- failure scenarios through the engine --------------------------------------

@@ -29,7 +29,7 @@ NOT_ON_THE_WARM_PATH = (
     "repro.scenarios",
     "repro.analysis.report",
     "repro.metrics.bounds",
-    "repro.experiments.backends.pool",
+    "repro.experiments.pool",
     "multiprocessing",
     "concurrent.futures",
     "socket",
@@ -176,11 +176,10 @@ def test_pool_start_imports_the_simulation_stack_before_forking():
     out = _python(
         """
         import sys
-        from repro.experiments.backends.pool import PoolBackend
+        from repro.experiments.pool import WorkerPool
         from repro.experiments.workload_store import WorkloadStore
         before = "repro.core.simulator" in sys.modules
-        pool = PoolBackend(workers=1, store=WorkloadStore())
-        pool.start()
+        pool = WorkerPool(workers=1, store=WorkloadStore(), heartbeat_interval=None)
         try:
             print(before, "repro.core.simulator" in sys.modules)
         finally:
