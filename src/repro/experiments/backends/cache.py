@@ -12,25 +12,76 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.experiments.fingerprint import CACHE_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import CellResult
 
-__all__ = ["CachePruneStats", "LocalDirStore", "ResultCache"]
+__all__ = [
+    "CachePruneStats",
+    "LocalDirStore",
+    "ResultCache",
+    "quarantine",
+    "remove_stale_tmp",
+    "write_atomically",
+]
+
+
+def write_atomically(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a private temp file and a rename.
+
+    The temp name carries the pid **and** a random token, so two writers
+    filling one directory never collide on it, and ``os.replace`` means a
+    reader sees the old file or the new one, never a torn one.  No fsync:
+    every file written this way is a cache entry, and a lost entry is
+    only a miss.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / f".{path.stem}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def quarantine(path: Path) -> Path | None:
+    """Move a corrupt entry aside as ``*.corrupt``; best effort."""
+    target = path.with_suffix(".corrupt")
+    try:
+        os.replace(path, target)
+    except OSError:  # pragma: no cover - racing cleanup
+        return None
+    return target
+
+
+def remove_stale_tmp(tmps: Iterable[Path], max_age: float) -> int:
+    """Unlink the temp files among ``tmps`` older than ``max_age`` seconds.
+
+    Younger ones may belong to a writer that is still running.  Returns
+    how many were removed.
+    """
+    removed = 0
+    now = time.time()
+    for tmp in tmps:
+        try:
+            if now - tmp.stat().st_mtime > max_age:
+                tmp.unlink()
+                removed += 1
+        except OSError:  # pragma: no cover - racing cleanup
+            pass
+    return removed
 
 
 class LocalDirStore:
     """One ``<fp[:2]>/<fp>.json`` file per entry under a root directory.
 
-    Writes are crash-safe *and* race-safe: the payload goes to a
-    temporary file whose name carries the pid **and** a random token, so
-    two engines (or two threads) filling the same cache directory can
-    never collide on the temp name, and the ``os.replace`` finalization
-    means the loser of the rename race simply overwrites the winner's
-    identical bytes — first-writer-wins, same digest, no torn entry.
+    Writes are crash-safe *and* race-safe (:func:`write_atomically`):
+    two engines (or two threads) filling the same cache directory never
+    collide on the temp name, and the loser of the rename race simply
+    overwrites the winner's identical bytes — same digest, no torn entry.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -47,16 +98,7 @@ class LocalDirStore:
             return None
 
     def save(self, fingerprint: str, text: str) -> None:
-        path = self.path(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / (
-            f".{fingerprint}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
-        )
-        try:
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        write_atomically(self.path(fingerprint), text.encode("utf-8"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,6 +152,12 @@ class ResultCache:
         self.root = Path(root)
         self._local = LocalDirStore(self.root)
 
+    @property
+    def memo_root(self) -> Path:
+        """Where the engine's :class:`~repro.experiments.workload_store.
+        WorkloadMemo` files the generated workloads of this cache."""
+        return self.root / "workloads"
+
     def path(self, fingerprint: str) -> Path:
         return self._local.path(fingerprint)
 
@@ -132,7 +180,7 @@ class ResultCache:
                 return None
             return cell_from_dict(payload["cell"])
         except (AttributeError, KeyError, TypeError, ValueError):
-            self._quarantine(self.path(fingerprint))
+            quarantine(self.path(fingerprint))
             return None
 
     def status(self, fingerprint: str) -> str:
@@ -172,13 +220,14 @@ class ResultCache:
         unreachable by construction), unparseable ones become
         ``*.corrupt``, and orphaned temp files older than
         :data:`TMP_MAX_AGE` — a crashed writer's leftovers — are removed.
-        Used by ``repro-experiments --list-runs`` so long-lived cache
+        The workload memos under :attr:`memo_root` are swept too (see
+        :meth:`~repro.experiments.workload_store.WorkloadMemo.prune`) and
+        counted with the entries.  Used by ``repro-experiments --list-runs`` so long-lived cache
         directories stay honest about what they hold.
         """
-        scanned = stale = quarantined = removed_tmp = 0
+        scanned = stale = quarantined = 0
         if not self.root.is_dir():
             return CachePruneStats(0, 0, 0, 0)
-        now = time.time()
         for path in self.root.glob("??/*.json"):
             scanned += 1
             text = self._local.load(path.stem)
@@ -192,25 +241,20 @@ class ResultCache:
                 except OSError:  # pragma: no cover - racing cleanup
                     pass
             elif verdict == "corrupt":
-                if self._quarantine(path) is not None:
+                if quarantine(path) is not None:
                     quarantined += 1
-        for tmp in self.root.glob("??/.*.tmp"):
-            try:
-                if now - tmp.stat().st_mtime > self.TMP_MAX_AGE:
-                    tmp.unlink()
-                    removed_tmp += 1
-            except OSError:  # pragma: no cover - racing cleanup
-                pass
-        return CachePruneStats(scanned, stale, quarantined, removed_tmp)
+        removed_tmp = remove_stale_tmp(self.root.glob("??/.*.tmp"), self.TMP_MAX_AGE)
+        from repro.experiments.workload_store import WorkloadMemo
 
-    def _quarantine(self, path: Path) -> Path | None:
-        """Move a corrupt entry aside as ``*.corrupt``; best effort."""
-        target = path.with_suffix(".corrupt")
-        try:
-            os.replace(path, target)
-        except OSError:  # pragma: no cover - racing cleanup
-            return None
-        return target
+        memos, bad_memos, memo_tmp = WorkloadMemo(self.memo_root).prune(
+            self.TMP_MAX_AGE
+        )
+        return CachePruneStats(
+            scanned + memos,
+            stale,
+            quarantined + bad_memos,
+            removed_tmp + memo_tmp,
+        )
 
     def put(self, fingerprint: str, cell: "CellResult") -> None:
         from repro.analysis.persistence import cell_to_dict

@@ -191,13 +191,17 @@ def _cmd_verify_run(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_profile_cell(args: argparse.Namespace) -> int:
+def _cmd_profile_cell(
+    args: argparse.Namespace, source_trace: "list[Job] | None"
+) -> int:
     """Re-simulate one journaled cell with per-phase instrumentation.
 
     Locates the cell by (a prefix of) its cache fingerprint with the same
     journal walk ``--verify-run`` performs, rebuilds the run's workload
-    from its manifest recipe (and the scenario from the CLI flags, when
-    the cell ran under one), proves the reconstruction by recomputing the
+    from its manifest recipe the way the run built it (from
+    ``source_trace`` when the run had ``--swf``, through the engine's
+    workload memo), and the scenario from the CLI flags when the cell
+    ran under one, proves the reconstruction by recomputing the
     cell fingerprint, then re-runs that single cell with
     ``SimulationConfig(profile_phases=True)`` and prints the
     ``phase_seconds`` breakdown — a regression is attributable to a phase
@@ -212,6 +216,7 @@ def _cmd_profile_cell(args: argparse.Namespace) -> int:
         list_runs,
         read_journal,
     )
+    from repro.experiments.paper import _experiment_jobs
     from repro.schedulers.registry import SchedulerConfig, build_scheduler
 
     target = args.profile_cell
@@ -271,8 +276,11 @@ def _cmd_profile_cell(args: argparse.Namespace) -> int:
     recompute_threshold = float(manifest["recompute_threshold"])
     row, _, column = key.partition("/")
     config = SchedulerConfig(row=row, column=column)
-    request = ExperimentEngine()._prepare(
-        spec.workload(scale, args.seed),
+    engine = ExperimentEngine(cache=None if args.no_cache else args.cache_dir)
+    request = engine._prepare(
+        _experiment_jobs(
+            spec, scale, args.seed, source_trace, engine.workload_memo
+        ),
         total_nodes=total_nodes,
         weighted=weighted,
         configs=[config],
@@ -285,7 +293,7 @@ def _cmd_profile_cell(args: argparse.Namespace) -> int:
         print(
             f"reconstructed inputs do not reproduce fingerprint "
             f"{fingerprint}\n(got {expected}).  Re-run with the original "
-            "--scale/--seed and scenario flags of run "
+            "--scale/--seed/--swf and scenario flags of run "
             f"{run_id} (workload {name!r}, {manifest.get('n_jobs')} jobs"
             f"{', scenario ' + manifest['scenario'][:12] if manifest.get('scenario') else ''}).",
             file=sys.stderr,
@@ -475,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="re-simulate one journaled cell (by cache-fingerprint prefix) "
         "with per-phase instrumentation and print its phase_seconds "
-        "breakdown, then exit (pass the run's --scale/--seed/scenario "
+        "breakdown, then exit (pass the run's --scale/--seed/--swf/scenario "
         "flags if they differed from the defaults)",
     )
     return parser
@@ -568,6 +576,17 @@ def _run_experiments(
     return 0
 
 
+def _read_trace(args: argparse.Namespace) -> "list[Job] | None":
+    """The ``--swf`` trace, or ``None`` when the run is synthetic."""
+    if args.swf is None:
+        return None
+    from repro.workloads.swf import read_swf
+
+    source_trace = read_swf(args.swf)
+    print(f"loaded {len(source_trace)} jobs from {args.swf}", file=sys.stderr)
+    return source_trace
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -577,7 +596,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.verify_run is not None:
         return _cmd_verify_run(args)
     if args.profile_cell is not None:
-        return _cmd_profile_cell(args)
+        return _cmd_profile_cell(args, _read_trace(args))
     if not args.ids:
         parser.error(
             "experiment ids are required "
@@ -603,12 +622,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         parser.error(f"bad scenario: {exc}")
 
-    source_trace = None
-    if args.swf is not None:
-        from repro.workloads.swf import read_swf
-
-        source_trace = read_swf(args.swf)
-        print(f"loaded {len(source_trace)} jobs from {args.swf}", file=sys.stderr)
+    source_trace = _read_trace(args)
 
     from repro.experiments.extensions import EXTENSIONS, run_extension
 

@@ -58,6 +58,7 @@ from repro.experiments.runner import (
     simulate_cell,
 )
 from repro.experiments.workload_store import (
+    WorkloadMemo,
     WorkloadStore,
     resolve_worker_workload,
 )
@@ -280,7 +281,11 @@ class ExperimentEngine:
         absent from cell fingerprints and run manifests — caches and
         journals written under one backend resume cleanly under the other.
 
-    ``stats`` holds the :class:`RunStats` of the most recent :meth:`run`;
+    ``workload_memo`` is the engine's
+    :class:`~repro.experiments.workload_store.WorkloadMemo`: the paper
+    recipes' generated streams, in process and, with a cache, under
+    ``<cache>/workloads``.  ``stats`` holds the :class:`RunStats` of the
+    most recent :meth:`run`;
     everything else a run mutates lives on its own
     :class:`~repro.experiments.lifecycle.GridRun`.  Between runs the
     engine also keeps its local worker pool alive, so a sweep of many
@@ -312,6 +317,9 @@ class ExperimentEngine:
         )
         self.on_event = on_event
         self.workload_store = WorkloadStore()
+        self.workload_memo = WorkloadMemo(
+            self.cache.memo_root if self.cache is not None else None
+        )
         if cell_timeout is not None and cell_timeout <= 0:
             raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
         if max_retries < 0:

@@ -17,10 +17,12 @@ cells are.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.job import Job
 from repro.experiments.engine import ExperimentEngine
+from repro.experiments.fingerprint import fingerprint_jobs
 from repro.experiments.runner import GridResult
 from repro.experiments.tables import (
     agreement_score,
@@ -29,9 +31,6 @@ from repro.experiments.tables import (
     format_compute_times,
     format_grid,
 )
-from repro.workloads.ctc import ctc_like_workload
-from repro.workloads.probabilistic import ProbabilisticModel
-from repro.workloads.randomized import randomized_workload
 from repro.workloads.transforms import (
     cap_nodes,
     renumber,
@@ -40,6 +39,7 @@ from repro.workloads.transforms import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.workload_store import WorkloadMemo
     from repro.scenarios import ScenarioSpec
 
 # -- published numbers (Tables 3–6) --------------------------------------------------
@@ -133,20 +133,31 @@ PAPER_TABLE1 = {"ctc": 79_164, "probabilistic": 50_000, "randomized": 50_000}
 
 
 # -- workload recipes -----------------------------------------------------------------
+#
+# The generators draw with numpy; they are imported where they run, so a
+# rerun whose workloads all come out of the engine's memo never loads it.
 
 def ctc_workload(scale: int, seed: int = 42) -> list[Job]:
     """The experiment CTC workload: synthetic trace capped at 256 nodes."""
+    from repro.workloads.ctc import ctc_like_workload
+
     return renumber(cap_nodes(ctc_like_workload(scale, seed=seed), 256))
+
+
+def _fit_and_sample(source: Sequence[Job], scale: int, seed: int) -> list[Job]:
+    from repro.workloads.probabilistic import ProbabilisticModel
+
+    return ProbabilisticModel.fit(source).sample(scale, seed=seed + 1)
 
 
 def probabilistic_workload(scale: int, seed: int = 42) -> list[Job]:
     """Section 6.2: fit the model on the CTC workload, sample a fresh one."""
-    source = ctc_workload(scale, seed=seed)
-    model = ProbabilisticModel.fit(source)
-    return model.sample(scale, seed=seed + 1)
+    return _fit_and_sample(ctc_workload(scale, seed=seed), scale, seed)
 
 
 def randomized_workload_at(scale: int, seed: int = 42) -> list[Job]:
+    from repro.workloads.randomized import randomized_workload
+
     return randomized_workload(scale, seed=seed)
 
 
@@ -314,7 +325,9 @@ def run_experiment(
     journal directory, simulation and execution backends are all its
     constructor arguments; ``None`` builds the default one (serial, no
     cache).  Pass one engine to several calls to share its workload
-    store.  Results, caches and run ids are bit-identical across
+    store and its workload memo (each recipe is generated once per
+    engine, and read back from ``<cache>/workloads`` by later engines on
+    the same cache).  Results, caches and run ids are bit-identical across
     simulation and execution backends.
 
     ``resume_run_id`` resumes the regime whose deterministic run
@@ -333,10 +346,10 @@ def run_experiment(
     """
     spec = EXPERIMENTS[experiment_id]
     n = spec.default_scale if scale is None else scale
-    jobs = _experiment_jobs(spec, n, seed, source_trace)
-    wanted = list(regimes) if regimes is not None else list(spec.paper.keys())
     if engine is None:
         engine = ExperimentEngine()
+    jobs = _experiment_jobs(spec, n, seed, source_trace, engine.workload_memo)
+    wanted = list(regimes) if regimes is not None else list(spec.paper.keys())
 
     def _grid_kwargs(regime: str) -> dict:
         return dict(
@@ -400,24 +413,44 @@ def run_experiment(
     )
 
 
+#: The recipes whose generated streams the workload memo may keep: their
+#: source is part of every memo key (``GENERATOR_MODULES``).
+_MEMOISED_RECIPES = (
+    ctc_workload, probabilistic_workload, randomized_workload_at, ctc_exact_workload,
+)
+
+
 def _experiment_jobs(
     spec: ExperimentSpec,
     scale: int,
     seed: int,
     source_trace: Sequence[Job] | None,
+    memo: "WorkloadMemo | None" = None,
 ) -> list[Job]:
-    """Build an experiment's workload, honouring a real-trace override."""
-    if source_trace is None:
-        return spec.workload(scale, seed)
-    prefix = renumber(cap_nodes(take_prefix(source_trace, scale), 256))
-    if spec.workload is ctc_workload:
-        return prefix
-    if spec.workload is ctc_exact_workload:
-        return with_exact_estimates(prefix)
-    if spec.workload is probabilistic_workload:
-        model = ProbabilisticModel.fit(prefix)
-        return model.sample(scale, seed=seed + 1)
-    return spec.workload(scale, seed)  # randomized: trace-free by design
+    """Build an experiment's workload, honouring a real-trace override.
+
+    With a ``memo``, a paper recipe's generated stream is looked up under
+    its memo key first and filed there after a build.  Prefixes of a real
+    trace are cut afresh every time: they need no generator, and they
+    carry the trace's ``meta``.
+    """
+    recipe = spec.workload
+    trace_digest = ""
+    build = partial(recipe, scale, seed)
+    if source_trace is not None and recipe is not randomized_workload_at:
+        # (the randomized workload is trace-free by design)
+        prefix = renumber(cap_nodes(take_prefix(source_trace, scale), 256))
+        if recipe is ctc_workload:
+            return prefix
+        if recipe is ctc_exact_workload:
+            return with_exact_estimates(prefix)
+        if recipe is probabilistic_workload:
+            trace_digest = fingerprint_jobs(prefix)
+            build = partial(_fit_and_sample, prefix, scale, seed)
+    if memo is None or recipe not in _MEMOISED_RECIPES:
+        return build()
+    name = f"{recipe.__module__}.{recipe.__qualname__}"
+    return memo.fetch(memo.key(name, scale, seed, trace_digest), build)
 
 
 def _pct_agreement(paper: dict[str, float], measured: dict[str, float]) -> float:

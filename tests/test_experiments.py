@@ -247,6 +247,34 @@ class TestCLI:
                 assert code == 1
                 assert "do not reproduce" in capsys.readouterr().err
 
+    def test_cli_profile_cell_of_an_swf_run(self, tmp_path, capsys):
+        """A cell of an --swf run rebuilds from the trace: the CTC prefix
+        (table3) and the model fitted on it (table4, out of the workload
+        memo the run filed)."""
+        import json
+
+        from repro.experiments.cli import main
+        from repro.workloads.swf import write_swf
+        from tests.conftest import make_jobs
+
+        trace = tmp_path / "trace.swf"
+        write_swf(make_jobs(150, seed=9, max_nodes=128), trace)
+        common = ["--swf", str(trace), "--scale", "100",
+                  "--cache-dir", str(tmp_path / "cache")]
+        assert main(["table3", "table4", *common]) == 0
+        capsys.readouterr()
+        fingerprints = {}
+        for journal in sorted((tmp_path / "cache" / "runs").glob("*.jsonl")):
+            records = [json.loads(line) for line in journal.read_text().splitlines()]
+            name = records[0]["workload_name"]
+            fingerprints[name] = next(r["fp"] for r in records if r.get("fp"))
+        assert len(fingerprints) == 2
+        for fingerprint in fingerprints.values():
+            code = main(["--profile-cell", fingerprint[:16], *common])
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            assert fingerprint in captured.out
+
     def test_cli_profile_cell_unknown_fingerprint(self, tmp_path, capsys):
         from repro.experiments.cli import main
 

@@ -33,6 +33,7 @@ NOT_ON_THE_WARM_PATH = (
     "multiprocessing",
     "concurrent.futures",
     "socket",
+    "numpy",
 )
 
 FACADES = (
@@ -74,7 +75,12 @@ def test_importing_the_cli_loads_no_simulation_stack():
 
 
 def test_warm_rerun_loads_no_simulation_stack(tmp_path):
-    argv = ["table3", "--scale", "30", "--cache-dir", str(tmp_path / "cache")]
+    # Every recipe generator (CTC, probabilistic, randomized): a warm rerun
+    # reads all three streams back from the workload memo, without numpy.
+    argv = [
+        "table3", "table4", "table5",
+        "--scale", "30", "--cache-dir", str(tmp_path / "cache"),
+    ]
     run = """
     import sys
     from repro.experiments import cli
@@ -102,7 +108,7 @@ def test_warm_rerun_loads_no_simulation_stack(tmp_path):
         for line in events.read_text().splitlines()
         if json.loads(line)["kind"] in ("cell-finished", "cache-hit")
     ]
-    assert len(cells) == 26  # 13 cells x 2 regimes
+    assert len(cells) == 78  # 13 cells x 2 regimes x 3 tables
     assert all(event["cached"] for event in cells)
 
 
