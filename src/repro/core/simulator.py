@@ -7,12 +7,11 @@ scheduler is asked which queued jobs to start *now*.  Two pieces:
 **The site** (:class:`repro.core.site.SiteRun`) owns the machine, the
 running table, the incremental :class:`~repro.core.state.SchedulingState`
 and the finished records, and is the only code that commits a start, a
-finish or a kill to them.  The closed-loop workload driver and the
-metasystem drive the same object.
+finish or a kill to them.
 
-**The run** (:class:`_Run`) is the mutable state of one
-:meth:`Simulator.run` — event queue, reruns, kill times, failure and
-cancellation tallies — and its methods are the event handlers.
+**The run** (:class:`SimulationRun`) is the mutable state of one on-line
+run — event queue, reruns, kill times, failure and cancellation tallies —
+and its methods are the event handlers and the one decision point.
 :meth:`Simulator.run` is set-up, then "next instant → each event through
 ``EventKind → handler`` → one decision".  Completions are applied before
 submissions at equal times (see :mod:`repro.core.events`), so a newly
@@ -22,6 +21,9 @@ Both backends run this one loop on one event path — the static timeline
 and heap of :mod:`repro.core.events` — and report the same schedule; the
 backend picks only which queue walk runs (the compiled walks behind
 ``ctx.vectorize`` or the Python walks, see :mod:`repro.core.vector`).
+The closed-loop users (:mod:`repro.workloads.feedback`) and each
+metasystem site (:mod:`repro.metasystem.system`) drive a
+:class:`SimulationRun` too, through the same handlers and decision point.
 
 Jobs whose actual runtime exceeds the user limit can optionally be cancelled
 at the limit (``cancel_over_limit=True``), matching policy rule 2 of
@@ -220,13 +222,16 @@ class _Trace:
     free_nodes: list[tuple[float, int]] = field(default_factory=list)
 
 
-class _Run:
-    """The mutable state of one :meth:`Simulator.run`.
+class SimulationRun:
+    """The mutable state of one on-line run of ``sim``'s scheduler.
 
     Its methods are the event handlers (:meth:`handlers` maps each
     :class:`EventKind` to one), the failure kill and the decision point.
     Handlers take the event payload and act at ``ctx.now``; every
-    machine/state commit goes through ``self.site``.
+    machine/state commit goes through ``self.site``.  ``stream`` (in
+    arrival order) and ``inputs`` form the static timeline of ``feed``.
+    Pass ``events`` to share one heap between several runs: a timer
+    carries its run as payload.
     """
 
     __slots__ = (
@@ -242,9 +247,10 @@ class _Run:
     def __init__(
         self,
         sim: "Simulator",
-        stream: Sequence[Job],
-        inputs: ScenarioInputs,
-        cancel_over_limit: bool,
+        stream: Sequence[Job] = (),
+        inputs: ScenarioInputs = ScenarioInputs(),
+        cancel_over_limit: bool = False,
+        events: EventQueue | None = None,
     ) -> None:
         self.by_id = by_id = {job.job_id: job for job in stream}
         for cancel in inputs.cancellations:
@@ -284,7 +290,9 @@ class _Run:
         # is one static timeline sorted once and walked by the feed's
         # cursor; the heap holds only what the run creates (completions,
         # rerun submissions, timers).
-        self.events = events = EventQueue()
+        if events is None:
+            events = EventQueue()
+        self.events = events
         self.feed = MergedEventFeed(
             events,
             *static_timeline(
@@ -502,7 +510,7 @@ class _Run:
             and (queue_len > 0 or self.site.running)
         ):
             self.pending_timers.add(wake)
-            self.events.push(wake, EventKind.TIMER)
+            self.events.push(wake, EventKind.TIMER, self)
         if queue_len > self.max_queue:
             self.max_queue = queue_len
         if self.trace is not None:
@@ -637,7 +645,7 @@ class Simulator:
             jobs = compiled.jobs
             scenario = compiled.inputs
             cancel_over_limit = cancel_over_limit or compiled.cancel_over_limit
-        run = _Run(self, self._validated_stream(jobs), scenario, cancel_over_limit)
+        run = SimulationRun(self, self._validated_stream(jobs), scenario, cancel_over_limit)
 
         # Hot-loop bindings: the loop runs a few times per job, so the
         # repeated attribute walks are measurable at bench scale.

@@ -1,21 +1,18 @@
 """One site of a run: a machine, what runs on it, and the commits that change it.
 
-Every event loop here — :class:`repro.core.simulator.Simulator`,
-:func:`repro.workloads.feedback.run_closed_loop`,
-:class:`repro.metasystem.system.Metasystem` — is the paper's Section 2
-on-line system, and a start, a finish and a kill mean the same in all of
-them: four things change that must never disagree — the :class:`Machine`
-partitions, the ``running`` table schedulers read, the incremental
-:class:`~repro.core.state.SchedulingState` behind ``ctx.profile`` and the
-finished records.  :class:`SiteRun` owns those four and is the only code
-that commits to them.
-
-The loops keep what differs between them: the clock, the event queue, the
-scheduler calls.  So the site never pushes an event — ``start`` returns
-the record whose ``end_time`` the loop schedules, ``finish`` says whether
-the completion was live, ``kill`` returns the partial record for the loop
-to file — and every operation assumes the loop has already moved the clock
-(``site.ctx.now = now``) to the instant it commits at.
+A start, a finish and a kill change four things that must never disagree:
+the :class:`Machine` partitions, the ``running`` table schedulers read, the
+incremental :class:`~repro.core.state.SchedulingState` behind
+``ctx.profile`` and the finished records.  :class:`SiteRun` owns those four
+and is the only code that commits to them.  Each site belongs to one
+:class:`~repro.core.simulator.SimulationRun` — what the simulator, the
+closed-loop users and every metasystem site drive — and the run owns the
+clock, the events and the scheduler calls.  So the site never pushes an
+event — ``start`` returns the record whose ``end_time`` the run schedules,
+``finish`` says whether the completion was live, ``kill`` returns the
+partial record for the run to file — and every operation assumes the run
+has already moved the clock (``site.ctx.now = now``) to the instant it
+commits at.
 """
 
 from __future__ import annotations

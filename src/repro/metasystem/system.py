@@ -1,10 +1,13 @@
 """The metasystem co-simulation: shared clock, independent sites.
 
-Each site is a full (machine, scheduler) pair from the core library; the
-metasystem advances one global event queue so routing decisions always see
-consistent cross-site state.  A job routed away from its *home site*
-(``job.meta['home']``) pays ``transfer_delay`` seconds before it becomes
-visible to the remote scheduler — the wide-area staging cost of [17].
+Each site is the simulator's own run
+(:class:`~repro.core.simulator.SimulationRun`) of its (machine, scheduler)
+pair; all runs share one event heap, so routing decisions always see
+consistent cross-site state.  The metasystem routes and dispatches; the
+runs handle the events and decide.  A job routed away from its *home
+site* (``job.meta['home']``) pays ``transfer_delay`` seconds before it
+becomes visible to the remote scheduler — the wide-area staging cost of
+[17].
 """
 
 from __future__ import annotations
@@ -12,13 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from repro.core.events import EventKind, EventQueue
+from repro.core.events import EventKind, EventQueue, MergedEventFeed, static_timeline
 from repro.core.job import Job, validate_stream
 from repro.core.machine import Machine
 from repro.core.schedule import Schedule, ScheduledJob
 from repro.core.scheduler import Scheduler
-from repro.core.site import SiteRun
+from repro.core.simulator import SimulationRun, Simulator
 from repro.metasystem.routing import Router, SiteView
+
+_SUBMISSION = EventKind.SUBMISSION
 
 
 @dataclass(slots=True)
@@ -63,12 +68,10 @@ class MetasystemResult:
     def global_art(self) -> float:
         """ART over all jobs, response measured from *original* submission.
 
-        Transfer delay is part of the response a user experiences, so the
-        per-site records (whose submit times include the delay) are mapped
-        back through :attr:`placement` bookkeeping by the caller... the
-        simpler exact route: per-site ``ScheduledJob.job`` carries the
-        *shifted* submission; the original is preserved in
-        ``job.meta['meta_submit']`` when shifting occurred.
+        Transfer delay is part of the response a user experiences.  A
+        migrated job's per-site record carries the *shifted* submission
+        (original plus delay); the original is kept in
+        ``job.meta['meta_submit']``, and the response is measured from it.
         """
         items = self.all_items()
         if not items:
@@ -86,35 +89,36 @@ class MetasystemResult:
         return max(counts) / low if low else float("inf")
 
 
-class _SiteState(SiteRun):
-    """One member site's run, plus what the router and the report read."""
+class _Member:
+    """One member site's on-line run, plus what the router and the report read."""
 
-    __slots__ = ("site", "routed", "max_queue")
+    __slots__ = ("site", "run", "handlers", "routed")
 
-    def __init__(self, site: Site) -> None:
-        super().__init__(Machine(site.nodes))
+    def __init__(self, site: Site, events: EventQueue) -> None:
         self.site = site
-        site.scheduler.reset()
+        self.run = SimulationRun(
+            Simulator(Machine(site.nodes), site.scheduler), events=events
+        )
+        self.handlers = self.run.handlers()
         self.routed = 0
-        self.max_queue = 0
 
     def submit(self, job: Job) -> None:
         """``job`` becomes visible to this site's scheduler."""
         self.routed += 1
-        self.state.note_enqueued(job.nodes)
-        self.site.scheduler.on_submit(job, self.ctx)
+        self.handlers[_SUBMISSION](job)
 
     def view(self) -> SiteView:
+        now = self.run.ctx.now
         backlog = sum(
-            max(0.0, r.projected_end - self.ctx.now) * r.job.nodes
-            for r in self.running.values()
+            max(0.0, r.projected_end - now) * r.job.nodes
+            for r in self.run.site.running.values()
         )
         # The scheduler's queue is opaque: ``pending_count`` gives its
         # length, ``_queued_area`` its area where the policy exposes one.
         return SiteView(
             name=self.site.name,
             total_nodes=self.site.nodes,
-            free_nodes=self.machine.free_nodes,
+            free_nodes=self.run.site.machine.free_nodes,
             queue_length=self.site.scheduler.pending_count,
             projected_backlog=backlog + self._queued_area(),
         )
@@ -152,71 +156,63 @@ class Metasystem:
 
     def run(self, jobs: Sequence[Job]) -> MetasystemResult:
         stream = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
-        validate_stream(list(stream))
+        validate_stream(stream)
         self.router.reset()
-        states = {s.name: _SiteState(s) for s in self.sites}
-
         events = EventQueue()
+        members = {s.name: _Member(s, events) for s in self.sites}
+        by_run = {member.run: member for member in members.values()}
+        # The original submissions are the static timeline.  A submission
+        # of a job not placed yet is routed; one already placed is its
+        # staged arrival.
+        feed = MergedEventFeed(
+            events, *static_timeline(stream, [job.submit_time for job in stream])
+        )
         placement: dict[int, str] = {}
         migrations = 0
-        for job in stream:
-            events.push(job.submit_time, EventKind.SUBMISSION, ("route", job))
 
-        while events:
-            now = events.peek_time()
-            for state in states.values():
-                state.ctx.now = now
-            touched: set[str] = set()
-            while events and events.peek_time() == now:
-                event = events.pop()
-                if event.kind is EventKind.COMPLETION:
-                    site_name, item = event.payload
-                    state = states[site_name]
-                    state.finish(item)
-                    state.site.scheduler.on_complete(item.job, state.ctx)
-                    touched.add(site_name)
-                    continue
-                kind, payload = event.payload
-                if kind == "route":
+        while feed:
+            now = feed.peek_time()
+            for member in members.values():
+                member.run.ctx.now = now
+            touched: dict[_Member, None] = {}
+            while feed and feed.peek_time() == now:
+                kind, payload = feed.pop_next()
+                if kind is _SUBMISSION:
                     job = payload
-                    views = [states[s.name].view() for s in self.sites]
-                    target = self.router.route(job, views)
-                    if target not in states:
-                        raise ValueError(f"router returned unknown site {target!r}")
-                    placement[job.job_id] = target
-                    if target != job.meta.get("home", target):
-                        migrations += 1
-                        if self.transfer_delay > 0:
-                            shifted = _shift(job, self.transfer_delay)
-                            events.push(
-                                shifted.submit_time,
-                                EventKind.SUBMISSION,
-                                ("arrive", (target, shifted)),
-                            )
-                            continue
-                else:  # staged arrival at the remote site
-                    target, job = payload
-                states[target].submit(job)
-                touched.add(target)
-
-            for name in touched:
-                state = states[name]
-                for job in state.site.scheduler.select_jobs(state.ctx):
-                    item = state.start(job, now)
-                    events.push(item.end_time, EventKind.COMPLETION, (name, item))
-                state.max_queue = max(state.max_queue, state.site.scheduler.pending_count)
+                    target = placement.get(job.job_id)
+                    if target is None:
+                        views = [m.view() for m in members.values()]
+                        target = self.router.route(job, views)
+                        if target not in members:
+                            raise ValueError(f"router returned unknown site {target!r}")
+                        placement[job.job_id] = target
+                        if target != job.meta.get("home", target):
+                            migrations += 1
+                            if self.transfer_delay > 0:
+                                shifted = _shift(job, self.transfer_delay)
+                                events.push(shifted.submit_time, _SUBMISSION, shifted)
+                                continue
+                    member = members[target]
+                    member.submit(job)
+                else:
+                    if kind is EventKind.TIMER:
+                        member = by_run[payload]
+                    else:  # a completion
+                        member = members[placement[payload.job.job_id]]
+                    member.handlers[kind](payload)
+                touched[member] = None
+            for member in touched:
+                member.run.decide()
 
         results = {}
-        for name, state in states.items():
-            if state.running:
-                raise RuntimeError(f"site {name} finished with running jobs")
-            schedule = Schedule(state.completed)
-            schedule.validate(state.site.nodes)
+        for name, member in members.items():
+            outcome = member.run.result()  # raises on jobs left running or queued
+            outcome.schedule.validate(member.site.nodes)
             results[name] = SiteResult(
                 site_name=name,
-                schedule=schedule,
-                jobs_routed=state.routed,
-                max_queue_length=state.max_queue,
+                schedule=outcome.schedule,
+                jobs_routed=member.routed,
+                max_queue_length=outcome.max_queue_length,
             )
         return MetasystemResult(
             sites=results, placement=placement, migrations=migrations

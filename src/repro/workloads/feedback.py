@@ -17,11 +17,11 @@ is precisely the coupling Section 2.4 warns about.
 
 :func:`run_closed_loop` co-simulates the user population with any
 :class:`~repro.core.scheduler.Scheduler`.  The stream must react to
-completions, so it cannot be replayed through
-:class:`repro.core.simulator.Simulator`; it runs its own event loop over
-the same :class:`~repro.core.site.SiteRun`, with user reactions added.
-The result separates cleanly: a realised trace (reusable as an open-loop
-workload) plus the schedule.
+completions, so it cannot be replayed through ``Simulator.run``; it
+drives the simulator's :class:`~repro.core.simulator.SimulationRun`
+instead and applies each user's reaction after a completion is
+dispatched.  The result separates cleanly: a realised trace (reusable as
+an open-loop workload) plus the schedule.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.events import EventKind, EventQueue
+from repro.core.events import EventKind
 from repro.core.job import Job
 from repro.core.machine import Machine
 from repro.core.schedule import Schedule, ScheduledJob
 from repro.core.scheduler import Scheduler
-from repro.core.site import SiteRun
+from repro.core.simulator import SimulationRun, Simulator
 
 
 @dataclass(slots=True)
@@ -118,18 +118,14 @@ def run_closed_loop(
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     rng = np.random.default_rng(seed)
-    site = SiteRun(Machine(total_nodes))
-    ctx = site.ctx
-    scheduler.reset()
-    events = EventQueue()
+    run = SimulationRun(Simulator(Machine(total_nodes), scheduler))
     trace: list[Job] = []
     submissions: dict[int, int] = {u.user_id: 0 for u in users}
     abandoned: set[int] = set()
     profiles = {u.user_id: u for u in users}
-    next_job_id = 0
 
-    def make_job(user: UserProfile, submit: float) -> Job:
-        nonlocal next_job_id
+    def submit(user: UserProfile, at: float) -> None:
+        """Draw ``user``'s next job and submit it at ``at``."""
         width = int(rng.choice(user.widths, p=np.asarray(user.width_probs)))
         width = min(width, total_nodes)
         runtime = float(
@@ -138,18 +134,24 @@ def run_closed_loop(
         runtime = min(max(runtime, 1.0), 64_800.0)
         estimate = runtime * float(rng.uniform(1.0, user.max_slack))
         job = Job(
-            job_id=next_job_id,
-            submit_time=submit,
+            job_id=len(trace),
+            submit_time=at,
             nodes=width,
             runtime=runtime,
             estimate=estimate,
             user=user.user_id,
         )
-        next_job_id += 1
-        return job
+        trace.append(job)
+        submissions[user.user_id] += 1
+        run.events.push(at, EventKind.SUBMISSION, job)
 
-    def user_reacts(item: ScheduledJob) -> None:
-        """Completion feedback: think, maybe balk, then submit again."""
+    handlers = run.handlers()
+    finish = handlers[EventKind.COMPLETION]
+
+    def complete(item: ScheduledJob) -> None:
+        """The run's completion, then the user's feedback: think, maybe
+        balk, then submit again."""
+        finish(item)
         user = profiles[item.job.user]
         if user.user_id in abandoned:
             return
@@ -160,39 +162,28 @@ def run_closed_loop(
         ):
             abandoned.add(user.user_id)
             return
-        think = float(rng.exponential(user.mean_think_time))
-        submit = item.end_time + think
-        if submit < horizon:
-            events.push(submit, EventKind.SUBMISSION, make_job(user, submit))
+        at = item.end_time + float(rng.exponential(user.mean_think_time))
+        if at < horizon:
+            submit(user, at)
+
+    handlers[EventKind.COMPLETION] = complete
 
     # Initial submissions: each user arrives within their first think time.
     for user in users:
         first = float(rng.uniform(0.0, user.mean_think_time))
         if first < horizon:
-            events.push(first, EventKind.SUBMISSION, make_job(user, first))
+            submit(user, first)
 
-    while events:
-        now = ctx.now = events.peek_time()
-        while events and events.peek_time() == now:
-            event = events.pop()
-            if event.kind is EventKind.COMPLETION:
-                item: ScheduledJob = event.payload
-                site.finish(item)
-                scheduler.on_complete(item.job, ctx)
-                user_reacts(item)
-            elif event.kind is EventKind.SUBMISSION:
-                job: Job = event.payload
-                trace.append(job)
-                submissions[job.user] += 1
-                site.state.note_enqueued(job.nodes)
-                scheduler.on_submit(job, ctx)
-
-        for job in scheduler.select_jobs(ctx):
-            item = site.start(job, now)
-            events.push(item.end_time, EventKind.COMPLETION, item)
+    feed, ctx = run.feed, run.ctx
+    while feed:
+        now = ctx.now = feed.peek_time()
+        while feed and feed.peek_time() == now:
+            kind, payload = feed.pop_next()
+            handlers[kind](payload)
+        run.decide()
 
     return ClosedLoopResult(
-        schedule=Schedule(site.completed),
+        schedule=run.result().schedule,
         trace=sorted(trace, key=lambda j: (j.submit_time, j.job_id)),
         submissions_per_user=submissions,
         abandoned_users=abandoned,

@@ -108,3 +108,33 @@ def schedule_digest(schedule) -> str:
     for item in schedule:
         h.update(f"{item.job.job_id},{item.start_time!r},{item.end_time!r};".encode())
     return h.hexdigest()
+
+
+class StarvingScheduler:
+    """Queues every job and never starts one: the run must refuse to end
+    with them still queued rather than return a short schedule."""
+
+    name = "starving"
+    uses_estimates = False
+
+    def __init__(self) -> None:
+        self.queue: list[Job] = []
+
+    def reset(self) -> None:
+        self.queue = []
+
+    def on_submit(self, job, ctx) -> None:
+        self.queue.append(job)
+
+    def on_complete(self, job, ctx) -> None:
+        pass
+
+    def select_jobs(self, ctx) -> list[Job]:
+        return []
+
+    def next_wakeup(self, ctx) -> None:
+        return None
+
+    @property
+    def pending_count(self) -> int:
+        return len(self.queue)

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.schedulers.base import SubmitOrderPolicy
+from repro.schedulers.disciplines import HeadBlockingDiscipline
+from repro.schedulers.drain import DrainingScheduler, Reservation
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.garey_graham import GareyGrahamScheduler
 from repro.workloads.feedback import (
@@ -9,6 +12,7 @@ from repro.workloads.feedback import (
     default_population,
     run_closed_loop,
 )
+from tests.conftest import StarvingScheduler
 
 HOUR = 3600.0
 DAY = 86_400.0
@@ -61,6 +65,32 @@ class TestClosedLoop:
     def test_invalid_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
             run_closed_loop([tiny_user(0)], FCFSScheduler.plain(), 8, horizon=0.0)
+
+    def test_drain_window_delays_the_first_job_to_its_end(self):
+        """The wake-up timer at the reservation end is honoured: the job
+        submitted inside the window starts when it closes, and the user
+        keeps submitting after it completes."""
+        drain = DrainingScheduler(
+            SubmitOrderPolicy(), HeadBlockingDiscipline(), [Reservation(0.0, 500.0)]
+        )
+        result = run_closed_loop([tiny_user(0)], drain, 8, horizon=2 * HOUR, seed=1)
+        first = min(result.schedule, key=lambda item: item.job.submit_time)
+        assert first.job.submit_time < 500.0
+        assert first.start_time == 500.0
+        assert result.total_jobs > 2
+        assert len(result.schedule) == result.total_jobs
+
+    def test_a_starving_scheduler_raises(self):
+        with pytest.raises(RuntimeError, match="still queued"):
+            run_closed_loop([tiny_user(0)], StarvingScheduler(), 8, horizon=HOUR, seed=1)
+
+    def test_no_arrival_before_the_horizon_is_an_empty_result(self):
+        result = run_closed_loop(
+            [tiny_user(0, think=1000.0)], FCFSScheduler.plain(), 8, horizon=1e-9, seed=1
+        )
+        assert result.total_jobs == 0 and len(result.schedule) == 0
+        assert result.submissions_per_user == {0: 0}
+        assert result.abandoned_users == set()
 
     def test_balking_users_abandon(self):
         # One user, impossible slowdown threshold: the machine is seeded

@@ -13,9 +13,12 @@ from repro.metasystem import (
     Site,
     SiteView,
 )
+from repro.schedulers.base import SubmitOrderPolicy
+from repro.schedulers.disciplines import HeadBlockingDiscipline
+from repro.schedulers.drain import DrainingScheduler, Reservation
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.garey_graham import GareyGrahamScheduler
-from tests.conftest import make_jobs
+from tests.conftest import StarvingScheduler, make_jobs
 
 
 def J(job_id, submit, nodes, runtime, home=None):
@@ -198,15 +201,34 @@ class TestMetasystem:
             "8bb642ce2f4278a3ec5b3607eabe928478342db666c956c7122dd8e4975a3e27"
         )
 
+    def test_drain_site_starts_the_job_at_the_reservation_end(self):
+        """A site's wake-up timer fires on the shared heap: the job
+        submitted inside the reservation starts the instant it ends."""
+        drain = DrainingScheduler(
+            SubmitOrderPolicy(), HeadBlockingDiscipline(), [Reservation(50.0, 100.0)]
+        )
+        sites = [Site("a", 16, drain), Site("b", 16, FCFSScheduler.plain())]
+        jobs = [J(0, 60.0, 4, 10.0, home="a"), J(1, 70.0, 4, 10.0, home="b")]
+        result = Metasystem(sites, HomeSiteRouter()).run(jobs)
+        assert len(result.sites["a"].schedule) == 1
+        assert result.sites["a"].schedule[0].start_time == 100.0
+        assert result.sites["b"].schedule[1].start_time == 70.0
+
+    def test_a_starving_site_raises(self):
+        sites = [Site("a", 16, StarvingScheduler()), Site("b", 16, FCFSScheduler.plain())]
+        jobs = [J(0, 0.0, 4, 10.0), J(1, 1.0, 4, 10.0)]
+        with pytest.raises(RuntimeError, match="1 jobs still queued"):
+            Metasystem(sites, RoundRobinRouter()).run(jobs)
+
     @pytest.mark.parametrize("order", ["smart", "psrs", "random"])
     def test_reading_a_site_leaves_its_queue_order_alone(self, order):
         """The router's view sums the queued area without asking the site
         for its service order, which would recompute a SMART or PSRS
         order early and use up a RANDOM site's draws."""
-        from repro.metasystem.system import _SiteState
+        from repro.core.events import EventQueue
+        from repro.metasystem.system import _Member
         from repro.schedulers.base import OrderedQueueScheduler
         from repro.schedulers.baselines import RandomOrderPolicy
-        from repro.schedulers.disciplines import HeadBlockingDiscipline
         from repro.schedulers.psrs import PsrsOrderPolicy
         from repro.schedulers.smart import SmartOrderPolicy
 
@@ -219,12 +241,13 @@ class TestMetasystem:
 
         def site():
             policy = policies[order]()
-            state = _SiteState(
-                Site(order, 16, OrderedQueueScheduler(policy, HeadBlockingDiscipline()))
+            member = _Member(
+                Site(order, 16, OrderedQueueScheduler(policy, HeadBlockingDiscipline())),
+                EventQueue(),
             )
             for job in jobs:
-                state.submit(job)
-            return state, policy
+                member.submit(job)
+            return member, policy
 
         viewed, policy = site()
         views = [viewed.view(), viewed.view()]

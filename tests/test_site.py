@@ -138,6 +138,21 @@ class TestOneRunCore:
                     offenders.append(f"{path.relative_to(SRC)}:{number}: {stripped}")
         assert not offenders, offenders
 
+    def test_only_the_run_asks_a_scheduler_what_to_start(self):
+        """The grep gate: the decision point exists once.  Besides the
+        simulator's run, only the two wrappers that delegate to the
+        scheduler they wrap call ``select_jobs`` or ``next_wakeup``."""
+        pattern = re.compile(r"\.(?:select_jobs|next_wakeup)\(")
+        callers = {
+            path.relative_to(SRC).as_posix()
+            for path in SRC.rglob("*.py")
+            if pattern.search(path.read_text(encoding="utf-8"))
+        }
+        assert "core/simulator.py" in callers
+        assert callers <= {
+            "core/simulator.py", "experiments/runner.py", "schedulers/drain.py",
+        }, callers
+
     def test_the_gate_pattern_still_matches_the_site_module(self):
         text = (SRC / "core" / "site.py").read_text(encoding="utf-8")
         for call in (".on_start(", ".on_release(", "SchedulerContext("):
@@ -164,8 +179,8 @@ class TestOneRunCore:
     def test_failure_kill_takes_the_victim_only(self):
         import inspect
 
-        from repro.core.simulator import _Run
+        from repro.core.simulator import SimulationRun
 
-        assert list(inspect.signature(_Run._kill_for_failure).parameters) == [
+        assert list(inspect.signature(SimulationRun._kill_for_failure).parameters) == [
             "self", "victim",
         ]
