@@ -3,20 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.schedule import Schedule
 from repro.metrics.objectives import (
     average_response_time,
-    average_wait_time,
     average_weighted_response_time,
     utilisation,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.simulator import SimulationResult
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,62 +52,4 @@ def summarize(schedule: Schedule, total_nodes: int) -> ScheduleSummary:
         median_wait=float(np.median(waits)),
         p95_wait=float(np.percentile(waits, 95)),
         utilisation=utilisation(schedule, total_nodes),
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class ResilienceSummary:
-    """What node failures cost one run (see docs/architecture.md).
-
-    All node-second figures are absolute; ``wasted_fraction`` relates the
-    destroyed execution to everything the schedule's completed jobs
-    consumed, which is the figure a site reports as "capacity lost to
-    failures beyond the hardware outage itself".
-    """
-
-    #: Distinct jobs that lost at least one attempt to a node failure.
-    interrupted_jobs: int
-    #: Failure kills (a job recovered twice counts twice).
-    failure_kills: int
-    #: Jobs abandoned outright (killed, never recovered).
-    abandoned_jobs: int
-    #: Capacity removed by the failure trace itself (down-nodes × seconds).
-    lost_node_seconds: float
-    #: Execution destroyed by kills: work no checkpoint preserved.
-    wasted_node_seconds: float
-    #: Total kill-to-restart waiting across recovered jobs.
-    requeue_delay: float
-    #: ``wasted / (useful + wasted)`` — 0.0 when nothing ran.
-    wasted_fraction: float
-
-    def describe(self) -> str:
-        return "\n".join(
-            [
-                f"interrupted     {self.interrupted_jobs} jobs "
-                f"({self.failure_kills} kills, {self.abandoned_jobs} abandoned)",
-                f"lost capacity   {self.lost_node_seconds:.0f} node-s",
-                f"wasted work     {self.wasted_node_seconds:.0f} node-s "
-                f"({self.wasted_fraction * 100:.2f} % of execution)",
-                f"requeue delay   {self.requeue_delay:.0f} s total",
-            ]
-        )
-
-
-def summarize_resilience(result: "SimulationResult") -> ResilienceSummary:
-    """Condense a run's resilience accounting into one record."""
-    useful = sum(
-        (item.end_time - item.start_time) * item.job.nodes
-        for item in result.schedule
-        if not item.cancelled
-    )
-    wasted = result.wasted_node_seconds
-    consumed = useful + wasted
-    return ResilienceSummary(
-        interrupted_jobs=result.interrupted_jobs,
-        failure_kills=len(result.failure_killed),
-        abandoned_jobs=len(result.failure_killed) - len(result.interrupted),
-        lost_node_seconds=result.lost_node_seconds,
-        wasted_node_seconds=wasted,
-        requeue_delay=result.requeue_delay,
-        wasted_fraction=wasted / consumed if consumed > 0 else 0.0,
     )

@@ -185,6 +185,14 @@ class Metasystem:
                         target = self.router.route(job, views)
                         if target not in members:
                             raise ValueError(f"router returned unknown site {target!r}")
+                        size = members[target].site.nodes
+                        if job.nodes > size:
+                            raise ValueError(
+                                f"router {self.router.name!r} "
+                                f"({type(self.router).__name__}) sent job "
+                                f"{job.job_id} ({job.nodes} nodes) to site "
+                                f"{target!r} of {size} nodes"
+                            )
                         placement[job.job_id] = target
                         if target != job.meta.get("home", target):
                             migrations += 1

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.persistence import append_events, read_grid, write_grid
+from repro.analysis.persistence import append_events
 from repro.core.scheduler import Scheduler
 from repro.experiments.backends.cache import LocalDirStore
 from repro.experiments.engine import (
@@ -1205,27 +1205,6 @@ class TestFailureScenarios:
                 configs=[SchedulerConfig("fcfs", "easy")],
                 scenario=failure_spec(self._trace(), "pray"),
             )
-
-
-# -- grid persistence ----------------------------------------------------------
-
-
-class TestGridPersistence:
-    def test_grid_json_roundtrip(self, tmp_path, workload):
-        grid = run_grid(
-            workload[:30],
-            workload_name="roundtrip",
-            total_nodes=256,
-            configs=[SchedulerConfig("fcfs", "easy"), SchedulerConfig("psrs", "easy")],
-        )
-        path = tmp_path / "grid.json"
-        write_grid(grid, path)
-        loaded = read_grid(path)
-        assert loaded.workload_name == "roundtrip"
-        assert list(loaded.cells) == list(grid.cells)
-        for key in grid.cells:
-            assert loaded.cells[key].objective == grid.cells[key].objective
-        assert loaded.pct("psrs/easy") == grid.pct("psrs/easy")
 
 
 # -- the open registry ---------------------------------------------------------

@@ -27,12 +27,12 @@ NOT_ON_THE_WARM_PATH = (
     "repro.schedulers.smart",
     "repro.schedulers.psrs",
     "repro.scenarios",
-    "repro.analysis.report",
     "repro.metrics.bounds",
     "repro.experiments.pool",
     "multiprocessing",
     "concurrent.futures",
     "socket",
+    "csv",
     "numpy",
 )
 

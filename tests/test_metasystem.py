@@ -10,6 +10,7 @@ from repro.metasystem import (
     Metasystem,
     RandomRouter,
     RoundRobinRouter,
+    Router,
     Site,
     SiteView,
 )
@@ -219,6 +220,26 @@ class TestMetasystem:
         jobs = [J(0, 0.0, 4, 10.0), J(1, 1.0, 4, 10.0)]
         with pytest.raises(RuntimeError, match="1 jobs still queued"):
             Metasystem(sites, RoundRobinRouter()).run(jobs)
+
+    def test_a_router_that_overfills_a_site_is_named(self):
+        """A job routed to a site narrower than itself fails at the routing
+        step, not later as a starved queue."""
+
+        class SmallestSiteRouter(Router):
+            name = "smallest"
+
+            def route(self, job, sites):
+                return min(sites, key=lambda s: s.total_nodes).name
+
+        sites = [Site("small", 16, FCFSScheduler.plain()),
+                 Site("big", 256, FCFSScheduler.plain())]
+        jobs = [J(0, 0.0, 8, 10.0), J(7, 1.0, 100, 10.0)]
+        with pytest.raises(
+            ValueError,
+            match=r"router 'smallest' \(SmallestSiteRouter\) sent job 7 "
+            r"\(100 nodes\) to site 'small' of 16 nodes",
+        ):
+            Metasystem(sites, SmallestSiteRouter()).run(jobs)
 
     @pytest.mark.parametrize("order", ["smart", "psrs", "random"])
     def test_reading_a_site_leaves_its_queue_order_alone(self, order):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.job import Job
+from repro.core.simulator import simulate
+from repro.schedulers.fcfs import FCFSScheduler
 from repro.workloads.ctc import CTCModel, ctc_like_workload
 from repro.workloads.probabilistic import (
     ProbabilisticModel,
@@ -16,13 +18,16 @@ from repro.workloads.randomized import RandomizedModel, randomized_workload
 from repro.workloads.stats import workload_stats
 from repro.workloads.transforms import (
     cap_nodes,
+    merge_workloads,
     renumber,
     scale_interarrival,
     shift_to_zero,
+    tag_interactive,
     take_prefix,
     with_exact_estimates,
     with_scaled_estimates,
 )
+from tests.conftest import make_jobs
 
 
 class TestCTCModel:
@@ -259,6 +264,55 @@ class TestTransforms:
         assert [j.estimate for j in noisy] == [j.estimate for j in again]
         with pytest.raises(ValueError):
             with_noisy_estimates(jobs, -1.0)
+
+
+class TestMergeWorkloads:
+    def test_merge_renumbers_and_sorts(self):
+        a = [Job(job_id=5, submit_time=10.0, nodes=1, runtime=1.0)]
+        b = [Job(job_id=5, submit_time=5.0, nodes=2, runtime=1.0)]
+        merged = merge_workloads(a, b)
+        assert [j.job_id for j in merged] == [0, 1]
+        assert merged[0].nodes == 2          # earlier submission first
+        assert merged[0].meta["source_stream"] == 1
+        assert merged[0].meta["source_id"] == 5
+
+    def test_merge_preserves_counts(self):
+        a = make_jobs(10, seed=1, max_nodes=8)
+        b = make_jobs(15, seed=2, max_nodes=8)
+        assert len(merge_workloads(a, b)) == 25
+
+    def test_merged_stream_simulates(self):
+        a = make_jobs(10, seed=3, max_nodes=8)
+        b = make_jobs(10, seed=4, max_nodes=8)
+        res = simulate(merge_workloads(a, b), FCFSScheduler.plain(), 64)
+        assert len(res.schedule) == 20
+
+
+class TestTagInteractive:
+    def test_only_narrow_tagged(self):
+        jobs = make_jobs(60, seed=5, max_nodes=64)
+        tagged = tag_interactive(jobs, fraction=1.0, seed=6, max_nodes=4)
+        for job in tagged:
+            if job.meta.get("interactive"):
+                assert job.nodes <= 4
+        assert any(j.meta.get("interactive") for j in tagged)
+
+    def test_fraction_zero_is_identity(self):
+        jobs = make_jobs(20, seed=7, max_nodes=8)
+        tagged = tag_interactive(jobs, fraction=0.0)
+        assert not any(j.meta.get("interactive") for j in tagged)
+
+    def test_fraction_validated(self):
+        with pytest.raises(ValueError):
+            tag_interactive([], 2.0)
+
+    def test_deterministic(self):
+        jobs = make_jobs(30, seed=8, max_nodes=8)
+        a = tag_interactive(jobs, 0.5, seed=9)
+        b = tag_interactive(jobs, 0.5, seed=9)
+        assert [j.meta.get("interactive") for j in a] == [
+            j.meta.get("interactive") for j in b
+        ]
 
 
 class TestWorkloadStats:
