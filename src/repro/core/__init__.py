@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.job import Job, JobState
+    from repro.core.job import Job
     from repro.core.machine import Machine
     from repro.core.schedule import Schedule, ScheduledJob, ValidityError
     from repro.core.events import Event, EventKind, EventQueue
@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.vector import resolve_backend
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".job": ("Job", "JobState"),
+    ".job": ("Job",),
     ".machine": ("Machine",),
     ".schedule": ("Schedule", "ScheduledJob", "ValidityError"),
     ".events": ("Event", "EventKind", "EventQueue"),
@@ -56,7 +56,6 @@ __all__ = [
     "EventKind",
     "EventQueue",
     "Job",
-    "JobState",
     "Machine",
     "ScenarioInputs",
     "Schedule",

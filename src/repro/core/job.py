@@ -19,7 +19,6 @@ be overridden for custom objectives.
 
 from __future__ import annotations
 
-import enum
 from math import inf
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
@@ -28,16 +27,6 @@ from typing import Any, Mapping
 #: Integer fields travel as signed 64-bit values (``array('q')`` in
 #: :func:`~repro.core.packing.pack_jobs` and the compiled queue walks).
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-
-
-class JobState(enum.Enum):
-    """Lifecycle of a job inside the on-line simulator."""
-
-    PENDING = "pending"      # not yet submitted (simulated clock < submit)
-    QUEUED = "queued"        # submitted, waiting for resources
-    RUNNING = "running"      # occupying its partition
-    COMPLETED = "completed"  # finished (ran to completion)
-    CANCELLED = "cancelled"  # killed at its estimate limit
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,7 +184,3 @@ def validate_stream(jobs: list[Job]) -> None:
             raise ValueError(f"duplicate job_id {job.job_id} in stream")
         seen.add(job.job_id)
 
-
-def sort_stream(jobs: list[Job]) -> list[Job]:
-    """Return the stream sorted by (submit_time, job_id)."""
-    return sorted(jobs, key=lambda j: (j.submit_time, j.job_id))

@@ -108,9 +108,6 @@ class SimulationConfig:
     #: Kill jobs at their estimate when the actual runtime exceeds it
     #: (recorded ``cancelled=True``).
     cancel_over_limit: bool = False
-    #: Record queue length and free nodes at every decision point (for the
-    #: analysis plots); adds memory overhead.
-    collect_trace: bool = False
     #: Maintain a :class:`~repro.core.state.SchedulingState` across events;
     #: ``False`` selects the reference rebuild-per-decision path — same
     #: schedules, bit for bit (the equivalence oracle).
@@ -214,14 +211,6 @@ class SimulationResult:
         )
 
 
-@dataclass(slots=True)
-class _Trace:
-    """Optional per-run instrumentation collected by the simulator."""
-
-    queue_lengths: list[tuple[float, int]] = field(default_factory=list)
-    free_nodes: list[tuple[float, int]] = field(default_factory=list)
-
-
 class SimulationRun:
     """The mutable state of one on-line run of ``sim``'s scheduler.
 
@@ -235,7 +224,7 @@ class SimulationRun:
     """
 
     __slots__ = (
-        "scheduler", "site", "ctx", "state", "trace", "events", "feed", "by_id",
+        "scheduler", "site", "ctx", "state", "events", "feed", "by_id",
         "failures", "policy", "pending_timers", "reruns", "finished_ids",
         "cancelled_queued", "killed_running", "failure_killed", "interrupted",
         "recovery_state", "killed_at", "resubmit_pending", "resubmit_cancelled",
@@ -283,7 +272,6 @@ class SimulationRun:
         self.state = self.site.state
         self.scheduler = scheduler = sim.scheduler
         scheduler.reset()
-        self.trace = sim.trace
 
         # Events split by when they become known: everything known before
         # the run — arrivals, cancellations, both halves of every failure —
@@ -513,9 +501,6 @@ class SimulationRun:
             self.events.push(wake, EventKind.TIMER, self)
         if queue_len > self.max_queue:
             self.max_queue = queue_len
-        if self.trace is not None:
-            self.trace.queue_lengths.append((now, queue_len))
-            self.trace.free_nodes.append((now, self.site.machine.free_nodes))
         if self.timed:
             self._mark = t_commit  # the decision itself is ``decision_time``
             self._charge("commit", perf_counter())
@@ -601,7 +586,6 @@ class Simulator:
         #: The concrete backend this simulator runs on ("python"/"numpy"),
         #: resolved once (environment consulted, "auto" applied).
         self.backend = resolve_backend(config.backend)
-        self.trace = _Trace() if config.collect_trace else None
 
     def run(
         self,

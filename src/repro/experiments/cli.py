@@ -34,16 +34,17 @@ run ids are bit-identical whether cells ran serially or in the local
 pool, even one whose workers crashed halfway through (lease expiry,
 retries and the pool -> serial fallback guarantee completion).
 
-Scenario runs (see :mod:`repro.scenarios`) are driven either by a JSON
-spec file or by convenience flags that translate into spec components::
+Every artifact runs on the paper's 256-node batch partition
+(``Machine.PAPER_BATCH_NODES``).  A scenario run (see
+:mod:`repro.scenarios`) reads its :class:`~repro.scenarios.spec.ScenarioSpec`
+from a JSON file, the one way to give a scenario::
 
     repro-experiments table3 --scenario spec.json
-    repro-experiments table3 --failure-mtbf 40000 --recovery resubmit
-    repro-experiments table3 --cancellation-rate 0.05 --scenario-seed 7
 
-Both styles meet in one :class:`~repro.scenarios.spec.ScenarioSpec`, so
-the canonical scenario digest — and with it caching, journaling and
-``--resume`` — is identical no matter how the scenario was spelled.
+with, for example, ``{"components": [{"kind": "failures", "mtbf": 40000.0,
+"recovery": "resubmit"}], "seed": 7}`` in ``spec.json``.  The spec's
+canonical digest enters every cell fingerprint and run id, so scenario
+runs cache, journal and ``--resume`` apart from the healthy baseline.
 """
 
 from __future__ import annotations
@@ -116,54 +117,6 @@ def _cmd_list_runs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _asks_for_scenario(args: argparse.Namespace) -> bool:
-    """Whether a spec file or a scenario component flag was given."""
-    return (
-        args.scenario is not None
-        or args.cancellation_rate is not None
-        or args.failure_mtbf is not None
-    )
-
-
-def scenario_from_args(args: argparse.Namespace) -> "ScenarioSpec | None":
-    """Build the run's :class:`~repro.scenarios.spec.ScenarioSpec`.
-
-    ``--scenario FILE`` loads a JSON spec; ``--cancellation-rate``,
-    ``--failure-mtbf``/``--failure-mttr``/``--recovery`` translate into
-    the equivalent components and are appended to it (component order
-    never matters).  ``--scenario-seed`` overrides the spec seed.
-    Returns ``None`` — the healthy baseline — when nothing was asked for.
-    """
-    if not _asks_for_scenario(args):
-        return None
-    from repro.scenarios import CancellationModel, FailureModel, ScenarioSpec
-
-    spec = ScenarioSpec()
-    if args.scenario is not None:
-        spec = ScenarioSpec.from_json(args.scenario.read_text(encoding="utf-8"))
-    extras: list = []
-    if args.cancellation_rate is not None:
-        extras.append(CancellationModel(fraction=args.cancellation_rate))
-    if args.failure_mtbf is not None:
-        extras.append(
-            FailureModel(
-                mtbf=args.failure_mtbf,
-                mttr=3600.0 if args.failure_mttr is None else args.failure_mttr,
-                recovery=args.recovery,
-                total_nodes=args.nodes,
-            )
-        )
-    if extras:
-        spec = spec.with_components(*extras)
-    if not spec.components:
-        return None
-    if args.scenario_seed is not None:
-        from dataclasses import replace
-
-        spec = replace(spec, seed=args.scenario_seed)
-    return spec
-
-
 def _cmd_verify_run(args: argparse.Namespace) -> int:
     from repro.experiments.engine import ResultCache
     from repro.experiments.journal import JournalError, list_runs, verify_run
@@ -192,7 +145,9 @@ def _cmd_verify_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile_cell(
-    args: argparse.Namespace, source_trace: "list[Job] | None"
+    args: argparse.Namespace,
+    source_trace: "list[Job] | None",
+    scenario: "ScenarioSpec | None",
 ) -> int:
     """Re-simulate one journaled cell with per-phase instrumentation.
 
@@ -200,8 +155,8 @@ def _cmd_profile_cell(
     journal walk ``--verify-run`` performs, rebuilds the run's workload
     from its manifest recipe the way the run built it (from
     ``source_trace`` when the run had ``--swf``, through the engine's
-    workload memo), and the scenario from the CLI flags when the cell
-    ran under one, proves the reconstruction by recomputing the
+    workload memo), takes ``scenario`` (the ``--scenario`` spec) when the
+    cell ran under one, proves the reconstruction by recomputing the
     cell fingerprint, then re-runs that single cell with
     ``SimulationConfig(profile_phases=True)`` and prints the
     ``phase_seconds`` breakdown — a regression is attributable to a phase
@@ -285,7 +240,7 @@ def _cmd_profile_cell(
         weighted=weighted,
         configs=[config],
         recompute_threshold=recompute_threshold,
-        scenario=scenario_from_args(args),
+        scenario=scenario,
     )
     jobs = request.jobs
     expected = request.fingerprint(config)
@@ -293,7 +248,7 @@ def _cmd_profile_cell(
         print(
             f"reconstructed inputs do not reproduce fingerprint "
             f"{fingerprint}\n(got {expected}).  Re-run with the original "
-            "--scale/--seed/--swf and scenario flags of run "
+            "--scale/--seed/--swf/--scenario of run "
             f"{run_id} (workload {name!r}, {manifest.get('n_jobs')} jobs"
             f"{', scenario ' + manifest['scenario'][:12] if manifest.get('scenario') else ''}).",
             file=sys.stderr,
@@ -371,56 +326,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
-    """The scenario every cell runs under (spec file or shorthand flags)."""
-    parser.add_argument(
-        "--scenario",
-        type=Path,
-        default=None,
-        metavar="SPEC.json",
-        help="run every cell under this JSON scenario spec (see "
-        "repro.scenarios; the spec's canonical digest enters every cell "
-        "fingerprint and run id)",
-    )
-    parser.add_argument(
-        "--cancellation-rate",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="scenario shorthand: cancel this fraction of jobs "
-        "(a CancellationModel component)",
-    )
-    parser.add_argument(
-        "--failure-mtbf",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="scenario shorthand: inject node failures with this "
-        "mean-time-between-failures (a FailureModel component)",
-    )
-    parser.add_argument(
-        "--failure-mttr",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="mean repair time for --failure-mtbf (default 3600)",
-    )
-    parser.add_argument(
-        "--recovery",
-        default=None,
-        metavar="SPEC",
-        help="recovery policy for injected failures: abandon, resubmit, "
-        "or checkpoint:interval=T,overhead=O (needs --failure-mtbf)",
-    )
-    parser.add_argument(
-        "--scenario-seed",
-        type=int,
-        default=None,
-        help="override the scenario spec's seed (component sub-seeds "
-        "derive from it)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -446,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--nodes", type=int, default=256)
     parser.add_argument("--out", type=Path, default=None, help="directory for report files")
     parser.add_argument(
         "--swf",
@@ -464,7 +368,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="resume the journaled run with this id: completed cells are "
         "skipped via the cache, only the remainder is re-dispatched",
     )
-    _add_scenario_arguments(parser)
+    parser.add_argument(
+        "--scenario",
+        type=Path,
+        default=None,
+        metavar="SPEC.json",
+        help="run every cell under this JSON scenario spec (see "
+        "repro.scenarios; the spec's canonical digest enters every cell "
+        "fingerprint and run id)",
+    )
     parser.add_argument(
         "--list-runs",
         action="store_true",
@@ -483,8 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="re-simulate one journaled cell (by cache-fingerprint prefix) "
         "with per-phase instrumentation and print its phase_seconds "
-        "breakdown, then exit (pass the run's --scale/--seed/--swf/scenario "
-        "flags if they differed from the defaults)",
+        "breakdown, then exit (pass the run's --scale/--seed/--swf/--scenario "
+        "if they differed from the defaults)",
     )
     return parser
 
@@ -539,7 +451,6 @@ def _run_experiments(
                     experiment_id,
                     scale=scale,
                     seed=args.seed,
-                    total_nodes=args.nodes,
                     progress=lambda msg: print(f"[{experiment_id}] {msg}", file=sys.stderr),
                     source_trace=source_trace,
                     resume_run_id=args.resume,
@@ -587,16 +498,31 @@ def _read_trace(args: argparse.Namespace) -> "list[Job] | None":
     return source_trace
 
 
+def _read_scenario(args: argparse.Namespace) -> "ScenarioSpec | None":
+    """The ``--scenario`` spec, or ``None`` — the healthy baseline — when
+    no file was given or its spec has no components."""
+    if args.scenario is None:
+        return None
+    from repro.scenarios import ScenarioSpec
+
+    spec = ScenarioSpec.from_json(args.scenario.read_text(encoding="utf-8"))
+    return spec if spec.components else None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    try:
+        scenario = _read_scenario(args)
+    except (OSError, ValueError) as exc:
+        parser.error(f"bad scenario: {exc}")
 
     if args.list_runs:
         return _cmd_list_runs(args)
     if args.verify_run is not None:
         return _cmd_verify_run(args)
     if args.profile_cell is not None:
-        return _cmd_profile_cell(args, _read_trace(args))
+        return _cmd_profile_cell(args, _read_trace(args), scenario)
     if not args.ids:
         parser.error(
             "experiment ids are required "
@@ -604,23 +530,9 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.resume is not None and args.no_cache:
         parser.error("--resume needs the cache; drop --no-cache")
-    if args.recovery is not None and args.failure_mtbf is None:
-        parser.error("--recovery needs --failure-mtbf")
-    if args.failure_mttr is not None and args.failure_mtbf is None:
-        parser.error("--failure-mttr needs --failure-mtbf")
-    if args.scenario_seed is not None and not _asks_for_scenario(args):
-        parser.error(
-            "--scenario-seed needs --scenario, --cancellation-rate or --failure-mtbf"
-        )
-    for flag, value in (
-        ("--scale", args.scale), ("--nodes", args.nodes), ("--workers", args.workers)
-    ):
+    for flag, value in (("--scale", args.scale), ("--workers", args.workers)):
         if value is not None and value < 1:
             parser.error(f"{flag} must be >= 1")
-    try:
-        scenario = scenario_from_args(args)
-    except (OSError, ValueError) as exc:
-        parser.error(f"bad scenario: {exc}")
 
     source_trace = _read_trace(args)
 

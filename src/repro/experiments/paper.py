@@ -21,6 +21,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.job import Job
+from repro.core.machine import Machine
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.fingerprint import fingerprint_jobs
 from repro.experiments.runner import GridResult
@@ -138,10 +139,13 @@ PAPER_TABLE1 = {"ctc": 79_164, "probabilistic": 50_000, "randomized": 50_000}
 # rerun whose workloads all come out of the engine's memo never loads it.
 
 def ctc_workload(scale: int, seed: int = 42) -> list[Job]:
-    """The experiment CTC workload: synthetic trace capped at 256 nodes."""
+    """The experiment CTC workload: synthetic trace capped at the paper
+    machine's 256 nodes."""
     from repro.workloads.ctc import ctc_like_workload
 
-    return renumber(cap_nodes(ctc_like_workload(scale, seed=seed), 256))
+    return renumber(
+        cap_nodes(ctc_like_workload(scale, seed=seed), Machine.PAPER_BATCH_NODES)
+    )
 
 
 def _fit_and_sample(source: Sequence[Job], scale: int, seed: int) -> list[Job]:
@@ -299,7 +303,6 @@ def run_experiment(
     *,
     scale: int | None = None,
     seed: int = 42,
-    total_nodes: int = 256,
     regimes: Sequence[str] | None = None,
     progress: Callable[[str], None] | None = None,
     source_trace: Sequence[Job] | None = None,
@@ -354,7 +357,7 @@ def run_experiment(
     def _grid_kwargs(regime: str) -> dict:
         return dict(
             workload_name=spec.description,
-            total_nodes=total_nodes,
+            total_nodes=Machine.PAPER_BATCH_NODES,
             weighted=(regime == "weighted"),
             scenario=scenario,
         )
@@ -371,7 +374,7 @@ def run_experiment(
             raise UnknownRunError(
                 f"run {resume_run_id} matches no regime of {experiment_id} "
                 f"with the requested inputs (computed: {computed}) — the "
-                f"workload, scale, seed, nodes or regime set drifted since "
+                f"workload, scale, seed, scenario or regime set drifted since "
                 f"the run was journaled"
             )
 
@@ -439,7 +442,9 @@ def _experiment_jobs(
     build = partial(recipe, scale, seed)
     if source_trace is not None and recipe is not randomized_workload_at:
         # (the randomized workload is trace-free by design)
-        prefix = renumber(cap_nodes(take_prefix(source_trace, scale), 256))
+        prefix = renumber(
+            cap_nodes(take_prefix(source_trace, scale), Machine.PAPER_BATCH_NODES)
+        )
         if recipe is ctc_workload:
             return prefix
         if recipe is ctc_exact_workload:

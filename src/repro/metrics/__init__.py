@@ -12,7 +12,7 @@ The paper's two evaluation objectives:
 
 Plus the criteria the administrator considered and rejected
 (:func:`makespan`, :func:`idle_node_seconds`) and the usual companions from
-the job scheduling literature (utilisation, wait, slowdown), all usable as
+the job scheduling literature (utilisation, bounded slowdown), all usable as
 criterion functions in the :mod:`repro.policy` framework.
 """
 
@@ -24,11 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metrics.objectives import (
         average_bounded_slowdown,
         average_response_time,
-        average_wait_time,
         average_weighted_response_time,
         idle_node_seconds,
         makespan,
-        total_weighted_completion_time,
         utilisation,
     )
     from repro.metrics.bounds import (
@@ -55,9 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".objectives": (
         "average_bounded_slowdown", "average_response_time",
-        "average_wait_time", "average_weighted_response_time",
-        "idle_node_seconds", "makespan",
-        "total_weighted_completion_time", "utilisation",
+        "average_weighted_response_time", "idle_node_seconds", "makespan",
+        "utilisation",
     ),
     ".bounds": (
         "ImprovementPotential", "art_lower_bound", "awrt_lower_bound",
@@ -76,7 +73,6 @@ __all__ = [
     "art_lower_bound",
     "average_bounded_slowdown",
     "average_response_time",
-    "average_wait_time",
     "average_weighted_response_time",
     "awrt_lower_bound",
     "class_breakdown",
@@ -90,7 +86,6 @@ __all__ = [
     "makespan_lower_bound",
     "smith_squashed_bound",
     "srpt_squashed_bound",
-    "total_weighted_completion_time",
     "utilisation",
     "windowed_art",
     "windowed_awrt",

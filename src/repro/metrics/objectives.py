@@ -52,14 +52,6 @@ def makespan(schedule: Schedule) -> float:
     return schedule.makespan
 
 
-def total_weighted_completion_time(
-    schedule: Schedule, weight: WeightFn = area_weight
-) -> float:
-    """Sum of weight * completion time — the classical theory objective that
-    Smith's rule optimises on one machine."""
-    return sum(item.end_time * weight(item.job) for item in schedule)
-
-
 def idle_node_seconds(
     schedule: Schedule,
     total_nodes: int,
@@ -101,13 +93,6 @@ def utilisation(
         return 0.0
     capacity = (end - start) * total_nodes
     return 1.0 - idle_node_seconds(schedule, total_nodes, start, end) / capacity
-
-
-def average_wait_time(schedule: Schedule) -> float:
-    """Mean of (start - submission)."""
-    if len(schedule) == 0:
-        return 0.0
-    return sum(item.wait_time for item in schedule) / len(schedule)
 
 
 def average_bounded_slowdown(schedule: Schedule, threshold: float = 10.0) -> float:

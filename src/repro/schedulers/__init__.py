@@ -49,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         registered_columns,
         registered_configurations,
         registered_rows,
-        unregister_discipline,
         unregister_row,
     )
     from repro.schedulers.baselines import (
@@ -93,7 +92,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "SchedulerConfig", "build_scheduler", "paper_configurations",
         "register_discipline", "register_row", "registered_columns",
         "registered_configurations", "registered_rows",
-        "unregister_discipline", "unregister_row",
+        "unregister_row",
     ),
     ".baselines": (
         "KeyOrderPolicy", "RandomOrderPolicy", "baseline_scheduler",
@@ -151,6 +150,5 @@ __all__ = [
     "registered_rows",
     "smart_order",
     "unit_weight",
-    "unregister_discipline",
     "unregister_row",
 ]

@@ -430,12 +430,14 @@ class _ReservationPlan:
 
 
 class ConservativeBackfill(Discipline):
-    """Conservative backfilling: no queued job's projected completion grows.
+    """Conservative backfilling: no job is delayed by a job behind it.
 
     The queue is walked in order: each job either starts now or receives a
     reservation at its earliest projected start.  Later jobs plan around
-    all earlier reservations, so no job can be postponed (with respect to
-    the projections) by a backfilled successor.
+    all earlier reservations, so at the decision where two jobs are
+    placed, the one behind in the current queue order never delays the one
+    ahead.  Across decisions a re-placed job can land later than its first
+    reservation (this is not reservation compression; docs/algorithms.md).
 
     The reservation table is a *plan* that outlives the decision point:
     the planning profile (running remainders plus queued reservations) and

@@ -161,13 +161,6 @@ def unregister_row(key: str) -> None:
         _changed()
 
 
-def unregister_discipline(key: str) -> None:
-    """Remove a registered column (no-op when absent)."""
-    if _COLUMN_REGISTRY.pop(key, None) is not None:
-        COLUMN_LABELS.pop(key, None)
-        _changed()
-
-
 def registered_rows() -> tuple[str, ...]:
     """Row keys in registration order (the paper's five come first)."""
     return tuple(_ROW_REGISTRY)

@@ -137,24 +137,6 @@ def random_cancellations(
     ]
 
 
-def merge_workloads(*streams: Sequence[Job]) -> list[Job]:
-    """Interleave several job streams into one, renumbering ids.
-
-    Submission times are kept as-is (streams are assumed to share a time
-    origin); original ids are preserved in ``meta['source_id']`` along
-    with the stream index in ``meta['source_stream']``.
-    """
-    merged: list[Job] = []
-    for stream_index, stream in enumerate(streams):
-        for job in stream:
-            meta = dict(job.meta)
-            meta.setdefault("source_id", job.job_id)
-            meta.setdefault("source_stream", stream_index)
-            merged.append(replace(job, meta=meta))
-    merged.sort(key=lambda j: (j.submit_time, j.meta.get("source_stream", 0), j.meta.get("source_id", 0)))
-    return [replace(job, job_id=i) for i, job in enumerate(merged)]
-
-
 def tag_interactive(
     jobs: Sequence[Job], fraction: float, seed: int = 0, *, max_nodes: int = 8
 ) -> list[Job]:
@@ -180,12 +162,3 @@ def tag_interactive(
             out.append(job)
     return out
 
-
-def shift_to_zero(jobs: Sequence[Job]) -> list[Job]:
-    """Shift submissions so the earliest is at time 0."""
-    if not jobs:
-        return []
-    t0 = min(job.submit_time for job in jobs)
-    if t0 == 0:
-        return list(jobs)
-    return [replace(job, submit_time=job.submit_time - t0) for job in jobs]

@@ -181,7 +181,7 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--scale", "0"), ("--scale", "-5"), ("--nodes", "0"), ("--workers", "0")],
+        [("--scale", "0"), ("--scale", "-5"), ("--workers", "0")],
     )
     def test_cli_rejects_degenerate_numbers(self, flag, value, tmp_path, capsys):
         from repro.experiments.cli import main
@@ -192,6 +192,47 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"{flag} must be >= 1" in err
         assert "Traceback" not in err
+
+    DELETED_FLAGS = [
+        ("--nodes", "128"),
+        ("--cancellation-rate", "0.05"),
+        ("--failure-mtbf", "40000"),
+        ("--failure-mttr", "3600"),
+        ("--recovery", "resubmit"),
+        ("--scenario-seed", "7"),
+    ]
+
+    @pytest.mark.parametrize(
+        "flag, value", DELETED_FLAGS, ids=[flag for flag, _ in DELETED_FLAGS]
+    )
+    def test_cli_rejects_deleted_flags(self, flag, value, capsys):
+        """The machine is the paper's and a scenario is a spec file: the
+        flags that spelled them otherwise are gone, help and all."""
+        from repro.experiments.cli import _build_parser, main
+
+        assert flag not in _build_parser().format_help()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table3", flag, value])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_cli_profile_cell_rejects_a_bad_scenario(self, tmp_path, capsys):
+        """A spec that does not parse is a usage error for every command,
+        --profile-cell included, never a traceback."""
+        from repro.experiments.cli import main
+
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"components": [{"kind": "no-such-kind"}]}')
+        for argv in (
+            ["table3", "--scale", "50"],
+            ["--profile-cell", "ffff", "--cache-dir", str(tmp_path)],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main([*argv, "--scenario", str(bad)])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert "bad scenario:" in err
+            assert "Traceback" not in err
 
     def test_cli_writes_files(self, tmp_path, capsys):
         from repro.experiments.cli import main
@@ -206,12 +247,13 @@ class TestCLI:
         the per-phase breakdown — for a healthy cell and for one that ran under a scenario (whose digest,
         failure trace and recovery spec all enter the fingerprint)."""
         import json
+        from pathlib import Path
 
         from repro.experiments.cli import main
 
         scenario_flags = [
-            "--failure-mtbf", "40000", "--recovery", "resubmit",
-            "--scenario-seed", "7",
+            "--scenario",
+            str(Path(__file__).parent / "data" / "failures_resubmit.json"),
         ]
         for name, flags in (("healthy", []), ("scenario", scenario_flags)):
             cache_dir = tmp_path / name
@@ -236,7 +278,7 @@ class TestCLI:
             for phase in ("total", "decide", "events", "commit"):
                 assert phase in out
             if flags:
-                # Without the scenario flags the reconstruction must fail
+                # Without the scenario file the reconstruction must fail
                 # loudly rather than profile a different cell.
                 code = main(
                     [

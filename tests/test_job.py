@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.job import Job, sort_stream, validate_stream
+from repro.core.job import Job, validate_stream
 
 
 def job(**kw):
@@ -130,9 +130,3 @@ class TestStreamHelpers:
 
     def test_validate_accepts_unique(self):
         validate_stream([job(job_id=1), job(job_id=2)])
-
-    def test_sort_stream_orders_by_submit_then_id(self):
-        a = job(job_id=2, submit_time=10.0)
-        b = job(job_id=1, submit_time=10.0)
-        c = job(job_id=3, submit_time=5.0)
-        assert [j.job_id for j in sort_stream([a, b, c])] == [3, 1, 2]

@@ -7,11 +7,9 @@ from repro.core.schedule import Schedule, ScheduledJob
 from repro.metrics.objectives import (
     average_bounded_slowdown,
     average_response_time,
-    average_wait_time,
     average_weighted_response_time,
     idle_node_seconds,
     makespan,
-    total_weighted_completion_time,
     utilisation,
 )
 
@@ -91,13 +89,6 @@ class TestFrameMetrics:
 
 
 class TestOtherMetrics:
-    def test_total_weighted_completion(self, simple_schedule):
-        expected = 10.0 * 20.0 + 30.0 * 80.0
-        assert total_weighted_completion_time(simple_schedule) == pytest.approx(expected)
-
-    def test_average_wait(self, simple_schedule):
-        assert average_wait_time(simple_schedule) == pytest.approx(2.5)
-
     def test_bounded_slowdown_floor(self):
         # Instant jobs do not explode the metric.
         sched = Schedule([item(0, 0.0, 0.0, 0.1)])

@@ -65,6 +65,7 @@ REMOVED_KEYWORDS = [
     ("run_experiment", "use_workload_store", False),
     ("run_experiment", "workers", 2),
     ("run_experiment", "cache", None),
+    ("run_experiment", "total_nodes", 128),
     ("simulate_cell", "failures", None),
     ("simulate_cell", "cancellations", ()),
 ]
@@ -141,20 +142,16 @@ def test_config_properties_reflect_bundle():
         _scheduler(),
         SimulationConfig(
             cancel_over_limit=True,
-            collect_trace=True,
             incremental_state=False,
             verify_state=3,
         ),
     )
     assert sim.config.cancel_over_limit is True
-    assert sim.config.collect_trace is True
     assert sim.config.incremental_state is False
     assert sim.config.verify_state == 3
     # The bundle is the only home of these fields: no mirror attributes.
-    for name in ("cancel_over_limit", "collect_trace", "incremental_state",
-                 "verify_state"):
+    for name in ("cancel_over_limit", "incremental_state", "verify_state"):
         assert not hasattr(sim, name)
-    assert sim.trace is not None
     assert sim.backend in ("python", "numpy")
 
 

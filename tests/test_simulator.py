@@ -120,16 +120,6 @@ class TestDiagnostics:
         res = simulate(jobs, FCFSScheduler.plain(), 8)
         assert res.max_queue_length == 4
 
-    def test_trace_collection(self):
-        machine = Machine(64)
-        sim = Simulator(
-            machine, FCFSScheduler.plain(), SimulationConfig(collect_trace=True)
-        )
-        sim.run(make_jobs(10, seed=1, max_nodes=8))
-        assert sim.trace is not None
-        assert len(sim.trace.queue_lengths) > 0
-        assert len(sim.trace.free_nodes) == len(sim.trace.queue_lengths)
-
     def test_phase_seconds_breakdown_present(self):
         """With ``profile_phases`` the run attributes its wall clock: the
         phase breakdown sums to (at most) the total."""

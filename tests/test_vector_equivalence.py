@@ -7,8 +7,7 @@ reproduce ``backend="python"``'s
 :class:`~repro.core.simulator.SimulationResult` bit for bit — same
 schedules, same objectives in the last ulp, same resilience metrics — over
 
-* every cell of the scheduler registry, in both objective regimes and
-  with the per-decision trace (``collect_trace``) compared too,
+* every cell of the scheduler registry, in both objective regimes,
 * streams with queued and running cancellations,
 * the estimate-limit kill policy (``cancel_over_limit``),
 * failure traces under every recovery policy, and
@@ -51,10 +50,9 @@ def signature(result):
     ]
 
 
-def full_signature(result, trace=None):
-    """Everything a result carries that both backends must agree on, plus
-    the decision-point trace when the run collected one."""
-    fields = (
+def full_signature(result):
+    """Everything a result carries that both backends must agree on."""
+    return (
         signature(result),
         result.decision_points,
         result.max_queue_length,
@@ -70,11 +68,6 @@ def full_signature(result, trace=None):
         result.wasted_node_seconds,
         result.requeue_delay,
     )
-    if trace is None:
-        return fields
-    # One trace entry per decision point, on either backend.
-    assert len(trace.queue_lengths) == len(trace.free_nodes) == result.decision_points
-    return fields + (trace.queue_lengths, trace.free_nodes)
 
 
 def run_both(make_scheduler, jobs, *, config=None, scenario=None):
@@ -85,30 +78,20 @@ def run_both(make_scheduler, jobs, *, config=None, scenario=None):
     for backend in ("python", "numpy"):
         sim = Simulator(Machine(NODES), make_scheduler(), replace(config, backend=backend))
         result = sim.run(jobs, scenario=scenario)
-        assert (sim.trace is not None) == config.collect_trace
-        signatures.append(full_signature(result, sim.trace))
+        signatures.append(full_signature(result))
         results.append(result)
     assert signatures[1] == signatures[0]
     return results
 
 
-#: Objective regime × simulation config of the registry sweep: both
-#: regimes plain, and the unweighted one with the decision-point trace on.
-_REGISTRY_RUNS = [
-    pytest.param(False, SimulationConfig(), id="unweighted"),
-    pytest.param(True, SimulationConfig(), id="weighted"),
-    pytest.param(False, SimulationConfig(collect_trace=True), id="traced"),
-]
-
-
-@pytest.mark.parametrize("weighted,sim_config", _REGISTRY_RUNS)
+@pytest.mark.parametrize(
+    "weighted", [False, True], ids=["unweighted", "weighted"]
+)
 @pytest.mark.parametrize("config", registered_configurations(), ids=lambda c: c.key)
-def test_registry_cells_bit_identical(config, weighted, sim_config):
+def test_registry_cells_bit_identical(config, weighted):
     jobs = make_jobs(150, seed=23, max_nodes=NODES, mean_gap=40.0)
     _, fast = run_both(
-        lambda: build_scheduler(config, NODES, weighted=weighted),
-        jobs,
-        config=sim_config,
+        lambda: build_scheduler(config, NODES, weighted=weighted), jobs
     )
     # The columnar objective kernels must equal the scalar loops exactly —
     # np.add.accumulate is sequential, so not a single ulp of drift.
@@ -149,16 +132,9 @@ def test_over_limit_kills_bit_identical():
 
 
 @pytest.mark.parametrize(
-    "recovery,sim_config",
-    [
-        *(
-            pytest.param(spec, SimulationConfig(), id=spec)
-            for spec in ("abandon", "resubmit", "checkpoint:interval=300.0,overhead=30.0")
-        ),
-        pytest.param("resubmit", SimulationConfig(collect_trace=True), id="resubmit-traced"),
-    ],
+    "recovery", ["abandon", "resubmit", "checkpoint:interval=300.0,overhead=30.0"]
 )
-def test_failure_injection_bit_identical(recovery, sim_config):
+def test_failure_injection_bit_identical(recovery):
     jobs = make_jobs(120, seed=53, max_nodes=NODES, mean_gap=40.0)
     trace = mtbf_trace(
         total_nodes=NODES,
@@ -174,7 +150,6 @@ def test_failure_injection_bit_identical(recovery, sim_config):
         _, fast = run_both(
             lambda: build_scheduler(config, NODES),
             jobs,
-            config=sim_config,
             scenario=scenario,
         )
         # The fast path's schedule passes the same independent audit.

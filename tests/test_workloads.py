@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.job import Job
-from repro.core.simulator import simulate
-from repro.schedulers.fcfs import FCFSScheduler
 from repro.workloads.ctc import CTCModel, ctc_like_workload
 from repro.workloads.probabilistic import (
     ProbabilisticModel,
@@ -18,10 +16,8 @@ from repro.workloads.randomized import RandomizedModel, randomized_workload
 from repro.workloads.stats import workload_stats
 from repro.workloads.transforms import (
     cap_nodes,
-    merge_workloads,
     renumber,
     scale_interarrival,
-    shift_to_zero,
     tag_interactive,
     take_prefix,
     with_exact_estimates,
@@ -239,11 +235,6 @@ class TestTransforms:
         with pytest.raises(ValueError):
             scale_interarrival(self.make(), 0.0)
 
-    def test_shift_to_zero(self):
-        out = shift_to_zero(self.make())
-        assert min(j.submit_time for j in out) == 0.0
-        assert shift_to_zero([]) == []
-
     def test_with_scaled_estimates(self):
         out = with_scaled_estimates(self.make(), 0.5)
         assert all(j.estimate == j.runtime * 0.5 for j in out)
@@ -264,28 +255,6 @@ class TestTransforms:
         assert [j.estimate for j in noisy] == [j.estimate for j in again]
         with pytest.raises(ValueError):
             with_noisy_estimates(jobs, -1.0)
-
-
-class TestMergeWorkloads:
-    def test_merge_renumbers_and_sorts(self):
-        a = [Job(job_id=5, submit_time=10.0, nodes=1, runtime=1.0)]
-        b = [Job(job_id=5, submit_time=5.0, nodes=2, runtime=1.0)]
-        merged = merge_workloads(a, b)
-        assert [j.job_id for j in merged] == [0, 1]
-        assert merged[0].nodes == 2          # earlier submission first
-        assert merged[0].meta["source_stream"] == 1
-        assert merged[0].meta["source_id"] == 5
-
-    def test_merge_preserves_counts(self):
-        a = make_jobs(10, seed=1, max_nodes=8)
-        b = make_jobs(15, seed=2, max_nodes=8)
-        assert len(merge_workloads(a, b)) == 25
-
-    def test_merged_stream_simulates(self):
-        a = make_jobs(10, seed=3, max_nodes=8)
-        b = make_jobs(10, seed=4, max_nodes=8)
-        res = simulate(merge_workloads(a, b), FCFSScheduler.plain(), 64)
-        assert len(res.schedule) == 20
 
 
 class TestTagInteractive:
