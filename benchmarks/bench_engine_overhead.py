@@ -215,7 +215,7 @@ def measure_pool_dispatch(jobs: list[Job], workers: int = 2) -> float:
             max_workers=workers,
             mp_context=pool_context(),
             initializer=init_worker,
-            initargs=(spool, None),
+            initargs=(spool,),
         ) as pool:
             spool_workload(spool, digests[0], packed[0])
             list(pool.map(_store_cell, [digests[0]] * N_CELLS))

@@ -14,8 +14,8 @@ three steps, one object each:
   one run mutates (grid, stats, results, journal, interrupt flag);
 * **dispatch** — cache misses run in process (one worker) or through a
   :class:`~repro.experiments.pool.PoolRun` on the engine's kept
-  :class:`~repro.experiments.pool.WorkerPool`: leases, retries, the
-  watchdog, rebuilds and the serial fallback.
+  :class:`~repro.experiments.pool.WorkerPool`: leases, stopped
+  workers, retries, rebuilds and the serial fallback.
 
 Fingerprints live in :mod:`repro.experiments.fingerprint`, the result
 cache in :mod:`repro.experiments.backends.cache`; this module re-exports
@@ -236,37 +236,17 @@ class ExperimentEngine:
         cell still unfinished past it is presumed hung: the pool is torn
         down, the overdue cell charged a retry, and every other in-flight
         cell resubmitted for free.  ``None`` (the default) never times out.
-    max_retries:
-        Worker-side attempts beyond the first for a cell whose worker
-        crashed, timed out, or raised.  Exhausting the budget sends the
-        cell to the in-process serial fallback — where a deterministic
-        error reproduces and surfaces, and a flaky one recovers.
-    retry_backoff:
-        Base pause before retry ``n`` (seconds); the actual pause
-        (:func:`~repro.experiments.pool.retry_pause`) doubles per
-        retry and is jittered by ×0.5–1.5 so retrying engines do not
-        stampede in lockstep.
-    max_pool_rebuilds:
-        Broken/hung pools rebuilt before giving up on parallelism and
-        running every remaining cell serially in-process.
+        It is the only guard against a worker that runs but never
+        finishes: a crashed worker breaks the pool, and the pool asks the
+        kernel for a stopped one (``WorkerPool.stopped``).  The retry
+        and rebuild budgets are constants of :mod:`repro.experiments.pool`;
+        a cell that spends its retries runs in process, where a
+        deterministic error surfaces and a flaky one recovers.
     journal_dir:
         Directory for run journals.  ``None`` (the default) journals
         under ``<cache root>/runs`` when a cache is configured, and not
         at all otherwise — ``run_grid``'s cache-less serial path stays
         journal-free.
-    heartbeat_interval:
-        Seconds between worker heartbeat touches (the watchdog's input).
-        ``None`` disables the watchdog entirely.
-    heartbeat_timeout:
-        Driver-side staleness budget: when no worker heartbeat is newer
-        than this while cells are in flight, every worker has gone
-        unscheduled at once (all SIGSTOPped, say); the pool is presumed
-        dead and every in-flight cell is charged a retry.  One stopped
-        or hung worker beside a live one is not caught here — the live
-        worker's heartbeat stays fresh — but by ``cell_timeout``, and a
-        SIGKILLed worker breaks the pool outright.  Defaults to
-        ``max(4 * heartbeat_interval, 30.0)`` so one missed touch never
-        trips it.
     handle_signals:
         When true (the default), journaled runs install SIGINT/SIGTERM
         handlers for graceful shutdown: dispatch stops, in-flight cells
@@ -301,12 +281,7 @@ class ExperimentEngine:
         cache: ResultCache | str | Path | None = None,
         on_event: EventFn | None = None,
         cell_timeout: float | None = None,
-        max_retries: int = 2,
-        retry_backoff: float = 0.5,
-        max_pool_rebuilds: int = 2,
         journal_dir: str | Path | None = None,
-        heartbeat_interval: float | None = 15.0,
-        heartbeat_timeout: float | None = None,
         handle_signals: bool = True,
         backend: str | None = None,
     ) -> None:
@@ -322,31 +297,8 @@ class ExperimentEngine:
         )
         if cell_timeout is not None and cell_timeout <= 0:
             raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be non-negative, got {max_retries}")
-        if retry_backoff < 0:
-            raise ValueError(f"retry_backoff must be non-negative, got {retry_backoff}")
-        if max_pool_rebuilds < 0:
-            raise ValueError(
-                f"max_pool_rebuilds must be non-negative, got {max_pool_rebuilds}"
-            )
-        if heartbeat_interval is not None and heartbeat_interval <= 0:
-            raise ValueError(
-                f"heartbeat_interval must be positive, got {heartbeat_interval}"
-            )
-        if heartbeat_timeout is not None and heartbeat_timeout <= 0:
-            raise ValueError(
-                f"heartbeat_timeout must be positive, got {heartbeat_timeout}"
-            )
         self.cell_timeout = cell_timeout
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.max_pool_rebuilds = max_pool_rebuilds
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
-        self.heartbeat_interval = heartbeat_interval
-        if heartbeat_timeout is None and heartbeat_interval is not None:
-            heartbeat_timeout = max(4.0 * heartbeat_interval, 30.0)
-        self.heartbeat_timeout = heartbeat_timeout
         self.handle_signals = handle_signals
         self.stats = RunStats()
         #: The started, idle pool kept between runs (see :meth:`borrow_pool`),
@@ -376,11 +328,7 @@ class ExperimentEngine:
         if pool is None:
             from repro.experiments.pool import WorkerPool
 
-            pool = WorkerPool(
-                workers=self.workers,
-                store=self.workload_store,
-                heartbeat_interval=self.heartbeat_interval,
-            )
+            pool = WorkerPool(workers=self.workers, store=self.workload_store)
         return pool
 
     def return_pool(self, pool: WorkerPool) -> None:

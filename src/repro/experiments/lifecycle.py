@@ -100,7 +100,7 @@ class GridRun:
 
     __slots__ = (
         "request", "grid", "stats", "results", "cache", "journal",
-        "interrupted", "handlers_active", "_on_event", "_held", "_already",
+        "interrupted", "_on_event", "_held", "_already",
     )
 
     def __init__(
@@ -125,9 +125,6 @@ class GridRun:
         )
         #: Signal name ("SIGINT"/"SIGTERM") once a shutdown was requested.
         self.interrupted: str | None = None
-        #: True while this run's signal handlers are installed: blocking
-        #: waits then cap themselves so the flag is noticed promptly.
-        self.handlers_active = False
         self.journal: RunJournal | None = None
         #: Cells already terminal in a resumed journal: they keep their
         #: original records, only genuinely new transitions are appended.
@@ -290,11 +287,9 @@ class GridRun:
                     previous[sig] = signal.signal(sig, self._on_signal)
                 except (OSError, ValueError):  # pragma: no cover - exotic platform
                     pass
-        self.handlers_active = bool(previous)
         try:
             yield
         finally:
-            self.handlers_active = False
             for sig, handler in previous.items():
                 try:
                     signal.signal(sig, handler)  # type: ignore[arg-type]

@@ -38,6 +38,13 @@ from repro.workloads.transforms import (
     take_prefix,
     with_exact_estimates,
 )
+from repro.workloads.recipes import (
+    _fit_and_sample,
+    ctc_exact_workload,
+    ctc_workload,
+    probabilistic_workload,
+    randomized_workload_at,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.workload_store import WorkloadMemo
@@ -131,43 +138,6 @@ PAPER_TABLE8 = {
 
 #: Table 1 job counts.
 PAPER_TABLE1 = {"ctc": 79_164, "probabilistic": 50_000, "randomized": 50_000}
-
-
-# -- workload recipes -----------------------------------------------------------------
-#
-# The generators draw with numpy; they are imported where they run, so a
-# rerun whose workloads all come out of the engine's memo never loads it.
-
-def ctc_workload(scale: int, seed: int = 42) -> list[Job]:
-    """The experiment CTC workload: synthetic trace capped at the paper
-    machine's 256 nodes."""
-    from repro.workloads.ctc import ctc_like_workload
-
-    return renumber(
-        cap_nodes(ctc_like_workload(scale, seed=seed), Machine.PAPER_BATCH_NODES)
-    )
-
-
-def _fit_and_sample(source: Sequence[Job], scale: int, seed: int) -> list[Job]:
-    from repro.workloads.probabilistic import ProbabilisticModel
-
-    return ProbabilisticModel.fit(source).sample(scale, seed=seed + 1)
-
-
-def probabilistic_workload(scale: int, seed: int = 42) -> list[Job]:
-    """Section 6.2: fit the model on the CTC workload, sample a fresh one."""
-    return _fit_and_sample(ctc_workload(scale, seed=seed), scale, seed)
-
-
-def randomized_workload_at(scale: int, seed: int = 42) -> list[Job]:
-    from repro.workloads.randomized import randomized_workload
-
-    return randomized_workload(scale, seed=seed)
-
-
-def ctc_exact_workload(scale: int, seed: int = 42) -> list[Job]:
-    """Table 6: the CTC workload with estimates replaced by actual runtimes."""
-    return with_exact_estimates(ctc_workload(scale, seed=seed))
 
 
 # -- experiment specs -------------------------------------------------------------------
@@ -417,7 +387,7 @@ def run_experiment(
 
 
 #: The recipes whose generated streams the workload memo may keep: their
-#: source is part of every memo key (``GENERATOR_MODULES``).
+#: module's source is part of every memo key (``GENERATOR_MODULES``).
 _MEMOISED_RECIPES = (
     ctc_workload, probabilistic_workload, randomized_workload_at, ctc_exact_workload,
 )

@@ -3,11 +3,11 @@
 :class:`WorkerPool` is the ``ProcessPoolExecutor`` the engine keeps
 between runs.  :class:`PoolRun` is the loop of one run: submit every
 cell, wait with the per-cell lease (``cell_timeout``), and when a worker
-crashed (``BrokenProcessPool``), a lease expired or no worker heartbeat
-is fresh, tear the executor down, charge the culprits a retry, requeue
-the cells beside them uncharged and rebuild, at most
-``max_pool_rebuilds`` times.  What the pool could not finish runs in the
-engine's process.  A fingerprint has at most one live future and a
+crashed (``BrokenProcessPool``), a lease expired or the kernel reports a
+worker stopped, tear the executor down, charge the culprits a retry,
+requeue the cells beside them uncharged and rebuild, at most
+:data:`MAX_POOL_REBUILDS` times.  What the pool could not finish runs in
+the engine's process.  A fingerprint has at most one live future and a
 torn-down executor's futures are dropped unread, so a cell is recorded
 exactly once.  See docs/architecture.md, "The pool loop".
 """
@@ -37,6 +37,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["PoolRun", "WorkerPool", "pool_context", "retry_pause"]
 
+#: Pool retries of a cell after its first attempt; one more failure sends it
+#: to the engine's process.
+MAX_RETRIES = 2
+#: Base pause before a cell's first retry, in seconds (see :func:`retry_pause`).
+RETRY_BACKOFF = 0.5
+#: Executor rebuilds in one run before the rest of it runs in process.
+MAX_POOL_REBUILDS = 2
+#: Longest wait while cells are in flight, in seconds: each wake looks for a
+#: stopped worker and notices a SIGINT/SIGTERM flag, though blocking waits
+#: resume after a handler runs (PEP 475).
+POLL_INTERVAL = 0.5
+
 
 def pool_context() -> multiprocessing.context.BaseContext:
     """Prefer fork so in-process registry registrations reach the workers."""
@@ -59,17 +71,13 @@ class WorkerPool:
     The simulation stack is imported before the workers fork, so they
     inherit it.  ``dir`` holds the workload spool (``<digest>.jobs``,
     written on the first cell of a digest and read by a worker on its
-    first miss) and the workers' heartbeat sentinels (``<pid>.hb``);
-    ``generation`` is the scheduler-registry generation the workers were
-    forked under.
+    first miss); ``generation`` is the scheduler-registry generation the
+    workers were forked under.
     """
 
-    def __init__(
-        self, *, workers: int, store: "WorkloadStore", heartbeat_interval: float | None
-    ) -> None:
+    def __init__(self, *, workers: int, store: "WorkloadStore") -> None:
         self.workers = max(1, workers)
         self.store = store
-        self.heartbeat_interval = heartbeat_interval
         import_simulation_stack()
         self.dir: str | None = tempfile.mkdtemp(prefix="repro-pool-")
         #: Digests already spooled into ``dir``.
@@ -100,15 +108,14 @@ class WorkerPool:
                 pass
 
     def rebuild(self) -> None:
-        """Replace the executor with a fresh one, whose workers re-arm
-        their heartbeats and hydrate from the spool like the first."""
+        """Replace the executor with a fresh one, whose workers hydrate
+        from the spool like the first."""
         self.kill()
-        self.started = time.time()
         self.executor = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=pool_context(),
             initializer=init_worker,
-            initargs=(self.dir, self.heartbeat_interval),
+            initargs=(self.dir,),
         )
 
     def submit(self, request: CellRequest) -> Future:
@@ -118,26 +125,24 @@ class WorkerPool:
             self.spooled.add(request.digest)
         return self.executor.submit(_run_cell_task, request)
 
-    def liveness(self) -> float | None:
-        """Wall-clock time of the freshest heartbeat (never earlier than the
-        executor's start), or ``None`` when the watchdog is off.
+    def stopped(self) -> list[int]:
+        """Pids of the executor's workers that the kernel reports stopped.
 
-        A daemon thread in every worker touches ``<pid>.hb``, so a stale
-        newest touch means no worker has been scheduled since — every one
-        SIGSTOPped or wedged in D-state.  One stopped worker beside a live
-        one keeps it fresh.
+        ``WNOWAIT`` only peeks at a worker's state, so the executor still
+        reaps its own workers.  Without ``os.waitid`` (macOS before Python
+        3.13) nothing is reported, and ``cell_timeout`` is the only guard.
         """
-        if self.heartbeat_interval is None:
-            return None
-        newest = self.started
-        try:
-            with os.scandir(self.dir) as entries:
-                for entry in entries:
-                    if entry.name.endswith(".hb"):
-                        newest = max(newest, entry.stat().st_mtime)
-        except OSError:  # pragma: no cover - scratch directory removed
-            pass
-        return newest
+        if self.executor is None or not hasattr(os, "waitid"):
+            return []
+        flags = os.WSTOPPED | os.WNOHANG | os.WNOWAIT
+        stopped = []
+        for pid in list(self.executor._processes or ()):
+            try:
+                if os.waitid(os.P_PID, pid, flags) is not None:
+                    stopped.append(pid)
+            except ChildProcessError:  # already reaped
+                pass
+        return stopped
 
     def close(self) -> None:
         """Kill the workers and remove the scratch directory (idempotent)."""
@@ -151,7 +156,7 @@ class WorkerPool:
 class PoolRun:
     """One run's cache misses on their way through the engine's pool.
 
-    ``engine`` supplies the policy (budgets, timeouts, the pool), ``run``
+    ``engine`` supplies ``cell_timeout``, the backend and the pool, ``run``
     everything the loop writes to (stats, journal, events, results).
     """
 
@@ -207,7 +212,7 @@ class PoolRun:
         healthy = False
         try:
             leftovers = self.drive()
-            healthy = run.stats.pool_rebuilds <= self.engine.max_pool_rebuilds
+            healthy = run.stats.pool_rebuilds <= MAX_POOL_REBUILDS
         finally:
             if healthy:
                 self.engine.return_pool(pool)
@@ -243,13 +248,9 @@ class PoolRun:
                 # The executor refused work and nothing runs: rebuild it.
                 alive = self.rebuild()
             else:
-                # Only backoffs pending: idle until the first ends (capped
-                # for signal responsiveness while handlers are active).
-                pause = min(self.resubmit_at.values()) - time.perf_counter()
-                if self.run.handlers_active:
-                    pause = min(pause, 0.5)
-                if pause > 0:
-                    time.sleep(pause)
+                # Only backoffs pending: idle until the first ends, a poll
+                # at a time.
+                time.sleep(self.wait_timeout())
                 continue
             if not alive:
                 return [*self.queue, *self.resubmit_at]
@@ -291,23 +292,12 @@ class PoolRun:
                 if cell_timeout is not None:
                     self.leases[fp] = time.perf_counter() + cell_timeout
 
-    def wait_timeout(self) -> float | None:
-        """Seconds until the next deadline (``None``: no deadline).
-
-        The soonest lease, the soonest resubmission, the watchdog's
-        heartbeat deadline and — while signal handlers are active — a
-        0.5 s cap, so a SIGINT/SIGTERM flag is noticed promptly even
-        though blocking waits resume after the handler runs (PEP 475).
-        """
+    def wait_timeout(self) -> float:
+        """Seconds until the soonest lease or resubmission, at most
+        :data:`POLL_INTERVAL`."""
         now = time.perf_counter()
         deadlines = [*self.leases.values(), *self.resubmit_at.values()]
-        candidates = [min(deadlines) - now] if deadlines else []
-        live = self.pool.liveness()
-        if live is not None:
-            candidates.append(live + self.engine.heartbeat_timeout - time.time())
-        if self.run.handlers_active:
-            candidates.append(0.5)
-        return max(0.0, min(candidates)) if candidates else None
+        return max(0.0, min([POLL_INTERVAL, *(at - now for at in deadlines)]))
 
     def collect(self, done: Iterable[Future]) -> bool:
         """File finished futures; False once the rebuild budget is spent."""
@@ -332,23 +322,19 @@ class PoolRun:
 
     def expire(self) -> bool:
         """The wait timed out: revoke overdue leases — or every lease when
-        no worker heartbeat is fresh, which means every worker went
-        unscheduled at once.  False once the rebuild budget is spent."""
+        a worker is stopped, since no future tells which cell it holds.
+        False once the rebuild budget is spent."""
         now = time.perf_counter()
         in_flight = list(self.futures.values())
-        live = self.pool.liveness()
-        budget = self.engine.heartbeat_timeout
-        if live is not None and time.time() - live > budget:
+        stopped = self.pool.stopped()
+        if stopped:
             charged = in_flight
-            reason = (
-                f"lost worker heartbeat for more than {budget:.0f}s: "
-                f"pool presumed dead"
-            )
+            reason = f"worker {', '.join(map(str, stopped))} stopped"
         else:
             charged = [fp for fp in in_flight if self.leases.get(fp, math.inf) <= now]
             reason = f"exceeded cell_timeout={self.engine.cell_timeout}s"
         if not charged:
-            return True  # woke for a resubmission or the signal cap
+            return True  # woke for a resubmission or the poll
         # An executor cannot give up one running future: it is torn down
         # with the charged cells, and the others resubmit for free.
         self.futures = {f: fp for f, fp in self.futures.items() if fp not in charged}
@@ -360,21 +346,21 @@ class PoolRun:
     def charge_retry(self, fp: str, why: str) -> None:
         """Charge a retry for ``fp``: schedule its resubmission, or send
         it to the serial fallback once the budget is exhausted."""
-        run, engine = self.run, self.engine
+        run = self.run
         key = self.config_by_fp[fp].key
         attempt = self.attempts[fp] = self.attempts.get(fp, 0) + 1
-        if attempt > engine.max_retries:
+        if attempt > MAX_RETRIES:
             run.journal_cell(key, "abandoned", fingerprint=fp, detail=why)
             self.serial_fallback.append(fp)
             return
         run.journal_cell(key, "failed", fingerprint=fp, detail=why)
         run.stats.retries += 1
-        pause = retry_pause(engine.retry_backoff, attempt, self.rng)
+        pause = retry_pause(RETRY_BACKOFF, attempt, self.rng)
         run.emit(
             "cell-retry",
             key=key,
             wall_time=pause,
-            detail=f"attempt {attempt}/{engine.max_retries}: {why}",
+            detail=f"attempt {attempt}/{MAX_RETRIES}: {why}",
         )
         self.resubmit_at[fp] = time.perf_counter() + pause
 
@@ -388,9 +374,9 @@ class PoolRun:
         return self.rebuild()
 
     def rebuild(self) -> bool:
-        """Rebuild the executor; False once ``max_pool_rebuilds`` is spent."""
+        """Rebuild the executor; False once :data:`MAX_POOL_REBUILDS` is spent."""
         self.run.stats.pool_rebuilds += 1
-        if self.run.stats.pool_rebuilds > self.engine.max_pool_rebuilds:
+        if self.run.stats.pool_rebuilds > MAX_POOL_REBUILDS:
             return False
         self.pool.rebuild()
         return True

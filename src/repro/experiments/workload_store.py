@@ -12,11 +12,11 @@ register-once/reference-many:
 * a local pool outlives the grids it runs (one pool per engine), so its
   workers cannot be seeded when they start: the driver writes the packed
   buffer once per digest into the pool's scratch directory
-  (:func:`spool_workload`, ``<digest>.jobs`` next to the heartbeat
-  sentinels) and a worker hydrates it on its first miss, into a bounded
-  process-global cache — after checking that the bytes hash to the
-  digest they are filed under (a rebuilt worker finds the same file, so
-  crash recovery re-seeds automatically);
+  (:func:`spool_workload`, ``<digest>.jobs``) and a worker hydrates it
+  on its first miss, into a bounded process-global cache — after
+  checking that the bytes hash to the digest they are filed under (a
+  rebuilt worker finds the same file, so crash recovery re-seeds
+  automatically);
 * each cell task then carries only the 64-character digest — 79 bytes
   per cell against 234,825 for the pickled tuple of a 5,000-job stream
   (``benchmarks/bench_engine_overhead.py``; decision record in
@@ -46,8 +46,6 @@ import json
 import os
 import pickle
 import re
-import threading
-import time
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -72,7 +70,6 @@ __all__ = [
     "init_worker",
     "resolve_worker_workload",
     "spool_workload",
-    "start_worker_heartbeat",
 ]
 
 
@@ -138,61 +135,16 @@ def _hydrate_from_spool(digest: str) -> tuple[Job, ...]:
     return jobs
 
 
-#: Worker-process heartbeat thread, stamped with the pid it was started
-#: in: ``fork`` does not carry threads into children, so a pool worker
-#: inheriting this module's globals must start its own thread.
-_HEARTBEAT_THREAD: tuple[int, threading.Thread] | None = None
+def init_worker(spool_dir: str) -> None:
+    """Pool initializer: remember the pool's spool, the scratch directory
+    workloads are read from.
 
-
-def start_worker_heartbeat(heartbeat_dir: str, interval: float) -> None:
-    """Start (or adopt) this process's heartbeat thread.
-
-    A daemon thread touches ``<heartbeat_dir>/<pid>.hb`` every
-    ``interval`` seconds; the driver's watchdog reads the mtimes (see
-    :meth:`repro.experiments.pool.WorkerPool.liveness`).  The thread
-    heartbeats even while the worker is grinding through a simulation —
-    it proves the *process* is alive and scheduled.  The watchdog reads
-    only the freshest sentinel, so it catches every worker going
-    unscheduled at once (all SIGSTOPped, say); one stopped or hung worker
-    beside a live one is ``cell_timeout``'s business, and a SIGKILLed one
-    breaks the pool outright.  Idempotent per process; fork-safe via the
-    pid stamp.
-    """
-    global _HEARTBEAT_THREAD
-    pid = os.getpid()
-    if _HEARTBEAT_THREAD is not None and _HEARTBEAT_THREAD[0] == pid:
-        return
-    sentinel = Path(heartbeat_dir) / f"{pid}.hb"
-
-    def beat() -> None:
-        while True:
-            try:
-                sentinel.touch()
-            except OSError:
-                return  # heartbeat dir removed: the run is over
-            time.sleep(interval)
-
-    thread = threading.Thread(
-        target=beat, name=f"repro-heartbeat-{pid}", daemon=True
-    )
-    thread.start()
-    _HEARTBEAT_THREAD = (pid, thread)
-
-
-def init_worker(spool_dir: str, heartbeat_interval: float | None) -> None:
-    """Pool initializer: remember the pool's spool, start heartbeats.
-
-    ``spool_dir`` is the pool's scratch directory: workloads are read
-    from it, heartbeat sentinels written to it.  A watchdog-less engine
-    passes ``heartbeat_interval=None``.  Runs once per worker process; a
-    rebuilt executor re-runs it in every fresh worker, which re-arms the
-    heartbeat after a crash (the spool needs no re-seeding: the files are
-    still there).
+    Runs once per worker process; a rebuilt executor re-runs it in every
+    fresh worker (the spool needs no re-seeding: the files are still
+    there).
     """
     global _SPOOL_DIR
     _SPOOL_DIR = spool_dir
-    if heartbeat_interval is not None:
-        start_worker_heartbeat(spool_dir, heartbeat_interval)
 
 
 def resolve_worker_workload(digest: str) -> tuple[Job, ...]:
@@ -250,7 +202,7 @@ GENERATOR_MODULES = (
     "repro.workloads.probabilistic",
     "repro.workloads.randomized",
     "repro.workloads.transforms",
-    "repro.experiments.paper",
+    "repro.workloads.recipes",
 )
 
 

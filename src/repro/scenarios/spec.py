@@ -160,12 +160,20 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown scenario spec field(s): {', '.join(sorted(unknown))}"
             )
+        components = payload.get("components", [])
+        if not isinstance(components, (list, tuple)) or not all(
+            isinstance(item, Mapping) for item in components
+        ):
+            raise ValueError(
+                f"scenario spec 'components' must be a list of objects, "
+                f"got {components!r}"
+            )
+        seed = payload.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"scenario spec 'seed' must be an integer, got {seed!r}")
         return cls(
-            components=tuple(
-                component_from_dict(item)
-                for item in payload.get("components", ())
-            ),
-            seed=int(payload.get("seed", 0)),
+            components=tuple(component_from_dict(item) for item in components),
+            seed=seed,
         )
 
     @classmethod

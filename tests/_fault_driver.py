@@ -6,23 +6,25 @@ fault and prints two lines: ``READY`` just before the grid starts, then
 
     python -m tests._fault_driver CASE JOURNAL_DIR
 
-Cases (one faulty row, ``crashy`` or ``stoppy``, ahead of three healthy
-cells):
+Cases (one faulty row, ``crashy``, ``stoppy`` or ``sleepy``, ahead of
+three healthy cells; no case sets ``cell_timeout`` but ``hung``):
 
-* ``sigkill`` — a worker SIGKILLs itself; watchdog off, no
-  ``cell_timeout``;
+* ``sigkill`` — a worker SIGKILLs itself;
 * ``stop-all`` — two cells each SIGSTOP their worker, so both workers
-  stop; watchdog on, no ``cell_timeout``;
+  stop;
 * ``stop-one`` — one cell SIGSTOPs its worker, the other worker stays
-  live; watchdog on and ``cell_timeout=1``;
-* ``stop-one-watchdog-only`` — as ``stop-one`` without ``cell_timeout``.
+  live;
+* ``hung`` — one cell sleeps in its worker for five minutes;
+  ``cell_timeout=1``.
 
 A row faults only inside a pool worker, which it recognises by a pid
 other than the driver's: the serial fallback, in the driver, computes
-the cell.  The report lists the reason of every charged retry, the
-number of ``completed`` journal records per fingerprint and the run's
-stats.  The driver returns normally, so the parent also sees whether the
-interpreter exits once the grid is done.
+the cell.  A faulting worker first writes its pid to
+``JOURNAL_DIR/<pid>.fault``.  The report lists the reason of every
+charged retry, the pids of the faulted workers, the number of
+``completed`` journal records per fingerprint and the run's stats.  The
+driver returns normally, so the parent also sees whether the interpreter
+exits once the grid is done.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ import json
 import os
 import signal
 import sys
+import time
 from pathlib import Path
 
+from repro.experiments import pool
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.journal import journal_path
 from repro.experiments.paper import probabilistic_workload
@@ -50,47 +54,47 @@ HEALTHY = [
 ]
 
 
-def _faulty_row(signum: int):
+def _faulty_row(signum: int | None, marks: Path):
+    """A row whose cells fault in a pool worker: send ``signum`` to the
+    worker itself, or with ``None`` hang it."""
+
     def order(total_nodes, weight, threshold):
-        if os.getpid() != DRIVER_PID:
-            os.kill(os.getpid(), signum)
+        pid = os.getpid()
+        if pid != DRIVER_PID:
+            (marks / f"{pid}.fault").touch()
+            if signum is None:
+                time.sleep(300.0)
+            else:
+                os.kill(pid, signum)
         return KeyOrderPolicy(lambda job: job.submit_time, "faulty")
 
     return order
 
 
-#: case -> (row, signal, faulty columns, engine kwargs)
+#: case -> (row, signal, faulty columns, pool budgets, engine kwargs)
 CASES = {
     "sigkill": (
         "crashy", signal.SIGKILL, ("easy",),
-        dict(heartbeat_interval=None, max_retries=1, max_pool_rebuilds=5),
+        dict(MAX_RETRIES=1, MAX_POOL_REBUILDS=5), {},
     ),
-    "stop-all": (
-        "stoppy", signal.SIGSTOP, ("easy", "list"),
-        dict(heartbeat_interval=0.2, heartbeat_timeout=1.0, max_retries=0),
-    ),
-    "stop-one": (
-        "stoppy", signal.SIGSTOP, ("easy",),
-        dict(
-            heartbeat_interval=0.2, heartbeat_timeout=1.0, cell_timeout=1.0,
-            max_retries=0,
-        ),
-    ),
-    "stop-one-watchdog-only": (
-        "stoppy", signal.SIGSTOP, ("easy",),
-        dict(heartbeat_interval=0.2, heartbeat_timeout=1.0, max_retries=0),
+    "stop-all": ("stoppy", signal.SIGSTOP, ("easy", "list"), dict(MAX_RETRIES=0), {}),
+    "stop-one": ("stoppy", signal.SIGSTOP, ("easy",), dict(MAX_RETRIES=0), {}),
+    "hung": (
+        "sleepy", None, ("easy",),
+        dict(MAX_RETRIES=0, MAX_POOL_REBUILDS=5), dict(cell_timeout=1.0),
     ),
 }
 
 
 def main(argv: list[str]) -> int:
     case, journal_dir = argv[1], Path(argv[2])
-    row, signum, columns, kwargs = CASES[case]
-    register_row(row, _faulty_row(signum), columns=columns)
+    row, signum, columns, budgets, kwargs = CASES[case]
+    for name, value in dict(budgets, RETRY_BACKOFF=0.01).items():
+        setattr(pool, name, value)
+    journal_dir.mkdir(parents=True, exist_ok=True)
+    register_row(row, _faulty_row(signum, journal_dir), columns=columns)
     configs = [SchedulerConfig(row, column) for column in columns] + HEALTHY
-    engine = ExperimentEngine(
-        workers=2, journal_dir=journal_dir, retry_backoff=0.01, **kwargs
-    )
+    engine = ExperimentEngine(workers=2, journal_dir=journal_dir, **kwargs)
     print("READY", flush=True)
     with engine:
         engine.run(probabilistic_workload(40, seed=3), total_nodes=256, configs=configs)
@@ -112,6 +116,7 @@ def main(argv: list[str]) -> int:
         pool_rebuilds=stats.pool_rebuilds,
         degraded_cells=stats.degraded_cells,
         reasons=reasons,
+        faulted=sorted(int(mark.stem) for mark in journal_dir.glob("*.fault")),
         completed=completed,
     )
     print("DONE", json.dumps(report), flush=True)

@@ -26,14 +26,10 @@ from repro.experiments.engine import (
     fingerprint_jobs,
 )
 from repro.failures import FailureTrace, NodeFailure, mtbf_trace
-from repro.experiments.journal import (
-    JournalError,
-    RunInterrupted,
-    RunJournal,
-    read_journal,
-)
+from repro.experiments.journal import RunInterrupted, RunJournal
 from repro.experiments.lifecycle import RunStats
 from repro.experiments.paper import probabilistic_workload
+from repro.experiments import pool as pool_module
 from repro.experiments.pool import PoolRun, retry_pause
 from repro.experiments.runner import (
     GridResult,
@@ -60,6 +56,18 @@ from tests.conftest import failure_spec, make_jobs
 def workload():
     """The probabilistic workload of the parallel-equivalence requirement."""
     return probabilistic_workload(110, seed=7)
+
+
+@pytest.fixture
+def budgets(monkeypatch):
+    """Set the pool's retry constants for one test:
+    ``budgets(MAX_RETRIES=1, RETRY_BACKOFF=0.01)``."""
+
+    def set_budgets(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(pool_module, name, value)
+
+    return set_budgets
 
 
 # -- fingerprints --------------------------------------------------------------
@@ -603,16 +611,15 @@ class TestPoolLifetime:
 
     @pytest.mark.parametrize("wreck", ["other-workload", "garbage"])
     def test_spool_file_that_is_not_its_digest_is_refused(
-        self, workload, wreck
+        self, workload, wreck, budgets
     ):
         from repro.core.packing import pack_jobs
         from repro.experiments.workload_store import _spool_path, spool_workload
 
         configs = [SchedulerConfig("fcfs", "easy"), SchedulerConfig("fcfs", "list")]
         events = []
-        with ExperimentEngine(
-            workers=2, on_event=events.append, max_retries=1, retry_backoff=0.01
-        ) as engine:
+        budgets(MAX_RETRIES=1, RETRY_BACKOFF=0.01)
+        with ExperimentEngine(workers=2, on_event=events.append) as engine:
             engine.run(workload[:20], total_nodes=256, configs=configs)
             pool = _kept_pool(engine)
             victim = workload[20:50]
@@ -693,18 +700,38 @@ class TestPoolLifetime:
         _assert_all_dead(processes)
         assert not os.path.exists(scratch)
 
+    @pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+    def test_stopped_reports_a_worker_while_it_is_stopped(self, workload):
+        with ExperimentEngine(workers=2) as engine:
+            engine.run(workload[:20], total_nodes=256, configs=THREE_CELLS)
+            pool = _kept_pool(engine)
+            assert pool.stopped() == []
+            victim = _worker_processes(pool)[0]
+            os.kill(victim.pid, signal.SIGSTOP)
+            try:
+                deadline = time.monotonic() + 10
+                while not pool.stopped() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                # A peek, not a reap: asking again gives the same answer.
+                assert pool.stopped() == pool.stopped() == [victim.pid]
+            finally:
+                os.kill(victim.pid, signal.SIGCONT)
+            deadline = time.monotonic() + 10
+            while pool.stopped() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool.stopped() == []
+            assert victim.is_alive()
+
     @pytest.mark.parametrize("max_pool_rebuilds", [5, 0])
     def test_crashed_worker_is_rebuilt_and_the_next_run_is_healthy(
-        self, workload, max_pool_rebuilds
+        self, workload, max_pool_rebuilds, budgets
     ):
+        budgets(
+            MAX_RETRIES=1, RETRY_BACKOFF=0.01, MAX_POOL_REBUILDS=max_pool_rebuilds
+        )
         register_row("crashy", _crashy_order, columns=("easy",))
         try:
-            with ExperimentEngine(
-                workers=2,
-                max_retries=1,
-                retry_backoff=0.01,
-                max_pool_rebuilds=max_pool_rebuilds,
-            ) as engine:
+            with ExperimentEngine(workers=2) as engine:
                 grid = engine.run(
                     workload[:30],
                     total_nodes=256,
@@ -729,12 +756,13 @@ class TestPoolLifetime:
         finally:
             unregister_row("crashy")
 
-    def test_hung_worker_is_rebuilt_and_the_next_run_is_healthy(self, workload):
+    def test_hung_worker_is_rebuilt_and_the_next_run_is_healthy(
+        self, workload, budgets
+    ):
+        budgets(MAX_RETRIES=0, MAX_POOL_REBUILDS=5)
         register_row("sleepy", _sleepy_order, columns=("easy",))
         try:
-            with ExperimentEngine(
-                workers=2, cell_timeout=1.0, max_retries=0, max_pool_rebuilds=5
-            ) as engine:
+            with ExperimentEngine(workers=2, cell_timeout=1.0) as engine:
                 engine.run(
                     workload[:20],
                     total_nodes=256,
@@ -816,18 +844,14 @@ def _sleepy_order(total_nodes, weight, threshold):
 
 class TestCrashTolerance:
     def test_crashing_worker_retried_then_degraded_to_serial(
-        self, tmp_path, workload
+        self, tmp_path, workload, budgets
     ):
+        budgets(MAX_RETRIES=1, RETRY_BACKOFF=0.01, MAX_POOL_REBUILDS=5)
         register_row("crashy", _crashy_order, columns=("easy",))
         try:
             events = []
             engine = ExperimentEngine(
-                workers=2,
-                cache=tmp_path,
-                on_event=events.append,
-                max_retries=1,
-                retry_backoff=0.01,
-                max_pool_rebuilds=5,
+                workers=2, cache=tmp_path, on_event=events.append
             )
             configs = [
                 SchedulerConfig("crashy", "easy"),
@@ -867,16 +891,13 @@ class TestCrashTolerance:
         finally:
             unregister_row("crashy")
 
-    def test_hung_worker_times_out_and_grid_completes(self, workload):
+    def test_hung_worker_times_out_and_grid_completes(self, workload, budgets):
+        budgets(MAX_RETRIES=0, MAX_POOL_REBUILDS=5)
         register_row("sleepy", _sleepy_order, columns=("easy",))
         try:
             events = []
             engine = ExperimentEngine(
-                workers=2,
-                on_event=events.append,
-                cell_timeout=1.0,
-                max_retries=0,
-                max_pool_rebuilds=5,
+                workers=2, on_event=events.append, cell_timeout=1.0
             )
             configs = [
                 SchedulerConfig("sleepy", "easy"),
@@ -894,36 +915,17 @@ class TestCrashTolerance:
     def test_retry_knob_validation(self):
         with pytest.raises(ValueError, match="cell_timeout"):
             ExperimentEngine(cell_timeout=0.0)
-        with pytest.raises(ValueError, match="max_retries"):
-            ExperimentEngine(max_retries=-1)
-        with pytest.raises(ValueError, match="retry_backoff"):
-            ExperimentEngine(retry_backoff=-0.1)
-        with pytest.raises(ValueError, match="max_pool_rebuilds"):
-            ExperimentEngine(max_pool_rebuilds=-1)
 
-
-# -- watchdog knobs --------------------------------------------------------------
-
-
-class TestWatchdogKnobs:
-    def test_interval_sets_interval_and_derived_timeout(self):
-        engine = ExperimentEngine()
-        assert engine.heartbeat_interval == 15.0
-        assert engine.heartbeat_timeout == 60.0  # max(4*15, 30)
-        assert ExperimentEngine(heartbeat_interval=7.0).heartbeat_timeout == 30.0
-        assert ExperimentEngine(heartbeat_interval=20.0).heartbeat_timeout == 80.0
-
-    def test_interval_none_disables_watchdog(self):
-        engine = ExperimentEngine(heartbeat_interval=None)
-        assert engine.heartbeat_interval is None
-        assert engine.heartbeat_timeout is None
-
-    def test_timeout_overrides_derived_budget(self):
-        engine = ExperimentEngine(heartbeat_timeout=120.0)
-        assert engine.heartbeat_interval == 15.0
-        assert engine.heartbeat_timeout == 120.0
-        with pytest.raises(ValueError, match="heartbeat_timeout"):
-            ExperimentEngine(heartbeat_timeout=0.0)
+    def test_the_retry_budgets_are_pool_constants(self):
+        assert list(inspect.signature(ExperimentEngine).parameters) == [
+            "workers", "cache", "on_event", "cell_timeout", "journal_dir",
+            "handle_signals", "backend",
+        ]
+        assert (
+            pool_module.MAX_RETRIES,
+            pool_module.RETRY_BACKOFF,
+            pool_module.MAX_POOL_REBUILDS,
+        ) == (2, 0.5, 2)
 
 
 # -- the retry pause -------------------------------------------------------------
@@ -952,13 +954,15 @@ class TestRetryBackoff:
             legacy = 0.5 * (2 ** (failures - 1)) * random.Random(42).uniform(0.5, 1.5)
             assert new == legacy
 
-    def test_engine_policy_matches_legacy_backoff(self):
+    def test_engine_policy_matches_legacy_backoff(self, budgets):
         """The pool loop's pauses are the legacy sequence, one draw per
         retry from its rng, until the budget sends the cell to the serial
         fallback."""
-        engine = ExperimentEngine(max_retries=3, retry_backoff=0.25)
+        budgets(MAX_RETRIES=3, RETRY_BACKOFF=0.25)
         run = _RunStub()
-        pool_run = PoolRun(engine, run, [(SchedulerConfig("fcfs", "easy"), "fp")])
+        pool_run = PoolRun(
+            ExperimentEngine(), run, [(SchedulerConfig("fcfs", "easy"), "fp")]
+        )
         pool_run.rng = random.Random(9)
         for _ in range(4):
             pool_run.charge_retry("fp", "boom")
@@ -1053,17 +1057,26 @@ def _assert_delivered_exactly_once(report):
     assert set(report["completed"].values()) == {1}
 
 
+def _assert_reasons_name_the_stopped_workers(report):
+    assert report["reasons"]
+    for reason in report["reasons"]:
+        pids = reason.removeprefix("worker ").removesuffix(" stopped")
+        assert pids != reason, reason
+        named = {int(pid) for pid in pids.split(", ")}
+        assert named <= set(report["faulted"]), (reason, report["faulted"])
+
+
 class TestFaultMatrix:
     """Which detector catches which worker fault.
 
     Each case runs a journaled two-worker grid in a subprocess (see
     ``tests/_fault_driver.py``).  The retry reasons name the detector: a
-    SIGKILLed worker breaks the pool, every worker stopped at once leaves
-    every heartbeat stale, and one stopped worker beside a live one is
-    caught by ``cell_timeout`` alone — the live worker keeps the freshest
-    heartbeat fresh.  Every finished case must also exit promptly: a
-    SIGSTOPped worker ignores SIGTERM, and a surviving worker makes the
-    interpreter hang at exit.
+    SIGKILLed worker breaks the pool, a stopped worker — every one or one
+    beside a live one — is seen stopped by the watchdog, which asks the
+    kernel (``WorkerPool.stopped``), and only a worker that runs but never
+    finishes needs ``cell_timeout``.  Every finished case must also exit
+    promptly: a SIGSTOPped worker ignores SIGTERM, and a surviving worker
+    makes the interpreter hang at exit.
     """
 
     def test_sigkill_is_caught_by_the_broken_pool(self, fault_driver):
@@ -1078,37 +1091,24 @@ class TestFaultMatrix:
 
     def test_all_workers_stopped_is_caught_by_the_watchdog(self, fault_driver):
         report = _run_fault_case(fault_driver, "stop-all")
-        assert report["reasons"]
-        assert all(
-            reason.startswith("lost worker heartbeat")
-            for reason in report["reasons"]
-        )
-        assert report["simulated"] == report["cells"]
+        assert len(report["faulted"]) == 2
+        _assert_reasons_name_the_stopped_workers(report)
+        _assert_delivered_exactly_once(report)
 
-    def test_one_worker_stopped_is_caught_by_cell_timeout(self, fault_driver):
+    def test_one_worker_stopped_is_recovered_without_cell_timeout(
+        self, fault_driver
+    ):
         report = _run_fault_case(fault_driver, "stop-one")
+        assert len(report["faulted"]) == 1
+        _assert_reasons_name_the_stopped_workers(report)
+        assert report["degraded_cells"] >= 1
+        _assert_delivered_exactly_once(report)
+
+    def test_hung_worker_is_caught_by_cell_timeout(self, fault_driver):
+        report = _run_fault_case(fault_driver, "hung")
         assert report["reasons"] == ["exceeded cell_timeout=1.0s"]
         assert report["degraded_cells"] == 1
         _assert_delivered_exactly_once(report)
-
-    def test_one_worker_stopped_escapes_the_watchdog(self, fault_driver, tmp_path):
-        proc, lines = fault_driver("stop-one-watchdog-only")
-        assert _next_line(lines, FAULT_DEADLINE) == "READY\n"
-        # The live worker finishes the three healthy cells...
-        deadline = time.monotonic() + FAULT_DEADLINE
-        while True:
-            try:
-                replay = read_journal(next((tmp_path / "runs").glob("*.jsonl")))
-            except (StopIteration, JournalError):
-                replay = None  # not created yet, or before its manifest
-            if replay is not None and len(replay.completed) == 3:
-                break
-            assert time.monotonic() < deadline, "healthy cells never finished"
-            time.sleep(0.05)
-        # ...and five watchdog budgets later the stopped one is still out.
-        assert _next_line(lines, 5.0) is None
-        assert replay.cells["stoppy/easy"].state == "started"
-        assert proc.poll() is None
 
 
 # -- failure scenarios through the engine --------------------------------------

@@ -222,17 +222,23 @@ class TestCLI:
         from repro.experiments.cli import main
 
         bad = tmp_path / "bad.json"
-        bad.write_text('{"components": [{"kind": "no-such-kind"}]}')
-        for argv in (
-            ["table3", "--scale", "50"],
-            ["--profile-cell", "ffff", "--cache-dir", str(tmp_path)],
+        for payload in (
+            '{"components": [{"kind": "no-such-kind"}]}',
+            '{"components": 5}',
+            '{"components": [5]}',
+            '{"seed": null}',
         ):
-            with pytest.raises(SystemExit) as exit_info:
-                main([*argv, "--scenario", str(bad)])
-            assert exit_info.value.code == 2
-            err = capsys.readouterr().err
-            assert "bad scenario:" in err
-            assert "Traceback" not in err
+            bad.write_text(payload)
+            for argv in (
+                ["table3", "--scale", "50", "--no-cache"],
+                ["--profile-cell", "ffff", "--cache-dir", str(tmp_path)],
+            ):
+                with pytest.raises(SystemExit) as exit_info:
+                    main([*argv, "--scenario", str(bad)])
+                assert exit_info.value.code == 2, payload
+                err = capsys.readouterr().err
+                assert "bad scenario:" in err, payload
+                assert "Traceback" not in err
 
     def test_cli_writes_files(self, tmp_path, capsys):
         from repro.experiments.cli import main

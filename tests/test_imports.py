@@ -185,7 +185,7 @@ def test_pool_start_imports_the_simulation_stack_before_forking():
         from repro.experiments.pool import WorkerPool
         from repro.experiments.workload_store import WorkloadStore
         before = "repro.core.simulator" in sys.modules
-        pool = WorkerPool(workers=1, store=WorkloadStore(), heartbeat_interval=None)
+        pool = WorkerPool(workers=1, store=WorkloadStore())
         try:
             print(before, "repro.core.simulator" in sys.modules)
         finally:

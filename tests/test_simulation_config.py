@@ -57,6 +57,11 @@ REMOVED_KEYWORDS = [
     ("simulate", "recovery", "abandon"),
     ("simulate", "collect_trace", True),
     ("ExperimentEngine", "use_workload_store", False),
+    ("ExperimentEngine", "max_retries", 2),
+    ("ExperimentEngine", "retry_backoff", 0.5),
+    ("ExperimentEngine", "max_pool_rebuilds", 2),
+    ("ExperimentEngine", "heartbeat_interval", 15.0),
+    ("ExperimentEngine", "heartbeat_timeout", 60.0),
     ("ExperimentEngine.run", "failures", None),
     ("ExperimentEngine.run", "recovery", "abandon"),
     ("ExperimentEngine.run_id_for", "failures", None),

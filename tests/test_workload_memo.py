@@ -192,12 +192,12 @@ def test_prune_quarantines_damaged_memos_and_stale_tmp(tmp_path):
 
 
 def test_the_key_moves_with_every_input(monkeypatch):
-    base = dict(recipe="repro.experiments.paper.ctc_workload", scale=100, seed=42,
+    base = dict(recipe="repro.workloads.recipes.ctc_workload", scale=100, seed=42,
                 trace_digest="")
     key = WorkloadMemo.key(**base)
     assert WorkloadMemo.key(**base) == key
     variants = [
-        dict(base, recipe="repro.experiments.paper.ctc_exact_workload"),
+        dict(base, recipe="repro.workloads.recipes.ctc_exact_workload"),
         dict(base, scale=101),
         dict(base, seed=43),
         dict(base, trace_digest="ab" * 32),
@@ -220,6 +220,14 @@ def test_the_source_digest_covers_every_generator_module():
         hasher.update(f"{name}\n{len(source)}\n".encode("ascii"))
         hasher.update(source)
     assert generator_digest() == hasher.hexdigest()
+
+
+def test_the_source_digest_covers_each_memoised_recipe_and_not_paper():
+    from repro.experiments.paper import _MEMOISED_RECIPES
+
+    hashed = set(workload_store.GENERATOR_MODULES)
+    assert {recipe.__module__ for recipe in _MEMOISED_RECIPES} <= hashed
+    assert "repro.experiments.paper" not in hashed
 
 
 def test_numpy_version_is_read_without_importing_numpy():
