@@ -1,4 +1,5 @@
-/* The two backfilling queue walks, compiled.
+/* The two backfilling queue walks, compiled as the CPython extension
+ * ``_walk``.
  *
  * ``repro_conservative_walk`` is a line-for-line port of
  * ``_ReservationPlan.place`` in ``repro/schedulers/disciplines.py``;
@@ -12,11 +13,18 @@
  * left behind are the same bits.  Build with ``-ffp-contract=off`` and
  * without fast-math; ``repro.core.native`` does.
  *
- * Plain C99, no Python headers: the loader calls it through ctypes on
- * buffers it owns.  Every loop is bounded by the segment count or the
- * queue length, capacity is checked before the first insert, and a walk
- * never reads or writes past a buffer, even on a malformed profile.
+ * The walks themselves are plain C99 on plain buffers.  The two entry
+ * points at the end (``conservative_walk`` and ``easy_walk``) are all that
+ * knows Python: with the GIL held, they copy the profile's segment lists
+ * into scratch, read the queue's columns in place through the buffer
+ * protocol, and check every input before a pointer is read.  Every loop is
+ * bounded by the segment count or the queue length, the scratch has room
+ * for every insert before the first, and a walk never reads or writes past
+ * a buffer, even on a malformed profile.
  */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
 #include <float.h>
 #include <math.h>
@@ -36,7 +44,7 @@
 #define NO_JOB ((int64_t)1 << 60)
 
 /* Return codes; the walk names the position of the job at fault (the
- * conservative walk in ``out[3]``, the EASY walk in ``io[IO_AT]``). */
+ * conservative walk in ``out[3]``, the EASY walk in ``frame->at``). */
 #define WALK_OK 0
 #define WALK_WIDER_THAN_MACHINE (-1)
 #define WALK_PROFILE_TOO_LOW (-2)
@@ -200,12 +208,14 @@ static int shadow_of(const double *times, const int64_t *levels,
  *   out[3]  on an error, the tail position of the job that caused it.
  * The planned starts of the placed jobs that did not start are
  * ``floats[0 .. out[1] - out[2])``, in queue order. */
-int64_t repro_conservative_walk(double *times, int64_t *levels,
-                                int64_t segments, int64_t capacity,
-                                int64_t total_nodes, const int64_t *nodes,
-                                const double *estimates, int64_t count,
-                                double now, int64_t free_nodes, int64_t *ints,
-                                double *floats, int64_t *out)
+static int64_t repro_conservative_walk(double *times, int64_t *levels,
+                                       int64_t segments, int64_t capacity,
+                                       int64_t total_nodes,
+                                       const int64_t *nodes,
+                                       const double *estimates, int64_t count,
+                                       double now, int64_t free_nodes,
+                                       int64_t *ints, double *floats,
+                                       int64_t *out)
 {
     /* Suffix arrays after the outputs: ints/floats [count, 2 * count]. */
     int64_t *suffix_min = ints + count;
@@ -279,67 +289,64 @@ done:
     return code;
 }
 
-/* Slots of ``io``, the frame of repro_easy_walk: pointers travel as
- * integers, so one call passes the whole walk. */
-#define IO_TIMES 0     /* in: address of the profile's times */
-#define IO_LEVELS 1    /* in: address of the profile's levels */
-#define IO_CAPACITY 2  /* in: room in times/levels */
-#define IO_ROOM 3      /* in: jobs ``io`` has picks and scratch for */
-#define IO_NODES 4     /* in: address of the queue's widths */
-#define IO_ESTIMATES 5 /* in: address of the queue's estimates */
-#define IO_COUNT 6     /* in: queue length */
-#define IO_TOTAL 7     /* in: machine size */
-#define IO_HEAD 8      /* in: the blocked head's position (= started prefix) */
-#define IO_FREE 9      /* in: free nodes after the started prefix */
-#define IO_SEGMENTS 10 /* in and out: segments of the profile */
-#define IO_PICKS 11    /* out: jobs backfilled */
-#define IO_AT 12       /* out: on an error, the position of the job at fault */
-#define IO_HEADER 13
+/* The inputs and outputs of repro_easy_walk. */
+struct easy_frame {
+    double *times;           /* in: the snapshot's times */
+    int64_t *levels;         /* in: the snapshot's levels */
+    int64_t capacity;        /* in: room in times/levels */
+    const int64_t *nodes;    /* in: the queue's widths */
+    const double *estimates; /* in: the queue's estimates */
+    int64_t count;           /* in: queue length */
+    int64_t total;           /* in: machine size */
+    int64_t head;            /* in: the blocked head (= the started prefix) */
+    int64_t free_nodes;      /* in: free nodes after the started prefix */
+    int64_t segments;        /* in and out: segments of the profile */
+    int64_t *picks;          /* out: room for ``count`` backfilled positions */
+    unsigned char *taken;    /* scratch: ``count`` bytes */
+    int64_t n_picks;         /* out: jobs backfilled */
+    int64_t at;              /* out: on an error, the job at fault */
+};
 
 /* EasyBackfill.select_indexed once the head blocks, over the whole queue
- * (``io[IO_COUNT]`` jobs) at the decision instant ``now``.
+ * (``f->count`` jobs) at the decision instant ``now``.
  * ``queue[0 .. head)`` started greedily and ``queue[head]`` does not fit
  * the free nodes.
  *
- * The times/levels buffers hold the snapshot's ``io[IO_SEGMENTS]`` steps
- * with room for ``io[IO_CAPACITY]``; after its IO_HEADER slots ``io`` has
- * room for ``io[IO_ROOM]`` picks and as many bytes of scratch.  The walk
- * reserves the started prefix from the origin, then backfills the first
- * job that fits the free nodes and either ends by the head's shadow time
- * or needs no more than the extra nodes, reserves it and recomputes both,
- * until no job qualifies or only the head is left.  On return
- * ``io[IO_SEGMENTS]`` is the profile's segment count and the backfilled
- * positions are ``io[IO_HEADER .. IO_HEADER + io[IO_PICKS])``, in the
- * order they were picked. */
-int64_t repro_easy_walk(int64_t *io, double now)
+ * The times/levels buffers hold the snapshot's ``f->segments`` steps with
+ * room for ``f->capacity``.  The walk reserves the started prefix from the
+ * origin, then backfills the first job that fits the free nodes and either
+ * ends by the head's shadow time or needs no more than the extra nodes,
+ * reserves it and recomputes both, until no job qualifies or only the head
+ * is left.  On return ``f->segments`` is the profile's segment count and
+ * the backfilled positions are ``f->picks[0 .. f->n_picks)``, in the order
+ * they were picked. */
+static int64_t repro_easy_walk(struct easy_frame *f, double now)
 {
-    double *times = (double *)(intptr_t)io[IO_TIMES];
-    int64_t *levels = (int64_t *)(intptr_t)io[IO_LEVELS];
-    const int64_t *nodes = (const int64_t *)(intptr_t)io[IO_NODES];
-    const double *estimates = (const double *)(intptr_t)io[IO_ESTIMATES];
-    int64_t segments = io[IO_SEGMENTS];
-    int64_t count = io[IO_COUNT];
-    int64_t head = io[IO_HEAD];
-    int64_t free_nodes = io[IO_FREE];
-    int64_t *picks = io + IO_HEADER;
-    unsigned char *taken;
+    double *times = f->times;
+    int64_t *levels = f->levels;
+    const int64_t *nodes = f->nodes;
+    const double *estimates = f->estimates;
+    int64_t segments = f->segments;
+    int64_t count = f->count;
+    int64_t head = f->head;
+    int64_t free_nodes = f->free_nodes;
+    int64_t *picks = f->picks;
+    unsigned char *taken = f->taken;
     int64_t i, from, width, head_nodes, extra, last_extra, remaining;
     int64_t n_picks = 0;
     double head_estimate, shadow, last_shadow;
     int code = WALK_OK;
 
-    io[IO_PICKS] = 0;
-    io[IO_AT] = -1;
+    f->n_picks = 0;
+    f->at = -1;
     /* One insert per reservation: the prefix and every pick, fewer than
      * ``count`` in all. */
-    if (segments < 1 || segments > io[IO_CAPACITY] || head < 0
-        || head >= count || count > io[IO_ROOM]
-        || io[IO_CAPACITY] - segments < count)
+    if (segments < 1 || segments > f->capacity || head < 0 || head >= count
+        || f->capacity - segments < count)
         return WALK_NO_ROOM;
     remaining = count - head;
     if (remaining == 1)
         return WALK_OK; /* only the head is left: nothing to backfill */
-    taken = (unsigned char *)(picks + io[IO_ROOM]);
     memset(taken, 0, (size_t)count);
 
     for (i = 0; i < head; ++i) {
@@ -350,7 +357,7 @@ int64_t repro_easy_walk(int64_t *io, double now)
     head_nodes = nodes[head];
     head_estimate = estimates[head];
     i = head;
-    if (head_nodes > io[IO_TOTAL]) {
+    if (head_nodes > f->total) {
         code = WALK_WIDER_THAN_MACHINE;
         goto fail;
     }
@@ -392,12 +399,464 @@ int64_t repro_easy_walk(int64_t *io, double now)
          * A moved shadow may admit any of them: scan from the head. */
         from = shadow == last_shadow && extra == last_extra ? i + 1 : head + 1;
     }
-    io[IO_SEGMENTS] = segments;
-    io[IO_PICKS] = n_picks;
+    f->segments = segments;
+    f->n_picks = n_picks;
     return WALK_OK;
 fail:
-    io[IO_SEGMENTS] = segments;
-    io[IO_PICKS] = n_picks;
-    io[IO_AT] = i;
+    f->segments = segments;
+    f->n_picks = n_picks;
+    f->at = i;
     return code;
+}
+
+/* -- the CPython entry points -------------------------------------------- */
+
+/* What the walks run in: the profile's steps with room for every insert
+ * (``steps`` entries in ``times`` and ``levels``), and per-job scratch
+ * (``jobs`` entries in ``ints`` and ``floats``).  One set is kept between
+ * calls.  A walk entered while it is lent out (from a finalizer or another
+ * thread, run while the lending walk allocates its result) gets its own. */
+struct scratch {
+    double *times;
+    int64_t *levels;
+    Py_ssize_t steps;
+    int64_t *ints;
+    double *floats;
+    Py_ssize_t jobs;
+};
+
+static struct scratch kept;
+static int kept_lent;
+
+static PyObject *str_times, *str_free, *str_total_nodes, *str_walk_error;
+
+/* ``*buffer`` resized to ``count`` items of ``size`` bytes; -1 (and the
+ * buffer left as it was) when out of memory. */
+static int resize(void **buffer, Py_ssize_t count, size_t size)
+{
+    void *grown = NULL;
+
+    if ((size_t)count <= (size_t)PY_SSIZE_T_MAX / size)
+        grown = PyMem_Realloc(*buffer, (size_t)count * size);
+    if (grown == NULL)
+        return -1;
+    *buffer = grown;
+    return 0;
+}
+
+/* Scratch with room for ``steps`` steps and ``jobs`` jobs: the kept set,
+ * or ``own`` (zeroed by the caller) while the kept one is lent out.  NULL,
+ * with MemoryError set and nothing lent, when out of memory. */
+static struct scratch *lend(struct scratch *own, Py_ssize_t steps,
+                            Py_ssize_t jobs)
+{
+    struct scratch *s = kept_lent ? own : &kept;
+
+    if (steps > s->steps) {
+        if (resize((void **)&s->times, 2 * steps, sizeof *s->times)
+            || resize((void **)&s->levels, 2 * steps, sizeof *s->levels))
+            goto no_memory;
+        s->steps = 2 * steps;
+    }
+    if (jobs > s->jobs) {
+        if (resize((void **)&s->ints, 2 * jobs, sizeof *s->ints)
+            || resize((void **)&s->floats, 2 * jobs, sizeof *s->floats))
+            goto no_memory;
+        s->jobs = 2 * jobs;
+    }
+    if (s == &kept)
+        kept_lent = 1;
+    return s;
+no_memory:
+    if (s == own) {
+        PyMem_Free(own->times);
+        PyMem_Free(own->levels);
+        PyMem_Free(own->ints);
+        PyMem_Free(own->floats);
+    }
+    PyErr_NoMemory();
+    return NULL;
+}
+
+static void give_back(struct scratch *s)
+{
+    if (s == &kept) {
+        kept_lent = 0;
+        return;
+    }
+    PyMem_Free(s->times);
+    PyMem_Free(s->levels);
+    PyMem_Free(s->ints);
+    PyMem_Free(s->floats);
+}
+
+/* Lend scratch and copy ``profile._times``/``profile._free`` into it, with
+ * room for ``inserts`` more steps and ``jobs`` jobs; ``*segments`` and
+ * ``*total`` are the segment count and ``profile.total_nodes``.  NULL, with
+ * an exception set and nothing lent, on a profile whose lists are not two
+ * non-empty lists of one length holding floats (or ints) and ints.  Nothing
+ * but the copy runs while the lists are read, so they cannot change. */
+static struct scratch *read_profile(PyObject *profile, Py_ssize_t inserts,
+                                    Py_ssize_t jobs, struct scratch *own,
+                                    Py_ssize_t *segments, int64_t *total)
+{
+    PyObject *times, *levels = NULL, *total_obj = NULL, *item;
+    struct scratch *s = NULL;
+    Py_ssize_t n = 0, i;
+
+    times = PyObject_GetAttr(profile, str_times);
+    if (times == NULL || (levels = PyObject_GetAttr(profile, str_free)) == NULL
+        || (total_obj = PyObject_GetAttr(profile, str_total_nodes)) == NULL)
+        goto done;
+    *total = PyLong_AsLongLong(total_obj);
+    if (*total == -1 && PyErr_Occurred())
+        goto done;
+    if (!PyList_Check(times) || !PyList_Check(levels)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "the profile's segments must be lists");
+        goto done;
+    }
+    n = PyList_GET_SIZE(times);
+    if (n < 1 || PyList_GET_SIZE(levels) != n) {
+        PyErr_SetString(PyExc_ValueError, "the profile must have segments, "
+                                          "as many times as levels");
+        goto done;
+    }
+    s = lend(own, n + inserts, jobs);
+    if (s == NULL)
+        goto done;
+    for (i = 0; i < n; ++i) {
+        item = PyList_GET_ITEM(times, i);
+        if (PyFloat_Check(item))
+            s->times[i] = PyFloat_AS_DOUBLE(item);
+        else if (PyLong_Check(item))
+            s->times[i] = PyLong_AsDouble(item);
+        else
+            goto bad;
+        item = PyList_GET_ITEM(levels, i);
+        if (!PyLong_Check(item))
+            goto bad;
+        s->levels[i] = PyLong_AsLongLong(item);
+        if (PyErr_Occurred())
+            goto bad;
+    }
+    *segments = n;
+    goto done;
+bad:
+    if (!PyErr_Occurred())
+        PyErr_SetString(PyExc_TypeError, "the profile's times must be floats "
+                                         "and its levels ints");
+    give_back(s);
+    s = NULL;
+done:
+    Py_XDECREF(times);
+    Py_XDECREF(levels);
+    Py_XDECREF(total_obj);
+    return s;
+}
+
+/* Borrow ``obj``'s buffer if it is a contiguous run of 8-byte ``format``
+ * items, as an ``array('q')`` or ``array('d')`` is; -1, with nothing held
+ * and no exception, otherwise. */
+static int column(PyObject *obj, const char *format, Py_buffer *view)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_FORMAT) < 0) {
+        PyErr_Clear();
+        return -1;
+    }
+    if (view->itemsize != 8 || view->format == NULL
+        || strcmp(view->format, format) != 0) {
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+/* Raise the ValueError ``module.walk_error(code, width, total, free)``
+ * makes of a kernel error: ``width`` is the job at the position the kernel
+ * names, ``free`` the profile's level at its origin when the walk stopped.
+ * ``repro.core.native`` sets ``walk_error`` when it loads the module. */
+static PyObject *walk_failed(PyObject *module, int code, int64_t width,
+                             int64_t total, int64_t free_nodes)
+{
+    PyObject *factory = PyObject_GetAttr(module, str_walk_error);
+    PyObject *error;
+
+    if (factory == NULL) {
+        PyErr_Clear();
+        return PyErr_Format(PyExc_ValueError,
+                            "backfilling walk failed with code %d", code);
+    }
+    error = PyObject_CallFunction(factory, "iLLL", code, (long long)width,
+                                  (long long)total, (long long)free_nodes);
+    Py_DECREF(factory);
+    if (error != NULL) {
+        PyErr_SetObject((PyObject *)Py_TYPE(error), error);
+        Py_DECREF(error);
+    }
+    return NULL;
+}
+
+static PyObject *float_list(const double *values, Py_ssize_t n)
+{
+    PyObject *list = PyList_New(n), *item;
+    Py_ssize_t i;
+
+    for (i = 0; list != NULL && i < n; ++i) {
+        item = PyFloat_FromDouble(values[i]);
+        if (item == NULL)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, i, item);
+    }
+    return list;
+}
+
+static PyObject *int_list(const int64_t *values, Py_ssize_t n)
+{
+    PyObject *list = PyList_New(n), *item;
+    Py_ssize_t i;
+
+    for (i = 0; list != NULL && i < n; ++i) {
+        item = PyLong_FromLongLong(values[i]);
+        if (item == NULL)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, i, item);
+    }
+    return list;
+}
+
+PyDoc_STRVAR(conservative_doc,
+"conservative_walk(profile, nodes, estimates, offset, count, now, free)\n\
+--\n\
+\n\
+Place the ``count`` jobs whose widths and estimates start at ``offset``\n\
+in the ``array('q')``/``array('d')`` columns on ``profile``, exactly as\n\
+``_ReservationPlan.place`` would, and return ``(placed, started,\n\
+planned)``: how many jobs the walk got through, the tail positions of\n\
+those that start now, and the planned starts of the others in order.\n\
+``profile`` is left edited as the Python walk leaves it, or, when the\n\
+walk raises, as it was.");
+
+static PyObject *conservative_walk(PyObject *module, PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    Py_buffer nodes, estimates;
+    struct scratch own = {0}, *s;
+    Py_ssize_t offset, count, segments;
+    int64_t total, free_nodes, out[4];
+    int64_t code, width, level;
+    double now;
+    PyObject *times_list, *levels_list, *started, *planned, *result;
+
+    if (nargs != 7)
+        return PyErr_Format(PyExc_TypeError,
+                            "conservative_walk takes 7 arguments (%zd given)",
+                            nargs);
+    offset = PyLong_AsSsize_t(args[3]);
+    if (offset == -1 && PyErr_Occurred())
+        return NULL;
+    count = PyLong_AsSsize_t(args[4]);
+    if (count == -1 && PyErr_Occurred())
+        return NULL;
+    now = PyFloat_AsDouble(args[5]);
+    if (now == -1.0 && PyErr_Occurred())
+        return NULL;
+    free_nodes = PyLong_AsLongLong(args[6]);
+    if (free_nodes == -1 && PyErr_Occurred())
+        return NULL;
+    if (column(args[1], "q", &nodes))
+        goto bad_columns;
+    if (column(args[2], "d", &estimates)) {
+        PyBuffer_Release(&nodes);
+        goto bad_columns;
+    }
+    if (offset < 0 || count < 0 || count > nodes.len / 8 - offset
+        || count > estimates.len / 8 - offset) {
+        PyBuffer_Release(&nodes);
+        PyBuffer_Release(&estimates);
+        goto bad_columns;
+    }
+    /* Room for two inserts per placed job; scratch for the two outputs and
+     * the two suffix arrays (2 * count + 1 each). */
+    s = read_profile(args[0], 2 * count, 2 * count + 1, &own, &segments,
+                     &total);
+    if (s == NULL) {
+        PyBuffer_Release(&nodes);
+        PyBuffer_Release(&estimates);
+        return NULL;
+    }
+    code = repro_conservative_walk(
+        s->times, s->levels, segments, s->steps, total,
+        (const int64_t *)nodes.buf + offset,
+        (const double *)estimates.buf + offset, count, now, free_nodes,
+        s->ints, s->floats, out);
+    width = out[3] >= 0 ? ((const int64_t *)nodes.buf)[offset + out[3]] : 0;
+    PyBuffer_Release(&nodes);
+    PyBuffer_Release(&estimates);
+    if (code != WALK_OK) {
+        level = s->levels[0];
+        give_back(s);
+        return walk_failed(module, (int)code, width, total, level);
+    }
+    times_list = float_list(s->times, out[0]);
+    levels_list = int_list(s->levels, out[0]);
+    started = int_list(s->ints, out[2]);
+    planned = float_list(s->floats, out[1] - out[2]);
+    give_back(s);
+    result = NULL;
+    if (times_list != NULL && levels_list != NULL && started != NULL
+        && planned != NULL
+        && PyObject_SetAttr(args[0], str_times, times_list) == 0
+        && PyObject_SetAttr(args[0], str_free, levels_list) == 0)
+        result = Py_BuildValue("(LOO)", (long long)out[1], started, planned);
+    Py_XDECREF(times_list);
+    Py_XDECREF(levels_list);
+    Py_XDECREF(started);
+    Py_XDECREF(planned);
+    return result;
+bad_columns:
+    PyErr_SetString(PyExc_ValueError,
+                    "queue columns must be array('q') and array('d') "
+                    "covering the tail");
+    return NULL;
+}
+
+PyDoc_STRVAR(easy_doc,
+"easy_walk(profile, nodes, estimates, head, free, now)\n\
+--\n\
+\n\
+Run the blocked-head phase of ``EasyBackfill.select_indexed`` on\n\
+``profile``, a snapshot taken at ``now``: the queue's ``array('q')``/\n\
+``array('d')`` columns are read in place, ``queue[:head]`` started\n\
+greedily, and ``queue[head]`` does not fit the ``free`` nodes left.\n\
+Return the positions of the backfilled jobs in the order the Python\n\
+walk picks them.  ``profile`` is left as it was: the walk's reservations\n\
+die with the decision, as the Python walk's snapshot does.");
+
+static PyObject *easy_walk(PyObject *module, PyObject *const *args,
+                           Py_ssize_t nargs)
+{
+    Py_buffer nodes, estimates;
+    struct scratch own = {0}, *s;
+    struct easy_frame frame;
+    Py_ssize_t head, count, segments;
+    int64_t total, free_nodes, code, width, level;
+    double now;
+    PyObject *picks;
+
+    if (nargs != 6)
+        return PyErr_Format(PyExc_TypeError,
+                            "easy_walk takes 6 arguments (%zd given)", nargs);
+    head = PyLong_AsSsize_t(args[3]);
+    if (head == -1 && PyErr_Occurred())
+        return NULL;
+    free_nodes = PyLong_AsLongLong(args[4]);
+    if (free_nodes == -1 && PyErr_Occurred())
+        return NULL;
+    now = PyFloat_AsDouble(args[5]);
+    if (now == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (column(args[1], "q", &nodes))
+        goto bad_columns;
+    if (column(args[2], "d", &estimates)) {
+        PyBuffer_Release(&nodes);
+        goto bad_columns;
+    }
+    count = nodes.len / 8;
+    if (estimates.len / 8 != count || head < 0 || head >= count) {
+        PyBuffer_Release(&nodes);
+        PyBuffer_Release(&estimates);
+        goto bad_columns;
+    }
+    /* Room for one insert per reservation (the prefix and each pick); a
+     * pick per job in the int scratch, a byte per job in the float one. */
+    s = read_profile(args[0], count, count, &own, &segments, &total);
+    if (s == NULL) {
+        PyBuffer_Release(&nodes);
+        PyBuffer_Release(&estimates);
+        return NULL;
+    }
+    frame.times = s->times;
+    frame.levels = s->levels;
+    frame.capacity = s->steps;
+    frame.nodes = nodes.buf;
+    frame.estimates = estimates.buf;
+    frame.count = count;
+    frame.total = total;
+    frame.head = head;
+    frame.free_nodes = free_nodes;
+    frame.segments = segments;
+    frame.picks = s->ints;
+    frame.taken = (unsigned char *)s->floats;
+    code = repro_easy_walk(&frame, now);
+    width = frame.at >= 0 ? ((const int64_t *)nodes.buf)[frame.at] : 0;
+    PyBuffer_Release(&nodes);
+    PyBuffer_Release(&estimates);
+    if (code != WALK_OK) {
+        level = s->levels[0];
+        give_back(s);
+        return walk_failed(module, (int)code, width, total, level);
+    }
+    picks = int_list(frame.picks, frame.n_picks);
+    give_back(s);
+    return picks;
+bad_columns:
+    PyErr_SetString(PyExc_ValueError,
+                    "queue columns must be array('q') and array('d') of the "
+                    "queue's length, past the head");
+    return NULL;
+}
+
+static PyMethodDef walk_methods[] = {
+    {"conservative_walk", (PyCFunction)(void (*)(void))conservative_walk,
+     METH_FASTCALL, conservative_doc},
+    {"easy_walk", (PyCFunction)(void (*)(void))easy_walk, METH_FASTCALL,
+     easy_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static int walk_exec(PyObject *module)
+{
+    (void)module;
+    if (str_walk_error != NULL)
+        return 0; /* another module object from the same library */
+    str_times = PyUnicode_InternFromString("_times");
+    str_free = PyUnicode_InternFromString("_free");
+    str_total_nodes = PyUnicode_InternFromString("total_nodes");
+    str_walk_error = PyUnicode_InternFromString("walk_error");
+    if (str_times && str_free && str_total_nodes && str_walk_error)
+        return 0;
+    Py_CLEAR(str_times);
+    Py_CLEAR(str_free);
+    Py_CLEAR(str_total_nodes);
+    Py_CLEAR(str_walk_error);
+    return -1;
+}
+
+static PyModuleDef_Slot walk_slots[] = {
+    {Py_mod_exec, walk_exec},
+#ifdef Py_mod_multiple_interpreters
+    /* The kept scratch is one per process: one GIL must guard it. */
+    {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_SUPPORTED},
+#endif
+    {0, NULL},
+};
+
+static struct PyModuleDef walk_module = {
+    PyModuleDef_HEAD_INIT,
+    "_walk",
+    "The compiled backfilling queue walks (see repro.core.native).",
+    0,
+    walk_methods,
+    walk_slots,
+    NULL,
+    NULL,
+    NULL,
+};
+
+PyMODINIT_FUNC PyInit__walk(void)
+{
+    return PyModuleDef_Init(&walk_module);
 }

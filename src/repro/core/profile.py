@@ -53,16 +53,16 @@ no workload defended them (census in ``docs/architecture.md``).
 this wide and this long start *now*?", read off the first few segments —
 conservative backfilling ends its queue walk on it.
 
-On the fast backend conservative backfilling runs that walk, these
-queries included, in compiled C (:mod:`repro.core.native`);
-:meth:`rewrite` is the one place the segment lists cross into it.
+On the fast backend both backfilling walks run in compiled C
+(:mod:`repro.core.native`), these queries included: the extension reads
+``_times`` and ``_free`` in place and, for conservative backfilling,
+writes the edited lists back.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable
+from typing import Iterable
 
 
 def _first_fit(
@@ -460,28 +460,6 @@ class AvailabilityProfile:
         if lo and free[lo - 1] == free[lo]:
             del times[lo]
             del free[lo]
-
-    def rewrite(
-        self, times: array, levels: array, kernel: Callable[[int], int | None]
-    ) -> None:
-        """Let a compiled kernel edit the profile in caller-owned buffers.
-
-        The one place the segment lists cross into C: they are copied into
-        ``times`` (``array('d')``) and ``levels`` (``array('q')``), which
-        must be at least ``len(self)`` long plus whatever the kernel
-        inserts; ``kernel(segments)`` edits the buffers in place and
-        returns the new segment count, and that prefix becomes the
-        profile.  A kernel that returns ``None`` (EASY's walk, whose
-        snapshot dies with the decision) leaves the profile as it was, as
-        does one that raises.
-        """
-        segments = len(self._times)
-        times[:segments] = array("d", self._times)
-        levels[:segments] = array("q", self._free)
-        segments = kernel(segments)
-        if segments is not None:
-            self._times = times[:segments].tolist()
-            self._free = levels[:segments].tolist()
 
     def advance_origin(self, now: float) -> None:
         """Move the origin forward to ``now``, dropping passed segments.

@@ -321,17 +321,27 @@ class PoolRun:
         return not broke or self.restart()
 
     def expire(self) -> bool:
-        """The wait timed out: revoke overdue leases — or every lease when
-        a worker is stopped, since no future tells which cell it holds.
-        False once the rebuild budget is spent."""
+        """The wait timed out: revoke overdue leases — or, when a worker is
+        stopped, the lease of every cell a worker may hold, since no future
+        tells which one the stopped worker holds.  The executor's backlog,
+        which no worker has taken, is requeued uncharged.  False once the
+        rebuild budget is spent."""
         now = time.perf_counter()
-        in_flight = list(self.futures.values())
         stopped = self.pool.stopped()
         if stopped:
-            charged = in_flight
+            # The executor marks a future running when it enters the call
+            # queue, which workers drain in submission order (the order of
+            # ``futures``): the cells the workers hold are among the first
+            # ``workers`` running ones, and the rest wait in the queue.
+            running = [fp for f, fp in self.futures.items() if f.running()]
+            charged = running[: self.pool.workers]
             reason = f"worker {', '.join(map(str, stopped))} stopped"
         else:
-            charged = [fp for fp in in_flight if self.leases.get(fp, math.inf) <= now]
+            charged = [
+                fp
+                for fp in self.futures.values()
+                if self.leases.get(fp, math.inf) <= now
+            ]
             reason = f"exceeded cell_timeout={self.engine.cell_timeout}s"
         if not charged:
             return True  # woke for a resubmission or the poll

@@ -37,16 +37,13 @@ from __future__ import annotations
 
 import operator
 from math import inf
-from typing import TYPE_CHECKING, Sequence
+from typing import Callable, Sequence
 
 from repro.core.job import Job
 from repro.core.profile import _OVERRUN_EPSILON, AvailabilityProfile
 from repro.core.scheduler import SchedulerContext
 from repro.core.state import SchedulingState, StateDivergenceError
 from repro.schedulers.base import Discipline, JobQueue
-
-if TYPE_CHECKING:  # pragma: no cover - the loader is imported lazily
-    from repro.core.native import ConservativeWalk, EasyWalk
 
 
 def _min_queue_nodes(queue: Sequence[Job], ctx: SchedulerContext) -> int:
@@ -165,7 +162,7 @@ class EasyBackfill(Discipline):
     uses_estimates = True
     #: The compiled walk once looked up: ``None`` not yet, ``False`` when
     #: the Python walk stays (instance attribute).
-    _walk: "EasyWalk | bool | None" = None
+    _walk: Callable | bool | None = None
 
     def select(self, queue: Sequence[Job], ctx: SchedulerContext) -> list[Job]:
         started, _indices = self.select_indexed(queue, ctx)
@@ -240,7 +237,7 @@ class EasyBackfill(Discipline):
 
     def _select_compiled(
         self,
-        walk: "EasyWalk",
+        walk: Callable,
         queue: JobQueue,
         ctx: SchedulerContext,
         free: int,
@@ -266,9 +263,9 @@ class EasyBackfill(Discipline):
         indices = [*range(head), *picks]
         return [queue[i] for i in indices], indices
 
-    def _compiled_walk(self) -> "EasyWalk | None":
-        """The compiled walk, when it loaded (one per instance: it owns
-        buffers); the loader is imported on first use."""
+    def _compiled_walk(self) -> Callable | None:
+        """The compiled walk, when it loaded; the loader is imported on
+        first use."""
         walk = self._walk
         if walk is None:
             from repro.core import native
@@ -395,7 +392,7 @@ class _ReservationPlan:
 
     def place_compiled(
         self,
-        walk: "ConservativeWalk",
+        walk: Callable,
         queue: JobQueue,
         keep: int,
         now: float,
@@ -503,7 +500,7 @@ class ConservativeBackfill(Discipline):
     uses_estimates = True
     #: The compiled walk once looked up: ``None`` not yet, ``False`` when
     #: the Python walk stays (instance attribute).
-    _walk: "ConservativeWalk | bool | None" = None
+    _walk: Callable | bool | None = None
 
     def __init__(self, depth: int | None = None) -> None:
         if depth is not None and depth < 1:
@@ -561,11 +558,11 @@ class ConservativeBackfill(Discipline):
             self._plan = plan
         return started, indices
 
-    def _compiled_walk(self, ctx: SchedulerContext) -> "ConservativeWalk | None":
+    def _compiled_walk(self, ctx: SchedulerContext) -> Callable | None:
         """The compiled queue walk on the fast backend, when it loaded.
 
-        Each instance keeps its own (the walk owns scratch buffers); the
-        loader is imported on the first conservative walk that could use it.
+        The loader is imported on the first conservative walk that could
+        use it.
         """
         if not ctx.vectorize:
             return None
@@ -601,7 +598,7 @@ def _cross_check(
     queue: Sequence[Job],
     ctx: SchedulerContext,
     started: list[Job],
-    walk: "ConservativeWalk | None",
+    walk: Callable | None,
 ) -> None:
     """Verification mode: compare a reused plan with a from-scratch walk.
 

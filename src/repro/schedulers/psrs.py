@@ -146,18 +146,25 @@ def preemptive_psrs(
         # 1. Resume preempted jobs, then greedy any-fit over pending small
         #    jobs in ratio order (the paper's "greedy list schedule ... for
         #    all jobs requiring at most 50% of the machine nodes").
-        for job in list(preempted):
+        #    Started jobs leave both lists by identity, in one pass each.
+        waiting: list[Job] = []
+        for job in preempted:
             if job.nodes <= free:
-                preempted.remove(job)
                 running[job.job_id] = job
                 start_times[job.job_id] = now
                 free -= job.nodes
-        for job in list(pending):
+            else:
+                waiting.append(job)
+        preempted[:] = waiting
+        waiting = []
+        for job in pending:
             if job.nodes <= half and job.nodes <= free:
-                pending.remove(job)
                 running[job.job_id] = job
                 start_times[job.job_id] = now
                 free -= job.nodes
+            else:
+                waiting.append(job)
+        pending[:] = waiting
 
         # 2. Wide job waiting at the head of the list?
         head = pending[0] if pending else None
@@ -230,16 +237,18 @@ def psrs_order(
         else:
             small_bins.setdefault(_bin_index(entry.completion_time, small_offset), []).append(entry)
 
-    def drain(bins: dict[int, list[PreemptiveScheduleEntry]], k: int) -> list[Job]:
-        batch = bins.pop(k, [])
-        batch.sort(key=lambda e: (-_smith_ratio(e.job, weight), e.job.job_id))
-        return [e.job for e in batch]
+    def ratio_order(entry: PreemptiveScheduleEntry) -> tuple[float, int]:
+        return -_smith_ratio(entry.job, weight), entry.job.job_id
 
+    # Only the occupied bins, in ascending index; the alternation starts
+    # with the small sequence.
     order: list[Job] = []
-    max_bin = max([*small_bins, *wide_bins], default=-1)
-    for k in range(max_bin + 1):
-        order.extend(drain(small_bins, k))  # alternation starts with small
-        order.extend(drain(wide_bins, k))
+    for k in sorted(small_bins.keys() | wide_bins.keys()):
+        for bins in (small_bins, wide_bins):
+            batch = bins.get(k)
+            if batch:
+                batch.sort(key=ratio_order)
+                order.extend(entry.job for entry in batch)
     return order
 
 

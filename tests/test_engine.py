@@ -1093,6 +1093,9 @@ class TestFaultMatrix:
         report = _run_fault_case(fault_driver, "stop-all")
         assert len(report["faulted"]) == 2
         _assert_reasons_name_the_stopped_workers(report)
+        # Only the running cells are charged, at most one per worker plus
+        # the one queued ahead; the executor's backlog resubmits for free.
+        assert report["degraded_cells"] <= 2 + 1
         _assert_delivered_exactly_once(report)
 
     def test_one_worker_stopped_is_recovered_without_cell_timeout(

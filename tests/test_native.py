@@ -4,9 +4,10 @@
 blocked-head phase of ``EasyBackfill.select_indexed`` to C; the Python
 walks stay the reference.  These tests hold each pair to the same started
 jobs (and, for conservative backfilling, the same planned starts and
-profile), bit for bit, and check that every way the loader can fail leaves
-the Python walks running with the same results and says why in
-``native.status()``.
+profile), bit for bit, check that the extension's entry points refuse
+every malformed input before they read the profile, and check that every
+way the loader can fail leaves the Python walks running with the same
+results and says why in ``native.status()``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ SRC = Path(repro.__file__).resolve().parents[1]
 
 @pytest.fixture(scope="module")
 def walk():
-    """The compiled walk (one per module: it owns scratch buffers)."""
+    """The compiled conservative walk."""
     walk = native.conservative_walk()
     if walk is None:
         pytest.skip(f"compiled walk unavailable: {native.status()}")
@@ -159,9 +160,10 @@ def test_window_ending_on_a_breakpoint(walk, end):
     assert compiled.profile.steps() == python.profile.steps()
 
 
-def test_kernel_reuses_its_buffers_across_growing_walks(walk):
-    """One walk object serves walks of every size: buffers grow, results
-    stay the Python walk's."""
+def test_kernel_walks_of_every_size_match_the_python_walk(walk):
+    """Short and long queues on short and long profiles, one after the
+    other: the scratch the extension keeps grows, results stay the Python
+    walk's."""
     for n, seed in ((5, 1), (400, 2), (3, 3), (900, 4)):
         jobs = make_jobs(n, seed=seed, max_nodes=64)
         profile = _profile(64, 0.0, [], seed)
@@ -222,6 +224,7 @@ def test_profile_below_the_job_width_is_an_error_not_a_wild_read(walk):
     plan = _ReservationPlan(None, profile)
     with pytest.raises(ValueError, match="no segment of the profile has 4 free nodes"):
         plan.place_compiled(walk, JobQueue(queue), 0, 0.0, 8)
+    assert profile.steps() == [(0.0, 8), (10.0, 2)]  # left as it was
 
 
 # -- the EASY walk vs the Python walk ------------------------------------------
@@ -432,53 +435,9 @@ def test_easy_profile_below_the_head_width_is_an_error_not_a_wild_read(easy):
         easy.select_indexed(queue, ctx)
 
 
-def _frame(walk, segments, count, capacity=None, room=None):
-    """The EASY walk's ``io`` frame for a call over ``count`` jobs."""
-    io = walk._io
-    if capacity is not None:
-        io[native._IO_CAPACITY] = capacity
-    if room is not None:
-        io[native._IO_ROOM] = room
-    nodes = array("q", [4] + [1] * (count - 1))
-    estimates = array("d", [5.0] * count)
-    io[native._IO_NODES] = nodes.buffer_info()[0]
-    io[native._IO_ESTIMATES] = estimates.buffer_info()[0]
-    io[native._IO_COUNT] = count
-    io[native._IO_TOTAL] = 4
-    io[native._IO_HEAD] = 0
-    io[native._IO_FREE] = 2
-    io[native._IO_SEGMENTS] = segments
-    return io, (nodes, estimates)
-
-
-@pytest.mark.parametrize(
-    "frame",
-    [
-        dict(segments=0, count=3),  # no origin segment
-        dict(segments=300, count=3, capacity=256),  # more steps than room
-        dict(segments=250, count=8, capacity=256),  # no room for 8 inserts
-        dict(segments=1, count=100, room=64),  # more jobs than picks
-    ],
-    ids=["empty", "overfull", "no-insert-room", "no-pick-room"],
-)
-def test_easy_kernel_checks_its_frame_before_touching_a_buffer(frame):
-    walk = native.easy_walk()
-    if walk is None:
-        pytest.skip(f"compiled walk unavailable: {native.status()}")
-    io, _keep = _frame(walk, **frame)
-    times = walk._times
-    times[0] = 0.0
-    walk._levels[0] = 4
-    before = (bytes(times), bytes(walk._levels))
-    code = walk._function(walk._io_at, 0.0)
-    assert code == -3  # WALK_NO_ROOM
-    assert (io[native._IO_PICKS], io[native._IO_AT]) == (0, -1)
-    assert (bytes(times), bytes(walk._levels)) == before
-
-
-def test_easy_kernel_grows_its_buffers_for_long_queues_and_profiles(easy):
-    """Queues and profiles past the first allocation: results stay the
-    Python walk's."""
+def test_easy_kernel_walks_of_every_size_match_the_python_walk(easy):
+    """Queues and profiles past the scratch the extension first keeps:
+    results stay the Python walk's."""
     for n, seed in ((5, 1), (400, 2), (3, 3), (900, 4)):
         jobs = make_jobs(n, seed=seed, max_nodes=64)
         running = [(float(10 * (i + 1)), 1) for i in range(min(n, 60))]
@@ -486,6 +445,147 @@ def test_easy_kernel_grows_its_buffers_for_long_queues_and_profiles(easy):
         head = Job(10**6, 0.0, 64, 1.0, estimate=50.0)
         python, compiled = _easy_both(easy, snapshot, 4, [head, *jobs])
         assert compiled == python
+
+
+# -- the entry points check every input before reading the profile -------------
+
+
+class _Spy:
+    """A profile that logs every attribute the walk reads or writes."""
+
+    def __init__(self, profile):
+        self.__dict__.update(real=profile, log=[])
+
+    def __getattr__(self, name):
+        self.log.append(name)
+        return getattr(self.real, name)
+
+    def __setattr__(self, name, value):
+        self.log.append(f"set {name}")
+        setattr(self.real, name, value)
+
+
+def _queue_columns(count=3):
+    return array("q", [4] + [1] * (count - 1)), array("d", [5.0] * count)
+
+
+def _call(kind, profile, nodes, estimates, at=0, count=3):
+    """One walk over the columns: ``at`` is the offset of a ``count``-job
+    tail (conservative) or the blocked head (EASY)."""
+    if kind == "conservative":
+        walk = native.conservative_walk()
+        args = (profile, nodes, estimates, at, count, 0.0, 2)
+    else:
+        walk = native.easy_walk()
+        args = (profile, nodes, estimates, at, 2, 0.0)
+    if walk is None:
+        pytest.skip(f"compiled walk unavailable: {native.status()}")
+    return walk(*args)
+
+
+BAD_COLUMNS = {
+    "int32": lambda n, e: (array("i", n), e),
+    "float32": lambda n, e: (n, array("f", e)),
+    "c-long": lambda n, e: (array("l", n), e),  # 8 bytes, but not 'q'
+    "list": lambda n, e: (list(n), e),
+    "short-widths": lambda n, e: (n[:-1], e),
+    "short-estimates": lambda n, e: (n, e[:-1]),
+}
+
+
+@pytest.mark.parametrize("kind", ["conservative", "easy"])
+@pytest.mark.parametrize("bad", sorted(BAD_COLUMNS))
+def test_bad_columns_raise_before_the_profile_is_touched(kind, bad):
+    profile = AvailabilityProfile.from_running(4, 0.0, [(10.0, 2)])
+    before = profile.steps()
+    spy = _Spy(profile)
+    nodes, estimates = BAD_COLUMNS[bad](*_queue_columns())
+    with pytest.raises(ValueError, match="queue columns"):
+        _call(kind, spy, nodes, estimates)
+    assert spy.log == []
+    assert profile.steps() == before
+
+
+@pytest.mark.parametrize("kind", ["conservative", "easy"])
+@pytest.mark.parametrize("at", [-1, 3, 4], ids=["negative", "past-end", "far"])
+def test_offset_or_head_out_of_range_raises_before_the_profile_is_touched(kind, at):
+    spy = _Spy(AvailabilityProfile.from_running(4, 0.0, [(10.0, 2)]))
+    with pytest.raises(ValueError, match="queue columns"):
+        _call(kind, spy, *_queue_columns(), at=at, count=1)
+    assert spy.log == []
+
+
+BAD_PROFILES = {
+    "empty": ([], [], ValueError, "must have segments"),
+    "uneven": ([0.0, 5.0], [2], ValueError, "must have segments"),
+    "tuples": ((0.0,), (4,), TypeError, "must be lists"),
+    "text-time": (["0"], [4], TypeError, "times must be floats"),
+    "float-level": ([0.0], [4.0], TypeError, "levels ints"),
+}
+
+
+@pytest.mark.parametrize("kind", ["conservative", "easy"])
+@pytest.mark.parametrize("bad", sorted(BAD_PROFILES))
+def test_malformed_profile_raises_and_is_left_as_it_was(kind, bad):
+    times, levels, error, message = BAD_PROFILES[bad]
+    profile = AvailabilityProfile(4, 0.0)
+    profile._times, profile._free = times, levels  # corrupt on purpose
+    saved = (list(times), list(levels))
+    nodes, estimates = _queue_columns()
+    with pytest.raises(error, match=message):
+        _call(kind, profile, nodes, estimates)
+    assert profile._times is times and profile._free is levels
+    assert (list(times), list(levels)) == saved
+
+
+def test_a_walk_run_while_the_scratch_is_lent_gets_its_own(walk):
+    """The extension lends its scratch to one walk at a time.  A walk that
+    runs while the scratch is lent must get its own, or it would overwrite
+    the segments the lending walk is still copying out.  Here a garbage
+    collection runs a walk, and an interpreter that collects inside an
+    allocation (CPython 3.11) collects while the outer walk allocates its
+    result lists: the free lists of lists and tuples are emptied first, so
+    those come from the collecting allocator."""
+    import gc
+
+    jobs = make_jobs(60, seed=6, max_nodes=48)
+    outer = _profile(64, 0.0, [], 1)
+    inner = _profile(64, 0.0, [], 2)
+    expected_outer = _both_walks(outer, jobs, 0, 17, walk)[0][0]
+    expected_inner = _both_walks(inner, jobs, 0, 9, walk)[0][0]
+    queue = JobQueue(jobs)
+    armed = []
+    nested = []
+
+    def walk_inside(phase, info):
+        if phase == "start" and armed:
+            armed.clear()
+            plan = _ReservationPlan(None, inner.clone())
+            plan.place_compiled(walk, queue, 0, 0.0, 9)
+            nested.append(plan)
+
+    plans = []
+    threshold = gc.get_threshold()
+    gc.callbacks.append(walk_inside)
+    gc.set_threshold(1)
+    try:
+        for _ in range(20):
+            plan = _ReservationPlan(None, outer.clone())
+            hold = [[] for _ in range(200)], [(i,) for i in range(200)]
+            armed.append(True)
+            plan.place_compiled(walk, queue, 0, 0.0, 17)
+            armed.clear()
+            del hold
+            plans.append(plan)
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(walk_inside)
+    assert nested, "no collection ran during the walks"
+    for got, python in [(p, expected_outer) for p in plans] + [
+        (p, expected_inner) for p in nested
+    ]:
+        assert got.profile.steps() == python.profile.steps()
+        assert got.starts == python.starts
 
 
 # -- whole simulations on both backends -----------------------------------------
@@ -666,6 +766,33 @@ def test_cache_under_a_file_is_unusable(loader, monkeypatch, tmp_path):
     _assert_fallback("no private cache directory")
 
 
+def test_no_python_headers_leaves_the_python_walk(loader, monkeypatch, tmp_path):
+    """An interpreter without its C headers builds nothing: ``status()``
+    names the missing ``Python.h`` and the cells are the Python walk's."""
+    include = tmp_path / "include"
+    include.mkdir()
+    _include, suffix = native._interpreter()
+    monkeypatch.setattr(native, "_interpreter", lambda: (str(include), suffix))
+    _assert_fallback(f"no Python.h in {include}")
+    assert not any(loader.glob("*.so"))
+
+
+def test_library_name_moves_with_the_abi_and_the_include_directory(tmp_path):
+    """Each interpreter builds and loads its own extension: the name ends
+    in the ABI suffix and hashes it and the include directory."""
+    include, suffix = native._interpreter()
+    source = native._SOURCE.read_bytes()
+    library, sidecar = native._library(tmp_path, source, include, suffix)
+    assert library.name.endswith(suffix) and sidecar.suffix == ".sha256"
+    other_abi = ".cpython-399-x86_64-linux-gnu.so"
+    moved = native._library(tmp_path, source, include, other_abi)[0]
+    assert moved.name.endswith(other_abi)
+    assert moved.name.split(".")[0] != library.name.split(".")[0]
+    elsewhere = native._library(tmp_path, source, include + "-other", suffix)[0]
+    assert elsewhere.name.endswith(suffix) and elsewhere != library
+    assert native._command(include)[-2:] == ("-I", include)
+
+
 def _loader_env(cache: Path) -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
@@ -761,6 +888,7 @@ def test_two_processes_building_at_once_share_one_library(tmp_path):
 @needs_compiler
 def test_kernel_loads_where_a_compiler_exists():
     assert native.status().startswith("loaded"), native.status()
+    assert native.status().split()[1].endswith(native._interpreter()[1])
 
 
 def test_regression_gate_floors_the_compiled_walk_at_2x():

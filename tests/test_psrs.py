@@ -1,6 +1,7 @@
 """Unit tests for PSRS: the preemptive kernel and the conversion."""
 
 import math
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,15 @@ from hypothesis import strategies as st
 
 from repro.core.job import Job
 from repro.schedulers.psrs import (
+    PreemptiveScheduleEntry,
     PsrsOrderPolicy,
     _bin_index,
+    _modified_smith_ratio,
+    _smith_ratio,
     preemptive_psrs,
     psrs_order,
 )
-from repro.schedulers.weights import estimated_area_weight, unit_weight
+from repro.schedulers.weights import WeightFn, estimated_area_weight, unit_weight
 
 
 def J(job_id, nodes, runtime, weight=None):
@@ -208,3 +212,199 @@ def test_preemptive_schedule_completes_everything(spec):
     for job in jobs:
         # A job can never complete before its own runtime has elapsed.
         assert by_id[job.job_id].completion_time >= job.estimated_runtime - 1e-9
+
+
+# -- the conversion against its earlier implementation ---------------------------
+#
+# ``_oracle_preemptive_psrs`` and ``_oracle_psrs_order`` are the two
+# functions as they were before the conversion walked only the occupied
+# bins and the kernel dropped started jobs by identity (one pass) instead
+# of ``list.remove`` (an ``==`` scan per job): kept verbatim as the oracle.
+
+
+def _oracle_preemptive_psrs(
+    jobs: Sequence[Job],
+    total_nodes: int,
+    *,
+    weight: WeightFn = estimated_area_weight,
+    patience: float = 1.0,
+) -> list[PreemptiveScheduleEntry]:
+    """Build the off-line preemptive PSRS schedule for jobs released at 0.
+
+    Returns one entry per job with its completion time in the preemptive
+    schedule.  The simulation is event driven: decision points are job
+    completions and wide-job trigger times.
+    """
+    if patience < 0:
+        raise ValueError(f"patience must be non-negative, got {patience}")
+    if not jobs:
+        return []
+
+    half = total_nodes / 2.0
+    pending: list[Job] = sorted(
+        jobs, key=lambda j: (-_modified_smith_ratio(j, weight), j.job_id)
+    )
+
+    remaining: dict[int, float] = {j.job_id: j.estimated_runtime for j in jobs}
+    running: dict[int, Job] = {}
+    preempted: list[Job] = []  # resumed before fresh small jobs start
+    preemption_count: dict[int, int] = {j.job_id: 0 for j in jobs}
+    start_times: dict[int, float] = {}
+    free = total_nodes
+    now = 0.0
+    entries: dict[int, PreemptiveScheduleEntry] = {}
+    # The wide job at the head of the pending list "has been waiting" since
+    # it became the head; it preempts once that wait exceeds patience times
+    # its own length.  Wide jobs further down the list are not waiting yet —
+    # the greedy list schedule has not reached them.
+    armed_head: int | None = None
+    armed_at = 0.0
+
+    def finish(job: Job, is_wide: bool) -> None:
+        entries[job.job_id] = PreemptiveScheduleEntry(
+            job=job,
+            completion_time=now,
+            is_wide=is_wide,
+            preemptions=preemption_count[job.job_id],
+        )
+
+    def run_wide(wide: Job) -> None:
+        """Preempt everything, run ``wide`` alone to completion."""
+        nonlocal now, free
+        for job in list(running.values()):
+            remaining[job.job_id] -= now - start_times[job.job_id]
+            preemption_count[job.job_id] += 1
+            preempted.append(job)
+            free += job.nodes
+            del running[job.job_id]
+        # Zero remaining work (job completed exactly now) should complete,
+        # not resume.
+        still = []
+        for job in preempted:
+            if remaining[job.job_id] <= 1e-12:
+                finish(job, is_wide=False)
+            else:
+                still.append(job)
+        preempted[:] = still
+        now += remaining[wide.job_id]
+        remaining[wide.job_id] = 0.0
+        finish(wide, is_wide=True)
+
+    while pending or running or preempted:
+        # 1. Resume preempted jobs, then greedy any-fit over pending small
+        #    jobs in ratio order (the paper's "greedy list schedule ... for
+        #    all jobs requiring at most 50% of the machine nodes").
+        for job in list(preempted):
+            if job.nodes <= free:
+                preempted.remove(job)
+                running[job.job_id] = job
+                start_times[job.job_id] = now
+                free -= job.nodes
+        for job in list(pending):
+            if job.nodes <= half and job.nodes <= free:
+                pending.remove(job)
+                running[job.job_id] = job
+                start_times[job.job_id] = now
+                free -= job.nodes
+
+        # 2. Wide job waiting at the head of the list?
+        head = pending[0] if pending else None
+        trigger = math.inf
+        if head is not None and head.nodes > half:
+            if armed_head != head.job_id:
+                armed_head = head.job_id
+                armed_at = now
+            trigger = armed_at + patience * head.estimated_runtime
+            if now >= trigger or not running:
+                pending.pop(0)
+                armed_head = None
+                run_wide(head)
+                continue
+
+        if not running:
+            break  # nothing pending can be small (it would have started)
+
+        # 3. Advance to the next event: a completion or the head trigger.
+        next_completion = min(
+            start_times[job_id] + remaining[job_id] for job_id in running
+        )
+        now = min(next_completion, trigger)
+        # Complete every job whose remaining work elapses by now.  At least
+        # one job completes whenever now == next_completion, so the loop
+        # always makes progress.
+        for job_id in list(running):
+            if start_times[job_id] + remaining[job_id] <= now:
+                job = running.pop(job_id)
+                free += job.nodes
+                remaining[job_id] = 0.0
+                finish(job, is_wide=False)
+
+    # Anything left preempted or queued is a logic error.
+    if len(entries) != len(jobs):
+        missing = {j.job_id for j in jobs} - set(entries)
+        raise AssertionError(f"preemptive PSRS lost jobs: {sorted(missing)}")
+    return [entries[j.job_id] for j in jobs]
+
+
+def _oracle_psrs_order(
+    jobs: Sequence[Job],
+    total_nodes: int,
+    *,
+    weight: WeightFn = estimated_area_weight,
+    patience: float = 1.0,
+    small_offset: float = 1.0,
+    wide_offset: float = 1.5,
+) -> list[Job]:
+    """Non-preemptive PSRS service order (preemptive schedule + conversion)."""
+    if not jobs:
+        return []
+    entries = _oracle_preemptive_psrs(jobs, total_nodes, weight=weight, patience=patience)
+
+    small_bins: dict[int, list[PreemptiveScheduleEntry]] = {}
+    wide_bins: dict[int, list[PreemptiveScheduleEntry]] = {}
+    for entry in entries:
+        if entry.is_wide:
+            wide_bins.setdefault(_bin_index(entry.completion_time, wide_offset), []).append(entry)
+        else:
+            small_bins.setdefault(_bin_index(entry.completion_time, small_offset), []).append(entry)
+
+    def drain(bins: dict[int, list[PreemptiveScheduleEntry]], k: int) -> list[Job]:
+        batch = bins.pop(k, [])
+        batch.sort(key=lambda e: (-_smith_ratio(e.job, weight), e.job.job_id))
+        return [e.job for e in batch]
+
+    order: list[Job] = []
+    max_bin = max([*small_bins, *wide_bins], default=-1)
+    for k in range(max_bin + 1):
+        order.extend(drain(small_bins, k))  # alternation starts with small
+        order.extend(drain(wide_bins, k))
+    return order
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=16),
+            st.one_of(
+                st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 64.0]),
+                st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            ),
+            st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e3)),
+        ),
+        max_size=40,
+    ),
+    st.sampled_from([unit_weight, estimated_area_weight, lambda j: j.effective_weight]),
+    st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    st.sampled_from([(1.0, 1.5), (2.0, 1.0), (0.25, 7.0)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_psrs_order_is_the_earlier_conversion(spec, weight, patience, offsets):
+    """Occupied bins only, identity removal: the same order, job for job."""
+    jobs = [J(i, n, rt, weight=w) for i, (n, rt, w) in enumerate(spec)]
+    small, wide = offsets
+    kwargs = dict(weight=weight, patience=patience, small_offset=small, wide_offset=wide)
+    got = psrs_order(jobs, 16, **kwargs)
+    expected = _oracle_psrs_order(jobs, 16, **kwargs)
+    assert [id(job) for job in got] == [id(job) for job in expected]
+    entries = preemptive_psrs(jobs, 16, weight=weight, patience=patience)
+    assert entries == _oracle_preemptive_psrs(jobs, 16, weight=weight, patience=patience)
