@@ -1,13 +1,15 @@
-"""Chaos check: every journaled scenario sweep survives a resume, bit for bit.
+"""Chaos check: every journaled scenario sweep survives a rerun, bit for bit.
 
 Run::
 
     PYTHONPATH=src python examples/chaos_scenario_resume.py
 
 Sweeps a healthy baseline plus two failure scenarios through the
-journaled experiment engine, then *resumes* every run id the sweep
-journaled and audits each journal against the cache.  A resume of a
-complete run must re-simulate nothing (every cell is a cache hit), and
+journaled experiment engine, then makes the same sweep again on a fresh
+engine — a rerun is how an interrupted sweep resumes — and audits each
+journal against the cache.  The rerun must re-simulate nothing (every
+cell is a cache hit), return grids bit-identical to the first sweep's,
+continue each run's journal with exactly one ``resumed`` marker, and
 ``verify_run`` must find zero inconsistencies — the CI chaos gate runs
 this script and fails on any drift.
 """
@@ -19,7 +21,7 @@ import tempfile
 from pathlib import Path
 
 from repro.experiments.engine import ExperimentEngine, ResultCache
-from repro.experiments.journal import list_runs, verify_run
+from repro.experiments.journal import journal_path, list_runs, read_journal, verify_run
 from repro.experiments.paper import probabilistic_workload
 from repro.experiments.runner import SchedulerConfig
 from repro.scenarios import FailureModel, ScenarioSpec
@@ -50,7 +52,7 @@ def main() -> int:
     configs = [SchedulerConfig("fcfs", "easy"), SchedulerConfig("fcfs", "list")]
     failures = 0
 
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-resume-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-rerun-") as tmp:
         cache_dir = Path(tmp)
         run_ids: dict[str, str] = {}
 
@@ -70,28 +72,46 @@ def main() -> int:
             print("FAIL: expected one journaled run per scenario")
             failures += 1
 
-        # Resume every run: all cells must come back from the cache.
-        for run_id, name in run_ids.items():
-            resume_engine = ExperimentEngine(
-                workers=1, cache=cache_dir, handle_signals=False
-            )
-            spec = next(
-                spec for label, spec in scenarios().items() if f"[{label}]" in name
-            )
-            resume_engine.resume(
-                run_id, jobs,
-                workload_name=name, total_nodes=TOTAL_NODES, configs=configs,
+        # Rerun the sweep: every cell must come back from the cache.
+        rerun_engine = ExperimentEngine(
+            workers=1, cache=cache_dir, handle_signals=False
+        )
+        for name, spec in scenarios().items():
+            again = rerun_engine.run(
+                jobs,
+                workload_name=f"workload[{name}]",
+                total_nodes=TOTAL_NODES,
+                configs=configs,
                 scenario=spec,
             )
-            stats = resume_engine.stats
-            if stats.simulated != 0 or stats.cache_hits != len(configs):
+            stats = rerun_engine.stats
+            replay = read_journal(journal_path(cache_dir / "runs", stats.run_id))
+            if stats.run_id not in run_ids:
+                print(f"FAIL: rerun of {name} journaled under a new id {stats.run_id}")
+                failures += 1
+            elif stats.simulated != 0 or stats.cache_hits != len(configs):
                 print(
-                    f"FAIL: resume of {run_id} ({name}) re-simulated "
+                    f"FAIL: rerun of {stats.run_id} ({name}) re-simulated "
                     f"{stats.simulated} cell(s)"
                 )
                 failures += 1
+            elif any(
+                again.cells[key].objective != cell.objective
+                for key, cell in grids[name].cells.items()
+            ):
+                print(f"FAIL: rerun of {stats.run_id} ({name}) changed an objective")
+                failures += 1
+            elif replay.resumes != 1:
+                print(
+                    f"FAIL: journal {stats.run_id} holds {replay.resumes} "
+                    f"resumed marker(s) after one rerun"
+                )
+                failures += 1
             else:
-                print(f"resume {run_id} ({name}): all {stats.cache_hits} cells cached")
+                print(
+                    f"rerun {stats.run_id} ({name}): all {stats.cache_hits} "
+                    f"cells cached, journal continued"
+                )
 
         # Audit every journal against the cache.
         cache = ResultCache(cache_dir)
@@ -103,7 +123,7 @@ def main() -> int:
             if not audit.ok:
                 failures += 1
 
-    print("chaos-resume: OK" if not failures else f"chaos-resume: {failures} failure(s)")
+    print("chaos-rerun: OK" if not failures else f"chaos-rerun: {failures} failure(s)")
     return 1 if failures else 0
 
 

@@ -16,8 +16,8 @@
   bundling the workload recipe, the regime, the paper's published numbers
   and the comparison report;
 * :mod:`repro.experiments.journal` — the crash-tolerant run lifecycle:
-  append-only run journals, deterministic run ids, resume, the
-  ``verify_run`` integrity audit;
+  append-only run journals, deterministic run ids (a rerun continues
+  its journal), the ``verify_run`` integrity audit;
 * :mod:`repro.experiments.cli` — ``repro-experiments`` command line.
 """
 

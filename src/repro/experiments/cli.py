@@ -13,21 +13,21 @@ per experiment and regime.
 
 Grid cells run through the parallel experiment engine: ``--workers N``
 fans independent cells out over N processes, and results are cached
-content-addressed under ``--cache-dir`` (default ``.repro-cache``), so
-re-runs and interrupted runs only simulate what is missing.  ``--no-cache``
-forces fresh simulations; ``--events FILE`` appends the engine's
-structured progress events as JSON lines.
+content-addressed under ``--cache-dir`` (default ``.repro-cache``), so a
+rerun of a finished or interrupted command only simulates what is
+missing.  ``--no-cache`` forces fresh simulations; ``--events FILE``
+appends the engine's structured progress events as JSON lines.
 
 Every cached run is journaled under ``<cache>/runs/<run_id>.jsonl``
-(crash-tolerant run lifecycle)::
+(crash-tolerant run lifecycle).  The run id is a hash of the grid's
+inputs, so rerunning a command continues its journals::
 
     repro-experiments --list-runs            # journals + cache prune stats
-    repro-experiments table3 --resume RUN_ID # re-dispatch only the remainder
     repro-experiments --verify-run RUN_ID    # audit journal vs cache
     repro-experiments --verify-run all
 
 A run killed by SIGINT/SIGTERM exits cleanly (status 130) after printing
-the ``--resume`` handle.
+the command to rerun; a rerun after SIGKILL picks up the same way.
 
 Parallelism never changes results: grids, per-cell fingerprints and
 run ids are bit-identical whether cells ran serially or in the local
@@ -44,12 +44,13 @@ from a JSON file, the one way to give a scenario::
 with, for example, ``{"components": [{"kind": "failures", "mtbf": 40000.0,
 "recovery": "resubmit"}], "seed": 7}`` in ``spec.json``.  The spec's
 canonical digest enters every cell fingerprint and run id, so scenario
-runs cache, journal and ``--resume`` apart from the healthy baseline.
+runs cache and journal apart from the healthy baseline.
 """
 
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 from typing import TYPE_CHECKING
 from pathlib import Path
@@ -73,7 +74,7 @@ def _evicted_cells(summary: "RunSummary", cache: "ResultCache") -> int:
     """Completed cells of a journaled run whose cache entries are gone.
 
     A CACHE_VERSION bump (or a prune after one) evicts every entry the
-    journal's fingerprints point at; ``--resume`` of such a run will
+    journal's fingerprints point at; a rerun of such a run will
     re-simulate those cells, so ``--list-runs`` says so out loud.
     """
     from repro.experiments.journal import JournalError, read_journal
@@ -109,7 +110,7 @@ def _cmd_list_runs(args: argparse.Namespace) -> int:
                 print(
                     f"note: run {summary.run_id} references {evicted} "
                     f"completed cell(s) whose cache entries were evicted "
-                    f"(version skew or prune); --resume will re-simulate them"
+                    f"(version skew or prune); a rerun will re-simulate them"
                 )
         # Listing runs is the natural moment to sweep the cache the
         # journals point into: stale entries out, corruption quarantined.
@@ -362,13 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_arguments(parser)
     parser.add_argument(
-        "--resume",
-        metavar="RUN_ID",
-        default=None,
-        help="resume the journaled run with this id: completed cells are "
-        "skipped via the cache, only the remainder is re-dispatched",
-    )
-    parser.add_argument(
         "--scenario",
         type=Path,
         default=None,
@@ -406,17 +400,15 @@ def _run_experiments(
     ids: list[str],
     scenario: "ScenarioSpec | None",
     source_trace: "list[Job] | None",
+    argv: list[str],
 ) -> int:
     """Run the paper artifacts on the one engine of this invocation (every
     artifact shares its cache, journal directory, workload store, worker
-    pool and ``--events`` log handle)."""
+    pool and ``--events`` log handle).  ``argv`` is the invocation's, for
+    the rerun command an interrupt prints."""
     from repro.analysis.persistence import event_line
     from repro.experiments.engine import ExperimentEngine
-    from repro.experiments.journal import (
-        ManifestMismatchError,
-        RunInterrupted,
-        UnknownRunError,
-    )
+    from repro.experiments.journal import RunInterrupted
 
     def on_event(event) -> None:
         if event.kind in ("cell-finished", "cache-hit"):
@@ -438,7 +430,7 @@ def _run_experiments(
         journal_dir=args.journal_dir,
         backend=args.backend,
     )
-    # One handle for the whole invocation (appending: resumes accumulate).
+    # One handle for the whole invocation (appending: reruns accumulate).
     events_log = (
         open(args.events, "a", encoding="utf-8") if args.events is not None else None
     )
@@ -453,22 +445,16 @@ def _run_experiments(
                     seed=args.seed,
                     progress=lambda msg: print(f"[{experiment_id}] {msg}", file=sys.stderr),
                     source_trace=source_trace,
-                    resume_run_id=args.resume,
                     scenario=scenario,
                     engine=engine,
                 )
             except RunInterrupted as exc:
                 print(f"\ninterrupted by {exc.signal_name}: {exc}", file=sys.stderr)
-                if exc.run_id:
-                    print(
-                        f"resume with: repro-experiments {experiment_id} --resume "
-                        f"{exc.run_id}",
-                        file=sys.stderr,
-                    )
+                print(
+                    f"rerun with: {shlex.join(['repro-experiments', *argv])}",
+                    file=sys.stderr,
+                )
                 return 130
-            except (ManifestMismatchError, UnknownRunError) as exc:
-                print(f"cannot resume {args.resume}: {exc}", file=sys.stderr)
-                return 2
             for regime, run_id in result.run_ids.items():
                 print(f"[{experiment_id}] {regime} run id: {run_id}", file=sys.stderr)
             for regime, report in result.reports.items():
@@ -510,6 +496,7 @@ def _read_scenario(args: argparse.Namespace) -> "ScenarioSpec | None":
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -528,8 +515,6 @@ def main(argv: list[str] | None = None) -> int:
             "experiment ids are required "
             "(or --list-runs/--verify-run/--profile-cell)"
         )
-    if args.resume is not None and args.no_cache:
-        parser.error("--resume needs the cache; drop --no-cache")
     for flag, value in (("--scale", args.scale), ("--workers", args.workers)):
         if value is not None and value < 1:
             parser.error(f"{flag} must be >= 1")
@@ -565,7 +550,7 @@ def main(argv: list[str] | None = None) -> int:
     paper_ids = [i for i in ids if i in EXPERIMENTS]
     if not paper_ids:
         return 0
-    return _run_experiments(args, paper_ids, scenario, source_trace)
+    return _run_experiments(args, paper_ids, scenario, source_trace, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -251,15 +251,15 @@ class ExperimentEngine:
         When true (the default), journaled runs install SIGINT/SIGTERM
         handlers for graceful shutdown: dispatch stops, in-flight cells
         are journaled ``interrupted``, the pool is terminated and
-        :class:`~repro.experiments.journal.RunInterrupted` is raised with
-        the resumable run id.  Handlers are installed only in the main
-        thread and always restored afterwards.
+        :class:`~repro.experiments.journal.RunInterrupted` is raised; a
+        rerun of the same call continues the run.  Handlers are installed
+        only in the main thread and always restored afterwards.
     backend:
         Queue-walk backend for every cell (``"python"`` / ``"numpy"`` /
         ``"auto"``; ``None`` consults ``REPRO_BACKEND``).
         Bit-identical results either way, so the backend is deliberately
         absent from cell fingerprints and run manifests — caches and
-        journals written under one backend resume cleanly under the other.
+        journals written under one backend continue cleanly under the other.
 
     ``workload_memo`` is the engine's
     :class:`~repro.experiments.workload_store.WorkloadMemo`: the paper
@@ -366,9 +366,9 @@ class ExperimentEngine:
     ) -> GridRequest:
         """Normalize one grid request into its manifest-defining form.
 
-        Shared by :meth:`run`, :meth:`resume` and :meth:`run_id_for`, so
-        the deterministic run id is computed from exactly the inputs the
-        dispatch path will use.
+        Shared by :meth:`run` and :meth:`run_id_for`, so the deterministic
+        run id is computed from exactly the inputs the dispatch path will
+        use.
         """
         inputs: "ScenarioInputs | None" = None
         cancel_over_limit = False
@@ -428,8 +428,7 @@ class ExperimentEngine:
         Accepts the grid-shaping keyword arguments of :meth:`run`
         (``workload_name``, ``total_nodes``, ``weighted``, ``configs``,
         ``recompute_threshold``, ``reference_key``, ``scenario``); drivers
-        use it to print or predict the ``--resume`` handle without running
-        anything.
+        use it to name or find a run's journal without running anything.
         """
         return self._prepare(jobs, **kwargs).run_id  # type: ignore[arg-type]
 
@@ -445,7 +444,6 @@ class ExperimentEngine:
         progress: ProgressFn | None = None,
         reference_key: str | None = None,
         scenario: "ScenarioSpec | None" = None,
-        resume_run_id: str | None = None,
     ) -> GridResult:
         """Run one grid; the parallel, cached equivalent of ``run_grid``.
 
@@ -464,12 +462,9 @@ class ExperimentEngine:
         workers as one :class:`~repro.core.simulator.ScenarioInputs`.
 
         When a journal root is available (a cache or ``journal_dir``),
-        the run is journaled under its deterministic id: a fresh run
-        truncates any prior journal for the same grid, while
-        ``resume_run_id`` (usually via :meth:`resume`) appends to the
-        existing one after verifying the manifest still matches —
-        mismatches raise
-        :class:`~repro.experiments.journal.ManifestMismatchError`.
+        the run is journaled under its deterministic id through
+        :meth:`RunJournal.open <repro.experiments.journal.RunJournal.open>`,
+        so a rerun of the same grid continues the journal.
         """
         request = self._prepare(
             jobs,
@@ -489,7 +484,6 @@ class ExperimentEngine:
             cache=self.cache,
             on_event=self.on_event,
             journal_root=journal_root,
-            resume_run_id=resume_run_id,
         )
         stats = self.stats = run.stats
         t_start = time.perf_counter()
@@ -533,21 +527,6 @@ class ExperimentEngine:
             t0 = time.perf_counter()
             cell = run.request.simulate(config, self.backend)
             run.record(config.key, fp, cell, time.perf_counter() - t0)
-
-    def resume(
-        self, run_id: str, jobs: Sequence[Job], **kwargs: object
-    ) -> GridResult:
-        """Resume a journaled run from its deterministic ``run_id``.
-
-        The caller supplies the same job stream and grid-shaping keyword
-        arguments as the original :meth:`run`; the journal's manifest is
-        verified against them (:class:`~repro.experiments.journal.
-        ManifestMismatchError` on drift, :class:`~repro.experiments.
-        journal.UnknownRunError` when no journal exists).  Completed
-        cells are skipped via the cache, and only the remainder is
-        re-dispatched.
-        """
-        return self.run(jobs, resume_run_id=run_id, **kwargs)  # type: ignore[arg-type]
 
     def run_scenarios(
         self,

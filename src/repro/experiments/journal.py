@@ -19,8 +19,9 @@ trustworthy.  This module adds that record:
   indicate real corruption — raise :class:`JournalCorruptError`.
 * **deterministic run ids** — :func:`compute_run_id` hashes exactly the
   manifest fields that define cell fingerprints, so re-running the same
-  grid maps to the same journal and ``--resume RUN_ID`` can re-derive
-  everything but the job stream itself from the id.
+  grid maps to the same journal (:meth:`RunJournal.open` continues it:
+  a rerun *is* the resume), and a rerun whose inputs drifted gets a
+  journal of its own.
 * :func:`verify_run` — an integrity audit cross-checking journal records
   against the local result cache (and optionally a persisted
   :class:`~repro.experiments.runner.GridResult`), reporting missing,
@@ -110,16 +111,16 @@ class JournalCorruptError(JournalError):
 
 
 class UnknownRunError(JournalError):
-    """``resume``/``verify_run`` was given a run id with no journal."""
+    """:func:`verify_run` (or :func:`read_journal`) found no journal."""
 
 
 class ManifestMismatchError(JournalError):
-    """The journal's manifest no longer matches the requested grid.
+    """The journal under a run id belongs to a different grid.
 
-    Resuming under a different workload, config set, machine size,
-    regime, failure scenario or cache format would silently mix results
-    from two different experiments; the mismatching fields are listed so
-    the operator can tell which input drifted.
+    Equal identity fields give equal run ids, so this means two grids
+    collided on the 12-hex id.  Continuing the journal would mix the
+    records of two different experiments; the mismatching fields are
+    listed and the journal is left as it was.
     """
 
     def __init__(self, run_id: str, diffs: Mapping[str, tuple[object, object]]):
@@ -135,11 +136,12 @@ class ManifestMismatchError(JournalError):
 
 
 class RunInterrupted(KeyboardInterrupt):
-    """A run stopped on SIGINT/SIGTERM with a resumable journal.
+    """A run stopped on SIGINT/SIGTERM with its journal intact.
 
     Subclasses :class:`KeyboardInterrupt` so generic ``except Exception``
     blocks do not swallow an operator's Ctrl-C, while the CLI (and
-    tests) can still catch it precisely and print the resume command.
+    tests) can still catch it precisely and print the command to rerun:
+    the same call continues the journal and simulates only the remainder.
     """
 
     def __init__(
@@ -154,7 +156,7 @@ class RunInterrupted(KeyboardInterrupt):
         self.signal_name = signal_name
         self.completed = completed
         self.remaining = remaining
-        hint = f"; resume with run id {run_id}" if run_id else ""
+        hint = f"; rerun the same call to continue run {run_id}" if run_id else ""
         super().__init__(
             f"run interrupted by {signal_name} with {completed} cell(s) "
             f"completed and {remaining} remaining{hint}"
@@ -246,7 +248,7 @@ class JournalReplay:
     cells: dict[str, CellRecord]
     #: True when the final line was torn (dropped, not an error).
     torn_tail: bool = False
-    #: Number of ``resumed`` markers seen (prior resume attempts).
+    #: Number of ``resumed`` markers seen (reruns that continued it).
     resumes: int = 0
     records: int = 0
 
@@ -307,8 +309,8 @@ def read_journal(path: str | Path) -> JournalReplay:
         replay.records += 1
         kind = payload.get("kind")
         if kind == "manifest":
-            # A fresh run() over an existing id truncates the file, so at
-            # most one manifest exists; keep the first defensively.
+            # A rerun appends no manifest and a fresh journal truncates
+            # the file, so at most one exists; keep the first defensively.
             if not replay.manifest:
                 replay.manifest = payload
         elif kind == "resumed":
@@ -341,10 +343,10 @@ def read_journal(path: str | Path) -> JournalReplay:
 class RunJournal:
     """Append-only, fsynced run journal (single writer: the driver).
 
-    Create a fresh journal with :meth:`create` (truncates any previous
-    attempt under the same run id) or continue one with :meth:`open_resume`
-    (appends a ``resumed`` marker).  Every record is written as one JSON
-    line with an embedded checksum and flushed + fsynced before the
+    A run calls :meth:`open`: it continues the run's journal (appending a
+    ``resumed`` marker) or, when there is none to continue, starts one
+    with :meth:`create` (which truncates).  Every record is written as
+    one JSON line with an embedded checksum and flushed + fsynced before the
     method returns — or, inside :meth:`batch`, before the batch ends — so
     the journal never lies about what *was* recorded: the worst a crash
     can do is lose the records of the batch it interrupted and tear the
@@ -355,6 +357,8 @@ class RunJournal:
         self.path = path
         self.manifest = manifest
         self._handle = handle
+        #: The next record's ``seq``: its position among the journal's
+        #: records (:meth:`open` counts on from the replay).
         self._seq = 0
         #: Open :meth:`batch` blocks (they nest).
         self._batches = 0
@@ -380,23 +384,40 @@ class RunJournal:
         return journal
 
     @classmethod
-    def open_resume(cls, path: str | Path) -> tuple["RunJournal", JournalReplay]:
-        """Continue an existing journal, appending a ``resumed`` marker.
+    def open(
+        cls, path: str | Path, manifest: Mapping[str, object]
+    ) -> tuple["RunJournal", JournalReplay | None]:
+        """Continue the journal at ``path``, or start it afresh.
 
-        Returns the journal (positioned at append) plus the replayed
-        state so the caller can skip already-completed cells.
+        A journal that replays is continued (torn tail cut, ``resumed``
+        marker appended) unless its identity fields differ from
+        ``manifest``'s: two grids then collided on the 12-hex run id, and
+        :class:`ManifestMismatchError` leaves the file untouched.  One
+        that is missing or does not replay is started with :meth:`create`.
+        Also returns the replay continued (``None``: a fresh journal).
         """
         path = Path(path)
-        replay = read_journal(path)
-        if replay.torn_tail:
-            # Cut the torn line off: appended to, it would become a torn
-            # *interior* line and the journal unreadable for good.
-            with open(path, "rb+") as raw:
-                data = raw.read()
+        try:
+            replay = read_journal(path)
+        except JournalError:
+            return cls.create(path, manifest), None
+        diffs = manifest_diffs(replay.manifest, manifest)
+        if diffs:
+            raise ManifestMismatchError(replay.run_id, diffs)
+        with open(path, "rb+") as raw:
+            data = raw.read()
+            if replay.torn_tail:
+                # Cut the torn line off: appended to, it would become a torn
+                # *interior* line and the journal unreadable for good.
                 torn_end = len(data.rstrip(b"\r\n"))
                 raw.truncate(data.rfind(b"\n", 0, torn_end) + 1)
+            elif not data.endswith(b"\n"):
+                # The last record is whole but its newline never landed:
+                # the next record must not share its line.
+                raw.write(b"\n")
         handle = open(path, "a", encoding="utf-8")
         journal = cls(path, dict(replay.manifest), handle)
+        journal._seq = replay.records
         journal._append(
             {"kind": "resumed", "at": time.time(), "pid": os.getpid()}
         )
@@ -499,7 +520,7 @@ class RunSummary:
 
     def describe(self) -> str:
         when = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(self.created))
-        extra = f", {self.resumes} resume(s)" if self.resumes else ""
+        extra = f", {self.resumes} rerun(s)" if self.resumes else ""
         torn = ", torn tail dropped" if self.torn_tail else ""
         return (
             f"{self.run_id}  {self.status:<11}  {self.completed}/{self.total} cells"
@@ -511,7 +532,7 @@ def list_runs(journal_dir: str | Path) -> list[RunSummary]:
     """Summarize every journal under ``journal_dir``, newest first.
 
     Unreadable journals are listed as ``corrupt`` rather than hidden —
-    an operator deciding what to resume needs to see the wreckage too.
+    an operator deciding what to rerun needs to see the wreckage too.
     """
     root = Path(journal_dir)
     summaries: list[RunSummary] = []
@@ -571,7 +592,7 @@ class RunAudit:
     and ``orphaned`` (unfinished cells whose fingerprint *is* cached,
     e.g. the crash landed between the cache write and the journal
     append, or another run shared the cell) are informational: both heal
-    on resume.
+    on a rerun.
     """
 
     run_id: str
@@ -621,10 +642,12 @@ class RunAudit:
             if keys:
                 lines.append(f"  INCONSISTENT ({label}): {', '.join(sorted(keys))}")
         if self.remaining:
-            lines.append(f"  remaining (resumable): {', '.join(sorted(self.remaining))}")
+            lines.append(
+                f"  remaining (a rerun runs them): {', '.join(sorted(self.remaining))}"
+            )
         if self.orphaned:
             lines.append(
-                f"  orphaned cache entries (heal on resume): "
+                f"  orphaned cache entries (heal on a rerun): "
                 f"{', '.join(sorted(self.orphaned))}"
             )
         lines.append(
@@ -716,7 +739,7 @@ def manifest_for(
     healthy baseline) — an identity field, like every other input of
     :func:`repro.experiments.engine.cell_fingerprint`.  Fields outside
     :data:`IDENTITY_FIELDS` never reach the run id, so older manifests
-    that also record ``execution_backend`` or ``remote_cache`` resume
+    that also record ``execution_backend`` or ``remote_cache`` continue
     under the id they were written with.
     """
     manifest = {

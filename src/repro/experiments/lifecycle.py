@@ -5,11 +5,12 @@
 the grid being filled, the stats, the results, the journal, the run id
 and the interrupt flag — so the engine object itself stays reusable and
 stateless between runs (its only per-run attribute is the public
-``stats`` of the most recent run).  It is where a resumed journal's
-manifest is verified (the constructor), where the cache write lands
+``stats`` of the most recent run).  It is where the run's journal is
+continued or started (the constructor), where the cache write lands
 before the journal record (:meth:`GridRun.record`), where SIGINT/SIGTERM
-become a resumable :class:`~repro.experiments.journal.RunInterrupted`
-(:meth:`GridRun.signals`, :meth:`GridRun.interrupt`).
+become a :class:`~repro.experiments.journal.RunInterrupted` that a rerun
+of the same call picks up from (:meth:`GridRun.signals`,
+:meth:`GridRun.interrupt`).
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence
 
-from repro.experiments.journal import (
-    ManifestMismatchError,
-    RunInterrupted,
-    RunJournal,
-    journal_path,
-    manifest_diffs,
-    read_journal,
-)
+from repro.experiments.journal import RunInterrupted, RunJournal, journal_path
 from repro.experiments.runner import CellResult, GridResult
 from repro.schedulers.registry import SchedulerConfig
 
@@ -51,7 +45,7 @@ class ProgressEvent:
     cell-retry); cache hits report the objective but no wall time.
     ``detail`` carries the human-readable reason for retry/degradation
     events.  Grid-level events of a journaled run carry its ``run_id``
-    (the ``--resume`` handle); it is ``None`` for journal-less runs and
+    (its journal's name); it is ``None`` for journal-less runs and
     for cell-level events.  ``cell-started`` is emitted once per cell per
     run, however many attempts the cell then takes.
     """
@@ -110,7 +104,6 @@ class GridRun:
         cache: "ResultCache | None",
         on_event: EventFn | None,
         journal_root: Path | None,
-        resume_run_id: str | None = None,
     ) -> None:
         self.request = request
         self.grid: GridResult = request.new_grid()
@@ -126,26 +119,15 @@ class GridRun:
         #: Signal name ("SIGINT"/"SIGTERM") once a shutdown was requested.
         self.interrupted: str | None = None
         self.journal: RunJournal | None = None
-        #: Cells already terminal in a resumed journal: they keep their
+        #: Cells already terminal in a continued journal: they keep their
         #: original records, only genuinely new transitions are appended.
         self._already: frozenset[str] = frozenset()
-        if resume_run_id is not None:
-            if journal_root is None:
-                raise ValueError(
-                    "resume requires a journal: configure a cache or journal_dir"
-                )
-            journaled = read_journal(journal_path(journal_root, resume_run_id))
-            diffs = manifest_diffs(journaled.manifest, request.manifest)
-            if diffs:
-                raise ManifestMismatchError(resume_run_id, diffs)
-            self.journal, replay = RunJournal.open_resume(
-                journal_path(journal_root, request.run_id)
-            )
-            self._already = frozenset(replay.completed)
-        elif journal_root is not None:
-            self.journal = RunJournal.create(
+        if journal_root is not None:
+            self.journal, replay = RunJournal.open(
                 journal_path(journal_root, request.run_id), request.manifest
             )
+            if replay is not None:
+                self._already = frozenset(replay.completed)
 
     @property
     def run_id(self) -> str | None:
@@ -184,7 +166,7 @@ class GridRun:
         until that fsync returned — so an event still never announces a
         fact the journal could lose.  An exception leaving the block
         drops the held events: the run is over, and what its journal
-        kept is what a resume replays.
+        kept is what a rerun replays.
         """
         commit = (
             self.journal.batch() if self.journal is not None
@@ -236,7 +218,7 @@ class GridRun:
         if self.cache is not None:
             self.cache.put(fingerprint, cell)
         # Cache write lands before the journal record: a crash between
-        # the two leaves an orphaned cache entry (healed on resume), never
+        # the two leaves an orphaned cache entry (healed by a rerun), never
         # a journaled completion with no backing result.  Inside a batch
         # the record is durable, and the event sent, when the batch ends.
         self.journal_cell(
@@ -273,8 +255,8 @@ class GridRun:
         """Graceful-shutdown handlers around the dispatch of this run.
 
         Installed only for journaled runs (an interrupt without a journal
-        has nothing to resume from) and only in the main thread; always
-        restored afterwards.
+        leaves a rerun nothing to continue) and only in the main thread;
+        always restored afterwards.
         """
         previous: dict[int, object] = {}
         if (

@@ -169,7 +169,7 @@ class ExperimentResult:
     reports: dict[str, str]
     agreement: dict[str, float]
     #: Deterministic journal run id per regime (empty for journal-less
-    #: runs) — the ``--resume`` handles.
+    #: runs).
     run_ids: dict[str, str] = field(default_factory=dict)
 
 
@@ -276,7 +276,6 @@ def run_experiment(
     regimes: Sequence[str] | None = None,
     progress: Callable[[str], None] | None = None,
     source_trace: Sequence[Job] | None = None,
-    resume_run_id: str | None = None,
     scenario: "ScenarioSpec | None" = None,
     engine: ExperimentEngine | None = None,
 ) -> ExperimentResult:
@@ -303,19 +302,14 @@ def run_experiment(
     the same cache).  Results, caches and run ids are bit-identical across
     simulation and execution backends.
 
-    ``resume_run_id`` resumes the regime whose deterministic run
-    id matches (other regimes run normally — their completed cells come
-    out of the cache anyway); when it matches *no* regime the inputs
-    drifted since the run was journaled, and the call refuses with
-    :class:`~repro.experiments.journal.UnknownRunError` rather than
-    silently re-running everything fresh.  The per-regime ids are
-    returned in :attr:`ExperimentResult.run_ids`.
+    Rerunning an interrupted call with the same arguments continues its
+    journals and simulates only the cells the cache lacks.
 
     ``scenario`` runs every regime under a compiled
     :class:`~repro.scenarios.spec.ScenarioSpec` (failures, cancellations,
     load surges, …): its canonical digest joins every cell fingerprint
-    and each regime's run id, so scenario runs cache and resume
-    independently of the healthy baseline.
+    and each regime's run id, so scenario runs cache and journal
+    apart from the healthy baseline.
     """
     spec = EXPERIMENTS[experiment_id]
     n = spec.default_scale if scale is None else scale
@@ -324,30 +318,6 @@ def run_experiment(
     jobs = _experiment_jobs(spec, n, seed, source_trace, engine.workload_memo)
     wanted = list(regimes) if regimes is not None else list(spec.paper.keys())
 
-    def _grid_kwargs(regime: str) -> dict:
-        return dict(
-            workload_name=spec.description,
-            total_nodes=Machine.PAPER_BATCH_NODES,
-            weighted=(regime == "weighted"),
-            scenario=scenario,
-        )
-
-    if resume_run_id is not None:
-        regime_ids = {
-            regime: engine.run_id_for(jobs, **_grid_kwargs(regime))
-            for regime in wanted
-        }
-        if resume_run_id not in regime_ids.values():
-            from repro.experiments.journal import UnknownRunError
-
-            computed = ", ".join(f"{r}={i}" for r, i in regime_ids.items())
-            raise UnknownRunError(
-                f"run {resume_run_id} matches no regime of {experiment_id} "
-                f"with the requested inputs (computed: {computed}) — the "
-                f"workload, scale, seed, scenario or regime set drifted since "
-                f"the run was journaled"
-            )
-
     grids: dict[str, GridResult] = {}
     reports: dict[str, str] = {}
     agreement: dict[str, float] = {}
@@ -355,14 +325,13 @@ def run_experiment(
     for regime in wanted:
         if progress is not None:
             progress(f"{experiment_id}: running {regime} grid over {len(jobs)} jobs")
-        grid_kwargs = _grid_kwargs(regime)
-        if (
-            resume_run_id is not None
-            and engine.run_id_for(jobs, **grid_kwargs) == resume_run_id
-        ):
-            grid = engine.resume(resume_run_id, jobs, **grid_kwargs)
-        else:
-            grid = engine.run(jobs, **grid_kwargs)
+        grid = engine.run(
+            jobs,
+            workload_name=spec.description,
+            total_nodes=Machine.PAPER_BATCH_NODES,
+            weighted=(regime == "weighted"),
+            scenario=scenario,
+        )
         if engine.stats.run_id is not None:
             run_ids[regime] = engine.stats.run_id
         grids[regime] = grid

@@ -258,7 +258,7 @@ class PoolRun:
 
     def shut_down(self) -> NoReturn:
         """Journal every unfinished cell ``interrupted`` and raise the
-        resumable :class:`~repro.experiments.journal.RunInterrupted`
+        :class:`~repro.experiments.journal.RunInterrupted`
         (:meth:`execute` closes the pool)."""
         unfinished = {
             *self.queue, *self.futures.values(), *self.resubmit_at,

@@ -117,7 +117,7 @@ class GridResult:
     #: ``fcfs/easy`` when present, else the first cell in grid order.
     reference_key: str | None = None
     #: Content-address of each cell (cache fingerprint), filled by the
-    #: engine.  Part of the run-lifecycle audit trail: resume tests and
+    #: engine.  Part of the run-lifecycle audit trail: rerun tests and
     #: :func:`repro.experiments.journal.verify_run` compare these for
     #: bit-identity.  Empty for grids built before PR 5 or by hand.
     fingerprints: dict[str, str] = field(default_factory=dict)

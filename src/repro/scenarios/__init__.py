@@ -21,7 +21,7 @@ and compiles them into the simulator's
     engine.run(jobs, scenario=spec)        # digest enters every fingerprint
 
 Equal specs digest equally regardless of component order or spelled-out
-defaults, so the content-addressed cache, run journals and ``--resume``
+defaults, so the content-addressed cache, run journals and reruns
 all work unchanged for any component — including ones registered after
 the fact (see :mod:`repro.scenarios.base`).
 

@@ -1,9 +1,9 @@
-"""Subprocess driver for the crash/resume tests.
+"""Subprocess driver for the crash-and-rerun tests.
 
 Runs a deliberately slow grid (every cell pauses in its order-policy
 factory) through a journaled, cached :class:`ExperimentEngine`, printing
-the run id first so the parent test can SIGKILL it mid-run and resume
-the same journal afterwards::
+the run id first so the parent test can SIGKILL it mid-run and then make
+the same call itself, which continues the same journal::
 
     python -m tests._grid_driver CACHE_DIR run       # plain run, handlers off
     python -m tests._grid_driver CACHE_DIR sigint    # graceful-shutdown mode
@@ -14,7 +14,7 @@ journals the remainder as ``interrupted``, prints ``INTERRUPTED <run_id>``
 and exits 130 — the same contract the CLI exposes.
 
 The grid-shaping helpers (:func:`build_configs`, :data:`GRID_KWARGS`,
-:func:`make_jobs`) are imported by the parent test too, so the resuming
+:func:`make_jobs`) are imported by the parent test too, so the rerunning
 process registers the identical rows and computes the identical run id.
 """
 
@@ -39,13 +39,14 @@ CELL_DELAY = 0.35
 #: ``N_SLOW_ROWS + 1`` cells.
 N_SLOW_ROWS = 9
 
-#: Grid-shaping kwargs shared by the driver and the resuming test — any
-#: drift between the two would change the run id and break resume.
+#: Grid-shaping kwargs shared by the driver and the rerunning test — any
+#: drift between the two would change the run id: the rerun would start a
+#: journal of its own instead of continuing the driver's.
 GRID_KWARGS = dict(total_nodes=256, workload_name="slow-grid")
 
 
 def make_scenario():
-    """The spec of the ``scenario`` mode; the resuming test rebuilds it.
+    """The spec of the ``scenario`` mode; the rerunning test rebuilds it.
 
     Built in a function (not a module constant) so importing the driver
     stays side-effect free; equal specs digest equally, so both

@@ -117,16 +117,103 @@ class TestJournalRoundTrip:
                 journal.record_cell("fcfs/easy", "exploded")
 
     def test_open_resume_appends_marker(self, tmp_path):
+        """``open`` on a journal that replays continues it: a ``resumed``
+        marker, then the new records, after the old ones."""
         path, journal = self._fresh(tmp_path)
         with journal:
             journal.record_cell("fcfs/easy", "completed", objective=1.0)
-        resumed, replay = RunJournal.open_resume(path)
+        resumed, replay = RunJournal.open(path, _manifest())
         with resumed:
             assert replay.completed == ["fcfs/easy"]
             resumed.record_cell("fcfs/list", "completed", objective=2.0)
         replay = read_journal(path)
         assert replay.resumes == 1
         assert replay.complete
+
+    def test_open_starts_a_missing_journal(self, tmp_path):
+        manifest = _manifest()
+        path = journal_path(tmp_path / "runs", manifest["run"])
+        journal, replay = RunJournal.open(path, manifest)
+        with journal:
+            journal.record_cell("fcfs/easy", "started")
+        assert replay is None
+        replay = read_journal(path)
+        assert replay.resumes == 0 and replay.records == 2
+        assert replay.run_id == manifest["run"]
+
+    def test_open_starts_afresh_over_a_journal_that_does_not_replay(self, tmp_path):
+        path, journal = self._fresh(tmp_path)
+        with journal:
+            journal.record_cell("fcfs/easy", "completed", objective=1.0)
+            journal.record_cell("fcfs/list", "started")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1][: len(lines[1]) // 2]  # a torn interior line
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        journal, replay = RunJournal.open(path, _manifest())
+        journal.close()
+        assert replay is None
+        replay = read_journal(path)
+        assert replay.records == 1 and replay.cells == {}
+
+    def test_open_refuses_a_colliding_manifest_and_leaves_it(self, tmp_path):
+        """Another grid's journal under the same run id (a 12-hex prefix
+        collision) is neither continued nor overwritten."""
+        manifest = _manifest()
+        path = journal_path(tmp_path, manifest["run"])
+        with RunJournal.create(path, {**manifest, "total_nodes": 512}) as other:
+            other.record_cell("fcfs/easy", "completed", objective=1.0)
+        before = path.read_bytes()
+        with pytest.raises(ManifestMismatchError) as excinfo:
+            RunJournal.open(path, manifest)
+        assert set(excinfo.value.diffs) == {"total_nodes"}
+        assert excinfo.value.run_id == manifest["run"]
+        assert path.read_bytes() == before
+
+    def test_continued_journal_counts_seq_on(self, tmp_path):
+        """``seq`` is a record's position in the journal: a journal
+        continued twice numbers its records 0, 1, 2, ... without repeats."""
+        path, journal = self._fresh(tmp_path)
+        with journal:
+            journal.record_cell("fcfs/easy", "started")
+        for _ in range(2):
+            resumed, _replay = RunJournal.open(path, _manifest())
+            with resumed:
+                resumed.record_cell("fcfs/easy", "completed", objective=1.0)
+        seqs = [
+            json.loads(line)["seq"]
+            for line in path.read_text(encoding="utf-8").splitlines()
+        ]
+        assert seqs == list(range(6))
+        assert read_journal(path).resumes == 2
+
+    def test_duplicate_seqs_still_replay_and_continue(self, tmp_path):
+        """Journals continued before ``seq`` counted on restart it at 0
+        after every marker; replay does not read it, so they still replay,
+        and a continuation numbers on past every earlier record."""
+        manifest = _manifest()
+        path = journal_path(tmp_path, manifest["run"])
+        records = [
+            {**manifest, "created": 1.0e9, "pid": 1},
+            {"kind": "cell", "key": "fcfs/easy", "state": "started", "t": 1.0e9},
+            {"kind": "resumed", "at": 1.0e9, "pid": 2},
+            {"kind": "cell", "key": "fcfs/easy", "state": "completed",
+             "t": 1.0e9, "objective": 1.0},
+        ]
+        path.write_text(
+            "".join(
+                TestFleetEraJournal._line({**record, "seq": seq}) + "\n"
+                for seq, record in zip((0, 1, 0, 1), records)
+            ),
+            encoding="utf-8",
+        )
+        journal, replay = RunJournal.open(path, manifest)
+        with journal:
+            assert replay.completed == ["fcfs/easy"] and replay.resumes == 1
+            journal.record_cell("fcfs/list", "completed", objective=2.0)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["seq"] for line in lines[4:]] == [4, 5]
+        replay = read_journal(path)
+        assert replay.complete and replay.resumes == 2
 
     def test_create_truncates_previous_attempt(self, tmp_path):
         path, journal = self._fresh(tmp_path)
@@ -176,18 +263,32 @@ class TestTornAndCorrupt:
             read_journal(path)
 
     def test_resume_cuts_the_torn_tail_before_appending(self, tmp_path):
-        """A resume appends; glued onto a torn tail its first record would
-        turn a tolerated torn *final* line into a fatal interior one."""
+        """A continued journal is appended to; glued onto a torn tail its
+        first record would turn a tolerated torn *final* line into a fatal
+        interior one."""
         path = self._journal_with_cells(tmp_path)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"kind": "cell", "key": "fcfs/li')
-        resumed, replay = RunJournal.open_resume(path)
+        resumed, replay = RunJournal.open(path, _manifest())
         with resumed:
             assert replay.torn_tail
             resumed.record_cell("fcfs/list", "completed", objective=2.0)
         replay = read_journal(path)
         assert not replay.torn_tail
         assert replay.resumes == 1
+        assert replay.complete
+
+    def test_continuing_ends_a_last_line_whose_newline_never_landed(self, tmp_path):
+        """A write torn just before its newline leaves a whole record
+        without one: the continuation starts a new line, not the same."""
+        path = self._journal_with_cells(tmp_path)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        resumed, replay = RunJournal.open(path, _manifest())
+        with resumed:
+            assert not replay.torn_tail
+            resumed.record_cell("fcfs/list", "completed", objective=2.0)
+        replay = read_journal(path)
+        assert replay.records == 5 and replay.resumes == 1
         assert replay.complete
 
     def test_missing_manifest_raises(self, tmp_path):
@@ -269,8 +370,8 @@ class TestGroupCommit:
         # What survived is a prefix of the batch, every line of it intact.
         assert list(replay.cells) == configs[: len(replay.cells)]
         assert {c.state for c in replay.cells.values()} <= {"completed", "scheduled"}
-        # And the wreck resumes: the torn line goes, new records follow.
-        resumed, _ = RunJournal.open_resume(crashed)
+        # And the wreck continues: the torn line goes, new records follow.
+        resumed, _ = RunJournal.open(crashed, manifest)
         with resumed:
             resumed.record_cell(configs[1], "completed", objective=2.0)
         assert read_journal(crashed).completed == configs[:2]
@@ -278,7 +379,7 @@ class TestGroupCommit:
 
 class TestCrashInsideBatchResume:
     """The disk state a driver killed inside a dispatch batch leaves —
-    cache entries written, journal lines still in the buffer — resumes to
+    cache entries written, journal lines still in the buffer — reruns to
     the uninterrupted grid and never shows a completion without its
     cache entry."""
 
@@ -324,16 +425,22 @@ class TestCrashInsideBatchResume:
             assert cache.status(replay.cells[key].fingerprint) == "hit", key
         assert len(replay.completed) < len(configs)
         audit = verify_run(run_id, journal_dir=wreck / "runs", cache=cache)
-        assert audit.ok  # orphaned cache entries heal on resume
+        assert audit.ok  # orphaned cache entries heal on a rerun
         if dies_at == 4:
             # The cells of that batch: cached, their "completed" lines lost.
             assert audit.orphaned and not replay.completed
 
+        hits = sum(
+            cache.status(fp) == "hit" for fp in fresh.fingerprints.values()
+        )
         with ExperimentEngine(workers=2, cache=wreck, handle_signals=False) as engine:
-            resumed = engine.resume(run_id, jobs, total_nodes=256, configs=configs)
-            # Cells whose entry reached the cache before the crash are
-            # hits; the rest are dispatched again.
-            assert engine.stats.cache_hits + engine.stats.simulated == len(configs)
+            # The same call again: cells whose entry reached the cache
+            # before the crash are hits; only the rest are dispatched.
+            resumed = engine.run(jobs, total_nodes=256, configs=configs)
+            assert engine.stats.run_id == run_id
+            assert engine.stats.cache_hits == hits
+            assert engine.stats.simulated == len(configs) - hits
+        assert read_journal(journal_path(wreck / "runs", run_id)).resumes == 1
         assert resumed.fingerprints == fresh.fingerprints
         for key, cell in fresh.cells.items():
             assert resumed.cells[key].objective == cell.objective, key
@@ -479,7 +586,7 @@ class TestComputeRunIdStandalone:
 
 class TestFleetEraJournal:
     """A journal written when runs could execute on a remote fleet and
-    write through to a remote cache still lists, verifies and resumes
+    write through to a remote cache still lists, verifies and continues
     locally under the same run id."""
 
     @staticmethod
@@ -548,7 +655,7 @@ class TestFleetEraJournal:
         assert audit.remaining == [started]
         assert not audit.ok
 
-        grid = engine.resume(run_id, jobs, total_nodes=128, configs=configs)
+        grid = engine.run(jobs, total_nodes=128, configs=configs)
         assert engine.stats.run_id == run_id
         assert engine.stats.simulated == 2
         fresh = ExperimentEngine().run(jobs, total_nodes=128, configs=configs)

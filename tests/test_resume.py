@@ -1,9 +1,11 @@
-"""Crash/resume integration: SIGKILL, graceful SIGINT, manifest drift.
+"""Crash and rerun integration: SIGKILL, graceful SIGINT, id collisions.
 
-The subprocess tests drive ``tests._grid_driver`` — a deliberately slow
-journaled grid — kill it mid-run, then resume the same journal in this
-process and check the stitched result is bit-identical to an
-uninterrupted run.
+A rerun of the same call is the resume: the run id hashes the grid's
+inputs, so the rerun continues the interrupted run's journal and the
+cache serves every cell that finished.  The subprocess tests drive
+``tests._grid_driver`` — a deliberately slow journaled grid — kill it
+mid-run, then make the same call in this process and check the stitched
+result is bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import pytest
 from repro.experiments.engine import ExperimentEngine, ResultCache
 from repro.experiments.journal import (
     ManifestMismatchError,
-    UnknownRunError,
+    RunInterrupted,
+    RunJournal,
     journal_path,
     list_runs,
     read_journal,
@@ -93,6 +96,15 @@ def slow_rows():
             unregister_row(config.row)
 
 
+def _cached_cells(engine: ExperimentEngine, jobs, **kwargs) -> int:
+    """How many of the grid's cells have an entry in ``engine``'s cache."""
+    request = engine._prepare(jobs, **kwargs)
+    return sum(
+        engine.cache.status(request.fingerprint(config)) == "hit"
+        for config in request.configs
+    )
+
+
 def _assert_grids_identical(resumed, fresh) -> None:
     """Bit-identical per-cell metrics and fingerprints (not wall times)."""
     assert set(resumed.cells) == set(fresh.cells)
@@ -119,28 +131,30 @@ class TestSigkillResume:
         replay = read_journal(journal)
         assert len(replay.completed) >= done_at_kill
         assert not replay.complete  # the kill genuinely interrupted the run
+        assert replay.resumes == 0
 
-        # Resume in this process: completed cells come from the cache,
-        # only the remainder is re-simulated.
+        # Rerun the same call in this process: the cells the cache holds
+        # are hits, only the others are simulated.
         engine = ExperimentEngine(
             workers=1, cache=cache_dir, handle_signals=False
         )
-        resumed = engine.resume(
-            run_id, make_jobs(), configs=slow_rows, **GRID_KWARGS
-        )
+        kwargs = dict(GRID_KWARGS, configs=slow_rows)
+        cached = _cached_cells(engine, make_jobs(), **kwargs)
+        assert cached >= done_at_kill
+        resumed = engine.run(make_jobs(), **kwargs)
         assert engine.stats.run_id == run_id
-        assert engine.stats.cache_hits + engine.stats.simulated == total
-        assert engine.stats.cache_hits >= done_at_kill
-        assert engine.stats.simulated < total
+        assert engine.stats.cache_hits == cached
+        assert engine.stats.simulated == total - cached
 
         # The stitched grid equals an uninterrupted run, bit for bit.
         fresh_engine = ExperimentEngine(
             workers=1, cache=tmp_path / "fresh-cache", handle_signals=False
         )
-        fresh = fresh_engine.run(make_jobs(), configs=slow_rows, **GRID_KWARGS)
+        fresh = fresh_engine.run(make_jobs(), **kwargs)
         _assert_grids_identical(resumed, fresh)
 
-        # The journal closes out clean: complete, zero inconsistencies.
+        # The journal closes out clean: complete, one marker for the one
+        # rerun, zero inconsistencies.
         replay = read_journal(journal)
         assert replay.complete
         assert replay.resumes == 1
@@ -157,8 +171,8 @@ class TestSigkillResume:
         assert summary.completed == total
 
     def test_sigkill_midrun_resume_of_scenario_sweep(self, tmp_path, slow_rows):
-        """A spec-driven sweep survives SIGKILL: the resuming process
-        rebuilds an equal spec, computes the identical run id (the
+        """A spec-driven sweep survives SIGKILL: the rerun in another
+        process rebuilds an equal spec, computes the identical run id (the
         canonical scenario digest is an identity field) and stitches a
         grid bit-identical to an uninterrupted scenario run."""
         total = N_SLOW_ROWS + 1
@@ -178,25 +192,21 @@ class TestSigkillResume:
         engine = ExperimentEngine(
             workers=1, cache=cache_dir, handle_signals=False
         )
-        resumed = engine.resume(
-            run_id,
-            make_jobs(),
-            configs=slow_rows,
-            scenario=make_scenario(),
-            **GRID_KWARGS,
-        )
+        kwargs = dict(GRID_KWARGS, configs=slow_rows, scenario=make_scenario())
+        cached = _cached_cells(engine, make_jobs(), **kwargs)
+        assert cached >= done_at_kill
+        resumed = engine.run(make_jobs(), **kwargs)
         assert engine.stats.run_id == run_id
-        assert engine.stats.cache_hits >= done_at_kill
-        assert engine.stats.simulated < total
+        assert engine.stats.cache_hits == cached
+        assert engine.stats.simulated == total - cached
 
         fresh_engine = ExperimentEngine(
             workers=1, cache=tmp_path / "fresh-cache", handle_signals=False
         )
-        fresh = fresh_engine.run(
-            make_jobs(), configs=slow_rows, scenario=make_scenario(), **GRID_KWARGS
-        )
+        fresh = fresh_engine.run(make_jobs(), **kwargs)
         _assert_grids_identical(resumed, fresh)
-        assert read_journal(journal).complete
+        replay = read_journal(journal)
+        assert replay.complete and replay.resumes == 1
         audit = verify_run(
             run_id,
             journal_dir=cache_dir / "runs",
@@ -204,15 +214,6 @@ class TestSigkillResume:
             grid=resumed,
         )
         assert audit.ok and audit.inconsistencies == 0
-
-    def test_resume_with_wrong_run_id_is_unknown(self, tmp_path, slow_rows):
-        engine = ExperimentEngine(
-            workers=1, cache=tmp_path / "cache", handle_signals=False
-        )
-        with pytest.raises(UnknownRunError):
-            engine.resume(
-                "0" * 12, make_jobs(), configs=slow_rows[:1], **GRID_KWARGS
-            )
 
 
 class TestGracefulShutdown:
@@ -233,7 +234,7 @@ class TestGracefulShutdown:
                 proc.wait(timeout=30)
 
         # The driver exited through the graceful path: status 130, the
-        # resume handle printed, the remainder journaled as interrupted.
+        # run id printed, the remainder journaled as interrupted.
         assert proc.returncode == 130, f"stdout:\n{out}\nstderr:\n{err}"
         assert f"INTERRUPTED {run_id}" in out
         replay = read_journal(journal)
@@ -244,12 +245,18 @@ class TestGracefulShutdown:
         engine = ExperimentEngine(
             workers=1, cache=cache_dir, handle_signals=False
         )
-        resumed = engine.resume(
-            run_id, make_jobs(), configs=slow_rows, **GRID_KWARGS
+        kwargs = dict(GRID_KWARGS, configs=slow_rows)
+        cached = _cached_cells(engine, make_jobs(), **kwargs)
+        assert cached >= 2
+        resumed = engine.run(make_jobs(), **kwargs)
+        assert engine.stats.cache_hits == cached
+        assert engine.stats.simulated == total - cached
+        fresh = ExperimentEngine(workers=1, handle_signals=False).run(
+            make_jobs(), **kwargs
         )
-        assert engine.stats.cache_hits + engine.stats.simulated == total
-        assert engine.stats.cache_hits >= 2
-        assert read_journal(journal).complete
+        _assert_grids_identical(resumed, fresh)
+        replay = read_journal(journal)
+        assert replay.complete and replay.resumes == 1
         audit = verify_run(
             run_id,
             journal_dir=cache_dir / "runs",
@@ -260,7 +267,7 @@ class TestGracefulShutdown:
 
 
 class TestInProcessResume:
-    """Cheap resume-semantics tests that need no subprocess."""
+    """Cheap rerun-semantics tests that need no subprocess."""
 
     @pytest.fixture
     def fast_setup(self, tmp_path):
@@ -278,14 +285,27 @@ class TestInProcessResume:
         return jobs, configs, engine
 
     def test_resume_of_complete_run_is_all_cache_hits(self, fast_setup):
+        """A rerun of a finished run simulates nothing and journals only
+        its ``resumed`` marker: the cells keep their first records."""
         jobs, configs, engine = fast_setup
         first = engine.run(jobs, total_nodes=256, configs=configs)
         run_id = engine.stats.run_id
         assert run_id is not None
-        resumed = engine.resume(run_id, jobs, total_nodes=256, configs=configs)
-        assert engine.stats.simulated == 0
-        assert engine.stats.cache_hits == len(configs)
-        _assert_grids_identical(resumed, first)
+        journal = journal_path(engine.cache.root / "runs", run_id)
+        records = read_journal(journal).records
+        for rerun in (1, 2):
+            again = engine.run(jobs, total_nodes=256, configs=configs)
+            assert engine.stats.run_id == run_id
+            assert engine.stats.simulated == 0
+            assert engine.stats.cache_hits == len(configs)
+            _assert_grids_identical(again, first)
+            replay = read_journal(journal)
+            assert replay.resumes == rerun
+            assert replay.records == records + rerun
+        (summary,) = list_runs(engine.cache.root / "runs")
+        assert summary.status == "complete"
+        assert "2/2 cells" in summary.describe()
+        assert summary.describe().endswith("2 rerun(s)")
 
     def test_run_id_for_predicts_the_journaled_id(self, fast_setup):
         jobs, configs, engine = fast_setup
@@ -294,35 +314,50 @@ class TestInProcessResume:
         assert engine.stats.run_id == predicted
 
     def test_manifest_drift_refuses_resume(self, fast_setup):
+        """A journal under the run's id that belongs to another grid (a
+        simulated run-id prefix collision) is refused, byte for byte
+        untouched, before any cell runs."""
         jobs, configs, engine = fast_setup
-        engine.run(jobs, total_nodes=256, configs=configs)
-        run_id = engine.stats.run_id
+        run_id = engine.run_id_for(jobs, total_nodes=256, configs=configs)
+        journal = journal_path(engine.cache.root / "runs", run_id)
+        manifest = engine._prepare(jobs, total_nodes=256, configs=configs).manifest
+        with RunJournal.create(journal, {**manifest, "weighted": True}) as other:
+            other.record_cell("fcfs/easy", "completed", objective=1.0)
+        before = journal.read_bytes()
         with pytest.raises(ManifestMismatchError) as excinfo:
-            engine.resume(run_id, jobs, total_nodes=512, configs=configs)
-        assert set(excinfo.value.diffs) == {"total_nodes"}
+            engine.run(jobs, total_nodes=256, configs=configs)
+        assert set(excinfo.value.diffs) == {"weighted"}
+        assert journal.read_bytes() == before
+        assert _cached_cells(engine, jobs, total_nodes=256, configs=configs) == 0
 
-    def test_resume_without_journal_root_rejected(self):
-        from repro.experiments.paper import probabilistic_workload
 
-        engine = ExperimentEngine(workers=1, handle_signals=False)
-        with pytest.raises(ValueError, match="journal"):
-            engine.run(
-                probabilistic_workload(20, seed=1), resume_run_id="0" * 12
+class TestCliRerun:
+    def test_resume_flag_is_gone(self, capsys):
+        from repro.experiments.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table3", "--resume", "0" * 12])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --resume" in capsys.readouterr().err
+
+    def test_interrupt_prints_the_command_to_rerun(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.experiments import cli
+
+        def interrupted(experiment_id, **kwargs):
+            raise RunInterrupted(
+                "ab" * 6, signal_name="SIGTERM", completed=3, remaining=10
             )
 
-    def test_run_experiment_refuses_unmatched_resume_id(self, tmp_path):
-        from repro.experiments.paper import run_experiment
-
-        engine = ExperimentEngine(cache=tmp_path)
-        result = run_experiment("table4", scale=60, engine=engine)
-        run_id = result.run_ids["unweighted"]
-        # Same inputs: the matching regime resumes, everything is cached.
-        resumed = run_experiment(
-            "table4", scale=60, engine=engine, resume_run_id=run_id
+        monkeypatch.setattr(cli, "run_experiment", interrupted)
+        cache = tmp_path / "a cache"
+        argv = ["table3", "--scale", "40", "--cache-dir", str(cache)]
+        assert cli.main(argv) == 130
+        err = capsys.readouterr().err
+        assert "interrupted by SIGTERM" in err
+        assert "rerun the same call to continue run abababababab" in err
+        assert (
+            f"rerun with: repro-experiments table3 --scale 40 --cache-dir "
+            f"'{cache}'" in err
         )
-        assert resumed.run_ids["unweighted"] == run_id
-        # Drifted inputs: refuse loudly instead of silently running fresh.
-        with pytest.raises(UnknownRunError, match="matches no regime"):
-            run_experiment(
-                "table4", scale=70, engine=engine, resume_run_id=run_id
-            )

@@ -8,7 +8,8 @@ Covers the :mod:`repro.scenarios` contract:
   tested with hypothesis across pickle round-trips;
 * JSON round-trips, registry errors, component validation;
 * the genuinely new :class:`LoadSurge` component flows end to end
-  (engine fan-out, cache hit on re-run, resume, rendered tables) with
+  (engine fan-out, cache hit on a rerun that continues the run's journal,
+  rendered tables) with
   zero wiring outside ``repro/scenarios/``;
 * the CLI's ``--scenario`` file reading and the ``--list-runs`` note
   about journals whose cache entries were evicted.
@@ -423,12 +424,15 @@ class TestLoadSurgeEndToEnd:
         return jobs, spec, configs, engine
 
     def test_engine_fanout_cache_resume_and_tables(self, setup):
+        from repro.experiments.journal import journal_path, read_journal
         from repro.experiments.tables import format_grid
 
         jobs, spec, configs, engine = setup
         baseline = engine.run(jobs, total_nodes=NODES, configs=configs)
         surged = engine.run(jobs, total_nodes=NODES, configs=configs, scenario=spec)
         run_id = engine.stats.run_id
+        journal = journal_path(engine.cache.root / "runs", run_id)
+        records = read_journal(journal).records
         assert surged.fingerprints != baseline.fingerprints
         assert surged.cells.keys() == baseline.cells.keys()
 
@@ -438,11 +442,12 @@ class TestLoadSurgeEndToEnd:
         assert engine.stats.cache_hits == len(configs)
         assert again.fingerprints == surged.fingerprints
 
-        # Resume under the same spec stitches the identical grid.
-        resumed = engine.resume(
-            run_id, jobs, total_nodes=NODES, configs=configs, scenario=spec
-        )
-        assert resumed.fingerprints == surged.fingerprints
+        # The rerun continued the surged run's journal: one ``resumed``
+        # marker, no second record of any cell.
+        replay = read_journal(journal)
+        assert engine.stats.run_id == run_id
+        assert replay.resumes == 1 and replay.complete
+        assert replay.records == records + 1
 
         # The rendered table carries the surged stream (50 base jobs
         # plus the 20-job flash crowd) and its objectives.
@@ -545,10 +550,10 @@ class TestCli:
         assert "note:" not in out
 
         # Evict the journaled cells (what a CACHE_VERSION bump does) and
-        # the listing says resume will re-simulate them.
+        # the listing says a rerun will re-simulate them.
         for fingerprint in grid.fingerprints.values():
             engine.cache.path(fingerprint).unlink()
         assert main(["--list-runs", "--cache-dir", str(cache_dir)]) == 0
         out = capsys.readouterr().out
         assert f"note: run {run_id} references 1 completed cell(s)" in out
-        assert "--resume will re-simulate them" in out
+        assert "a rerun will re-simulate them" in out

@@ -64,13 +64,14 @@ REMOVED_KEYWORDS = [
     ("ExperimentEngine", "heartbeat_timeout", 60.0),
     ("ExperimentEngine.run", "failures", None),
     ("ExperimentEngine.run", "recovery", "abandon"),
+    ("ExperimentEngine.run", "resume_run_id", "0" * 12),
     ("ExperimentEngine.run_id_for", "failures", None),
     ("ExperimentEngine.run_id_for", "recovery", "abandon"),
-    ("ExperimentEngine.resume", "recovery", "abandon"),
     ("run_experiment", "use_workload_store", False),
     ("run_experiment", "workers", 2),
     ("run_experiment", "cache", None),
     ("run_experiment", "total_nodes", 128),
+    ("run_experiment", "resume_run_id", "0" * 12),
     ("simulate_cell", "failures", None),
     ("simulate_cell", "cancellations", ()),
 ]
@@ -103,9 +104,6 @@ def test_removed_keyword_raises_type_error(surface, keyword, value):
         "ExperimentEngine.run_id_for": lambda: ExperimentEngine().run_id_for(
             jobs, total_nodes=NODES, **extra
         ),
-        "ExperimentEngine.resume": lambda: ExperimentEngine().resume(
-            "0" * 16, jobs, total_nodes=NODES, **extra
-        ),
         "run_experiment": lambda: run_experiment("table3", scale=20, **extra),
         "simulate_cell": lambda: simulate_cell(
             SchedulerConfig("fcfs", "easy"), jobs, total_nodes=NODES, **extra
@@ -113,6 +111,16 @@ def test_removed_keyword_raises_type_error(surface, keyword, value):
     }
     with pytest.raises(TypeError, match=f"unexpected keyword.*'{keyword}'"):
         calls[surface]()
+
+
+def test_the_second_resume_path_is_gone():
+    """A rerun of the same call is the resume: no method or journal
+    constructor offers another way in."""
+    from repro.experiments import ExperimentEngine
+    from repro.experiments.journal import RunJournal
+
+    assert not hasattr(ExperimentEngine, "resume")
+    assert not hasattr(RunJournal, "open_resume")
 
 
 def test_cancellations_are_no_longer_positional():
