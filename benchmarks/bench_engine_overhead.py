@@ -1,17 +1,19 @@
 """Dispatch-overhead benchmarks for the parallel experiment engine.
 
 The engine fans the paper's 13-cell grid out over a process pool it keeps
-for all its grids; cells travel as the workload's digest and the packed
-stream is spooled once per pool, for workers to hydrate on their first
-cell of it.  These benchmarks price that path:
+for all its grids; the packed stream goes down each worker's pipe once
+per grid, and a cell message carries only the cell's config.  These
+benchmarks price that path:
 
-* **payload bytes per cell** — the 64-char digest each cell carries, plus
-  the packed buffer spooled once per pool (``store_bytes_per_cell`` is
-  gated "must not grow" by ``check_regression.py``);
+* **payload bytes per cell** — the 64-char digest that names a stream,
+  plus the packed buffer sent once per worker per grid
+  (``store_bytes_per_cell`` is gated "must not grow" by
+  ``check_regression.py``);
 * **pack / unpack / fingerprint throughput** — the fixed costs the store
   adds on the way in;
-* **store dispatch** (script mode) — wall clock of a grid's round-trip
-  through the spool on a pool an earlier grid already warmed;
+* **store dispatch** (script mode) — wall clock of the engine's pool loop
+  running a grid of no-op cells on workers an earlier grid already
+  started;
 * **journal append** — the fsynced per-cell cost of the run journal, the
   price every journaled cell pays for crash tolerance.
 
@@ -27,6 +29,7 @@ import pickle
 import random
 import tempfile
 import time
+import types
 from pathlib import Path
 
 from repro.core.job import Job
@@ -181,49 +184,49 @@ def test_journal_append_fsynced(benchmark):
 # -- real pool round-trips (script mode) -----------------------------------------
 
 
-def _store_cell(digest):
-    from repro.experiments.workload_store import resolve_worker_workload
-
-    return len(resolve_worker_workload(digest))
+def _noop_cell(request, jobs):
+    """A worker's cell that simulates nothing: it reports the stream length."""
+    return types.SimpleNamespace(objective=float(len(jobs)))
 
 
 def measure_pool_dispatch(jobs: list[Job], workers: int = 2) -> float:
     """Wall clock of a second grid's worth of no-op cells on a warm pool.
 
     The engine keeps one pool for all its grids, so what a grid costs in
-    dispatch is what it costs on workers that already run: spool the new
-    stream once, then per cell the digest out and the answer back, with
-    one validated hydration per worker.  A first grid (another stream)
-    forks and warms the workers outside the timed section.
+    dispatch is what it costs on workers that already run.  This times
+    the engine's own loop (``PoolRun.execute``) over the paper's 13 cells:
+    pack the new stream, send it once to each worker, which checks its
+    digest and unpacks it, then per cell a config out and an answer back.
+    A first grid (another stream) starts the workers outside the timed
+    section; the workers' simulation is a no-op, so only dispatch is timed.
     """
-    from concurrent.futures import ProcessPoolExecutor
+    from repro.experiments import pool as pool_module
+    from repro.experiments.engine import ExperimentEngine
+    from repro.experiments.lifecycle import GridRun
+    from repro.schedulers.registry import paper_configurations
 
-    from repro.experiments.pool import pool_context
-    from repro.experiments.workload_store import (
-        WorkloadStore,
-        init_worker,
-        spool_workload,
-    )
+    configs = list(paper_configurations())
+    assert len(configs) == N_CELLS
 
-    store = WorkloadStore()
-    streams = [jobs[: len(jobs) // 2], jobs]
-    digests = [fingerprint_jobs(stream) for stream in streams]
-    packed = [store.register(d, stream) for d, stream in zip(digests, streams)]
+    def grid(engine, stream):
+        request = engine._prepare(stream, total_nodes=256, configs=configs)
+        run = GridRun(request, cache=None, on_event=None, journal_root=None)
+        pending = [(config, request.fingerprint(config)) for config in configs]
+        return run, pool_module.PoolRun(engine, run, pending)
 
-    with tempfile.TemporaryDirectory(prefix="repro-bench-pool-") as spool:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=pool_context(),
-            initializer=init_worker,
-            initargs=(spool,),
-        ) as pool:
-            spool_workload(spool, digests[0], packed[0])
-            list(pool.map(_store_cell, [digests[0]] * N_CELLS))
+    saved = pool_module._simulate
+    pool_module._simulate = _noop_cell  # set before the pool forks its workers
+    try:
+        with ExperimentEngine(workers=workers) as engine:
+            grid(engine, jobs[: len(jobs) // 2])[1].execute()
+            run, pool_run = grid(engine, jobs)
             t0 = time.perf_counter()
-            spool_workload(spool, digests[1], packed[1])
-            counts = list(pool.map(_store_cell, [digests[1]] * N_CELLS))
+            leftovers = pool_run.execute()
             elapsed = time.perf_counter() - t0
-    assert counts == [len(jobs)] * N_CELLS
+    finally:
+        pool_module._simulate = saved
+    assert leftovers == [] and run.stats.retries == 0
+    assert [cell.objective for cell in run.results.values()] == [len(jobs)] * N_CELLS
     return elapsed
 
 

@@ -16,7 +16,7 @@ fields, byte masks for the two optional fields — so that
 * :func:`fingerprint_packed` can digest it column-wise without
   materialising :class:`Job` objects, byte-identical to
   :func:`repro.experiments.engine.fingerprint_jobs`, and
-* workers hydrate it exactly once per pool lifetime (see
+* each pool worker unpacks it once per grid (see
   :class:`repro.experiments.workload_store.WorkloadStore`).
 
 ``pack_jobs`` / ``unpack_jobs`` round-trip bit-identically: every field of
@@ -84,7 +84,7 @@ class PackedJobs:
 
     Instances pickle as raw column buffers (``__reduce__``): a packed
     5 000-job workload costs about one pickled job tuple — but it ships
-    once per pool lifetime instead of once per cell, and hydrates without
+    once per worker per grid instead of once per cell, and hydrates without
     running 5 000 dataclass ``__init__``/``__post_init__`` validations
     per cell.
     """

@@ -14,8 +14,8 @@ three steps, one object each:
   one run mutates (grid, stats, results, journal, interrupt flag);
 * **dispatch** — cache misses run in process (one worker) or through a
   :class:`~repro.experiments.pool.PoolRun` on the engine's kept
-  :class:`~repro.experiments.pool.WorkerPool`: leases, stopped
-  workers, retries, rebuilds and the serial fallback.
+  :class:`~repro.experiments.pool.WorkerPool`: leases, dead and
+  stopped workers, retries, replacements and the serial fallback.
 
 Fingerprints live in :mod:`repro.experiments.fingerprint`, the result
 cache in :mod:`repro.experiments.backends.cache`; this module re-exports
@@ -37,7 +37,6 @@ over this engine, so all existing callers share the same execution path.
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
@@ -57,11 +56,7 @@ from repro.experiments.runner import (
     ProgressFn,
     simulate_cell,
 )
-from repro.experiments.workload_store import (
-    WorkloadMemo,
-    WorkloadStore,
-    resolve_worker_workload,
-)
+from repro.experiments.workload_store import WorkloadMemo, WorkloadStore
 from repro.schedulers.registry import (
     SchedulerConfig,
     paper_configurations,
@@ -94,13 +89,14 @@ __all__ = [
 class CellRequest(NamedTuple):
     """Everything a worker needs to simulate one cell, by name.
 
-    The picklable task payload.  ``digest`` names the packed workload
-    the worker hydrates from its pool's spool; ``scenario`` is the
+    ``digest`` names the compiled job stream; ``scenario`` is the
     *compiled* disturbance bundle (``None``: healthy baseline) and
     ``cancel_over_limit`` its estimate-limit kill flag; ``backend``
-    selects the worker's queue walks (bit-identical results, so
-    it never enters a fingerprint).  The worker rebuilds the scheduler
-    from its own registry by ``config``'s row/column keys.
+    selects the queue walks (bit-identical results, so it never enters
+    a fingerprint).  Every field but ``config`` is the grid's: a pool
+    worker gets them once per grid with the packed stream, then one
+    ``config`` per cell, and rebuilds the scheduler from its own
+    registry by the config's row/column keys.
     """
 
     config: SchedulerConfig
@@ -199,22 +195,6 @@ def _simulate(request: CellRequest, jobs: "Sequence[Job]") -> CellResult:
     )
 
 
-def _run_cell_task(request: CellRequest) -> tuple[str, CellResult, float]:
-    """Worker entry point: simulate one cell, return (key, result, wall).
-
-    ``request.digest`` is resolved against the process-global workload
-    cache (hydrated from the pool's spool on first use), and the
-    scheduler is rebuilt from the registry inside the worker — with the
-    fork start method the child inherits user registrations made before
-    its pool was forked, and the engine re-forks a pool the registry has
-    changed under — so nothing unpicklable crosses the process boundary.
-    """
-    jobs = resolve_worker_workload(request.digest)
-    t0 = time.perf_counter()
-    cell = _simulate(request, jobs)
-    return request.config.key, cell, time.perf_counter() - t0
-
-
 # -- the engine ----------------------------------------------------------------
 
 
@@ -233,15 +213,16 @@ class ExperimentEngine:
         Callback receiving every :class:`ProgressEvent`.
     cell_timeout:
         Per-cell wall-clock budget in seconds (parallel runs only).  A
-        cell still unfinished past it is presumed hung: the pool is torn
-        down, the overdue cell charged a retry, and every other in-flight
-        cell resubmitted for free.  ``None`` (the default) never times out.
-        It is the only guard against a worker that runs but never
-        finishes: a crashed worker breaks the pool, and the pool asks the
-        kernel for a stopped one (``WorkerPool.stopped``).  The retry
-        and rebuild budgets are constants of :mod:`repro.experiments.pool`;
-        a cell that spends its retries runs in process, where a
-        deterministic error surfaces and a flaky one recovers.
+        cell still unfinished past it is presumed hung: its worker is
+        killed and replaced, the overdue cell charged a retry, and the
+        cell waiting behind it requeued for free; the other workers keep
+        running.  ``None`` (the default) never times out.  It is the only
+        guard against a worker that runs but never finishes: the pool
+        sees a dead worker's process sentinel and asks the kernel for a
+        stopped one (``WorkerPool.stopped``).  The retry and replacement
+        budgets are constants of :mod:`repro.experiments.pool`; a cell
+        that spends its retries runs in process, where a deterministic
+        error surfaces and a flaky one recovers.
     journal_dir:
         Directory for run journals.  ``None`` (the default) journals
         under ``<cache root>/runs`` when a cache is configured, and not
@@ -270,8 +251,8 @@ class ExperimentEngine:
     :class:`~repro.experiments.lifecycle.GridRun`.  Between runs the
     engine also keeps its local worker pool alive, so a sweep of many
     grids forks its workers once: :meth:`close` (or ``with engine:``)
-    stops them, and an engine that is dropped or still open at
-    interpreter exit is closed by a finalizer.
+    stops them, and the pool of an engine that is dropped or still open
+    at interpreter exit stops its workers itself.
     """
 
     def __init__(
@@ -301,10 +282,8 @@ class ExperimentEngine:
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         self.handle_signals = handle_signals
         self.stats = RunStats()
-        #: The started, idle pool kept between runs (see :meth:`borrow_pool`),
-        #: and the finalizer that stops it if the engine is dropped first.
+        #: The started, idle pool kept between runs (see :meth:`borrow_pool`).
         self._pool: WorkerPool | None = None
-        self._pool_finalizer: weakref.finalize | None = None
 
     # -- the worker pool --------------------------------------------------------
 
@@ -314,37 +293,34 @@ class ExperimentEngine:
         The pool kept from an earlier run when there is one — unless the
         scheduler registry changed since its workers were forked, which
         they could not see — else a newly started one.  The borrower
-        either hands it back (:meth:`return_pool`, its executor is
+        either hands it back (:meth:`return_pool`, its workers are
         healthy) or closes it; the engine keeps no reference
-        meanwhile, so a pool that broke or was interrupted is never
+        meanwhile, so a pool that gave up or was interrupted is never
         reused.
         """
         pool, self._pool = self._pool, None
-        if pool is not None:
-            self._pool_finalizer.detach()
-            if pool.generation != registry_generation():
-                pool.close()
-                pool = None
+        if pool is not None and pool.generation != registry_generation():
+            pool.close()
+            pool = None
         if pool is None:
             from repro.experiments.pool import WorkerPool
 
-            pool = WorkerPool(workers=self.workers, store=self.workload_store)
+            pool = WorkerPool(workers=self.workers)
         return pool
 
     def return_pool(self, pool: WorkerPool) -> None:
         """Keep a started, idle pool for the next run (see :meth:`borrow_pool`)."""
         self.close()  # at most one is kept: two overlapping runs each had one
         self._pool = pool
-        self._pool_finalizer = weakref.finalize(self, pool.close)
 
     def close(self) -> None:
         """Stop the worker pool kept between runs (idempotent).
 
         The engine stays usable: the next parallel run starts a new pool.
         """
-        if self._pool is not None:
-            self._pool = None
-            self._pool_finalizer()  # runs pool.close() once and retires itself
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close()
 
     def __enter__(self) -> "ExperimentEngine":
         return self

@@ -250,6 +250,9 @@ class JournalReplay:
     torn_tail: bool = False
     #: Number of ``resumed`` markers seen (reruns that continued it).
     resumes: int = 0
+    #: Wall-clock ``at`` of the last ``resumed`` marker (``None``: never
+    #: continued).
+    last_resumed: float | None = None
     records: int = 0
 
     @property
@@ -315,6 +318,8 @@ def read_journal(path: str | Path) -> JournalReplay:
                 replay.manifest = payload
         elif kind == "resumed":
             replay.resumes += 1
+            if isinstance(payload.get("at"), (int, float)):
+                replay.last_resumed = float(payload["at"])
         elif kind == "cell":
             key = str(payload.get("key"))
             cell = replay.cells.get(key)
@@ -511,6 +516,8 @@ class RunSummary:
     run_id: str
     workload_name: str
     created: float
+    #: When the run was last attempted: its last rerun, else ``created``.
+    last_attempt: float
     total: int
     completed: int
     status: str  # "complete" | "interrupted" | "incomplete" | "corrupt"
@@ -519,7 +526,7 @@ class RunSummary:
     path: Path | None = None
 
     def describe(self) -> str:
-        when = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(self.created))
+        when = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(self.last_attempt))
         extra = f", {self.resumes} rerun(s)" if self.resumes else ""
         torn = ", torn tail dropped" if self.torn_tail else ""
         return (
@@ -529,7 +536,9 @@ class RunSummary:
 
 
 def list_runs(journal_dir: str | Path) -> list[RunSummary]:
-    """Summarize every journal under ``journal_dir``, newest first.
+    """Summarize every journal under ``journal_dir``, the most recently
+    attempted first (a rerun continues its journal, so a journal's
+    ``created`` is its first attempt).
 
     Unreadable journals are listed as ``corrupt`` rather than hidden —
     an operator deciding what to rerun needs to see the wreckage too.
@@ -542,11 +551,13 @@ def list_runs(journal_dir: str | Path) -> list[RunSummary]:
         try:
             replay = read_journal(path)
         except JournalError:
+            mtime = path.stat().st_mtime
             summaries.append(
                 RunSummary(
                     run_id=path.stem,
                     workload_name="?",
-                    created=path.stat().st_mtime,
+                    created=mtime,
+                    last_attempt=mtime,
                     total=0,
                     completed=0,
                     status="corrupt",
@@ -562,11 +573,13 @@ def list_runs(journal_dir: str | Path) -> list[RunSummary]:
             status = "interrupted"
         else:
             status = "incomplete"
+        created = float(replay.manifest.get("created", path.stat().st_mtime))
         summaries.append(
             RunSummary(
                 run_id=replay.run_id or path.stem,
                 workload_name=str(replay.manifest.get("workload_name", "?")),
-                created=float(replay.manifest.get("created", path.stat().st_mtime)),
+                created=created,
+                last_attempt=max(created, replay.last_resumed or created),
                 total=total,
                 completed=completed,
                 status=status,
@@ -575,7 +588,7 @@ def list_runs(journal_dir: str | Path) -> list[RunSummary]:
                 path=path,
             )
         )
-    summaries.sort(key=lambda s: s.created, reverse=True)
+    summaries.sort(key=lambda s: s.last_attempt, reverse=True)
     return summaries
 
 

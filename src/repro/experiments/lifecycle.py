@@ -74,8 +74,8 @@ class RunStats:
     wall_time: float = 0.0
     #: Worker-side retries (crashes or timeouts) during this run.
     retries: int = 0
-    #: Pool rebuilds forced by broken or hung workers.
-    pool_rebuilds: int = 0
+    #: Pool workers replaced after they died, stopped or overran a lease.
+    worker_replacements: int = 0
     #: Cells that fell back to in-process serial execution.
     degraded_cells: int = 0
     #: "local-pool" when cells ran on the worker pool, else "serial".

@@ -1,15 +1,16 @@
 """The engine's worker pool and the one loop that runs a grid on it.
 
-:class:`WorkerPool` is the ``ProcessPoolExecutor`` the engine keeps
-between runs.  :class:`PoolRun` is the loop of one run: submit every
-cell, wait with the per-cell lease (``cell_timeout``), and when a worker
-crashed (``BrokenProcessPool``), a lease expired or the kernel reports a
-worker stopped, tear the executor down, charge the culprits a retry,
-requeue the cells beside them uncharged and rebuild, at most
-:data:`MAX_POOL_REBUILDS` times.  What the pool could not finish runs in
-the engine's process.  A fingerprint has at most one live future and a
-torn-down executor's futures are dropped unread, so a cell is recorded
-exactly once.  See docs/architecture.md, "The pool loop".
+:class:`WorkerPool` is the set of worker processes the engine keeps
+between runs: each :class:`Worker` is forked once, talks to the parent
+over one duplex pipe, and holds at most one running cell plus one
+waiting in its pipe.  :class:`PoolRun` is the loop of one run: fill the
+workers, wait on their pipes and process sentinels, and when a worker
+died, stopped or overran its lease (``cell_timeout``), charge that
+worker's running cell a retry, requeue its waiting cell uncharged and
+replace that worker alone, at most :data:`MAX_WORKER_REPLACEMENTS` times.
+What the pool could not finish runs in the engine's process.  The parent
+knows which cell each worker holds, so a cell is recorded exactly once.
+See docs/architecture.md, "The pool loop".
 """
 
 from __future__ import annotations
@@ -17,33 +18,31 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import pickle
 import random
-import shutil
-import tempfile
+import signal
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Iterable, NoReturn
+from multiprocessing import connection, util
+from typing import TYPE_CHECKING, NoReturn
 
-from repro.experiments.engine import CellRequest, _run_cell_task
+from repro.core.packing import PackedJobs, fingerprint_packed, unpack_jobs
+from repro.experiments.engine import CellRequest, _simulate
 from repro.experiments.runner import import_simulation_stack
-from repro.experiments.workload_store import init_worker, spool_workload
 from repro.schedulers.registry import SchedulerConfig, registry_generation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.engine import ExperimentEngine
     from repro.experiments.lifecycle import GridRun
-    from repro.experiments.workload_store import WorkloadStore
 
-__all__ = ["PoolRun", "WorkerPool", "pool_context", "retry_pause"]
+__all__ = ["PoolRun", "Worker", "WorkerPool", "pool_context", "retry_pause"]
 
 #: Pool retries of a cell after its first attempt; one more failure sends it
 #: to the engine's process.
 MAX_RETRIES = 2
 #: Base pause before a cell's first retry, in seconds (see :func:`retry_pause`).
 RETRY_BACKOFF = 0.5
-#: Executor rebuilds in one run before the rest of it runs in process.
-MAX_POOL_REBUILDS = 2
+#: Workers replaced in one run before the rest of it runs in process.
+MAX_WORKER_REPLACEMENTS = 2
 #: Longest wait while cells are in flight, in seconds: each wake looks for a
 #: stopped worker and notices a SIGINT/SIGTERM flag, though blocking waits
 #: resume after a handler runs (PEP 475).
@@ -65,92 +64,150 @@ def retry_pause(backoff: float, attempt: int, rng: random.Random) -> float:
     return backoff * 2 ** (attempt - 1) * rng.uniform(0.5, 1.5)
 
 
-class WorkerPool:
-    """The engine's kept executor, started on construction.
+def _serve(conn: connection.Connection, inherited: list) -> None:
+    """A worker's loop: a grid payload, then cells of that grid.
 
-    The simulation stack is imported before the workers fork, so they
-    inherit it.  ``dir`` holds the workload spool (``<digest>.jobs``,
-    written on the first cell of a digest and read by a worker on its
-    first miss); ``generation`` is the scheduler-registry generation the
-    workers were forked under.
+    ``inherited`` are the parent's ends of this worker's pipe and of its
+    siblings', copied by the fork: closed here, so the parent's death is
+    an EOF on ``recv`` (or a broken pipe on ``send``) and the worker
+    exits instead of waiting forever.  The parent owns the interrupt, so
+    a worker ignores SIGINT (a terminal sends it to the whole group).
+
+    A payload is ``(template, packed)``: the grid's
+    :class:`~repro.experiments.engine.CellRequest` without a config, and
+    the packed stream, trusted only once it hashes to the digest the
+    template names.  A cell message is its config; the reply is
+    ``(cell, wall)``, or the ``repr`` of what the cell raised.
+    """
+    for end in inherited:
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    template: CellRequest | None = None
+    jobs = None
+    try:
+        while True:
+            message = conn.recv()
+            if not isinstance(message, SchedulerConfig):
+                template, packed = message
+                jobs = None  # only the current grid's payload is kept
+                if isinstance(packed, PackedJobs) and (
+                    fingerprint_packed(packed) == template.digest
+                ):
+                    jobs = unpack_jobs(packed)
+                continue
+            t0 = time.perf_counter()
+            try:
+                if jobs is None:
+                    raise RuntimeError(
+                        f"the payload sent for workload {template.digest[:12]}... "
+                        f"does not hold that workload; refusing to simulate it"
+                    )
+                cell = _simulate(template._replace(config=message), jobs)
+                reply: object = (cell, time.perf_counter() - t0)
+            except Exception as exc:
+                reply = repr(exc)
+            conn.send(reply)
+    except (EOFError, OSError):
+        return  # the parent is gone
+
+
+class Worker:
+    """One owned worker process and what the parent gave it.
+
+    ``cells`` are the fingerprints in flight, the running one first and
+    at most one waiting in the pipe behind it; ``lease`` is the running
+    cell's ``perf_counter`` deadline, and ``grid`` the template of the
+    payload the worker holds.
     """
 
-    def __init__(self, *, workers: int, store: "WorkloadStore") -> None:
-        self.workers = max(1, workers)
-        self.store = store
-        import_simulation_stack()
-        self.dir: str | None = tempfile.mkdtemp(prefix="repro-pool-")
-        #: Digests already spooled into ``dir``.
-        self.spooled: set[str] = set()
-        self.generation = registry_generation()
-        self.executor: ProcessPoolExecutor | None = None
-        self.rebuild()
+    __slots__ = ("process", "conn", "cells", "lease", "grid")
+
+    def __init__(self, process: multiprocessing.process.BaseProcess,
+                 conn: connection.Connection) -> None:
+        self.process = process
+        self.conn = conn
+        self.cells: list[str] = []
+        self.lease = math.inf
+        self.grid: CellRequest | None = None
+
+    @property
+    def pid(self) -> int:
+        return self.process.pid  # type: ignore[return-value]
 
     def kill(self) -> None:
-        """Tear the executor down without waiting for its workers.
+        """SIGKILL (a stopped or stuck worker acts on nothing else), reap,
+        and close the pipe."""
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
 
-        The process table must be captured *before* ``shutdown`` — it
-        nulls ``_processes``.  Workers are SIGKILLed: one stuck in a
-        simulation never notices a shutdown request, and a SIGSTOPped one
-        never acts on SIGTERM.  A surviving worker keeps the executor's
-        manager thread alive, which ``concurrent.futures`` joins at
-        interpreter exit: the process would hang after its grid finished.
-        """
-        if self.executor is None:
-            return
-        procs = list((self.executor._processes or {}).values())
-        self.executor.shutdown(wait=False, cancel_futures=True)
-        self.executor = None
-        for proc in procs:
-            try:
-                proc.kill()
-            except (OSError, ValueError):  # pragma: no cover - already dead
-                pass
+    def exit_reason(self) -> str:
+        """How the reaped worker ended, for a retry's reason."""
+        code = self.process.exitcode or 0
+        if code < 0:
+            return f"worker {self.pid} killed by {signal.Signals(-code).name}"
+        return f"worker {self.pid} exited with status {code}"
 
-    def rebuild(self) -> None:
-        """Replace the executor with a fresh one, whose workers hydrate
-        from the spool like the first."""
-        self.kill()
-        self.executor = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=pool_context(),
-            initializer=init_worker,
-            initargs=(self.dir,),
+
+def _kill_all(workers: list[Worker]) -> None:
+    for worker in workers:
+        worker.kill()
+    workers.clear()
+
+
+class WorkerPool:
+    """The engine's kept workers, started on construction.
+
+    The simulation stack is imported before the workers fork, so they
+    inherit it; ``generation`` is the scheduler-registry generation they
+    were forked under.
+    """
+
+    def __init__(self, *, workers: int) -> None:
+        import_simulation_stack()
+        self.generation = registry_generation()
+        self.workers: list[Worker] = []
+        for _ in range(max(1, workers)):
+            self.workers.append(self.fork())
+        #: ``close()`` kills the workers once; it also runs when the pool
+        #: is dropped, and at exit before ``multiprocessing`` joins them.
+        self.close = util.Finalize(
+            self, _kill_all, args=(self.workers,), exitpriority=0
         )
 
-    def submit(self, request: CellRequest) -> Future:
-        """Spool the cell's workload if needed and submit the cell."""
-        if request.digest not in self.spooled:
-            spool_workload(self.dir, request.digest, self.store.get(request.digest))
-            self.spooled.add(request.digest)
-        return self.executor.submit(_run_cell_task, request)
+    def fork(self) -> Worker:
+        """Start one worker; it closes every parent end it inherits."""
+        context = pool_context()
+        ours, theirs = context.Pipe()
+        inherited = [worker.conn for worker in self.workers] + [ours]
+        process = context.Process(target=_serve, args=(theirs, inherited))
+        process.start()
+        theirs.close()
+        return Worker(process, ours)
 
-    def stopped(self) -> list[int]:
-        """Pids of the executor's workers that the kernel reports stopped.
+    def replace(self, worker: Worker) -> None:
+        """Swap a killed worker for a fresh one."""
+        self.workers[self.workers.index(worker)] = self.fork()
 
-        ``WNOWAIT`` only peeks at a worker's state, so the executor still
-        reaps its own workers.  Without ``os.waitid`` (macOS before Python
-        3.13) nothing is reported, and ``cell_timeout`` is the only guard.
+    def stopped(self) -> list[Worker]:
+        """The workers the kernel reports stopped.
+
+        ``WNOWAIT`` only peeks at a worker's state.  Without ``os.waitid``
+        (macOS before Python 3.13) nothing is reported, and
+        ``cell_timeout`` is the only guard.
         """
-        if self.executor is None or not hasattr(os, "waitid"):
+        if not hasattr(os, "waitid"):
             return []
         flags = os.WSTOPPED | os.WNOHANG | os.WNOWAIT
         stopped = []
-        for pid in list(self.executor._processes or ()):
+        for worker in self.workers:
             try:
-                if os.waitid(os.P_PID, pid, flags) is not None:
-                    stopped.append(pid)
+                if os.waitid(os.P_PID, worker.pid, flags) is not None:
+                    stopped.append(worker)
             except ChildProcessError:  # already reaped
                 pass
         return stopped
-
-    def close(self) -> None:
-        """Kill the workers and remove the scratch directory (idempotent)."""
-        self.kill()
-        self.spooled.clear()
-        if self.dir is not None:
-            shutil.rmtree(self.dir, ignore_errors=True)
-            self.dir = None
 
 
 class PoolRun:
@@ -162,8 +219,8 @@ class PoolRun:
 
     __slots__ = (
         "engine", "run", "config_by_fp", "order", "attempts",
-        "serial_fallback", "rng", "pool", "queue", "futures", "leases",
-        "resubmit_at",
+        "serial_fallback", "rng", "pool", "queue", "resubmit_at",
+        "template", "payload",
     )
 
     def __init__(
@@ -181,30 +238,35 @@ class PoolRun:
         self.serial_fallback: list[str] = []
         self.rng = random.Random()
         self.pool: WorkerPool = None  # type: ignore[assignment]
-        #: Cells waiting for the executor.
+        #: Cells no worker holds yet.
         self.queue: list[str] = []
-        #: The cells in flight, one future each.
-        self.futures: dict[Future, str] = {}
-        #: fp -> perf_counter deadline of an in-flight cell, set at submit.
-        self.leases: dict[str, float] = {}
         #: fp -> perf_counter instant a cell's retry backoff ends.  These
         #: deadlines bound the wait instead of a sleep, so the other cells
         #: keep being collected meanwhile.
         self.resubmit_at: dict[str, float] = {}
+        #: The grid's cell request without a config, and the pickled
+        #: payload (template and packed stream) a worker gets on its first
+        #: cell of the grid.
+        self.template: CellRequest | None = None
+        self.payload = b""
 
     def execute(self) -> list[tuple[SchedulerConfig, str]]:
         """Run the cells on the pool; return the serial leftovers.
 
         Every cell whose retry budget ran out, plus what was unfinished
-        when the rebuild budget ran out, comes back in grid order for
-        in-process execution.  The pool goes back to the engine when its
-        executor is healthy; one that gave up, or that an interrupt or
-        error took the run away from, is closed.
+        when the replacement budget ran out, comes back in grid order for
+        in-process execution.  The pool goes back to the engine when the
+        budget held; one that gave up, or that an interrupt or error took
+        the run away from, is closed.
         """
         run, request = self.run, self.run.request
-        # Zero-copy dispatch: register the packed stream once, ship only
-        # the digest per cell; workers hydrate from the pool's spool.
-        self.engine.workload_store.register(request.digest, request.jobs)
+        # Zero-copy dispatch: pack the stream once and send it to each
+        # worker once; a cell message is only its config.
+        packed = self.engine.workload_store.register(request.digest, request.jobs)
+        self.template = request.cell_request(None, self.engine.backend)  # type: ignore[arg-type]
+        self.payload = pickle.dumps(
+            (self.template, packed), protocol=pickle.HIGHEST_PROTOCOL
+        )
         for fp in self.order:
             run.emit("cell-started", key=self.config_by_fp[fp].key)
         pool = self.pool = self.engine.borrow_pool()
@@ -212,7 +274,7 @@ class PoolRun:
         healthy = False
         try:
             leftovers = self.drive()
-            healthy = run.stats.pool_rebuilds <= MAX_POOL_REBUILDS
+            healthy = run.stats.worker_replacements <= MAX_WORKER_REPLACEMENTS
         finally:
             if healthy:
                 self.engine.return_pool(pool)
@@ -226,132 +288,154 @@ class PoolRun:
                 "engine-degraded",
                 detail=f"{len(serial)} cell(s) fell back to in-process serial "
                 f"execution after {run.stats.retries} retries and "
-                f"{run.stats.pool_rebuilds} pool rebuilds",
+                f"{run.stats.worker_replacements} worker replacements",
             )
         return serial
 
+    def held(self) -> list[str]:
+        """The cells the workers hold, running and waiting."""
+        return [fp for worker in self.pool.workers for fp in worker.cells]
+
     def drive(self) -> list[str]:
-        """The loop; returns the cells left once the rebuild budget is spent."""
+        """The loop; returns the cells left once the replacement budget is
+        spent."""
         self.queue = list(self.order)
-        while self.queue or self.futures or self.resubmit_at:
+        while self.queue or self.resubmit_at or self.held():
             if self.run.interrupted is not None:
                 self.shut_down()
-            self.submit_ready()
-            if self.futures:
-                done, _ = wait(
-                    set(self.futures),
-                    timeout=self.wait_timeout(),
-                    return_when=FIRST_COMPLETED,
-                )
-                alive = self.collect(done) if done else self.expire()
-            elif self.queue:
-                # The executor refused work and nothing runs: rebuild it.
-                alive = self.rebuild()
-            else:
-                # Only backoffs pending: idle until the first ends, a poll
-                # at a time.
-                time.sleep(self.wait_timeout())
-                continue
-            if not alive:
-                return [*self.queue, *self.resubmit_at]
+            if not (self.dispatch() and self.collect()):
+                return [*self.queue, *self.resubmit_at, *self.held()]
         return []
 
     def shut_down(self) -> NoReturn:
         """Journal every unfinished cell ``interrupted`` and raise the
         :class:`~repro.experiments.journal.RunInterrupted`
-        (:meth:`execute` closes the pool)."""
+        (:meth:`execute` closes the pool, killing its workers)."""
         unfinished = {
-            *self.queue, *self.futures.values(), *self.resubmit_at,
-            *self.serial_fallback,
+            *self.queue, *self.held(), *self.resubmit_at, *self.serial_fallback,
         }
         self.run.interrupt(
             [(self.config_by_fp[fp].key, fp) for fp in sorted(unfinished)]
         )
 
-    def submit_ready(self) -> None:
-        """Requeue cells whose backoff ended, then submit the queue (the
-        executor keeps its own backlog)."""
+    def dispatch(self) -> bool:
+        """Requeue cells whose backoff ended, then give every worker a
+        running cell and then a waiting one; False once the replacement
+        budget is spent.
+
+        Only an idle worker is sent the grid payload, so the parent never
+        blocks on a busy one: a cell message fits its pipe.
+        """
         now = time.perf_counter()
         for fp in [f for f, at in self.resubmit_at.items() if at <= now]:
             del self.resubmit_at[fp]
             self.queue.append(fp)
-        cell_timeout = self.engine.cell_timeout
         with self.run.batch():
-            while self.queue:
-                fp = self.queue[0]
-                config = self.config_by_fp[fp]
-                try:
-                    future = self.pool.submit(
-                        self.run.request.cell_request(config, self.engine.backend)
-                    )
-                except RuntimeError:  # broken under us; collect or rebuild
-                    return
-                del self.queue[0]
-                self.futures[future] = fp
-                self.run.journal_cell(config.key, "started", fingerprint=fp)
-                if cell_timeout is not None:
-                    self.leases[fp] = time.perf_counter() + cell_timeout
+            for depth in (0, 1):
+                for worker in list(self.pool.workers):
+                    if not self.queue or len(worker.cells) != depth:
+                        continue
+                    fp = self.queue.pop(0)
+                    try:
+                        if not depth and worker.grid is not self.template:
+                            worker.conn.send_bytes(self.payload)
+                            worker.grid = self.template
+                        worker.conn.send(self.config_by_fp[fp])
+                    except OSError:  # the worker died: fault it
+                        self.queue.insert(0, fp)
+                        if not self.fault(worker, None):
+                            return False
+                        continue
+                    worker.cells.append(fp)
+                    if not depth:
+                        self.start(worker)
+        return True
+
+    def start(self, worker: Worker) -> None:
+        """The worker takes its first cell: journal it, start its lease."""
+        fp = worker.cells[0]
+        self.run.journal_cell(self.config_by_fp[fp].key, "started", fingerprint=fp)
+        timeout = self.engine.cell_timeout
+        worker.lease = math.inf if timeout is None else time.perf_counter() + timeout
 
     def wait_timeout(self) -> float:
         """Seconds until the soonest lease or resubmission, at most
         :data:`POLL_INTERVAL`."""
         now = time.perf_counter()
-        deadlines = [*self.leases.values(), *self.resubmit_at.values()]
+        deadlines = [
+            *(worker.lease for worker in self.pool.workers if worker.cells),
+            *self.resubmit_at.values(),
+        ]
         return max(0.0, min([POLL_INTERVAL, *(at - now for at in deadlines)]))
 
-    def collect(self, done: Iterable[Future]) -> bool:
-        """File finished futures; False once the rebuild budget is spent."""
-        broke = False
+    def collect(self) -> bool:
+        """Wait for a result, a death or a deadline; file results and
+        fault dead, stopped and overdue workers.  False once the
+        replacement budget is spent."""
+        busy = [worker for worker in self.pool.workers if worker.cells]
+        if not busy:
+            if not self.queue:
+                # Only backoffs pending: idle until the first ends, a poll
+                # at a time.
+                time.sleep(self.wait_timeout())
+            return True
+        ready = set(connection.wait(
+            [*(w.conn for w in busy), *(w.process.sentinel for w in busy)],
+            timeout=self.wait_timeout(),
+        ))
         with self.run.batch():
-            for future in done:
-                fp = self.futures.pop(future)
-                self.leases.pop(fp, None)
-                try:
-                    key, cell, wall = future.result()
-                except BrokenProcessPool as exc:
-                    broke = True
-                    self.charge_retry(fp, f"worker crashed: {exc!r}")
-                except Exception as exc:
-                    # The cell raised in a healthy worker: retried (a flaky
-                    # error recovers), then the serial fallback surfaces a
-                    # deterministic one with a direct traceback.
-                    self.charge_retry(fp, f"cell raised: {exc!r}")
-                else:
-                    self.run.record(key, fp, cell, wall)
-        return not broke or self.restart()
+            for worker in busy:
+                if worker.conn in ready:
+                    try:
+                        reply = worker.conn.recv()
+                    except (EOFError, OSError):
+                        if not self.fault(worker, None):
+                            return False
+                        continue
+                    self.file(worker, reply)
+                elif worker.process.sentinel in ready and not self.fault(worker, None):
+                    return False
+            for worker in self.pool.stopped():
+                if not self.fault(worker, f"worker {worker.pid} stopped"):
+                    return False
+            now = time.perf_counter()
+            for worker in [w for w in self.pool.workers if w.lease <= now and w.cells]:
+                why = f"exceeded cell_timeout={self.engine.cell_timeout}s"
+                if not self.fault(worker, why):
+                    return False
+        return True
 
-    def expire(self) -> bool:
-        """The wait timed out: revoke overdue leases — or, when a worker is
-        stopped, the lease of every cell a worker may hold, since no future
-        tells which one the stopped worker holds.  The executor's backlog,
-        which no worker has taken, is requeued uncharged.  False once the
-        rebuild budget is spent."""
-        now = time.perf_counter()
-        stopped = self.pool.stopped()
-        if stopped:
-            # The executor marks a future running when it enters the call
-            # queue, which workers drain in submission order (the order of
-            # ``futures``): the cells the workers hold are among the first
-            # ``workers`` running ones, and the rest wait in the queue.
-            running = [fp for f, fp in self.futures.items() if f.running()]
-            charged = running[: self.pool.workers]
-            reason = f"worker {', '.join(map(str, stopped))} stopped"
+    def file(self, worker: Worker, reply: object) -> None:
+        """A worker answered for its running cell; its waiting cell starts."""
+        fp = worker.cells.pop(0)
+        if isinstance(reply, tuple):
+            cell, wall = reply
+            self.run.record(self.config_by_fp[fp].key, fp, cell, wall)
         else:
-            charged = [
-                fp
-                for fp in self.futures.values()
-                if self.leases.get(fp, math.inf) <= now
-            ]
-            reason = f"exceeded cell_timeout={self.engine.cell_timeout}s"
-        if not charged:
-            return True  # woke for a resubmission or the poll
-        # An executor cannot give up one running future: it is torn down
-        # with the charged cells, and the others resubmit for free.
-        self.futures = {f: fp for f, fp in self.futures.items() if fp not in charged}
-        for fp in sorted(charged):
-            self.leases.pop(fp, None)
-            self.charge_retry(fp, reason)
-        return self.restart()
+            # The cell raised in a healthy worker: retried (a flaky error
+            # recovers), then the serial fallback surfaces a deterministic
+            # one with a direct traceback.
+            self.charge_retry(fp, f"cell raised: {reply}")
+        worker.lease = math.inf
+        if worker.cells:
+            self.start(worker)
+
+    def fault(self, worker: Worker, why: str | None) -> bool:
+        """Kill and reap a dead, stopped or overdue worker; charge its
+        running cell (``why``, or how it ended), requeue its waiting one
+        uncharged and replace it.  False once the replacement budget is
+        spent."""
+        worker.kill()
+        running, *waiting = worker.cells or [None]
+        worker.cells = []
+        self.queue[:0] = waiting
+        if running is not None:
+            self.charge_retry(running, why or worker.exit_reason())
+        self.run.stats.worker_replacements += 1
+        if self.run.stats.worker_replacements > MAX_WORKER_REPLACEMENTS:
+            return False
+        self.pool.replace(worker)
+        return True
 
     def charge_retry(self, fp: str, why: str) -> None:
         """Charge a retry for ``fp``: schedule its resubmission, or send
@@ -373,20 +457,3 @@ class PoolRun:
             detail=f"attempt {attempt}/{MAX_RETRIES}: {why}",
         )
         self.resubmit_at[fp] = time.perf_counter() + pause
-
-    def restart(self) -> bool:
-        """Requeue the cells still in flight uncharged (a broken or
-        torn-down executor dooms them) and rebuild the executor."""
-        for fp in self.futures.values():
-            self.leases.pop(fp, None)
-            self.queue.append(fp)
-        self.futures.clear()
-        return self.rebuild()
-
-    def rebuild(self) -> bool:
-        """Rebuild the executor; False once :data:`MAX_POOL_REBUILDS` is spent."""
-        self.run.stats.pool_rebuilds += 1
-        if self.run.stats.pool_rebuilds > MAX_POOL_REBUILDS:
-            return False
-        self.pool.rebuild()
-        return True

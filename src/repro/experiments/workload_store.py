@@ -1,35 +1,25 @@
 """Zero-copy workload distribution for the experiment engine.
 
 The engine's grid cells all simulate the same job stream, so pickling the
-job tuple into every ``ProcessPoolExecutor`` task would serialize the
-identical workload once per cell and deserialize it once per cell in the
-workers.  The :class:`WorkloadStore` is the engine's only dispatch path —
+job tuple into every cell message would serialize the identical workload
+once per cell and deserialize it once per cell in the workers.  The
+:class:`WorkloadStore` is the engine's only dispatch path —
 register-once/reference-many:
 
 * the parent packs the stream once (:func:`repro.core.packing.pack_jobs`)
   and registers it under its content digest — the same digest the result
   cache already computes, so registration is free of extra hashing;
-* a local pool outlives the grids it runs (one pool per engine), so its
-  workers cannot be seeded when they start: the driver writes the packed
-  buffer once per digest into the pool's scratch directory
-  (:func:`spool_workload`, ``<digest>.jobs``) and a worker hydrates it
-  on its first miss, into a bounded process-global cache — after
-  checking that the bytes hash to the digest they are filed under (a
-  rebuilt worker finds the same file, so crash recovery re-seeds
-  automatically);
-* each cell task then carries only the 64-character digest — 79 bytes
-  per cell against 234,825 for the pickled tuple of a 5,000-job stream
-  (``benchmarks/bench_engine_overhead.py``; decision record in
-  ``docs/architecture.md``) — and workers deserialize the workload once
-  per worker lifetime instead of once per cell.
+* the pool sends the packed stream down a worker's pipe with the grid's
+  first cell for that worker, and the worker simulates from it only after
+  checking that the bytes hash to the digest they were sent for
+  (``repro.experiments.pool``);
+* each cell message then carries only its config, and a worker
+  deserializes the workload once per grid instead of once per cell
+  (payload sizes in ``benchmarks/bench_engine_overhead.py``; decision
+  record in ``docs/architecture.md``).
 
 The in-process serial path (and the engine's serial-degradation fallback)
 bypasses the store entirely — it already holds the live job list.
-
-Worker-side state is process-global by design: the pool initializer
-(:func:`init_worker`) tells the worker where its pool's spool is, and
-:func:`resolve_worker_workload` finds or hydrates the tuple without any
-per-task shipping.
 
 Upstream of the store, the :class:`WorkloadMemo` keeps the job streams
 the paper's recipes generate, keyed by everything that decides them, so
@@ -43,121 +33,19 @@ import functools
 import hashlib
 import importlib.util
 import json
-import os
-import pickle
 import re
 from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.core.job import Job
-from repro.core.packing import (
-    PackedJobs,
-    fingerprint_packed,
-    job_record,
-    pack_jobs,
-    unpack_jobs,
-)
+from repro.core.packing import PackedJobs, job_record, pack_jobs
 from repro.experiments.backends.cache import (
     quarantine,
     remove_stale_tmp,
     write_atomically,
 )
 
-__all__ = [
-    "GENERATOR_MODULES",
-    "WorkloadMemo",
-    "WorkloadStore",
-    "init_worker",
-    "resolve_worker_workload",
-    "spool_workload",
-]
-
-
-#: Worker-process-global cache: digest -> hydrated job tuple.  Filled from
-#: the pool's spool on a cell's first miss (:func:`resolve_worker_workload`),
-#: read by cell tasks.
-_WORKER_WORKLOADS: dict[str, tuple[Job, ...]] = {}
-
-#: Hydration counter, observable from tests: how many times this process
-#: actually unpacked a workload (should be once per digest per worker).
-_WORKER_HYDRATIONS = 0
-
-#: The scratch directory of the pool this process works for (set by
-#: :func:`init_worker`); ``None`` outside a pool worker.
-_SPOOL_DIR: str | None = None
-
-
-def _spool_path(spool_dir: str, digest: str) -> str:
-    return os.path.join(spool_dir, f"{digest}.jobs")
-
-
-def spool_workload(spool_dir: str, digest: str, packed: PackedJobs) -> None:
-    """Driver side: file ``packed`` under ``digest`` for the pool's workers.
-
-    Written to a temporary name and renamed, so a worker never reads a
-    half-written file.  No fsync: the spool lives and dies with the pool
-    and is read on the machine that wrote it.
-    """
-    path = _spool_path(spool_dir, digest)
-    scratch = f"{path}.{os.getpid()}.tmp"
-    with open(scratch, "wb") as handle:
-        pickle.dump(packed, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(scratch, path)
-
-
-def _hydrate_from_spool(digest: str) -> tuple[Job, ...]:
-    """Worker side: load, validate and unpack ``<digest>.jobs``."""
-    global _WORKER_HYDRATIONS
-    if _SPOOL_DIR is None:
-        raise RuntimeError(
-            f"workload {digest[:12]}... was not seeded into this worker; "
-            f"seeded: {[d[:12] for d in _WORKER_WORKLOADS]} — was the pool "
-            f"built without the WorkloadStore initializer?"
-        )
-    try:
-        with open(_spool_path(_SPOOL_DIR, digest), "rb") as handle:
-            # The driver's own bytes, from a directory only it can write
-            # (mkdtemp, mode 0700) — the trust the pool's pipes already get.
-            packed = pickle.load(handle)
-    except FileNotFoundError:
-        raise RuntimeError(
-            f"workload {digest[:12]}... was not spooled for this pool"
-        ) from None
-    if not isinstance(packed, PackedJobs) or fingerprint_packed(packed) != digest:
-        raise RuntimeError(
-            f"spool file {digest[:12]}....jobs does not hold the workload it "
-            f"is named after; refusing to simulate it"
-        )
-    while len(_WORKER_WORKLOADS) >= WorkloadStore.MAX_ENTRIES:
-        _WORKER_WORKLOADS.pop(next(iter(_WORKER_WORKLOADS)))
-    jobs = _WORKER_WORKLOADS[digest] = unpack_jobs(packed)
-    _WORKER_HYDRATIONS += 1
-    return jobs
-
-
-def init_worker(spool_dir: str) -> None:
-    """Pool initializer: remember the pool's spool, the scratch directory
-    workloads are read from.
-
-    Runs once per worker process; a rebuilt executor re-runs it in every
-    fresh worker (the spool needs no re-seeding: the files are still
-    there).
-    """
-    global _SPOOL_DIR
-    _SPOOL_DIR = spool_dir
-
-
-def resolve_worker_workload(digest: str) -> tuple[Job, ...]:
-    """The hydrated job stream for ``digest`` inside a worker.
-
-    A pool worker hydrates it from the pool's spool the first time it is
-    asked.  Raises :class:`RuntimeError` outside a pool worker, when the
-    digest was not spooled, or when the spooled bytes do not hash to it —
-    surfaced loudly so the engine's retry/serial-fallback machinery
-    reports it instead of simulating the wrong workload.
-    """
-    jobs = _WORKER_WORKLOADS.get(digest)
-    return jobs if jobs is not None else _hydrate_from_spool(digest)
+__all__ = ["GENERATOR_MODULES", "WorkloadMemo", "WorkloadStore"]
 
 
 class WorkloadStore:
@@ -166,7 +54,7 @@ class WorkloadStore:
     One instance lives on each :class:`~repro.experiments.engine.
     ExperimentEngine`; ``register`` packs at most once per digest (repeat
     runs over the same stream reuse the packed buffer) and ``get()`` is
-    what a local pool spools from.  The store keeps only the most recent
+    what a local pool sends its workers.  The store keeps only the most recent
     :data:`MAX_ENTRIES` workloads so long-lived engines sweeping many
     workloads do not accumulate every stream they ever saw.
     """

@@ -6,8 +6,9 @@ fault and prints two lines: ``READY`` just before the grid starts, then
 
     python -m tests._fault_driver CASE JOURNAL_DIR
 
-Cases (one faulty row, ``crashy``, ``stoppy`` or ``sleepy``, ahead of
-three healthy cells; no case sets ``cell_timeout`` but ``hung``):
+Cases (faulty cells of one row, ``crashy``, ``stoppy`` or ``sleepy``,
+ahead of three healthy cells; no case sets ``cell_timeout`` but
+``hung``):
 
 * ``sigkill`` — a worker SIGKILLs itself;
 * ``stop-all`` — two cells each SIGSTOP their worker, so both workers
@@ -15,14 +16,17 @@ three healthy cells; no case sets ``cell_timeout`` but ``hung``):
 * ``stop-one`` — one cell SIGSTOPs its worker, the other worker stays
   live;
 * ``hung`` — one cell sleeps in its worker for five minutes;
-  ``cell_timeout=1``.
+  ``cell_timeout=1``;
+* ``orphan`` — two cells sleep in their workers for three seconds: the
+  case the driver is killed in, to see its workers exit.
 
 A row faults only inside a pool worker, which it recognises by a pid
 other than the driver's: the serial fallback, in the driver, computes
 the cell.  A faulting worker first writes its pid to
 ``JOURNAL_DIR/<pid>.fault``.  The report lists the reason of every
-charged retry, the pids of the faulted workers, the number of
-``completed`` journal records per fingerprint and the run's stats.  The
+charged retry and the key of its cell, the pids of the faulted workers,
+the number of ``completed`` journal records per fingerprint and the
+run's stats.  The
 driver returns normally, so the parent also sees whether the interpreter
 exits once the grid is done.
 """
@@ -54,45 +58,46 @@ HEALTHY = [
 ]
 
 
-def _faulty_row(signum: int | None, marks: Path):
-    """A row whose cells fault in a pool worker: send ``signum`` to the
-    worker itself, or with ``None`` hang it."""
+def _faulty_row(fault: signal.Signals | float, marks: Path):
+    """A row whose cells fault in a pool worker: send the signal ``fault``
+    to the worker itself, or sleep ``fault`` seconds in it."""
 
     def order(total_nodes, weight, threshold):
         pid = os.getpid()
         if pid != DRIVER_PID:
             (marks / f"{pid}.fault").touch()
-            if signum is None:
-                time.sleep(300.0)
+            if isinstance(fault, signal.Signals):
+                os.kill(pid, fault)
             else:
-                os.kill(pid, signum)
+                time.sleep(fault)
         return KeyOrderPolicy(lambda job: job.submit_time, "faulty")
 
     return order
 
 
-#: case -> (row, signal, faulty columns, pool budgets, engine kwargs)
+#: case -> (row, fault, faulty columns, pool budgets, engine kwargs)
 CASES = {
     "sigkill": (
         "crashy", signal.SIGKILL, ("easy",),
-        dict(MAX_RETRIES=1, MAX_POOL_REBUILDS=5), {},
+        dict(MAX_RETRIES=1, MAX_WORKER_REPLACEMENTS=5), {},
     ),
     "stop-all": ("stoppy", signal.SIGSTOP, ("easy", "list"), dict(MAX_RETRIES=0), {}),
     "stop-one": ("stoppy", signal.SIGSTOP, ("easy",), dict(MAX_RETRIES=0), {}),
     "hung": (
-        "sleepy", None, ("easy",),
-        dict(MAX_RETRIES=0, MAX_POOL_REBUILDS=5), dict(cell_timeout=1.0),
+        "sleepy", 300.0, ("easy",),
+        dict(MAX_RETRIES=0, MAX_WORKER_REPLACEMENTS=5), dict(cell_timeout=1.0),
     ),
+    "orphan": ("sleepy", 3.0, ("easy", "list"), {}, {}),
 }
 
 
 def main(argv: list[str]) -> int:
     case, journal_dir = argv[1], Path(argv[2])
-    row, signum, columns, budgets, kwargs = CASES[case]
+    row, fault, columns, budgets, kwargs = CASES[case]
     for name, value in dict(budgets, RETRY_BACKOFF=0.01).items():
         setattr(pool, name, value)
     journal_dir.mkdir(parents=True, exist_ok=True)
-    register_row(row, _faulty_row(signum, journal_dir), columns=columns)
+    register_row(row, _faulty_row(fault, journal_dir), columns=columns)
     configs = [SchedulerConfig(row, column) for column in columns] + HEALTHY
     engine = ExperimentEngine(workers=2, journal_dir=journal_dir, **kwargs)
     print("READY", flush=True)
@@ -100,6 +105,7 @@ def main(argv: list[str]) -> int:
         engine.run(probabilistic_workload(40, seed=3), total_nodes=256, configs=configs)
     stats = engine.stats
     reasons: list[str] = []
+    charged: list[str] = []
     completed: dict[str, int] = {}
     with open(journal_path(journal_dir, stats.run_id), encoding="utf-8") as handle:
         for line in handle:
@@ -108,14 +114,16 @@ def main(argv: list[str]) -> int:
                 continue
             if record["state"] in ("failed", "abandoned"):
                 reasons.append(record["detail"])
+                charged.append(record["key"])
             elif record["state"] == "completed":
                 completed[record["fp"]] = completed.get(record["fp"], 0) + 1
     report = dict(
         cells=len(configs),
         simulated=stats.simulated,
-        pool_rebuilds=stats.pool_rebuilds,
+        worker_replacements=stats.worker_replacements,
         degraded_cells=stats.degraded_cells,
         reasons=reasons,
+        charged=charged,
         faulted=sorted(int(mark.stem) for mark in journal_dir.glob("*.fault")),
         completed=completed,
     )

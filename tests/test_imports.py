@@ -183,9 +183,8 @@ def test_pool_start_imports_the_simulation_stack_before_forking():
         """
         import sys
         from repro.experiments.pool import WorkerPool
-        from repro.experiments.workload_store import WorkloadStore
         before = "repro.core.simulator" in sys.modules
-        pool = WorkerPool(workers=1, store=WorkloadStore())
+        pool = WorkerPool(workers=1)
         try:
             print(before, "repro.core.simulator" in sys.modules)
         finally:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -476,6 +477,25 @@ class TestListRuns:
         assert summaries[interrupted["run"]].completed == 1
         assert summaries["deadbeef0000"].status == "corrupt"
         assert "2/2 cells" in summaries[complete["run"]].describe()
+
+    def test_a_continued_journal_lists_by_its_last_attempt(self, tmp_path):
+        """A rerun continues its journal, whose ``created`` stays that of
+        the first attempt: the listing orders by the last attempt."""
+        now = time.time()
+        older = dict(_manifest(), created=now - 200.0)
+        newer = dict(_manifest(total_nodes=512), created=now - 100.0)
+        for manifest in (older, newer):
+            RunJournal.create(journal_path(tmp_path, manifest["run"]), manifest).close()
+        assert [s.run_id for s in list_runs(tmp_path)] == [newer["run"], older["run"]]
+        journal, replay = RunJournal.open(journal_path(tmp_path, older["run"]), older)
+        journal.close()
+        assert replay is not None
+        first, second = list_runs(tmp_path)
+        assert (first.run_id, second.run_id) == (older["run"], newer["run"])
+        assert first.created == now - 200.0 and first.last_attempt >= now
+        assert time.strftime("%Y-%m-%d %H:%M", time.localtime(first.last_attempt)) in (
+            first.describe()
+        )
 
     def test_empty_or_missing_dir(self, tmp_path):
         assert list_runs(tmp_path) == []
