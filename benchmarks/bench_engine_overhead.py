@@ -5,10 +5,10 @@ for all its grids; the packed stream goes down each worker's pipe once
 per grid, and a cell message carries only the cell's config.  These
 benchmarks price that path:
 
-* **payload bytes per cell** — the 64-char digest that names a stream,
-  plus the packed buffer sent once per worker per grid
-  (``store_bytes_per_cell`` is gated "must not grow" by
-  ``check_regression.py``);
+* **payload bytes** — what crosses a worker's pipe: per cell the
+  cell's ``SchedulerConfig`` (``store_bytes_per_cell``, the largest of
+  the grid's, gated "must not grow" by ``check_regression.py``), and
+  once per worker per grid the pickled grid template and packed stream;
 * **pack / unpack / fingerprint throughput** — the fixed costs the store
   adds on the way in;
 * **store dispatch** (script mode) — wall clock of the engine's pool loop
@@ -39,6 +39,8 @@ from repro.experiments.engine import fingerprint_jobs
 #: Cells in the paper's grid.
 N_CELLS = 13
 N_JOBS = 5_000
+#: Pool workers in the dispatch benches (the paper sweeps' ``--workers 2``).
+WORKERS = 2
 
 
 def synthetic_workload(n: int = N_JOBS, seed: int = 0) -> list[Job]:
@@ -63,15 +65,31 @@ def synthetic_workload(n: int = N_JOBS, seed: int = 0) -> list[Job]:
 
 
 def payload_bytes(jobs: list[Job]) -> dict[str, float]:
-    """Dispatch bytes over a full grid: one digest per cell + one pack."""
-    packed = pack_jobs(jobs)
-    digest = fingerprint_packed(packed)
-    store_per_cell = len(pickle.dumps(digest, protocol=pickle.HIGHEST_PROTOCOL))
-    store_one_time = len(pickle.dumps(packed, protocol=pickle.HIGHEST_PROTOCOL))
+    """Bytes the pool sends a grid's workers, as ``PoolRun`` sends them.
+
+    A cell message is the cell's ``SchedulerConfig``, pickled by the
+    pipe's ``ForkingPickler`` (``Connection.send``); ``store_bytes_per_cell``
+    is the largest of the paper's 13.  The grid payload, the pickled
+    ``(CellRequest template, PackedJobs)`` pair, goes to each worker once
+    per grid (``store_one_time_bytes``); ``store_grid_bytes`` is the 13
+    cell messages plus the payload for each of ``WORKERS`` workers.
+    """
+    from multiprocessing.reduction import ForkingPickler
+
+    from repro.experiments.engine import ExperimentEngine
+    from repro.schedulers.registry import paper_configurations
+
+    configs = list(paper_configurations())
+    with ExperimentEngine() as engine:
+        request = engine._prepare(jobs, total_nodes=256, configs=configs)
+        template = request.cell_request(None, engine.backend)
+    packed = pack_jobs(request.jobs)
+    per_cell = [len(ForkingPickler.dumps(config)) for config in configs]
+    one_time = len(pickle.dumps((template, packed), protocol=pickle.HIGHEST_PROTOCOL))
     return {
-        "store_bytes_per_cell": store_per_cell,
-        "store_one_time_bytes": store_one_time,
-        "store_grid_bytes": store_per_cell * N_CELLS + store_one_time,
+        "store_bytes_per_cell": max(per_cell),
+        "store_one_time_bytes": one_time,
+        "store_grid_bytes": sum(per_cell) + WORKERS * one_time,
     }
 
 
@@ -107,8 +125,8 @@ def test_pickle_roundtrip_packed_5k(benchmark):
     assert len(out) == len(packed)
 
 
-def test_dispatch_payload_is_digest_sized():
-    """A cell task carries the digest, never the stream: the per-cell
+def test_dispatch_payload_is_config_sized():
+    """A cell message carries its config, never the stream: the per-cell
     payload is independent of the workload size."""
     small = payload_bytes(synthetic_workload(50))
     large = payload_bytes(synthetic_workload())
@@ -189,7 +207,7 @@ def _noop_cell(request, jobs):
     return types.SimpleNamespace(objective=float(len(jobs)))
 
 
-def measure_pool_dispatch(jobs: list[Job], workers: int = 2) -> float:
+def measure_pool_dispatch(jobs: list[Job], workers: int = WORKERS) -> float:
     """Wall clock of a second grid's worth of no-op cells on a warm pool.
 
     The engine keeps one pool for all its grids, so what a grid costs in

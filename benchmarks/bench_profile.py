@@ -558,7 +558,8 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
         # reuse is gated on this ladder too.  Re-recorded after ISSUE 22
         # (the walk's second exit, no dead breakpoints): 0.234 -> 0.157 s
         # back to back, best of 9.  Re-recorded once the fast backend ran
-        # the queue walk as compiled C.
+        # the queue walk as compiled C, and again once the plan lived in
+        # the extension between decisions.
         "simulate_conservative_ctc600": _best_of(conservative_ctc600(), rounds),
         # The compiled conservative walk.  One fcfs/conservative
         # cell over a 2,000-job CTC draw (seed 42) on the python walk and on

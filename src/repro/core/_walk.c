@@ -1,26 +1,33 @@
 /* The two backfilling queue walks, compiled as the CPython extension
  * ``_walk``.
  *
- * ``repro_conservative_walk`` is a line-for-line port of
+ * ``ConservativePlan`` keeps ``ConservativeBackfill``'s reservation plan
+ * between decision points: the plan profile's steps and, per planned job,
+ * the job itself, its planned start, the end its reservation holds the
+ * nodes to and its width.  ``plan_keep_prefix`` ports
+ * ``_ReservationPlan.keep_prefix`` and ``plan_place`` ports
  * ``_ReservationPlan.place`` in ``repro/schedulers/disciplines.py``;
  * ``repro_easy_walk`` ports the blocked-head phase of
- * ``EasyBackfill.select_indexed`` there.  Both port the profile queries
- * they call (``AvailabilityProfile.fits_at_origin``, ``allocate``,
- * ``reserve_from_origin``, ``free_at`` and ``_first_fit`` in
- * ``repro/core/profile.py``).  The Python walks are the reference: every
- * comparison and every float addition below is the one Python performs, in
- * the same order, so the started jobs, the planned starts and the profile
- * left behind are the same bits.  Build with ``-ffp-contract=off`` and
- * without fast-math; ``repro.core.native`` does.
+ * ``EasyBackfill.select_indexed`` there.  They port the profile calls they
+ * make (``AvailabilityProfile.fits_at_origin``, ``allocate``,
+ * ``unreserve``, ``advance_origin``, ``reserve_from_origin``, ``free_at``
+ * and ``_first_fit`` in ``repro/core/profile.py``) and the overrun clamps
+ * of ``SchedulingState._clamped_clone`` in ``repro/core/state.py``.  The
+ * Python walks are the reference: every comparison and every float
+ * addition below is the one Python performs, in the same order, so the
+ * started jobs, the planned starts and the plan profile are the same bits.
+ * Build with ``-ffp-contract=off`` and without fast-math;
+ * ``repro.core.native`` does.
  *
- * The walks themselves are plain C99 on plain buffers.  The two entry
- * points at the end (``conservative_walk`` and ``easy_walk``) are all that
- * knows Python: with the GIL held, they copy the profile's segment lists
- * into scratch, read the queue's columns in place through the buffer
- * protocol, and check every input before a pointer is read.  Every loop is
- * bounded by the segment count or the queue length, the scratch has room
- * for every insert before the first, and a walk never reads or writes past
- * a buffer, even on a malformed profile.
+ * The walks are plain C99 on plain buffers; a planned job is a pointer,
+ * compared by identity and held as a reference.  The entry points at the
+ * end are all that knows Python: with the GIL held, they read the queue's
+ * columns in place through the buffer protocol and check every input
+ * before a pointer is read, and a plan (or EASY's scratch) copies the
+ * profile it loads from ``profile._times``/``profile._free``.  Every loop
+ * is bounded by the segment count or the queue length, every buffer has
+ * room for every insert before the first, and a walk never reads or
+ * writes past a buffer, even on a malformed profile.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -37,19 +44,19 @@
 
 /* Stand-in duration for zero-runtime estimates (disciplines.py). */
 #define ZERO_RUNTIME_EPSILON 1e-9
-/* Projected remainder of an overrunning job; EASY's reservation clamp
- * (profile.py ``_OVERRUN_EPSILON``). */
+/* Projected remainder of an overrunning job: the overrun clamp and EASY's
+ * reservation clamp (profile.py ``_OVERRUN_EPSILON``). */
 #define OVERRUN_EPSILON 1.0
 /* Sentinel wider than any machine: the suffix minimum past the queue. */
 #define NO_JOB ((int64_t)1 << 60)
 
-/* Return codes; the walk names the position of the job at fault (the
- * conservative walk in ``out[3]``, the EASY walk in ``frame->at``). */
+/* Return codes; the walk names the position of the job at fault. */
 #define WALK_OK 0
 #define WALK_WIDER_THAN_MACHINE (-1)
 #define WALK_PROFILE_TOO_LOW (-2)
 #define WALK_NO_ROOM (-3)
 #define WALK_OVERCOMMITTED (-4)
+#define WALK_ABOVE_TOTAL (-5)
 
 /* AvailabilityProfile.fits_at_origin */
 static int fits_at_origin(const double *times, const int64_t *levels,
@@ -88,6 +95,86 @@ static int64_t bisect_right(const double *times, int64_t segments, double x)
             lo = mid + 1;
     }
     return lo;
+}
+
+static void remove_at(double *times, int64_t *levels, int64_t *segments,
+                      int64_t at)
+{
+    int64_t tail = *segments - at - 1;
+    memmove(times + at, times + at + 1, (size_t)tail * sizeof *times);
+    memmove(levels + at, levels + at + 1, (size_t)tail * sizeof *levels);
+    --*segments;
+}
+
+/* bisect.bisect_left: the first index whose time is at or above ``x``. */
+static int64_t bisect_left(const double *times, int64_t segments, double x)
+{
+    int64_t lo = 0, hi = segments, mid;
+    while (lo < hi) {
+        mid = lo + (hi - lo) / 2;
+        if (times[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* AvailabilityProfile._ensure_breakpoint for a ``time`` at or past the
+ * origin.  The caller guarantees room for one insert. */
+static void ensure_breakpoint(double *times, int64_t *levels,
+                              int64_t *segments, double time)
+{
+    int64_t idx = bisect_right(times, *segments, time) - 1;
+    if (times[idx] != time)
+        insert(times, levels, segments, idx + 1, time, levels[idx]);
+}
+
+/* AvailabilityProfile.advance_origin */
+static void advance_origin(double *times, int64_t *levels, int64_t *segments,
+                           double now)
+{
+    int64_t idx;
+
+    if (!(now > times[0]))
+        return;
+    idx = bisect_right(times, *segments, now) - 1;
+    if (idx > 0) {
+        *segments -= idx;
+        memmove(times, times + idx, (size_t)*segments * sizeof *times);
+        memmove(levels, levels + idx, (size_t)*segments * sizeof *levels);
+    }
+    times[0] = now;
+}
+
+/* AvailabilityProfile.unreserve(start, end, nodes) on a ``total``-node
+ * machine.  The caller guarantees room for two inserts.  WALK_ABOVE_TOTAL
+ * when a segment would rise above ``total``. */
+static int unreserve(double *times, int64_t *levels, int64_t *segments,
+                     int64_t total, double start, double end, int64_t nodes)
+{
+    int64_t lo, hi, i;
+
+    if (start < times[0])
+        start = times[0];
+    if (nodes <= 0 || end <= start)
+        return WALK_OK;
+    ensure_breakpoint(times, levels, segments, start);
+    ensure_breakpoint(times, levels, segments, end);
+    lo = bisect_left(times, *segments, start);
+    hi = bisect_left(times, *segments, end);
+    for (i = lo; i < hi; ++i) {
+        if (levels[i] > total - nodes)
+            return WALK_ABOVE_TOTAL;
+    }
+    for (i = lo; i < hi; ++i)
+        levels[i] += nodes;
+    /* The far edge first, so ``lo`` still names the near one. */
+    if (levels[hi - 1] == levels[hi])
+        remove_at(times, levels, segments, hi);
+    if (lo && levels[lo - 1] == levels[lo])
+        remove_at(times, levels, segments, lo);
+    return WALK_OK;
 }
 
 /* _first_fit from the origin segment: the start, and the two segment
@@ -161,8 +248,11 @@ static int allocate(double *times, int64_t *levels, int64_t *segments,
 
 /* A job EASY starts now, reserved the way ``_reserve_from_now`` does:
  * AvailabilityProfile.reserve_from_origin with a non-positive estimate
- * clamped to the overrun epsilon.  The caller guarantees room for one
- * insert.  WALK_OVERCOMMITTED when the origin segment lacks the nodes. */
+ * clamped to the overrun epsilon.  With an estimate of 0 it is also an
+ * overrun clamp, ``reserve(now, _OVERRUN_EPSILON, nodes)`` on a
+ * prefix-anchored profile whose origin is ``now``.  The caller guarantees
+ * room for one insert.  WALK_OVERCOMMITTED when the origin segment lacks
+ * the nodes. */
 static int reserve_from_now(double *times, int64_t *levels, int64_t *segments,
                             int64_t nodes, double estimate)
 {
@@ -196,50 +286,96 @@ static int shadow_of(const double *times, const int64_t *levels,
     return code;
 }
 
-/* _ReservationPlan.place over the queue tail ``nodes``/``estimates``
- * (``count`` jobs, the first one at tail position 0).
- *
- * ``times``/``levels`` hold the plan profile's ``segments`` steps and have
- * room for ``capacity``; ``ints`` and ``floats`` are scratch of at least
- * ``2 * count + 1`` entries each.  On return:
- *   out[0]  segments of the profile after the walk;
- *   out[1]  jobs placed (the walk stopped before tail position out[1]);
- *   out[2]  jobs started; their tail positions are ``ints[0 .. out[2])``;
- *   out[3]  on an error, the tail position of the job that caused it.
- * The planned starts of the placed jobs that did not start are
- * ``floats[0 .. out[1] - out[2])``, in queue order. */
-static int64_t repro_conservative_walk(double *times, int64_t *levels,
-                                       int64_t segments, int64_t capacity,
-                                       int64_t total_nodes,
-                                       const int64_t *nodes,
-                                       const double *estimates, int64_t count,
-                                       double now, int64_t free_nodes,
-                                       int64_t *ints, double *floats,
-                                       int64_t *out)
+/* -- the kept conservative plan ------------------------------------------- */
+
+/* A ``ConservativePlan``: the plan profile, ``segments`` steps (0 while no
+ * profile is loaded) with room for ``steps``, and the planned jobs in queue
+ * order, ``planned`` of them with room for ``room``. */
+typedef struct {
+    PyObject_HEAD
+    double *times;
+    int64_t *levels;
+    int64_t segments, steps;
+    int64_t total;       /* the machine size (``profile.total_nodes``) */
+    PyObject **jobs;     /* the planned jobs (references held) */
+    double *starts;      /* their planned starts */
+    double *ends;        /* the ends their reservations hold the nodes to */
+    int64_t *widths;     /* their widths */
+    int64_t planned, room;
+    PyObject **dropped;  /* references a walk gave up, released at its end */
+    int64_t n_dropped;
+    int64_t *ints;       /* walk scratch: started positions, suffix minima */
+    double *floats;      /* walk scratch: suffix least estimates */
+    int64_t scratch;     /* jobs the walk scratch has room for */
+    int busy;            /* a walk is under way */
+} Plan;
+
+/* Give up every planned job: the references move to ``dropped``. */
+static void plan_drop(Plan *p, int64_t from)
 {
-    /* Suffix arrays after the outputs: ints/floats [count, 2 * count]. */
-    int64_t *suffix_min = ints + count;
-    double *shortest = floats + count;
-    int64_t i, n_started = 0, n_planned = 0;
-    double start;
+    int64_t k;
+
+    for (k = from; k < p->planned; ++k)
+        p->dropped[p->n_dropped++] = p->jobs[k];
+    p->planned = from;
+}
+
+/* _ReservationPlan.keep_prefix: bring the plan to ``now``, keep the longest
+ * prefix of planned jobs that are ``items[0 .. count)`` themselves, and
+ * withdraw the reservations of the others in order.  The caller guarantees
+ * room for two inserts per planned job.  The kept length goes to ``*keep``;
+ * on an error ``*at`` is the plan index of the job at fault. */
+static int plan_keep_prefix(Plan *p, PyObject *const *items, int64_t count,
+                            double now, int64_t *keep, int64_t *at)
+{
+    int64_t k = 0, limit = p->planned < count ? p->planned : count;
     int code;
 
-    out[0] = segments;
-    out[1] = 0;
-    out[2] = 0;
-    out[3] = -1;
-    if (segments < 1 || segments > capacity || count < 0)
-        return WALK_NO_ROOM;
+    advance_origin(p->times, p->levels, &p->segments, now);
+    while (k < limit && p->jobs[k] == items[k])
+        ++k;
+    *keep = k;
+    for (; k < p->planned; ++k) {
+        /* The end allocate() placed the reservation's far edge at. */
+        code = unreserve(p->times, p->levels, &p->segments, p->total,
+                         p->starts[k], p->ends[k], p->widths[k]);
+        if (code != WALK_OK) {
+            *at = k;
+            return code;
+        }
+    }
+    plan_drop(p, *keep);
+    return WALK_OK;
+}
+
+/* _ReservationPlan.place: walk ``items[keep .. count)``, whose widths and
+ * estimates are ``nodes``/``estimates`` at the same positions, in order on
+ * the plan.  Each job is allocated and either starts now (its position goes
+ * to ``p->ints``, ``*started`` of them) or joins the plan.  The caller
+ * guarantees room for two inserts and one planned job per job, and walk
+ * scratch for ``count`` jobs.  On an error ``*at`` is the position of the
+ * job at fault. */
+static int plan_place(Plan *p, PyObject *const *items, const int64_t *nodes,
+                      const double *estimates, int64_t keep, int64_t count,
+                      double now, int64_t free_nodes, int64_t *started,
+                      int64_t *at)
+{
+    /* Suffix minima after the started positions: ints [count, 2 * count]. */
+    int64_t *suffix_min = p->ints + count;
+    double *shortest = p->floats;
+    int64_t i, k, width, narrowest, n_started = 0;
+    double start, est;
+    int code;
 
     suffix_min[count] = NO_JOB;
     shortest[count] = INFINITY;
-    for (i = count - 1; i >= 0; --i) {
-        int64_t width = nodes[i];
+    for (i = count - 1; i >= keep; --i) {
         int64_t narrower = suffix_min[i + 1];
         double shorter = shortest[i + 1];
+        width = nodes[i];
         suffix_min[i] = width < narrower ? width : narrower;
         if (width <= free_nodes) {
-            double est = estimates[i];
+            est = estimates[i];
             if (est < ZERO_RUNTIME_EPSILON)
                 est = ZERO_RUNTIME_EPSILON;
             if (est < shorter)
@@ -248,44 +384,44 @@ static int64_t repro_conservative_walk(double *times, int64_t *levels,
         shortest[i] = shorter;
     }
 
-    for (i = 0; i < count; ++i) {
-        int64_t narrowest = suffix_min[i];
-        int64_t width;
-        double est;
+    code = WALK_OK;
+    for (i = keep; i < count; ++i) {
+        /* The two exits: no job left can start now. */
+        narrowest = suffix_min[i];
         if (free_nodes < narrowest
-            || !fits_at_origin(times, levels, segments, narrowest, shortest[i]))
+            || !fits_at_origin(p->times, p->levels, p->segments, narrowest,
+                               shortest[i]))
             break;
         width = nodes[i];
         est = estimates[i];
         if (est < ZERO_RUNTIME_EPSILON)
             est = ZERO_RUNTIME_EPSILON;
-        if (width > total_nodes) {
-            out[3] = i;
+        if (width > p->total) {
             code = WALK_WIDER_THAN_MACHINE;
-            goto done;
+            break;
         }
-        if (capacity - segments < 2) {
-            out[3] = i;
+        if (p->steps - p->segments < 2 || p->planned == p->room) {
             code = WALK_NO_ROOM;
-            goto done;
+            break;
         }
-        code = allocate(times, levels, &segments, width, est, &start);
-        if (code != WALK_OK) {
-            out[3] = i;
-            goto done;
-        }
+        code = allocate(p->times, p->levels, &p->segments, width, est, &start);
+        if (code != WALK_OK)
+            break;
         if (start <= now) {
-            ints[n_started++] = i;
+            p->ints[n_started++] = i;
             free_nodes -= width;
         } else {
-            floats[n_planned++] = start;
+            k = p->planned++;
+            p->jobs[k] = items[i];
+            Py_INCREF(items[i]);
+            p->starts[k] = start;
+            p->ends[k] = start + est; /* allocate()'s end breakpoint */
+            p->widths[k] = width;
         }
     }
-    code = WALK_OK;
-done:
-    out[0] = segments;
-    out[1] = i;
-    out[2] = n_started;
+    *started = n_started;
+    if (code != WALK_OK)
+        *at = i;
     return code;
 }
 
@@ -411,18 +547,19 @@ fail:
 
 /* -- the CPython entry points -------------------------------------------- */
 
-/* What the walks run in: the profile's steps with room for every insert
+/* EASY's scratch: the snapshot's steps with room for every insert
  * (``steps`` entries in ``times`` and ``levels``), and per-job scratch
  * (``jobs`` entries in ``ints`` and ``floats``).  One set is kept between
  * calls.  A walk entered while it is lent out (from a finalizer or another
- * thread, run while the lending walk allocates its result) gets its own. */
+ * thread, run while the lending walk reads its profile or allocates its
+ * result) gets its own. */
 struct scratch {
     double *times;
     int64_t *levels;
-    Py_ssize_t steps;
+    int64_t steps;
     int64_t *ints;
     double *floats;
-    Py_ssize_t jobs;
+    int64_t jobs;
 };
 
 static struct scratch kept;
@@ -432,11 +569,11 @@ static PyObject *str_times, *str_free, *str_total_nodes, *str_walk_error;
 
 /* ``*buffer`` resized to ``count`` items of ``size`` bytes; -1 (and the
  * buffer left as it was) when out of memory. */
-static int resize(void **buffer, Py_ssize_t count, size_t size)
+static int resize(void **buffer, int64_t count, size_t size)
 {
     void *grown = NULL;
 
-    if ((size_t)count <= (size_t)PY_SSIZE_T_MAX / size)
+    if (count >= 0 && (uint64_t)count <= (uint64_t)PY_SSIZE_T_MAX / size)
         grown = PyMem_Realloc(*buffer, (size_t)count * size);
     if (grown == NULL)
         return -1;
@@ -444,115 +581,171 @@ static int resize(void **buffer, Py_ssize_t count, size_t size)
     return 0;
 }
 
-/* Scratch with room for ``steps`` steps and ``jobs`` jobs: the kept set,
- * or ``own`` (zeroed by the caller) while the kept one is lent out.  NULL,
- * with MemoryError set and nothing lent, when out of memory. */
-static struct scratch *lend(struct scratch *own, Py_ssize_t steps,
-                            Py_ssize_t jobs)
+/* Room for ``need`` steps in ``*times``/``*levels`` (``*room`` of them,
+ * doubled past it); -1, with MemoryError set, when out of memory. */
+static int grow_steps(double **times, int64_t **levels, int64_t *room,
+                      int64_t need)
 {
-    struct scratch *s = kept_lent ? own : &kept;
-
-    if (steps > s->steps) {
-        if (resize((void **)&s->times, 2 * steps, sizeof *s->times)
-            || resize((void **)&s->levels, 2 * steps, sizeof *s->levels))
-            goto no_memory;
-        s->steps = 2 * steps;
+    if (need <= *room)
+        return 0;
+    if (resize((void **)times, 2 * need, sizeof **times)
+        || resize((void **)levels, 2 * need, sizeof **levels)) {
+        PyErr_NoMemory();
+        return -1;
     }
-    if (jobs > s->jobs) {
-        if (resize((void **)&s->ints, 2 * jobs, sizeof *s->ints)
-            || resize((void **)&s->floats, 2 * jobs, sizeof *s->floats))
-            goto no_memory;
-        s->jobs = 2 * jobs;
-    }
-    if (s == &kept)
-        kept_lent = 1;
-    return s;
-no_memory:
-    if (s == own) {
-        PyMem_Free(own->times);
-        PyMem_Free(own->levels);
-        PyMem_Free(own->ints);
-        PyMem_Free(own->floats);
-    }
-    PyErr_NoMemory();
-    return NULL;
+    *room = 2 * need;
+    return 0;
 }
 
-static void give_back(struct scratch *s)
+static void free_scratch(struct scratch *s)
 {
-    if (s == &kept) {
-        kept_lent = 0;
-        return;
-    }
     PyMem_Free(s->times);
     PyMem_Free(s->levels);
     PyMem_Free(s->ints);
     PyMem_Free(s->floats);
 }
 
-/* Lend scratch and copy ``profile._times``/``profile._free`` into it, with
- * room for ``inserts`` more steps and ``jobs`` jobs; ``*segments`` and
- * ``*total`` are the segment count and ``profile.total_nodes``.  NULL, with
- * an exception set and nothing lent, on a profile whose lists are not two
- * non-empty lists of one length holding floats (or ints) and ints.  Nothing
- * but the copy runs while the lists are read, so they cannot change. */
-static struct scratch *read_profile(PyObject *profile, Py_ssize_t inserts,
-                                    Py_ssize_t jobs, struct scratch *own,
-                                    Py_ssize_t *segments, int64_t *total)
+/* Scratch with room for ``jobs`` jobs: the kept set, or ``own`` (zeroed by
+ * the caller) while the kept one is lent out.  NULL, with MemoryError set
+ * and nothing lent, when out of memory. */
+static struct scratch *lend(struct scratch *own, int64_t jobs)
 {
-    PyObject *times, *levels = NULL, *total_obj = NULL, *item;
-    struct scratch *s = NULL;
-    Py_ssize_t n = 0, i;
+    struct scratch *s = kept_lent ? own : &kept;
 
-    times = PyObject_GetAttr(profile, str_times);
-    if (times == NULL || (levels = PyObject_GetAttr(profile, str_free)) == NULL
+    if (jobs > s->jobs) {
+        if (resize((void **)&s->ints, 2 * jobs, sizeof *s->ints)
+            || resize((void **)&s->floats, 2 * jobs, sizeof *s->floats)) {
+            if (s == own)
+                free_scratch(own);
+            PyErr_NoMemory();
+            return NULL;
+        }
+        s->jobs = 2 * jobs;
+    }
+    if (s == &kept)
+        kept_lent = 1;
+    return s;
+}
+
+static void give_back(struct scratch *s)
+{
+    if (s == &kept)
+        kept_lent = 0;
+    else
+        free_scratch(s);
+}
+
+/* Copy ``profile._times``/``profile._free`` into ``*times``/``*levels``,
+ * grown to hold them and ``inserts`` more steps (``*room``);
+ * ``*segments`` and ``*total`` become the segment count and
+ * ``profile.total_nodes``.  -1, with an exception set and ``*segments``
+ * left as it was, on a profile whose lists are not two non-empty lists of
+ * one length holding floats (or ints) and ints, or out of memory.  Nothing
+ * but the copy runs while the lists are read, so they cannot change. */
+static int read_profile(PyObject *profile, int64_t inserts, double **times,
+                        int64_t **levels, int64_t *room, int64_t *segments,
+                        int64_t *total)
+{
+    PyObject *times_list, *levels_list = NULL, *total_obj = NULL, *item;
+    Py_ssize_t n, i;
+    int64_t machine;
+    int ok = -1;
+
+    times_list = PyObject_GetAttr(profile, str_times);
+    if (times_list == NULL
+        || (levels_list = PyObject_GetAttr(profile, str_free)) == NULL
         || (total_obj = PyObject_GetAttr(profile, str_total_nodes)) == NULL)
         goto done;
-    *total = PyLong_AsLongLong(total_obj);
-    if (*total == -1 && PyErr_Occurred())
+    machine = PyLong_AsLongLong(total_obj);
+    if (machine == -1 && PyErr_Occurred())
         goto done;
-    if (!PyList_Check(times) || !PyList_Check(levels)) {
+    if (!PyList_Check(times_list) || !PyList_Check(levels_list)) {
         PyErr_SetString(PyExc_TypeError,
                         "the profile's segments must be lists");
         goto done;
     }
-    n = PyList_GET_SIZE(times);
-    if (n < 1 || PyList_GET_SIZE(levels) != n) {
+    n = PyList_GET_SIZE(times_list);
+    if (n < 1 || PyList_GET_SIZE(levels_list) != n) {
         PyErr_SetString(PyExc_ValueError, "the profile must have segments, "
                                           "as many times as levels");
         goto done;
     }
-    s = lend(own, n + inserts, jobs);
-    if (s == NULL)
+    if (grow_steps(times, levels, room, (int64_t)n + inserts) < 0)
         goto done;
     for (i = 0; i < n; ++i) {
-        item = PyList_GET_ITEM(times, i);
+        item = PyList_GET_ITEM(times_list, i);
         if (PyFloat_Check(item))
-            s->times[i] = PyFloat_AS_DOUBLE(item);
+            (*times)[i] = PyFloat_AS_DOUBLE(item);
         else if (PyLong_Check(item))
-            s->times[i] = PyLong_AsDouble(item);
+            (*times)[i] = PyLong_AsDouble(item);
         else
             goto bad;
-        item = PyList_GET_ITEM(levels, i);
+        item = PyList_GET_ITEM(levels_list, i);
         if (!PyLong_Check(item))
             goto bad;
-        s->levels[i] = PyLong_AsLongLong(item);
+        (*levels)[i] = PyLong_AsLongLong(item);
         if (PyErr_Occurred())
             goto bad;
     }
     *segments = n;
+    *total = machine;
+    ok = 0;
     goto done;
 bad:
     if (!PyErr_Occurred())
         PyErr_SetString(PyExc_TypeError, "the profile's times must be floats "
                                          "and its levels ints");
-    give_back(s);
-    s = NULL;
 done:
-    Py_XDECREF(times);
-    Py_XDECREF(levels);
+    Py_XDECREF(times_list);
+    Py_XDECREF(levels_list);
     Py_XDECREF(total_obj);
-    return s;
+    return ok;
+}
+
+/* How many overrun clamps ``clamps`` names: a tuple of ints that fit 64
+ * bits.  -1, with an exception set, otherwise. */
+static Py_ssize_t clamp_count(PyObject *clamps)
+{
+    Py_ssize_t n, i;
+    PyObject *item;
+
+    if (!PyTuple_Check(clamps)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "the overrun clamps must be a tuple of widths");
+        return -1;
+    }
+    n = PyTuple_GET_SIZE(clamps);
+    for (i = 0; i < n; ++i) {
+        item = PyTuple_GET_ITEM(clamps, i);
+        if (!PyLong_Check(item)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "the overrun clamps must be a tuple of widths");
+            return -1;
+        }
+        if (PyLong_AsLongLong(item) == -1 && PyErr_Occurred())
+            return -1;
+    }
+    return n;
+}
+
+/* SchedulingState._clamped_clone's overrun clamps on a profile loaded at
+ * their instant: each width of ``clamps`` (checked by clamp_count)
+ * reserved from the origin for the overrun epsilon, in order.  The caller
+ * guarantees room for one insert per clamp.  On an error ``*width`` is the
+ * clamp at fault. */
+static int add_clamps(PyObject *clamps, double *times, int64_t *levels,
+                      int64_t *segments, int64_t *width)
+{
+    Py_ssize_t i;
+    int code;
+
+    for (i = 0; i < PyTuple_GET_SIZE(clamps); ++i) {
+        *width = PyLong_AsLongLong(PyTuple_GET_ITEM(clamps, i));
+        code = reserve_from_now(times, levels, segments, *width, 0.0);
+        if (code != WALK_OK)
+            return code;
+    }
+    return WALK_OK;
 }
 
 /* Borrow ``obj``'s buffer if it is a contiguous run of 8-byte ``format``
@@ -627,113 +820,354 @@ static PyObject *int_list(const int64_t *values, Py_ssize_t n)
     return list;
 }
 
-PyDoc_STRVAR(conservative_doc,
-"conservative_walk(profile, nodes, estimates, offset, count, now, free)\n\
+/* ``ConservativePlan`` ------------------------------------------------------ */
+
+/* Room for ``need`` planned jobs and for ``need`` references given up in
+ * one walk, and walk scratch for ``count`` jobs; -1, with MemoryError set,
+ * when out of memory. */
+static int plan_room(Plan *p, int64_t need, int64_t count)
+{
+    int64_t room = 2 * need, scratch = 2 * count + 1;
+
+    if (need > p->room) {
+        if (resize((void **)&p->jobs, room, sizeof *p->jobs)
+            || resize((void **)&p->dropped, room, sizeof *p->dropped)
+            || resize((void **)&p->starts, room, sizeof *p->starts)
+            || resize((void **)&p->ends, room, sizeof *p->ends)
+            || resize((void **)&p->widths, room, sizeof *p->widths))
+            goto no_memory;
+        p->room = room;
+    }
+    /* Started positions and suffix minima (2 * count + 1), suffix least
+     * estimates (count + 1). */
+    if (scratch > p->scratch) {
+        if (resize((void **)&p->ints, 2 * scratch, sizeof *p->ints)
+            || resize((void **)&p->floats, 2 * scratch, sizeof *p->floats))
+            goto no_memory;
+        p->scratch = 2 * scratch;
+    }
+    return 0;
+no_memory:
+    PyErr_NoMemory();
+    return -1;
+}
+
+/* Release the references the walk gave up.  A job's finalizer may run
+ * here; the plan is whole and still marked busy. */
+static void release_dropped(Plan *p)
+{
+    PyObject *job;
+
+    while (p->n_dropped > 0) {
+        job = p->dropped[--p->n_dropped];
+        Py_DECREF(job);
+    }
+}
+
+static PyObject *plan_in_use(void)
+{
+    PyErr_SetString(PyExc_RuntimeError,
+                    "the conservative plan is in use by another call");
+    return NULL;
+}
+
+PyDoc_STRVAR(plan_walk_doc,
+"walk(queue, nodes, estimates, now, free[, profile, clamps])\n\
 --\n\
 \n\
-Place the ``count`` jobs whose widths and estimates start at ``offset``\n\
-in the ``array('q')``/``array('d')`` columns on ``profile``, exactly as\n\
-``_ReservationPlan.place`` would, and return ``(placed, started,\n\
-planned)``: how many jobs the walk got through, the tail positions of\n\
-those that start now, and the planned starts of the others in order.\n\
-``profile`` is left edited as the Python walk leaves it, or, when the\n\
-walk raises, as it was.");
+One conservative-backfilling decision on the plan, as\n\
+``_ReservationPlan.keep_prefix`` and ``_ReservationPlan.place`` make it.\n\
+``queue`` is the list of queued jobs in service order and ``nodes``/\n\
+``estimates`` its ``array('q')``/``array('d')`` columns; ``free`` nodes\n\
+are free at ``now``.  Given ``profile``, the plan is loaded from it (a\n\
+copy: ``profile`` is never edited) with one overrun clamp per width in\n\
+the tuple ``clamps``, reserved from the origin for one second, and the\n\
+whole queue is placed.  Without it the kept plan is brought to ``now``\n\
+and cut to its longest common prefix with the queue by identity, the\n\
+reservations past the prefix are withdrawn, and the rest of the queue is\n\
+placed.  Returns the positions of the jobs that start now.  A walk that\n\
+raises leaves the plan empty until the next load.");
 
-static PyObject *conservative_walk(PyObject *module, PyObject *const *args,
-                                   Py_ssize_t nargs)
+static PyObject *plan_walk(PyObject *op, PyObject *const *args,
+                           Py_ssize_t nargs)
 {
+    Plan *p = (Plan *)op;
     Py_buffer nodes, estimates;
-    struct scratch own = {0}, *s;
-    Py_ssize_t offset, count, segments;
-    int64_t total, free_nodes, out[4];
-    int64_t code, width, level;
+    PyObject *queue, *profile = Py_None, *clamps = NULL;
+    PyObject *result = NULL;
+    PyObject *const *items;
+    Py_ssize_t count;
+    int64_t free_nodes, keep = 0, n_started = 0, at = -1, width = 0;
+    int64_t level, need;
     double now;
-    PyObject *times_list, *levels_list, *started, *planned, *result;
+    int code;
 
-    if (nargs != 7)
+    if (nargs < 5 || nargs > 7)
         return PyErr_Format(PyExc_TypeError,
-                            "conservative_walk takes 7 arguments (%zd given)",
-                            nargs);
-    offset = PyLong_AsSsize_t(args[3]);
-    if (offset == -1 && PyErr_Occurred())
-        return NULL;
-    count = PyLong_AsSsize_t(args[4]);
-    if (count == -1 && PyErr_Occurred())
-        return NULL;
-    now = PyFloat_AsDouble(args[5]);
+                            "walk takes 5 to 7 arguments (%zd given)", nargs);
+    if (p->busy)
+        return plan_in_use();
+    queue = args[0];
+    now = PyFloat_AsDouble(args[3]);
     if (now == -1.0 && PyErr_Occurred())
         return NULL;
-    free_nodes = PyLong_AsLongLong(args[6]);
+    free_nodes = PyLong_AsLongLong(args[4]);
     if (free_nodes == -1 && PyErr_Occurred())
         return NULL;
-    if (column(args[1], "q", &nodes))
+    if (nargs > 5)
+        profile = args[5];
+    if (nargs > 6) {
+        clamps = args[6];
+        if (clamp_count(clamps) < 0)
+            return NULL;
+    }
+    if (!PyList_Check(queue) || column(args[1], "q", &nodes))
         goto bad_columns;
     if (column(args[2], "d", &estimates)) {
         PyBuffer_Release(&nodes);
         goto bad_columns;
     }
-    if (offset < 0 || count < 0 || count > nodes.len / 8 - offset
-        || count > estimates.len / 8 - offset) {
+    count = PyList_GET_SIZE(queue);
+    if (nodes.len / 8 != count || estimates.len / 8 != count) {
         PyBuffer_Release(&nodes);
         PyBuffer_Release(&estimates);
         goto bad_columns;
     }
-    /* Room for two inserts per placed job; scratch for the two outputs and
-     * the two suffix arrays (2 * count + 1 each). */
-    s = read_profile(args[0], 2 * count, 2 * count + 1, &own, &segments,
-                     &total);
-    if (s == NULL) {
-        PyBuffer_Release(&nodes);
-        PyBuffer_Release(&estimates);
-        return NULL;
+    p->busy = 1;
+    if (plan_room(p, p->planned + count, count) < 0)
+        goto failed;
+    if (profile != Py_None) {
+        plan_drop(p, 0);
+        p->segments = 0;
+        need = 2 * (int64_t)count + (clamps ? PyTuple_GET_SIZE(clamps) : 0);
+        if (read_profile(profile, need, &p->times, &p->levels, &p->steps,
+                         &p->segments, &p->total) < 0)
+            goto failed;
+        if (clamps != NULL) {
+            code = add_clamps(clamps, p->times, p->levels, &p->segments,
+                              &width);
+            if (code != WALK_OK)
+                goto walk_error;
+        }
+    } else if (p->segments == 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "the conservative plan holds no profile to reuse");
+        goto failed;
+    } else if (grow_steps(&p->times, &p->levels, &p->steps,
+                          p->segments + 2 * (p->planned + count)) < 0) {
+        goto failed;
     }
-    code = repro_conservative_walk(
-        s->times, s->levels, segments, s->steps, total,
-        (const int64_t *)nodes.buf + offset,
-        (const double *)estimates.buf + offset, count, now, free_nodes,
-        s->ints, s->floats, out);
-    width = out[3] >= 0 ? ((const int64_t *)nodes.buf)[offset + out[3]] : 0;
+    /* Reading the profile may have run Python code. */
+    if (PyList_GET_SIZE(queue) != count) {
+        PyErr_SetString(PyExc_ValueError,
+                        "the queue changed while the profile was read");
+        goto failed;
+    }
+    items = PySequence_Fast_ITEMS(queue);
+    if (profile == Py_None) {
+        code = plan_keep_prefix(p, items, count, now, &keep, &at);
+        if (code != WALK_OK) {
+            width = p->widths[at];
+            goto walk_error;
+        }
+    }
+    code = plan_place(p, items, nodes.buf, estimates.buf, keep, count, now,
+                      free_nodes, &n_started, &at);
+    if (code != WALK_OK) {
+        width = ((const int64_t *)nodes.buf)[at];
+        goto walk_error;
+    }
+    result = int_list(p->ints, n_started);
+    goto done;
+walk_error:
+    level = p->levels[0];
+    plan_drop(p, 0);
+    p->segments = 0;
     PyBuffer_Release(&nodes);
     PyBuffer_Release(&estimates);
-    if (code != WALK_OK) {
-        level = s->levels[0];
-        give_back(s);
-        return walk_failed(module, (int)code, width, total, level);
-    }
-    times_list = float_list(s->times, out[0]);
-    levels_list = int_list(s->levels, out[0]);
-    started = int_list(s->ints, out[2]);
-    planned = float_list(s->floats, out[1] - out[2]);
-    give_back(s);
-    result = NULL;
-    if (times_list != NULL && levels_list != NULL && started != NULL
-        && planned != NULL
-        && PyObject_SetAttr(args[0], str_times, times_list) == 0
-        && PyObject_SetAttr(args[0], str_free, levels_list) == 0)
-        result = Py_BuildValue("(LOO)", (long long)out[1], started, planned);
-    Py_XDECREF(times_list);
-    Py_XDECREF(levels_list);
-    Py_XDECREF(started);
-    Py_XDECREF(planned);
+    release_dropped(p);
+    p->busy = 0;
+    return walk_failed(PyType_GetModule(Py_TYPE(op)), code, width, p->total,
+                       level);
+failed:
+    plan_drop(p, 0);
+    p->segments = 0;
+done:
+    PyBuffer_Release(&nodes);
+    PyBuffer_Release(&estimates);
+    release_dropped(p);
+    p->busy = 0;
     return result;
 bad_columns:
     PyErr_SetString(PyExc_ValueError,
-                    "queue columns must be array('q') and array('d') "
-                    "covering the tail");
+                    "queue columns must be array('q') and array('d') of the "
+                    "queue's length");
     return NULL;
 }
 
-PyDoc_STRVAR(easy_doc,
-"easy_walk(profile, nodes, estimates, head, free, now)\n\
+static PyObject *plan_get_jobs(PyObject *op, void *closure)
+{
+    Plan *p = (Plan *)op;
+    PyObject *list;
+    int64_t k;
+
+    (void)closure;
+    if (p->busy)
+        return plan_in_use();
+    p->busy = 1;
+    list = PyList_New(p->planned);
+    for (k = 0; list != NULL && k < p->planned; ++k) {
+        Py_INCREF(p->jobs[k]);
+        PyList_SET_ITEM(list, k, p->jobs[k]);
+    }
+    p->busy = 0;
+    return list;
+}
+
+static PyObject *plan_get_starts(PyObject *op, void *closure)
+{
+    Plan *p = (Plan *)op;
+    PyObject *list;
+
+    (void)closure;
+    if (p->busy)
+        return plan_in_use();
+    p->busy = 1;
+    list = float_list(p->starts, p->planned);
+    p->busy = 0;
+    return list;
+}
+
+PyDoc_STRVAR(plan_steps_doc,
+"steps()\n\
 --\n\
 \n\
-Run the blocked-head phase of ``EasyBackfill.select_indexed`` on\n\
-``profile``, a snapshot taken at ``now``: the queue's ``array('q')``/\n\
-``array('d')`` columns are read in place, ``queue[:head]`` started\n\
-greedily, and ``queue[head]`` does not fit the ``free`` nodes left.\n\
-Return the positions of the backfilled jobs in the order the Python\n\
-walk picks them.  ``profile`` is left as it was: the walk's reservations\n\
-die with the decision, as the Python walk's snapshot does.");
+The plan profile as ``(time, free_nodes_from_time)`` pairs, as\n\
+``AvailabilityProfile.steps`` gives them (empty while no profile is\n\
+loaded).");
+
+static PyObject *plan_steps(PyObject *op, PyObject *unused)
+{
+    Plan *p = (Plan *)op;
+    PyObject *list, *step;
+    int64_t i;
+
+    (void)unused;
+    if (p->busy)
+        return plan_in_use();
+    p->busy = 1;
+    list = PyList_New(p->segments);
+    for (i = 0; list != NULL && i < p->segments; ++i) {
+        step = Py_BuildValue("(dL)", p->times[i], (long long)p->levels[i]);
+        if (step == NULL)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, i, step);
+    }
+    p->busy = 0;
+    return list;
+}
+
+static int plan_traverse(PyObject *op, visitproc visit, void *arg)
+{
+    Plan *p = (Plan *)op;
+    int64_t k;
+
+    Py_VISIT(Py_TYPE(op));
+    for (k = 0; k < p->planned; ++k)
+        Py_VISIT(p->jobs[k]);
+    for (k = 0; k < p->n_dropped; ++k)
+        Py_VISIT(p->dropped[k]);
+    return 0;
+}
+
+static int plan_clear(PyObject *op)
+{
+    Plan *p = (Plan *)op;
+
+    plan_drop(p, 0);
+    p->segments = 0;
+    release_dropped(p);
+    return 0;
+}
+
+static void plan_dealloc(PyObject *op)
+{
+    Plan *p = (Plan *)op;
+    PyTypeObject *type = Py_TYPE(op);
+
+    PyObject_GC_UnTrack(op);
+    plan_clear(op);
+    PyMem_Free(p->times);
+    PyMem_Free(p->levels);
+    PyMem_Free(p->jobs);
+    PyMem_Free(p->dropped);
+    PyMem_Free(p->starts);
+    PyMem_Free(p->ends);
+    PyMem_Free(p->widths);
+    PyMem_Free(p->ints);
+    PyMem_Free(p->floats);
+    type->tp_free(op);
+    Py_DECREF(type);
+}
+
+static PyMethodDef plan_methods[] = {
+    {"walk", (PyCFunction)(void (*)(void))plan_walk, METH_FASTCALL,
+     plan_walk_doc},
+    {"steps", plan_steps, METH_NOARGS, plan_steps_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyGetSetDef plan_getset[] = {
+    {"jobs", plan_get_jobs, NULL,
+     "The planned jobs, in queue order (a new list).", NULL},
+    {"starts", plan_get_starts, NULL,
+     "The planned jobs' starts, in queue order (a new list).", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+PyDoc_STRVAR(plan_doc,
+"ConservativePlan()\n\
+--\n\
+\n\
+A conservative-backfilling reservation plan kept between decision\n\
+points: the plan profile and the planned jobs with their starts, owned\n\
+by the extension.  Empty until a walk loads a profile into it.");
+
+static PyType_Slot plan_slots[] = {
+    {Py_tp_doc, (void *)plan_doc},
+    {Py_tp_new, PyType_GenericNew},
+    {Py_tp_dealloc, plan_dealloc},
+    {Py_tp_traverse, plan_traverse},
+    {Py_tp_clear, plan_clear},
+    {Py_tp_methods, plan_methods},
+    {Py_tp_getset, plan_getset},
+    {0, NULL},
+};
+
+static PyType_Spec plan_spec = {
+    "_walk.ConservativePlan",
+    sizeof(Plan),
+    0,
+    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    plan_slots,
+};
+
+/* ``easy_walk`` -------------------------------------------------------------- */
+
+PyDoc_STRVAR(easy_doc,
+"easy_walk(profile, clamps, nodes, estimates, head, free, now)\n\
+--\n\
+\n\
+Run the blocked-head phase of ``EasyBackfill.select_indexed`` at ``now``\n\
+on a copy of ``profile`` with one overrun clamp per width in the tuple\n\
+``clamps``, reserved from the origin for one second: the decision\n\
+snapshot.  The queue's ``array('q')``/``array('d')`` columns are read\n\
+in place, ``queue[:head]`` started greedily, and ``queue[head]`` does\n\
+not fit the ``free`` nodes left.  Return the positions of the\n\
+backfilled jobs in the order the Python walk picks them.  ``profile``\n\
+is never edited: the walk's reservations die with the decision, as the\n\
+Python walk's snapshot does.");
 
 static PyObject *easy_walk(PyObject *module, PyObject *const *args,
                            Py_ssize_t nargs)
@@ -741,26 +1175,29 @@ static PyObject *easy_walk(PyObject *module, PyObject *const *args,
     Py_buffer nodes, estimates;
     struct scratch own = {0}, *s;
     struct easy_frame frame;
-    Py_ssize_t head, count, segments;
-    int64_t total, free_nodes, code, width, level;
+    Py_ssize_t head, count, n_clamps;
+    int64_t total, free_nodes, code, width = 0, level, segments;
     double now;
     PyObject *picks;
 
-    if (nargs != 6)
+    if (nargs != 7)
         return PyErr_Format(PyExc_TypeError,
-                            "easy_walk takes 6 arguments (%zd given)", nargs);
-    head = PyLong_AsSsize_t(args[3]);
+                            "easy_walk takes 7 arguments (%zd given)", nargs);
+    n_clamps = clamp_count(args[1]);
+    if (n_clamps < 0)
+        return NULL;
+    head = PyLong_AsSsize_t(args[4]);
     if (head == -1 && PyErr_Occurred())
         return NULL;
-    free_nodes = PyLong_AsLongLong(args[4]);
+    free_nodes = PyLong_AsLongLong(args[5]);
     if (free_nodes == -1 && PyErr_Occurred())
         return NULL;
-    now = PyFloat_AsDouble(args[5]);
+    now = PyFloat_AsDouble(args[6]);
     if (now == -1.0 && PyErr_Occurred())
         return NULL;
-    if (column(args[1], "q", &nodes))
+    if (column(args[2], "q", &nodes))
         goto bad_columns;
-    if (column(args[2], "d", &estimates)) {
+    if (column(args[3], "d", &estimates)) {
         PyBuffer_Release(&nodes);
         goto bad_columns;
     }
@@ -770,28 +1207,37 @@ static PyObject *easy_walk(PyObject *module, PyObject *const *args,
         PyBuffer_Release(&estimates);
         goto bad_columns;
     }
-    /* Room for one insert per reservation (the prefix and each pick); a
-     * pick per job in the int scratch, a byte per job in the float one. */
-    s = read_profile(args[0], count, count, &own, &segments, &total);
-    if (s == NULL) {
+    /* Room for one insert per clamp and per reservation (the prefix and
+     * each pick); a pick per job in the int scratch, a byte per job in the
+     * float one. */
+    s = lend(&own, count);
+    if (s == NULL || read_profile(args[0], n_clamps + count, &s->times,
+                                  &s->levels, &s->steps, &segments,
+                                  &total) < 0) {
+        if (s != NULL)
+            give_back(s);
         PyBuffer_Release(&nodes);
         PyBuffer_Release(&estimates);
         return NULL;
     }
-    frame.times = s->times;
-    frame.levels = s->levels;
-    frame.capacity = s->steps;
-    frame.nodes = nodes.buf;
-    frame.estimates = estimates.buf;
-    frame.count = count;
-    frame.total = total;
-    frame.head = head;
-    frame.free_nodes = free_nodes;
-    frame.segments = segments;
-    frame.picks = s->ints;
-    frame.taken = (unsigned char *)s->floats;
-    code = repro_easy_walk(&frame, now);
-    width = frame.at >= 0 ? ((const int64_t *)nodes.buf)[frame.at] : 0;
+    frame.at = -1;
+    code = add_clamps(args[1], s->times, s->levels, &segments, &width);
+    if (code == WALK_OK) {
+        frame.times = s->times;
+        frame.levels = s->levels;
+        frame.capacity = s->steps;
+        frame.nodes = nodes.buf;
+        frame.estimates = estimates.buf;
+        frame.count = count;
+        frame.total = total;
+        frame.head = head;
+        frame.free_nodes = free_nodes;
+        frame.segments = segments;
+        frame.picks = s->ints;
+        frame.taken = (unsigned char *)s->floats;
+        code = repro_easy_walk(&frame, now);
+        width = frame.at >= 0 ? ((const int64_t *)nodes.buf)[frame.at] : 0;
+    }
     PyBuffer_Release(&nodes);
     PyBuffer_Release(&estimates);
     if (code != WALK_OK) {
@@ -810,8 +1256,6 @@ bad_columns:
 }
 
 static PyMethodDef walk_methods[] = {
-    {"conservative_walk", (PyCFunction)(void (*)(void))conservative_walk,
-     METH_FASTCALL, conservative_doc},
     {"easy_walk", (PyCFunction)(void (*)(void))easy_walk, METH_FASTCALL,
      easy_doc},
     {NULL, NULL, 0, NULL},
@@ -819,26 +1263,36 @@ static PyMethodDef walk_methods[] = {
 
 static int walk_exec(PyObject *module)
 {
-    (void)module;
-    if (str_walk_error != NULL)
-        return 0; /* another module object from the same library */
-    str_times = PyUnicode_InternFromString("_times");
-    str_free = PyUnicode_InternFromString("_free");
-    str_total_nodes = PyUnicode_InternFromString("total_nodes");
-    str_walk_error = PyUnicode_InternFromString("walk_error");
-    if (str_times && str_free && str_total_nodes && str_walk_error)
-        return 0;
-    Py_CLEAR(str_times);
-    Py_CLEAR(str_free);
-    Py_CLEAR(str_total_nodes);
-    Py_CLEAR(str_walk_error);
-    return -1;
+    PyObject *plan_type;
+
+    if (str_walk_error == NULL) {
+        /* The first module object from this library. */
+        str_times = PyUnicode_InternFromString("_times");
+        str_free = PyUnicode_InternFromString("_free");
+        str_total_nodes = PyUnicode_InternFromString("total_nodes");
+        str_walk_error = PyUnicode_InternFromString("walk_error");
+        if (!str_times || !str_free || !str_total_nodes || !str_walk_error) {
+            Py_CLEAR(str_times);
+            Py_CLEAR(str_free);
+            Py_CLEAR(str_total_nodes);
+            Py_CLEAR(str_walk_error);
+            return -1;
+        }
+    }
+    plan_type = PyType_FromModuleAndSpec(module, &plan_spec, NULL);
+    if (plan_type == NULL)
+        return -1;
+    if (PyModule_AddObject(module, "ConservativePlan", plan_type) < 0) {
+        Py_DECREF(plan_type);
+        return -1;
+    }
+    return 0;
 }
 
 static PyModuleDef_Slot walk_slots[] = {
     {Py_mod_exec, walk_exec},
 #ifdef Py_mod_multiple_interpreters
-    /* The kept scratch is one per process: one GIL must guard it. */
+    /* EASY's kept scratch is one per process: one GIL must guard it. */
     {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_SUPPORTED},
 #endif
     {0, NULL},

@@ -1,12 +1,11 @@
 """The compiled backfilling queue walks: build, cache, trust, load.
 
 ``_walk.c`` holds both backfilling queue walks in C99: the conservative
-one (``ConservativeBackfill``) and EASY's blocked-head phase
-(``EasyBackfill``), under two entry points that make it the CPython
-extension module ``_walk``.  The fast backend runs them; the Python walks
-are the reference and the fallback.  This module turns the source into
-the two functions, loaded from the one extension under the one trust
-rule:
+one (``ConservativeBackfill``, whose plan the extension keeps) and EASY's
+blocked-head phase (``EasyBackfill``), which make the CPython extension
+module ``_walk``.  The fast backend runs them; the Python walks are the
+reference and the fallback.  This module turns the source into the two,
+loaded from the one extension under the one trust rule:
 
 * **Build on first use** with the host ``cc`` (``-O2 -fPIC -shared
   -ffp-contract=off``, no fast-math, so the kernel performs the float
@@ -37,7 +36,7 @@ rule:
   reason is what :func:`status` returns.
 
 Nothing imports this module until the first backfilling walk on the fast
-backend asks for :func:`conservative_walk` or :func:`easy_walk`.
+backend asks for :func:`conservative_plan` or :func:`easy_walk`.
 """
 
 from __future__ import annotations
@@ -70,11 +69,12 @@ _MODULE = "repro.core._walk"
 _WIDER_THAN_MACHINE = -1
 _PROFILE_TOO_LOW = -2
 _OVERCOMMITTED = -4
+_ABOVE_TOTAL = -5
 
 _lock = threading.Lock()
-#: ``(conservative_walk, easy_walk)`` from the extension, or ``None`` while
+#: ``(ConservativePlan, easy_walk)`` from the extension, or ``None`` while
 #: the Python walks run.
-_kernels: "tuple[Callable, Callable] | None" = None
+_kernels: "tuple[type, Callable] | None" = None
 _status: str | None = None  # None: not tried yet in this process
 
 
@@ -87,17 +87,18 @@ def status() -> str:
     return _status  # type: ignore[return-value]
 
 
-def conservative_walk() -> Callable | None:
-    """The compiled conservative walk, or ``None`` (fallback).
+def conservative_plan() -> type | None:
+    """The compiled conservative plan's type, or ``None`` (fallback).
 
-    ``walk(profile, nodes, estimates, offset, count, now, free)`` places
-    the ``count`` jobs whose widths and estimates start at ``offset`` in
-    the queue's ``array('q')``/``array('d')`` columns on ``profile``,
-    exactly as ``_ReservationPlan.place`` would, leaves ``profile`` edited
-    as that walk leaves it, and returns ``(placed, started, planned)``:
-    how many jobs the walk got through, the tail positions of those that
-    start now, and the planned starts of the others in order.  It holds
-    the GIL and owns its scratch, so any number of disciplines share it.
+    ``ConservativeBackfill`` keeps a ``ConservativePlan()`` between
+    decisions.  ``plan.walk(queue, nodes, estimates, now, free)`` is
+    ``_ReservationPlan.keep_prefix`` then ``place`` on the queue's columns,
+    read in place; ``plan.walk(..., profile, clamps)`` first loads the plan
+    from a copy of ``profile`` with the overrun clamps
+    :meth:`~repro.core.state.SchedulingState.live` names.  Either returns
+    the positions of the jobs that start; ``plan.jobs``, ``plan.starts``
+    and ``plan.steps()`` read the plan back.  A call made while another
+    runs on the same plan raises ``RuntimeError``.
     """
     _ensure_loaded()
     return None if _kernels is None else _kernels[0]
@@ -106,14 +107,13 @@ def conservative_walk() -> Callable | None:
 def easy_walk() -> Callable | None:
     """The compiled EASY walk, or ``None`` (fallback).
 
-    ``walk(profile, nodes, estimates, head, free, now)`` runs the
-    blocked-head phase of ``EasyBackfill.select_indexed`` on ``profile``,
-    a snapshot taken at ``now``: the queue's columns are read in place,
-    ``queue[:head]`` started greedily, and ``queue[head]`` does not fit
-    the ``free`` nodes left.  Returns the positions of the backfilled jobs
-    in the order the Python walk picks them, and leaves ``profile`` as it
-    was: the walk's reservations die with the decision, as the Python
-    walk's snapshot does.
+    ``walk(profile, clamps, nodes, estimates, head, free, now)`` runs the
+    blocked-head phase of ``EasyBackfill.select_indexed`` on a copy of
+    ``profile`` with the overrun ``clamps`` added (a snapshot taken at
+    ``now``): the queue's columns are read in place, ``queue[:head]``
+    started greedily, and ``queue[head]`` does not fit the ``free`` nodes
+    left.  Returns the positions of the backfilled jobs in the order the
+    Python walk picks them; ``profile`` is never edited.
     """
     _ensure_loaded()
     return None if _kernels is None else _kernels[1]
@@ -142,13 +142,15 @@ def _walk_error(code: int, width: int, total: int, free: int) -> ValueError:
             f"reservation of {width} nodes from origin exceeds "
             f"availability ({free} free)"
         )
+    if code == _ABOVE_TOTAL:
+        return ValueError(f"unreserve of {width} nodes exceeds total_nodes ({total})")
     return ValueError(f"backfilling walk failed with code {code}")
 
 
 # -- build, cache, trust, load --------------------------------------------------
 
 
-def _load() -> tuple["tuple[Callable, Callable] | None", str]:
+def _load() -> tuple["tuple[type, Callable] | None", str]:
     """(kernels, status) — never raises."""
     try:
         source = _SOURCE.read_bytes()
@@ -272,7 +274,7 @@ def _intact(library: Path, digest_file: Path) -> bool:
 
 def _build(
     library: Path, digest_file: Path, include: str
-) -> tuple["tuple[Callable, Callable] | None", str]:
+) -> tuple["tuple[type, Callable] | None", str]:
     compiler = shutil.which(COMMAND[0])
     if compiler is None:
         return None, f"python walk: no C compiler ({COMMAND[0]}) on PATH"
@@ -315,12 +317,12 @@ def _build(
                     pass
 
 
-def _import(path: Path) -> tuple[Callable, Callable]:
+def _import(path: Path) -> tuple[type, Callable]:
     """Execute the extension at ``path`` as a fresh module (it is not put
-    in ``sys.modules``) and return its two walks."""
+    in ``sys.modules``) and return its plan type and EASY walk."""
     loader = importlib.machinery.ExtensionFileLoader(_MODULE, str(path))
     spec = importlib.util.spec_from_file_location(_MODULE, path, loader=loader)
     module = importlib.util.module_from_spec(spec)
     loader.exec_module(module)
     module.walk_error = _walk_error
-    return module.conservative_walk, module.easy_walk
+    return module.ConservativePlan, module.easy_walk

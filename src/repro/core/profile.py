@@ -54,9 +54,9 @@ this wide and this long start *now*?", read off the first few segments —
 conservative backfilling ends its queue walk on it.
 
 On the fast backend both backfilling walks run in compiled C
-(:mod:`repro.core.native`), these queries included: the extension reads
-``_times`` and ``_free`` in place and, for conservative backfilling,
-writes the edited lists back.
+(:mod:`repro.core.native`), these queries included: the extension copies
+``_times`` and ``_free`` into arrays of its own and never writes them back
+— conservative backfilling keeps its plan there between decisions.
 """
 
 from __future__ import annotations

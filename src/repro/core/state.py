@@ -28,7 +28,8 @@ simulator and exposed to schedulers through
 
 The contract (see ``docs/architecture.md`` for the full invariant table):
 only the simulator mutates the state; schedulers read private
-:meth:`snapshot` copies, which are guaranteed to describe *exactly* the same
+:meth:`snapshot` copies (the compiled walks make their own from
+:meth:`~SchedulingState.live`), which are guaranteed to describe *exactly* the same
 step function ``from_running`` would rebuild — including the clamping of
 overrun jobs (projected end in the past) to an epsilon after *now*.  That
 guarantee is mechanical equivalence: schedules under the incremental state
@@ -276,18 +277,25 @@ class SchedulingState:
         touches the persistent state.  Costs one copy of the segment lists,
         O(segments), plus the overrun clamps.
         """
+        return self._clamped(*self.live())
+
+    def live(self) -> tuple[AvailabilityProfile, tuple[int, ...]]:
+        """:meth:`snapshot` uncopied: the persistent profile itself, never
+        to be mutated, and the widths :meth:`snapshot` clamps, in order,
+        each over ``[now, now + _OVERRUN_EPSILON)`` from the origin.  For
+        compiled walks, which copy it; counted and verified as a snapshot."""
         self.snapshots += 1
-        snap = self._clamped_clone()
+        read = self._live()
         if self.verify_every:
             self._since_verify += 1
             if self._since_verify >= self.verify_every:
                 self._since_verify = 0
-                self.verify(snap)
-        return snap
+                self.verify()
+        return read
 
-    def _clamped_clone(self) -> AvailabilityProfile:
-        """A clone of the persistent profile — built now if nothing has
-        read it yet — with the overrun clamps of this instant added."""
+    def _live(self) -> tuple[AvailabilityProfile, tuple[int, ...]]:
+        """The persistent profile — built now if nothing has read it yet —
+        and the widths of this instant's overrun clamps."""
         ends = self._ends
         # Length of the release index's overrun prefix (end <= now).
         overrun = (
@@ -299,11 +307,18 @@ class SchedulingState:
             # live projections and the active outages, never the overrun
             # clamps (they move with the clock).
             profile = self.profile = self._rebuild(overrun)
+        if not overrun:
+            return profile, ()
+        jobs = self._jobs
+        return profile, tuple(jobs[job_id][1] for _end, job_id in ends[:overrun])
+
+    def _clamped(
+        self, profile: AvailabilityProfile, clamps: tuple[int, ...]
+    ) -> AvailabilityProfile:
+        """A clone of ``profile`` with the overrun clamps added."""
         snap = profile.clone()
-        if overrun:
-            jobs = self._jobs
-            for _end, job_id in ends[:overrun]:
-                snap.reserve(self.now, _OVERRUN_EPSILON, jobs[job_id][1])
+        for nodes in clamps:
+            snap.reserve(self.now, _OVERRUN_EPSILON, nodes)
         return snap
 
     def _rebuild(self, skip: int = 0) -> AvailabilityProfile:
@@ -343,7 +358,7 @@ class SchedulingState:
         """
         self.verifications += 1
         if snap is None:
-            snap = self._clamped_clone()
+            snap = self._clamped(*self._live())
         incremental = snap.canonical_steps()
         reference = self._rebuild().canonical_steps()
         if incremental != reference:

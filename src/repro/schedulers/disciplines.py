@@ -21,9 +21,10 @@ All projections use the user estimate; actual runtimes may be shorter, so
 backfilled jobs can still delay queued work relative to plain FCFS — the
 behaviour the paper points out at the end of Section 5.2.
 
-Both backfilling disciplines plan on ``ctx.profile`` — a snapshot of the
-incrementally-maintained availability state (or a ``from_running`` rebuild
-when the driving loop keeps no state).  The snapshot is theirs to mutate:
+Both backfilling disciplines plan on a snapshot of the availability state
+(or a ``from_running`` rebuild when the driving loop keeps no state):
+``ctx.profile``, or the copy a compiled walk makes of :func:`_live_profile`.
+The snapshot is theirs to mutate:
 tentative starts and reservations go straight into it.  EASY's snapshot
 dies with the decision point.  Conservative backfilling keeps its snapshot,
 reservations and all, as a *plan* for the next decision point, and takes a
@@ -236,19 +237,15 @@ class EasyBackfill(Discipline):
         return started, indices
 
     def _select_compiled(
-        self,
-        walk: Callable,
-        queue: JobQueue,
-        ctx: SchedulerContext,
-        free: int,
+        self, walk: Callable, queue: JobQueue, ctx: SchedulerContext, free: int
     ) -> tuple[list[Job], Sequence[int]]:
         """:meth:`select_indexed` with the walk past the head in C.
 
-        The greedy head starts stay here: decisions that never block take
-        no snapshot.  Once the head blocks it stays blocked (free nodes
-        only shrink), and the rest of the decision — the started prefix
-        reserved into the snapshot, the shadow, every backfill — is one
-        kernel call reading the queue's columns in place.
+        The greedy head starts stay here: decisions that never block read
+        no profile.  Once the head blocks it stays blocked (free nodes
+        only shrink), and the rest of the decision — the snapshot of
+        :func:`_live_profile`, the started prefix reserved into it, the
+        shadow, every backfill — is one kernel call.
         """
         nodes = queue.nodes
         n = len(queue)
@@ -259,7 +256,7 @@ class EasyBackfill(Discipline):
         if head >= n - 1:
             # Everything started, or only the blocked head is left.
             return list(queue[:head]), range(head)
-        picks = walk(ctx.profile, nodes, queue.estimates, head, free, ctx.now)
+        picks = walk(*_live_profile(ctx), nodes, queue.estimates, head, free, ctx.now)
         indices = [*range(head), *picks]
         return [queue[i] for i in indices], indices
 
@@ -280,22 +277,14 @@ class _ReservationPlan:
     ``profile`` holds the running jobs' projected remainders *and* one
     reservation per planned job; ``jobs``/``starts`` list those planned jobs
     (queued, not yet started) in queue order with the start each was given.
-    ``deltas`` is the value ``state.deltas`` must have at the next decision
-    point and ``started`` the jobs the last decision returned — together
-    they prove that nothing but those starts touched the machine since.
     """
 
-    __slots__ = ("state", "profile", "jobs", "starts", "deltas", "started")
+    __slots__ = ("profile", "jobs", "starts")
 
-    def __init__(
-        self, state: SchedulingState | None, profile: AvailabilityProfile
-    ) -> None:
-        self.state = state
+    def __init__(self, profile: AvailabilityProfile) -> None:
         self.profile = profile
         self.jobs: list[Job] = []
         self.starts: list[float] = []
-        self.deltas = 0
-        self.started: tuple[Job, ...] = ()
 
     def keep_prefix(self, queue: Sequence[Job], now: float) -> int:
         """Bring a valid plan to ``now`` and keep what still matches ``queue``.
@@ -390,41 +379,6 @@ class _ReservationPlan:
                 starts.append(start)
         return started, indices
 
-    def place_compiled(
-        self,
-        walk: Callable,
-        queue: JobQueue,
-        keep: int,
-        now: float,
-        free: int,
-    ) -> tuple[list[Job], list[int]]:
-        """:meth:`place` as one call into the compiled walk.
-
-        Same starts, same planned starts, same profile afterwards — the C
-        kernel is a port of :meth:`place` and the profile calls it makes.
-        The queue's ``nodes`` and ``estimates`` columns are read in place
-        from ``keep`` on.
-        """
-        placed, positions, planned = walk(
-            self.profile, queue.nodes, queue.estimates, keep, len(queue) - keep,
-            now, free,
-        )  # fmt: skip
-        # The placed jobs are queue[keep:keep + placed]: the started ones
-        # at their positions, the planned ones in the runs between them.
-        jobs = self.jobs
-        started: list[Job] = []
-        indices: list[int] = []
-        run_from = keep
-        for position in positions:
-            i = keep + position
-            started.append(queue[i])
-            indices.append(i)
-            jobs += queue[run_from:i]
-            run_from = i + 1
-        jobs += queue[run_from : keep + placed]
-        self.starts += planned
-        return started, indices
-
 
 class ConservativeBackfill(Discipline):
     """Conservative backfilling: no job is delayed by a job behind it.
@@ -471,13 +425,14 @@ class ConservativeBackfill(Discipline):
     kept start is a breakpoint later than ``now``, so both are the same
     float.
 
-    On the fast backend (``ctx.vectorize``) the walk is one call into
-    compiled C (:meth:`_ReservationPlan.place_compiled`, a port of
-    :meth:`_ReservationPlan.place` with the same float operations) reading
-    the queue's :class:`~repro.schedulers.base.JobQueue` columns — a
-    wrapper's filtered queue or a ``depth`` prefix is copied into one; the
-    python backend, and any host where the kernel cannot be built or
-    loaded, runs :meth:`~_ReservationPlan.place` itself.
+    On the fast backend (``ctx.vectorize``) the plan lives in the compiled
+    extension (:func:`repro.core.native.conservative_plan`, a port of
+    :class:`_ReservationPlan` with the same float operations): a decision
+    is one call, which loads an invalid plan from :func:`_live_profile`
+    and reads the queue's :class:`~repro.schedulers.base.JobQueue` columns
+    — a wrapper's filtered queue or a ``depth`` prefix is copied into one.
+    The python backend, and any host where the kernel cannot be built or
+    loaded, keeps a :class:`_ReservationPlan`.
 
     Under state verification (``REPRO_VERIFY_STATE`` /
     ``SimulationConfig(verify_state=K)``) every decision the cadence picks
@@ -498,18 +453,22 @@ class ConservativeBackfill(Discipline):
 
     name = "conservative"
     uses_estimates = True
-    #: The compiled walk once looked up: ``None`` not yet, ``False`` when
-    #: the Python walk stays (instance attribute).
-    _walk: Callable | bool | None = None
+    #: The compiled plan's type once looked up: ``None`` not yet, ``False``
+    #: when the Python walk stays (instance attribute).
+    _kernel: type | bool | None = None
 
     def __init__(self, depth: int | None = None) -> None:
         if depth is not None and depth < 1:
             raise ValueError("depth must be at least 1 (or None for unbounded)")
         self.depth = depth
-        self._plan: _ReservationPlan | None = None
+        self._plan = None  # a _ReservationPlan, or the kernel's plan
+        #: What proves ``_plan`` valid: the state it was built on, the
+        #: ``state.deltas`` due next and the jobs it started.
+        self._kept: tuple[SchedulingState, int, tuple[Job, ...]] | None = None
 
     def reset(self) -> None:
         self._plan = None
+        self._kept = None
 
     def select(self, queue: Sequence[Job], ctx: SchedulerContext) -> list[Job]:
         started, _indices = self.select_indexed(queue, ctx)
@@ -529,102 +488,122 @@ class ConservativeBackfill(Discipline):
         free = ctx.free_nodes
         if free < _min_queue_nodes(queue, ctx):
             return [], None
-        state = ctx.state
         plan = self._valid_plan(ctx)
-        reused = plan is not None
-        if reused:
-            keep = plan.keep_prefix(queue, now)
-        else:
-            plan = _ReservationPlan(state, ctx.profile)
-            keep = 0
-        walk = self._compiled_walk(ctx)
-        if walk is None:
-            started, indices = plan.place(queue, keep, now, free)
+        self._kept = None  # until this walk succeeds
+        kernel = self._compiled_plan(ctx)
+        if kernel is None:
+            if plan is None:
+                self._plan = _ReservationPlan(ctx.profile)
+                keep = 0
+            else:
+                keep = plan.keep_prefix(queue, now)
+            started, indices = self._plan.place(queue, keep, now, free)
         else:
             queue = JobQueue.of(queue)
-            started, indices = plan.place_compiled(walk, queue, keep, now, free)
-        if reused and state.verify_every:
-            _cross_check(plan, queue, ctx, started, walk)
-        if state is None or any(
-            job.estimated_runtime < _ZERO_RUNTIME_EPSILON for job in started
-        ):
-            # No delta bookkeeping to judge a plan by (gang, metasystem,
-            # rebuild mode), or a start the plan holds for the epsilon and
-            # the state does not hold at all.
-            self._plan = None
-        else:
-            plan.deltas = state.deltas + len(started)
-            plan.started = tuple(started)  # the caller owns the list
-            self._plan = plan
+            started, indices = self._select_compiled(kernel, queue, ctx, free, plan)
+        state = ctx.state
+        if plan is not None and state.verify_every:
+            _cross_check(self._plan, queue, ctx, started, kernel)
+        # No delta bookkeeping to judge a plan by (gang, metasystem, rebuild
+        # mode), or a start the plan holds for the epsilon and the state
+        # does not hold at all: the next decision starts from scratch.
+        if state is not None:
+            for job in started:
+                if job.estimated_runtime < _ZERO_RUNTIME_EPSILON:
+                    break
+            else:  # the caller owns the list
+                self._kept = (state, state.deltas + len(started), tuple(started))
         return started, indices
 
-    def _compiled_walk(self, ctx: SchedulerContext) -> Callable | None:
-        """The compiled queue walk on the fast backend, when it loaded.
+    def _select_compiled(
+        self, kernel: type, queue: JobQueue, ctx: SchedulerContext, free: int, plan
+    ) -> tuple[list[Job], list[int]]:
+        """The decision as one kernel call: on ``plan``, the valid kept one,
+        or on the discipline's plan loaded afresh."""
+        load = ()
+        if plan is None:
+            plan = self._plan if isinstance(self._plan, kernel) else kernel()
+            self._plan = plan
+            load = _live_profile(ctx)
+        indices = plan.walk(queue, queue.nodes, queue.estimates, ctx.now, free, *load)
+        return [queue[i] for i in indices], indices
+
+    def _compiled_plan(self, ctx: SchedulerContext) -> type | None:
+        """The compiled plan's type on the fast backend, when it loaded.
 
         The loader is imported on the first conservative walk that could
         use it.
         """
         if not ctx.vectorize:
             return None
-        walk = self._walk
-        if walk is None:
+        kernel = self._kernel
+        if kernel is None:
             from repro.core import native
 
-            walk = self._walk = native.conservative_walk() or False
-        return walk or None
+            kernel = self._kernel = native.conservative_plan() or False
+        return kernel or None
 
-    def _valid_plan(self, ctx: SchedulerContext) -> _ReservationPlan | None:
+    def _valid_plan(self, ctx: SchedulerContext) -> object | None:
         """The kept plan, if nothing but its own starts happened since."""
-        plan = self._plan
-        state = ctx.state
-        if (
-            plan is None
-            or plan.state is not state
-            or state.deltas != plan.deltas
-            or state.has_overrun()
-        ):
+        kept = self._kept
+        if kept is None:
             return None
-        if plan.started:
+        built_on, deltas, started = kept
+        state = ctx.state
+        if built_on is not state or state.deltas != deltas or state.has_overrun():
+            return None
+        if started:
             running = ctx.running
-            for job in plan.started:
+            for job in started:
                 entry = running.get(job.job_id)
                 if entry is None or entry.job is not job:
                     return None  # a wrapper dropped the start
-        return plan
+        return self._plan
+
+
+def _live_profile(ctx: SchedulerContext) -> tuple[AvailabilityProfile, tuple]:
+    """What a compiled walk copies its snapshot from: the state's live
+    profile and overrun clamps, or a clamped rebuild without a state."""
+    state = ctx.state
+    return (ctx.profile, ()) if state is None else state.live()
 
 
 def _cross_check(
-    plan: _ReservationPlan,
+    plan,
     queue: Sequence[Job],
     ctx: SchedulerContext,
     started: list[Job],
-    walk: Callable | None,
+    kernel: type | None,
 ) -> None:
     """Verification mode: compare a reused plan with a from-scratch walk.
 
-    Taking the snapshot drives the state's own verification cadence, as
-    one snapshot per decision always did; the walk is repeated only when
-    that cadence fired, by the same walk (compiled or Python) the decision
-    used.
+    Reading the profile drives the state's own verification cadence, as
+    one read per decision always did; the walk is repeated only when that
+    cadence fired, by the same walk (compiled or Python) the decision
+    used, on a plan of its own.
     """
     state = ctx.state
     fired = state.verifications
-    scratch = _ReservationPlan(state, ctx.profile)
+    snapshot = ctx.profile if kernel is None else _live_profile(ctx)
     if state.verifications == fired:
         return
-    if walk is None:
+    if kernel is None:
+        scratch = _ReservationPlan(snapshot)
         expected, _indices = scratch.place(queue, 0, ctx.now, ctx.free_nodes)
     else:
-        expected, _indices = scratch.place_compiled(
-            walk, queue, 0, ctx.now, ctx.free_nodes
+        scratch = kernel()
+        indices = scratch.walk(
+            queue, queue.nodes, queue.estimates, ctx.now, ctx.free_nodes, *snapshot
         )
+        expected = [queue[i] for i in indices]
     # Both walks stop early on their own, so compare what both planned.
-    both = min(len(scratch.jobs), len(plan.jobs))
+    jobs, starts, scratch_jobs = plan.jobs, plan.starts, scratch.jobs
+    both = min(len(scratch_jobs), len(jobs))
     if (
         len(expected) != len(started)
         or any(map(operator.is_not, expected, started))
-        or any(map(operator.is_not, scratch.jobs[:both], plan.jobs[:both]))
-        or scratch.starts[:both] != plan.starts[:both]
+        or any(map(operator.is_not, scratch_jobs[:both], jobs[:both]))
+        or scratch.starts[:both] != starts[:both]
     ):
         def ids(jobs: Sequence[Job]) -> list[int]:
             return [job.job_id for job in jobs]
@@ -632,8 +611,8 @@ def _cross_check(
         raise StateDivergenceError(
             f"reused conservative-backfill plan diverged from a from-scratch "
             f"walk at t={ctx.now}: started {ids(started)} vs {ids(expected)}; "
-            f"planned {ids(plan.jobs[:both])} at {plan.starts[:both]} vs "
-            f"{ids(scratch.jobs[:both])} at {scratch.starts[:both]}"
+            f"planned {ids(jobs[:both])} at {starts[:both]} vs "
+            f"{ids(scratch_jobs[:both])} at {scratch.starts[:both]}"
         )
 
 

@@ -463,6 +463,63 @@ def test_conservative_starts_what_the_exit_free_walk_starts(case):
     assert not m.queue and not m.running
 
 
+@st.composite
+def exact_stream(draw):
+    """A submit-ordered stream whose estimates are the runtimes."""
+    total = draw(st.integers(min_value=2, max_value=24))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=12),  # gap to the previous arrival
+                st.integers(min_value=1, max_value=total),
+                st.one_of(
+                    st.integers(min_value=1, max_value=60).map(float),
+                    st.floats(min_value=0.5, max_value=60.0, allow_nan=False),
+                ),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    jobs, submit = [], 0.0
+    for job_id, (gap, nodes, runtime) in enumerate(rows):
+        submit += gap
+        jobs.append(J(job_id, submit, nodes, runtime, estimate=runtime))
+    return total, jobs
+
+
+@given(exact_stream())
+@settings(max_examples=200, deadline=None)
+def test_exact_estimates_start_every_job_at_its_first_reservation(case):
+    """With exact estimates, submit order, no failures and no
+    cancellations, conservative backfilling keeps every promise: a job
+    starts at the first start the walk gave it (docs/algorithms.md), on
+    the Python walk, and the compiled walk gives the same schedule."""
+    from unittest import mock
+
+    from repro.schedulers.disciplines import _ReservationPlan
+
+    total, jobs = case
+    first = {}
+    place = _ReservationPlan.place
+
+    def recording(self, queue, keep, now, free):
+        planned = len(self.jobs)
+        started, indices = place(self, queue, keep, now, free)
+        for job in started:
+            first.setdefault(job.job_id, now)
+        for job, start in zip(self.jobs[planned:], self.starts[planned:]):
+            first.setdefault(job.job_id, start)
+        return started, indices
+
+    with mock.patch.object(_ReservationPlan, "place", recording):
+        python = simulate(jobs, FCFSScheduler.with_conservative(), total, backend="python")
+    starts = {item.job.job_id: item.start_time for item in python.schedule}
+    assert starts == first
+    compiled = simulate(jobs, FCFSScheduler.with_conservative(), total, backend="numpy")
+    assert {item.job.job_id: item.start_time for item in compiled.schedule} == starts
+
+
 class TestEmptyQueueGuards:
     """select() on an empty queue must return [] without touching the profile."""
 

@@ -1,18 +1,26 @@
 """The compiled backfilling queue walks and their loader.
 
-``repro/core/_walk.c`` ports ``_ReservationPlan.place`` and the
-blocked-head phase of ``EasyBackfill.select_indexed`` to C; the Python
-walks stay the reference.  These tests hold each pair to the same started
-jobs (and, for conservative backfilling, the same planned starts and
-profile), bit for bit, check that the extension's entry points refuse
-every malformed input before they read the profile, and check that every
-way the loader can fail leaves the Python walks running with the same
-results and says why in ``native.status()``.
+``repro/core/_walk.c`` keeps conservative backfilling's reservation plan
+in the extension (``_ReservationPlan.keep_prefix`` and ``place`` ported to
+C, one call per decision) and ports the blocked-head phase of
+``EasyBackfill.select_indexed``; the Python walks stay the reference.
+These tests hold each pair to the same started jobs (and, for
+conservative backfilling, the same planned starts and plan profile), bit
+for bit, over single walks and over whole decision sequences; check that
+the extension's entry points refuse every malformed input before they
+read the profile, that a plan's memory stays bounded and its references
+are released; and check that every way the loader can fail leaves the
+Python walks running with the same results and says why in
+``native.status()``.
 """
 
 from __future__ import annotations
 
+import gc
+import heapq
+import operator
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -27,8 +35,11 @@ from hypothesis import strategies as st
 import repro
 from repro.core import native
 from repro.core.job import Job
+from repro.core.machine import Machine
 from repro.core.profile import AvailabilityProfile
+from repro.core.scheduler import RunningJob, SchedulerContext
 from repro.core.simulator import simulate
+from repro.core.state import SchedulingState
 from repro.schedulers.base import JobQueue, OrderedQueueScheduler, SubmitOrderPolicy
 from repro.schedulers.disciplines import (
     ConservativeBackfill,
@@ -42,12 +53,12 @@ SRC = Path(repro.__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
-def walk():
-    """The compiled conservative walk."""
-    walk = native.conservative_walk()
-    if walk is None:
+def kernel():
+    """The compiled conservative plan's type."""
+    kernel = native.conservative_plan()
+    if kernel is None:
         pytest.skip(f"compiled walk unavailable: {native.status()}")
-    return walk
+    return kernel
 
 
 # -- kernel vs Python walk ------------------------------------------------------
@@ -116,61 +127,98 @@ def walk_case(draw):
     return profile, queue, keep, free
 
 
-def _both_walks(profile, queue, keep, free, walk):
+def _load(kernel, profile, queue, free, clamps=()):
+    """A fresh compiled plan loaded from ``profile`` and walked over
+    ``queue``: the plan and the started positions."""
+    plan = kernel()
+    queue = JobQueue.of(queue)
+    started = plan.walk(
+        queue, queue.nodes, queue.estimates, profile.origin, free, profile, clamps
+    )
+    return plan, started
+
+
+def _both_walks(profile, queue, keep, free, kernel):
+    """The Python plan and the compiled one through the same two decisions
+    at the profile's origin: ``queue[:keep]`` placed on ``profile``, then,
+    with the started jobs gone, the planned ones kept by identity and the
+    rest of ``queue`` placed behind them.  Each side's plan and the
+    ``(started job ids, started positions)`` of the second decision."""
     now = profile.origin
-    python = _ReservationPlan(None, profile.clone())
-    compiled = _ReservationPlan(None, profile.clone())
-    expected = python.place(queue, keep, now, free)
-    got = compiled.place_compiled(walk, JobQueue(queue), keep, now, free)
-    return (python, expected), (compiled, got)
+    python = _ReservationPlan(profile.clone())
+    first, _indices = python.place(queue[:keep], 0, now, free)
+    compiled, positions = _load(kernel, profile, queue[:keep], free)
+    assert positions == _indices
+    assert compiled.steps() == python.profile.steps()
+    gone = {id(job) for job in first}
+    rest = JobQueue([job for job in queue if id(job) not in gone])
+    free -= sum(job.nodes for job in first)
+    kept = python.keep_prefix(rest, now)
+    started, indices = python.place(rest, kept, now, free)
+    positions = compiled.walk(rest, rest.nodes, rest.estimates, now, free)
+    c_started = [rest[i] for i in positions]
+    ids = [job.job_id for job in started]
+    return (python, (ids, indices)), (
+        compiled,
+        ([job.job_id for job in c_started], positions),
+    )
 
 
 def _same_bits(a, b):
     return [repr(x) for x in a] == [repr(float(x)) for x in b]
 
 
-@given(case=walk_case())
-@settings(max_examples=400, deadline=None)
-def test_kernel_walk_is_the_python_walk(walk, case):
-    profile, queue, keep, free = case
-    (python, (started, indices)), (compiled, (c_started, c_indices)) = _both_walks(
-        profile, queue, keep, free, walk
-    )
-    assert [j.job_id for j in c_started] == [j.job_id for j in started]
-    assert c_indices == indices
+def _same_plans(python, compiled):
     assert [j.job_id for j in compiled.jobs] == [j.job_id for j in python.jobs]
+    assert all(map(operator.is_, compiled.jobs, python.jobs))
     assert _same_bits([float(s) for s in python.starts], compiled.starts)
-    steps, c_steps = python.profile.steps(), compiled.profile.steps()
+    steps, c_steps = python.profile.steps(), compiled.steps()
     assert [level for _t, level in c_steps] == [level for _t, level in steps]
     assert _same_bits([float(t) for t, _level in steps], [t for t, _level in c_steps])
 
 
+@given(case=walk_case())
+@settings(max_examples=400, deadline=None)
+def test_kernel_walk_is_the_python_walk(kernel, case):
+    profile, queue, keep, free = case
+    (python, expected), (compiled, got) = _both_walks(
+        profile, queue, keep, free, kernel
+    )
+    assert got == expected
+    _same_plans(python, compiled)
+
+
 @pytest.mark.parametrize("end", [4.0, 5.0, 6.0])
-def test_window_ending_on_a_breakpoint(walk, end):
+def test_window_ending_on_a_breakpoint(kernel, end):
     """The whole machine is reserved from 5: a 2-node job of estimate 5
     fits now exactly (its window ends on the breakpoint), one of 6 does
     not; both walks agree on which."""
     profile = AvailabilityProfile(4, 0.0)
     profile.reserve(5.0, 5.0, 4)
     queue = [Job(0, 0.0, 2, 1.0, estimate=end), Job(1, 0.0, 2, 1.0, estimate=7.0)]
-    (python, expected), (compiled, got) = _both_walks(profile, queue, 0, 4, walk)
+    (python, expected), (compiled, got) = _both_walks(profile, queue, 0, 4, kernel)
     assert got == expected
-    assert [j.job_id for j in expected[0]] == ([0] if end <= 5.0 else [])
+    assert expected[0] == ([0] if end <= 5.0 else [])
     assert (compiled.jobs, compiled.starts) == (python.jobs, python.starts)
-    assert compiled.profile.steps() == python.profile.steps()
+    assert compiled.steps() == python.profile.steps()
 
 
-def test_kernel_walks_of_every_size_match_the_python_walk(walk):
+def test_kernel_walks_of_every_size_match_the_python_walk(kernel):
     """Short and long queues on short and long profiles, one after the
-    other: the scratch the extension keeps grows, results stay the Python
-    walk's."""
+    other on one plan: the memory the plan keeps grows, results stay the
+    Python walk's."""
+    plan = kernel()
     for n, seed in ((5, 1), (400, 2), (3, 3), (900, 4)):
-        jobs = make_jobs(n, seed=seed, max_nodes=64)
+        jobs = JobQueue(make_jobs(n, seed=seed, max_nodes=64))
         profile = _profile(64, 0.0, [], seed)
-        (python, expected), (compiled, got) = _both_walks(profile, jobs, 0, 17, walk)
+        python = _ReservationPlan(profile.clone())
+        expected = python.place(jobs, 0, 0.0, 17)[1]
+        got = plan.walk(jobs, jobs.nodes, jobs.estimates, 0.0, 17, profile, ())
         assert got == expected
-        assert compiled.starts == python.starts
-        assert compiled.profile.steps() == python.profile.steps()
+        _same_plans(python, plan)
+        (python, expected), (compiled, got) = _both_walks(profile, jobs, n // 2, 17, kernel)
+        assert got == expected
+        _same_plans(python, compiled)
 
 
 def _appended(jobs):
@@ -180,19 +228,27 @@ def _appended(jobs):
     return queue
 
 
+def _assert_emptied(plan, queue):
+    """A walk that raised leaves the plan empty: nothing to reuse."""
+    assert plan.steps() == [] and plan.jobs == [] and plan.starts == []
+    with pytest.raises(ValueError, match="holds no profile"):
+        plan.walk(queue, queue.nodes, queue.estimates, 0.0, 4)
+
+
 # The queue's columns made whole at construction, or grown job by job.
 @pytest.mark.parametrize("make", [JobQueue, _appended], ids=["columns", "built"])
-def test_job_wider_than_the_machine_raises_the_same_error(walk, make):
+def test_job_wider_than_the_machine_raises_the_same_error(kernel, make):
     profile = AvailabilityProfile(4, 0.0)
     queue = make([Job(0, 0.0, 8, 5.0), Job(1, 0.0, 1, 5.0)])
     with pytest.raises(ValueError) as python:
-        _ReservationPlan(None, profile.clone()).place(queue, 0, 0.0, 4)
-    plan = _ReservationPlan(None, profile.clone())
+        _ReservationPlan(profile.clone()).place(queue, 0, 0.0, 4)
+    plan = kernel()
     with pytest.raises(ValueError) as compiled:
-        plan.place_compiled(walk, queue, 0, 0.0, 4)
+        plan.walk(queue, queue.nodes, queue.estimates, 0.0, 4, profile, ())
     message = "8 nodes never fit a 4-node machine"
     assert str(compiled.value) == str(python.value) == message
-    assert plan.profile.steps() == profile.steps()  # left as it was
+    assert profile.steps() == [(0.0, 4)]  # read, never edited
+    _assert_emptied(plan, queue)
 
 
 @pytest.mark.parametrize(
@@ -204,15 +260,18 @@ def test_job_wider_than_the_machine_raises_the_same_error(walk, make):
     ],
     ids=["int32", "float32", "short"],
 )
-def test_columns_are_checked_before_their_pointers_are_passed(walk, columns):
+def test_columns_are_checked_before_their_pointers_are_passed(kernel, columns):
     queue = JobQueue([Job(0, 0.0, 1, 1.0), Job(1, 0.0, 1, 1.0)])
     queue.nodes, queue.estimates = columns  # tampered with
-    plan = _ReservationPlan(None, AvailabilityProfile(4, 0.0))
+    plan = kernel()
+    profile = AvailabilityProfile(4, 0.0)
     with pytest.raises(ValueError, match="queue columns"):
-        plan.place_compiled(walk, queue, 0, 0.0, 4)
+        plan.walk(queue, queue.nodes, queue.estimates, 0.0, 4, profile, ())
+    with pytest.raises(ValueError, match="queue columns"):
+        plan.walk(list(queue), array("q", [1, 1]), array("d", [1.0]), 0.0, 4)
 
 
-def test_profile_below_the_job_width_is_an_error_not_a_wild_read(walk):
+def test_profile_below_the_job_width_is_an_error_not_a_wild_read(kernel):
     """A profile whose last level is below a job's width (never built by
     the simulator) makes the kernel stop at the last segment."""
     profile = AvailabilityProfile(8, 0.0)
@@ -220,11 +279,53 @@ def test_profile_below_the_job_width_is_an_error_not_a_wild_read(walk):
     profile._times, profile._free = [0.0, 10.0], [8, 2]
     # The 1-node job keeps the walk going past the origin check; the
     # 4-node one needs 100 s and finds no segment that wide after 10.
-    queue = [Job(0, 0.0, 4, 100.0), Job(1, 0.0, 1, 1.0)]
-    plan = _ReservationPlan(None, profile)
+    queue = JobQueue([Job(0, 0.0, 4, 100.0), Job(1, 0.0, 1, 1.0)])
+    plan = kernel()
     with pytest.raises(ValueError, match="no segment of the profile has 4 free nodes"):
-        plan.place_compiled(walk, JobQueue(queue), 0, 0.0, 8)
+        plan.walk(queue, queue.nodes, queue.estimates, 0.0, 8, profile, ())
     assert profile.steps() == [(0.0, 8), (10.0, 2)]  # left as it was
+    _assert_emptied(plan, queue)
+
+
+def test_overrun_clamp_beyond_the_free_nodes_raises_the_overcommit_message(kernel):
+    """Clamps wider than the origin's level (never so in a simulation):
+    the load fails with the message reserving from the origin raises."""
+    profile = AvailabilityProfile.from_running(8, 0.0, [(10.0, 5)])
+    queue = JobQueue([Job(0, 0.0, 1, 1.0)])
+    plan = kernel()
+    with pytest.raises(ValueError) as compiled:
+        plan.walk(queue, queue.nodes, queue.estimates, 0.0, 3, profile, (2, 2))
+    with pytest.raises(ValueError) as python:
+        profile.clone().reserve_from_origin(1.0, 4)
+    assert str(compiled.value) == (
+        "reservation of 2 nodes from origin exceeds availability (1 free)"
+    )
+    assert str(python.value).startswith("reservation of 4 nodes from origin")
+    assert profile.steps() == [(0.0, 3), (10.0, 8)]
+    _assert_emptied(plan, queue)
+
+
+def test_withdrawing_above_the_machine_is_an_error_not_a_wild_write(kernel):
+    """A profile with a level above the machine (never built by the
+    simulator): withdrawing a reservation planned on it would lift that
+    level further, which both walks refuse."""
+    profile = AvailabilityProfile(4, 0.0)
+    # Corrupt on purpose: 1 free until 10, then 5 of 4 forever.
+    profile._times, profile._free = [0.0, 10.0], [1, 5]
+    a, b = Job(0, 0.0, 2, 5.0), Job(1, 0.0, 1, 1.0)
+    python = _ReservationPlan(profile.clone())
+    assert python.place([a, b], 0, 0.0, 2) == ([b], [1])
+    plan, started = _load(kernel, profile, [a, b], 2)
+    assert started == [1] and plan.jobs == [a] and plan.starts == [10.0]
+    assert plan.steps() == python.profile.steps()
+    assert plan.steps() == [(0.0, 0), (1.0, 1), (10.0, 3), (15.0, 5)]
+    with pytest.raises(ValueError, match="unreserve of 2 nodes .* exceeds total_nodes"):
+        python.keep_prefix([], 0.0)
+    queue = JobQueue()
+    with pytest.raises(ValueError) as compiled:
+        plan.walk(queue, queue.nodes, queue.estimates, 0.0, 1)
+    assert str(compiled.value) == "unreserve of 2 nodes exceeds total_nodes (4)"
+    _assert_emptied(plan, queue)
 
 
 # -- the EASY walk vs the Python walk ------------------------------------------
@@ -234,6 +335,8 @@ class _Context:
     """Just what ``EasyBackfill.select_indexed`` reads from a context: every
     ``profile`` access is a fresh copy of one snapshot, so both walks plan
     on the same one."""
+
+    state = None  # the compiled walk copies ``profile`` as it is
 
     def __init__(self, snapshot, free, vectorize):
         self.snapshot = snapshot
@@ -469,18 +572,21 @@ def _queue_columns(count=3):
     return array("q", [4] + [1] * (count - 1)), array("d", [5.0] * count)
 
 
-def _call(kind, profile, nodes, estimates, at=0, count=3):
-    """One walk over the columns: ``at`` is the offset of a ``count``-job
-    tail (conservative) or the blocked head (EASY)."""
+def _call(kind, profile, nodes, estimates, at=0):
+    """One walk over the columns on a fresh plan or EASY's scratch.  ``at``
+    is the blocked head (EASY) or how many jobs the queue has beyond its
+    columns (conservative)."""
     if kind == "conservative":
-        walk = native.conservative_walk()
-        args = (profile, nodes, estimates, at, count, 0.0, 2)
+        kernel = native.conservative_plan()
+        queue = [Job(i, 0.0, 1, 1.0) for i in range(len(nodes) + at)]
+        call = lambda: kernel().walk(queue, nodes, estimates, 0.0, 2, profile, ())
+        walk = kernel
     else:
         walk = native.easy_walk()
-        args = (profile, nodes, estimates, at, 2, 0.0)
+        call = lambda: walk(profile, (), nodes, estimates, at, 2, 0.0)
     if walk is None:
         pytest.skip(f"compiled walk unavailable: {native.status()}")
-    return walk(*args)
+    return call()
 
 
 BAD_COLUMNS = {
@@ -511,7 +617,7 @@ def test_bad_columns_raise_before_the_profile_is_touched(kind, bad):
 def test_offset_or_head_out_of_range_raises_before_the_profile_is_touched(kind, at):
     spy = _Spy(AvailabilityProfile.from_running(4, 0.0, [(10.0, 2)]))
     with pytest.raises(ValueError, match="queue columns"):
-        _call(kind, spy, *_queue_columns(), at=at, count=1)
+        _call(kind, spy, *_queue_columns(), at=at)
     assert spy.log == []
 
 
@@ -538,54 +644,328 @@ def test_malformed_profile_raises_and_is_left_as_it_was(kind, bad):
     assert (list(times), list(levels)) == saved
 
 
-def test_a_walk_run_while_the_scratch_is_lent_gets_its_own(walk):
-    """The extension lends its scratch to one walk at a time.  A walk that
-    runs while the scratch is lent must get its own, or it would overwrite
-    the segments the lending walk is still copying out.  Here a garbage
-    collection runs a walk, and an interpreter that collects inside an
-    allocation (CPython 3.11) collects while the outer walk allocates its
-    result lists: the free lists of lists and tuples are emptied first, so
-    those come from the collecting allocator."""
-    import gc
+class _Reentrant:
+    """A profile whose first read runs ``inside()``: a walk entered from
+    Python code that runs while another walk is under way (a property, a
+    finalizer, a collection, another thread)."""
 
+    def __init__(self, profile, inside):
+        self.real, self.inside = profile, inside
+        self.total_nodes = profile.total_nodes
+
+    @property
+    def _times(self):
+        inside, self.inside = self.inside, None
+        if inside is not None:
+            inside()
+        return self.real._times
+
+    @property
+    def _free(self):
+        return self.real._free
+
+
+def test_a_walk_run_while_the_scratch_is_lent_gets_its_own(kernel):
+    """A walk entered while another is under way must not write into the
+    memory the first still reads.  A conservative walk on another plan
+    uses that plan's own memory, and one on the plan under way is refused
+    (its plan may be half loaded); an EASY walk entered while EASY's kept
+    scratch is lent takes scratch of its own."""
+    easy = native.easy_walk()
     jobs = make_jobs(60, seed=6, max_nodes=48)
+    queue = JobQueue(jobs)
     outer = _profile(64, 0.0, [], 1)
     inner = _profile(64, 0.0, [], 2)
-    expected_outer = _both_walks(outer, jobs, 0, 17, walk)[0][0]
-    expected_inner = _both_walks(inner, jobs, 0, 9, walk)[0][0]
-    queue = JobQueue(jobs)
-    armed = []
-    nested = []
+    expected_outer = _load(kernel, outer, jobs, 17)[0]
+    expected_inner = _load(kernel, inner, jobs, 9)[0]
+    snapshot = AvailabilityProfile.from_running(
+        64, 0.0, [(float(10 * (i + 1)), 1) for i in range(60)]
+    )
+    narrow = make_jobs(60, seed=6, max_nodes=4)
+    blocked = JobQueue([Job(10**6, 0.0, 64, 1.0, estimate=50.0), *narrow])
 
-    def walk_inside(phase, info):
-        if phase == "start" and armed:
-            armed.clear()
-            plan = _ReservationPlan(None, inner.clone())
-            plan.place_compiled(walk, queue, 0, 0.0, 9)
-            nested.append(plan)
+    def easy_picks(profile=snapshot):
+        return easy(profile, (), blocked.nodes, blocked.estimates, 0, 4, 0.0)
 
-    plans = []
-    threshold = gc.get_threshold()
-    gc.callbacks.append(walk_inside)
-    gc.set_threshold(1)
+    expected_picks = easy_picks()
+    assert expected_picks
+    nested, refused, picks = [], [], []
+    plan = kernel()
+
+    def walks_inside(plan_under_way=True):
+        other = kernel()
+        other.walk(queue, queue.nodes, queue.estimates, 0.0, 9, inner, ())
+        nested.append(other)
+        picks.append(easy_picks())
+        if plan_under_way:
+            with pytest.raises(RuntimeError, match="plan is in use") as exc:
+                plan.walk(queue, queue.nodes, queue.estimates, 0.0, 9)
+            refused.append(exc)
+            with pytest.raises(RuntimeError, match="plan is in use"):
+                plan.steps()
+
+    for _ in range(3):
+        reentrant = _Reentrant(outer, walks_inside)
+        plan.walk(queue, queue.nodes, queue.estimates, 0.0, 17, reentrant, ())
+        assert plan.steps() == expected_outer.steps()
+        assert plan.starts == expected_outer.starts
+        reentrant = _Reentrant(snapshot, lambda: walks_inside(False))
+        assert easy_picks(reentrant) == expected_picks
+    assert len(nested) == 6 and len(refused) == 3
+    for other in nested:
+        assert other.steps() == expected_inner.steps()
+        assert other.starts == expected_inner.starts
+    assert picks == [expected_picks] * 6
+
+
+# -- the kept plan against the Python plan, decision after decision -------------
+
+
+class _Lockstep:
+    """A machine, its state and its wait queue moved by hand, delta for
+    delta the way the simulator moves them, and decided at every event by
+    two conservative disciplines at once: the Python plan and the compiled
+    one, which must start the same jobs and keep the same plan."""
+
+    def __init__(self, total, depth, filtered, verify):
+        self.machine = Machine(total)
+        self.running = {}
+        self.state = SchedulingState(total, verify_every=1 if verify else 0)
+        self.ctx = SchedulerContext(self.machine, self.running, state=self.state)
+        self.queue = JobQueue()
+        self.python = ConservativeBackfill(depth)
+        self.compiled = ConservativeBackfill(depth)
+        self.filtered = filtered
+        self.ends = []  # (actual end, job id, job), a heap
+        self.now = 0.0
+        self.reused = 0
+
+    def submit(self, job):
+        self.queue.append(job)
+        self.state.note_enqueued(job.nodes)
+        self.decide()
+
+    def withdraw(self, position):
+        job = self.queue[position]
+        self.queue.delete([position])
+        self.state.note_dequeued(job.nodes)
+        self.decide()
+
+    def reorder(self, seed):
+        # What a recomputing order (SMART, PSRS) does to the store.
+        order = list(self.queue)
+        random.Random(seed).shuffle(order)
+        self.queue.reorder(order)
+        self.decide()
+
+    def advance(self, dt):
+        until = self.now + dt
+        while self.ends and self.ends[0][0] <= until:
+            end, job_id, _job = heapq.heappop(self.ends)
+            self.now = max(self.now, end)
+            self.ctx.now = self.now
+            self.machine.release(job_id)
+            del self.running[job_id]
+            self.state.on_release(job_id)
+            self.decide()
+        self.now = until
+        self.decide()
+
+    def decide(self):
+        ctx = self.ctx
+        ctx.now = self.now
+        queue = self.queue
+        # A wrapper's filtered queue: a plain list, copied into columns.
+        view = [job for job in queue if job.job_id % 3] if self.filtered else queue
+        kept = self.compiled._valid_plan(ctx) is not None
+        ctx.vectorize = False
+        started, indices = self.python.select_indexed(view, ctx)
+        ctx.vectorize = True
+        c_started, c_indices = self.compiled.select_indexed(view, ctx)
+        assert [j.job_id for j in c_started] == [j.job_id for j in started]
+        assert list(c_indices or ()) == list(indices or ())
+        python, compiled = self.python._plan, self.compiled._plan
+        assert (python is None) == (compiled is None)
+        if python is not None:
+            _same_plans(python, compiled)
+            self.reused += kept
+        for job in started:
+            queue.delete([queue.position(job)])
+            self.state.note_dequeued(job.nodes)
+            self.machine.allocate(job)
+            self.running[job.job_id] = RunningJob(job=job, start_time=self.now)
+            self.state.on_start(job.job_id, job.estimated_runtime, job.nodes)
+            heapq.heappush(self.ends, (self.now + job.runtime, job.job_id, job))
+
+
+@st.composite
+def decision_sequences(draw):
+    """Arrivals (zero, sub-epsilon and whole-second estimates; runs that
+    end early, on time or in overrun), clock advances that complete what
+    is due, withdrawals and reorders of the queue, on machines of 4 to 64
+    nodes, with or without a ``depth`` bound, a filtering wrapper and
+    state verification."""
+    total = draw(st.sampled_from([4, 8, 16, 64]))
+    widths = st.one_of(st.just(total), st.integers(min_value=1, max_value=total))
+    event = st.one_of(
+        st.tuples(
+            st.just("arrive"),
+            widths,
+            estimates,
+            st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0]),  # runtime / estimate
+        ),
+        st.tuples(
+            st.just("advance"),
+            st.one_of(
+                st.integers(min_value=0, max_value=30).map(float),
+                st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
+            ),
+        ),
+        st.tuples(st.just("withdraw"), st.integers(min_value=0, max_value=1 << 16)),
+        st.tuples(st.just("reorder"), st.integers(min_value=0, max_value=1 << 16)),
+    )
+    events = draw(st.lists(event, min_size=1, max_size=60))
+    depth = draw(st.sampled_from([None, None, 1, 3]))
+    return total, events, depth, draw(st.booleans()), draw(st.booleans())
+
+
+def _play(kernel, case):
+    total, events, depth, filtered, verify = case
+    machine = _Lockstep(total, depth, filtered, verify)
+    for job_id, event in enumerate(events):
+        kind = event[0]
+        if kind == "arrive":
+            _kind, width, estimate, used = event
+            # A zero estimate runs ``used`` seconds: an overrun from the start.
+            runtime = estimate * used if estimate > 0 else used
+            machine.submit(Job(job_id, machine.now, width, runtime, estimate=estimate))
+        elif kind == "advance":
+            machine.advance(event[1])
+        elif machine.queue and kind == "withdraw":
+            machine.withdraw(event[1] % len(machine.queue))
+        elif machine.queue:
+            machine.reorder(event[1])
+    machine.advance(1e6)
+    return machine
+
+
+@given(case=decision_sequences())
+@settings(max_examples=300, deadline=None)
+def test_kept_plan_is_the_python_plan_decision_after_decision(kernel, case):
+    _play(kernel, case)
+
+
+def test_decision_sequences_reuse_the_kept_plan(kernel):
+    """The lockstep machine above does reach kept plans, overruns and
+    withdrawals past the kept prefix (so the property checks them)."""
+    rng = random.Random(5)
+    events = []
+    for _ in range(300):
+        roll = rng.random()
+        if roll < 0.5:
+            events.append(("arrive", rng.randint(1, 16), float(rng.randint(1, 30)),
+                           rng.choice([0.5, 1.0, 2.0])))
+        elif roll < 0.8:
+            events.append(("advance", float(rng.randint(0, 10))))
+        elif roll < 0.9:
+            events.append(("withdraw", rng.randrange(1 << 16)))
+        else:
+            events.append(("reorder", rng.randrange(1 << 16)))
+    machine = _play(kernel, (16, events, None, False, True))
+    assert machine.reused > 20
+    assert machine.state.verifications > 0
+
+
+# -- the plan's memory and references ---------------------------------------------
+
+
+def test_plans_release_their_memory_and_their_jobs(kernel):
+    """Cells run over and over — plans created, kept, reused, invalidated
+    and dropped by ``reset()`` — hold no memory or job past their use:
+    traced memory (which sees ``PyMem_*``) stays flat."""
+    import tracemalloc
+
+    config = [c for c in _conservative_cells() if c.key == "fcfs/conservative"][0]
+    jobs = make_jobs(300, seed=9, max_nodes=48, mean_gap=20.0)
+
+    def cell():
+        scheduler = build_scheduler(config, 64)
+        simulate(jobs, scheduler, 64, backend="numpy")
+        assert isinstance(scheduler.discipline._plan, kernel)
+        scheduler.reset()
+        assert scheduler.discipline._plan is None
+
+    cell()
+    tracemalloc.start()
     try:
-        for _ in range(20):
-            plan = _ReservationPlan(None, outer.clone())
-            hold = [[] for _ in range(200)], [(i,) for i in range(200)]
-            armed.append(True)
-            plan.place_compiled(walk, queue, 0, 0.0, 17)
-            armed.clear()
-            del hold
-            plans.append(plan)
+        cell()
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(8):
+            cell()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
     finally:
-        gc.set_threshold(*threshold)
-        gc.callbacks.remove(walk_inside)
-    assert nested, "no collection ran during the walks"
-    for got, python in [(p, expected_outer) for p in plans] + [
-        (p, expected_inner) for p in nested
-    ]:
-        assert got.profile.steps() == python.profile.steps()
-        assert got.starts == python.starts
+        tracemalloc.stop()
+    assert grown < 16 * 1024, grown
+
+
+def test_a_plan_releases_the_jobs_it_no_longer_plans(kernel):
+    """Withdrawn and reloaded-away jobs lose the plan's reference, and a
+    dropped plan gives all of them back."""
+    profile = AvailabilityProfile(4, 0.0)
+    profile.reserve(0.0, 10.0, 3)  # one node free until 10
+    # Five wide jobs planned after 10, and a narrow one that starts now
+    # (it keeps the walk from stopping early).
+    jobs = [Job(i, 0.0, 2 + i % 3, 5.0) for i in range(5)] + [Job(5, 0.0, 1, 5.0)]
+
+    def refs():
+        return [sys.getrefcount(job) for job in jobs]
+
+    base = refs()
+    queue = JobQueue(jobs)
+    plan = kernel()
+    assert plan.walk(queue, queue.nodes, queue.estimates, 0.0, 1, profile, ()) == [5]
+    assert plan.jobs == jobs[:5]
+    assert refs() == [b + 2 for b in base[:5]] + [base[5] + 1]  # queue, plan
+    short = JobQueue(jobs[:2])  # the other four left the queue
+    assert plan.walk(short, short.nodes, short.estimates, 0.0, 1) == []
+    assert plan.jobs == jobs[:2]
+    del queue
+    assert refs() == [b + 2 for b in base[:2]] + base[2:]  # short, plan
+    plan.walk(short, short.nodes, short.estimates, 0.0, 4, AvailabilityProfile(4, 0.0), ())
+    assert plan.jobs == []  # the first starts, the second waits unplanned
+    assert refs() == [b + 1 for b in base[:2]] + base[2:]
+    del short
+    queue = JobQueue(jobs)
+    plan.walk(queue, queue.nodes, queue.estimates, 0.0, 1, profile, ())
+    assert refs() == [b + 2 for b in base[:5]] + [base[5] + 1]
+    del plan
+    assert refs() == [b + 1 for b in base]
+
+
+def test_a_plan_takes_part_in_garbage_collection(kernel):
+    """A plan is a container: a cycle through the jobs it plans is
+    collected."""
+    import weakref
+
+    class Marker:
+        pass
+
+    profile = AvailabilityProfile(4, 0.0)
+    profile.reserve(0.0, 10.0, 3)
+    plan = kernel()
+    assert gc.is_tracked(plan)
+    marker = Marker()
+    job = Job(0, 0.0, 2, 5.0, meta={"marker": marker})
+    marker.plan = plan  # job -> meta -> marker -> plan -> job
+    queue = JobQueue([job, Job(1, 0.0, 1, 5.0)])
+    assert plan.walk(queue, queue.nodes, queue.estimates, 0.0, 1, profile, ()) == [1]
+    assert job in gc.get_referents(plan)
+    alive = weakref.ref(marker)
+    del plan, marker, job, queue
+    gc.collect()
+    assert alive() is None
 
 
 # -- whole simulations on both backends -----------------------------------------
@@ -627,7 +1007,7 @@ def test_registry_cells_match_the_python_walk(config, seed):
 @pytest.mark.parametrize(
     "key", ["psrs/easy", "smart-ffia/easy", "psrs/conservative"]
 )
-def test_reordered_queues_reach_the_compiled_walks(walk, easy, monkeypatch, key):
+def test_reordered_queues_reach_the_compiled_walks(kernel, easy, monkeypatch, key):
     """PSRS and SMART queues take the compiled walks on the fast backend,
     which read the order policy's own store in place."""
     (config,) = [c for c in registered_configurations() if c.key == key]
@@ -645,7 +1025,9 @@ def test_reordered_queues_reach_the_compiled_walks(walk, easy, monkeypatch, key)
         EasyBackfill, "_select_compiled", spy(EasyBackfill._select_compiled)
     )
     monkeypatch.setattr(
-        _ReservationPlan, "place_compiled", spy(_ReservationPlan.place_compiled)
+        ConservativeBackfill,
+        "_select_compiled",
+        spy(ConservativeBackfill._select_compiled),
     )
     jobs = make_jobs(150, seed=3, max_nodes=48, mean_gap=25.0)
     simulate(jobs, scheduler, 64, backend="numpy")
@@ -696,7 +1078,7 @@ def _cell_results():
 
 
 def _assert_fallback(reason: str):
-    assert native.conservative_walk() is None
+    assert native.conservative_plan() is None
     assert native.status().startswith("python walk:")
     assert reason in native.status()
     python, numpy = _cell_results()
@@ -749,7 +1131,7 @@ def test_cache_under_a_sticky_shared_directory_loads(loader):
     an entry's owner may rename or remove it."""
     loader.parent.mkdir()
     loader.parent.chmod(0o1777)
-    assert native.conservative_walk() is not None
+    assert native.conservative_plan() is not None
     assert native.status().startswith("loaded"), native.status()
 
 
@@ -809,18 +1191,19 @@ from repro.core.job import Job
 from repro.core.profile import AvailabilityProfile
 from repro.schedulers.base import JobQueue
 from repro.schedulers.disciplines import _ReservationPlan
-walk = native.conservative_walk()
+kernel = native.conservative_plan()
 print(native.status())
-if walk is not None:
+if kernel is not None:
     profile = AvailabilityProfile(8, 0.0)
     profile.allocate(6, 50.0)
     queue = JobQueue(
         Job(i, 0.0, 1 + i % 7, 1.0, estimate=10.0 * (i + 1)) for i in range(20)
     )
-    a = _ReservationPlan(None, profile.clone())
-    b = _ReservationPlan(None, profile.clone())
-    assert a.place(queue, 0, 0.0, 2) == b.place_compiled(walk, queue, 0, 0.0, 2)
-    assert (a.starts, a.profile.steps()) == (b.starts, b.profile.steps())
+    a = _ReservationPlan(profile.clone())
+    b = kernel()
+    started = b.walk(queue, queue.nodes, queue.estimates, 0.0, 2, profile, ())
+    assert a.place(queue, 0, 0.0, 2)[1] == started
+    assert (a.starts, a.jobs, a.profile.steps()) == (b.starts, b.jobs, b.steps())
     print("walk ok")
 """
 

@@ -344,30 +344,34 @@ def test_list_cell_never_builds_a_profile(key, backend, monkeypatch):
 )
 def test_materialisation_under_outages_and_overruns(key, monkeypatch):
     """The first read can come at any moment of a run.  Force it to come
-    again at every snapshot taken while an outage is active or a job is in
-    overrun (the profile is dropped first, so it is rebuilt from the
-    indexes there and maintained by deltas until the next such moment):
-    every snapshot verifies against the reference, and the schedule is the
-    one the profile maintained from the first decision on gives — and the
-    one the rebuild-per-decision oracle gives."""
+    again at every read — a snapshot, or the live read a compiled walk
+    copies — taken while an outage is active or a job is in overrun (the
+    profile is dropped first, so it is rebuilt from the indexes there and
+    maintained by deltas until the next such moment): every read verifies
+    against the reference, and the schedule is the one the profile
+    maintained from the first decision on gives — and the one the
+    rebuild-per-decision oracle gives."""
     jobs, inputs = _disturbed_inputs()
     verified = SimulationConfig(verify_state=1)
     baseline = _run_ctc_cell(key, jobs, inputs, verified)
     reference = _run_ctc_cell(key, jobs, inputs, REBUILD)
 
     hits = {"outage": 0, "overrun": 0, "both": 0}
-    snapshot = SchedulingState.snapshot
 
-    def dropping_snapshot(self):
-        outage, overrun = bool(self._capacity), self.has_overrun()
-        if outage or overrun:
-            self.profile = None
-            hits["outage"] += outage
-            hits["overrun"] += overrun
-            hits["both"] += outage and overrun
-        return snapshot(self)
+    def dropping(read):
+        def dropping_read(self):
+            outage, overrun = bool(self._capacity), self.has_overrun()
+            if outage or overrun:
+                self.profile = None
+                hits["outage"] += outage
+                hits["overrun"] += overrun
+                hits["both"] += outage and overrun
+            return read(self)
 
-    monkeypatch.setattr(SchedulingState, "snapshot", dropping_snapshot)
+        return dropping_read
+
+    monkeypatch.setattr(SchedulingState, "snapshot", dropping(SchedulingState.snapshot))
+    monkeypatch.setattr(SchedulingState, "live", dropping(SchedulingState.live))
     result = _run_ctc_cell(key, jobs, inputs, verified)
     assert min(hits.values()) > 0, hits
     assert _run_signature(result) == _run_signature(baseline)
