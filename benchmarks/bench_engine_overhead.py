@@ -144,9 +144,10 @@ def measure_journal_append(records: int = 200) -> float:
     """Seconds per fsynced journal record (the per-cell crash-tolerance tax).
 
     Each grid cell adds a handful of journal records (scheduled, started,
-    completed); this measures one append including the fsync, so the
-    engine's journaling overhead per 13-cell grid is roughly
-    ``3 * 13 * journal_append_per_record``.
+    completed); this measures one append including its own fsync.  A
+    serial 13-cell grid shares fsyncs — the lookup batch, then one per
+    cell boundary (``completed`` with the next ``started``) — so it pays
+    about ``16 * journal_append_per_record``.
     """
     from repro.experiments.journal import RunJournal, manifest_for
 

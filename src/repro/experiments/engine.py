@@ -50,12 +50,7 @@ from repro.experiments.fingerprint import (
 )
 from repro.experiments.journal import manifest_for
 from repro.experiments.lifecycle import EventFn, GridRun, ProgressEvent, RunStats
-from repro.experiments.runner import (
-    CellResult,
-    GridResult,
-    ProgressFn,
-    simulate_cell,
-)
+from repro.experiments.runner import CellResult, GridResult, simulate_cell
 from repro.experiments.workload_store import WorkloadMemo, WorkloadStore
 from repro.schedulers.registry import (
     SchedulerConfig,
@@ -417,7 +412,6 @@ class ExperimentEngine:
         weighted: bool = False,
         configs: Sequence[SchedulerConfig] | None = None,
         recompute_threshold: float = 2.0 / 3.0,
-        progress: ProgressFn | None = None,
         reference_key: str | None = None,
         scenario: "ScenarioSpec | None" = None,
     ) -> GridResult:
@@ -427,8 +421,9 @@ class ExperimentEngine:
         are simulated (fanned out when ``workers > 1``) and written back
         as they finish — so an interrupted run resumes where it stopped.
         ``grid.cells`` is always in config order regardless of completion
-        order, and the ``progress`` callback (``run_grid`` compatible)
-        fires in that same order after all cells exist.
+        order; ``on_event`` sees every cell and grid transition as
+        :meth:`GridRun.note <repro.experiments.lifecycle.GridRun.note>`
+        journals and counts it in :attr:`stats`.
 
         ``scenario`` runs every cell under a compiled
         :class:`~repro.scenarios.spec.ScenarioSpec`: the spec is compiled
@@ -461,48 +456,46 @@ class ExperimentEngine:
             on_event=self.on_event,
             journal_root=journal_root,
         )
-        stats = self.stats = run.stats
-        t_start = time.perf_counter()
+        self.stats = run.stats
         with run:
-            run.emit("grid-started", run_id=run.run_id)
+            run.note("grid-started")
             pending = run.lookup()
             with run.signals(self.handle_signals):
                 if self.workers > 1 and len(pending) > 1:
                     from repro.experiments.pool import PoolRun
 
-                    # What the pool leaves runs in process; those cells
-                    # were announced when they were first dispatched.
-                    leftovers = PoolRun(self, run, pending).execute()
-                    self._run_serial(run, leftovers, announce=False)
-                else:
-                    self._run_serial(run, pending)
+                    pending = PoolRun(self, run, pending).execute()
+                self._run_serial(run, pending)
 
-        grid = run.grid
         for config in request.configs:
-            grid.cells[config.key] = run.results[config.key]
-            if progress is not None:
-                progress(config, run.results[config.key])
-        stats.wall_time = time.perf_counter() - t_start
-        run.emit("grid-finished", wall_time=stats.wall_time, run_id=run.run_id)
-        return grid
+            run.grid.cells[config.key] = run.results[config.key]
+        run.note("grid-finished")
+        return run.grid
 
     def _run_serial(
-        self,
-        run: GridRun,
-        pending: list[tuple[SchedulerConfig, str]],
-        *,
-        announce: bool = True,
+        self, run: GridRun, pending: list[tuple[SchedulerConfig, str]]
     ) -> None:
-        """Simulate ``pending`` in this process, in order."""
+        """Simulate ``pending`` in this process, in order.
+
+        A cell's ``completed`` and the next cell's ``started`` share one
+        fsync; it returns before the finished cell is announced, and a
+        shutdown requested by then stops the run before the next cell.
+        """
+        done: dict | None = None
         for index, (config, fp) in enumerate(pending):
+            with run.batch():
+                if done is not None:
+                    run.note("completed", **done)
+                if run.interrupted is None:
+                    run.note("started", config.key, fingerprint=fp)
             if run.interrupted is not None:
                 run.interrupt([(c.key, f) for c, f in pending[index:]])
-            if announce:
-                run.emit("cell-started", key=config.key)
-            run.journal_cell(config.key, "started", fingerprint=fp)
             t0 = time.perf_counter()
             cell = run.request.simulate(config, self.backend)
-            run.record(config.key, fp, cell, time.perf_counter() - t0)
+            done = dict(key=config.key, fingerprint=fp, cell=cell,
+                        wall_time=time.perf_counter() - t0)
+        if done is not None:
+            run.note("completed", **done)
 
     def run_scenarios(
         self,

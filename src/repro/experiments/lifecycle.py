@@ -1,4 +1,4 @@
-"""One engine run as an object: events, stats, journal, signals.
+"""One engine run as an object: transitions, stats, journal, signals.
 
 :class:`GridRun` holds everything one :meth:`ExperimentEngine.run
 <repro.experiments.engine.ExperimentEngine.run>` mutates — the request,
@@ -6,11 +6,11 @@ the grid being filled, the stats, the results, the journal, the run id
 and the interrupt flag — so the engine object itself stays reusable and
 stateless between runs (its only per-run attribute is the public
 ``stats`` of the most recent run).  It is where the run's journal is
-continued or started (the constructor), where the cache write lands
-before the journal record (:meth:`GridRun.record`), where SIGINT/SIGTERM
-become a :class:`~repro.experiments.journal.RunInterrupted` that a rerun
-of the same call picks up from (:meth:`GridRun.signals`,
-:meth:`GridRun.interrupt`).
+continued or started (the constructor), where every transition is
+journaled, counted and announced in one call (:meth:`GridRun.note`,
+after :data:`TRANSITIONS`), where SIGINT/SIGTERM become a
+:class:`~repro.experiments.journal.RunInterrupted` that a rerun of the
+same call picks up from (:meth:`GridRun.signals`, :meth:`GridRun.interrupt`).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import signal
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence
@@ -30,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.backends.cache import ResultCache
     from repro.experiments.engine import GridRequest
 
-__all__ = ["EventFn", "GridRun", "ProgressEvent", "RunStats"]
+__all__ = ["EventFn", "GridRun", "ProgressEvent", "RunStats", "TRANSITIONS"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,10 +45,10 @@ class ProgressEvent:
     finished unit (whole grid for grid-finished; the backoff pause for
     cell-retry); cache hits report the objective but no wall time.
     ``detail`` carries the human-readable reason for retry/degradation
-    events.  Grid-level events of a journaled run carry its ``run_id``
-    (its journal's name); it is ``None`` for journal-less runs and
-    for cell-level events.  ``cell-started`` is emitted once per cell per
-    run, however many attempts the cell then takes.
+    events.  ``grid-started``/``grid-finished`` of a journaled run carry
+    its ``run_id`` (its journal's name), other events ``None``.
+    ``cell-started`` comes with a cell's first ``started`` record: once
+    per cell per run, however many attempts the cell then takes.
     """
 
     kind: str
@@ -85,6 +86,24 @@ class RunStats:
     run_id: str | None = None
 
 
+#: Every transition of a run: the journal state it writes, the event kind
+#: it announces and the :class:`RunStats` field it folds into, if any.
+TRANSITIONS: dict[str, tuple[str | None, str | None, str | None]] = {
+    "scheduled": ("scheduled", None, None),
+    "cache-hit": ("completed", "cache-hit", "cache_hits"),
+    "started": ("started", "cell-started", None),
+    "completed": ("completed", "cell-finished", "simulated"),
+    "retry": ("failed", "cell-retry", "retries"),
+    "abandoned": ("abandoned", None, None),
+    "interrupted": ("interrupted", None, None),
+    "pooled": (None, None, "backend"),
+    "worker-replaced": (None, None, "worker_replacements"),
+    "degraded": (None, "engine-degraded", "degraded_cells"),
+    "grid-started": (None, "grid-started", None),
+    "grid-finished": (None, "grid-finished", "wall_time"),
+}
+
+
 class GridRun:
     """The mutable state of one engine run (see the module docstring).
 
@@ -94,7 +113,8 @@ class GridRun:
 
     __slots__ = (
         "request", "grid", "stats", "results", "cache", "journal",
-        "interrupted", "_on_event", "_held", "_already",
+        "interrupted", "_on_event", "_held", "_already", "_announced",
+        "_t_start",
     )
 
     def __init__(
@@ -122,51 +142,83 @@ class GridRun:
         #: Cells already terminal in a continued journal: they keep their
         #: original records, only genuinely new transitions are appended.
         self._already: frozenset[str] = frozenset()
+        #: Cells whose ``cell-started`` was sent.
+        self._announced: set[str] = set()
         if journal_root is not None:
             self.journal, replay = RunJournal.open(
                 journal_path(journal_root, request.run_id), request.manifest
             )
             if replay is not None:
                 self._already = frozenset(replay.completed)
+        self._t_start = time.perf_counter()
 
-    @property
-    def run_id(self) -> str | None:
-        """Id of the journal backing this run (``None``: not journaled)."""
-        return self.stats.run_id
+    # -- transitions ----------------------------------------------------------
 
-    # -- events, journal, results -------------------------------------------
+    def note(
+        self, kind: str, key: str | None = None, *, fingerprint: str | None = None,
+        cell: CellResult | None = None, wall_time: float | None = None,
+        detail: str | None = None, attempt: str | None = None, count: int = 1,
+    ) -> None:
+        """Journal, count and announce one transition (:data:`TRANSITIONS`).
 
-    def emit(self, kind: str, **fields: object) -> None:
-        """Send one :class:`ProgressEvent` of this grid to the callback
-        (once the open :meth:`batch`, if any, has committed)."""
-        if self._on_event is None:
+        A ``cell`` is filed first, a simulated one in the cache before its
+        journal record: a crash between the two leaves an orphaned entry a
+        rerun heals, never a journaled completion with no result.  A hit a
+        continued journal holds is not journaled again; ``cell-started``
+        goes out with a cell's first ``started`` record only.  ``attempt``
+        ("1/2") heads a retry's event detail; a counter grows by ``count``.
+        """
+        state, event, counter = TRANSITIONS[kind]
+        cached = kind == "cache-hit"
+        objective = None
+        if cell is not None:
+            self.results[key] = cell  # type: ignore[index]
+            objective = cell.objective
+            if not cached and self.cache is not None:
+                self.cache.put(fingerprint, cell)  # type: ignore[arg-type]
+        if state and self.journal is not None and not (cached and key in self._already):
+            self.journal.record_cell(
+                key, state, fingerprint=fingerprint,  # type: ignore[arg-type]
+                objective=objective, cached=cached, detail=detail,
+            )
+        stats = self.stats
+        if counter == "backend":
+            stats.backend = "local-pool"
+        elif counter == "wall_time":
+            wall_time = stats.wall_time = time.perf_counter() - self._t_start
+        elif counter:
+            setattr(stats, counter, getattr(stats, counter) + count)
+        if kind == "started":
+            if key in self._announced:
+                return
+            self._announced.add(key)  # type: ignore[arg-type]
+        elif kind == "retry":
+            detail = f"attempt {attempt}: {detail}"
+        elif kind == "degraded":
+            detail = (
+                f"{count} cell(s) fell back to in-process serial execution after "
+                f"{stats.retries} retries and {stats.worker_replacements} worker "
+                f"replacements"
+            )
+        if event is None or self._on_event is None:
             return
-        event = ProgressEvent(
-            kind=kind,
-            workload_name=self.grid.workload_name,
-            weighted=self.grid.weighted,
-            **fields,  # type: ignore[arg-type]
+        run_id = stats.run_id if event.startswith("grid-") else None
+        message = ProgressEvent(
+            event, self.grid.workload_name, self.grid.weighted, key,
+            wall_time, objective, cached, detail, run_id,
         )
         if self._held is not None:
-            self._held.append(event)
+            self._held.append(message)
         else:
-            self._on_event(event)
-
-    def journal_cell(self, key: str, state: str, **fields: object) -> None:
-        if self.journal is not None:
-            self.journal.record_cell(key, state, **fields)  # type: ignore[arg-type]
+            self._on_event(message)
 
     @contextlib.contextmanager
     def batch(self) -> Iterator[None]:
-        """Group commit around a loop that journals several cells.
-
-        The records written inside share one fsync
+        """Group commit: the records noted inside share one fsync
         (:meth:`RunJournal.batch <repro.experiments.journal.RunJournal.
-        batch>`), and every event raised inside is held back, in order,
-        until that fsync returned — so an event still never announces a
-        fact the journal could lose.  An exception leaving the block
-        drops the held events: the run is over, and what its journal
-        kept is what a rerun replays.
+        batch>`) and their events wait, in order, until it returned, so no
+        event announces a fact the journal could lose.  An exception drops
+        them: the run is over, and a rerun replays what the journal kept.
         """
         commit = (
             self.journal.batch() if self.journal is not None
@@ -178,7 +230,7 @@ class GridRun:
                 yield
         finally:
             self._held = None
-        for event in held:  # empty without a callback: emit holds nothing
+        for event in held:  # empty without a callback: note holds nothing
             self._on_event(event)  # type: ignore[misc]
 
     def lookup(self) -> list[tuple[SchedulerConfig, str]]:
@@ -190,50 +242,20 @@ class GridRun:
                 self.grid.fingerprints[config.key] = fp
                 cell = self.cache.get(fp) if self.cache is not None else None
                 if cell is None:
-                    self.journal_cell(config.key, "scheduled", fingerprint=fp)
+                    self.note("scheduled", config.key, fingerprint=fp)
                     pending.append((config, fp))
-                    continue
-                self.results[config.key] = cell
-                self.stats.cache_hits += 1
-                if config.key not in self._already:
-                    self.journal_cell(
-                        config.key,
-                        "completed",
-                        fingerprint=fp,
-                        objective=cell.objective,
-                        cached=True,
-                    )
-                self.emit(
-                    "cache-hit", key=config.key, objective=cell.objective,
-                    cached=True,
-                )
+                else:
+                    self.note("cache-hit", config.key, fingerprint=fp, cell=cell)
         return pending
-
-    def record(
-        self, key: str, fingerprint: str, cell: CellResult, wall: float
-    ) -> None:
-        """File one simulated cell: results, cache, journal, event."""
-        self.results[key] = cell
-        self.stats.simulated += 1
-        if self.cache is not None:
-            self.cache.put(fingerprint, cell)
-        # Cache write lands before the journal record: a crash between
-        # the two leaves an orphaned cache entry (healed by a rerun), never
-        # a journaled completion with no backing result.  Inside a batch
-        # the record is durable, and the event sent, when the batch ends.
-        self.journal_cell(
-            key, "completed", fingerprint=fingerprint, objective=cell.objective
-        )
-        self.emit("cell-finished", key=key, wall_time=wall, objective=cell.objective)
 
     # -- graceful shutdown ----------------------------------------------------
 
     def interrupt(self, unfinished: Sequence[tuple[str, str]]) -> NoReturn:
         """Journal ``(key, fingerprint)`` cells as interrupted and raise."""
         for key, fp in unfinished:
-            self.journal_cell(key, "interrupted", fingerprint=fp)
+            self.note("interrupted", key, fingerprint=fp)
         raise RunInterrupted(
-            self.run_id,
+            self.stats.run_id,  # type: ignore[arg-type]
             signal_name=self.interrupted,  # type: ignore[arg-type]
             completed=self.stats.cache_hits + self.stats.simulated,
             remaining=len(unfinished),

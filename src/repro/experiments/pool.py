@@ -213,8 +213,9 @@ class WorkerPool:
 class PoolRun:
     """One run's cache misses on their way through the engine's pool.
 
-    ``engine`` supplies ``cell_timeout``, the backend and the pool, ``run``
-    everything the loop writes to (stats, journal, events, results).
+    ``engine`` supplies ``cell_timeout``, the backend and the pool; every
+    transition the loop sees goes to ``run`` as one :meth:`GridRun.note
+    <repro.experiments.lifecycle.GridRun.note>` call.
     """
 
     __slots__ = (
@@ -267,10 +268,8 @@ class PoolRun:
         self.payload = pickle.dumps(
             (self.template, packed), protocol=pickle.HIGHEST_PROTOCOL
         )
-        for fp in self.order:
-            run.emit("cell-started", key=self.config_by_fp[fp].key)
         pool = self.pool = self.engine.borrow_pool()
-        run.stats.backend = "local-pool"
+        run.note("pooled")
         healthy = False
         try:
             leftovers = self.drive()
@@ -283,13 +282,7 @@ class PoolRun:
         unfinished = {*self.serial_fallback, *leftovers}
         serial = [(self.config_by_fp[fp], fp) for fp in self.order if fp in unfinished]
         if serial:
-            run.stats.degraded_cells += len(serial)
-            run.emit(
-                "engine-degraded",
-                detail=f"{len(serial)} cell(s) fell back to in-process serial "
-                f"execution after {run.stats.retries} retries and "
-                f"{run.stats.worker_replacements} worker replacements",
-            )
+            run.note("degraded", count=len(serial))
         return serial
 
     def held(self) -> list[str]:
@@ -354,7 +347,7 @@ class PoolRun:
     def start(self, worker: Worker) -> None:
         """The worker takes its first cell: journal it, start its lease."""
         fp = worker.cells[0]
-        self.run.journal_cell(self.config_by_fp[fp].key, "started", fingerprint=fp)
+        self.run.note("started", self.config_by_fp[fp].key, fingerprint=fp)
         timeout = self.engine.cell_timeout
         worker.lease = math.inf if timeout is None else time.perf_counter() + timeout
 
@@ -410,7 +403,8 @@ class PoolRun:
         fp = worker.cells.pop(0)
         if isinstance(reply, tuple):
             cell, wall = reply
-            self.run.record(self.config_by_fp[fp].key, fp, cell, wall)
+            key = self.config_by_fp[fp].key
+            self.run.note("completed", key, fingerprint=fp, cell=cell, wall_time=wall)
         else:
             # The cell raised in a healthy worker: retried (a flaky error
             # recovers), then the serial fallback surfaces a deterministic
@@ -431,7 +425,7 @@ class PoolRun:
         self.queue[:0] = waiting
         if running is not None:
             self.charge_retry(running, why or worker.exit_reason())
-        self.run.stats.worker_replacements += 1
+        self.run.note("worker-replaced")
         if self.run.stats.worker_replacements > MAX_WORKER_REPLACEMENTS:
             return False
         self.pool.replace(worker)
@@ -440,20 +434,13 @@ class PoolRun:
     def charge_retry(self, fp: str, why: str) -> None:
         """Charge a retry for ``fp``: schedule its resubmission, or send
         it to the serial fallback once the budget is exhausted."""
-        run = self.run
         key = self.config_by_fp[fp].key
         attempt = self.attempts[fp] = self.attempts.get(fp, 0) + 1
         if attempt > MAX_RETRIES:
-            run.journal_cell(key, "abandoned", fingerprint=fp, detail=why)
+            self.run.note("abandoned", key, fingerprint=fp, detail=why)
             self.serial_fallback.append(fp)
             return
-        run.journal_cell(key, "failed", fingerprint=fp, detail=why)
-        run.stats.retries += 1
         pause = retry_pause(RETRY_BACKOFF, attempt, self.rng)
-        run.emit(
-            "cell-retry",
-            key=key,
-            wall_time=pause,
-            detail=f"attempt {attempt}/{MAX_RETRIES}: {why}",
-        )
+        self.run.note("retry", key, fingerprint=fp, detail=why, wall_time=pause,
+                      attempt=f"{attempt}/{MAX_RETRIES}")
         self.resubmit_at[fp] = time.perf_counter() + pause

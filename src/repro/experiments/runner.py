@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.job import Job
 from repro.core.packing import PackedJobs, unpack_jobs
@@ -163,9 +163,6 @@ class GridResult:
         return (self._cell(key).compute_time - ref) / ref * 100.0
 
 
-ProgressFn = Callable[[SchedulerConfig, CellResult], None]
-
-
 def simulate_cell(
     config: SchedulerConfig,
     jobs: "Sequence[Job] | PackedJobs",
@@ -258,7 +255,6 @@ def run_grid(
     total_nodes: int = 256,
     weighted: bool = False,
     configs: Sequence[SchedulerConfig] | None = None,
-    progress: ProgressFn | None = None,
     reference_key: str | None = None,
     backend: str | None = None,
 ) -> GridResult:
@@ -271,8 +267,10 @@ def run_grid(
 
     This is a thin serial wrapper over
     :class:`repro.experiments.engine.ExperimentEngine` (one worker, no
-    cache); use the engine directly for parallel fan-out, the on-disk
-    result cache, and structured progress events.
+    cache) and returns the cells in ``configs`` order; use the engine
+    directly for parallel fan-out, the on-disk result cache, and
+    structured progress events (``on_event``: a ``cell-finished`` as
+    each cell ends).
     """
     from repro.experiments.engine import ExperimentEngine
 
@@ -282,6 +280,5 @@ def run_grid(
         total_nodes=total_nodes,
         weighted=weighted,
         configs=configs,
-        progress=progress,
         reference_key=reference_key,
     )

@@ -28,7 +28,6 @@ from repro.experiments.engine import (
 )
 from repro.failures import FailureTrace, NodeFailure, mtbf_trace
 from repro.experiments.journal import RunInterrupted, RunJournal
-from repro.experiments.lifecycle import RunStats
 from repro.experiments.paper import probabilistic_workload
 from repro.experiments import pool as pool_module
 from repro.experiments.pool import PoolRun, retry_pause
@@ -323,16 +322,17 @@ class TestParallelEquivalence:
         assert full.stats.cache_hits == 3
         assert full.stats.simulated == 10
 
-    def test_progress_callback_in_config_order(self, workload):
+    def test_cells_in_config_order_each_announced_once(self, workload):
+        """A parallel grid comes back in config order, whatever order its
+        cells finished in, and ``on_event`` saw each finish once."""
         configs = list(paper_configurations())
-        seen = []
-        ExperimentEngine(workers=4).run(
-            workload[:40],
-            total_nodes=256,
-            configs=configs,
-            progress=lambda cfg, cell: seen.append(cfg.key),
+        events = []
+        grid = ExperimentEngine(workers=4, on_event=events.append).run(
+            workload[:40], total_nodes=256, configs=configs,
         )
-        assert seen == [c.key for c in configs]
+        assert list(grid.cells) == [c.key for c in configs]
+        finished = [e.key for e in events if e.kind == "cell-finished"]
+        assert sorted(finished) == sorted(grid.cells)
 
 
 class TestWorkloadStore:
@@ -494,6 +494,126 @@ class TestProgressEvents:
         assert kinds[0] == "grid-started" and kinds[-1] == "grid-finished"
         assert "cell-finished" in kinds[: len(first)]
         assert "cell-finished" not in kinds[len(first):]
+
+
+# -- the run record: journal, events and fsyncs agree --------------------------
+
+
+FOUR_CELLS = [
+    SchedulerConfig("fcfs", "easy"),
+    SchedulerConfig("fcfs", "list"),
+    SchedulerConfig("psrs", "easy"),
+    SchedulerConfig("gg", "list"),
+]
+
+
+class TestRunRecord:
+    """What one run journals, fsyncs and announces, pinned together."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls = []
+        real = os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            return real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        return calls
+
+    @staticmethod
+    def _records(path):
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    def _run(self, tmp_path, workload, workers):
+        """One journaled grid; every event checks, as it is sent, that the
+        journal file already holds the record it announces."""
+        journal = {}
+        events = []
+
+        def on_event(event):
+            events.append(event)
+            if event.kind == "grid-started":
+                journal["path"] = tmp_path / "runs" / f"{event.run_id}.jsonl"
+            if event.key is None:
+                return
+            cells = [
+                r for r in self._records(journal["path"])
+                if r["kind"] == "cell" and r["key"] == event.key
+            ]
+            if event.kind == "cell-started":
+                assert [r["state"] for r in cells].count("started") == 1
+            elif event.kind in ("cell-finished", "cache-hit"):
+                assert [r["objective"] for r in cells if r["state"] == "completed"] \
+                    == [event.objective]
+
+        with ExperimentEngine(
+            workers=workers, cache=tmp_path, on_event=on_event
+        ) as engine:
+            grid = engine.run(workload[:30], total_nodes=256, configs=FOUR_CELLS)
+        return grid, events, self._records(journal["path"])
+
+    def test_serial_run_record(self, tmp_path, workload, fsyncs):
+        grid, events, records = self._run(tmp_path, workload, workers=1)
+        # The manifest, the lookup batch, then one fsync per cell boundary:
+        # each ``completed`` shares its fsync with the next ``started``.
+        assert len(fsyncs) == 2 + len(FOUR_CELLS) + 1
+        assert [(r["kind"], r.get("state"), r.get("key")) for r in records] == [
+            ("manifest", None, None),
+            ("cell", "scheduled", "fcfs/easy"),
+            ("cell", "scheduled", "fcfs/list"),
+            ("cell", "scheduled", "psrs/easy"),
+            ("cell", "scheduled", "gg/list"),
+            ("cell", "started", "fcfs/easy"),
+            ("cell", "completed", "fcfs/easy"),
+            ("cell", "started", "fcfs/list"),
+            ("cell", "completed", "fcfs/list"),
+            ("cell", "started", "psrs/easy"),
+            ("cell", "completed", "psrs/easy"),
+            ("cell", "started", "gg/list"),
+            ("cell", "completed", "gg/list"),
+        ]
+        assert [(e.kind, e.key) for e in events] == [
+            ("grid-started", None),
+            ("cell-started", "fcfs/easy"),
+            ("cell-finished", "fcfs/easy"),
+            ("cell-started", "fcfs/list"),
+            ("cell-finished", "fcfs/list"),
+            ("cell-started", "psrs/easy"),
+            ("cell-finished", "psrs/easy"),
+            ("cell-started", "gg/list"),
+            ("cell-finished", "gg/list"),
+            ("grid-finished", None),
+        ]
+        assert [e.objective for e in events if e.kind == "cell-finished"] == [
+            cell.objective for cell in grid.cells.values()
+        ]
+
+        # A warm rerun continues the journal: a ``resumed`` marker, nothing
+        # journaled again, every cell a hit announced after the lookup batch.
+        del fsyncs[:]
+        _, events, records = self._run(tmp_path, workload, workers=1)
+        assert len(fsyncs) == 1
+        assert records[-1]["kind"] == "resumed"
+        assert [e.kind for e in events] == (
+            ["grid-started"] + ["cache-hit"] * len(FOUR_CELLS) + ["grid-finished"]
+        )
+
+    def test_pool_run_record(self, tmp_path, workload, fsyncs):
+        grid, events, records = self._run(tmp_path, workload, workers=2)
+        # The manifest, the lookup batch and the first dispatch, then one
+        # fsync per wake that collected results: one result each at most,
+        # two (one per worker) at least.
+        cells = len(FOUR_CELLS)
+        assert 3 + cells // 2 <= len(fsyncs) <= 3 + cells
+        started = [e.key for e in events if e.kind == "cell-started"]
+        assert sorted(started) == sorted(grid.cells)
+        for key in grid.cells:
+            states = [r["state"] for r in records if r.get("key") == key]
+            assert states == ["scheduled", "started", "completed"]
+            index = next(i for i, e in enumerate(events) if e.key == key)
+            assert events[index].kind == "cell-started"
 
 
 # -- one pool per engine ---------------------------------------------------------
@@ -912,14 +1032,10 @@ class _RunStub:
     """The slice of a ``GridRun`` that ``PoolRun.charge_retry`` writes to."""
 
     def __init__(self) -> None:
-        self.stats = RunStats()
-        self.events: list = []
+        self.notes: list = []
 
-    def journal_cell(self, *args, **fields) -> None:
-        pass
-
-    def emit(self, kind, **fields) -> None:
-        self.events.append((kind, fields))
+    def note(self, kind, key=None, **fields) -> None:
+        self.notes.append((kind, fields))
 
 
 class TestRetryBackoff:
@@ -948,9 +1064,9 @@ class TestRetryBackoff:
             0.25 * (2 ** (attempt - 1)) * legacy_rng.uniform(0.5, 1.5)
             for attempt in range(1, 4)
         ]
-        pauses = [fields["wall_time"] for kind, fields in run.events if kind == "cell-retry"]
+        pauses = [fields["wall_time"] for kind, fields in run.notes if kind == "retry"]
         assert pauses == legacy
-        assert run.stats.retries == 3
+        assert [kind for kind, _ in run.notes] == ["retry"] * 3 + ["abandoned"]
         assert pool_run.serial_fallback == ["fp"]
 
 

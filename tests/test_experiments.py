@@ -60,12 +60,10 @@ class TestRunner:
         # AWRT magnitudes (area-weighted) dwarf ART ones.
         assert weighted.reference.objective > unweighted.reference.objective
 
-    def test_progress_callback(self):
-        seen = []
+    def test_cells_in_config_order(self):
         jobs = make_jobs(10, seed=1, max_nodes=16)
-        run_grid(jobs, total_nodes=64, configs=SMALL_CONFIGS,
-                 progress=lambda cfg, cell: seen.append(cfg.key))
-        assert seen == [c.key for c in SMALL_CONFIGS]
+        grid = run_grid(jobs, total_nodes=64, configs=SMALL_CONFIGS)
+        assert list(grid.cells) == [c.key for c in SMALL_CONFIGS]
 
     def test_timing_scheduler_delegates(self):
         inner = FCFSScheduler.plain()
